@@ -1,22 +1,17 @@
 package lp
 
-// Differential pinning of the two basis kernels against each other: the
-// sparse LU kernel (the default) and the legacy explicit dense B⁻¹ run the
-// same pivot rule over the same matrices, so on every corpus instance they
-// must land on the same vertex — status, objective AND the full solution
-// vector — cold, warm-started from a bounds-tightened child (the row-free
-// branch-and-bound move, where the LU child adopts the parent's frozen
-// factors) and warm-started after an appended row (where the LU kernel
-// must detect the dimension change and refactorise). A disagreement here is
-// how an FTRAN/BTRAN or eta-file bug would surface as a silently wrong
-// optimum with the factorisation layer enabled.
+// Golden pinning of the LU basis kernel (see golden_test.go): cold,
+// warm-started from a bounds-tightened child (the row-free branch-and-bound
+// move, where the LU child adopts the parent's frozen factors), chained to
+// a grandchild, and warm-started after an appended row (where the LU kernel
+// must detect the dimension change and refactorise), every solve lands on
+// its pinned vertex and on the optimum the explicit dense B⁻¹ kernel
+// recorded for the same problem. A disagreement here is how an FTRAN/BTRAN
+// or eta-file bug would surface as a silently wrong optimum.
 
 import (
-	"math"
 	"strconv"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // solveBothKernels solves p cold under both kernels and returns the pair.
@@ -34,126 +29,75 @@ func solveBothKernels(t *testing.T, p *Problem) (lu, binv *Solution, luBS, binvB
 	return lu, binv, luBS, binvBS
 }
 
-// TestDifferentialLUVsBinv: kernel agreement over the whole corpus, cold
-// and across a warm-started bounds-tightened child plus a grandchild
-// chained from the warm basis (the child appends etas onto inherited
-// factors, the exact state a deep branch-and-bound dive produces).
+// TestDifferentialLUVsBinv: the LU kernel's warm chain on every corpus
+// instance — a bounds-tightened child adopting the cold solve's frozen
+// factors, and a grandchild adopting the child's factors with their eta
+// file (the state a deep branch-and-bound dive produces) — reproduces its
+// golden pins bit for bit and matches the explicit-B⁻¹ kernel's recorded
+// optima on the same problems.
 func TestDifferentialLUVsBinv(t *testing.T) {
+	pins := golden(t)
 	for i := 0; i < corpusSize; i++ {
 		i := i
 		t.Run(strconv.Itoa(i), func(t *testing.T) {
 			t.Parallel()
-			g := corpusInstance(i)
-			lu, binv, luBS, binvBS := solveBothKernels(t, g.p)
-			assertAgreeX(t, "cold", binv, lu)
-			if lu.Status != Optimal {
-				return
-			}
-
-			s := rng.NewReplicate(6, "lp-differential-factor", i)
-			v := s.Intn(g.p.NumVars())
-			child := g.p.Clone()
-			lo, _ := child.Bounds(v)
-			child.SetBounds(v, lo, math.Max(lo, math.Floor(lu.X[v])))
-			warmLU, wluBS, err := SolveFrom(child, luBS, Options{Factor: FactorLU})
+			c, err := solveCorpusChain(i)
 			if err != nil {
-				t.Fatalf("warm lu: %v", err)
+				t.Fatal(err)
 			}
-			warmBinv, wbinvBS, err := SolveFrom(child, binvBS, Options{Factor: FactorBinv})
-			if err != nil {
-				t.Fatalf("warm binv: %v", err)
-			}
-			assertAgreeX(t, "warm", warmBinv, warmLU)
-			if warmLU.Status != Optimal {
-				return
-			}
-
-			// Grandchild from the warm basis: the LU snapshot being adopted
-			// now carries a frozen eta file from the child's own pivots.
-			v2 := s.Intn(g.p.NumVars())
-			grand := child.Clone()
-			lo2, _ := grand.Bounds(v2)
-			grand.SetBounds(v2, lo2, math.Max(lo2, math.Floor(warmLU.X[v2])))
-			grandLU, _, err := SolveFrom(grand, wluBS, Options{Factor: FactorLU})
-			if err != nil {
-				t.Fatalf("grand lu: %v", err)
-			}
-			grandBinv, _, err := SolveFrom(grand, wbinvBS, Options{Factor: FactorBinv})
-			if err != nil {
-				t.Fatalf("grand binv: %v", err)
-			}
-			assertAgreeX(t, "grandchild", grandBinv, grandLU)
+			want := pins.Corpus[i]
+			checkPin(t, "cold", c.cold, want.Cold)
+			checkPin(t, "child", c.child, want.Child)
+			checkPin(t, "grandchild", c.grand, want.Grand)
+			checkRef(t, "cold vs B⁻¹", c.cold, want.Binv[0])
+			checkRef(t, "child vs B⁻¹", c.child, want.Binv[1])
+			checkRef(t, "grandchild vs B⁻¹", c.grand, want.Binv[2])
 		})
 	}
 }
 
-// TestDifferentialLUVsBinvAppendedRows: kernel agreement when the child
-// appends a bound row instead of tightening a box. The dense kernel extends
-// its inverse block-triangularly; the LU kernel cannot adopt a factor of
-// the wrong dimension and must flag the rebuild on the Solution.
+// TestDifferentialLUVsBinvAppendedRows: a child that appends a bound row
+// instead of tightening a box changes the basis dimension, so the LU
+// kernel cannot adopt the parent's factor and must flag the rebuild; the
+// warm solve still reproduces its golden pin and the explicit-B⁻¹
+// kernel's recorded optimum.
 func TestDifferentialLUVsBinvAppendedRows(t *testing.T) {
+	pins := golden(t)
 	for i := 0; i < corpusSize; i++ {
 		i := i
 		t.Run(strconv.Itoa(i), func(t *testing.T) {
 			t.Parallel()
-			g := corpusInstance(i)
-			lu, _, luBS, binvBS := solveBothKernels(t, g.p)
-			if lu.Status != Optimal {
-				return
-			}
-			s := rng.NewReplicate(7, "lp-differential-factor-rows", i)
-			v := s.Intn(g.p.NumVars())
-			child := g.p.Clone()
-			child.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, math.Floor(lu.X[v]))
-			warmLU, _, err := SolveFrom(child, luBS, Options{Factor: FactorLU})
+			c, err := solveCorpusChain(i)
 			if err != nil {
-				t.Fatalf("warm lu: %v", err)
+				t.Fatal(err)
 			}
-			warmBinv, _, err := SolveFrom(child, binvBS, Options{Factor: FactorBinv})
-			if err != nil {
-				t.Fatalf("warm binv: %v", err)
-			}
-			assertAgreeX(t, "row-child", warmBinv, warmLU)
-			if !warmLU.FactorRebuilt {
+			checkPin(t, "row-child", c.row, pins.Corpus[i].Row)
+			checkRef(t, "row-child vs B⁻¹", c.row, pins.Corpus[i].Binv[3])
+			if !c.row.FactorRebuilt {
 				t.Error("LU warm start after an appended row did not report FactorRebuilt")
 			}
 		})
 	}
 }
 
-// TestDifferentialLUVsBinvStaircase: kernel agreement at realistic
+// TestDifferentialLUVsBinvStaircase: the same pins at realistic
 // DSCT-EA-FR scale, where the staircase bases make the sparse factors pay
 // off and refactorisation actually triggers.
 func TestDifferentialLUVsBinvStaircase(t *testing.T) {
-	const staircaseFactorCorpus = 12
-	for i := 0; i < staircaseFactorCorpus; i++ {
+	pins := golden(t)
+	for i := 0; i < staircasePinCount; i++ {
 		i := i
 		t.Run(strconv.Itoa(i), func(t *testing.T) {
 			t.Parallel()
-			s := rng.NewReplicate(8, "lp-differential-factor-staircase", i)
-			nTasks := 20 + s.Intn(41) // 20..60 tasks
-			mMach := 2 + s.Intn(3)    // 2..4 machines
-			g := generateStaircaseLP(s, nTasks, mMach)
-
-			lu, binv, luBS, _ := solveBothKernels(t, g.p)
-			assertAgreeX(t, "cold", binv, lu)
-			if lu.Status != Optimal {
-				t.Fatalf("staircase instance not optimal (%v); generator broken", lu.Status)
-			}
-
-			v := s.Intn(g.p.NumVars())
-			child := g.p.Clone()
-			lo, _ := child.Bounds(v)
-			child.SetBounds(v, lo, math.Max(lo, math.Floor(lu.X[v])))
-			warmLU, _, err := SolveFrom(child, luBS, Options{Factor: FactorLU})
+			c, err := solveStaircaseChain(i)
 			if err != nil {
-				t.Fatalf("warm lu: %v", err)
+				t.Fatal(err)
 			}
-			coldChild, _, err := SolveBasis(child, Options{Factor: FactorBinv})
-			if err != nil {
-				t.Fatalf("cold binv child: %v", err)
-			}
-			assertAgree(t, "warm-vs-cold-child", coldChild, warmLU)
+			want := pins.Staircase[i]
+			checkPin(t, "cold", c.cold, want.Cold)
+			checkPin(t, "child", c.child, want.Child)
+			checkRef(t, "cold vs B⁻¹", c.cold, want.Binv[0])
+			checkRef(t, "child vs B⁻¹", c.child, want.Binv[1])
 		})
 	}
 }

@@ -64,34 +64,43 @@ func assertAgreeX(t *testing.T, label string, a, b *Solution) {
 	}
 }
 
-// TestDifferentialColdRevisedVsTableau: the revised core's cold path must
-// reproduce the tableau solver across the whole corpus.
+// TestDifferentialColdRevisedVsTableau: the cold revised solve of every
+// corpus instance reproduces its golden pin bit for bit and matches the
+// optimum the dense tableau core recorded for it (golden_test.go), and
+// that optimum carries a dual certificate Certify accepts — an oracle that
+// shares no code with the simplex.
 func TestDifferentialColdRevisedVsTableau(t *testing.T) {
+	pins := golden(t)
 	for i := 0; i < corpusSize; i++ {
 		i := i
 		t.Run(strconv.Itoa(i), func(t *testing.T) {
 			t.Parallel()
 			g := corpusInstance(i)
-			cold, err := Solve(g.p, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			rev, bs, err := SolveBasis(g.p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertAgree(t, "cold", cold, rev)
-			if cold.Status != Optimal {
-				t.Fatalf("corpus instance not optimal (%v); generator broken", cold.Status)
+			if rev.Status != Optimal {
+				t.Fatalf("corpus instance not optimal (%v); generator broken", rev.Status)
 			}
 			if bs == nil {
 				t.Fatal("no basis from optimal cold solve")
 			}
-			// Both must beat the known feasible point.
+			checkPin(t, "cold", rev, pins.Corpus[i].Cold)
+			checkRef(t, "cold vs tableau", rev, pins.Corpus[i].Tableau)
+			// The optimum must beat the known feasible point.
 			want := g.feasibleValue()
 			tol := 1e-6 * (1 + math.Abs(want))
 			if rev.Objective < want-tol {
 				t.Errorf("revised objective %g below feasible value %g", rev.Objective, want)
+			}
+			ds, _, err := SolveBasisWithDuals(g.p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPin(t, "with duals", &ds.Solution, pins.Corpus[i].Cold)
+			if err := Certify(g.p, ds.X, ds.Duals, 1e-6); err != nil {
+				t.Errorf("certificate rejected: %v", err)
 			}
 		})
 	}
