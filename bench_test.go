@@ -255,97 +255,6 @@ func BenchmarkMIPDenseVsSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkMIPFactorLUVsBinv: end-to-end branch-and-bound on the paper's
-// DSCT-EA MIP under the two basis kernels — the legacy explicit dense B⁻¹
-// (binv) versus the sparse LU + eta file (lu, the default). Every node
-// re-solve prices and ratio-tests through the kernel, and warm-started
-// children adopt the parent's snapshot (an m²-float copy under binv, a
-// frozen-factor struct copy under lu), so the kernel choice compounds over
-// the whole tree. Both must reach the identical optimum (node counts may
-// differ by roundoff-level tie-breaks in node selection).
-func BenchmarkMIPFactorLUVsBinv(b *testing.B) {
-	for _, n := range []int{8, 12, 16} {
-		in := benchInstance(b, n, 2, 2)
-		mm := model.BuildMIP(in)
-		objs := make(map[string]float64)
-		for _, mode := range []struct {
-			name   string
-			factor lp.FactorMode
-		}{
-			{"binv", lp.FactorBinv},
-			{"lu", lp.FactorLU},
-		} {
-			b.Run(mode.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				var last *mip.Result
-				for i := 0; i < b.N; i++ {
-					opts := legacySearch()
-					opts.LP = lp.Options{Factor: mode.factor}
-					res, err := mip.Solve(mm.Prob, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Status != mip.Optimal {
-						b.Fatalf("status %v", res.Status)
-					}
-					last = res
-				}
-				objs[mode.name] = last.Objective
-				b.ReportMetric(float64(last.Nodes), "nodes")
-				b.ReportMetric(float64(last.InheritFallbacks), "inherit-fallbacks")
-			})
-		}
-		if bo, lo := objs["binv"], objs["lu"]; len(objs) == 2 && !numeric.AlmostEqual(bo, lo) {
-			b.Fatalf("n=%d: binv objective %.17g != lu objective %.17g", n, bo, lo)
-		}
-	}
-}
-
-// BenchmarkMIPBoundsVsRows: end-to-end warm-started branch-and-bound with
-// branching decisions applied as tightened variable bounds on the root LP
-// (bounds, the default: every node keeps the root's basis dimension)
-// versus appended explicit bound rows (rows, Options.BranchRows: the basis
-// grows with tree depth). The rows variant also expands the model's
-// variable boxes into rows so its root matches what the one-sided solver
-// used to receive. Both must reach the identical optimum; the node-rows
-// metric records the per-node LP row-count high-water mark that the
-// row-free encoding holds flat.
-func BenchmarkMIPBoundsVsRows(b *testing.B) {
-	for _, n := range []int{8, 12, 16} {
-		in := benchInstance(b, n, 2, 2)
-		mm := model.BuildMIP(in)
-		rowsProb := &mip.Problem{LP: lp.ExpandBounds(mm.Prob.LP), Integers: mm.Prob.Integers}
-		objs := make(map[string]float64)
-		for _, mode := range []struct {
-			name string
-			prob *mip.Problem
-			opts mip.Options
-		}{
-			{"bounds", mm.Prob, legacySearch()},
-			{"rows", rowsProb, func() mip.Options { o := legacySearch(); o.BranchRows = true; return o }()},
-		} {
-			b.Run(mode.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				var last *mip.Result
-				for i := 0; i < b.N; i++ {
-					res, err := mip.Solve(mode.prob, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Status != mip.Optimal {
-						b.Fatalf("status %v", res.Status)
-					}
-					last = res
-				}
-				objs[mode.name] = last.Objective
-				b.ReportMetric(float64(last.Nodes), "nodes")
-				b.ReportMetric(float64(last.MaxNodeRows), "node-rows")
-			})
-		}
-		if bo, ro := objs["bounds"], objs["rows"]; len(objs) == 2 && !numeric.AlmostEqual(bo, ro) {
-			b.Fatalf("n=%d: bounds objective %.17g != rows objective %.17g", n, bo, ro)
-		}
-	}
-}
-
 // BenchmarkMIPBranchAndCut: the legacy branch-and-bound versus the
 // branch-and-cut defaults (reliability branching primed by strong-
 // branching probes, best-bound with plunging, root cuts) on the hardest

@@ -7,25 +7,16 @@
 //	benchjson -diff old.json new.json [-threshold 2.0]
 //
 // Every benchmark result line is captured with its iteration count, ns/op
-// and any custom metrics reported via b.ReportMetric. Benchmarks whose
-// sub-test path contains a "cold" and a matching "warm" segment (e.g.
-// BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16, or the incremental
-// engine's BenchmarkIncrementalResolve/cold vs .../warm) are additionally
-// paired with the cold/warm speedup recorded, likewise "dense" vs
-// "sparse" segments (BenchmarkSparseVsDenseLP/dense/... vs .../sparse/...)
-// with the dense/sparse speedup, "rows" vs "bounds" segments
-// (BenchmarkMIPBoundsVsRows/rows/... vs .../bounds/...) with the row-
-// encoding/bound-encoding speedup, and "binv" vs "lu" segments
-// (BenchmarkFactorLUVsBinvLP/binv/... vs .../lu/...) with the dense-
-// inverse/LU basis-kernel speedup, "dantzig" vs "devex"/"partial" segments
-// (BenchmarkPricingXLLP/dantzig/... vs .../devex/... and .../partial/...)
-// with the pricing-rule speedups, and "nopresolve" vs "presolve" segments
-// (BenchmarkPresolveXLLP/nopresolve/... vs .../presolve/...) with the
-// presolve-layer speedup, and "legacy" vs "bnc" segments
-// (BenchmarkMIPBranchAndCut/legacy/... vs .../bnc/...) with both the
-// wall-clock speedup and the node-count reduction of the branch-and-cut
-// search — which is how scripts/verify.sh -bench produces the committed
-// BENCH_*.json records.
+// and any custom metrics reported via b.ReportMetric. Benchmarks are then
+// paired by one A/B rule: a benchmark whose sub-test path holds a baseline
+// segment is paired with its twin that holds the variant segment in the
+// same place, for each (baseline, variant) in segmentRules — "cold" vs
+// "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16), "dense" vs
+// "sparse", "rows" vs "bounds", "dantzig" vs "partial", "nopresolve" vs
+// "presolve" and "legacy" vs "bnc". Each pair records the baseline/variant
+// speedup and, when both sides report a nodes metric, the node-count
+// reduction (the branch-and-cut comparison's point) — which is how
+// scripts/verify.sh -bench produces the committed BENCH_*.json records.
 //
 // In -diff mode the two JSON records are matched by benchmark name and the
 // new/old ns-per-op ratio is printed per benchmark; any common benchmark
@@ -64,84 +55,43 @@ type benchResult struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// coldWarmPair joins a cold benchmark with its warm counterpart.
-type coldWarmPair struct {
-	Name     string  `json:"name"`
-	ColdNsOp float64 `json:"cold_ns_per_op"`
-	WarmNsOp float64 `json:"warm_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
+// segmentRules are the (baseline, variant) path-segment pairings: every
+// benchmark carrying the baseline segment is paired with its twin carrying
+// the variant segment in the same place.
+var segmentRules = []struct{ baseline, variant string }{
+	{"cold", "warm"},           // warm-started vs from-scratch solves
+	{"dense", "sparse"},        // constraint-matrix representation
+	{"rows", "bounds"},         // explicit bound rows vs implicit boxes
+	{"dantzig", "partial"},     // pricing rule
+	{"nopresolve", "presolve"}, // presolve layer off vs on
+	{"legacy", "bnc"},          // legacy search vs branch-and-cut
 }
 
-// denseSparsePair joins a dense-matrix benchmark with its sparse twin.
-type denseSparsePair struct {
-	Name       string  `json:"name"`
-	DenseNsOp  float64 `json:"dense_ns_per_op"`
-	SparseNsOp float64 `json:"sparse_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// rowsBoundsPair joins a row-encoded benchmark with its bound-encoded twin.
-type rowsBoundsPair struct {
-	Name       string  `json:"name"`
-	RowsNsOp   float64 `json:"rows_ns_per_op"`
-	BoundsNsOp float64 `json:"bounds_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// binvLuPair joins a dense-inverse-kernel benchmark with its LU-kernel twin.
-type binvLuPair struct {
-	Name     string  `json:"name"`
-	BinvNsOp float64 `json:"binv_ns_per_op"`
-	LuNsOp   float64 `json:"lu_ns_per_op"`
-	Speedup  float64 `json:"speedup"`
-}
-
-// pricingPair joins a dantzig-priced benchmark with the same benchmark
-// under a smarter pricing rule (devex or partial); Rule names which.
-type pricingPair struct {
-	Name        string  `json:"name"`
-	Rule        string  `json:"rule"`
-	DantzigNsOp float64 `json:"dantzig_ns_per_op"`
-	RuleNsOp    float64 `json:"rule_ns_per_op"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// branchCutPair joins a legacy-search benchmark segment with its
-// branch-and-cut twin; NodeReduction is the legacy/bnc node-count ratio
-// (how many times fewer nodes the branch-and-cut search explored), 0 when
-// either segment did not report a nodes metric.
-type branchCutPair struct {
+// segmentPair joins a baseline benchmark with its variant twin. Name is the
+// shared path with the differing segment replaced by "*"; Speedup is
+// baseline/variant ns/op. When both sides report a nodes metric the node
+// counts and their baseline/variant ratio (NodeReduction: how many times
+// fewer nodes the variant explored) are recorded too.
+type segmentPair struct {
 	Name          string  `json:"name"`
-	LegacyNsOp    float64 `json:"legacy_ns_per_op"`
-	BncNsOp       float64 `json:"bnc_ns_per_op"`
+	Baseline      string  `json:"baseline"`
+	Variant       string  `json:"variant"`
+	BaselineNsOp  float64 `json:"baseline_ns_per_op"`
+	VariantNsOp   float64 `json:"variant_ns_per_op"`
 	Speedup       float64 `json:"speedup"`
-	LegacyNodes   float64 `json:"legacy_nodes,omitempty"`
-	BncNodes      float64 `json:"bnc_nodes,omitempty"`
+	BaselineNodes float64 `json:"baseline_nodes,omitempty"`
+	VariantNodes  float64 `json:"variant_nodes,omitempty"`
 	NodeReduction float64 `json:"node_reduction,omitempty"`
-}
-
-// presolvePair joins a raw solve with its presolved twin.
-type presolvePair struct {
-	Name           string  `json:"name"`
-	NoPresolveNsOp float64 `json:"nopresolve_ns_per_op"`
-	PresolveNsOp   float64 `json:"presolve_ns_per_op"`
-	Speedup        float64 `json:"speedup"`
 }
 
 // report is the top-level JSON document.
 type report struct {
-	Label         string            `json:"label,omitempty"`
-	Goos          string            `json:"goos,omitempty"`
-	Goarch        string            `json:"goarch,omitempty"`
-	CPU           string            `json:"cpu,omitempty"`
-	Benchmarks    []benchResult     `json:"benchmarks"`
-	Pairs         []coldWarmPair    `json:"cold_vs_warm,omitempty"`
-	DensePairs    []denseSparsePair `json:"dense_vs_sparse,omitempty"`
-	RowsPairs     []rowsBoundsPair  `json:"rows_vs_bounds,omitempty"`
-	BinvPairs     []binvLuPair      `json:"binv_vs_lu,omitempty"`
-	PricingPairs  []pricingPair     `json:"dantzig_vs_rule,omitempty"`
-	PresolvePairs []presolvePair    `json:"nopresolve_vs_presolve,omitempty"`
-	BranchPairs   []branchCutPair   `json:"legacy_vs_bnc,omitempty"`
+	Label      string        `json:"label,omitempty"`
+	Goos       string        `json:"goos,omitempty"`
+	Goarch     string        `json:"goarch,omitempty"`
+	CPU        string        `json:"cpu,omitempty"`
+	Benchmarks []benchResult `json:"benchmarks"`
+	Pairs      []segmentPair `json:"pairs,omitempty"`
 }
 
 func main() {
@@ -180,13 +130,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return fmt.Errorf("no benchmark result lines found on stdin")
 	}
 	rep.Benchmarks = mergeRepeats(rep.Benchmarks)
-	rep.Pairs = pairColdWarm(rep.Benchmarks)
-	rep.DensePairs = pairDenseSparse(rep.Benchmarks)
-	rep.RowsPairs = pairRowsBounds(rep.Benchmarks)
-	rep.BinvPairs = pairBinvLu(rep.Benchmarks)
-	rep.PricingPairs = pairPricing(rep.Benchmarks)
-	rep.PresolvePairs = pairPresolve(rep.Benchmarks)
-	rep.BranchPairs = pairBranchCut(rep.Benchmarks)
+	for _, rule := range segmentRules {
+		rep.Pairs = append(rep.Pairs, pairSegments(rep.Benchmarks, rule.baseline, rule.variant)...)
+	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -289,139 +235,31 @@ func mergeRepeats(results []benchResult) []benchResult {
 	return merged
 }
 
-// segmentPair is one (slow, fast) benchmark pairing found by pairSegments.
-type segmentPair struct {
-	name       string
-	slow, fast float64
-}
-
-// pairSegments matches benchmarks that differ only by a slowSeg vs fastSeg
-// path segment (e.g. "cold"/"warm" or "dense"/"sparse") and computes the
-// slow/fast timing for each pair, sorted by name.
-func pairSegments(results []benchResult, slowSeg, fastSeg string) []segmentPair {
+// pairSegments matches benchmarks that differ only by a baseline vs
+// variant path segment (e.g. "cold"/"warm" or "dense"/"sparse"), sorted by
+// name.
+func pairSegments(results []benchResult, baseline, variant string) []segmentPair {
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
 		byName[r.Name] = r
 	}
 	var pairs []segmentPair
 	for _, r := range results {
-		key, ok := replaceSegment(r.Name, slowSeg, fastSeg)
+		key, ok := replaceSegment(r.Name, baseline, variant)
 		if !ok {
 			continue
 		}
-		fast, ok := byName[key]
-		if !ok || fast.NsPerOp <= 0 {
+		v, ok := byName[key]
+		if !ok || v.NsPerOp <= 0 {
 			continue
 		}
-		generic, _ := replaceSegment(r.Name, slowSeg, "*")
-		pairs = append(pairs, segmentPair{name: generic, slow: r.NsPerOp, fast: fast.NsPerOp})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].name < pairs[j].name })
-	return pairs
-}
-
-// pairColdWarm records the cold/warm warm-start speedups.
-func pairColdWarm(results []benchResult) []coldWarmPair {
-	var pairs []coldWarmPair
-	for _, p := range pairSegments(results, "cold", "warm") {
-		pairs = append(pairs, coldWarmPair{
-			Name: p.name, ColdNsOp: p.slow, WarmNsOp: p.fast, Speedup: p.slow / p.fast,
-		})
-	}
-	return pairs
-}
-
-// pairDenseSparse records the dense/sparse matrix-representation speedups.
-func pairDenseSparse(results []benchResult) []denseSparsePair {
-	var pairs []denseSparsePair
-	for _, p := range pairSegments(results, "dense", "sparse") {
-		pairs = append(pairs, denseSparsePair{
-			Name: p.name, DenseNsOp: p.slow, SparseNsOp: p.fast, Speedup: p.slow / p.fast,
-		})
-	}
-	return pairs
-}
-
-// pairRowsBounds records the explicit-rows/implicit-bounds encoding
-// speedups.
-func pairRowsBounds(results []benchResult) []rowsBoundsPair {
-	var pairs []rowsBoundsPair
-	for _, p := range pairSegments(results, "rows", "bounds") {
-		pairs = append(pairs, rowsBoundsPair{
-			Name: p.name, RowsNsOp: p.slow, BoundsNsOp: p.fast, Speedup: p.slow / p.fast,
-		})
-	}
-	return pairs
-}
-
-// pairBinvLu records the dense-inverse/LU basis-kernel speedups.
-func pairBinvLu(results []benchResult) []binvLuPair {
-	var pairs []binvLuPair
-	for _, p := range pairSegments(results, "binv", "lu") {
-		pairs = append(pairs, binvLuPair{
-			Name: p.name, BinvNsOp: p.slow, LuNsOp: p.fast, Speedup: p.slow / p.fast,
-		})
-	}
-	return pairs
-}
-
-// pairPricing records the dantzig-baseline/pricing-rule speedups, one pair
-// per rule segment (devex, partial) that shares a dantzig twin.
-func pairPricing(results []benchResult) []pricingPair {
-	var pairs []pricingPair
-	for _, rule := range []string{"devex", "partial"} {
-		for _, p := range pairSegments(results, "dantzig", rule) {
-			pairs = append(pairs, pricingPair{
-				Name: p.name, Rule: rule,
-				DantzigNsOp: p.slow, RuleNsOp: p.fast, Speedup: p.slow / p.fast,
-			})
+		generic, _ := replaceSegment(r.Name, baseline, "*")
+		p := segmentPair{
+			Name: generic, Baseline: baseline, Variant: variant,
+			BaselineNsOp: r.NsPerOp, VariantNsOp: v.NsPerOp, Speedup: r.NsPerOp / v.NsPerOp,
 		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Name != pairs[j].Name {
-			return pairs[i].Name < pairs[j].Name
-		}
-		return pairs[i].Rule < pairs[j].Rule
-	})
-	return pairs
-}
-
-// pairPresolve records the raw-solve/presolved-solve speedups.
-func pairPresolve(results []benchResult) []presolvePair {
-	var pairs []presolvePair
-	for _, p := range pairSegments(results, "nopresolve", "presolve") {
-		pairs = append(pairs, presolvePair{
-			Name: p.name, NoPresolveNsOp: p.slow, PresolveNsOp: p.fast, Speedup: p.slow / p.fast,
-		})
-	}
-	return pairs
-}
-
-// pairBranchCut records the legacy-search/branch-and-cut speedups and
-// node-count reductions (the tentpole metric of the branch-and-cut work:
-// how many times fewer nodes the cut-and-pseudo-cost search explores).
-func pairBranchCut(results []benchResult) []branchCutPair {
-	byName := make(map[string]benchResult, len(results))
-	for _, r := range results {
-		byName[r.Name] = r
-	}
-	var pairs []branchCutPair
-	for _, r := range results {
-		key, ok := replaceSegment(r.Name, "legacy", "bnc")
-		if !ok {
-			continue
-		}
-		fast, ok := byName[key]
-		if !ok || fast.NsPerOp <= 0 {
-			continue
-		}
-		generic, _ := replaceSegment(r.Name, "legacy", "*")
-		p := branchCutPair{
-			Name: generic, LegacyNsOp: r.NsPerOp, BncNsOp: fast.NsPerOp,
-			Speedup: r.NsPerOp / fast.NsPerOp,
-		}
-		if ln, bn := r.Metrics["nodes"], fast.Metrics["nodes"]; ln > 0 && bn > 0 {
-			p.LegacyNodes, p.BncNodes, p.NodeReduction = ln, bn, ln/bn
+		if bn, vn := r.Metrics["nodes"], v.Metrics["nodes"]; bn > 0 && vn > 0 {
+			p.BaselineNodes, p.VariantNodes, p.NodeReduction = bn, vn, bn/vn
 		}
 		pairs = append(pairs, p)
 	}

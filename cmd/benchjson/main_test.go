@@ -35,6 +35,17 @@ func runTool(t *testing.T, input string, args ...string) (*report, error) {
 	return &rep, nil
 }
 
+// pairsOf returns the report's pairs with the given baseline segment.
+func pairsOf(rep *report, baseline string) []segmentPair {
+	var out []segmentPair
+	for _, p := range rep.Pairs {
+		if p.Baseline == baseline {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestBenchjsonParsesAndPairs(t *testing.T) {
 	rep, err := runTool(t, sampleBench, "-label", "pr2")
 	if err != nil {
@@ -57,8 +68,8 @@ func TestBenchjsonParsesAndPairs(t *testing.T) {
 		t.Fatalf("got %d pairs, want 2:\n%+v", len(rep.Pairs), rep.Pairs)
 	}
 	mip := rep.Pairs[0]
-	if mip.Name != "BenchmarkMIPColdVsWarm/*/n=16" {
-		t.Errorf("pair name = %q", mip.Name)
+	if mip.Name != "BenchmarkMIPColdVsWarm/*/n=16" || mip.Baseline != "cold" || mip.Variant != "warm" {
+		t.Errorf("pair = %+v", mip)
 	}
 	if math.Abs(mip.Speedup-930224881.0/687563467.0) > 1e-12 {
 		t.Errorf("speedup = %v", mip.Speedup)
@@ -95,8 +106,8 @@ func TestBenchjsonMergesRepeatedRuns(t *testing.T) {
 		t.Fatalf("got %d pairs, want 1", len(rep.Pairs))
 	}
 	p := rep.Pairs[0]
-	if math.Abs(p.ColdNsOp-90) > 0 || math.Abs(p.WarmNsOp-80) > 0 {
-		t.Errorf("pair kept %v/%v, want min runs 90/80", p.ColdNsOp, p.WarmNsOp)
+	if math.Abs(p.BaselineNsOp-90) > 0 || math.Abs(p.VariantNsOp-80) > 0 {
+		t.Errorf("pair kept %v/%v, want min runs 90/80", p.BaselineNsOp, p.VariantNsOp)
 	}
 }
 
@@ -110,21 +121,21 @@ func TestBenchjsonPairsDenseSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pairs) != 0 {
-		t.Errorf("unexpected cold/warm pairs: %+v", rep.Pairs)
+	dense := pairsOf(rep, "dense")
+	if len(dense) != len(rep.Pairs) {
+		t.Errorf("unexpected pairs from other rules: %+v", rep.Pairs)
 	}
-	if len(rep.DensePairs) != 2 {
-		t.Fatalf("got %d dense/sparse pairs, want 2 (unpaired dense dropped):\n%+v",
-			len(rep.DensePairs), rep.DensePairs)
+	if len(dense) != 2 {
+		t.Fatalf("got %d dense/sparse pairs, want 2 (unpaired dense dropped):\n%+v", len(dense), dense)
 	}
-	lp := rep.DensePairs[1]
+	lp := dense[1]
 	if lp.Name != "BenchmarkSparseVsDenseLP/*/tasks=100,mach=5" {
 		t.Errorf("pair name = %q", lp.Name)
 	}
 	if math.Abs(lp.Speedup-2.5) > 1e-12 {
 		t.Errorf("speedup = %v, want 2.5", lp.Speedup)
 	}
-	mipPair := rep.DensePairs[0]
+	mipPair := dense[0]
 	if mipPair.Name != "BenchmarkMIPDenseVsSparse/*/n=16" || math.Abs(mipPair.Speedup-3.5) > 1e-12 {
 		t.Errorf("mip pair = %+v", mipPair)
 	}
@@ -140,18 +151,18 @@ func TestBenchjsonPairsRowsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pairs) != 0 || len(rep.DensePairs) != 0 {
-		t.Errorf("unexpected cold/warm or dense/sparse pairs: %+v / %+v", rep.Pairs, rep.DensePairs)
+	rows := pairsOf(rep, "rows")
+	if len(rows) != len(rep.Pairs) {
+		t.Errorf("unexpected pairs from other rules: %+v", rep.Pairs)
 	}
-	if len(rep.RowsPairs) != 2 {
-		t.Fatalf("got %d rows/bounds pairs, want 2 (unpaired rows dropped):\n%+v",
-			len(rep.RowsPairs), rep.RowsPairs)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows/bounds pairs, want 2 (unpaired rows dropped):\n%+v", len(rows), rows)
 	}
-	lpPair := rep.RowsPairs[0]
+	lpPair := rows[0]
 	if lpPair.Name != "BenchmarkBoundsVsRowsLP/*/tasks=100,mach=5" || math.Abs(lpPair.Speedup-2) > 1e-12 {
 		t.Errorf("lp pair = %+v", lpPair)
 	}
-	mipPair := rep.RowsPairs[1]
+	mipPair := rows[1]
 	if mipPair.Name != "BenchmarkMIPBoundsVsRows/*/n=16" || math.Abs(mipPair.Speedup-2.5) > 1e-12 {
 		t.Errorf("mip pair = %+v", mipPair)
 	}
@@ -280,10 +291,10 @@ func TestBenchjsonSkipsMalformedLines(t *testing.T) {
 
 func TestBenchjsonPairsPricingPresolve(t *testing.T) {
 	input := "BenchmarkPricingXLLP/dantzig/tasks=10000,mach=100-8 1 5000000 ns/op 10459 pivots\n" +
-		"BenchmarkPricingXLLP/devex/tasks=10000,mach=100-8 1 4000000 ns/op 6619 pivots\n" +
 		"BenchmarkPricingXLLP/partial/tasks=10000,mach=100-8 1 2500000 ns/op 14528 pivots\n" +
 		"BenchmarkPricingXLLP/dantzig/tasks=2000,mach=20-8 1 200000 ns/op\n" +
 		"BenchmarkPricingXLLP/partial/tasks=2000,mach=20-8 1 100000 ns/op\n" +
+		"BenchmarkPricingXLLP/dantzig/tasks=500,mach=5-8 1 9000 ns/op\n" +
 		"BenchmarkPresolveXLLP/nopresolve/tasks=10000,mach=100-8 1 4400000 ns/op\n" +
 		"BenchmarkPresolveXLLP/presolve/tasks=10000,mach=100-8 1 2200000 ns/op\n" +
 		"BenchmarkPresolveXLLP/nopresolve/tasks=2000,mach=20-8 1 7000 ns/op\n"
@@ -291,64 +302,30 @@ func TestBenchjsonPairsPricingPresolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pairs) != 0 || len(rep.DensePairs) != 0 || len(rep.RowsPairs) != 0 || len(rep.BinvPairs) != 0 {
-		t.Errorf("unexpected pairs from other families: %+v / %+v / %+v / %+v",
-			rep.Pairs, rep.DensePairs, rep.RowsPairs, rep.BinvPairs)
+	pricing, presolve := pairsOf(rep, "dantzig"), pairsOf(rep, "nopresolve")
+	if len(pricing)+len(presolve) != len(rep.Pairs) {
+		t.Errorf("unexpected pairs from other rules: %+v", rep.Pairs)
 	}
-	// dantzig at 10k pairs with devex AND partial; dantzig at 2000 pairs
-	// with partial only (no devex twin).
-	if len(rep.PricingPairs) != 3 {
-		t.Fatalf("got %d pricing pairs, want 3:\n%+v", len(rep.PricingPairs), rep.PricingPairs)
+	// The dantzig run at 500 tasks has no partial twin and is dropped.
+	if len(pricing) != 2 {
+		t.Fatalf("got %d pricing pairs, want 2:\n%+v", len(pricing), pricing)
 	}
-	// Sorted by name then rule: "tasks=10000" < "tasks=2000" lexically.
-	devex := rep.PricingPairs[0]
-	if devex.Name != "BenchmarkPricingXLLP/*/tasks=10000,mach=100" || devex.Rule != "devex" ||
-		math.Abs(devex.Speedup-1.25) > 1e-12 {
-		t.Errorf("devex pair = %+v", devex)
+	// Sorted by name: "tasks=10000" < "tasks=2000" lexically.
+	big := pricing[0]
+	if big.Name != "BenchmarkPricingXLLP/*/tasks=10000,mach=100" || big.Variant != "partial" ||
+		math.Abs(big.Speedup-2) > 1e-12 {
+		t.Errorf("partial pair = %+v", big)
 	}
-	partial := rep.PricingPairs[1]
-	if partial.Rule != "partial" || math.Abs(partial.Speedup-2) > 1e-12 {
-		t.Errorf("partial pair = %+v", partial)
-	}
-	small := rep.PricingPairs[2]
-	if small.Name != "BenchmarkPricingXLLP/*/tasks=2000,mach=20" || small.Rule != "partial" {
+	small := pricing[1]
+	if small.Name != "BenchmarkPricingXLLP/*/tasks=2000,mach=20" || math.Abs(small.Speedup-2) > 1e-12 {
 		t.Errorf("small pair = %+v", small)
 	}
-	if len(rep.PresolvePairs) != 1 {
-		t.Fatalf("got %d presolve pairs, want 1 (unpaired nopresolve dropped):\n%+v",
-			len(rep.PresolvePairs), rep.PresolvePairs)
+	if len(presolve) != 1 {
+		t.Fatalf("got %d presolve pairs, want 1 (unpaired nopresolve dropped):\n%+v", len(presolve), presolve)
 	}
-	ps := rep.PresolvePairs[0]
+	ps := presolve[0]
 	if ps.Name != "BenchmarkPresolveXLLP/*/tasks=10000,mach=100" || math.Abs(ps.Speedup-2) > 1e-12 {
 		t.Errorf("presolve pair = %+v", ps)
-	}
-}
-
-func TestBenchjsonPairsBinvLu(t *testing.T) {
-	input := "BenchmarkFactorLUVsBinvLP/binv/tasks=200,mach=10-8 1 800000 ns/op 314.0 pivots\n" +
-		"BenchmarkFactorLUVsBinvLP/lu/tasks=200,mach=10-8 40 40000 ns/op 314.0 pivots\n" +
-		"BenchmarkMIPFactorLUVsBinv/binv/n=16-8 1 130000 ns/op\n" +
-		"BenchmarkMIPFactorLUVsBinv/lu/n=16-8 2 65000 ns/op\n" +
-		"BenchmarkFactorLUVsBinvLP/binv/tasks=50,mach=3-8 1 7000 ns/op\n"
-	rep, err := runTool(t, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Pairs) != 0 || len(rep.DensePairs) != 0 || len(rep.RowsPairs) != 0 {
-		t.Errorf("unexpected pairs from other families: %+v / %+v / %+v",
-			rep.Pairs, rep.DensePairs, rep.RowsPairs)
-	}
-	if len(rep.BinvPairs) != 2 {
-		t.Fatalf("got %d binv/lu pairs, want 2 (unpaired binv dropped):\n%+v",
-			len(rep.BinvPairs), rep.BinvPairs)
-	}
-	lpPair := rep.BinvPairs[0]
-	if lpPair.Name != "BenchmarkFactorLUVsBinvLP/*/tasks=200,mach=10" || math.Abs(lpPair.Speedup-20) > 1e-12 {
-		t.Errorf("lp pair = %+v", lpPair)
-	}
-	mipPair := rep.BinvPairs[1]
-	if mipPair.Name != "BenchmarkMIPFactorLUVsBinv/*/n=16" || math.Abs(mipPair.Speedup-2) > 1e-12 {
-		t.Errorf("mip pair = %+v", mipPair)
 	}
 }
 
@@ -360,19 +337,19 @@ func TestBenchjsonPairsLegacyBnc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.BranchPairs) != 1 {
+	if len(rep.Pairs) != 1 {
 		t.Fatalf("got %d legacy/bnc pairs, want 1 (unpaired legacy dropped):\n%+v",
-			len(rep.BranchPairs), rep.BranchPairs)
+			len(rep.Pairs), rep.Pairs)
 	}
-	p := rep.BranchPairs[0]
-	if p.Name != "BenchmarkMIPBranchAndCut/*/fig4/n=24/s=9" {
-		t.Errorf("pair name = %q", p.Name)
+	p := rep.Pairs[0]
+	if p.Name != "BenchmarkMIPBranchAndCut/*/fig4/n=24/s=9" || p.Baseline != "legacy" || p.Variant != "bnc" {
+		t.Errorf("pair = %+v", p)
 	}
 	if math.Abs(p.Speedup-5000000000.0/1500000000.0) > 1e-12 {
 		t.Errorf("speedup = %g", p.Speedup)
 	}
 	//lint:ignore floatcmp parsed node metrics round-trip the exact benchmark literals
-	if p.LegacyNodes != 15545 || p.BncNodes != 1983 ||
+	if p.BaselineNodes != 15545 || p.VariantNodes != 1983 ||
 		math.Abs(p.NodeReduction-15545.0/1983.0) > 1e-12 {
 		t.Errorf("node reduction fields = %+v", p)
 	}

@@ -65,7 +65,7 @@ type hotpathSite struct {
 
 // frozenMark is one //lint:frozen annotation target.
 type frozenMark struct {
-	desc   string // e.g. "frozen field (lp.Basis).binv" or "frozen type mip.fixChain"
+	desc   string // e.g. "frozen field (lp.Basis).fac" or "frozen type mip.fixChain"
 	reason string
 }
 

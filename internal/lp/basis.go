@@ -34,24 +34,17 @@ type basisEntry struct {
 // extra rows appended. A Basis is immutable once returned and safe to
 // share across goroutines.
 //
-// Besides the column set, a Basis snapshots the basis representation at
-// optimality, in whichever form the producing kernel maintained it
-// (Options.Factor). The default LU kernel stores its frozen sparse L·U
-// factors plus eta file (fac): a child warm start adopts them by a O(1)
-// struct copy — the triangular factors are immutable and shared, and the
-// first eta the child appends copies the clipped eta file out of the
-// shared backing (copy-on-write), so sibling children never race. The
-// legacy dense kernel stores the explicit inverse (binv, m² floats);
-// because a child's basis matrix is block lower-triangular over its
-// parent's (appended rows keep their logicals basic), SolveFrom extends
-// that snapshot in O(m²) per appended row instead of refactorising in
-// O(m³). Branch-and-bound children share their parent's Basis pointer, so
-// live memory scales with the open frontier, not the tree. age counts the
-// product-form updates the snapshot has absorbed since its last
-// from-scratch factorisation; SolveFrom refuses dense snapshots whose age
-// exceeds the refactorisation interval (and LU snapshots whose eta file
-// has gone fill-heavy) and rebuilds instead, bounding inherited roundoff
-// across generations.
+// Besides the column set, a Basis snapshots the basis factorisation at
+// optimality: the frozen sparse L·U factors plus eta file (fac). A child
+// warm start adopts them by an O(1) struct copy — the triangular factors
+// are immutable and shared, and the first eta the child appends copies the
+// clipped eta file out of the shared backing (copy-on-write), so sibling
+// children never race. Branch-and-bound children share their parent's
+// Basis pointer, so live memory scales with the open frontier, not the
+// tree. age counts the product-form updates the snapshot has absorbed
+// since its last from-scratch factorisation; SolveFrom refuses snapshots
+// whose eta file has gone fill-heavy and rebuilds instead, bounding
+// inherited roundoff across generations.
 type Basis struct {
 	//lint:frozen a Basis is immutable once returned
 	nVars int
@@ -64,18 +57,17 @@ type Basis struct {
 	//
 	//lint:frozen the bound markers are shared by every child warm start
 	atUpper []bool
-	//lint:frozen the inverse snapshot is read-only; children copy before extending
-	binv []float64 // NumRows()² snapshot of B⁻¹, row-major (nil: none)
 	//lint:frozen frozen factors are adopted by struct copy; etas append copy-on-write
 	fac *luFactor // frozen LU factors + eta file (nil: none)
 	//lint:frozen a Basis is immutable once returned
 	age int // updates absorbed since the last true factorisation
 	// devex snapshots the devex reference weights at optimality — [0, n)
 	// structural, then one weight per row's logical — when the producing
-	// solve priced with them (nil otherwise). A warm-started child that
-	// also prices with devex adopts the shared segments so its first
-	// pivots rank columns by the parent's geometry; the weights reset to
-	// unit on any refactorisation, the warm-start fallback included.
+	// solve priced with them (partial pricing; nil otherwise). A
+	// warm-started child that also prices with them adopts the shared
+	// segments so its first pivots rank columns by the parent's geometry;
+	// the weights reset to unit on any refactorisation, the warm-start
+	// fallback included.
 	//
 	//lint:frozen the weight snapshot is shared by every child warm start
 	devex []float64
@@ -116,7 +108,7 @@ func (b *Basis) String() string {
 // NumRows) returns b itself, snapshot factors intact — the fast path for
 // re-solves whose deltas were pure bound, objective or right-hand-side
 // edits. Any real rearrangement returns a new Basis carrying only the
-// column set and at-upper markers: the factorisation, inverse and pricing
+// column set and at-upper markers: the factorisation and pricing
 // snapshots describe the old row order and are dropped, so the adopting
 // solve refactorises once (lp.Solution.FactorRebuilt reports it).
 //

@@ -193,91 +193,3 @@ func BenchmarkSparseVsDenseWarmLP(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFactorLUVsBinvLP: cold revised-simplex solves of staircase
-// instances under the legacy explicit dense B⁻¹ kernel (binv) versus the
-// sparse LU + eta-file kernel (lu), both over the CSC matrix. The dense
-// kernel pays O(m²) per pivot update and O(m³) per refactorisation no
-// matter how sparse the basis is; the LU kernel's triangular solves and
-// eta appends touch only structural nonzeros, which on ~1/m-dense
-// staircase bases is where the asymptotic win lives. The pivot metric
-// confirms both kernels walk the identical path; pricing and presolve
-// are pinned to dantzig/off so the path stays the historical one and the
-// benchmark isolates the kernel (the xl pairings measure those knobs).
-func BenchmarkFactorLUVsBinvLP(b *testing.B) {
-	for _, sz := range sparseBenchSizes {
-		g := generateStaircaseLP(rng.New(19, "lp-factor-bench"), sz.tasks, sz.mach)
-		for _, mode := range []struct {
-			name   string
-			factor FactorMode
-		}{
-			{"binv", FactorBinv},
-			{"lu", FactorLU},
-		} {
-			b.Run(fmt.Sprintf("%s/tasks=%d,mach=%d", mode.name, sz.tasks, sz.mach), func(b *testing.B) {
-				var iters int
-				for i := 0; i < b.N; i++ {
-					sol, _, err := SolveBasis(g.p, Options{Sparse: SparseOn, Factor: mode.factor, Pricing: PricingDantzig, Presolve: PresolveOff})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sol.Status != Optimal {
-						b.Fatalf("status %v", sol.Status)
-					}
-					iters = sol.Iterations
-				}
-				b.ReportMetric(float64(iters), "pivots")
-			})
-		}
-	}
-}
-
-// BenchmarkFactorLUVsBinvWarmLP: the branch-and-bound node shape — tighten
-// one binding variable bound and re-optimise from the parent basis — under
-// both kernels. The legacy kernel copies the parent's m² inverse into every
-// child; the LU kernel adopts the parent's frozen factors by a struct copy
-// and appends child pivots copy-on-write, so the per-node cost tracks the
-// dual repair work instead of the basis dimension. Pricing and presolve
-// are pinned to dantzig/off: a presolved parent basis is restored through
-// postsolve and costs a handful of repair pivots on re-entry, which would
-// drown the kernel comparison this benchmark isolates.
-func BenchmarkFactorLUVsBinvWarmLP(b *testing.B) {
-	for _, sz := range sparseBenchSizes {
-		g := generateStaircaseLP(rng.New(23, "lp-factor-warm-bench"), sz.tasks, sz.mach)
-		for _, mode := range []struct {
-			name   string
-			factor FactorMode
-		}{
-			{"binv", FactorBinv},
-			{"lu", FactorLU},
-		} {
-			opts := Options{Sparse: SparseOn, Factor: mode.factor, Pricing: PricingDantzig, Presolve: PresolveOff}
-			parent, bs, err := SolveBasis(g.p, opts)
-			if err != nil || parent.Status != Optimal {
-				b.Fatalf("parent solve: %v / %v", err, parent.Status)
-			}
-			v := 0
-			for i, x := range parent.X {
-				if x > parent.X[v] {
-					v = i
-				}
-			}
-			child := g.p.Overlay()
-			child.SetBounds(v, 0, parent.X[v]/2)
-			b.Run(fmt.Sprintf("%s/tasks=%d,mach=%d", mode.name, sz.tasks, sz.mach), func(b *testing.B) {
-				var iters int
-				for i := 0; i < b.N; i++ {
-					sol, _, err := SolveFrom(child, bs, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sol.Status != Optimal {
-						b.Fatalf("status %v", sol.Status)
-					}
-					iters = sol.Iterations
-				}
-				b.ReportMetric(float64(iters), "pivots")
-			})
-		}
-	}
-}

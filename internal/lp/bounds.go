@@ -9,7 +9,7 @@ import (
 // an unbounded-above variable; lo must be finite. lo == hi fixes the
 // variable. It panics on NaN endpoints, non-finite lo, or hi < lo.
 //
-// Bounds are handled natively by all simplex cores (nonbasic variables
+// Bounds are handled natively by the simplex core (nonbasic variables
 // rest at either bound; no rows are added), so a box constraint declared
 // here keeps the basis dimension equal to the true row count. The default
 // box for every variable is [0, +Inf).

@@ -14,21 +14,6 @@ import (
 	"testing"
 )
 
-// solveBothKernels solves p cold under both kernels and returns the pair.
-func solveBothKernels(t *testing.T, p *Problem) (lu, binv *Solution, luBS, binvBS *Basis) {
-	t.Helper()
-	var err error
-	lu, luBS, err = SolveBasis(p, Options{Factor: FactorLU})
-	if err != nil {
-		t.Fatalf("lu: %v", err)
-	}
-	binv, binvBS, err = SolveBasis(p, Options{Factor: FactorBinv})
-	if err != nil {
-		t.Fatalf("binv: %v", err)
-	}
-	return lu, binv, luBS, binvBS
-}
-
 // TestDifferentialLUVsBinv: the LU kernel's warm chain on every corpus
 // instance — a bounds-tightened child adopting the cold solve's frozen
 // factors, and a grandchild adopting the child's factors with their eta
@@ -103,52 +88,38 @@ func TestDifferentialLUVsBinvStaircase(t *testing.T) {
 }
 
 // TestFactorRebuiltSemantics pins the FactorRebuilt flag on a fixed
-// instance: false cold and for an adopted same-shape LU inherit, true when
-// the basis came from the other kernel (no adoptable snapshot) and when a
+// instance: false cold and for an adopted same-shape inherit, true when a
 // row append changed the basis dimension.
 func TestFactorRebuiltSemantics(t *testing.T) {
 	p := degenerateStaircaseLP(12, 2)
-	lu, _, luBS, binvBS := solveBothKernels(t, p)
-	if lu.Status != Optimal {
-		t.Fatalf("status %v", lu.Status)
+	cold, bs, err := SolveBasis(p, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if lu.FactorRebuilt {
+	if cold.Status != Optimal {
+		t.Fatalf("status %v", cold.Status)
+	}
+	if cold.FactorRebuilt {
 		t.Error("cold solve reported FactorRebuilt")
 	}
 
 	child := p.Overlay()
 	child.SetBounds(0, 0, 0.5)
-
-	adopt, _, err := SolveFrom(child, luBS, Options{Factor: FactorLU})
+	adopt, _, err := SolveFrom(child, bs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adopt.FactorRebuilt {
-		t.Error("same-shape LU inherit reported FactorRebuilt")
-	}
-
-	cross, _, err := SolveFrom(child, binvBS, Options{Factor: FactorLU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cross.FactorRebuilt {
-		t.Error("LU warm start from a dense-kernel basis did not report FactorRebuilt")
-	}
-	crossBack, _, err := SolveFrom(child, luBS, Options{Factor: FactorBinv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !crossBack.FactorRebuilt {
-		t.Error("dense warm start from an LU basis did not report FactorRebuilt")
+		t.Error("same-shape inherit reported FactorRebuilt")
 	}
 
 	rowChild := p.Overlay()
 	rowChild.AddConstraint([]Term{{Var: 0, Coef: 1}}, LE, 0.5)
-	rowWarm, _, err := SolveFrom(rowChild, luBS, Options{Factor: FactorLU})
+	rowWarm, _, err := SolveFrom(rowChild, bs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rowWarm.FactorRebuilt {
-		t.Error("LU warm start after a row append did not report FactorRebuilt")
+		t.Error("warm start after a row append did not report FactorRebuilt")
 	}
 }

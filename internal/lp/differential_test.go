@@ -1,14 +1,14 @@
 package lp
 
-// Differential test corpus for the revised simplex: on a seeded corpus of
-// random LPs the cold tableau solver (Solve), the cold revised solver
-// (SolveBasis) and the warm-started revised solver (SolveFrom) must agree
-// on status and objective — including after bound rows are appended, the
-// exact shape of branch-and-bound child problems. The dense and CSC-backed
-// sparse revised cores must additionally agree on the full solution vector
-// on every instance. A disagreement here is how a warm-start or sparse-
-// indexing bug would surface as a silently wrong MIP optimum, so this suite
-// is the safety net under internal/mip's node rewiring.
+// Differential test corpus for the simplex core: on a seeded corpus of
+// random LPs the cold solve reproduces its golden pin (golden_test.go), and
+// the warm-started solve (SolveFrom) must agree with a cold solve on status
+// and objective — including after bound rows are appended, the exact shape
+// of branch-and-bound child problems. The dense and CSC-backed sparse
+// matrix representations must additionally agree on the full solution
+// vector on every instance. A disagreement here is how a warm-start or
+// sparse-indexing bug would surface as a silently wrong MIP optimum, so
+// this suite is the safety net under internal/mip's node solves.
 
 import (
 	"math"
@@ -66,9 +66,10 @@ func assertAgreeX(t *testing.T, label string, a, b *Solution) {
 
 // TestDifferentialColdRevisedVsTableau: the cold revised solve of every
 // corpus instance reproduces its golden pin bit for bit and matches the
-// optimum the dense tableau core recorded for it (golden_test.go), and
-// that optimum carries a dual certificate Certify accepts — an oracle that
-// shares no code with the simplex.
+// optimum the dense tableau core recorded for it (golden_test.go), Solve
+// returns exactly what SolveBasis returns, and the optimum carries a dual
+// certificate Certify accepts — an oracle that shares no code with the
+// simplex.
 func TestDifferentialColdRevisedVsTableau(t *testing.T) {
 	pins := golden(t)
 	for i := 0; i < corpusSize; i++ {
@@ -88,6 +89,11 @@ func TestDifferentialColdRevisedVsTableau(t *testing.T) {
 			}
 			checkPin(t, "cold", rev, pins.Corpus[i].Cold)
 			checkRef(t, "cold vs tableau", rev, pins.Corpus[i].Tableau)
+			sol, err := Solve(g.p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, "Solve vs SolveBasis", rev, sol)
 			// The optimum must beat the known feasible point.
 			want := g.feasibleValue()
 			tol := 1e-6 * (1 + math.Abs(want))
@@ -212,8 +218,8 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 }
 
 // TestDifferentialBoundsVsRows: on a corpus of randomly boxed LPs, the
-// bounded-variable method (all three cores: tableau, dense revised, sparse
-// revised) must agree with the same problem after ExpandBounds rewrote
+// bounded-variable method (over the dense and the sparse matrix) must
+// agree with the same problem after ExpandBounds rewrote
 // every box as explicit constraint rows — status, objective AND the full
 // solution vector. It then tightens one variable's upper bound, the exact
 // move of a row-free branch-and-bound child, and checks the warm-started
@@ -238,10 +244,6 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 			if ref.Status != Optimal {
 				t.Fatalf("rows-expanded instance not optimal (%v); generator broken", ref.Status)
 			}
-			tab, err := Solve(g.p, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			dense, dbs, err := SolveBasis(g.p, Options{Sparse: SparseOff})
 			if err != nil {
 				t.Fatal(err)
@@ -250,7 +252,6 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertAgreeX(t, "tableau", ref, tab)
 			assertAgreeX(t, "dense", ref, dense)
 			assertAgreeX(t, "sparse", ref, sparse)
 
@@ -290,8 +291,8 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 // TestDifferentialStaircase: a smaller corpus of DSCT-EA-FR-shaped staircase
 // instances big enough to cross the density auto-switch, so the sparse code
 // paths (including periodic refactorisation) are exercised at realistic
-// scale by the race-enabled gate. Tableau, dense revised and auto (=sparse
-// here) revised must agree, cold and after a warm-started bound row.
+// scale by the race-enabled gate. Dense and auto (=sparse here) must
+// agree, cold and after a warm-started bound row.
 func TestDifferentialStaircase(t *testing.T) {
 	const staircaseCorpusSize = 24
 	for i := 0; i < staircaseCorpusSize; i++ {
@@ -309,10 +310,6 @@ func TestDifferentialStaircase(t *testing.T) {
 				t.Fatalf("staircase %dx%d not auto-sparse; corpus misconfigured", nTasks, mMach)
 			}
 
-			cold, err := Solve(g.p, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			dense, dbs, err := SolveBasis(g.p, Options{Sparse: SparseOff})
 			if err != nil {
 				t.Fatal(err)
@@ -321,10 +318,9 @@ func TestDifferentialStaircase(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertAgree(t, "tableau-vs-dense", cold, dense)
 			assertAgreeX(t, "dense-vs-auto", dense, auto)
-			if cold.Status != Optimal {
-				t.Fatalf("staircase instance not optimal (%v); generator broken", cold.Status)
+			if auto.Status != Optimal {
+				t.Fatalf("staircase instance not optimal (%v); generator broken", auto.Status)
 			}
 
 			// Warm-started bound-row child, dense basis vs sparse basis.

@@ -1,17 +1,13 @@
 package lp
 
-// Dual values and optimality certificates. The simplex tableau carries the
-// dual solution implicitly: in the canonical layout every row owns an
-// artificial column whose stored coefficient is exactly +e_i, so at an
-// optimal basis the artificial's reduced cost is 0 − y_i and the dual of
-// constraint i falls straight out of the objective row (after undoing the
-// row's equilibration scale and orientation sign). SolveWithDuals exposes
-// the duals, and Certify re-verifies a claimed optimum from first
-// principles (feasibility + dual feasibility + matching objectives), which
-// the test suite uses as an independent correctness oracle for the solver.
-// SolveBasisWithDuals extracts the same certificate from the revised
-// core's basis kernel instead: one BTRAN against the LU factors (or the
-// legacy dense inverse) prices the duals without a tableau.
+// Dual values and optimality certificates. At an optimal basis one BTRAN
+// of the phase-2 basic costs against the LU factors prices the duals
+// y = cᵦᵀB⁻¹ in the stored (oriented, equilibrated) row frame; undoing
+// each row's scale and orientation sign maps them back to the caller's
+// rows. SolveWithDuals and SolveBasisWithDuals expose them, and Certify
+// re-verifies a claimed optimum from first principles (feasibility + dual
+// feasibility + matching objectives) — an oracle sharing no code with the
+// simplex, which the test suite holds every corpus optimum to.
 
 import (
 	"fmt"
@@ -35,93 +31,27 @@ type DualSolution struct {
 }
 
 // SolveWithDuals solves p and extracts the dual values of the optimal
-// basis. Only Optimal results carry duals. Under the presolve layer the
-// reduced problem is solved and postsolve recovers the original duals:
-// surviving rows unscale theirs, eliminated rows get zero except
-// singleton rows, whose dual is reconstructed from the residual reduced
-// cost of their column (presolve.go), so the result still passes Certify
-// against the original problem.
+// basis: SolveBasisWithDuals without the warm-start token. Only Optimal
+// results carry duals. Under the presolve layer the reduced problem is
+// solved and postsolve recovers the original duals: surviving rows unscale
+// theirs, eliminated rows get zero except singleton rows, whose dual is
+// reconstructed from the residual reduced cost of their column
+// (presolve.go), so the result still passes Certify against the original
+// problem.
 func SolveWithDuals(p *Problem, opts Options) (*DualSolution, error) {
-	if ps := presolveFor(p, opts, true); ps != nil {
-		if ps.status == Infeasible {
-			return &DualSolution{Solution: Solution{Status: Infeasible}}, nil
-		}
-		if ps.reduced == nil {
-			return ps.directDualSolution(), nil
-		}
-		opts.Presolve = PresolveOff
-		ds, err := solveTableauDuals(ps.reduced, opts)
-		if err != nil {
-			return nil, err
-		}
-		return ps.mapDualSolution(ds), nil
-	}
-	return solveTableauDuals(p, opts)
+	ds, _, err := SolveBasisWithDuals(p, opts)
+	return ds, err
 }
 
-// solveTableauDuals is the presolve-free tableau solve-with-duals.
-func solveTableauDuals(p *Problem, opts Options) (*DualSolution, error) {
-	t := newTableau(p, opts)
-	if t.nArt > 0 {
-		phase1 := make([]float64, t.width)
-		for c := t.artBase; c < t.width; c++ {
-			phase1[c] = -1
-		}
-		t.setObjective(phase1)
-		status := t.iterate()
-		if status != Optimal {
-			return &DualSolution{Solution: Solution{Status: status, Iterations: t.iters}}, nil
-		}
-		if t.artificialResidual() > feasTol {
-			return &DualSolution{Solution: Solution{Status: Infeasible, Iterations: t.iters}}, nil
-		}
-		t.driveOutArtificials()
-	}
-	t.freezeArtificials()
-	phase2 := make([]float64, t.width)
-	copy(phase2, p.obj)
-	t.setObjective(phase2)
-	status := t.iterate()
-
-	ds := &DualSolution{Solution: Solution{Status: status, Iterations: t.iters}}
-	if status != Optimal && status != IterLimit && status != TimeLimit {
-		return ds, nil
-	}
-	ds.X = t.extract(p)
-	for v, c := range p.obj {
-		ds.Objective += c * ds.X[v]
-	}
-	if status != Optimal {
-		return ds, nil
-	}
-
-	// Duals from the artificial columns' reduced costs: the artificial of
-	// row i is the identity column +e_i in the stored (oriented, scaled)
-	// frame and has zero phase-2 cost, so d_art = 0 − y_i there. Mapping
-	// back to the original row undoes the stored frame: the stored row is
-	// rowNeg/rowScale times the original, so the original dual picks up
-	// the same factor.
-	ds.Duals = make([]float64, p.NumConstraints())
-	ds.ReducedCosts = make([]float64, p.nVars)
-	for i := 0; i < p.NumConstraints(); i++ {
-		ds.Duals[i] = -t.objRow[t.artBase+i] * t.rowNeg[i] / t.rowScale[i]
-	}
-	// Structural reduced costs straight from the objective row (columns
-	// are never rescaled, only rows, so no undo is needed).
-	copy(ds.ReducedCosts, t.objRow[:p.nVars])
-	return ds, nil
-}
-
-// SolveBasisWithDuals solves p with the revised simplex core — i.e. over
-// the basis kernel Options.Factor selects, the sparse LU by default — and
-// extracts the dual values of the optimal basis directly from the
-// factorisation: one BTRAN of the phase-2 basic costs yields y = cᵦᵀB⁻¹
-// in the stored (oriented, equilibrated) row frame, and undoing each
-// row's scale and orientation sign maps it back to the caller's rows.
+// SolveBasisWithDuals solves p and extracts the dual values of the optimal
+// basis directly from the factorisation: one BTRAN of the phase-2 basic
+// costs yields y = cᵦᵀB⁻¹ in the stored (oriented, equilibrated) row
+// frame, and undoing each row's scale and orientation sign maps it back to
+// the caller's rows.
 // Reduced costs come from the same pricing pass (columns are never
 // rescaled, so no undo is needed). Like SolveBasis it also returns the
 // optimal basis as a warm-start token. Only Optimal results carry duals.
-// Presolve is handled exactly as in SolveWithDuals, with the basis
+// Presolve is handled as described at SolveWithDuals, with the basis
 // restored to the original problem like SolveBasis does.
 func SolveBasisWithDuals(p *Problem, opts Options) (*DualSolution, *Basis, error) {
 	if ps := presolveFor(p, opts, true); ps != nil {

@@ -185,8 +185,8 @@ func TestSolveWithDualsInfeasible(t *testing.T) {
 	}
 }
 
-// TestSolveBasisWithDualsTextbook pins the kernel-extracted duals on the
-// same instance TestDualsTextbook uses for the tableau extraction.
+// TestSolveBasisWithDualsTextbook pins the basis-publishing dual
+// extraction on the instance TestDualsTextbook uses.
 func TestSolveBasisWithDualsTextbook(t *testing.T) {
 	p := NewProblem(2)
 	p.SetObjCoef(0, 3)
@@ -194,69 +194,61 @@ func TestSolveBasisWithDualsTextbook(t *testing.T) {
 	p.AddConstraint([]Term{{0, 1}}, LE, 4)
 	p.AddConstraint([]Term{{1, 2}}, LE, 12)
 	p.AddConstraint([]Term{{0, 3}, {1, 2}}, LE, 18)
-	for _, fm := range []FactorMode{FactorLU, FactorBinv} {
-		ds, bs, err := SolveBasisWithDuals(p, Options{Factor: fm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds.Status != Optimal {
-			t.Fatalf("factor=%v: status %v", fm, ds.Status)
-		}
-		if bs == nil {
-			t.Fatalf("factor=%v: no basis returned", fm)
-		}
-		if math.Abs(ds.Objective-36) > 1e-9 {
-			t.Errorf("factor=%v: objective %g, want 36", fm, ds.Objective)
-		}
-		want := []float64{0, 1.5, 1}
-		for i, w := range want {
-			if math.Abs(ds.Duals[i]-w) > 1e-9 {
-				t.Errorf("factor=%v: dual[%d] = %g, want %g", fm, i, ds.Duals[i], w)
-			}
+	ds, bs, err := SolveBasisWithDuals(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Status != Optimal {
+		t.Fatalf("status %v", ds.Status)
+	}
+	if bs == nil {
+		t.Fatal("no basis returned")
+	}
+	if math.Abs(ds.Objective-36) > 1e-9 {
+		t.Errorf("objective %g, want 36", ds.Objective)
+	}
+	want := []float64{0, 1.5, 1}
+	for i, w := range want {
+		if math.Abs(ds.Duals[i]-w) > 1e-9 {
+			t.Errorf("dual[%d] = %g, want %g", i, ds.Duals[i], w)
 		}
 	}
 }
 
-// TestSolveBasisWithDualsCertify runs the kernel dual extraction over
-// random LPs under both basis kernels and checks every certificate with
-// Certify, then cross-checks duals and reduced costs against the tableau
-// extraction on the same instance.
+// TestSolveBasisWithDualsCertify runs the dual extraction over random LPs
+// over both matrix representations and checks every certificate with
+// Certify; SolveWithDuals must return the same duals and reduced costs bit
+// for bit.
 func TestSolveBasisWithDualsCertify(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		src := rng.NewReplicate(321, "certify-kernel", trial)
 		p := randomLP(src, 3+src.Intn(12), 3+src.Intn(20))
-		ref, err := SolveWithDuals(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Status != Optimal {
-			t.Fatalf("trial %d: status %v", trial, ref.Status)
-		}
-		for _, fm := range []FactorMode{FactorLU, FactorBinv} {
-			ds, _, err := SolveBasisWithDuals(p, Options{Factor: fm})
+		for _, cfg := range revisedCoreConfigs {
+			ds, _, err := SolveBasisWithDuals(p, cfg.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ds.Status != Optimal {
-				t.Fatalf("trial %d factor=%v: status %v", trial, fm, ds.Status)
+				t.Fatalf("trial %d %s: status %v", trial, cfg.name, ds.Status)
 			}
 			if err := Certify(p, ds.X, ds.Duals, 1e-5); err != nil {
-				t.Errorf("trial %d factor=%v: certificate rejected: %v", trial, fm, err)
+				t.Errorf("trial %d %s: certificate rejected: %v", trial, cfg.name, err)
 			}
-			if math.Abs(ds.Objective-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
-				t.Errorf("trial %d factor=%v: objective %g vs tableau %g",
-					trial, fm, ds.Objective, ref.Objective)
+			plain, err := SolveWithDuals(p, cfg.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertIdentical(t, "SolveWithDuals", &ds.Solution, &plain.Solution)
 			for i := range ds.Duals {
-				if math.Abs(ds.Duals[i]-ref.Duals[i]) > 1e-6*(1+math.Abs(ref.Duals[i])) {
-					t.Errorf("trial %d factor=%v: dual[%d] = %g vs tableau %g",
-						trial, fm, i, ds.Duals[i], ref.Duals[i])
+				//lint:ignore floatcmp both entry points run the same solve
+				if ds.Duals[i] != plain.Duals[i] {
+					t.Errorf("trial %d %s: dual[%d] = %g vs SolveWithDuals %g", trial, cfg.name, i, ds.Duals[i], plain.Duals[i])
 				}
 			}
 			for v := range ds.ReducedCosts {
-				if math.Abs(ds.ReducedCosts[v]-ref.ReducedCosts[v]) > 1e-6*(1+math.Abs(ref.ReducedCosts[v])) {
-					t.Errorf("trial %d factor=%v: redcost[%d] = %g vs tableau %g",
-						trial, fm, v, ds.ReducedCosts[v], ref.ReducedCosts[v])
+				//lint:ignore floatcmp both entry points run the same solve
+				if ds.ReducedCosts[v] != plain.ReducedCosts[v] {
+					t.Errorf("trial %d %s: redcost[%d] = %g vs SolveWithDuals %g", trial, cfg.name, v, ds.ReducedCosts[v], plain.ReducedCosts[v])
 				}
 			}
 		}

@@ -1,11 +1,10 @@
 package lp
 
 // Sparse LU factorisation of the simplex basis, with an eta file for
-// product-form updates. This is the revised core's default basis kernel
-// (Options.Factor): instead of maintaining an explicit dense m×m B⁻¹ —
-// O(m³) Gauss–Jordan refactorisation, O(m²) per pivot, m² floats per
-// warm-start snapshot — it keeps B = Pᵀ·L·U·Qᵀ as two sparse triangular
-// factors plus a short product-form eta file, so
+// product-form updates: the simplex core's basis representation. Instead
+// of an explicit dense m×m B⁻¹ — O(m³) Gauss–Jordan refactorisation, O(m²)
+// per pivot, m² floats per warm-start snapshot — it keeps B = Pᵀ·L·U·Qᵀ as
+// two sparse triangular factors plus a short product-form eta file, so
 //
 //   - FTRAN (w = B⁻¹a) and BTRAN (yᵀ = cᵦᵀB⁻¹) are triangular solves that
 //     skip structural zeros: O(nnz(L+U) + nnz(etas)) per application;

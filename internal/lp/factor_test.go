@@ -341,56 +341,3 @@ func TestFactorFillHeavy(t *testing.T) {
 		t.Fatalf("fillHeavy fired early: nnz=%d budget=%d", f.etaNnz(), budget)
 	}
 }
-
-// TestFactorOptionDefaultsPinned pins the resolved defaults of the
-// factor-related knobs: RefactorEvery defaults to the historical cadence 64
-// (and only governs the legacy dense kernel), and Factor defaults to the
-// sparse LU kernel with FactorBinv restoring the dense inverse.
-func TestFactorOptionDefaultsPinned(t *testing.T) {
-	p := NewProblem(2)
-	p.SetObjCoef(0, 1)
-	p.AddConstraint([]Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, LE, 4)
-
-	def := newRev(p, Options{})
-	if def.refactorEvery != 64 {
-		t.Errorf("default RefactorEvery resolved to %d, want 64", def.refactorEvery)
-	}
-	if !def.factorLU {
-		t.Error("default Factor did not select the LU kernel")
-	}
-	if def.binv != nil {
-		t.Error("LU kernel allocated a dense inverse")
-	}
-
-	if got := newRev(p, Options{RefactorEvery: 7}).refactorEvery; got != 7 {
-		t.Errorf("RefactorEvery: 7 resolved to %d", got)
-	}
-	if got := newRev(p, Options{RefactorEvery: -1}).refactorEvery; got != 64 {
-		t.Errorf("RefactorEvery: -1 resolved to %d, want default 64", got)
-	}
-
-	if lu := newRev(p, Options{Factor: FactorLU}); !lu.factorLU {
-		t.Error("FactorLU did not select the LU kernel")
-	}
-	binv := newRev(p, Options{Factor: FactorBinv})
-	if binv.factorLU {
-		t.Error("FactorBinv still selected the LU kernel")
-	}
-	if binv.binv == nil {
-		t.Error("FactorBinv did not allocate the dense inverse")
-	}
-
-	for _, tc := range []struct {
-		mode FactorMode
-		want string
-	}{
-		{FactorAuto, "auto"},
-		{FactorLU, "lu"},
-		{FactorBinv, "binv"},
-		{FactorMode(9), "factormode(9)"},
-	} {
-		if got := tc.mode.String(); got != tc.want {
-			t.Errorf("FactorMode(%d).String() = %q, want %q", int(tc.mode), got, tc.want)
-		}
-	}
-}

@@ -1,5 +1,5 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs in the form
+// Package lp implements a bounded-variable revised simplex solver for
+// linear programs in the form
 //
 //	maximize    c·x
 //	subject to  a_i·x {<=, =, >=} b_i    for each constraint i
@@ -10,11 +10,14 @@
 // solved with it directly, and the branch-and-bound solver in package mip
 // uses it for node relaxations of the DSCT-EA MIP (paper §3).
 //
-// The implementation favours robustness over raw speed: rows are
-// equilibrated before solving, Dantzig pricing falls back to Bland's rule
-// after a run of degenerate pivots (anti-cycling), and artificials are
-// pivoted out after phase 1. Problems are built through a small dense/
-// sparse hybrid API.
+// Every entry point runs one core (revised.go): two-phase primal simplex
+// for cold solves, dual simplex for warm starts, over a sparse LU
+// factorisation of the basis with eta-file updates (factor.go). Rows are
+// equilibrated before solving, pricing falls back to Bland's rule after a
+// run of degenerate pivots (anti-cycling), and artificials are pivoted out
+// after phase 1. An optional presolve/postsolve layer (presolve.go)
+// shrinks large problems first. Problems are built through a small
+// dense/sparse hybrid API.
 package lp
 
 import (
@@ -119,7 +122,7 @@ func (p *Problem) rowAt(i int) row {
 // Constraint returns row i's terms, sense and right-hand side. The terms
 // slice aliases the problem's storage and must be treated as read-only.
 // Like AddConstraint's input, terms may repeat a variable; readers must
-// accumulate duplicates the way the solver cores do. It panics when i is
+// accumulate duplicates the way the solver does. It panics when i is
 // out of range. Cut separators and other structure scanners use this to
 // read rows without access to the package internals.
 func (p *Problem) Constraint(i int) ([]Term, Sense, float64) {
@@ -254,9 +257,7 @@ func (s Status) String() string {
 }
 
 // SparseMode selects the constraint-matrix representation used by the
-// revised simplex core (SolveBasis / SolveFrom). The tableau core (Solve)
-// is unaffected: it rewrites its matrix on every pivot, which a shared
-// sparse index cannot survive.
+// simplex core.
 type SparseMode int
 
 // Sparse modes.
@@ -285,45 +286,10 @@ func (s SparseMode) String() string {
 	}
 }
 
-// FactorMode selects the basis kernel used by the revised simplex core
-// (SolveBasis / SolveFrom): how B⁻¹ is represented, updated per pivot and
-// rebuilt. The tableau core (Solve) is unaffected.
-type FactorMode int
-
-// Factor modes.
-const (
-	// FactorAuto uses the sparse LU kernel (equivalent to FactorLU): L·U
-	// triangular factors with Markowitz ordering, eta-file pivot updates
-	// and adaptive refactorisation.
-	FactorAuto FactorMode = iota
-	// FactorLU forces the sparse LU kernel.
-	FactorLU
-	// FactorBinv forces the legacy explicit dense B⁻¹: O(m²) product-form
-	// updates and O(m³) Gauss–Jordan refactorisation every RefactorEvery
-	// pivots. Kept selectable for A/B benchmarking against the LU kernel.
-	FactorBinv
-)
-
-// String names the mode.
-func (f FactorMode) String() string {
-	switch f {
-	case FactorAuto:
-		return "auto"
-	case FactorLU:
-		return "lu"
-	case FactorBinv:
-		return "binv"
-	default:
-		return fmt.Sprintf("factormode(%d)", int(f))
-	}
-}
-
-// PricingMode selects the entering-column pricing rule shared by all
-// three simplex cores (the dense tableau and the dense/sparse revised
-// core). Pricing only chooses the pivot order: every mode reaches the
-// same optimum (the differential suite pins objective and X agreement),
-// and every mode yields to Bland's rule after a degenerate run, so the
-// anti-cycling guarantee is mode-independent.
+// PricingMode selects the entering-column pricing rule. Pricing only
+// chooses the pivot order: every mode reaches the same optimum, and every
+// mode yields to Bland's rule after a degenerate run, so the anti-cycling
+// guarantee is mode-independent.
 type PricingMode int
 
 // Pricing modes.
@@ -331,23 +297,18 @@ const (
 	// PricingAuto picks the rule from the problem: partial pricing with
 	// candidate lists once the priced column space reaches
 	// pricingAutoCols (where the O(n) per-pivot scan dominates), Dantzig
-	// below it. Small problems therefore pivot exactly as before.
+	// below it.
 	PricingAuto PricingMode = iota
 	// PricingDantzig scans every column and enters the one with the
 	// largest sign-aware reduced cost |d_j| — the classic textbook rule,
 	// O(n) per pivot.
 	PricingDantzig
-	// PricingDevex scans every column but scores d_j²/w_j with devex
-	// reference-framework weights (Forrest–Goldfarb): an approximation of
-	// steepest-edge pricing that needs no extra solves beyond one pivot
-	// row per pivot. Same O(n) scan, typically far fewer pivots on long
-	// thin problems.
-	PricingDevex
 	// PricingPartial prices a bounded candidate list with devex scores
-	// and refills it by scanning rotating sections of the column space —
-	// per-pivot work proportional to the candidate list and section, not
-	// to n. Optimality is still certified by a full wrap of the column
-	// space finding no candidate.
+	// d_j²/w_j (Forrest–Goldfarb reference weights, an approximation of
+	// steepest edge) and refills it by scanning rotating sections of the
+	// column space — per-pivot work proportional to the candidate list and
+	// section, not to n. Optimality is still certified by a full wrap of
+	// the column space finding no candidate.
 	PricingPartial
 )
 
@@ -358,8 +319,6 @@ func (p PricingMode) String() string {
 		return "auto"
 	case PricingDantzig:
 		return "dantzig"
-	case PricingDevex:
-		return "devex"
 	case PricingPartial:
 		return "partial"
 	default:
@@ -368,7 +327,7 @@ func (p PricingMode) String() string {
 }
 
 // PresolveMode selects whether solves run through the presolve/postsolve
-// layer in presolve.go before the simplex cores see the problem.
+// layer in presolve.go before the simplex core sees the problem.
 type PresolveMode int
 
 // Presolve modes.
@@ -401,23 +360,15 @@ func (p PresolveMode) String() string {
 // Options tunes a solve. The zero value uses defaults.
 type Options struct {
 	// MaxIters caps simplex pivots across both phases
-	// (default 100·(rows+cols)+1000, shared by all cores).
+	// (default 100·(rows+cols)+1000).
 	MaxIters int
 	// Deadline aborts the solve when passed (zero means none).
 	Deadline time.Time
 	// Tol is the pivot/feasibility tolerance (default 1e-9).
 	Tol float64
-	// Sparse selects the revised core's matrix representation
+	// Sparse selects the constraint-matrix representation
 	// (default SparseAuto).
 	Sparse SparseMode
-	// Factor selects the revised core's basis kernel
-	// (default FactorAuto, the sparse LU).
-	Factor FactorMode
-	// RefactorEvery caps the product-form updates the legacy dense B⁻¹
-	// kernel (FactorBinv) absorbs before a from-scratch rebuild
-	// (default 64). The LU kernel ignores it: its refactorisation is
-	// adaptive, triggered by eta-file fill and a numerical-drift check.
-	RefactorEvery int
 	// Pricing selects the entering-column rule (default PricingAuto:
 	// partial pricing on wide problems, Dantzig otherwise). All rules
 	// reach the same optimum; only the pivot order differs.
@@ -440,11 +391,11 @@ type Solution struct {
 	Iterations int
 
 	// FactorRebuilt reports that a warm start (SolveFrom) could not adopt
-	// the supplied basis snapshot's factorisation — missing, produced by
-	// the other kernel, dimension-mismatched after appended rows, stale or
-	// fill-heavy, or failing the B·xb ≈ q residual check — and the solve
-	// refactorised the inherited column set from scratch instead. Always
-	// false for cold solves.
+	// the supplied basis snapshot's factorisation — missing (a snapshot
+	// from AdaptRows or presolve restoration carries none),
+	// dimension-mismatched after appended rows, fill-heavy, or failing the
+	// B·xb ≈ q residual check — and the solve refactorised the inherited
+	// column set from scratch instead. Always false for cold solves.
 	FactorRebuilt bool
 
 	// DualFeasible reports that the solve ended on a dual-feasible basis,

@@ -56,7 +56,7 @@ const (
 	// presolveMaxPasses caps the reduction fixpoint rotations.
 	presolveMaxPasses = 10
 	// presolveTol is the feasibility tolerance of the reductions, scaled
-	// by scaleOf of the quantity under test (the cores' feasTol).
+	// by scaleOf of the quantity under test (the simplex core's feasTol).
 	presolveTol = feasTol
 )
 

@@ -1,7 +1,7 @@
 package lp
 
 // Presolve/postsolve test suite. The differential half runs the layer
-// against the plain cores over the shared corpora — presolve on and off
+// against the plain solve over the shared corpora — presolve on and off
 // must agree on status, objective and the full solution vector, the
 // recovered duals must pass Certify against the ORIGINAL problem, and
 // the restored Basis must warm-start children. The table-driven half
@@ -23,11 +23,11 @@ import (
 // numerically coincident with the rows they derive from, so the reduced
 // problem's optimal vertex can split into a near-degenerate pair whose
 // members differ by O(presolveTol) — either member is a legitimate
-// answer within the cores' own feasibility tolerance.
+// answer within the solver's own feasibility tolerance.
 const presolveXTol = 1e-6
 
 // presolveDifferential runs one instance through the on/off agreement
-// battery: tableau, revised, both dual entry points with certificates,
+// battery: Solve, SolveBasis, both dual entry points with certificates,
 // and a warm-started child from the restored basis.
 func presolveDifferential(t *testing.T, g *genLP, s *rng.Source) {
 	t.Helper()
@@ -39,7 +39,7 @@ func presolveDifferential(t *testing.T, g *genLP, s *rng.Source) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertAgreeXWithin(t, "tableau", off, on, presolveXTol)
+	assertAgreeXWithin(t, "solve", off, on, presolveXTol)
 
 	bon, bs, err := SolveBasis(g.p, Options{Presolve: PresolveOn})
 	if err != nil {
@@ -54,7 +54,7 @@ func presolveDifferential(t *testing.T, g *genLP, s *rng.Source) {
 	assertAgreeXWithin(t, "duals", off, &don.Solution, presolveXTol)
 	if don.Status == Optimal {
 		if err := Certify(g.p, don.X, don.Duals, 1e-6); err != nil {
-			t.Fatalf("tableau certificate after postsolve: %v", err)
+			t.Fatalf("certificate after postsolve: %v", err)
 		}
 	}
 	bdon, bbs, err := SolveBasisWithDuals(g.p, Options{Presolve: PresolveOn})
@@ -358,7 +358,7 @@ func TestPresolveReductions(t *testing.T) {
 				name  string
 				solve func() (*DualSolution, error)
 			}{
-				{"tableau", func() (*DualSolution, error) {
+				{"duals", func() (*DualSolution, error) {
 					return SolveWithDuals(p, Options{Presolve: PresolveOn})
 				}},
 				{"basis", func() (*DualSolution, error) {

@@ -1,34 +1,32 @@
 package lp
 
-// Pricing rules for the entering-column choice, shared by the simplex
-// cores. Three rules are selectable through Options.Pricing:
+// Pricing rules for the entering-column choice. Two rules are selectable
+// through Options.Pricing:
 //
 //   - Dantzig: the classic full scan for the largest sign-aware reduced
-//     cost. O(priced columns) per pivot; the historical default.
-//   - Devex (Forrest–Goldfarb reference framework): the same full scan,
-//     but scoring d_j²/w_j against reference weights w_j that approximate
-//     the steepest-edge column norms ‖B⁻¹A_j‖². The weights cost one
-//     pivot row per basis change — no extra solves — and typically cut
-//     the pivot count substantially on long, thin problems.
-//   - Partial (partial pricing with candidate lists): devex scores over a
-//     bounded candidate list, refilled by pricing rotating sections of
-//     the column space. Per-pivot pricing work is proportional to the
-//     candidate list plus one section — not to the full column count —
-//     which is what makes 10⁴-column problems pivot in O(candidates).
+//     cost. O(priced columns) per pivot; the default below
+//     pricingAutoCols.
+//   - Partial (partial pricing with candidate lists): devex scores
+//     d_j²/w_j over a bounded candidate list, refilled by pricing rotating
+//     sections of the column space. The reference weights w_j
+//     (Forrest–Goldfarb) approximate the steepest-edge column norms
+//     ‖B⁻¹A_j‖². Per-pivot pricing work is proportional to the candidate
+//     list plus one section — not to the full column count — which is what
+//     makes 10⁴-column problems pivot in O(candidates).
 //
 // The devex recurrence, for a pivot entering column q at row r with
 // pivot element α_q (the entering direction's r-th component):
 //
-//	w_j ← max(w_j, (α_j/α_q)²·w_q)   for nonbasic j     (α_j: pivot row)
+//	w_j ← max(w_j, (α_j/α_q)²·w_q)   for candidate j     (α_j: pivot row)
 //	w_l ← max(w_q/α_q², 1)           for the leaving column l
 //
 // Weights are pure basis geometry — independent of the cost vector — so
 // they survive the phase-1 → phase-2 transition and travel with a Basis
 // snapshot into warm-started children. The reference framework restarts
-// (all weights to 1) whenever the basis representation is refactorised,
-// when pricing falls back to Bland's rule, and when a weight overflows
-// devexWeightCap; a restarted framework is merely a fresh approximation,
-// never a correctness event.
+// (all weights to 1) whenever the basis is refactorised, when pricing
+// falls back to Bland's rule, and when a weight overflows devexWeightCap;
+// a restarted framework is merely a fresh approximation, never a
+// correctness event.
 //
 // Correctness is rule-independent: pricing only orders pivots. Every rule
 // demands a strictly improving sign-aware reduced cost (> tol) before
@@ -72,9 +70,9 @@ func resolvePricing(mode PricingMode, rw int) PricingMode {
 	return PricingDantzig
 }
 
-// pricer is the pricing-rule state a simplex core embeds: the resolved
-// rule, the devex reference weights (devex/partial rules only) and the
-// partial-pricing candidate list with its rotating refill cursor.
+// pricer is the pricing-rule state the simplex core embeds: the resolved
+// rule and, for partial pricing, the devex reference weights and the
+// candidate list with its rotating refill cursor.
 type pricer struct {
 	mode PricingMode // resolved rule; never PricingAuto
 	rw   int         // priced column space is [0, rw)
@@ -94,23 +92,21 @@ type pricer struct {
 }
 
 // init resolves nothing (the caller passes a resolved mode) and sizes the
-// rule's state: unit weights for devex/partial, an empty candidate list
-// at full capacity for partial. Re-initialising a pricer reuses its
-// backing arrays.
+// rule's state: for partial pricing, unit weights and an empty candidate
+// list at full capacity. Re-initialising a pricer reuses its backing
+// arrays.
 func (pp *pricer) init(mode PricingMode, rw int) {
 	pp.mode = mode
 	pp.rw = rw
 	pp.cursor = 0
 	pp.devex = nil
 	pp.cand = nil
-	if mode == PricingDevex || mode == PricingPartial {
+	if mode == PricingPartial {
 		if cap(pp.devexBuf) < rw {
 			pp.devexBuf = make([]float64, rw)
 		}
 		pp.devex = pp.devexBuf[:rw]
 		pp.resetWeights()
-	}
-	if mode == PricingPartial {
 		if cap(pp.candBuf) < partialListCap {
 			pp.candBuf = make([]int, 0, partialListCap)
 		}
@@ -129,36 +125,6 @@ func (pp *pricer) resetWeights() {
 		pp.devex[j] = 1
 	}
 	pp.wmax = 1
-}
-
-// devexUpdateFull applies the reference-framework recurrence over the
-// whole priced column space after a basis change: alpha is the full pivot
-// row (α_j for j in [0, rw)), apiv the pivot element α_q, pc the entering
-// column and leave the leaving column (−1 when the leaver carries no
-// weight, i.e. an artificial).
-//
-//lint:hotpath per-pivot devex weight update; pinned to zero allocations
-func (pp *pricer) devexUpdateFull(alpha []float64, apiv float64, pc, leave int) {
-	if apiv == 0 {
-		return
-	}
-	ref := pp.devex[pc] / (apiv * apiv)
-	for j := 0; j < pp.rw; j++ {
-		if j == pc {
-			continue
-		}
-		aj := alpha[j]
-		if aj == 0 {
-			continue
-		}
-		if wj := aj * aj * ref; wj > pp.devex[j] {
-			pp.devex[j] = wj
-			if wj > pp.wmax {
-				pp.wmax = wj
-			}
-		}
-	}
-	pp.sealUpdate(ref, pc, leave)
 }
 
 // bumpWeight applies the recurrence to a single column given its pivot-

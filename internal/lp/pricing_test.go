@@ -2,12 +2,12 @@ package lp
 
 // Differential and unit coverage for the pricing rules. Pricing only
 // orders pivots, so every rule must land on the same optimum: the
-// differential suite pins dantzig vs devex vs partial agreement on
-// status, objective AND the full solution vector across all three cores
-// (tableau, dense revised, sparse revised), cold and warm-started. The
-// degenerate pin keeps the devex rules honest about the anti-cycling
-// contract — the sticky Bland fallback must still engage, and it must
-// reset the reference framework. Unit tests check the recurrence, the
+// differential suite pins dantzig vs partial agreement on status,
+// objective AND the full solution vector over the dense and the sparse
+// matrix, cold and warm-started. The degenerate pin keeps partial
+// pricing's devex scoring honest about the anti-cycling contract — the
+// sticky Bland fallback must still engage, and it must reset the
+// reference framework. Unit tests check the devex recurrence, the
 // overflow restart and the snapshot inheritance arithmetic by hand.
 
 import (
@@ -24,7 +24,6 @@ var pricingRules = []struct {
 	name string
 	mode PricingMode
 }{
-	{"devex", PricingDevex},
 	{"partial", PricingPartial},
 }
 
@@ -64,12 +63,11 @@ func assertAgreeXWithin(t *testing.T, label string, a, b *Solution, tol float64)
 	}
 }
 
-// TestDifferentialPricing: on every corpus instance the devex and partial
-// rules must reproduce the dantzig optimum — status, objective and full X
-// — on the tableau core and both revised representations, cold and
-// warm-started into a bound-row child (the warm child inherits the devex
-// weights through the Basis snapshot, so this also exercises
-// inheritWeights end to end).
+// TestDifferentialPricing: on every corpus instance partial pricing must
+// reproduce the dantzig optimum — status, objective and full X — over
+// both matrix representations, cold and warm-started into a bound-row
+// child (the warm child inherits the devex weights through the Basis
+// snapshot, so this also exercises inheritWeights end to end).
 func TestDifferentialPricing(t *testing.T) {
 	for i := 0; i < corpusSize; i++ {
 		i := i
@@ -94,10 +92,6 @@ func TestDifferentialPricing(t *testing.T) {
 			}
 
 			for _, rule := range pricingRules {
-				tab, err := Solve(g.p, Options{Pricing: rule.mode})
-				if err != nil {
-					t.Fatalf("%s tableau: %v", rule.name, err)
-				}
 				dense, dbs, err := SolveBasis(g.p, Options{Pricing: rule.mode, Sparse: SparseOff})
 				if err != nil {
 					t.Fatalf("%s dense: %v", rule.name, err)
@@ -106,7 +100,6 @@ func TestDifferentialPricing(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s sparse: %v", rule.name, err)
 				}
-				assertAgreeXTol(t, rule.name+"/tableau", ref, tab)
 				assertAgreeXTol(t, rule.name+"/dense", ref, dense)
 				assertAgreeXTol(t, rule.name+"/sparse", ref, sparse)
 
@@ -142,27 +135,29 @@ func TestDifferentialPricing(t *testing.T) {
 }
 
 // TestDegenerateStaircaseDevexFallback: the anti-cycling contract is
-// rule-independent. On the collapsed-deadline staircase the devex and
-// partial rules must still run into the degenerate-run limit, flip to
+// rule-independent. On the collapsed-deadline staircase partial pricing's
+// devex scoring must still run into the degenerate-run limit, flip to
 // Bland's rule (which resets the reference framework), and terminate at
-// the known optimum — deterministically, on both basis kernels.
+// the known optimum — deterministically, over both representations.
 func TestDegenerateStaircaseDevexFallback(t *testing.T) {
 	p := degenerateStaircaseLP(30, 3)
 	want := 3.0
 	for _, rule := range pricingRules {
-		for _, fm := range []FactorMode{FactorLU, FactorBinv} {
-			tt, sol, _, err := solveBasisRev(p, Options{Factor: fm, Pricing: rule.mode})
+		for _, cfg := range revisedCoreConfigs {
+			opts := cfg.opts
+			opts.Pricing = rule.mode
+			tt, sol, _, err := solveBasisRev(p, opts)
 			if err != nil {
-				t.Fatalf("%s factor=%v: %v", rule.name, fm, err)
+				t.Fatalf("%s %s: %v", rule.name, cfg.name, err)
 			}
 			if sol.Status != Optimal {
-				t.Fatalf("%s factor=%v: status %v", rule.name, fm, sol.Status)
+				t.Fatalf("%s %s: status %v", rule.name, cfg.name, sol.Status)
 			}
 			if math.Abs(sol.Objective-want) > 1e-9 {
-				t.Fatalf("%s factor=%v: objective %g, want %g", rule.name, fm, sol.Objective, want)
+				t.Fatalf("%s %s: objective %g, want %g", rule.name, cfg.name, sol.Objective, want)
 			}
 			if !tt.blandMode {
-				t.Errorf("%s factor=%v: Bland fallback never engaged — devex dodged the degeneracy pin", rule.name, fm)
+				t.Errorf("%s %s: Bland fallback never engaged — devex dodged the degeneracy pin", rule.name, cfg.name)
 				continue
 			}
 			// The fallback restarts the reference framework and Bland-mode
@@ -170,7 +165,7 @@ func TestDegenerateStaircaseDevexFallback(t *testing.T) {
 			for j, w := range tt.pp.devex {
 				//lint:ignore floatcmp resetWeights assigns the exact literal 1
 				if w != 1 {
-					t.Fatalf("%s factor=%v: weight[%d] = %g after Bland fallback, want 1", rule.name, fm, j, w)
+					t.Fatalf("%s %s: weight[%d] = %g after Bland fallback, want 1", rule.name, cfg.name, j, w)
 				}
 			}
 		}
@@ -185,11 +180,24 @@ func TestResolvePricing(t *testing.T) {
 	if got := resolvePricing(PricingAuto, pricingAutoCols); got != PricingPartial {
 		t.Errorf("auto at threshold: %v, want partial", got)
 	}
-	for _, mode := range []PricingMode{PricingDantzig, PricingDevex, PricingPartial} {
+	for _, mode := range []PricingMode{PricingDantzig, PricingPartial} {
 		if got := resolvePricing(mode, 1); got != mode {
 			t.Errorf("explicit %v resolved to %v", mode, got)
 		}
 	}
+}
+
+// devexUpdate applies the reference-framework update the way partial
+// pricing does — bumpWeight per column with a nonzero pivot-row entry,
+// then sealUpdate — over the whole column space.
+func devexUpdate(pp *pricer, alpha []float64, apiv float64, pc, leave int) {
+	ref := pp.devex[pc] / (apiv * apiv)
+	for j, aj := range alpha {
+		if j != pc && aj != 0 {
+			pp.bumpWeight(j, aj, ref)
+		}
+	}
+	pp.sealUpdate(ref, pc, leave)
 }
 
 // TestDevexRecurrence hand-checks one reference-framework update:
@@ -197,10 +205,10 @@ func TestResolvePricing(t *testing.T) {
 // max(w_q/α_q², 1), zero pivot-row entries untouched.
 func TestDevexRecurrence(t *testing.T) {
 	var pp pricer
-	pp.init(PricingDevex, 4)
+	pp.init(PricingPartial, 4)
 	copy(pp.devex, []float64{1, 2, 3, 1})
 	alpha := []float64{0.5, -2, 0, 1}
-	pp.devexUpdateFull(alpha, 1, 3, 0) // pc=3 (w_q=1, α_q=1), leave=0
+	devexUpdate(&pp, alpha, 1, 3, 0) // pc=3 (w_q=1, α_q=1), leave=0
 
 	// ref = w_q/α_q² = 1. w_1 = max(2, 4·1) = 4; w_2 keeps 3 (α=0);
 	// w_3 re-seeds 1; w_0 = max(ref, 1) = 1 as the leaver.
@@ -216,9 +224,9 @@ func TestDevexRecurrence(t *testing.T) {
 // framework at unit weights instead of carrying a blown-up reference.
 func TestDevexOverflowRestarts(t *testing.T) {
 	var pp pricer
-	pp.init(PricingDevex, 2)
+	pp.init(PricingPartial, 2)
 	alpha := []float64{1e6, 1}
-	pp.devexUpdateFull(alpha, 1e-3, 1, -1) // w_0 would become 1e18 > cap
+	devexUpdate(&pp, alpha, 1e-3, 1, -1) // w_0 would become 1e18 > cap
 	for j, w := range pp.devex {
 		//lint:ignore floatcmp the overflow restart assigns the exact literal 1
 		if w != 1 {
@@ -236,7 +244,7 @@ func TestDevexOverflowRestarts(t *testing.T) {
 // rows' logicals at 1, wmax recomputed.
 func TestInheritWeights(t *testing.T) {
 	var pp pricer
-	pp.init(PricingDevex, 7) // 3 structural + 4 logicals
+	pp.init(PricingPartial, 7) // 3 structural + 4 logicals
 	parent := []float64{2, 3, 4, 5, 6}
 	pp.inheritWeights(parent, 3) // parent had 2 rows
 	want := []float64{2, 3, 4, 5, 6, 1, 1}
@@ -260,16 +268,16 @@ func TestAllocsPricingKernels(t *testing.T) {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	var pp pricer
-	pp.init(PricingDevex, 256)
+	pp.init(PricingPartial, 256)
 	s := rng.New(23, "lp-alloc-pricing")
 	alpha := make([]float64, 256)
 	for j := range alpha {
 		alpha[j] = s.Uniform(-2, 2)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		pp.devexUpdateFull(alpha, 1.5, 3, 7)
+		devexUpdate(&pp, alpha, 1.5, 3, 7)
 	}); got != 0 {
-		t.Errorf("devexUpdateFull allocates %.0f per run, want 0", got)
+		t.Errorf("devex update allocates %.0f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		pp.resetWeights()

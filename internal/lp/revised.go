@@ -1,26 +1,22 @@
 package lp
 
-// Revised simplex over an exchangeable basis kernel. Unlike the dense
-// tableau in simplex.go — which rewrites the whole constraint matrix on
-// every pivot and must re-solve from scratch for every problem — this core
-// keeps the original matrix immutable and maintains a representation of
-// B⁻¹ beside it: by default the sparse LU factorisation with eta-file
-// updates in factor.go, or (Options.Factor = FactorBinv) the legacy
-// explicit dense inverse, refactorised every refactorEvery pivots for
-// numerical hygiene. That makes two things possible that the tableau
-// cannot offer:
+// Revised simplex over a sparse LU basis factorisation. The core keeps the
+// original matrix immutable and maintains the LU factors of the basis
+// beside it (factor.go), updated per pivot by an eta file and rebuilt
+// adaptively. That makes two things possible that a solver rewriting its
+// whole matrix per pivot cannot offer:
 //
 //   - an exportable Basis: the basic column set (plus the nonbasic-at-bound
 //     markers) is plain data that survives the solve and can seed another;
 //   - warm starts (SolveFrom): branch-and-bound children differ from their
-//     parent only by tightened variable bounds (or, optionally, appended
-//     rows), so the parent's optimal basis stays dual feasible for the
-//     child and a short dual-simplex phase restores primal feasibility in
-//     a handful of pivots instead of a full two-phase solve.
+//     parent only by tightened variable bounds (or appended cut rows), so
+//     the parent's optimal basis stays dual feasible for the child and a
+//     short dual-simplex phase restores primal feasibility in a handful of
+//     pivots instead of a full two-phase solve.
 //
-// All three cores implement the bounded-variable simplex method: every
-// column j carries a box [lo_j, hi_j] and a nonbasic column rests at either
-// bound (atUpper selects which). Basic values are xb = B⁻¹q where
+// The core implements the bounded-variable simplex method: every column j
+// carries a box [lo_j, hi_j] and a nonbasic column rests at either bound
+// (atUpper selects which). Basic values are xb = B⁻¹q where
 // q = b − Σ_{nonbasic j} A_j·x_j folds the nonbasic bound values into the
 // right-hand side; q is maintained incrementally as columns change bounds.
 // Pricing is sign-aware (a column at its upper bound enters when its
@@ -35,8 +31,9 @@ package lp
 // is the logical of row i ([0, +inf) slack after orienting >= rows to <=;
 // fixed at [0, 0] for == rows) and column n+m+i is the phase-1 artificial
 // of row i ([0, +inf) during phase 1, frozen to [0, 0] afterwards). Rows
-// are equilibrated (scaled by their largest structural coefficient)
-// exactly like the tableau, so tolerances behave identically across cores.
+// are equilibrated (scaled by their largest structural coefficient) so one
+// tolerance discipline holds across rows mixing GFLOP/s-scale and
+// accuracy-slope-scale data.
 
 import (
 	"errors"
@@ -46,15 +43,15 @@ import (
 )
 
 const (
-	// refactorEvery is the default Options.RefactorEvery: it bounds the
-	// number of product-form updates applied to the legacy explicit B⁻¹
-	// before it is recomputed from scratch; explicit-inverse updates
-	// accumulate roundoff linearly, so a periodic rebuild keeps basic
-	// values trustworthy over long pivot sequences. The LU kernel ignores
-	// it (see the adaptive trigger constants in factor.go).
-	refactorEvery = 64
-	// singularTol is the partial-pivoting threshold below which a basis
-	// matrix is declared singular during refactorisation.
+	defaultTol = 1e-9
+	// feasTol is the (post-equilibration) tolerance used to decide phase-1
+	// feasibility and to report residual artificial infeasibility.
+	feasTol = 1e-7
+	// degenerateRunLimit is the number of consecutive degenerate pivots
+	// after which pricing switches to Bland's rule (which cannot cycle).
+	degenerateRunLimit = 64
+	// singularTol is the pivoting threshold below which a basis matrix is
+	// declared singular during factorisation.
 	singularTol = 1e-11
 	// minPivot rejects pivot elements too small to divide by safely.
 	minPivot = 1e-11
@@ -93,17 +90,11 @@ type rev struct {
 	basis   []int  // basis[i] = column basic in row i
 	inBasis []bool // width
 
-	// Basis kernel: exactly one representation is maintained, per the
-	// resolved Options.Factor. factorLU selects the sparse LU factors with
-	// eta-file updates (lu); otherwise the legacy explicit dense inverse
-	// (binv) is kept.
-	factorLU bool
-	lu       *luFactor
-	binv     []float64
-	xb       []float64 // current basic values, B⁻¹·q
+	lu *luFactor // basis factors with their eta file of pivot updates
+	xb []float64 // current basic values, B⁻¹·q
 
 	// pricing is the resolved entering rule (never PricingAuto); pp holds
-	// its state: devex reference weights and, for partial pricing, the
+	// its state: for partial pricing, the devex reference weights and the
 	// candidate list with its rotating refill cursor.
 	pricing PricingMode
 	pp      pricer
@@ -115,7 +106,6 @@ type rev struct {
 	blandMode     bool
 	degenRun      int
 	sinceRefactor int
-	refactorEvery int  // legacy rebuild cadence (resolved Options.RefactorEvery)
 	numRetries    int  // consecutive vanished-pivot rebuilds; bounded to stay terminating
 	dFresh        bool // t.d currently holds valid reduced costs (dual incremental updates)
 
@@ -125,15 +115,14 @@ type rev struct {
 	alpha []float64 // width pivot-row coefficients (dual simplex)
 	w     []float64 // m entering-column direction (ftran)
 	colv  []float64 // m gathered matrix column
-	// LU-kernel scratch (nil in legacy mode)
-	cb  []float64 // m btran input: basic costs, or a unit vector
-	rho []float64 // m btran output: one row of B⁻¹ (row space)
-	luW []float64 // m triangular-solve workspace
-	luC []float64 // m btran eta-transform workspace
+	cb    []float64 // m btran input: basic costs, or a unit vector
+	rho   []float64 // m btran output: one row of B⁻¹ (row space)
+	luW   []float64 // m triangular-solve workspace
+	luC   []float64 // m btran eta-transform workspace
 
 	// Reuse-mode flags. A Workspace-owned rev (owned) persists across
-	// solves, so buffers that today's one-shot path may share into a
-	// published Basis (binv, the factor) must be copied out instead.
+	// solves, so a factor that a one-shot solve may share into a published
+	// Basis must own fresh storage instead.
 	// noEscape additionally promises that the solve publishes no Basis at
 	// all, unlocking factor-arena reuse and an output Solution that aliases
 	// the solver. The zero value (package-level entry points) is a fresh
@@ -156,11 +145,9 @@ type rev struct {
 	luStore luFactor // owned factor arena (owned && noEscape)
 	luHold  luFactor // persistent holder for adopted frozen snapshots
 
-	// Legacy-kernel and residual-check scratch.
-	augBuf       []float64 // refactorizeBinv augmented [B | I]
-	supLo, supHi []int     // refactorizeBinv right-block support intervals
-	resSum       []float64 // inverseResidualOK sparse accumulators
-	resScale     []float64
+	// Residual-check scratch.
+	resSum   []float64 // inverseResidualOK sparse accumulators
+	resScale []float64
 
 	// Solve-driver scratch.
 	colsBuf  []int     // starting-basis column list
@@ -193,10 +180,9 @@ func newRev(p *Problem, opts Options) *rev {
 //
 // Every buffer is sized with grown/taken, so re-initialising a rev whose
 // buffers have already grown to this shape allocates nothing; unused-mode
-// storage (t.a in sparse mode, t.binv in LU mode) may stay allocated but
-// is never read — every access is guarded by t.sp / t.factorLU, not by
-// nil-ness. All per-solve state fields are reset here; owned/noEscape are
-// the caller's and preserved.
+// storage (t.a in sparse mode) may stay allocated but is never read —
+// every access is guarded by t.sp, not by nil-ness. All per-solve state
+// fields are reset here; owned/noEscape are the caller's and preserved.
 //
 //lint:hotpath=bounded rebuilding the canonical form allocates only on warm-up growth; the Workspace AllocsPerRun pins hold the steady state at zero
 func (t *rev) init(p *Problem, opts Options) {
@@ -221,6 +207,10 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.alpha = grown(t.alpha, t.width)
 	t.w = grown(t.w, m)
 	t.colv = grown(t.colv, m)
+	t.cb = grown(t.cb, m)
+	t.rho = grown(t.rho, m)
+	t.luW = grown(t.luW, m)
+	t.luC = grown(t.luC, m)
 	t.iters = 0
 	t.blandMode = false
 	t.degenRun = 0
@@ -230,15 +220,6 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.lu = nil
 	t.pricing = resolvePricing(opts.Pricing, t.rw)
 	t.pp.init(t.pricing, t.rw)
-	t.factorLU = opts.Factor != FactorBinv
-	if t.factorLU {
-		t.cb = grown(t.cb, m)
-		t.rho = grown(t.rho, m)
-		t.luW = grown(t.luW, m)
-		t.luC = grown(t.luC, m)
-	} else {
-		t.binv = grown(t.binv, m*m)
-	}
 	t.tol = opts.Tol
 	if t.tol == 0 {
 		t.tol = defaultTol
@@ -246,10 +227,6 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.iterLimit = opts.MaxIters
 	if t.iterLimit == 0 {
 		t.iterLimit = 100*(m+n) + 1000
-	}
-	t.refactorEvery = opts.RefactorEvery
-	if t.refactorEvery <= 0 {
-		t.refactorEvery = refactorEvery
 	}
 	t.deadline = opts.Deadline
 
@@ -281,8 +258,7 @@ func (t *rev) init(p *Problem, opts Options) {
 			}
 			rhs = -rhs
 		}
-		// Equilibrate against the largest structural coefficient, as in
-		// newTableau, so the cores share one tolerance discipline.
+		// Equilibrate against the largest structural coefficient.
 		scale := 0.0
 		for _, v := range seg {
 			if a := math.Abs(v); a > scale {
@@ -427,7 +403,7 @@ func (t *rev) colAt(r, col int) float64 {
 // gatherCol scatters matrix column col (structural, logical or implicit
 // artificial) into t.colv as a dense row-space vector.
 //
-//lint:hotpath feeds every LU-mode FTRAN; pinned to zero allocations
+//lint:hotpath feeds every FTRAN; pinned to zero allocations
 func (t *rev) gatherCol(col int) {
 	for i := range t.colv {
 		t.colv[i] = 0
@@ -450,24 +426,15 @@ func (t *rev) gatherCol(col int) {
 	}
 }
 
-// refactorize rebuilds the basis representation of the selected kernel
-// from the basis columns and refreshes xb = B⁻¹q. The rebuilt
-// representation also restarts the devex reference framework: weights
-// measured against the old factors would no longer approximate the new
-// geometry, and the fresh basis is the natural new reference.
+// refactorize gathers the basis columns into CSC form, computes a fresh
+// sparse LU (factor.go) with an empty eta file and refreshes xb = B⁻¹q:
+// an O(nnz of the basis) gather plus the near-O(nnz) elimination on the
+// staircase bases the paper's instances produce. The rebuilt factors also
+// restart the devex reference framework: weights measured against the old
+// factors would no longer approximate the new geometry, and the fresh
+// basis is the natural new reference.
 func (t *rev) refactorize() error {
 	t.pp.resetWeights()
-	if t.factorLU {
-		return t.refactorizeLU()
-	}
-	return t.refactorizeBinv()
-}
-
-// refactorizeLU gathers the basis columns into CSC form and computes a
-// fresh sparse LU (factor.go), emptying the eta file. O(nnz of the basis)
-// gather plus the near-O(nnz) elimination on the staircase bases the
-// paper's instances produce — against the dense kernel's O(m³).
-func (t *rev) refactorizeLU() error {
 	m := t.m
 	t.fColPtr = grown(t.fColPtr, m+1)
 	colPtr := t.fColPtr
@@ -528,184 +495,15 @@ func (t *rev) refactorizeLU() error {
 // solve will overwrite.
 func (t *rev) reuseFactor() bool { return t.owned && t.noEscape }
 
-// refactorizeBinv recomputes the legacy explicit B⁻¹ from the basis
-// columns by Gauss–Jordan elimination with partial pivoting and refreshes
-// xb = B⁻¹q.
-func (t *rev) refactorizeBinv() error {
-	m := t.m
-	if m == 0 {
-		t.sinceRefactor = 0
-		return nil
-	}
-	// Augmented [B | I], row-major, width 2m. In sparse mode the basis
-	// columns are scattered from the CSC index (O(nnz of the basis)
-	// instead of m² element probes).
-	aug := grown(t.augBuf, m*2*m)
-	t.augBuf = aug
-	if t.sp != nil {
-		for i := 0; i < m; i++ {
-			col := t.basis[i]
-			switch {
-			case col >= t.rw:
-				aug[(col-t.rw)*2*m+i] = t.artSign[col-t.rw]
-			case col >= t.n:
-				aug[(col-t.n)*2*m+i] = 1
-			default:
-				for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
-					aug[t.sp.rowIdx[k]*2*m+i] = t.sp.colVal[k]
-				}
-			}
-		}
-		for r := 0; r < m; r++ {
-			aug[r*2*m+m+r] = 1
-		}
-	} else {
-		for r := 0; r < m; r++ {
-			for i := 0; i < m; i++ {
-				aug[r*2*m+i] = t.colAt(r, t.basis[i])
-			}
-			aug[r*2*m+m+r] = 1
-		}
-	}
-	// Right-block support intervals: row r of the identity block starts
-	// with its single nonzero at column r and only ever gains fill from
-	// pivot rows it absorbs, so [lo[r], hi[r]] bounds its nonzeros.
-	// Restricting the inner loops to that interval (and to left-block
-	// columns >= k, which are the only ones not yet eliminated) skips
-	// exact-zero products only — the surviving arithmetic is identical,
-	// so dense and sparse modes still agree bit-for-bit — while cutting
-	// the Gauss–Jordan constant by ~2x on slack-heavy bases.
-	lo := grown(t.supLo, m)
-	hi := grown(t.supHi, m)
-	t.supLo, t.supHi = lo, hi
-	for r := range lo {
-		lo[r], hi[r] = r, r
-	}
-	for k := 0; k < m; k++ {
-		// Partial pivoting.
-		pr, best := -1, singularTol
-		for r := k; r < m; r++ {
-			if a := math.Abs(aug[r*2*m+k]); a > best {
-				best = a
-				pr = r
-			}
-		}
-		if pr == -1 {
-			return errSingular
-		}
-		if pr != k {
-			rk := aug[k*2*m : (k+1)*2*m]
-			rp := aug[pr*2*m : (pr+1)*2*m]
-			for j := k; j < m; j++ {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			for j := m + min(lo[k], lo[pr]); j <= m+max(hi[k], hi[pr]); j++ {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			lo[k], lo[pr] = lo[pr], lo[k]
-			hi[k], hi[pr] = hi[pr], hi[k]
-		}
-		piv := aug[k*2*m+k]
-		inv := 1 / piv
-		rowK := aug[k*2*m : (k+1)*2*m]
-		for j := k + 1; j < m; j++ {
-			rowK[j] *= inv
-		}
-		for j := m + lo[k]; j <= m+hi[k]; j++ {
-			rowK[j] *= inv
-		}
-		rowK[k] = 1
-		for r := 0; r < m; r++ {
-			if r == k {
-				continue
-			}
-			f := aug[r*2*m+k]
-			if f == 0 {
-				continue
-			}
-			row := aug[r*2*m : (r+1)*2*m]
-			for j := k + 1; j < m; j++ {
-				row[j] -= f * rowK[j]
-			}
-			for j := m + lo[k]; j <= m+hi[k]; j++ {
-				row[j] -= f * rowK[j]
-			}
-			row[k] = 0
-			if lo[k] < lo[r] {
-				lo[r] = lo[k]
-			}
-			if hi[k] > hi[r] {
-				hi[r] = hi[k]
-			}
-		}
-	}
-	// [B|I] has been reduced to [I|B⁻¹]; row swaps were applied to both
-	// blocks, so the right block's rows are aligned to basis positions.
-	for r := 0; r < m; r++ {
-		copy(t.binv[r*m:(r+1)*m], aug[r*2*m+m:(r+1)*2*m])
-	}
-	t.computeXB()
-	t.sinceRefactor = 0
-	return nil
-}
-
-// inheritInverse builds B⁻¹ from a parent basis snapshot instead of
-// refactorising: with the appended rows' logicals basic, the child basis
-// matrix is block lower-triangular over the parent's,
-//
-//	B = | Bp 0 |        B⁻¹ = |     Bp⁻¹     0 |
-//	    | C  I |               | −C·Bp⁻¹     I |
-//
-// so the child inverse costs O(m²) per appended row. It reports false —
-// leaving the caller to refactorise — when the snapshot is missing, has
-// absorbed too many product-form updates already, or fails the residual
-// check B·xb ≈ q that guards against inherited drift (q, not b: a child
-// that tightened a bound moved the nonbasic contribution folded into q,
-// and a flipped artificial sign surfaces here too).
-func (t *rev) inheritInverse(from *Basis) bool {
-	mp := len(from.entries)
-	if from.binv == nil || len(from.binv) != mp*mp || from.age >= t.refactorEvery {
-		return false
-	}
-	m := t.m
-	for i := 0; i < mp; i++ {
-		row := t.binv[i*m : (i+1)*m]
-		copy(row[:mp], from.binv[i*mp:(i+1)*mp])
-		for j := mp; j < m; j++ {
-			row[j] = 0
-		}
-	}
-	for r := mp; r < m; r++ {
-		row := t.binv[r*m : (r+1)*m]
-		for j := range row {
-			row[j] = 0
-		}
-		for tp := 0; tp < mp; tp++ {
-			c := t.colAt(r, t.basis[tp])
-			if c == 0 {
-				continue
-			}
-			prow := from.binv[tp*mp : (tp+1)*mp]
-			for j := 0; j < mp; j++ {
-				row[j] -= c * prow[j]
-			}
-		}
-		row[r] = 1
-	}
-	t.computeXB()
-	t.sinceRefactor = from.age + (m - mp)
-	return t.inverseResidualOK()
-}
-
 // inheritFactor adopts a parent snapshot's frozen LU factors: a struct
 // copy sharing the immutable L/U and the clipped eta file (appends
 // copy-on-write, so sibling children adopting the same snapshot never
 // race). It reports false — leaving the caller to refactorise — when the
-// snapshot is missing or produced by the dense kernel, when the child's
-// basis dimension differs (appended rows under BranchRows), when the eta
-// file is already fill-heavy, or when the residual check B·xb ≈ q fails
-// (a child's bound changes can flip an artificial's sign, invalidating
-// the parent's factor of it).
+// snapshot carries no factor, when the child's basis dimension differs
+// (appended cut rows), when the eta file is already fill-heavy, or when
+// the residual check B·xb ≈ q fails (q, not b: a child that tightened a
+// bound moved the nonbasic contribution folded into q, and a flipped
+// artificial sign surfaces here too).
 func (t *rev) inheritFactor(from *Basis) bool {
 	f := from.fac
 	if f == nil || f.m != t.m || f.fillHeavy() {
@@ -730,11 +528,11 @@ func (t *rev) inheritFactor(from *Basis) bool {
 	return t.inverseResidualOK()
 }
 
-// inverseResidualOK spot-checks the inherited inverse: the basic values it
-// produces must satisfy B·xb = q to working accuracy. O(m²) dense — free
-// relative to the O(m³) refactorisation it may save — and O(nnz of the
-// basis) in sparse mode, accumulated column-by-column (same per-row
-// contribution order as the dense pass, so the two modes agree).
+// inverseResidualOK spot-checks the represented inverse: the basic values
+// it produces must satisfy B·xb = q to working accuracy. O(m²) in dense
+// mode and O(nnz of the basis) in sparse mode, accumulated column-by-column
+// (same per-row contribution order as the dense pass, so the two modes
+// agree).
 func (t *rev) inverseResidualOK() bool {
 	if t.sp != nil {
 		sum := grown(t.resSum, t.m)
@@ -800,26 +598,9 @@ func (t *rev) inverseResidualOK() bool {
 // basic column's box back onto the bound (the bounded generalisation of
 // the old negative-residue-to-zero snap).
 func (t *rev) computeXB() {
-	if t.factorLU {
-		t.lu.ftran(t.q, t.xb, t.luW)
-		for i := 0; i < t.m; i++ {
-			t.snapXB(i)
-		}
-		return
-	}
+	t.lu.ftran(t.q, t.xb, t.luW)
 	for i := 0; i < t.m; i++ {
-		var s float64
-		row := t.binv[i*t.m : (i+1)*t.m]
-		for k, qk := range t.q {
-			s += row[k] * qk
-		}
-		bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
-		if s < bl && s > bl-t.tol {
-			s = bl
-		} else if s > bh && s < bh+t.tol {
-			s = bh
-		}
-		t.xb[i] = s
+		t.snapXB(i)
 	}
 }
 
@@ -854,28 +635,11 @@ func (t *rev) setBasis(cols []int) {
 //
 //lint:hotpath one BTRAN per pricing pass; pinned to zero allocations
 func (t *rev) computeY(c []float64) {
-	m := t.m
-	if t.factorLU {
-		// One BTRAN of the basic costs against the factors + eta file.
-		for i := 0; i < m; i++ {
-			t.cb[i] = c[t.basis[i]]
-		}
-		t.lu.btran(t.cb, t.y, t.luW, t.luC)
-		return
+	// One BTRAN of the basic costs against the factors + eta file.
+	for i := 0; i < t.m; i++ {
+		t.cb[i] = c[t.basis[i]]
 	}
-	for k := range t.y {
-		t.y[k] = 0
-	}
-	for i := 0; i < m; i++ {
-		cb := c[t.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := t.binv[i*m : (i+1)*m]
-		for k := 0; k < m; k++ {
-			t.y[k] += cb * row[k]
-		}
-	}
+	t.lu.btran(t.cb, t.y, t.luW, t.luC)
 }
 
 // priceCol prices a single column against the current duals in t.y:
@@ -944,56 +708,13 @@ func (t *rev) prices(c []float64) {
 	}
 }
 
-// ftran computes w = B⁻¹ A_col into t.w. The sparse pass dots each B⁻¹
-// row against only the column's nonzeros — O(nnz_col·m) instead of O(m²)
-// — and implicit logical/artificial columns (±e_k) reduce to copying the
-// k-th column of B⁻¹.
+// ftran computes w = B⁻¹ A_col into t.w: the column is gathered into a
+// dense row-space vector and solved against the factors + eta file.
 //
 //lint:hotpath one entering-direction solve per pivot; pinned to zero allocations
 func (t *rev) ftran(col int) {
-	m := t.m
-	if t.factorLU {
-		t.gatherCol(col)
-		t.lu.ftran(t.colv, t.w, t.luW)
-		return
-	}
-	if t.sp != nil {
-		if col >= t.n { // logical e_k or artificial ±e_k: w = ±B⁻¹ e_k
-			k := col - t.n
-			sign := 1.0
-			if col >= t.rw {
-				k = col - t.rw
-				sign = t.artSign[k]
-			}
-			for i := 0; i < m; i++ {
-				t.w[i] = sign * t.binv[i*m+k]
-			}
-			return
-		}
-		lo, hi := t.sp.colPtr[col], t.sp.colPtr[col+1]
-		rows := t.sp.rowIdx[lo:hi]
-		vals := t.sp.colVal[lo:hi]
-		for i := 0; i < m; i++ {
-			var s float64
-			row := t.binv[i*m : (i+1)*m]
-			for z, k := range rows {
-				s += row[k] * vals[z]
-			}
-			t.w[i] = s
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		t.colv[i] = t.colAt(i, col)
-	}
-	for i := 0; i < m; i++ {
-		var s float64
-		row := t.binv[i*m : (i+1)*m]
-		for k := 0; k < m; k++ {
-			s += row[k] * t.colv[k]
-		}
-		t.w[i] = s
-	}
+	t.gatherCol(col)
+	t.lu.ftran(t.colv, t.w, t.luW)
 }
 
 // pivotRow computes alpha = (row pr of B⁻¹)·A into t.alpha. Artificial
@@ -1034,16 +755,12 @@ func (t *rev) pivotRow(pr int) {
 	}
 }
 
-// computeRho materialises row pr of B⁻¹: one BTRAN of a unit vector in
-// LU mode, a direct row view of the explicit inverse otherwise. Shared by
-// pivotRow (which expands it into the full pivot row) and the partial
-// devex update (which dots it against candidate columns only).
+// computeRho materialises row pr of B⁻¹ by one BTRAN of a unit vector.
+// Shared by pivotRow (which expands it into the full pivot row) and the
+// partial devex update (which dots it against candidate columns only).
 //
 //lint:hotpath one unit-vector BTRAN per pivot row; pinned to zero allocations
 func (t *rev) computeRho(pr int) []float64 {
-	if !t.factorLU {
-		return t.binv[pr*t.m : (pr+1)*t.m]
-	}
 	for k := range t.cb {
 		t.cb[k] = 0
 	}
@@ -1077,12 +794,12 @@ func (t *rev) rhoDotCol(rho []float64, j int) float64 {
 	return s
 }
 
-// updateDevex applies the reference-framework weight update for the pivot
-// about to happen at (pr, pc): the full pivot row for devex pricing, the
-// candidate-restricted variant (plus the leaving column) for partial
-// pricing. It must run before pivotBounded mutates the factorisation —
-// the pivot-row coefficients are priced against the pre-pivot B⁻¹ — and
-// reuses the entering direction already in t.w for the pivot element.
+// updateDevex applies partial pricing's reference-framework weight update
+// for the pivot about to happen at (pr, pc), restricted to the candidate
+// list plus the leaving column. It must run before pivotBounded mutates the
+// factorisation — the pivot-row coefficients are priced against the
+// pre-pivot B⁻¹ — and reuses the entering direction already in t.w for
+// the pivot element.
 func (t *rev) updateDevex(pr, pc int) {
 	apiv := t.w[pr]
 	if apiv == 0 {
@@ -1091,11 +808,6 @@ func (t *rev) updateDevex(pr, pc int) {
 	leave := t.basis[pr]
 	if leave >= t.rw {
 		leave = -1 // artificial: carries no weight
-	}
-	if t.pricing == PricingDevex {
-		t.pivotRow(pr) // full α over [0, rw)
-		t.pp.devexUpdateFull(t.alpha, apiv, pc, leave)
-		return
 	}
 	ref := t.pp.devex[pc] / (apiv * apiv)
 	rho := t.computeRho(pr)
@@ -1203,17 +915,17 @@ func (t *rev) flipCol(pc int, sigma float64) {
 
 // pivotBounded brings column pc into the basis at row pr, sending the
 // leaving column to the bound selected by the ratio test (leaveToUpper).
-// B⁻¹ is updated via a product-form update on the precomputed direction
-// w = B⁻¹A_pc, the basic values shift by the exact step that lands the
-// leaving column on its bound, and q absorbs both columns' nonbasic value
-// changes. It refactorises periodically.
+// The factors absorb the pivot as one eta vector built from the
+// precomputed direction w = B⁻¹A_pc, the basic values shift by the exact
+// step that lands the leaving column on its bound, and q absorbs both
+// columns' nonbasic value changes. It refactorises adaptively.
 //
 //lint:hotpath=bounded the refactorisation fallback and copy-on-write eta growth allocate; the pivot body itself is allocation-free
 func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 	piv := t.w[pr]
 	if math.Abs(piv) < minPivot {
-		// The update direction disagrees with the selection (stale B⁻¹):
-		// rebuild and report so the caller can re-price.
+		// The update direction disagrees with the selection (drifted
+		// factors): rebuild and report so the caller can re-price.
 		if err := t.refactorize(); err != nil {
 			return err
 		}
@@ -1244,30 +956,9 @@ func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 	}
 	t.xb[pr] = t.nbVal(pc) + delta
 
-	if t.factorLU {
-		// Product-form update: one eta vector from the direction already
-		// in hand, O(nnz(w)) instead of the dense kernel's O(m²) sweep.
-		t.lu.appendEta(pr, t.w)
-	} else {
-		inv := 1 / piv
-		prow := t.binv[pr*m : (pr+1)*m]
-		for k := range prow {
-			prow[k] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if i == pr {
-				continue
-			}
-			wi := t.w[i]
-			if wi == 0 {
-				continue
-			}
-			row := t.binv[i*m : (i+1)*m]
-			for k := 0; k < m; k++ {
-				row[k] -= wi * prow[k]
-			}
-		}
-	}
+	// Product-form update: one eta vector from the direction already in
+	// hand, O(nnz(w)).
+	t.lu.appendEta(pr, t.w)
 
 	t.inBasis[leave] = false
 	t.atUpper[leave] = leaveToUpper
@@ -1277,17 +968,11 @@ func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 	t.snapXB(pr)
 
 	t.sinceRefactor++
-	if t.factorLU {
-		// Adaptive trigger: rebuild when the eta file outgrows the factors,
-		// or when the amortised drift check finds the represented inverse
-		// has wandered from the basis it claims to invert.
-		if t.lu.fillHeavy() ||
-			(t.sinceRefactor%driftCheckEvery == 0 && !t.inverseResidualOK()) {
-			return t.refactorize()
-		}
-		return nil
-	}
-	if t.sinceRefactor >= t.refactorEvery {
+	// Adaptive trigger: rebuild when the eta file outgrows the factors, or
+	// when the amortised drift check finds the represented inverse has
+	// wandered from the basis it claims to invert.
+	if t.lu.fillHeavy() ||
+		(t.sinceRefactor%driftCheckEvery == 0 && !t.inverseResidualOK()) {
 		return t.refactorize()
 	}
 	return nil
@@ -1306,15 +991,15 @@ func (t *rev) limits() Status {
 	return Optimal
 }
 
-// trackDegenerate switches to Bland's rule after a run of degenerate
-// pivots, mirroring the tableau's anti-cycling policy. Entering Bland
-// mode abandons the devex reference framework — Bland's first-index scan
-// never consults weights, and any later return to weighted pricing
-// deserves a fresh reference.
-func (t *rev) trackDegenerate(ratio float64) {
+// trackDegenerate switches to Bland's rule after limit consecutive
+// degenerate steps — a primal step length or a dual step (the entering
+// reduced cost's ratio) of zero. Entering Bland mode abandons the devex
+// reference framework — Bland's first-index scan never consults weights,
+// and any later return to weighted pricing deserves a fresh reference.
+func (t *rev) trackDegenerate(ratio float64, limit int) {
 	if ratio <= t.tol {
 		t.degenRun++
-		if t.degenRun >= degenerateRunLimit && !t.blandMode {
+		if t.degenRun >= limit && !t.blandMode {
 			t.blandMode = true
 			t.pp.resetWeights()
 		}
@@ -1335,8 +1020,8 @@ func (t *rev) primal(c []float64) (Status, error) {
 		// by increasing (d > 0, sigma +1), one at its upper bound by
 		// decreasing (d < 0, sigma −1). Bland takes the first eligible
 		// column (always over full prices — its anti-cycling guarantee
-		// needs the complete index order); Dantzig scores |d|; devex scores
-		// d²/w over the same full scan; partial prices a candidate list.
+		// needs the complete index order); Dantzig scores |d|; partial
+		// prices a candidate list by d²/w.
 		pc := -1
 		sigma := 1.0
 		switch {
@@ -1358,25 +1043,6 @@ func (t *rev) primal(c []float64) (Status, error) {
 			}
 		case t.pricing == PricingPartial:
 			pc = t.partialPrice(c)
-		case t.pricing == PricingDevex:
-			t.prices(c)
-			best := 0.0
-			for j := 0; j < t.rw; j++ {
-				if !t.eligible(j) {
-					continue
-				}
-				deff := t.d[j]
-				if t.atUpper[j] {
-					deff = -deff
-				}
-				if deff <= t.tol {
-					continue
-				}
-				if score := deff * deff / t.pp.devex[j]; score > best {
-					best = score
-					pc = j
-				}
-			}
 		default: // Dantzig
 			t.prices(c)
 			best := t.tol
@@ -1441,12 +1107,12 @@ func (t *rev) primal(c []float64) (Status, error) {
 				return Unbounded, nil
 			}
 			// Bound flip: the entering column jumps to its opposite bound.
-			t.trackDegenerate(minRatio)
+			t.trackDegenerate(minRatio, degenerateRunLimit)
 			t.flipCol(pc, sigma)
 			t.iters++
 			continue
 		}
-		t.trackDegenerate(minRatio)
+		t.trackDegenerate(minRatio, degenerateRunLimit)
 		if t.pp.devex != nil && !t.blandMode {
 			t.updateDevex(pr, pc)
 		}
@@ -1454,7 +1120,7 @@ func (t *rev) primal(c []float64) (Status, error) {
 		if err := t.pivotBounded(pr, pc, leaveToUpper); err != nil {
 			if errors.Is(err, errNumerical) && t.numRetries < 3 {
 				t.numRetries++
-				continue // B⁻¹ was rebuilt; re-price and retry
+				continue // the factors were rebuilt; re-price and retry
 			}
 			return Optimal, err
 		}
@@ -1479,6 +1145,12 @@ func (t *rev) primal(c []float64) (Status, error) {
 // feasible.
 func (t *rev) dual(c []float64) (Status, error) {
 	t.dFresh = false
+	// Most columns of the DSCT-EA models have zero reduced cost, so nearly
+	// every dual pivot there is degenerate, and a warm re-solve can take up
+	// to about m+n of them in a row without cycling. A cycle never ends, so
+	// Bland's rule waits for a run several times that long: long enough
+	// that no measured re-solve reaches it, short against the pivot budget.
+	dualRunLimit := degenerateRunLimit + 4*(t.m+t.n)
 	for {
 		if st := t.limits(); st != Optimal {
 			return st, nil
@@ -1491,15 +1163,13 @@ func (t *rev) dual(c []float64) (Status, error) {
 		toUpper := false
 		viol := t.tol
 		if t.blandMode {
+			// Bland's rule: the infeasible basic column of smallest index
+			// leaves.
 			for i := 0; i < t.m; i++ {
 				bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
-				if t.xb[i] < bl-t.tol {
-					pr, toUpper, viol = i, false, bl-t.xb[i]
-					break
-				}
-				if t.xb[i] > bh+t.tol {
-					pr, toUpper, viol = i, true, t.xb[i]-bh
-					break
+				below, above := t.xb[i] < bl-t.tol, t.xb[i] > bh+t.tol
+				if (below || above) && (pr == -1 || t.basis[i] < t.basis[pr]) {
+					pr, toUpper = i, above
 				}
 			}
 		} else {
@@ -1561,18 +1231,20 @@ func (t *rev) dual(c []float64) (Status, error) {
 		}
 
 		t.ftran(pc)
-		t.trackDegenerate(viol)
+		// Degeneracy in the dual is a zero dual step: the entering reduced
+		// cost is already zero, so the dual objective does not move.
+		t.trackDegenerate(bestRatio, dualRunLimit)
 		f := t.d[pc] / t.alpha[pc] // basis-change step for the d update below
 		if err := t.pivotBounded(pr, pc, toUpper); err != nil {
 			if errors.Is(err, errNumerical) && t.numRetries < 3 {
 				t.numRetries++
-				t.dFresh = false // B⁻¹ was rebuilt; re-price next round
+				t.dFresh = false // the factors were rebuilt; re-price next round
 				continue
 			}
 			return Optimal, err
 		}
 		if t.sinceRefactor == 0 {
-			// pivot refactorised; incremental d would no longer match B⁻¹.
+			// pivot refactorised; incremental d would no longer match the factors.
 			t.dFresh = false
 		} else {
 			for j := 0; j < t.rw; j++ {
@@ -1691,26 +1363,18 @@ func (t *rev) finish(p *Problem, status Status) (*Solution, *Basis) {
 	if status != Optimal || t.noEscape {
 		return sol, nil
 	}
-	// Hand the kernel's representation over without copying: a Basis is
-	// immutable, and the rev never pivots after finish (it may still price
-	// read-only, which is how SolveBasisWithDuals extracts duals). The LU
-	// factors are frozen (eta slices clipped) so every solver that adopts
-	// them appends copy-on-write. The one exception is a Workspace-owned
-	// solver's dense B⁻¹: the next solve on the Workspace would overwrite a
-	// shared slice, so that one is deep-copied into the snapshot.
+	// Hand the factors over without copying: a Basis is immutable, and the
+	// rev never pivots after finish (it may still price read-only, which is
+	// how SolveBasisWithDuals extracts duals). The factors are frozen (eta
+	// slices clipped) so every solver that adopts them appends
+	// copy-on-write.
 	bs := &Basis{
 		nVars:   t.n,
 		entries: make([]basisEntry, t.m),
 		atUpper: append([]bool(nil), t.atUpper[:t.n]...),
+		fac:     t.lu.freeze(),
 		age:     t.sinceRefactor,
 		devex:   t.pp.snapshotWeights(),
-	}
-	if t.factorLU {
-		bs.fac = t.lu.freeze()
-	} else if t.owned {
-		bs.binv = append([]float64(nil), t.binv...)
-	} else {
-		bs.binv = t.binv
 	}
 	for i := 0; i < t.m; i++ {
 		bs.entries[i] = entryForColumn(t.basis[i], t.n, t.m)
@@ -1732,9 +1396,17 @@ func (t *rev) bareSolution(status Status) *Solution {
 	return &Solution{Status: status, Iterations: t.iters}
 }
 
-// SolveBasis solves p from scratch with the revised simplex (two-phase,
-// like Solve) and additionally returns the optimal basis for use as a
-// warm start by SolveFrom. The Basis is nil unless the status is Optimal.
+// Solve solves p from scratch: two-phase bounded-variable primal simplex,
+// through the presolve/postsolve layer when Options.Presolve selects it.
+// It returns exactly the Solution SolveBasis returns; call SolveBasis when
+// the optimal basis is wanted as a warm-start token.
+func Solve(p *Problem, opts Options) (*Solution, error) {
+	sol, _, err := SolveBasis(p, opts)
+	return sol, err
+}
+
+// SolveBasis solves p from scratch like Solve and additionally returns the
+// optimal basis for use as a warm start by SolveFrom. The Basis is nil unless the status is Optimal.
 // When Options.Presolve selects the presolve layer, the reduced problem
 // is solved and the returned Basis is restored to index the original
 // problem's rows and columns (eliminated rows seat their logicals), so
@@ -1923,21 +1595,16 @@ func (t *rev) solveFrom(p *Problem, from *Basis) (*Solution, *Basis, error) {
 	}
 	t.recomputeQ() // fold the restored nonbasic values into q
 	// Adopt the parent's devex reference weights (when both sides price
-	// with them) before the kernel decides how to build B⁻¹: a successful
-	// inherit keeps them, while the refactorisation fallback below resets
-	// them to unit like any other refactorisation. The snapshot's layout —
+	// with them) before deciding whether to adopt the parent's factors: a
+	// successful inherit keeps them, while the refactorisation fallback
+	// below resets them to unit like any other refactorisation. The snapshot's layout —
 	// [0, n) structural, then logicals by row — only lines up when the
 	// variable counts match; after appended columns the weights restart at
 	// unit instead of misreading parent logical weights as structural.
 	if from.nVars == t.n {
 		t.pp.inheritWeights(from.devex, t.n)
 	}
-	inherited := false
-	if t.factorLU {
-		inherited = t.inheritFactor(from)
-	} else {
-		inherited = t.inheritInverse(from)
-	}
+	inherited := t.inheritFactor(from)
 	if !inherited {
 		if err := t.refactorize(); err != nil {
 			return nil, nil, err

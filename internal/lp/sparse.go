@@ -3,14 +3,14 @@ package lp
 // Sparse constraint-matrix representation. The DSCT-EA formulations are
 // structurally sparse — a variable t_jr appears only in machine r's
 // deadline-staircase rows and a handful of per-task rows, so nonzero
-// density falls roughly as 1/m — while the revised core's dense matrix
+// density falls roughly as 1/m — while the dense matrix representation
 // walks every (row, column) pair on each pricing and pivot-row pass. This
-// file provides the shared ingredients both cores build from:
+// file provides the shared ingredients both representations build from:
 //
 //   - dedupRows flattens a Problem into sorted, deduplicated index/value
 //     rows (repeated Terms accumulate, as AddConstraint documents), the
-//     single construction path for the tableau, the dense revised matrix
-//     and the sparse index pair;
+//     single construction path for the dense matrix, the sparse index
+//     pair and the presolve layer;
 //   - csMatrix holds the oriented, equilibrated structural block in both
 //     CSR (row-major: pricing and pivot-row passes walk row nonzeros) and
 //     CSC (column-major: FTRAN and basis gathers walk column nonzeros).

@@ -216,10 +216,11 @@ func TestSparseWarmStart(t *testing.T) {
 
 // TestSparseLargeStaircase: a DSCT-shaped instance (deadline staircase per
 // machine plus a coupling energy row) big enough for SparseAuto to pick
-// the sparse path; the three cores must agree.
+// the sparse path; the default solve and both forced representations must
+// agree.
 func TestSparseLargeStaircase(t *testing.T) {
 	g := generateStaircaseLP(rng.New(5, "lp-staircase-test"), 40, 3)
-	tab, err := Solve(g.p, Options{})
+	def, err := Solve(g.p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +230,10 @@ func TestSparseLargeStaircase(t *testing.T) {
 	}
 	dense, _ := solveForced(t, g.p, SparseOff)
 	sparse, _ := solveForced(t, g.p, SparseOn)
-	if tab.Status != Optimal {
-		t.Fatalf("tableau status %v", tab.Status)
+	if def.Status != Optimal {
+		t.Fatalf("default status %v", def.Status)
 	}
-	assertSameSolution(t, "tableau-vs-sparse", tab, sparse)
+	assertSameSolution(t, "default-vs-sparse", def, sparse)
 	assertSameSolution(t, "dense-vs-sparse", dense, sparse)
 	want := g.feasibleValue()
 	if sparse.Objective < want-1e-6*(1+math.Abs(want)) {
@@ -241,9 +242,9 @@ func TestSparseLargeStaircase(t *testing.T) {
 }
 
 // TestAddConstraintAccumulatesDuplicates: AddConstraint documents that
-// repeated variables accumulate. Assert the promise holds identically
-// under the tableau, the dense revised and the sparse revised cores by
-// comparing a duplicated-Term problem against its hand-merged twin.
+// repeated variables accumulate. Assert the promise holds identically over
+// the dense and the sparse matrix by comparing a duplicated-Term problem
+// against its hand-merged twin.
 func TestAddConstraintAccumulatesDuplicates(t *testing.T) {
 	dup := NewProblem(3)
 	merged := NewProblem(3)
@@ -267,38 +268,23 @@ func TestAddConstraintAccumulatesDuplicates(t *testing.T) {
 		merged.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, 5)
 	}
 
-	tabDup, err := Solve(dup, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tabMerged, err := Solve(merged, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSolution(t, "tableau", tabMerged, tabDup)
-
 	for _, mode := range []SparseMode{SparseOff, SparseOn} {
 		gotDup, _ := solveForced(t, dup, mode)
 		gotMerged, _ := solveForced(t, merged, mode)
-		assertSameSolution(t, "revised/"+mode.String()+"/dup-vs-merged", gotMerged, gotDup)
-		assertSameSolution(t, "revised/"+mode.String()+"/vs-tableau", tabDup, gotDup)
+		assertSameSolution(t, mode.String()+"/dup-vs-merged", gotMerged, gotDup)
 	}
 }
 
 // TestDefaultMaxIters pins the documented pivot-budget default,
-// 100·(rows+cols)+1000, for both cores (the Options doc used to claim a
-// different formula).
+// 100·(rows+cols)+1000.
 func TestDefaultMaxIters(t *testing.T) {
 	p := NewProblem(7)
 	for i := 0; i < 5; i++ {
 		p.AddConstraint([]Term{{Var: i, Coef: 1}}, LE, 1)
 	}
 	want := 100*(5+7) + 1000
-	if got := newTableau(p, Options{}).iterLimit; got != want {
-		t.Errorf("tableau default MaxIters = %d, want %d", got, want)
-	}
 	if got := newRev(p, Options{}).iterLimit; got != want {
-		t.Errorf("revised default MaxIters = %d, want %d", got, want)
+		t.Errorf("default MaxIters = %d, want %d", got, want)
 	}
 	if got := newRev(p, Options{MaxIters: 17}).iterLimit; got != 17 {
 		t.Errorf("explicit MaxIters = %d, want 17", got)

@@ -8,7 +8,7 @@ package lp
 // per solve, not per pivot. A Workspace hoists all of that state into one
 // reusable object:
 //
-//   - the revised core's work arrays (duals, reduced costs, pivot rows,
+//   - the simplex core's work arrays (duals, reduced costs, pivot rows,
 //     FTRAN/BTRAN scratch) and its dense or CSR+CSC matrix storage;
 //   - the LU elimination workspace, the factor arenas and the eta file
 //     (noEscape mode), or a persistent holder for adopted frozen parent
@@ -24,8 +24,8 @@ package lp
 // alloc_ws_test.go). Buffers only ever grow, so a Workspace that has seen
 // its largest instance is allocation-free for every smaller one.
 //
-// Aliasing contract. Solutions returned by Solve, SolveFrom and
-// SolveTableau alias Workspace-owned buffers: they are valid until the
+// Aliasing contract. Solutions returned by Solve and SolveFrom alias
+// Workspace-owned buffers: they are valid until the
 // next solve on the same Workspace (or Reset), and must be cloned (or
 // consumed) before it. Reset relinquishes exactly those output buffers, so
 // a caller that wants to retain the last Solution calls Reset and lets the
@@ -35,7 +35,7 @@ package lp
 // one Workspace per worker goroutine. Under an active presolve the
 // returned Solution is also independent (postsolve reconstructs it), but
 // callers should not rely on that: the aliasing rule is "valid until the
-// next solve" for everything Solve/SolveFrom/SolveTableau return.
+// next solve" for everything Solve/SolveFrom return.
 //
 // A Workspace is NOT safe for concurrent use: one goroutine at a time.
 // Concurrent batch solving wants one Workspace per worker — that is
@@ -67,11 +67,10 @@ func taken[T any](dst, src []T) []T {
 }
 
 // Workspace owns the solver state reused across solves. The zero value is
-// not ready for use; NewWorkspace sets the ownership flags the cores key
+// not ready for use; NewWorkspace sets the ownership flag the solver keys
 // their buffer-reuse decisions on.
 type Workspace struct {
 	rev rev
-	tab tableau
 	rd  reducer
 }
 
@@ -84,21 +83,19 @@ func NewWorkspace() *Workspace {
 }
 
 // Reset relinquishes the output buffers the most recently returned
-// Solution may alias (the Solution struct and its X vector, for each
-// core). The retained Solution stays valid; the next solve allocates fresh
+// Solution may alias (the Solution struct and its X vector). The retained
+// Solution stays valid; the next solve allocates fresh
 // output buffers and settles back into zero steady-state allocations. All
 // other scratch is kept.
 func (ws *Workspace) Reset() {
 	ws.rev.solOut = nil
 	ws.rev.xOut = nil
-	ws.tab.solOut = nil
-	ws.tab.xOut = nil
 }
 
-// Solve is the reusing equivalent of SolveBasis's Solution (the revised
-// core, through the presolve layer when Options.Presolve selects it): the
-// same statuses, objectives and X vectors bit-for-bit, with every scratch
-// buffer taken from the Workspace. The returned Solution aliases
+// Solve is the reusing equivalent of the package-level Solve (through the
+// presolve layer when Options.Presolve selects it): the same statuses,
+// objectives and X vectors bit-for-bit, with every scratch buffer taken
+// from the Workspace. The returned Solution aliases
 // Workspace-owned buffers — see the aliasing contract in the file comment.
 // Under an active presolve the reducer state is reused but the reduced
 // problem and the postsolved Solution still allocate (bounded per solve).
@@ -190,34 +187,6 @@ func (ws *Workspace) SolveBasisFrom(p *Problem, from *Basis, opts Options) (*Sol
 	t.noEscape = false
 	t.init(p, opts)
 	return t.solveFrom(p, from)
-}
-
-// SolveTableau is the reusing equivalent of Solve (the dense tableau
-// core), through the presolve layer when selected. The returned Solution
-// aliases Workspace-owned buffers. internal/mip routes its warm-start-free
-// solves (rounding heuristics, DisableWarmStart) through this.
-func (ws *Workspace) SolveTableau(p *Problem, opts Options) (*Solution, error) {
-	if ps := ws.presolve(p, opts); ps != nil {
-		if ps.status == Infeasible {
-			return &Solution{Status: Infeasible}, nil
-		}
-		if ps.reduced == nil {
-			return ps.directSolution(), nil
-		}
-		opts.Presolve = PresolveOff
-		t := &ws.tab
-		t.noEscape = true
-		t.init(ps.reduced, opts)
-		sol, err := t.solve(ps.reduced)
-		if err != nil {
-			return nil, err
-		}
-		return ps.mapSolution(sol), nil
-	}
-	t := &ws.tab
-	t.noEscape = true
-	t.init(p, opts)
-	return t.solve(p)
 }
 
 // presolve runs the layer for a Workspace solve, reusing the Workspace's

@@ -48,9 +48,9 @@ func generateXLLP(s *rng.Source, nTasks, mMach int) *genLP {
 		base := s.Intn(mMach)
 		// Task demands span orders of magnitude — compressible inference
 		// workloads are not uniform — so whole columns scale by 10^±2.
-		// Dantzig's rule chases the scaled reduced costs; the devex
-		// reference framework and the presolve scaling layer both exist to
-		// be insensitive to exactly this.
+		// Dantzig's rule chases the scaled reduced costs; partial pricing's
+		// devex reference weights and the presolve scaling layer both exist
+		// to be insensitive to exactly this.
 		ts := powUniform(s, -2, 2)
 		for e := 0; e < xlElig; e++ {
 			v := j*xlElig + e
@@ -166,9 +166,9 @@ var xlBenchSizes = []struct{ tasks, mach int }{
 
 // BenchmarkPricingXLLP: cold revised solves of the xl family under each
 // pricing rule, presolve off, so the timing isolates the per-pivot
-// pricing work — dantzig's full column scan against devex's weighted
-// scan and partial's candidate-list pricing. The pivot metric shows the
-// rules' path lengths; the win is ns/op, not pivots.
+// pricing work — dantzig's full column scan against partial's
+// candidate-list pricing. The pivot metric shows the rules' path lengths;
+// the win is ns/op, not pivots.
 func BenchmarkPricingXLLP(b *testing.B) {
 	for _, sz := range xlBenchSizes {
 		g := generateXLLP(rng.New(29, "lp-xl-pricing-bench"), sz.tasks, sz.mach)
@@ -177,7 +177,6 @@ func BenchmarkPricingXLLP(b *testing.B) {
 			pricing PricingMode
 		}{
 			{"dantzig", PricingDantzig},
-			{"devex", PricingDevex},
 			{"partial", PricingPartial},
 		} {
 			b.Run(fmt.Sprintf("%s/tasks=%d,mach=%d", mode.name, sz.tasks, sz.mach), func(b *testing.B) {

@@ -323,10 +323,11 @@ func TestBranchAndCutDifferentialCorpus(t *testing.T) {
 			}
 		}
 	}
-	// 26 combos; add presolve-off and BranchRows flavours of the default.
+	// 26 combos; add presolve-off and cold-node (DisableWarmStart)
+	// flavours of the default.
 	combos = append(combos,
 		Options{LP: lp.Options{Presolve: lp.PresolveOff}},
-		Options{BranchRows: true, Cuts: CutsTree}, // CutsTree must degrade to CutsRoot
+		Options{DisableWarmStart: true},
 	)
 
 	const instances = 240
@@ -363,8 +364,8 @@ func TestBranchAndCutDifferentialCorpus(t *testing.T) {
 		if res.Gap > 1e-6*(1+math.Abs(res.Objective)) {
 			t.Fatalf("instance %d %s: optimal with gap %g", i, label, res.Gap)
 		}
-		if res.DualBound < res.Objective-1e-9 {
-			t.Fatalf("instance %d %s: dual bound %g below objective %g", i, label, res.DualBound, res.Objective)
+		if res.Bound < res.Objective-1e-9 {
+			t.Fatalf("instance %d %s: dual bound %g below objective %g", i, label, res.Bound, res.Objective)
 		}
 	}
 }
@@ -410,10 +411,10 @@ func cutHeavyProblem(trial int) *Problem {
 }
 
 // TestCutRowAccounting: appended cut rows must show up in the
-// Result.MaxNodeRows high-water mark, and the LU kernel must count an
-// inherit fallback for every warm re-solve whose problem grew rows under
-// it (the CutsTree mid-dive appends), while the dense kernel extends its
-// inverse and never falls back.
+// Result.MaxNodeRows high-water mark, and an inherit fallback must be
+// counted for every warm re-solve whose problem grew rows under it (the
+// CutsTree mid-dive appends): a factor of the parent's dimension cannot be
+// adopted.
 func TestCutRowAccounting(t *testing.T) {
 	var prob *Problem
 	var root *Result
@@ -450,30 +451,19 @@ func TestCutRowAccounting(t *testing.T) {
 			t.Errorf("CutsTree: MaxNodeRows = %d not above base %d + root cuts %d despite %d tree cuts",
 				tree.MaxNodeRows, baseRows, tree.Cuts, tree.TreeCuts)
 		}
-		// LU cannot adopt a parent snapshot across a row append; the
+		// A parent snapshot cannot be adopted across a row append; the
 		// tree-cut re-solves must be accounted as inherit fallbacks.
 		if tree.InheritFallbacks == 0 {
-			t.Errorf("CutsTree under LU: %d tree cuts but InheritFallbacks = 0", tree.TreeCuts)
+			t.Errorf("CutsTree: %d tree cuts but InheritFallbacks = 0", tree.TreeCuts)
 		}
 	} else {
 		t.Log("no tree cuts fired on this instance; tree-cut fallback branch unexercised")
 	}
-
-	binv, err := Solve(prob, Options{Cuts: CutsTree, LP: lp.Options{Factor: lp.FactorBinv}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binv.InheritFallbacks != 0 {
-		t.Errorf("CutsTree under Binv: InheritFallbacks = %d, want 0 (dense inverse extends across appended rows)",
-			binv.InheritFallbacks)
-	}
-	if math.Abs(binv.Objective-root.Objective) > 1e-6*(1+math.Abs(root.Objective)) {
-		t.Errorf("Binv CutsTree objective %.12g, want %.12g", binv.Objective, root.Objective)
-	}
 }
 
-// TestGapAndDualBound: RelGap terminates early with a Feasible status and
-// an honest Gap; a run to completion reports Gap 0 at the optimum.
+// TestGapAndDualBound: RelGap terminates early with a Feasible status, an
+// honest Gap and a valid dual bound (Result.Bound); a run to completion
+// reports Gap 0 at the optimum.
 func TestGapAndDualBound(t *testing.T) {
 	prob := cutHeavyProblem(3)
 	exact, err := Solve(prob, Options{})
@@ -486,8 +476,8 @@ func TestGapAndDualBound(t *testing.T) {
 	if exact.Gap != 0 {
 		t.Errorf("optimal Gap = %g, want 0", exact.Gap)
 	}
-	if math.Abs(exact.DualBound-exact.Objective) > 1e-9*(1+math.Abs(exact.Objective)) {
-		t.Errorf("optimal DualBound %.12g != Objective %.12g", exact.DualBound, exact.Objective)
+	if math.Abs(exact.Bound-exact.Objective) > 1e-9*(1+math.Abs(exact.Objective)) {
+		t.Errorf("optimal Bound %.12g != Objective %.12g", exact.Bound, exact.Objective)
 	}
 
 	loose, err := Solve(prob, Options{RelGap: 0.5})
@@ -500,8 +490,8 @@ func TestGapAndDualBound(t *testing.T) {
 		if loose.Gap > 0.5*(1+math.Abs(loose.Objective))+1e-9 {
 			t.Errorf("RelGap stop with Gap %g above tolerance", loose.Gap)
 		}
-		if loose.DualBound < exact.Objective-1e-9 {
-			t.Errorf("early-stop DualBound %.12g below true optimum %.12g", loose.DualBound, exact.Objective)
+		if loose.Bound < exact.Objective-1e-9 {
+			t.Errorf("early-stop Bound %.12g below true optimum %.12g", loose.Bound, exact.Objective)
 		}
 	default:
 		t.Fatalf("RelGap run status %v", loose.Status)
@@ -528,6 +518,7 @@ func TestOptionEnumStrings(t *testing.T) {
 		{NodeOrderBestBound.String(), "best-bound"},
 		{NodeOrderPlunge.String(), "plunge"},
 		{NodeOrderDepthFirst.String(), "depth-first"},
+		{NodeOrder(7).String(), "nodeorder(7)"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("String() = %q, want %q", tc.got, tc.want)

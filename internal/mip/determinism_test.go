@@ -46,15 +46,15 @@ func sameSolution(a, b *Result) bool {
 }
 
 // TestDeterministicAcrossWorkers: identical Status, Objective and X at
-// Workers = 1, 4 and 8 on a batch of seeded knapsacks, for both search
-// strategies.
+// Workers = 1, 4 and 8 on a batch of seeded knapsacks, for the default
+// (plunging best-bound) and the depth-first node order.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		prob := detKnapsack(trial)
-		for _, strat := range []Strategy{BestBound, DepthFirst} {
+		for _, strat := range []NodeOrder{NodeOrderAuto, NodeOrderDepthFirst} {
 			var base *Result
 			for _, workers := range []int{1, 4, 8} {
-				res, err := Solve(prob, Options{Workers: workers, Strategy: strat})
+				res, err := Solve(prob, Options{Workers: workers, NodeOrder: strat})
 				if err != nil {
 					t.Fatalf("trial %d %v workers=%d: %v", trial, strat, workers, err)
 				}
@@ -110,9 +110,9 @@ func TestDeterministicWithRoundingHook(t *testing.T) {
 // private lp.Workspace across all its node solves, so this test — meant to
 // run under the race detector like the rest of this file — exercises the
 // aliasing-heavy workspace paths at Workers = 1, 4 and 8: the default
-// basis-publishing chain, the tableau path under DisableWarmStart (whose
-// Solutions alias workspace buffers) and the heuristic re-solve on top of
-// it, which overwrites those buffers mid-node. Solutions must be
+// basis-publishing chain, the cold basis-free path under DisableWarmStart
+// (whose Solutions alias workspace buffers) and the heuristic re-solve on
+// top of it, which overwrites those buffers mid-node. Solutions must be
 // bit-identical to serial at every worker count. Node counts ARE pinned at
 // Workers = 1 — a serial search is fully schedule-determined, so two runs
 // must visit exactly the same tree — while at higher worker counts only
@@ -136,8 +136,8 @@ func TestWorkspaceReuseAcrossWorkers(t *testing.T) {
 			opts Options
 		}{
 			{"warm", Options{}},
-			{"tableau", Options{DisableWarmStart: true}},
-			{"tableau+hook", Options{DisableWarmStart: true, Rounding: hook}},
+			{"cold", Options{DisableWarmStart: true}},
+			{"cold+hook", Options{DisableWarmStart: true, Rounding: hook}},
 		} {
 			var base *Result
 			for _, workers := range []int{1, 4, 8} {

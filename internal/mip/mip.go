@@ -1,18 +1,17 @@
-// Package mip implements a branch-and-bound solver for mixed-integer
+// Package mip implements a branch-and-cut solver for mixed-integer
 // programs over the package lp simplex solver. It is the module's
 // substitute for the commercial MIP solver (cvx-MOSEK) the paper uses as
 // the exact DSCT-EA baseline ("DSCT-EA-Opt") in its runtime comparison
-// (Fig 4): LP relaxations at every node, most-fractional branching,
-// best-bound node selection, and optional parallel node processing.
+// (Fig 4): LP relaxations at every node, root cover/GUB/VUB cuts,
+// reliability branching, plunging best-bound node selection, and optional
+// parallel node processing.
 //
 // The solver maximises. Integer variables are branched by tightening their
 // bounds (x <= floor(v) becomes hi = floor(v), x >= ceil(v) becomes
 // lo = ceil(v)) on a bounds overlay of the immutable root LP — no rows are
-// ever appended, so every node relaxation has exactly the root's basis
-// dimension regardless of tree depth. For the DSCT-EA model all integer
-// variables are binaries, so branching fixes them to 0 or 1. The legacy
-// row-append encoding survives behind Options.BranchRows for A/B
-// benchmarking.
+// ever appended for branching, so every node relaxation has the root's
+// basis dimension regardless of tree depth. For the DSCT-EA model all
+// integer variables are binaries, so branching fixes them to 0 or 1.
 //
 // Node relaxations are warm-started: each node carries its parent's
 // optimal basis, and because a child differs from its parent only by one
@@ -109,32 +108,6 @@ func (s Status) String() string {
 	}
 }
 
-// Strategy selects the node exploration order.
-type Strategy int
-
-// Search strategies.
-const (
-	// BestBound explores the open node with the highest relaxation bound
-	// first (default): strongest bound convergence, larger open set.
-	BestBound Strategy = iota
-	// DepthFirst dives: deepest open node first (ties broken by bound).
-	// It finds incumbents sooner and keeps the open set small, at the
-	// cost of a weaker global bound early on.
-	DepthFirst
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case BestBound:
-		return "best-bound"
-	case DepthFirst:
-		return "depth-first"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
-
 // CutMode selects the cutting-plane layer (see cuts.go).
 type CutMode int
 
@@ -152,9 +125,7 @@ const (
 	// CutsTree additionally separates at shallow tree nodes (depth <=
 	// cutTreeDepth), carried on an immutable per-node cut chain so sibling
 	// subtrees stay independent. Node row counts then exceed the root's —
-	// the Result.MaxNodeRows high-water mark records it. Ignored (treated
-	// as CutsRoot) under Options.BranchRows, whose appended fix rows would
-	// interleave with cut rows and break the parent-basis row-prefix rule.
+	// the Result.MaxNodeRows high-water mark records it.
 	CutsTree
 )
 
@@ -222,7 +193,7 @@ type NodeOrder int
 // Node orders.
 const (
 	// NodeOrderAuto plunges under best-bound ordering (equivalent to
-	// NodeOrderPlunge), except under Strategy DepthFirst which it respects.
+	// NodeOrderPlunge).
 	NodeOrderAuto NodeOrder = iota
 	// NodeOrderBestBound is the legacy pure best-bound queue: every child
 	// goes through the global heap (highest bound first, path tie-break).
@@ -233,8 +204,9 @@ const (
 	// reorders exploration — the tree, the pruning and the incumbents are
 	// identical at any worker count.
 	NodeOrderPlunge
-	// NodeOrderDepthFirst is the legacy depth-first queue (Strategy
-	// DepthFirst expressed as a NodeOrder).
+	// NodeOrderDepthFirst dives: deepest open node first (ties broken by
+	// bound). It finds incumbents sooner and keeps the open set small, at
+	// the cost of a weaker global bound early on.
 	NodeOrderDepthFirst
 )
 
@@ -266,7 +238,7 @@ type Options struct {
 	Gap      float64   // absolute optimality gap for termination (0: 1e-6)
 
 	// RelGap, when positive, terminates the search early once
-	// (DualBound - incumbent) <= RelGap * max(1, |incumbent|): the
+	// (Bound - incumbent) <= RelGap * max(1, |incumbent|): the
 	// incumbent is then reported as Feasible with Result.Gap recording the
 	// proven relative gap. Zero keeps the exact Gap-based criterion.
 	RelGap float64
@@ -277,7 +249,7 @@ type Options struct {
 	// reliability branching).
 	Branching BranchRule
 	// NodeOrder selects the exploration order (default NodeOrderAuto:
-	// plunging best-bound; Strategy DepthFirst keeps depth-first).
+	// plunging best-bound).
 	NodeOrder NodeOrder
 
 	// Workers is the number of parallel node processors (<=1: serial).
@@ -292,23 +264,16 @@ type Options struct {
 	// incumbent selection).
 	Workers int
 
-	Strategy Strategy     // node exploration order (default BestBound)
 	LP       lp.Options   // per-node LP options (deadline is overridden)
 	Rounding RoundingHook // optional primal heuristic, see RoundingHook
 	OnNode   func(n int)  // optional progress callback (nodes processed)
 
 	// DisableWarmStart forces every node relaxation to be solved from
-	// scratch with the tableau solver instead of warm-starting the dual
+	// scratch (a cold two-phase solve) instead of warm-starting the dual
 	// simplex from the parent's basis. Intended for benchmarking the
-	// warm-start speedup; leave false in normal use.
+	// warm-start speedup and as a retry when a warm search stops short;
+	// leave false in normal use.
 	DisableWarmStart bool
-
-	// BranchRows applies branching decisions as appended explicit bound
-	// rows (x <= floor, x >= ceil) instead of tightened variable bounds,
-	// growing each node's basis dimension with its tree depth. Intended
-	// for A/B benchmarking the row-free branching win; leave false in
-	// normal use.
-	BranchRows bool
 
 	// Warm imports search state exported by a previous Solve over a
 	// compatibly-mutated problem (see WarmState for the compatibility
@@ -346,7 +311,7 @@ type Result struct {
 	Status    Status
 	Objective float64 // incumbent objective (valid unless NoIncumbent/Infeasible)
 	X         []float64
-	Bound     float64 // best proven upper bound on the optimum
+	Bound     float64 // best proven upper bound on the optimum (the dual bound)
 	Nodes     int     // LP relaxations solved
 	Elapsed   time.Duration
 
@@ -355,26 +320,20 @@ type Result struct {
 
 	// InheritFallbacks counts warm-started relaxations that reused the
 	// parent's basic column set but could not adopt its factorisation
-	// snapshot — missing, stale, fill-heavy, failing the residual check,
-	// or dimension-mismatched (under Options.BranchRows every child grows
-	// a row, so the LU kernel refactorises at every node) — and rebuilt
-	// the factors from scratch instead. A subset of WarmSolves; it used
-	// to happen silently inside lp.SolveFrom.
+	// snapshot — missing, fill-heavy, failing the residual check, or
+	// dimension-mismatched (a CutsTree re-solve appends cut rows) — and
+	// rebuilt the factors from scratch instead. A subset of WarmSolves.
 	InheritFallbacks int
 
 	// MaxNodeRows is the largest constraint-row count of any node
-	// relaxation solved during the search. With bound branching (the
-	// default) it equals the root LP's row count — plus the root cut pool
-	// kept after the cut loop — at any tree depth; CutsTree node-local cuts
-	// and Options.BranchRows fix rows grow it further.
+	// relaxation solved during the search. Bound branching keeps it at the
+	// root LP's row count — plus the root cut pool kept after the cut loop
+	// — at any tree depth; CutsTree node-local cuts grow it further.
 	MaxNodeRows int
 
-	// DualBound is the best proven upper bound on the optimum (identical
-	// to Bound; the name matches the branch-and-cut literature). Gap is
-	// DualBound - Objective when an incumbent exists (0 at Optimal, +Inf
-	// otherwise).
-	DualBound float64
-	Gap       float64
+	// Gap is Bound - Objective when an incumbent exists (0 at Optimal,
+	// +Inf otherwise).
+	Gap float64
 
 	// Cuts is the number of cut rows in the root pool after slack removal
 	// (the rows every node relaxation carries); CutRounds is how many
@@ -470,16 +429,17 @@ type node struct {
 	brDist float64
 }
 
-// nodeQueue is a heap of open nodes ordered by the search strategy.
+// nodeQueue is a heap of open nodes: highest bound first, or deepest
+// first under NodeOrderDepthFirst.
 type nodeQueue struct {
-	items []*node
-	strat Strategy
+	items      []*node
+	depthFirst bool
 }
 
 func (q *nodeQueue) Len() int { return len(q.items) }
 func (q *nodeQueue) Less(i, j int) bool {
 	a, b := q.items[i], q.items[j]
-	if q.strat == DepthFirst {
+	if q.depthFirst {
 		if a.depth != b.depth {
 			return a.depth > b.depth
 		}

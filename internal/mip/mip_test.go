@@ -299,11 +299,11 @@ func TestDepthFirstMatchesBestBound(t *testing.T) {
 		total += weights[i]
 	}
 	prob := knapsackProblem(values, weights, total*0.4)
-	bb, err := Solve(prob, Options{Strategy: BestBound})
+	bb, err := Solve(prob, Options{NodeOrder: NodeOrderBestBound})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dfs, err := Solve(prob, Options{Strategy: DepthFirst})
+	dfs, err := Solve(prob, Options{NodeOrder: NodeOrderDepthFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,61 +315,32 @@ func TestDepthFirstMatchesBestBound(t *testing.T) {
 	}
 }
 
-func TestStrategyString(t *testing.T) {
-	for _, s := range []Strategy{BestBound, DepthFirst, Strategy(7)} {
-		if s.String() == "" {
-			t.Error("empty strategy string")
-		}
-	}
-}
-
-// TestInheritFallbackAccounting pins Result.InheritFallbacks across the
-// kernel × branching grid on a fixed knapsack search. Row-append branching
-// grows every child's basis dimension, so the LU kernel can never adopt
-// the parent's factors — every warm solve must be counted as an inherit
-// fallback — while the legacy dense kernel extends its inverse
-// block-triangularly and never falls back. Under the default row-free
-// bound branching both kernels adopt every parent snapshot.
+// TestInheritFallbackAccounting pins Result.InheritFallbacks on a fixed
+// knapsack search: under row-free bound branching every child keeps its
+// parent's basis dimension, so every warm solve adopts the parent's
+// factors and none falls back.
 func TestInheritFallbackAccounting(t *testing.T) {
 	values := []float64{9, 13, 7, 11, 5, 8, 12, 6, 10, 4}
 	weights := []float64{4, 6, 3, 5, 2, 4, 6, 3, 5, 2}
 	p := knapsackProblem(values, weights, 17)
 	want := bruteKnapsack(values, weights, 17)
 
-	cases := []struct {
-		name         string
-		opts         Options
-		allFallbacks bool // every warm solve falls back (else: none do)
-	}{
-		{"bounds-lu", Options{}, false},
-		{"bounds-binv", Options{LP: lp.Options{Factor: lp.FactorBinv}}, false},
-		{"rows-lu", Options{BranchRows: true}, true},
-		{"rows-binv", Options{BranchRows: true, LP: lp.Options{Factor: lp.FactorBinv}}, false},
+	res, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		res, err := Solve(p, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
-			t.Fatalf("%s: status %v objective %g, want optimal %g",
-				tc.name, res.Status, res.Objective, want)
-		}
-		if res.WarmSolves == 0 {
-			t.Fatalf("%s: search ran without warm solves; instance too easy to pin accounting", tc.name)
-		}
-		if tc.allFallbacks && res.InheritFallbacks != res.WarmSolves {
-			t.Errorf("%s: InheritFallbacks = %d, want all %d warm solves",
-				tc.name, res.InheritFallbacks, res.WarmSolves)
-		}
-		if !tc.allFallbacks && res.InheritFallbacks != 0 {
-			t.Errorf("%s: InheritFallbacks = %d, want 0 (WarmSolves = %d)",
-				tc.name, res.InheritFallbacks, res.WarmSolves)
-		}
+	if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
+		t.Fatalf("status %v objective %g, want optimal %g", res.Status, res.Objective, want)
+	}
+	if res.WarmSolves == 0 {
+		t.Fatal("search ran without warm solves; instance too easy to pin accounting")
+	}
+	if res.InheritFallbacks != 0 {
+		t.Errorf("InheritFallbacks = %d, want 0 (WarmSolves = %d)", res.InheritFallbacks, res.WarmSolves)
 	}
 
 	// Warm starts off: nothing to fall back from.
-	res, err := Solve(p, Options{DisableWarmStart: true})
+	res, err = Solve(p, Options{DisableWarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,22 +30,13 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if cuts == CutsAuto {
 		cuts = CutsRoot
 	}
-	if opts.BranchRows && cuts == CutsTree {
-		// Node-local cut rows would interleave with the appended fix rows
-		// and break the row-prefix rule parent bases rely on; see CutsTree.
-		cuts = CutsRoot
-	}
 	branch := opts.Branching
 	if branch == BranchAuto {
 		branch = BranchReliability
 	}
 	order := opts.NodeOrder
 	if order == NodeOrderAuto {
-		if opts.Strategy == DepthFirst {
-			order = NodeOrderDepthFirst
-		} else {
-			order = NodeOrderPlunge
-		}
+		order = NodeOrderPlunge
 	}
 
 	s := &searcher{
@@ -66,7 +57,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if ps := lp.RootPresolve(p.LP, p.Integers, opts.LP); ps != nil {
 		if ps.Status() == lp.Infeasible {
 			return &Result{
-				Status: Infeasible, Bound: math.Inf(-1), DualBound: math.Inf(-1),
+				Status: Infeasible, Bound: math.Inf(-1),
 				Gap: math.Inf(1), Elapsed: time.Since(start),
 			}, nil
 		}
@@ -98,7 +89,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 				}
 				return &Result{
 					Status: Optimal, Objective: obj, X: x, Bound: obj,
-					DualBound: obj, Nodes: 0, Elapsed: time.Since(start),
+					Nodes: 0, Elapsed: time.Since(start),
 				}, nil
 			}
 		}
@@ -138,11 +129,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if order == NodeOrderDepthFirst {
-		s.queue.strat = DepthFirst
-	} else {
-		s.queue.strat = BestBound
-	}
+	s.queue.depthFirst = order == NodeOrderDepthFirst
 	heap.Push(&s.queue, &node{bound: math.Inf(1), brVar: -1, basis: s.rootFrom, pc: s.rootPC})
 
 	var wg sync.WaitGroup
@@ -212,7 +199,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 		res.Bound += s.ps.ObjOffset()
 	}
-	res.DualBound = res.Bound
 	if hasIncumbent {
 		res.Gap = math.Max(0, res.Bound-res.Objective)
 	} else {
@@ -280,12 +266,12 @@ type searcher struct {
 func (s *searcher) openBound() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dualBoundLocked()
+	return s.openBoundLocked()
 }
 
-// dualBoundLocked is openBound's locked core: the global dual bound over
+// openBoundLocked is openBound's locked core: the global dual bound over
 // the open queue, the in-flight nodes and the incumbent.
-func (s *searcher) dualBoundLocked() float64 {
+func (s *searcher) openBoundLocked() float64 {
 	b := s.incumbent
 	for _, nd := range s.queue.items {
 		if nd.bound > b {
@@ -308,7 +294,7 @@ func (s *searcher) gapMetLocked(extra *node) bool {
 	if s.opts.RelGap <= 0 || math.IsInf(s.incumbent, -1) {
 		return false
 	}
-	db := s.dualBoundLocked()
+	db := s.openBoundLocked()
 	if extra != nil && extra.bound > db {
 		db = extra.bound
 	}
@@ -518,8 +504,8 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	}
 
 	// Capture the branching value and bound before any further solve on the
-	// worker's workspace: the tableau-routed solves below (heuristic, or
-	// everything under DisableWarmStart) return Solutions that alias
+	// worker's workspace: the cold basis-free solves (the heuristic below,
+	// or everything under DisableWarmStart) return Solutions that alias
 	// workspace buffers, so the heuristic re-solve would overwrite sol.
 	val := pick.val
 	bound := sol.Objective
@@ -575,14 +561,13 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 }
 
 // nodeProblem derives the node relaxation as a copy-free overlay of the
-// immutable base LP: branching decisions become tightened variable bounds
-// (or appended bound rows under Options.BranchRows), inherited CutsTree
-// cuts are replayed as rows oldest-first (so the row order matches the
-// ancestor append order a parent basis describes), and a non-nil
-// heuristicFix pins every integer variable. It returns ok=false when a
-// replayed box is empty — infeasibility proven without invoking the
-// solver. The base LP is never mutated during the search, which is what
-// makes concurrent overlays by parallel workers safe.
+// immutable base LP: branching decisions become tightened variable
+// bounds, inherited CutsTree cuts are replayed as rows oldest-first (so the
+// row order matches the ancestor append order a parent basis describes),
+// and a non-nil heuristicFix pins every integer variable. It returns
+// ok=false when a replayed box is empty — infeasibility proven without
+// invoking the solver. The base LP is never mutated during the search,
+// which is what makes concurrent overlays by parallel workers safe.
 //
 //lint:hotpath=bounded one node derivation allocates an overlay plus the O(depth) replay scratch
 func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, bool) {
@@ -596,43 +581,26 @@ func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, b
 			p.AddConstraint(cc.c.terms, lp.LE, cc.c.rhs)
 		}
 	}
-	if s.opts.BranchRows {
-		// Replay the chain oldest-first so row order (and hence the basis
-		// row layout a parent basis describes) matches insertion order.
-		fs := make([]fix, nd.depth)
-		for c, i := nd.fixes, nd.depth-1; c != nil; c, i = c.prev, i-1 {
-			fs[i] = c.f
+	for c := nd.fixes; c != nil; c = c.prev {
+		lo, hi := p.Bounds(c.f.Var)
+		if c.f.Sense == lp.LE {
+			hi = math.Min(hi, c.f.Val)
+		} else {
+			lo = math.Max(lo, c.f.Val)
 		}
-		for _, f := range fs {
-			p.AddConstraint([]lp.Term{{Var: f.Var, Coef: 1}}, f.Sense, f.Val)
+		if hi < lo {
+			return nil, false
 		}
-		if heuristicFix != nil {
-			for i, v := range s.prob.Integers {
-				p.AddConstraint([]lp.Term{{Var: v, Coef: 1}}, lp.EQ, heuristicFix[i])
-			}
-		}
-	} else {
-		for c := nd.fixes; c != nil; c = c.prev {
-			lo, hi := p.Bounds(c.f.Var)
-			if c.f.Sense == lp.LE {
-				hi = math.Min(hi, c.f.Val)
-			} else {
-				lo = math.Max(lo, c.f.Val)
-			}
-			if hi < lo {
+		p.SetBounds(c.f.Var, lo, hi)
+	}
+	if heuristicFix != nil {
+		for i, v := range s.prob.Integers {
+			val := heuristicFix[i]
+			lo, hi := p.Bounds(v)
+			if val < lo-intTol || val > hi+intTol {
 				return nil, false
 			}
-			p.SetBounds(c.f.Var, lo, hi)
-		}
-		if heuristicFix != nil {
-			for i, v := range s.prob.Integers {
-				val := heuristicFix[i]
-				lo, hi := p.Bounds(v)
-				if val < lo-intTol || val > hi+intTol {
-					return nil, false
-				}
-				p.SetBounds(v, val, val)
-			}
+			p.SetBounds(v, val, val)
 		}
 	}
 	return p, true
@@ -643,15 +611,15 @@ func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, b
 // When warm starts are enabled and a parent basis is available, the node
 // is re-optimised with the dual simplex via ws.SolveBasisFrom; a failed
 // warm start (invalid or singular basis) falls back to a cold Phase-1
-// solve. The returned basis warm-starts this node's children (nil when
-// only the tableau solver ran or the relaxation was not solved to
-// optimality).
+// solve. The returned basis warm-starts this node's children (nil after a
+// basis-free solve or when the relaxation was not solved to optimality).
 //
 // Every solve runs on ws, the calling worker's private workspace. The
 // basis-publishing paths return independent Solutions, safe to hold across
-// later solves; the tableau paths (DisableWarmStart, heuristicFix) return
-// Solutions aliasing ws buffers, valid only until the next solve on this
-// worker — process captures what it needs before re-solving.
+// later solves; the basis-free cold solves (DisableWarmStart,
+// heuristicFix) return Solutions aliasing ws buffers, valid only until the
+// next solve on this worker — process captures what it needs before
+// re-solving.
 //
 //lint:hotpath=bounded one node relaxation allocates an overlay plus the published basis; solver scratch comes from the worker's workspace
 func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64, ws *lp.Workspace) (*lp.Solution, *lp.Basis, error) {
@@ -663,18 +631,14 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64,
 	lpOpts.Deadline = s.opts.Deadline
 	rows := p.NumConstraints()
 
-	if s.opts.DisableWarmStart {
-		sol, err := ws.SolveTableau(p, lpOpts)
-		s.countSolve(false, false, rows)
-		return sol, nil, err
-	}
-	if heuristicFix != nil {
-		// With every integer pinned the relaxation is close to a pure
-		// feasibility check; the parent basis is a poor starting point for
-		// that many simultaneous changes (the dual repair walks farther
-		// than a fresh solve), so go straight to the tableau solver.
-		// Children never inherit from heuristic solves.
-		sol, err := ws.SolveTableau(p, lpOpts)
+	// With every integer pinned (heuristicFix) the relaxation is close to a
+	// pure feasibility check; the parent basis is a poor starting point for
+	// that many simultaneous changes (the dual repair walks farther than a
+	// fresh solve), so it is solved cold. Children never inherit from
+	// heuristic solves, and under DisableWarmStart from no solve at all, so
+	// neither publishes a basis.
+	if s.opts.DisableWarmStart || heuristicFix != nil {
+		sol, err := ws.Solve(p, lpOpts)
 		s.countSolve(false, false, rows)
 		return sol, nil, err
 	}
@@ -687,12 +651,7 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64,
 	}
 	sol, basis, err := ws.SolveBasis(p, lpOpts)
 	if err != nil {
-		// Last-resort fallback: the independent tableau implementation.
-		sol, err = ws.SolveTableau(p, lpOpts)
-		basis = nil
-		if err != nil {
-			return nil, nil, err
-		}
+		return nil, nil, err
 	}
 	s.countSolve(false, false, rows)
 	return sol, basis, nil

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,6 +104,38 @@ func TestGoldenFig4NodeCounts(t *testing.T) {
 		if g.N != w.N || g.Status != w.Status || g.Nodes != w.Nodes || !numeric.AlmostEqual(g.Obj, w.Obj) {
 			t.Errorf("instance %d (n=%d): got %s, %d nodes, objective %.17g; pinned %s, %d nodes, objective %.17g",
 				k, g.N, g.Status, g.Nodes, g.Obj, w.Status, w.Nodes, w.Obj)
+		}
+	}
+}
+
+// TestDualDegenerateCycleSolvesToOptimality rebuilds two exact-small
+// benchmark instances on which a warm node LP used to cycle through
+// dual-degenerate pivots until its iteration limit, which stopped the whole
+// search with a Feasible status and no limit set. Bland's rule must engage
+// in the dual phase too, so the warm search now proves the same optimum a
+// cold search (every node solved from scratch) finds.
+func TestDualDegenerateCycleSolvesToOptimality(t *testing.T) {
+	for _, tc := range []struct{ n, replicate int }{{10, 113}, {8, 437}} {
+		src := rng.NewReplicate(3, fmt.Sprintf("dsctbench/exact-small/n=%d", tc.n), tc.replicate)
+		in, err := task.GenerateUniformFleet(src, task.PaperFig4(tc.n), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm := BuildMIP(in)
+		cold, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook(), DisableWarmStart: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Status != mip.Optimal {
+			t.Fatalf("n=%d replicate %d: cold search %v", tc.n, tc.replicate, cold.Status)
+		}
+		warm, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != mip.Optimal || !numeric.AlmostEqual(warm.Objective, cold.Objective) {
+			t.Errorf("n=%d replicate %d: warm search %v at %.12g after %d nodes, cold optimum %.12g",
+				tc.n, tc.replicate, warm.Status, warm.Objective, warm.Nodes, cold.Objective)
 		}
 	}
 }

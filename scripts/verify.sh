@@ -14,13 +14,12 @@
 # With -bench, additionally runs the simplex benchmark suite — cold-vs-warm
 # (BenchmarkMIPColdVsWarm, BenchmarkWarmVsColdLP), dense-vs-sparse
 # (BenchmarkSparseVsDenseLP, BenchmarkSparseVsDenseWarmLP,
-# BenchmarkMIPDenseVsSparse), rows-vs-bounds (BenchmarkBoundsVsRowsLP,
-# BenchmarkMIPBoundsVsRows) and basis-kernel binv-vs-lu
-# (BenchmarkFactorLUVsBinvLP, BenchmarkFactorLUVsBinvWarmLP,
-# BenchmarkMIPFactorLUVsBinv), plus the xl-family pricing and presolve
-# pairings (BenchmarkPricingXLLP dantzig-vs-devex/partial,
-# BenchmarkPresolveXLLP nopresolve-vs-presolve; the tier-1-sized xl smoke
-# member runs as TestXLAutoSmoke in the ordinary race suite above) and the
+# BenchmarkMIPDenseVsSparse) and rows-vs-bounds (BenchmarkBoundsVsRowsLP,
+# whose rows arm is the ExpandBounds reference encoding), plus the
+# xl-family pricing and presolve pairings (BenchmarkPricingXLLP
+# dantzig-vs-partial, BenchmarkPresolveXLLP nopresolve-vs-presolve; the
+# tier-1-sized xl smoke member runs as TestXLAutoSmoke in the ordinary race
+# suite above) and the
 # batch-throughput harness (BenchmarkBatchThroughputLP over the 240-instance
 # corpus, BenchmarkBatchThroughputXLLP over an xl shard; fresh-vs-pooled-vs-
 # batch segments reporting instances/sec and allocs/op) and the
@@ -123,15 +122,11 @@ if [ "$run_bench" = 1 ]; then
   {
     go test -run='^$' -bench='^BenchmarkMIPColdVsWarm$' -benchtime=3x -count=4 .
     go test -run='^$' -bench='^BenchmarkMIPDenseVsSparse$' -benchtime=2x -count=3 .
-    go test -run='^$' -bench='^BenchmarkMIPBoundsVsRows$' -benchtime=2x -count=3 .
-    go test -run='^$' -bench='^BenchmarkMIPFactorLUVsBinv$' -benchtime=2x -count=3 .
     go test -run='^$' -bench='^BenchmarkMIPBranchAndCut$' -benchtime=1x -count=2 -timeout 30m .
     go test -run='^$' -bench='^BenchmarkWarmVsColdLP$' -benchtime=50x -count=4 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkSparseVsDenseLP$' -benchtime=1x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkSparseVsDenseWarmLP$' -benchtime=10x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBoundsVsRowsLP$' -benchtime=2x -count=3 ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkFactorLUVsBinvLP$' -benchtime=1x -count=3 ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkFactorLUVsBinvWarmLP$' -benchtime=10x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkPricingXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
     go test -run='^$' -bench='^BenchmarkPresolveXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBatchThroughputLP$' -benchtime=20x -count=3 ./internal/lp/
