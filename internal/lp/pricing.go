@@ -70,12 +70,11 @@ func resolvePricing(mode PricingMode, rw int) PricingMode {
 	return PricingDantzig
 }
 
-// pricer is the pricing-rule state the simplex core embeds: the resolved
-// rule and, for partial pricing, the devex reference weights and the
-// candidate list with its rotating refill cursor.
+// pricer is the pricing-rule state the simplex core embeds: for partial
+// pricing, the devex reference weights and the candidate list with its
+// rotating refill cursor.
 type pricer struct {
-	mode PricingMode // resolved rule; never PricingAuto
-	rw   int         // priced column space is [0, rw)
+	rw int // priced column space is [0, rw)
 
 	devex []float64 // rw reference weights (nil: rule keeps none)
 	wmax  float64   // largest weight since the last framework restart
@@ -96,7 +95,6 @@ type pricer struct {
 // list at full capacity. Re-initialising a pricer reuses its backing
 // arrays.
 func (pp *pricer) init(mode PricingMode, rw int) {
-	pp.mode = mode
 	pp.rw = rw
 	pp.cursor = 0
 	pp.devex = nil

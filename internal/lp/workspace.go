@@ -68,7 +68,7 @@ func taken[T any](dst, src []T) []T {
 
 // Workspace owns the solver state reused across solves. The zero value is
 // not ready for use; NewWorkspace sets the ownership flag the solver keys
-// their buffer-reuse decisions on.
+// its buffer-reuse decisions on.
 type Workspace struct {
 	rev rev
 	rd  reducer
