@@ -1161,7 +1161,6 @@ func (t *rev) dual(c []float64) (Status, error) {
 		// (finite) upper bound it leaves to the upper bound.
 		pr := -1
 		toUpper := false
-		viol := t.tol
 		if t.blandMode {
 			// Bland's rule: the infeasible basic column of smallest index
 			// leaves.
@@ -1173,6 +1172,7 @@ func (t *rev) dual(c []float64) (Status, error) {
 				}
 			}
 		} else {
+			viol := t.tol
 			for i := 0; i < t.m; i++ {
 				bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
 				if v := bl - t.xb[i]; v > viol {
