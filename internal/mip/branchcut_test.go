@@ -518,7 +518,6 @@ func TestOptionEnumStrings(t *testing.T) {
 		{NodeOrderBestBound.String(), "best-bound"},
 		{NodeOrderPlunge.String(), "plunge"},
 		{NodeOrderDepthFirst.String(), "depth-first"},
-		{NodeOrder(7).String(), "nodeorder(7)"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("String() = %q, want %q", tc.got, tc.want)

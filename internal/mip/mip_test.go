@@ -315,6 +315,23 @@ func TestDepthFirstMatchesBestBound(t *testing.T) {
 	}
 }
 
+// TestStrategyString: the node-search strategies (NodeOrder) print their
+// names, and an out-of-range value prints a non-empty fallback.
+func TestStrategyString(t *testing.T) {
+	for _, tc := range []struct {
+		s    NodeOrder
+		want string
+	}{
+		{NodeOrderBestBound, "best-bound"},
+		{NodeOrderDepthFirst, "depth-first"},
+		{NodeOrder(7), "nodeorder(7)"},
+	} {
+		if got := tc.s.String(); got != tc.want {
+			t.Errorf("NodeOrder(%d).String() = %q, want %q", int(tc.s), got, tc.want)
+		}
+	}
+}
+
 // TestInheritFallbackAccounting pins Result.InheritFallbacks on a fixed
 // knapsack search: under row-free bound branching every child keeps its
 // parent's basis dimension, so every warm solve adopts the parent's
