@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -79,17 +80,51 @@ func TestGreedyPrefixFeasibility(t *testing.T) {
 	}
 }
 
+// TestGreedyScanMatchesSegtree checks the default latest-interval kernel
+// against the paper's O(n²) slack scan (the name predates the kernel; the
+// segment tree it once checked is gone).
 func TestGreedyScanMatchesSegtree(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		in := genInstance(t, 100+int64(trial), 40, 3, 0.3, 0.6, 3.0)
-		caps := Caps(in, NaiveProfile(in))
-		a := GreedyAllocate(in.Tasks, caps, GreedyOptions{UseScan: true})
-		b := GreedyAllocate(in.Tasks, caps, GreedyOptions{UseScan: false})
+	agree := func(t *testing.T, label string, tasks []task.Task, caps []float64) {
+		t.Helper()
+		a := GreedyAllocate(tasks, caps, GreedyOptions{UseScan: true})
+		b := GreedyAllocate(tasks, caps, GreedyOptions{})
 		for j := range a {
-			if math.Abs(a[j]-b[j]) > 1e-6*math.Max(1, a[j]) {
-				t.Fatalf("trial %d: backends disagree at %d: %g vs %g", trial, j, a[j], b[j])
+			if math.Abs(a[j]-b[j]) > 1e-9*math.Max(1, a[j]) {
+				t.Fatalf("%s: kernels disagree at task %d: scan %g, default %g", label, j, a[j], b[j])
 			}
 		}
+	}
+	src := rng.New(5, "greedy-kernels")
+	// Random profiles whose entries often sit exactly at 0 or at d_max.
+	for trial := 0; trial < 60; trial++ {
+		m := 1 + trial%6
+		n := 1 + src.Intn(200)
+		in := genInstance(t, 100+int64(trial), n, m, src.Uniform(0.01, 1), 0.6, src.Uniform(1, 20))
+		dMax := in.MaxDeadline()
+		p := make(Profile, m)
+		for r := range p {
+			switch src.Intn(3) {
+			case 0:
+				p[r] = 0
+			case 1:
+				p[r] = dMax
+			default:
+				p[r] = src.Uniform(0, dMax)
+			}
+		}
+		agree(t, fmt.Sprintf("profile trial %d (n=%d m=%d p=%v)", trial, n, m, p), in.Tasks, Caps(in, p))
+	}
+	// Non-monotone and negative capacities: only their suffix minimum,
+	// clamped at zero, binds.
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + src.Intn(200)
+		in := genInstance(t, 500+int64(trial), n, 1, 0.3, 1.0, 5)
+		scale := in.Tasks[0].FMax() * float64(n) / 4
+		caps := make([]float64, n)
+		for j := range caps {
+			caps[j] = src.Uniform(-0.2, 1) * scale
+		}
+		agree(t, fmt.Sprintf("caps trial %d (n=%d)", trial, n), in.Tasks, caps)
 	}
 }
 

@@ -52,10 +52,11 @@ func SolveFR(in *task.Instance, opts FROptions) (*FRSolution, error) {
 	if opts.PaperRefine && !opts.SkipRefine {
 		return solveFRPaper(in, p, opts)
 	}
+	alloc := NewAllocator(in.Tasks, opts.Greedy)
 	if !opts.SkipRefine {
-		p, sweeps = RefineProfile(in, p, opts.Refine)
+		p, sweeps = refineProfile(alloc, in, p, opts.Refine)
 	}
-	total, f := Value(in, p, opts.Greedy)
+	total, f := alloc.value(in, p)
 	sched, err := Split(in, p, f)
 	if err != nil {
 		return nil, err

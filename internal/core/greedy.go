@@ -22,11 +22,11 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/numeric"
-	"repro/internal/segtree"
 	"repro/internal/task"
 )
 
@@ -42,123 +42,189 @@ type segRef struct {
 // flattenSegments lists every accuracy segment of every task, sorted by
 // non-increasing slope (ties broken by task then position, so a task's
 // earlier segments always precede its later ones — concavity makes their
-// slopes non-increasing).
+// slopes non-increasing). The key is a strict total order, so the sorted
+// order does not depend on the sort's stability.
 func flattenSegments(tasks []task.Task) []segRef {
-	var segs []segRef
+	total := 0
+	for _, tk := range tasks {
+		total += tk.Acc.NumSegments()
+	}
+	segs := make([]segRef, 0, total)
 	for j, tk := range tasks {
-		for k, s := range tk.Acc.Segments() {
+		for k := 0; k < tk.Acc.NumSegments(); k++ {
+			s := tk.Acc.Segment(k)
 			if s.Width() <= 0 {
 				continue
 			}
 			segs = append(segs, segRef{task: j, pos: k, slope: s.Slope, width: s.Width()})
 		}
 	}
-	sort.SliceStable(segs, func(a, b int) bool {
-		sa, sb := segs[a], segs[b]
-		//lint:ignore floatcmp comparator tie-break: tolerant comparison would break the strict weak ordering sort requires
-		if sa.slope != sb.slope {
-			return sa.slope > sb.slope
+	slices.SortFunc(segs, func(a, b segRef) int {
+		if c := cmp.Compare(b.slope, a.slope); c != 0 {
+			return c
 		}
-		if sa.task != sb.task {
-			return sa.task < sb.task
+		if c := cmp.Compare(a.task, b.task); c != 0 {
+			return c
 		}
-		return sa.pos < sb.pos
+		return cmp.Compare(a.pos, b.pos)
 	})
 	return segs
 }
 
-// slackTracker maintains the prefix slacks slack_i = C_i − Σ_{k<=i} f_k and
-// answers suffix-minimum queries. Two implementations: a naive O(n) scan
-// (the paper's O(n²) inner loop) and a segment tree (O(log n)).
-type slackTracker interface {
-	// SuffixMin returns min_{i >= j} slack_i.
-	SuffixMin(j int) float64
-	// AddSuffix subtracts delta from every slack_i with i >= j.
-	AddSuffix(j int, delta float64)
-}
-
-type naiveSlack struct{ slack []float64 }
-
-func (s *naiveSlack) SuffixMin(j int) float64 {
-	m := math.Inf(1)
-	for i := j; i < len(s.slack); i++ {
-		if s.slack[i] < m {
-			m = s.slack[i]
-		}
-	}
-	return m
-}
-
-func (s *naiveSlack) AddSuffix(j int, delta float64) {
-	for i := j; i < len(s.slack); i++ {
-		s.slack[i] -= delta
-	}
-}
-
-type treeSlack struct{ t *segtree.Tree }
-
-func (s *treeSlack) SuffixMin(j int) float64        { return s.t.MinRange(j, s.t.Len()-1) }
-func (s *treeSlack) AddSuffix(j int, delta float64) { s.t.AddRange(j, s.t.Len()-1, -delta) }
-
 // GreedyOptions tunes the allocator.
 type GreedyOptions struct {
-	// UseScan selects the paper's O(n²) slack scan instead of the segment
-	// tree (ablation BenchmarkAblationSegtreeVsScan).
+	// UseScan selects the paper's O(n²) slack scan — a suffix minimum
+	// recomputed for every segment — instead of the latest-interval
+	// kernel (ablation BenchmarkAblationSegtreeVsScan).
 	UseScan bool
 }
 
 // Allocator is a reusable Algorithm 1 runner: it caches the slope-sorted
 // segment list of a task set so that repeated allocations against
 // different capacity vectors (as in RefineProfile's line searches) skip
-// the O(S log S) sort.
+// the O(S log S) sort, and it owns the kernel's scratch, so evaluating
+// V(p) through it does not allocate. An Allocator is not safe for
+// concurrent use.
 type Allocator struct {
 	n    int
 	segs []segRef
 	opts GreedyOptions
+
+	caps   []float64 // V(p)'s aggregate capacities
+	rem    []float64 // free capacity per deadline interval (kernel) or prefix slack (scan)
+	parent []int     // union-find over intervals shifted by one; index 0 stands for "none"
+	work   []float64 // the work vector of the last allocation
 }
 
 // NewAllocator prepares an allocator for the tasks (deadline order).
 func NewAllocator(tasks []task.Task, opts GreedyOptions) *Allocator {
-	return &Allocator{n: len(tasks), segs: flattenSegments(tasks), opts: opts}
+	n := len(tasks)
+	return &Allocator{
+		n:      n,
+		segs:   flattenSegments(tasks),
+		opts:   opts,
+		caps:   make([]float64, n),
+		rem:    make([]float64, n),
+		parent: make([]int, n+1),
+		work:   make([]float64, n),
+	}
 }
 
-// Allocate is Algorithm 1 over aggregate capacities: given the
-// non-decreasing prefix capacities caps[j] (GFLOPs available to tasks 1..j
-// together), it returns the optimal work vector f.
+// Allocate is Algorithm 1 over aggregate capacities: given the prefix
+// capacities caps[j] (GFLOPs available to tasks 1..j together), it
+// returns the optimal work vector f, which the caller owns.
 //
 // Algorithm: consider segments in non-increasing slope order; grant each
 // segment the largest amount that keeps every prefix constraint i >= j
-// satisfied (min suffix slack). caps must be non-decreasing and
-// non-negative.
+// satisfied (the minimum suffix slack). Only the suffix minimum of caps
+// binds, and a negative capacity counts as zero.
 func (a *Allocator) Allocate(caps []float64) []float64 {
 	if len(caps) != a.n {
 		panic("core: caps length must match task count")
 	}
-	slackVals := make([]float64, a.n)
-	for i, c := range caps {
-		if c < 0 {
-			c = 0
-		}
-		slackVals[i] = c
-	}
-	var slack slackTracker
-	if a.opts.UseScan {
-		slack = &naiveSlack{slack: slackVals}
-	} else {
-		slack = &treeSlack{t: segtree.New(slackVals)}
-	}
+	a.allocate(caps)
+	return slices.Clone(a.work)
+}
 
-	f := make([]float64, a.n)
+// allocate runs Algorithm 1 on caps into a.work.
+//
+// The default kernel replaces the caps by their suffix minimum, clamped
+// at zero, and splits them into per-deadline intervals of capacity
+// rem[k] = C_k − C_{k−1}. A segment of task j draws from the latest
+// non-empty interval k <= j first; a union-find skips exhausted
+// intervals. Drawing latest-first keeps Σ_{k<=j} rem[k] equal to the
+// minimum suffix slack of every task j (DESIGN.md §4), so each grant is
+// min(width, room) as with an explicit slack scan. Every interval empties
+// at most once and every segment stops at one interval, so an allocation
+// costs O(S + n) finds over S segments.
+//
+//lint:hotpath runs once per V(p) evaluation in RefineProfile's line searches; pinned to zero allocations
+func (a *Allocator) allocate(caps []float64) {
+	clear(a.work)
+	if a.opts.UseScan {
+		a.scan(caps)
+		return
+	}
+	rem, parent := a.rem, a.parent
+	low := math.Inf(1)
+	for i := a.n - 1; i >= 0; i-- {
+		if caps[i] < low {
+			low = caps[i]
+		}
+		rem[i] = low
+	}
+	prev := 0.0
+	for i, c := range rem {
+		c = max(c, 0)
+		rem[i] = c - prev
+		prev = c
+		parent[i+1] = i + 1
+		if rem[i] <= 0 {
+			parent[i+1] = i
+		}
+	}
 	for _, seg := range a.segs {
-		room := slack.SuffixMin(seg.task)
+		room := 0.0
+		for k := a.latest(seg.task); k >= 0; k = a.latest(k - 1) {
+			room += rem[k]
+			if room >= seg.width && room > numeric.Eps {
+				break
+			}
+		}
 		if room <= numeric.Eps {
 			continue
 		}
-		grant := math.Min(seg.width, room)
-		f[seg.task] += grant
-		slack.AddSuffix(seg.task, grant)
+		grant := min(seg.width, room)
+		a.work[seg.task] += grant
+		for k := a.latest(seg.task); k >= 0; k = a.latest(k) {
+			if rem[k] > grant {
+				rem[k] -= grant
+				break
+			}
+			grant -= rem[k]
+			rem[k] = 0
+			parent[k+1] = k
+		}
 	}
-	return f
+}
+
+// latest returns the latest interval k <= j with free capacity, or -1,
+// halving the path it walks.
+//
+//lint:hotpath called per interval visited by allocate
+func (a *Allocator) latest(j int) int {
+	p := a.parent
+	x := j + 1
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x - 1
+}
+
+// scan is the paper's O(n²) Algorithm 1: prefix slacks kept explicitly,
+// the suffix minimum recomputed for every segment.
+func (a *Allocator) scan(caps []float64) {
+	slack := a.rem
+	for i, c := range caps {
+		slack[i] = max(c, 0)
+	}
+	for _, seg := range a.segs {
+		room := math.Inf(1)
+		for _, s := range slack[seg.task:] {
+			if s < room {
+				room = s
+			}
+		}
+		if room <= numeric.Eps {
+			continue
+		}
+		grant := min(seg.width, room)
+		a.work[seg.task] += grant
+		for i := seg.task; i < a.n; i++ {
+			slack[i] -= grant
+		}
+	}
 }
 
 // GreedyAllocate runs Algorithm 1 once (see Allocator.Allocate).

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/numeric"
 	"repro/internal/task"
@@ -52,14 +53,21 @@ func (p Profile) Validate(in *task.Instance, tol float64) error {
 // deadlines are sorted.
 func Caps(in *task.Instance, p Profile) []float64 {
 	caps := make([]float64, in.N())
+	capsInto(caps, in, p)
+	return caps
+}
+
+// capsInto writes Caps(in, p) into caps.
+//
+//lint:hotpath runs once per V(p) evaluation in RefineProfile's line searches; pinned to zero allocations
+func capsInto(caps []float64, in *task.Instance, p Profile) {
 	for j, tk := range in.Tasks {
 		var c numeric.KahanSum
 		for r, mc := range in.Machines {
-			c.Add(mc.Speed * math.Min(tk.Deadline, p[r]))
+			c.Add(mc.Speed * min(tk.Deadline, p[r]))
 		}
 		caps[j] = c.Value()
 	}
-	return caps
 }
 
 // NaiveProfile is the first half of ComputeNaiveSolution (Algorithm 2):
@@ -83,14 +91,22 @@ func NaiveProfile(in *task.Instance) Profile {
 
 // Value computes V(p): the optimal total accuracy achievable with profile p
 // (inner greedy, Algorithm 1 over the aggregate capacities), together with
-// the optimal work vector.
+// the optimal work vector, which the caller owns.
 func Value(in *task.Instance, p Profile, opts GreedyOptions) (float64, []float64) {
-	return valueWith(NewAllocator(in.Tasks, opts), in, p)
+	return NewAllocator(in.Tasks, opts).value(in, p)
 }
 
-// valueWith is Value against a prepared allocator (hot path of the
-// refinement line searches).
-func valueWith(alloc *Allocator, in *task.Instance, p Profile) (float64, []float64) {
-	f := alloc.Allocate(Caps(in, p))
-	return TotalAccuracy(in.Tasks, f), f
+// value is Value against a prepared allocator.
+func (a *Allocator) value(in *task.Instance, p Profile) (float64, []float64) {
+	total := a.total(in, p)
+	return total, slices.Clone(a.work)
+}
+
+// total returns V(p) and leaves the optimal work vector in a.work.
+//
+//lint:hotpath one V(p) evaluation per point probed by RefineProfile's line searches; pinned to zero allocations
+func (a *Allocator) total(in *task.Instance, p Profile) float64 {
+	capsInto(a.caps, in, p)
+	a.allocate(a.caps)
+	return TotalAccuracy(in.Tasks, a.work)
 }

@@ -50,6 +50,12 @@ func (o *RefineOptions) defaults() {
 // against stalls at kinks (where single-pair moves are blocked but a joint
 // move improves). Returns the refined profile and the number of sweeps.
 func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, int) {
+	return refineProfile(NewAllocator(in.Tasks, opts.Greedy), in, p, opts)
+}
+
+// refineProfile is RefineProfile against a prepared allocator, which
+// SolveFR shares with its final Value.
+func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOptions) (Profile, int) {
 	opts.defaults()
 	m := in.M()
 	dMax := in.MaxDeadline()
@@ -65,12 +71,9 @@ func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, i
 	if allFull {
 		return p, 0
 	}
-	alloc := NewAllocator(in.Tasks, opts.Greedy)
-	value := func(q Profile) float64 {
-		v, _ := valueWith(alloc, in, q)
-		return v
-	}
+	value := func(q Profile) float64 { return alloc.total(in, q) }
 	cur := value(p)
+	scratch := make(Profile, m) // every line-search probe is evaluated here
 	polishSrc := rng.New(opts.Seed, "core/refine-polish")
 
 	sweeps := 0
@@ -91,7 +94,7 @@ func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, i
 				if eMax <= 0 {
 					continue
 				}
-				best, gain := maximizeAlong(p, cur, func(q Profile, e float64) {
+				best, gain := maximizeAlong(p, scratch, cur, func(q Profile, e float64) {
 					q[r] += e / in.Machines[r].Power
 				}, eMax, value, opts.LineSearchIters)
 				if gain > opts.Tol {
@@ -112,7 +115,7 @@ func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, i
 				if eMax <= 0 {
 					continue
 				}
-				best, gain := maximizeAlong(p, cur, func(q Profile, e float64) {
+				best, gain := maximizeAlong(p, scratch, cur, func(q Profile, e float64) {
 					q[r] += e / in.Machines[r].Power
 					q[rp] -= e / in.Machines[rp].Power
 					if q[rp] < 0 {
@@ -134,7 +137,7 @@ func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, i
 			break
 		}
 		// Polish: joint random directions in the feasible cone.
-		if q, gain := polish(in, p, cur, value, polishSrc, opts); gain > opts.Tol {
+		if q, gain := polish(in, p, scratch, cur, value, polishSrc, opts); gain > opts.Tol {
 			p = q
 			cur += gain
 			continue
@@ -145,38 +148,40 @@ func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, i
 }
 
 // maximizeAlong ternary-searches the concave map e -> V(apply(p, e)) over
-// [0, eMax] and returns the best profile and its gain over cur.
-func maximizeAlong(p Profile, cur float64, apply func(Profile, float64), eMax float64,
+// [0, eMax] and returns the best profile and its gain over cur. Every
+// probe is evaluated on scratch; only the winner is cloned.
+func maximizeAlong(p, scratch Profile, cur float64, apply func(Profile, float64), eMax float64,
 	value func(Profile) float64, iters int) (Profile, float64) {
-	eval := func(e float64) (Profile, float64) {
-		q := p.Clone()
-		apply(q, e)
-		return q, value(q)
+	eval := func(e float64) float64 {
+		copy(scratch, p)
+		apply(scratch, e)
+		return value(scratch)
 	}
 	lo, hi := 0.0, eMax
 	for i := 0; i < iters && hi-lo > 1e-12*math.Max(1, eMax); i++ {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
-		_, v1 := eval(m1)
-		_, v2 := eval(m2)
-		if v1 < v2 {
+		if eval(m1) < eval(m2) {
 			lo = m1
 		} else {
 			hi = m2
 		}
 	}
 	// Candidate points: interval midpoint and the full move.
-	bestQ, bestV := eval((lo + hi) / 2)
-	if qFull, vFull := eval(eMax); vFull > bestV {
-		bestQ, bestV = qFull, vFull
+	bestE := (lo + hi) / 2
+	bestV := eval(bestE)
+	if vFull := eval(eMax); vFull > bestV {
+		bestE, bestV = eMax, vFull
 	}
-	return bestQ, bestV - cur
+	best := p.Clone()
+	apply(best, bestE)
+	return best, bestV - cur
 }
 
 // polish tries a handful of deterministic random joint directions that
 // respect the budget hyperplane and box; it returns an improved profile
 // when one is found.
-func polish(in *task.Instance, p Profile, cur float64, value func(Profile) float64,
+func polish(in *task.Instance, p, scratch Profile, cur float64, value func(Profile) float64,
 	src *rng.Source, opts RefineOptions) (Profile, float64) {
 	m := in.M()
 	dMax := in.MaxDeadline()
@@ -221,7 +226,7 @@ func polish(in *task.Instance, p Profile, cur float64, value func(Profile) float
 		if !numeric.IsFinite(eMax) || eMax <= 0 {
 			continue
 		}
-		q, gain := maximizeAlong(p, cur, func(qq Profile, e float64) {
+		q, gain := maximizeAlong(p, scratch, cur, func(qq Profile, e float64) {
 			for r := range dir {
 				qq[r] += e * dir[r] / in.Machines[r].Power
 				if qq[r] < 0 {

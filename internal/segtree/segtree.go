@@ -1,13 +1,14 @@
 // Package segtree implements a lazy segment tree over float64 values
 // supporting range add and range minimum queries in O(log n).
 //
-// The scheduler uses it to maintain deadline slacks in Algorithm 1: when a
-// piecewise-linear segment of task j receives Δ units of work, the slack of
-// every prefix constraint i >= j decreases by Δ (a suffix range-add), and
-// the amount of work that can still be granted to a later segment is the
-// minimum slack over a suffix (a range-min query). This turns the paper's
-// O(n²) inner loop into O(n log n); both variants are kept and compared in
-// BenchmarkAblationSegtreeVsScan.
+// RefinePaperPairs (internal/core) uses it to maintain each machine's
+// deadline slacks while the paper-literal Algorithm 3 moves time between
+// tasks: a change of Δ seconds to task j's time on a machine shifts the
+// slack of every deadline i >= j by −Δ (a suffix range-add), and the time
+// task j can still gain there is the minimum slack over that suffix (a
+// range-min query). Unlike Algorithm 1's allocator, which only ever
+// consumes slack, the pair sweep also gives slack back, so it needs
+// arbitrary signed range updates.
 package segtree
 
 import "math"
