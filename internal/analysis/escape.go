@@ -48,42 +48,55 @@ type EscapeBaseline struct {
 }
 
 // EscapeFindings loads the packages in dirs, registers their
-// //lint:hotpath sites, rebuilds them with -gcflags=-m and returns the
-// heap escapes attributed to hotpath functions plus the number of hotpath
-// sites checked. Test files are excluded: `go build` does not compile
-// them, so their hot paths are invisible to the compiler pass.
+// //lint:hotpath sites, rebuilds the packages that declare one with
+// -gcflags=-m and returns the heap escapes attributed to hotpath functions
+// plus the number of hotpath sites checked. Test files are excluded: `go
+// build` does not compile them, so their hot paths are invisible to the
+// compiler pass.
 func EscapeFindings(dirs []string) ([]EscapeFinding, int, error) {
 	loader, err := NewLoader()
 	if err != nil {
 		return nil, 0, err
 	}
+	return escapeFindings(loader, dirs)
+}
+
+func escapeFindings(loader *Loader, dirs []string) ([]EscapeFinding, int, error) {
+	requested := map[string]bool{}
 	for _, dir := range dirs {
 		if _, err := loader.LoadDir(dir); err != nil {
 			return nil, 0, err
 		}
+		abs, err := filepath.Abs(dir)
+		if err != nil {
+			return nil, 0, err
+		}
+		requested[abs] = true
 	}
+	// Only a package declaring a non-test site can produce a finding, so
+	// only those are built; this also keeps a directory that belongs to a
+	// nested module (which `go build` rejects) out of the build.
 	var sites []*hotpathSite
+	hot := map[string]bool{}
 	for _, site := range loader.annots.sites {
-		if !site.test {
+		if dir := filepath.Dir(site.file); !site.test && requested[dir] {
 			sites = append(sites, site)
+			hot[dir] = true
 		}
 	}
 	if len(sites) == 0 {
 		return nil, 0, nil
 	}
-	args := []string{"build", "-gcflags=-m"}
-	for _, dir := range dirs {
-		abs, err := filepath.Abs(dir)
+	pkgs := make([]string, 0, len(hot))
+	for dir := range hot {
+		rel, err := filepath.Rel(loader.ModRoot(), dir)
 		if err != nil {
 			return nil, 0, err
 		}
-		rel, err := filepath.Rel(loader.ModRoot(), abs)
-		if err != nil {
-			return nil, 0, err
-		}
-		args = append(args, "./"+filepath.ToSlash(rel))
+		pkgs = append(pkgs, "./"+filepath.ToSlash(rel))
 	}
-	cmd := exec.Command("go", args...)
+	sort.Strings(pkgs)
+	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m"}, pkgs...)...)
 	cmd.Dir = loader.ModRoot()
 	out, err := cmd.CombinedOutput()
 	if err != nil {

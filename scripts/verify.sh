@@ -27,7 +27,10 @@
 # legacy-vs-bnc segments on hard fig4 instances; benchjson pairs them
 # into a node_reduction factor) and the incremental-engine event-stream
 # pair (BenchmarkIncrementalResolve cold-vs-warm per-event re-solves,
-# BenchmarkEventThroughput events/sec over a full mixed trace) —
+# BenchmarkEventThroughput events/sec over a full mixed trace) and the
+# combinatorial FR solver (BenchmarkSolveFRScaling, DSCT-EA-FR-OPT at
+# n=100/200/500; BenchmarkAblationSegtreeVsScan, Algorithm 1's O(n²) scan
+# vs its default latest-interval kernel) —
 # records the parsed results, including
 # per-pair speedups, in BENCH_PR<cur>.json via cmd/benchjson, and diffs
 # them against the committed BENCH_PR<prev>.json baseline (shared
@@ -97,8 +100,8 @@ go run ./cmd/dsctalint ./...
 echo "==> dsctalint -escape (LINT_ESCAPE.json baseline)"
 go run ./cmd/dsctalint -escape -baseline LINT_ESCAPE.json ./...
 
-echo "==> go test -run '^TestAllocs' ./internal/lp/ (zero-alloc pins, non-race)"
-go test -run '^TestAllocs' ./internal/lp/
+echo "==> go test -run '^TestAllocs' ./internal/lp/ ./internal/core/ (zero-alloc pins, non-race)"
+go test -run '^TestAllocs' ./internal/lp/ ./internal/core/
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -133,6 +136,8 @@ if [ "$run_bench" = 1 ]; then
     go test -run='^$' -bench='^BenchmarkBatchThroughputXLLP$' -benchtime=3x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkIncrementalResolve$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
     go test -run='^$' -bench='^BenchmarkEventThroughput$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
+    go test -run='^$' -bench='^BenchmarkSolveFRScaling$' -benchtime=10x -count=3 -timeout 30m .
+    go test -run='^$' -bench='^BenchmarkAblationSegtreeVsScan$' -benchtime=20x -count=3 .
   } | tee /dev/stderr | go run ./cmd/benchjson -label "PR ${pr_cur}" -o "BENCH_PR${pr_cur}.json"
 
   if [ -n "$prev" ]; then
