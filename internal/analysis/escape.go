@@ -61,6 +61,7 @@ func EscapeFindings(dirs []string) ([]EscapeFinding, int, error) {
 	return escapeFindings(loader, dirs)
 }
 
+// escapeFindings is EscapeFindings on a loader rooted at any module.
 func escapeFindings(loader *Loader, dirs []string) ([]EscapeFinding, int, error) {
 	requested := map[string]bool{}
 	for _, dir := range dirs {

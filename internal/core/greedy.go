@@ -135,8 +135,10 @@ func (a *Allocator) Allocate(caps []float64) []float64 {
 // intervals. Drawing latest-first keeps Σ_{k<=j} rem[k] equal to the
 // minimum suffix slack of every task j (DESIGN.md §4), so each grant is
 // min(width, room) as with an explicit slack scan. Every interval empties
-// at most once and every segment stops at one interval, so an allocation
-// costs O(S + n) finds over S segments.
+// at most once, and a granted segment walks past only the intervals it
+// empties; a skipped segment (room at most numeric.Eps) also visits the
+// crumbs of capacity left at or before its task. On the Table 1 and
+// Fig 6b instances an allocation averages one to two finds per segment.
 //
 //lint:hotpath runs once per V(p) evaluation in RefineProfile's line searches; pinned to zero allocations
 func (a *Allocator) allocate(caps []float64) {
