@@ -114,8 +114,8 @@ func TestGreedyScanMatchesSegtree(t *testing.T) {
 		}
 		agree(t, fmt.Sprintf("profile trial %d (n=%d m=%d p=%v)", trial, n, m, p), in.Tasks, Caps(in, p))
 	}
-	// Non-monotone and negative capacities: only their suffix minimum,
-	// clamped at zero, binds.
+	// Non-monotone, negative and unbounded capacities: only their suffix
+	// minimum, clamped at zero, binds.
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + src.Intn(200)
 		in := genInstance(t, 500+int64(trial), n, 1, 0.3, 1.0, 5)
@@ -123,6 +123,9 @@ func TestGreedyScanMatchesSegtree(t *testing.T) {
 		caps := make([]float64, n)
 		for j := range caps {
 			caps[j] = src.Uniform(-0.2, 1) * scale
+			if src.Intn(8) == 0 {
+				caps[j] = math.Inf(1)
+			}
 		}
 		agree(t, fmt.Sprintf("caps trial %d (n=%d)", trial, n), in.Tasks, caps)
 	}

@@ -161,7 +161,7 @@ func (a *Allocator) allocate(caps []float64) {
 		rem[i] = c - prev
 		prev = c
 		parent[i+1] = i + 1
-		if rem[i] <= 0 {
+		if !(rem[i] > 0) { // also +Inf − +Inf: an unbounded cap adds nothing past the first
 			parent[i+1] = i
 		}
 	}
