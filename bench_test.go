@@ -15,7 +15,6 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/lp"
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/model"
@@ -214,42 +213,6 @@ func BenchmarkMIPColdVsWarm(b *testing.B) {
 				}
 				if total := last.WarmSolves + last.ColdSolves; total > 0 {
 					b.ReportMetric(float64(last.WarmSolves)/float64(total), "warm-fraction")
-				}
-				b.ReportMetric(float64(last.Nodes), "nodes")
-			})
-		}
-	}
-}
-
-// BenchmarkMIPDenseVsSparse: end-to-end warm-started branch-and-bound with
-// every node relaxation solved over the dense versus the CSC-backed sparse
-// constraint matrix (lp.Options.Sparse forced either way; the default is
-// the density auto-switch). Guards the copy-free overlay + sparse-matrix
-// work: sparse must not regress the warm B&B path on the paper's MIP.
-func BenchmarkMIPDenseVsSparse(b *testing.B) {
-	for _, n := range []int{8, 12, 16} {
-		in := benchInstance(b, n, 2, 2)
-		mm := model.BuildMIP(in)
-		for _, mode := range []struct {
-			name   string
-			sparse lp.SparseMode
-		}{
-			{"dense", lp.SparseOff},
-			{"sparse", lp.SparseOn},
-		} {
-			b.Run(mode.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				var last *mip.Result
-				for i := 0; i < b.N; i++ {
-					opts := legacySearch()
-					opts.LP = lp.Options{Sparse: mode.sparse}
-					res, err := mip.Solve(mm.Prob, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Status != mip.Optimal {
-						b.Fatalf("status %v", res.Status)
-					}
-					last = res
 				}
 				b.ReportMetric(float64(last.Nodes), "nodes")
 			})

@@ -11,9 +11,9 @@
 // paired by one A/B rule: a benchmark whose sub-test path holds a baseline
 // segment is paired with its twin that holds the variant segment in the
 // same place, for each (baseline, variant) in segmentRules — "cold" vs
-// "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16), "dense" vs
-// "sparse", "rows" vs "bounds", "dantzig" vs "partial", "nopresolve" vs
-// "presolve" and "legacy" vs "bnc". Each pair records the baseline/variant
+// "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16), "rows" vs
+// "bounds", "dantzig" vs "partial", "nopresolve" vs "presolve" and
+// "legacy" vs "bnc". Each pair records the baseline/variant
 // speedup and, when both sides report a nodes metric, the node-count
 // reduction (the branch-and-cut comparison's point) — which is how
 // scripts/verify.sh -bench produces the committed BENCH_*.json records.
@@ -60,7 +60,6 @@ type benchResult struct {
 // the variant segment in the same place.
 var segmentRules = []struct{ baseline, variant string }{
 	{"cold", "warm"},           // warm-started vs from-scratch solves
-	{"dense", "sparse"},        // constraint-matrix representation
 	{"rows", "bounds"},         // explicit bound rows vs implicit boxes
 	{"dantzig", "partial"},     // pricing rule
 	{"nopresolve", "presolve"}, // presolve layer off vs on
@@ -236,7 +235,7 @@ func mergeRepeats(results []benchResult) []benchResult {
 }
 
 // pairSegments matches benchmarks that differ only by a baseline vs
-// variant path segment (e.g. "cold"/"warm" or "dense"/"sparse"), sorted by
+// variant path segment (e.g. "cold"/"warm" or "rows"/"bounds"), sorted by
 // name.
 func pairSegments(results []benchResult, baseline, variant string) []segmentPair {
 	byName := make(map[string]benchResult, len(results))

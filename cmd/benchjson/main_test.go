@@ -111,36 +111,6 @@ func TestBenchjsonMergesRepeatedRuns(t *testing.T) {
 	}
 }
 
-func TestBenchjsonPairsDenseSparse(t *testing.T) {
-	input := "BenchmarkSparseVsDenseLP/dense/tasks=100,mach=5-8 5 100000 ns/op 167.0 pivots\n" +
-		"BenchmarkSparseVsDenseLP/sparse/tasks=100,mach=5-8 12 40000 ns/op 167.0 pivots\n" +
-		"BenchmarkSparseVsDenseLP/dense/tasks=200,mach=10-8 1 900000 ns/op\n" +
-		"BenchmarkMIPDenseVsSparse/dense/n=16-8 2 700 ns/op\n" +
-		"BenchmarkMIPDenseVsSparse/sparse/n=16-8 6 200 ns/op\n"
-	rep, err := runTool(t, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := pairsOf(rep, "dense")
-	if len(dense) != len(rep.Pairs) {
-		t.Errorf("unexpected pairs from other rules: %+v", rep.Pairs)
-	}
-	if len(dense) != 2 {
-		t.Fatalf("got %d dense/sparse pairs, want 2 (unpaired dense dropped):\n%+v", len(dense), dense)
-	}
-	lp := dense[1]
-	if lp.Name != "BenchmarkSparseVsDenseLP/*/tasks=100,mach=5" {
-		t.Errorf("pair name = %q", lp.Name)
-	}
-	if math.Abs(lp.Speedup-2.5) > 1e-12 {
-		t.Errorf("speedup = %v, want 2.5", lp.Speedup)
-	}
-	mipPair := dense[0]
-	if mipPair.Name != "BenchmarkMIPDenseVsSparse/*/n=16" || math.Abs(mipPair.Speedup-3.5) > 1e-12 {
-		t.Errorf("mip pair = %+v", mipPair)
-	}
-}
-
 func TestBenchjsonPairsRowsBounds(t *testing.T) {
 	input := "BenchmarkMIPBoundsVsRows/bounds/n=16-8 2 200000 ns/op 177.0 node-rows 937.0 nodes\n" +
 		"BenchmarkMIPBoundsVsRows/rows/n=16-8 1 500000 ns/op 241.0 node-rows 997.0 nodes\n" +

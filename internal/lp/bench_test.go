@@ -62,49 +62,6 @@ func BenchmarkWarmVsColdLP(b *testing.B) {
 	}
 }
 
-// sparseBenchSizes are the DSCT-EA-FR staircase shapes the sparse-vs-dense
-// benchmarks run at: the paper's Fig 3/4 scale (100 tasks x 5 machines)
-// bracketed by a half-size warm-up and a ~4x-variables instance beyond it.
-var sparseBenchSizes = []struct{ tasks, mach int }{
-	{50, 3}, {100, 5}, {200, 10},
-}
-
-// BenchmarkSparseVsDenseLP: cold revised-simplex solves of staircase
-// instances with the constraint matrix stored dense (SparseOff) versus CSC
-// (SparseOn). The staircases are ~1/m dense, so the sparse FTRAN/pricing
-// walks touch a fraction of the entries the dense dot products do; the
-// pivot metric confirms both modes take the identical path. Pricing and
-// presolve are pinned to dantzig/off so the benchmark isolates the matrix
-// representation along the historical path (the xl pairings measure those
-// knobs); the largest member would otherwise cross both auto thresholds.
-func BenchmarkSparseVsDenseLP(b *testing.B) {
-	for _, sz := range sparseBenchSizes {
-		g := generateStaircaseLP(rng.New(11, "lp-sparse-bench"), sz.tasks, sz.mach)
-		for _, mode := range []struct {
-			name   string
-			sparse SparseMode
-		}{
-			{"dense", SparseOff},
-			{"sparse", SparseOn},
-		} {
-			b.Run(fmt.Sprintf("%s/tasks=%d,mach=%d", mode.name, sz.tasks, sz.mach), func(b *testing.B) {
-				var iters int
-				for i := 0; i < b.N; i++ {
-					sol, _, err := SolveBasis(g.p, Options{Sparse: mode.sparse, Pricing: PricingDantzig, Presolve: PresolveOff})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sol.Status != Optimal {
-						b.Fatalf("status %v", sol.Status)
-					}
-					iters = sol.Iterations
-				}
-				b.ReportMetric(float64(iters), "pivots")
-			})
-		}
-	}
-}
-
 // BenchmarkBoundsVsRowsLP: the identical boxed staircase instance with
 // per-variable caps declared as implicit bounds (the bounded-variable
 // method) versus expanded into explicit LE rows (the only encoding the
@@ -140,54 +97,6 @@ func BenchmarkBoundsVsRowsLP(b *testing.B) {
 					iters = sol.Iterations
 				}
 				b.ReportMetric(float64(mode.p.NumConstraints()), "basis-rows")
-				b.ReportMetric(float64(iters), "pivots")
-			})
-		}
-	}
-}
-
-// BenchmarkSparseVsDenseWarmLP: the branch-and-bound node shape — append
-// one binding bound row and re-optimise from the parent basis — under both
-// matrix representations, checking the sparse layout keeps (and extends)
-// the warm-start win rather than trading it away. Pricing and presolve
-// are pinned to dantzig/off: a presolved parent basis is restored through
-// postsolve and costs repair pivots on re-entry, which would drown the
-// representation comparison this benchmark isolates.
-func BenchmarkSparseVsDenseWarmLP(b *testing.B) {
-	for _, sz := range sparseBenchSizes {
-		g := generateStaircaseLP(rng.New(13, "lp-sparse-warm-bench"), sz.tasks, sz.mach)
-		for _, mode := range []struct {
-			name   string
-			sparse SparseMode
-		}{
-			{"dense", SparseOff},
-			{"sparse", SparseOn},
-		} {
-			opts := Options{Sparse: mode.sparse, Pricing: PricingDantzig, Presolve: PresolveOff}
-			parent, bs, err := SolveBasis(g.p, opts)
-			if err != nil || parent.Status != Optimal {
-				b.Fatalf("parent solve: %v / %v", err, parent.Status)
-			}
-			v := 0
-			for i, x := range parent.X {
-				if x > parent.X[v] {
-					v = i
-				}
-			}
-			child := g.p.Overlay()
-			child.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, parent.X[v]/2)
-			b.Run(fmt.Sprintf("%s/tasks=%d,mach=%d", mode.name, sz.tasks, sz.mach), func(b *testing.B) {
-				var iters int
-				for i := 0; i < b.N; i++ {
-					sol, _, err := SolveFrom(child, bs, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if sol.Status != Optimal {
-						b.Fatalf("status %v", sol.Status)
-					}
-					iters = sol.Iterations
-				}
 				b.ReportMetric(float64(iters), "pivots")
 			})
 		}

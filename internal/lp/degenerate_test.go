@@ -13,8 +13,8 @@ import (
 // redundant, so almost every vertex is massively degenerate and Dantzig
 // pricing stalls in long runs of zero-ratio pivots — the workload the
 // anti-cycling fallback (Bland's rule after degenerateRunLimit degenerate
-// pivots) exists for. These tests pin that the simplex core, over the dense
-// and the sparse matrix, terminates at the known optimum.
+// pivots) exists for. These tests pin that the simplex core terminates at
+// the known optimum.
 
 // degenerateStaircaseLP builds the collapsed-deadline instance: variables
 // x[j][r] (task j on machine r), per-machine EDF prefix rows
@@ -47,86 +47,68 @@ func degenerateStaircaseLP(nTasks, mMach int) *Problem {
 	return p
 }
 
-// revisedCoreConfigs enumerates the matrix representations the degenerate
-// tests run the core over.
-var revisedCoreConfigs = []struct {
-	name string
-	opts Options
-}{
-	{"dense", Options{Sparse: SparseOff}},
-	{"sparse", Options{Sparse: SparseOn}},
-}
-
 func TestDegenerateStaircaseAntiCycling(t *testing.T) {
 	for _, sz := range [][2]int{{30, 3}, {40, 3}, {60, 3}} {
 		nTasks, mMach := sz[0], sz[1]
 		p := degenerateStaircaseLP(nTasks, mMach)
 		want := float64(mMach)
-		for _, cfg := range revisedCoreConfigs {
-			sol, _, err := SolveBasis(p, cfg.opts)
-			if err != nil {
-				t.Fatalf("%dx%d %s: %v", nTasks, mMach, cfg.name, err)
-			}
-			// The degenerate optimum is unique in objective but not in X, so
-			// the check is on status and objective only.
-			if sol.Status != Optimal {
-				t.Fatalf("%dx%d %s: status %v", nTasks, mMach, cfg.name, sol.Status)
-			}
-			if math.Abs(sol.Objective-want) > 1e-9 {
-				t.Fatalf("%dx%d %s: objective %g, want %g", nTasks, mMach, cfg.name, sol.Objective, want)
-			}
+		sol, _, err := SolveBasis(p, Options{})
+		if err != nil {
+			t.Fatalf("%dx%d: %v", nTasks, mMach, err)
+		}
+		// The degenerate optimum is unique in objective but not in X, so
+		// the check is on status and objective only.
+		if sol.Status != Optimal {
+			t.Fatalf("%dx%d: status %v", nTasks, mMach, sol.Status)
+		}
+		if math.Abs(sol.Objective-want) > 1e-9 {
+			t.Fatalf("%dx%d: objective %g, want %g", nTasks, mMach, sol.Objective, want)
 		}
 	}
 }
 
 // TestDegenerateStaircaseStallsDantzig checks, white-box, that the instance
-// really exercises the anti-cycling machinery: over both representations
-// the core must run through degenerateRunLimit consecutive zero-ratio
-// pivots and flip to Bland's rule before terminating. Without this pin the
-// optimum test above could silently degrade into a non-degenerate
-// workload.
+// really exercises the anti-cycling machinery: the core must run through
+// degenerateRunLimit consecutive zero-ratio pivots and flip to Bland's rule
+// before terminating. Without this pin the optimum test above could
+// silently degrade into a non-degenerate workload.
 func TestDegenerateStaircaseStallsDantzig(t *testing.T) {
 	p := degenerateStaircaseLP(30, 3)
-	for _, cfg := range revisedCoreConfigs {
-		tt, sol, _, err := solveBasisRev(p, cfg.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		if sol.Status != Optimal {
-			t.Fatalf("%s: status %v", cfg.name, sol.Status)
-		}
-		if !tt.blandMode {
-			t.Errorf("%s: Bland fallback never engaged — instance not degenerate enough", cfg.name)
-		}
+	tt, sol, _, err := solveBasisRev(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	if !tt.blandMode {
+		t.Error("Bland fallback never engaged — instance not degenerate enough")
 	}
 }
 
 // TestDegenerateStaircaseWarmStart re-solves degenerate children (one
 // variable's upper bound tightened, branch-and-bound style) from the
-// parent's basis over both representations and pins agreement with a cold
-// solve of the same child.
+// parent's basis and pins agreement with a cold solve of the same child.
 func TestDegenerateStaircaseWarmStart(t *testing.T) {
 	p := degenerateStaircaseLP(30, 3)
-	for _, cfg := range revisedCoreConfigs {
-		_, bs, err := SolveBasis(p, cfg.opts)
+	_, bs, err := SolveBasis(p, Options{})
+	if err != nil {
+		t.Fatalf("parent: %v", err)
+	}
+	for _, v := range []int{0, 17, 44} {
+		child := p.Overlay()
+		child.SetBounds(v, 0, 0.25)
+		warm, _, err := SolveFrom(child, bs, Options{})
 		if err != nil {
-			t.Fatalf("%s parent: %v", cfg.name, err)
+			t.Fatalf("child v=%d: %v", v, err)
 		}
-		for _, v := range []int{0, 17, 44} {
-			child := p.Overlay()
-			child.SetBounds(v, 0, 0.25)
-			warm, _, err := SolveFrom(child, bs, cfg.opts)
-			if err != nil {
-				t.Fatalf("%s child v=%d: %v", cfg.name, v, err)
-			}
-			cold, err := Solve(child, Options{})
-			if err != nil {
-				t.Fatalf("%s child v=%d cold: %v", cfg.name, v, err)
-			}
-			assertAgree(t, cfg.name, cold, warm)
-			if warm.Status == Optimal && warm.X[v] > 0.25+numeric.TestTol {
-				t.Fatalf("%s child v=%d: tightened bound violated: x=%g", cfg.name, v, warm.X[v])
-			}
+		cold, err := Solve(child, Options{})
+		if err != nil {
+			t.Fatalf("child v=%d cold: %v", v, err)
+		}
+		assertAgree(t, "warm", cold, warm)
+		if warm.Status == Optimal && warm.X[v] > 0.25+numeric.TestTol {
+			t.Fatalf("child v=%d: tightened bound violated: x=%g", v, warm.X[v])
 		}
 	}
 }

@@ -4,13 +4,13 @@ package lp
 // random LPs the cold solve reproduces its golden pin (golden_test.go), and
 // the warm-started solve (SolveFrom) must agree with a cold solve on status
 // and objective — including after bound rows are appended, the exact shape
-// of branch-and-bound child problems. The dense and CSC-backed sparse
-// matrix representations must additionally agree on the full solution
-// vector on every instance. A disagreement here is how a warm-start or
-// sparse-indexing bug would surface as a silently wrong MIP optimum, so
-// this suite is the safety net under internal/mip's node solves.
+// of branch-and-bound child problems. A disagreement here is how a
+// warm-start or sparse-indexing bug would surface as a silently wrong MIP
+// optimum, so this suite is the safety net under internal/mip's node
+// solves.
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -49,8 +49,7 @@ func assertAgree(t *testing.T, label string, a, b *Solution) {
 }
 
 // assertAgreeX is assertAgree plus full solution-vector agreement, the
-// criterion for the dense-vs-sparse pinning (the two representations pivot
-// through identical matrices, so they must land on the same vertex).
+// criterion for pairs of solves that must land on the same vertex.
 func assertAgreeX(t *testing.T, label string, a, b *Solution) {
 	t.Helper()
 	assertAgree(t, label, a, b)
@@ -176,50 +175,146 @@ func TestDifferentialWarmVsColdAfterBoundRows(t *testing.T) {
 	}
 }
 
-// TestDifferentialSparseVsDense: the CSC-backed revised core must reproduce
-// the dense revised core across the whole corpus — status, objective AND the
-// full solution vector — both cold and warm-started after a bound row, the
-// exact code path branch-and-bound nodes take with the sparse matrix on.
+// TestDifferentialSparseVsDense: every pass of the simplex core walks the
+// CSR/CSC pair, and each must compute exactly what the same pass computed
+// over the retired dense row-major matrix. On every corpus instance, at
+// the optimal basis of a cold solve, the column gather, q update, full and
+// single-column pricing, pivot row and ρ·A_j kernels are replayed against
+// a dense copy of the oriented, equilibrated matrix built here from the
+// Problem's rows, with the dense pass's accumulation order.
 func TestDifferentialSparseVsDense(t *testing.T) {
 	for i := 0; i < corpusSize; i++ {
 		i := i
 		t.Run(strconv.Itoa(i), func(t *testing.T) {
 			t.Parallel()
 			g := corpusInstance(i)
-			dense, dbs, err := SolveBasis(g.p, Options{Sparse: SparseOff})
+			tt, sol, _, err := solveBasisRev(g.p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sparse, sbs, err := SolveBasis(g.p, Options{Sparse: SparseOn})
-			if err != nil {
-				t.Fatal(err)
+			if sol.Status != Optimal {
+				t.Fatalf("corpus instance not optimal (%v); generator broken", sol.Status)
 			}
-			assertAgreeX(t, "cold", dense, sparse)
-			if dense.Status != Optimal {
-				return
+			m, rw := tt.m, tt.rw
+			a := denseCanonical(t, tt, g.p)
+			// col returns dense entry (r, j) of the full column space,
+			// artificials included.
+			col := func(r, j int) float64 {
+				if j < rw {
+					return a[r*rw+j]
+				}
+				if j-rw == r {
+					return tt.artSign[r]
+				}
+				return 0
+			}
+			same := func(what string, got, want float64) {
+				t.Helper()
+				//lint:ignore floatcmp the sparse walks must reproduce the dense arithmetic exactly
+				if got != want {
+					t.Fatalf("%s: sparse %.17g, dense %.17g", what, got, want)
+				}
 			}
 
-			// Warm-started bound-row child under both representations.
-			s := rng.NewReplicate(3, "lp-differential-sparse", i)
-			v := s.Intn(g.p.NumVars())
-			child := g.p.Clone()
-			child.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, math.Floor(dense.X[v]))
-			wd, _, err := SolveFrom(child, dbs, Options{Sparse: SparseOff})
-			if err != nil {
-				t.Fatalf("warm dense: %v", err)
+			q0 := append([]float64(nil), tt.q...)
+			for j := 0; j < tt.width; j++ {
+				tt.gatherCol(j)
+				tt.addColTimes(j, 0.5)
+				for r := 0; r < m; r++ {
+					same(fmt.Sprintf("gatherCol(%d)[%d]", j, r), tt.colv[r], col(r, j))
+					want := q0[r]
+					if v := col(r, j); v != 0 {
+						want += 0.5 * v
+					}
+					same(fmt.Sprintf("addColTimes(%d)[%d]", j, r), tt.q[r], want)
+				}
+				copy(tt.q, q0)
 			}
-			ws, _, err := SolveFrom(child, sbs, Options{Sparse: SparseOn})
-			if err != nil {
-				t.Fatalf("warm sparse: %v", err)
+
+			c := make([]float64, tt.width)
+			for j := range c {
+				c[j] = float64((7*j)%11) - 5
 			}
-			assertAgreeX(t, "warm", wd, ws)
+			tt.prices(c)
+			for j := 0; j < rw; j++ {
+				want, single := c[j], c[j]
+				for r := 0; r < m; r++ {
+					if v := a[r*rw+j]; v != 0 {
+						single -= tt.y[r] * v
+						if tt.y[r] != 0 {
+							want -= tt.y[r] * v
+						}
+					}
+				}
+				if tt.inBasis[j] {
+					want = 0
+				}
+				same(fmt.Sprintf("prices d[%d]", j), tt.d[j], want)
+				same(fmt.Sprintf("priceCol(%d)", j), tt.priceCol(c, j), single)
+			}
+
+			for pr := 0; pr < m; pr++ {
+				tt.pivotRow(pr)
+				for j := 0; j < rw; j++ {
+					var want, dot float64
+					for k := 0; k < m; k++ {
+						if v := a[k*rw+j]; v != 0 {
+							dot += tt.rho[k] * v
+							if tt.rho[k] != 0 {
+								want += tt.rho[k] * v
+							}
+						}
+					}
+					same(fmt.Sprintf("pivotRow(%d)[%d]", pr, j), tt.alpha[j], want)
+					same(fmt.Sprintf("rhoDotCol(%d)", j), tt.rhoDotCol(tt.rho, j), dot)
+				}
+			}
 		})
 	}
 }
 
+// denseCanonical rebuilds the solver's oriented, equilibrated constraint
+// matrix densely (row-major, structural then logical columns) from p's
+// rows: repeated Terms summed in order, >= rows negated, each row scaled
+// by the reciprocal of its largest magnitude. It fails unless the scales
+// match the ones the solver recorded.
+func denseCanonical(t *testing.T, tt *rev, p *Problem) []float64 {
+	t.Helper()
+	m, n, rw := tt.m, tt.n, tt.rw
+	a := make([]float64, m*rw)
+	for r := 0; r < m; r++ {
+		row := a[r*rw : r*rw+n]
+		terms, sense, _ := p.Constraint(r)
+		for _, tm := range terms {
+			row[tm.Var] += tm.Coef
+		}
+		scale := 0.0
+		for v := range row {
+			if sense == GE {
+				row[v] = -row[v]
+			}
+			scale = math.Max(scale, math.Abs(row[v]))
+		}
+		if scale > 0 {
+			inv := 1 / scale
+			for v := range row {
+				row[v] *= inv
+			}
+		} else {
+			scale = 1
+		}
+		//lint:ignore floatcmp both sides take the same maximum
+		if scale != tt.rowScale[r] {
+			t.Fatalf("row %d: scale %g, solver recorded %g", r, scale, tt.rowScale[r])
+		}
+		a[r*rw+n+r] = 1 // logical
+	}
+	return a
+}
+
 // TestDifferentialBoundsVsRows: on a corpus of randomly boxed LPs, the
-// bounded-variable method (over the dense and the sparse matrix) must
-// agree with the same problem after ExpandBounds rewrote
+// bounded-variable method must agree with the same problem after
+// ExpandBounds rewrote
 // every box as explicit constraint rows — status, objective AND the full
 // solution vector. It then tightens one variable's upper bound, the exact
 // move of a row-free branch-and-bound child, and checks the warm-started
@@ -244,21 +339,16 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 			if ref.Status != Optimal {
 				t.Fatalf("rows-expanded instance not optimal (%v); generator broken", ref.Status)
 			}
-			dense, dbs, err := SolveBasis(g.p, Options{Sparse: SparseOff})
+			sol, bs, err := SolveBasis(g.p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sparse, sbs, err := SolveBasis(g.p, Options{Sparse: SparseOn})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertAgreeX(t, "dense", ref, dense)
-			assertAgreeX(t, "sparse", ref, sparse)
+			assertAgreeX(t, "bounds", ref, sol)
 
 			want := g.feasibleValue()
 			tol := 1e-6 * (1 + math.Abs(want))
-			if dense.Objective < want-tol {
-				t.Errorf("objective %g below feasible value %g", dense.Objective, want)
+			if sol.Objective < want-tol {
+				t.Errorf("objective %g below feasible value %g", sol.Objective, want)
 			}
 
 			// Bound-tightened child: clamp one variable's upper bound to
@@ -269,30 +359,25 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 			v := s.Intn(n)
 			child := g.p.Clone()
 			lo, _ := child.Bounds(v)
-			child.SetBounds(v, lo, math.Max(lo, math.Floor(dense.X[v])))
+			child.SetBounds(v, lo, math.Max(lo, math.Floor(sol.X[v])))
 			refChild, err := Solve(ExpandBounds(child), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wd, _, err := SolveFrom(child, dbs, Options{Sparse: SparseOff})
+			warm, _, err := SolveFrom(child, bs, Options{})
 			if err != nil {
-				t.Fatalf("warm dense: %v", err)
+				t.Fatalf("warm: %v", err)
 			}
-			ws, _, err := SolveFrom(child, sbs, Options{Sparse: SparseOn})
-			if err != nil {
-				t.Fatalf("warm sparse: %v", err)
-			}
-			assertAgreeX(t, "child-dense", refChild, wd)
-			assertAgreeX(t, "child-sparse", refChild, ws)
+			assertAgreeX(t, "child", refChild, warm)
 		})
 	}
 }
 
 // TestDifferentialStaircase: a smaller corpus of DSCT-EA-FR-shaped staircase
-// instances big enough to cross the density auto-switch, so the sparse code
-// paths (including periodic refactorisation) are exercised at realistic
-// scale by the race-enabled gate. Dense and auto (=sparse here) must
-// agree, cold and after a warm-started bound row.
+// instances, so the sparse code paths (including periodic refactorisation)
+// are exercised at realistic scale by the race-enabled gate. The cold
+// optimum must beat the generator's feasible point, and a warm-started
+// bound-row child must agree with a cold solve of the same child.
 func TestDifferentialStaircase(t *testing.T) {
 	const staircaseCorpusSize = 24
 	for i := 0; i < staircaseCorpusSize; i++ {
@@ -304,38 +389,31 @@ func TestDifferentialStaircase(t *testing.T) {
 			mMach := 2 + s.Intn(3)    // 2..4 machines
 			g := generateStaircaseLP(s, nTasks, mMach)
 
-			m := g.p.NumConstraints()
-			n := g.p.NumVars()
-			if !autoSparse(m, n, dedupRows(g.p).nnz()) {
-				t.Fatalf("staircase %dx%d not auto-sparse; corpus misconfigured", nTasks, mMach)
-			}
-
-			dense, dbs, err := SolveBasis(g.p, Options{Sparse: SparseOff})
+			sol, bs, err := SolveBasis(g.p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			auto, autoBS, err := SolveBasis(g.p, Options{})
-			if err != nil {
-				t.Fatal(err)
+			if sol.Status != Optimal {
+				t.Fatalf("staircase instance not optimal (%v); generator broken", sol.Status)
 			}
-			assertAgreeX(t, "dense-vs-auto", dense, auto)
-			if auto.Status != Optimal {
-				t.Fatalf("staircase instance not optimal (%v); generator broken", auto.Status)
+			want := g.feasibleValue()
+			if sol.Objective < want-1e-6*(1+math.Abs(want)) {
+				t.Errorf("objective %g below feasible value %g", sol.Objective, want)
 			}
 
-			// Warm-started bound-row child, dense basis vs sparse basis.
-			v := s.Intn(n)
+			// Warm-started bound-row child against a cold solve of it.
+			v := s.Intn(g.p.NumVars())
 			child := g.p.Clone()
-			child.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, math.Floor(auto.X[v]))
-			wd, _, err := SolveFrom(child, dbs, Options{Sparse: SparseOff})
+			child.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, math.Floor(sol.X[v]))
+			warm, _, err := SolveFrom(child, bs, Options{})
 			if err != nil {
-				t.Fatalf("warm dense: %v", err)
+				t.Fatalf("warm: %v", err)
 			}
-			ws, _, err := SolveFrom(child, autoBS, Options{})
+			cold, err := Solve(child, Options{})
 			if err != nil {
-				t.Fatalf("warm auto: %v", err)
+				t.Fatalf("cold: %v", err)
 			}
-			assertAgreeX(t, "warm", wd, ws)
+			assertAgree(t, "warm", cold, warm)
 		})
 	}
 }

@@ -216,40 +216,37 @@ func TestSolveBasisWithDualsTextbook(t *testing.T) {
 }
 
 // TestSolveBasisWithDualsCertify runs the dual extraction over random LPs
-// over both matrix representations and checks every certificate with
-// Certify; SolveWithDuals must return the same duals and reduced costs bit
-// for bit.
+// and checks every certificate with Certify; SolveWithDuals must return the
+// same duals and reduced costs bit for bit.
 func TestSolveBasisWithDualsCertify(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		src := rng.NewReplicate(321, "certify-kernel", trial)
 		p := randomLP(src, 3+src.Intn(12), 3+src.Intn(20))
-		for _, cfg := range revisedCoreConfigs {
-			ds, _, err := SolveBasisWithDuals(p, cfg.opts)
-			if err != nil {
-				t.Fatal(err)
+		ds, _, err := SolveBasisWithDuals(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Status != Optimal {
+			t.Fatalf("trial %d: status %v", trial, ds.Status)
+		}
+		if err := Certify(p, ds.X, ds.Duals, 1e-5); err != nil {
+			t.Errorf("trial %d: certificate rejected: %v", trial, err)
+		}
+		plain, err := SolveWithDuals(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, "SolveWithDuals", &ds.Solution, &plain.Solution)
+		for i := range ds.Duals {
+			//lint:ignore floatcmp both entry points run the same solve
+			if ds.Duals[i] != plain.Duals[i] {
+				t.Errorf("trial %d: dual[%d] = %g vs SolveWithDuals %g", trial, i, ds.Duals[i], plain.Duals[i])
 			}
-			if ds.Status != Optimal {
-				t.Fatalf("trial %d %s: status %v", trial, cfg.name, ds.Status)
-			}
-			if err := Certify(p, ds.X, ds.Duals, 1e-5); err != nil {
-				t.Errorf("trial %d %s: certificate rejected: %v", trial, cfg.name, err)
-			}
-			plain, err := SolveWithDuals(p, cfg.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, "SolveWithDuals", &ds.Solution, &plain.Solution)
-			for i := range ds.Duals {
-				//lint:ignore floatcmp both entry points run the same solve
-				if ds.Duals[i] != plain.Duals[i] {
-					t.Errorf("trial %d %s: dual[%d] = %g vs SolveWithDuals %g", trial, cfg.name, i, ds.Duals[i], plain.Duals[i])
-				}
-			}
-			for v := range ds.ReducedCosts {
-				//lint:ignore floatcmp both entry points run the same solve
-				if ds.ReducedCosts[v] != plain.ReducedCosts[v] {
-					t.Errorf("trial %d %s: redcost[%d] = %g vs SolveWithDuals %g", trial, cfg.name, v, ds.ReducedCosts[v], plain.ReducedCosts[v])
-				}
+		}
+		for v := range ds.ReducedCosts {
+			//lint:ignore floatcmp both entry points run the same solve
+			if ds.ReducedCosts[v] != plain.ReducedCosts[v] {
+				t.Errorf("trial %d: redcost[%d] = %g vs SolveWithDuals %g", trial, v, ds.ReducedCosts[v], plain.ReducedCosts[v])
 			}
 		}
 	}

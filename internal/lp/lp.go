@@ -16,8 +16,8 @@
 // equilibrated before solving, pricing falls back to Bland's rule after a
 // run of degenerate pivots (anti-cycling), and artificials are pivoted out
 // after phase 1. An optional presolve/postsolve layer (presolve.go)
-// shrinks large problems first. Problems are built through a small
-// dense/sparse hybrid API.
+// shrinks large problems first. Problems are built row by row from sparse
+// Terms and stored as a CSR+CSC pair (sparse.go).
 package lp
 
 import (
@@ -256,36 +256,6 @@ func (s Status) String() string {
 	}
 }
 
-// SparseMode selects the constraint-matrix representation used by the
-// simplex core.
-type SparseMode int
-
-// Sparse modes.
-const (
-	// SparseAuto picks the representation from the problem: sparse when
-	// the structural block is large and sparse enough for indexed passes
-	// to win (see sparseAutoRows / sparseAutoMaxDensity), dense otherwise.
-	SparseAuto SparseMode = iota
-	// SparseOn forces the CSC/CSR representation.
-	SparseOn
-	// SparseOff forces the dense row-major matrix.
-	SparseOff
-)
-
-// String names the mode.
-func (s SparseMode) String() string {
-	switch s {
-	case SparseAuto:
-		return "auto"
-	case SparseOn:
-		return "sparse"
-	case SparseOff:
-		return "dense"
-	default:
-		return fmt.Sprintf("sparsemode(%d)", int(s))
-	}
-}
-
 // PricingMode selects the entering-column pricing rule. Pricing only
 // chooses the pivot order: every mode reaches the same optimum, and every
 // mode yields to Bland's rule after a degenerate run, so the anti-cycling
@@ -366,9 +336,6 @@ type Options struct {
 	Deadline time.Time
 	// Tol is the pivot/feasibility tolerance (default 1e-9).
 	Tol float64
-	// Sparse selects the constraint-matrix representation
-	// (default SparseAuto).
-	Sparse SparseMode
 	// Pricing selects the entering-column rule (default PricingAuto:
 	// partial pricing on wide problems, Dantzig otherwise). All rules
 	// reach the same optimum; only the pivot order differs.

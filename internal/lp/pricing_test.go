@@ -3,8 +3,8 @@ package lp
 // Differential and unit coverage for the pricing rules. Pricing only
 // orders pivots, so every rule must land on the same optimum: the
 // differential suite pins dantzig vs partial agreement on status,
-// objective AND the full solution vector over the dense and the sparse
-// matrix, cold and warm-started. The degenerate pin keeps partial
+// objective AND the full solution vector, cold and warm-started. The
+// degenerate pin keeps partial
 // pricing's devex scoring honest about the anti-cycling contract — the
 // sticky Bland fallback must still engage, and it must reset the
 // reference framework. Unit tests check the devex recurrence, the
@@ -64,9 +64,9 @@ func assertAgreeXWithin(t *testing.T, label string, a, b *Solution, tol float64)
 }
 
 // TestDifferentialPricing: on every corpus instance partial pricing must
-// reproduce the dantzig optimum — status, objective and full X — over
-// both matrix representations, cold and warm-started into a bound-row
-// child (the warm child inherits the devex weights through the Basis
+// reproduce the dantzig optimum — status, objective and full X — cold
+// and warm-started into a bound-row child (the warm child inherits the
+// devex weights through the Basis
 // snapshot, so this also exercises inheritWeights end to end).
 func TestDifferentialPricing(t *testing.T) {
 	for i := 0; i < corpusSize; i++ {
@@ -92,33 +92,23 @@ func TestDifferentialPricing(t *testing.T) {
 			}
 
 			for _, rule := range pricingRules {
-				dense, dbs, err := SolveBasis(g.p, Options{Pricing: rule.mode, Sparse: SparseOff})
+				sol, bs, err := SolveBasis(g.p, Options{Pricing: rule.mode})
 				if err != nil {
-					t.Fatalf("%s dense: %v", rule.name, err)
+					t.Fatalf("%s: %v", rule.name, err)
 				}
-				sparse, sbs, err := SolveBasis(g.p, Options{Pricing: rule.mode, Sparse: SparseOn})
-				if err != nil {
-					t.Fatalf("%s sparse: %v", rule.name, err)
-				}
-				assertAgreeXTol(t, rule.name+"/dense", ref, dense)
-				assertAgreeXTol(t, rule.name+"/sparse", ref, sparse)
+				assertAgreeXTol(t, rule.name, ref, sol)
 
 				// The optimal basis must carry the reference weights so
 				// branch-and-bound children inherit them.
-				if dbs.devex == nil || sbs.devex == nil {
+				if bs.devex == nil {
 					t.Fatalf("%s: optimal basis carries no devex weights", rule.name)
 				}
 
-				wd, _, err := SolveFrom(child, dbs, Options{Pricing: rule.mode, Sparse: SparseOff})
+				warm, _, err := SolveFrom(child, bs, Options{Pricing: rule.mode})
 				if err != nil {
-					t.Fatalf("%s warm dense: %v", rule.name, err)
+					t.Fatalf("%s warm: %v", rule.name, err)
 				}
-				ws, _, err := SolveFrom(child, sbs, Options{Pricing: rule.mode, Sparse: SparseOn})
-				if err != nil {
-					t.Fatalf("%s warm sparse: %v", rule.name, err)
-				}
-				assertAgreeXTol(t, rule.name+"/warm-dense", refChild, wd)
-				assertAgreeXTol(t, rule.name+"/warm-sparse", refChild, ws)
+				assertAgreeXTol(t, rule.name+"/warm", refChild, warm)
 			}
 
 			// The dantzig rule keeps no weights; its snapshots must stay nil
@@ -138,35 +128,31 @@ func TestDifferentialPricing(t *testing.T) {
 // rule-independent. On the collapsed-deadline staircase partial pricing's
 // devex scoring must still run into the degenerate-run limit, flip to
 // Bland's rule (which resets the reference framework), and terminate at
-// the known optimum — deterministically, over both representations.
+// the known optimum — deterministically.
 func TestDegenerateStaircaseDevexFallback(t *testing.T) {
 	p := degenerateStaircaseLP(30, 3)
 	want := 3.0
 	for _, rule := range pricingRules {
-		for _, cfg := range revisedCoreConfigs {
-			opts := cfg.opts
-			opts.Pricing = rule.mode
-			tt, sol, _, err := solveBasisRev(p, opts)
-			if err != nil {
-				t.Fatalf("%s %s: %v", rule.name, cfg.name, err)
-			}
-			if sol.Status != Optimal {
-				t.Fatalf("%s %s: status %v", rule.name, cfg.name, sol.Status)
-			}
-			if math.Abs(sol.Objective-want) > 1e-9 {
-				t.Fatalf("%s %s: objective %g, want %g", rule.name, cfg.name, sol.Objective, want)
-			}
-			if !tt.blandMode {
-				t.Errorf("%s %s: Bland fallback never engaged — devex dodged the degeneracy pin", rule.name, cfg.name)
-				continue
-			}
-			// The fallback restarts the reference framework and Bland-mode
-			// pivots skip the weight update, so the weights must sit at 1.
-			for j, w := range tt.pp.devex {
-				//lint:ignore floatcmp resetWeights assigns the exact literal 1
-				if w != 1 {
-					t.Fatalf("%s %s: weight[%d] = %g after Bland fallback, want 1", rule.name, cfg.name, j, w)
-				}
+		tt, sol, _, err := solveBasisRev(p, Options{Pricing: rule.mode})
+		if err != nil {
+			t.Fatalf("%s: %v", rule.name, err)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status %v", rule.name, sol.Status)
+		}
+		if math.Abs(sol.Objective-want) > 1e-9 {
+			t.Fatalf("%s: objective %g, want %g", rule.name, sol.Objective, want)
+		}
+		if !tt.blandMode {
+			t.Errorf("%s: Bland fallback never engaged — devex dodged the degeneracy pin", rule.name)
+			continue
+		}
+		// The fallback restarts the reference framework and Bland-mode
+		// pivots skip the weight update, so the weights must sit at 1.
+		for j, w := range tt.pp.devex {
+			//lint:ignore floatcmp resetWeights assigns the exact literal 1
+			if w != 1 {
+				t.Fatalf("%s: weight[%d] = %g after Bland fallback, want 1", rule.name, j, w)
 			}
 		}
 	}

@@ -66,14 +66,11 @@ var (
 type rev struct {
 	m, n  int // rows, structural variables
 	width int // n + 2m: structural + logical + artificial column index space
-	rw    int // n + m: stored row width of a (artificials are implicit)
+	rw    int // n + m: structural + logical columns (artificials are implicit)
 
-	// Exactly one of a and sp is set, per the resolved SparseMode. Both
-	// store the structural and logical columns only; the artificial of
-	// row i is ±e_i and is reconstructed on demand, halving the memory
-	// the dense pricing and pivot-row passes must walk.
-	a       []float64 // m*rw immutable constraint matrix, row-major (dense mode)
-	sp      *csMatrix // CSR+CSC structural block (sparse mode; logicals implicit)
+	// sp stores the structural columns only; the logical of row i is +e_i
+	// and the artificial of row i is ±e_i, both reconstructed on demand.
+	sp      csMatrix  // CSR+CSC immutable structural block
 	artSign []float64 // m; artificial column signs (±1)
 	b       []float64 // m oriented+scaled right-hand sides
 	q       []float64 // m; b minus the nonbasic columns' bound contributions
@@ -134,7 +131,6 @@ type rev struct {
 	ds      dedupScratch
 	srStore sparseRows
 	valsBuf []float64 // oriented+equilibrated copy of srStore.val
-	spStore csMatrix  // sparse-mode storage behind t.sp (nil in dense mode)
 	csNext  []int     // csMatrix.build transpose cursor
 
 	// Factor-path scratch.
@@ -172,17 +168,14 @@ func newRev(p *Problem, opts Options) *rev {
 // init (re)builds the canonical-form matrix for p: >= rows negated to <=,
 // rows equilibrated, one logical and one artificial column per row. The
 // rows are flattened once through the shared sparse builder (deduplicating
-// repeated Terms) and stored densely or as a CSR+CSC pair per the resolved
-// SparseMode; both representations hold identical values, so the two paths
-// pivot identically. Column boxes come from the Problem's bounds; the
-// initial nonbasic point is every structural column at its lower bound,
-// which fixes q and the artificial signs.
+// repeated Terms) and stored as a CSR+CSC pair. Column boxes come from the
+// Problem's bounds; the initial nonbasic point is every structural column
+// at its lower bound, which fixes q and the artificial signs.
 //
 // Every buffer is sized with grown/taken, so re-initialising a rev whose
-// buffers have already grown to this shape allocates nothing; unused-mode
-// storage (t.a in sparse mode) may stay allocated but is never read —
-// every access is guarded by t.sp, not by nil-ness. All per-solve state
-// fields are reset here; owned/noEscape are the caller's and preserved.
+// buffers have already grown to this shape allocates nothing. All
+// per-solve state fields are reset here; owned/noEscape are the caller's
+// and preserved.
 //
 //lint:hotpath=bounded rebuilding the canonical form allocates only on warm-up growth; the Workspace AllocsPerRun pins hold the steady state at zero
 func (t *rev) init(p *Problem, opts Options) {
@@ -239,17 +232,11 @@ func (t *rev) init(p *Problem, opts Options) {
 	}
 
 	sr := t.ds.flatten(p, &t.srStore)
-	sparse := opts.Sparse == SparseOn ||
-		(opts.Sparse == SparseAuto && autoSparse(m, n, sr.nnz()))
-	if !sparse {
-		t.a = grown(t.a, m*t.rw)
-	}
 	// Orient and equilibrate each row in place over its nonzeros only,
-	// then scatter into the selected representation.
+	// then index the result both ways.
 	t.valsBuf = taken(t.valsBuf, sr.val)
 	vals := t.valsBuf
 	for i := 0; i < m; i++ {
-		cols := sr.idx[sr.ptr[i]:sr.ptr[i+1]]
 		seg := vals[sr.ptr[i]:sr.ptr[i+1]]
 		rhs := sr.rhs[i]
 		if sr.sense[i] == GE {
@@ -281,14 +268,6 @@ func (t *rev) init(p *Problem, opts Options) {
 			t.rowNeg[i] = 1
 		}
 		t.b[i] = rhs
-
-		if !sparse {
-			row := t.a[i*t.rw : (i+1)*t.rw]
-			for k, v := range cols {
-				row[v] = seg[k]
-			}
-			row[n+i] = 1 // logical
-		}
 		if sr.sense[i] == EQ {
 			// Equality logical: fixed at zero ([0, 0]); never enters.
 			t.hi[n+i] = 0
@@ -296,13 +275,8 @@ func (t *rev) init(p *Problem, opts Options) {
 			t.hi[n+i] = inf
 		}
 	}
-	if sparse {
-		t.csNext = grown(t.csNext, n)
-		t.spStore.build(m, n, sr.ptr, sr.idx, vals, t.csNext)
-		t.sp = &t.spStore
-	} else {
-		t.sp = nil
-	}
+	t.csNext = grown(t.csNext, n)
+	t.sp.build(m, n, sr.ptr, sr.idx, vals, t.csNext)
 	// With every structural column nonbasic at its lower bound (the state
 	// setBasis/SolveBasis start from), q = b − A·lo determines which rows
 	// need a negatively-signed artificial to start basic at |q| >= 0.
@@ -360,44 +334,13 @@ func (t *rev) addColTimes(col int, factor float64) {
 		t.q[col-t.rw] += factor * t.artSign[col-t.rw]
 		return
 	}
-	if t.sp != nil {
-		if col >= t.n {
-			t.q[col-t.n] += factor
-			return
-		}
-		for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
-			t.q[t.sp.rowIdx[k]] += factor * t.sp.colVal[k]
-		}
+	if col >= t.n {
+		t.q[col-t.n] += factor
 		return
 	}
-	for i := 0; i < t.m; i++ {
-		if v := t.a[i*t.rw+col]; v != 0 {
-			t.q[i] += factor * v
-		}
+	for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
+		t.q[t.sp.rowIdx[k]] += factor * t.sp.colVal[k]
 	}
-}
-
-// colAt returns the matrix entry of column col in row r, reconstructing
-// implicit artificial columns (±e_i) — and, in sparse mode, implicit
-// logical columns (e_i) — on demand. Cold-path accessor: the hot passes
-// walk whole rows or columns of the selected representation instead.
-func (t *rev) colAt(r, col int) float64 {
-	if col >= t.rw {
-		if col-t.rw == r {
-			return t.artSign[r]
-		}
-		return 0
-	}
-	if t.sp == nil {
-		return t.a[r*t.rw+col]
-	}
-	if col >= t.n {
-		if col-t.n == r {
-			return 1
-		}
-		return 0
-	}
-	return t.sp.at(r, col)
 }
 
 // gatherCol scatters matrix column col (structural, logical or implicit
@@ -411,17 +354,11 @@ func (t *rev) gatherCol(col int) {
 	switch {
 	case col >= t.rw:
 		t.colv[col-t.rw] = t.artSign[col-t.rw]
-	case t.sp != nil:
-		if col >= t.n {
-			t.colv[col-t.n] = 1
-			return
-		}
+	case col >= t.n:
+		t.colv[col-t.n] = 1
+	default:
 		for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
 			t.colv[t.sp.rowIdx[k]] = t.sp.colVal[k]
-		}
-	default:
-		for i := 0; i < t.m; i++ {
-			t.colv[i] = t.a[i*t.rw+col]
 		}
 	}
 }
@@ -446,20 +383,13 @@ func (t *rev) refactorize() error {
 		case col >= t.rw:
 			rowIdx = append(rowIdx, col-t.rw)
 			vals = append(vals, t.artSign[col-t.rw])
-		case t.sp != nil && col >= t.n:
+		case col >= t.n:
 			rowIdx = append(rowIdx, col-t.n)
 			vals = append(vals, 1)
-		case t.sp != nil:
+		default:
 			for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
 				if v := t.sp.colVal[k]; v != 0 {
 					rowIdx = append(rowIdx, t.sp.rowIdx[k])
-					vals = append(vals, v)
-				}
-			}
-		default:
-			for r := 0; r < m; r++ {
-				if v := t.a[r*t.rw+col]; v != 0 {
-					rowIdx = append(rowIdx, r)
 					vals = append(vals, v)
 				}
 			}
@@ -529,65 +459,47 @@ func (t *rev) inheritFactor(from *Basis) bool {
 }
 
 // inverseResidualOK spot-checks the represented inverse: the basic values
-// it produces must satisfy B·xb = q to working accuracy. O(m²) in dense
-// mode and O(nnz of the basis) in sparse mode, accumulated column-by-column
-// (same per-row contribution order as the dense pass, so the two modes
-// agree).
+// it produces must satisfy B·xb = q to working accuracy. O(nnz of the
+// basis), accumulated column-by-column, so each row sums its contributions
+// in basis-position order.
 func (t *rev) inverseResidualOK() bool {
-	if t.sp != nil {
-		sum := grown(t.resSum, t.m)
-		scale := grown(t.resScale, t.m)
-		t.resSum, t.resScale = sum, scale
-		for r := range scale {
-			scale[r] = 1
-		}
-		// The per-case accumulation below is the inlined form of
-		// add(r, v) = { sum[r] += v; scale[r] = max(scale[r], |v|) } —
-		// inlined so this path stays closure-free (hotalloc gate), with the
-		// accumulation order unchanged.
-		for i := 0; i < t.m; i++ {
-			col := t.basis[i]
-			switch {
-			case col >= t.rw:
-				r, v := col-t.rw, t.artSign[col-t.rw]*t.xb[i]
+	sum := grown(t.resSum, t.m)
+	scale := grown(t.resScale, t.m)
+	t.resSum, t.resScale = sum, scale
+	for r := range scale {
+		scale[r] = 1
+	}
+	// The per-case accumulation below is the inlined form of
+	// add(r, v) = { sum[r] += v; scale[r] = max(scale[r], |v|) } —
+	// inlined so this path stays closure-free (hotalloc gate), with the
+	// accumulation order unchanged.
+	for i := 0; i < t.m; i++ {
+		col := t.basis[i]
+		switch {
+		case col >= t.rw:
+			r, v := col-t.rw, t.artSign[col-t.rw]*t.xb[i]
+			sum[r] += v
+			if a := math.Abs(v); a > scale[r] {
+				scale[r] = a
+			}
+		case col >= t.n:
+			r, v := col-t.n, t.xb[i]
+			sum[r] += v
+			if a := math.Abs(v); a > scale[r] {
+				scale[r] = a
+			}
+		default:
+			for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
+				r, v := t.sp.rowIdx[k], t.sp.colVal[k]*t.xb[i]
 				sum[r] += v
 				if a := math.Abs(v); a > scale[r] {
 					scale[r] = a
 				}
-			case col >= t.n:
-				r, v := col-t.n, t.xb[i]
-				sum[r] += v
-				if a := math.Abs(v); a > scale[r] {
-					scale[r] = a
-				}
-			default:
-				for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
-					r, v := t.sp.rowIdx[k], t.sp.colVal[k]*t.xb[i]
-					sum[r] += v
-					if a := math.Abs(v); a > scale[r] {
-						scale[r] = a
-					}
-				}
 			}
 		}
-		for r := 0; r < t.m; r++ {
-			if math.Abs(sum[r]-t.q[r]) > 1e-7*scale[r] {
-				return false
-			}
-		}
-		return true
 	}
 	for r := 0; r < t.m; r++ {
-		var sum float64
-		scale := 1.0
-		for i := 0; i < t.m; i++ {
-			v := t.colAt(r, t.basis[i]) * t.xb[i]
-			sum += v
-			if a := math.Abs(v); a > scale {
-				scale = a
-			}
-		}
-		if math.Abs(sum-t.q[r]) > 1e-7*scale {
+		if math.Abs(sum[r]-t.q[r]) > 1e-7*scale[r] {
 			return false
 		}
 	}
@@ -653,16 +565,8 @@ func (t *rev) priceCol(c []float64, j int) float64 {
 	if j >= t.n { // logical of row j−n: implicit +e_i column
 		return d - t.y[j-t.n]
 	}
-	if t.sp != nil {
-		for k := t.sp.colPtr[j]; k < t.sp.colPtr[j+1]; k++ {
-			d -= t.y[t.sp.rowIdx[k]] * t.sp.colVal[k]
-		}
-		return d
-	}
-	for i := 0; i < t.m; i++ {
-		if v := t.a[i*t.rw+j]; v != 0 {
-			d -= t.y[i] * v
-		}
+	for k := t.sp.colPtr[j]; k < t.sp.colPtr[j+1]; k++ {
+		d -= t.y[t.sp.rowIdx[k]] * t.sp.colVal[k]
 	}
 	return d
 }
@@ -675,33 +579,19 @@ func (t *rev) prices(c []float64) {
 	m := t.m
 	t.computeY(c)
 	// Artificial reduced costs (columns >= rw) are never read — artificials
-	// cannot enter — so only the structural+logical block is priced. The
-	// sparse pass subtracts y_i over row i's nonzeros plus the implicit
-	// logical (coefficient 1 in row i): O(nnz + m) against the dense
-	// O(m·(n+m)), with identical per-column accumulation order.
+	// cannot enter — so only the structural+logical block is priced: y_i is
+	// subtracted over row i's nonzeros plus the implicit logical
+	// (coefficient 1 in row i), O(nnz + m) per pass.
 	copy(t.d[:t.rw], c[:t.rw])
-	if t.sp != nil {
-		for i := 0; i < m; i++ {
-			yi := t.y[i]
-			if yi == 0 {
-				continue
-			}
-			for k := t.sp.rowPtr[i]; k < t.sp.rowPtr[i+1]; k++ {
-				t.d[t.sp.colIdx[k]] -= yi * t.sp.rowVal[k]
-			}
-			t.d[t.n+i] -= yi
+	for i := 0; i < m; i++ {
+		yi := t.y[i]
+		if yi == 0 {
+			continue
 		}
-	} else {
-		for i := 0; i < m; i++ {
-			yi := t.y[i]
-			if yi == 0 {
-				continue
-			}
-			row := t.a[i*t.rw : (i+1)*t.rw]
-			for j := 0; j < t.rw; j++ {
-				t.d[j] -= yi * row[j]
-			}
+		for k := t.sp.rowPtr[i]; k < t.sp.rowPtr[i+1]; k++ {
+			t.d[t.sp.colIdx[k]] -= yi * t.sp.rowVal[k]
 		}
+		t.d[t.n+i] -= yi
 	}
 	for i := 0; i < m; i++ {
 		t.d[t.basis[i]] = 0 // exact by definition; zap rounding residue
@@ -719,10 +609,8 @@ func (t *rev) ftran(col int) {
 
 // pivotRow computes alpha = (row pr of B⁻¹)·A into t.alpha. Artificial
 // entries (columns >= rw) are never read by the callers and stay zero.
-// The sparse pass accumulates each contributing constraint row over its
-// nonzeros plus its implicit logical column — O(Σ nnz of contributing
-// rows) against the dense O(m·(n+m)) — in the same k order as the dense
-// pass, so the two modes price identically.
+// Each contributing constraint row is accumulated over its nonzeros plus
+// its implicit logical column: O(Σ nnz of contributing rows).
 //
 //lint:hotpath one ratio-test row per dual iteration; pinned to zero allocations
 func (t *rev) pivotRow(pr int) {
@@ -730,28 +618,15 @@ func (t *rev) pivotRow(pr int) {
 		t.alpha[j] = 0
 	}
 	row := t.computeRho(pr)
-	if t.sp != nil {
-		for k := 0; k < t.m; k++ {
-			bk := row[k]
-			if bk == 0 {
-				continue
-			}
-			for z := t.sp.rowPtr[k]; z < t.sp.rowPtr[k+1]; z++ {
-				t.alpha[t.sp.colIdx[z]] += bk * t.sp.rowVal[z]
-			}
-			t.alpha[t.n+k] += bk
-		}
-		return
-	}
 	for k := 0; k < t.m; k++ {
 		bk := row[k]
 		if bk == 0 {
 			continue
 		}
-		arow := t.a[k*t.rw : (k+1)*t.rw]
-		for j := 0; j < t.rw; j++ {
-			t.alpha[j] += bk * arow[j]
+		for z := t.sp.rowPtr[k]; z < t.sp.rowPtr[k+1]; z++ {
+			t.alpha[t.sp.colIdx[z]] += bk * t.sp.rowVal[z]
 		}
+		t.alpha[t.n+k] += bk
 	}
 }
 
@@ -778,18 +653,9 @@ func (t *rev) rhoDotCol(rho []float64, j int) float64 {
 	if j >= t.n { // logical of row j−n: implicit +e_i column
 		return rho[j-t.n]
 	}
-	if t.sp != nil {
-		var s float64
-		for k := t.sp.colPtr[j]; k < t.sp.colPtr[j+1]; k++ {
-			s += rho[t.sp.rowIdx[k]] * t.sp.colVal[k]
-		}
-		return s
-	}
 	var s float64
-	for i := 0; i < t.m; i++ {
-		if v := t.a[i*t.rw+j]; v != 0 {
-			s += rho[i] * v
-		}
+	for k := t.sp.colPtr[j]; k < t.sp.colPtr[j+1]; k++ {
+		s += rho[t.sp.rowIdx[k]] * t.sp.colVal[k]
 	}
 	return s
 }

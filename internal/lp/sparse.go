@@ -3,14 +3,13 @@ package lp
 // Sparse constraint-matrix representation. The DSCT-EA formulations are
 // structurally sparse — a variable t_jr appears only in machine r's
 // deadline-staircase rows and a handful of per-task rows, so nonzero
-// density falls roughly as 1/m — while the dense matrix representation
-// walks every (row, column) pair on each pricing and pivot-row pass. This
-// file provides the shared ingredients both representations build from:
+// density falls roughly as 1/m — so every pass of the simplex core walks
+// nonzeros only. This file provides the two ingredients:
 //
 //   - dedupRows flattens a Problem into sorted, deduplicated index/value
 //     rows (repeated Terms accumulate, as AddConstraint documents), the
-//     single construction path for the dense matrix, the sparse index
-//     pair and the presolve layer;
+//     single construction path for the simplex core's matrix and the
+//     presolve layer;
 //   - csMatrix holds the oriented, equilibrated structural block in both
 //     CSR (row-major: pricing and pivot-row passes walk row nonzeros) and
 //     CSC (column-major: FTRAN and basis gathers walk column nonzeros).
@@ -20,24 +19,6 @@ package lp
 // on demand, so only structural nonzeros are stored.
 
 import "sort"
-
-// Auto-mode thresholds: the indexed passes win once the structural block
-// is big enough that dense scans dominate a solve, and sparse enough that
-// walking index lists beats streaming contiguous rows.
-const (
-	// sparseAutoRows is the minimum row count for SparseAuto to pick the
-	// sparse representation.
-	sparseAutoRows = 64
-	// sparseAutoMaxDensity is the maximum structural density
-	// nnz/(rows·cols) at which SparseAuto picks the sparse representation.
-	sparseAutoMaxDensity = 0.25
-)
-
-// autoSparse decides the SparseAuto representation for a problem with m
-// rows, n structural variables and nnz structural nonzeros.
-func autoSparse(m, n, nnz int) bool {
-	return m >= sparseAutoRows && float64(nnz) <= sparseAutoMaxDensity*float64(m)*float64(n)
-}
 
 // sparseRows is a Problem's constraint list in compressed row form, before
 // any orientation or scaling: row i's structural nonzeros are
@@ -51,9 +32,6 @@ type sparseRows struct {
 	sense []Sense
 	rhs   []float64
 }
-
-// nnz returns the stored structural nonzero count.
-func (sr *sparseRows) nnz() int { return len(sr.idx) }
 
 // row returns the index and value slices of row i (read-only views).
 func (sr *sparseRows) row(i int) ([]int, []float64) {
@@ -181,24 +159,4 @@ func (sp *csMatrix) build(m, n int, rowPtr []int, colIdx []int, rowVal []float64
 			next[j]++
 		}
 	}
-}
-
-// at returns entry (r, col) of the structural block by binary search in
-// column col (row indices are ascending). Used only by the cold paths
-// (inverse inheritance of appended rows); hot passes walk whole rows or
-// columns instead.
-func (sp *csMatrix) at(r, col int) float64 {
-	lo, hi := sp.colPtr[col], sp.colPtr[col+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sp.rowIdx[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < sp.colPtr[col+1] && sp.rowIdx[lo] == r {
-		return sp.colVal[lo]
-	}
-	return 0
 }

@@ -17,7 +17,7 @@ func TestDedupRows(t *testing.T) {
 	p.AddConstraint(nil, EQ, 0)
 
 	sr := dedupRows(p)
-	if got := sr.nnz(); got != 3 {
+	if got := len(sr.idx); got != 3 {
 		t.Fatalf("nnz = %d, want 3 (duplicates merged, cancellation dropped)", got)
 	}
 	cols, vals := sr.row(0)
@@ -40,7 +40,7 @@ func TestDedupRows(t *testing.T) {
 }
 
 // TestCSMatrixViewsAgree: the CSR and CSC views must index identical
-// values, and the binary-search accessor must match both.
+// values.
 func TestCSMatrixViewsAgree(t *testing.T) {
 	s := rng.New(11, "lp-csmatrix")
 	g := generateFeasibleLP(s, 6, 9)
@@ -62,58 +62,15 @@ func TestCSMatrixViewsAgree(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < sp.m; i++ {
-		for j := 0; j < sp.n; j++ {
-			//lint:ignore floatcmp at() returns a stored value or exact zero; identity is exact
-			if got, want := sp.at(i, j), dense[i*sp.n+j]; got != want {
-				t.Fatalf("at(%d,%d) = %g, dense %g", i, j, got, want)
-			}
-		}
-	}
 }
 
-// TestAutoSparseSelection pins the SparseAuto decision rule and checks the
-// resolved representation inside newRev for all three modes.
-func TestAutoSparseSelection(t *testing.T) {
-	if autoSparse(sparseAutoRows-1, 1000, 10) {
-		t.Error("autoSparse accepted a problem below the row threshold")
-	}
-	if !autoSparse(sparseAutoRows, 1000, 10) {
-		t.Error("autoSparse rejected a large sparse problem")
-	}
-	if autoSparse(1000, 10, 10*1000/2) {
-		t.Error("autoSparse accepted a half-dense problem")
-	}
-
-	small := NewProblem(2)
-	small.AddConstraint([]Term{{Var: 0, Coef: 1}}, LE, 1)
-	if tr := newRev(small, Options{}); tr.sp != nil || tr.a == nil {
-		t.Error("auto mode picked sparse for a tiny problem")
-	}
-	if tr := newRev(small, Options{Sparse: SparseOn}); tr.sp == nil || tr.a != nil {
-		t.Error("SparseOn did not force the sparse representation")
-	}
-
-	// A big diagonal problem is far below the density threshold.
-	big := NewProblem(sparseAutoRows)
-	for v := 0; v < sparseAutoRows; v++ {
-		big.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, 1)
-	}
-	if tr := newRev(big, Options{}); tr.sp == nil {
-		t.Error("auto mode picked dense for a large diagonal problem")
-	}
-	if tr := newRev(big, Options{Sparse: SparseOff}); tr.sp != nil {
-		t.Error("SparseOff did not force the dense representation")
-	}
-}
-
-// solveForced is a test helper running SolveBasis under a forced
-// representation.
-func solveForced(t *testing.T, p *Problem, mode SparseMode) (*Solution, *Basis) {
+// solveBasisNoErr runs SolveBasis, failing only on an error (any status
+// passes).
+func solveBasisNoErr(t *testing.T, p *Problem) (*Solution, *Basis) {
 	t.Helper()
-	sol, bs, err := SolveBasis(p, Options{Sparse: mode})
+	sol, bs, err := SolveBasis(p, Options{})
 	if err != nil {
-		t.Fatalf("SolveBasis(%v): %v", mode, err)
+		t.Fatalf("SolveBasis: %v", err)
 	}
 	return sol, bs
 }
@@ -138,9 +95,9 @@ func assertSameSolution(t *testing.T, label string, a, b *Solution) {
 	}
 }
 
-// TestSparseMatchesDenseBasics: forced sparse and forced dense must agree
-// on small problems covering every sense, negative RHS, infeasibility and
-// unboundedness.
+// TestSparseMatchesDenseBasics: on small problems covering every sense,
+// negative RHS, infeasibility and unboundedness, the sparse core must
+// reproduce the answers the retired dense matrix gave — the known optima.
 func TestSparseMatchesDenseBasics(t *testing.T) {
 	build := func() []*Problem {
 		textbook := NewProblem(2)
@@ -174,11 +131,19 @@ func TestSparseMatchesDenseBasics(t *testing.T) {
 
 		return []*Problem{textbook, mixed, negRHS, infeasible, unbounded}
 	}
-	names := []string{"textbook", "mixed-senses", "negative-rhs", "infeasible", "unbounded"}
+	want := []struct {
+		name string
+		sol  Solution
+	}{
+		{"textbook", Solution{Status: Optimal, Objective: 36, X: []float64{2, 6}}},
+		{"mixed-senses", Solution{Status: Optimal, Objective: 22, X: []float64{8, 0, 2}}},
+		{"negative-rhs", Solution{Status: Optimal, Objective: 7, X: []float64{7}}},
+		{"infeasible", Solution{Status: Infeasible}},
+		{"unbounded", Solution{Status: Unbounded}},
+	}
 	for i, p := range build() {
-		dense, _ := solveForced(t, p, SparseOff)
-		sparse, _ := solveForced(t, p, SparseOn)
-		assertSameSolution(t, names[i], dense, sparse)
+		got, _ := solveBasisNoErr(t, p)
+		assertSameSolution(t, want[i].name, &want[i].sol, got)
 	}
 }
 
@@ -192,11 +157,11 @@ func TestSparseWarmStart(t *testing.T) {
 	p.AddConstraint([]Term{{0, 1}}, LE, 4)
 	p.AddConstraint([]Term{{1, 2}}, LE, 12)
 	p.AddConstraint([]Term{{0, 3}, {1, 2}}, LE, 18)
-	_, bs := solveForced(t, p, SparseOn)
+	_, bs := solveBasisNoErr(t, p)
 
 	child := p.Clone()
 	child.AddConstraint([]Term{{1, 1}}, LE, 5)
-	warm, wbs, err := SolveFrom(child, bs, Options{Sparse: SparseOn})
+	warm, wbs, err := SolveFrom(child, bs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,45 +171,37 @@ func TestSparseWarmStart(t *testing.T) {
 
 	deeper := child.Clone()
 	deeper.AddConstraint([]Term{{0, 1}}, GE, 3)
-	warm2, _, err := SolveFrom(deeper, wbs, Options{Sparse: SparseOn})
+	warm2, _, err := SolveFrom(deeper, wbs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold2, _ := solveForced(t, deeper, SparseOff)
+	cold2, _ := solveBasisNoErr(t, deeper)
 	assertSameSolution(t, "chained", cold2, warm2)
 }
 
 // TestSparseLargeStaircase: a DSCT-shaped instance (deadline staircase per
-// machine plus a coupling energy row) big enough for SparseAuto to pick
-// the sparse path; the default solve and both forced representations must
-// agree.
+// machine plus a coupling energy row); Solve and SolveBasis must agree, and
+// the optimum must beat the generator's feasible point.
 func TestSparseLargeStaircase(t *testing.T) {
 	g := generateStaircaseLP(rng.New(5, "lp-staircase-test"), 40, 3)
 	def, err := Solve(g.p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto := newRev(g.p, Options{})
-	if auto.sp == nil {
-		t.Fatalf("staircase instance (m=%d n=%d) not auto-detected as sparse", auto.m, auto.n)
-	}
-	dense, _ := solveForced(t, g.p, SparseOff)
-	sparse, _ := solveForced(t, g.p, SparseOn)
 	if def.Status != Optimal {
 		t.Fatalf("default status %v", def.Status)
 	}
-	assertSameSolution(t, "default-vs-sparse", def, sparse)
-	assertSameSolution(t, "dense-vs-sparse", dense, sparse)
+	sol, _ := solveBasisNoErr(t, g.p)
+	assertSameSolution(t, "Solve-vs-SolveBasis", def, sol)
 	want := g.feasibleValue()
-	if sparse.Objective < want-1e-6*(1+math.Abs(want)) {
-		t.Errorf("sparse objective %g below feasible value %g", sparse.Objective, want)
+	if sol.Objective < want-1e-6*(1+math.Abs(want)) {
+		t.Errorf("objective %g below feasible value %g", sol.Objective, want)
 	}
 }
 
 // TestAddConstraintAccumulatesDuplicates: AddConstraint documents that
-// repeated variables accumulate. Assert the promise holds identically over
-// the dense and the sparse matrix by comparing a duplicated-Term problem
-// against its hand-merged twin.
+// repeated variables accumulate. Assert the promise by comparing a
+// duplicated-Term problem against its hand-merged twin.
 func TestAddConstraintAccumulatesDuplicates(t *testing.T) {
 	dup := NewProblem(3)
 	merged := NewProblem(3)
@@ -268,11 +225,9 @@ func TestAddConstraintAccumulatesDuplicates(t *testing.T) {
 		merged.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, 5)
 	}
 
-	for _, mode := range []SparseMode{SparseOff, SparseOn} {
-		gotDup, _ := solveForced(t, dup, mode)
-		gotMerged, _ := solveForced(t, merged, mode)
-		assertSameSolution(t, mode.String()+"/dup-vs-merged", gotMerged, gotDup)
-	}
+	gotDup, _ := solveBasisNoErr(t, dup)
+	gotMerged, _ := solveBasisNoErr(t, merged)
+	assertSameSolution(t, "dup-vs-merged", gotMerged, gotDup)
 }
 
 // TestDefaultMaxIters pins the documented pivot-budget default,

@@ -9,7 +9,7 @@ package lp
 // reusable object:
 //
 //   - the simplex core's work arrays (duals, reduced costs, pivot rows,
-//     FTRAN/BTRAN scratch) and its dense or CSR+CSC matrix storage;
+//     FTRAN/BTRAN scratch) and its CSR+CSC matrix storage;
 //   - the LU elimination workspace, the factor arenas and the eta file
 //     (noEscape mode), or a persistent holder for adopted frozen parent
 //     factors (basis-publishing mode);
@@ -21,7 +21,7 @@ package lp
 //
 // After the first solve of a given shape has grown the buffers, further
 // Solve/SolveFrom calls allocate nothing (testing.AllocsPerRun pins 0 in
-// alloc_ws_test.go). Buffers only ever grow, so a Workspace that has seen
+// workspace_test.go). Buffers only ever grow, so a Workspace that has seen
 // its largest instance is allocation-free for every smaller one.
 //
 // Aliasing contract. Solutions returned by Solve and SolveFrom alias

@@ -44,22 +44,37 @@ func assertIdentical(t *testing.T, label string, a, b *Solution) {
 	}
 }
 
-// workspaceDiffOptions are the Options combinations the cold differential
-// sweeps: every pricing rule and both matrix representations, plus the
-// presolve layer, so each corpus instance exercises every reused buffer.
+// workspaceDiffOptions are the sweeps the cold differential runs: every
+// pricing rule over the small random corpus and over larger, sparser
+// DSCT-EA-FR staircases (the sparse sweeps, where refactorisation
+// triggers), plus the presolve layer, so each instance exercises every
+// reused buffer.
 var workspaceDiffOptions = []struct {
-	name string
-	opts Options
+	name      string
+	opts      Options
+	staircase bool
 }{
-	{"default", Options{}},
-	{"sparse", Options{Sparse: SparseOn}},
-	{"partial", Options{Pricing: PricingPartial}},
-	{"partial-sparse", Options{Pricing: PricingPartial, Sparse: SparseOn}},
-	{"presolve", Options{Presolve: PresolveOn}},
+	{"default", Options{}, false},
+	{"sparse", Options{}, true},
+	{"partial", Options{Pricing: PricingPartial}, false},
+	{"partial-sparse", Options{Pricing: PricingPartial}, true},
+	{"presolve", Options{Presolve: PresolveOn}, false},
 }
 
-// TestWorkspaceDifferentialCold: one Workspace per Options combination is
-// reused across all 240 corpus instances in sequence — shapes grow and
+// workspaceStaircaseCount is the size of the staircase corpus the sparse
+// cold sweeps run over.
+const workspaceStaircaseCount = 24
+
+// workspaceStaircase derives staircase instance i of that corpus.
+func workspaceStaircase(i int) *genLP {
+	s := rng.NewReplicate(9, "lp-workspace-staircase", i)
+	nTasks := 20 + s.Intn(41) // 20..60 tasks
+	mMach := 2 + s.Intn(3)    // 2..4 machines
+	return generateStaircaseLP(s, nTasks, mMach)
+}
+
+// TestWorkspaceDifferentialCold: one Workspace per sweep is reused across
+// all of its instances in sequence — shapes grow and
 // shrink between solves, the harshest re-init pattern — and every solve
 // must be bit-identical to a fresh SolveBasis of the same instance, as must
 // the package-level Solve.
@@ -69,9 +84,13 @@ func TestWorkspaceDifferentialCold(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			ws := NewWorkspace()
-			for i := 0; i < corpusSize; i++ {
+			count, instance := corpusSize, corpusInstance
+			if tc.staircase {
+				count, instance = workspaceStaircaseCount, workspaceStaircase
+			}
+			for i := 0; i < count; i++ {
 				label := tc.name + "/" + strconv.Itoa(i)
-				g := corpusInstance(i)
+				g := instance(i)
 				fresh, _, err := SolveBasis(g.p, tc.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -96,14 +115,13 @@ func TestWorkspaceDifferentialCold(t *testing.T) {
 // Workspace — parent basis into a bound-tightened child, child basis into
 // a grandchild, both the no-basis SolveFrom and the basis-publishing
 // SolveBasisFrom — must be bit-identical to the package-level SolveFrom
-// chain, dense and sparse.
+// chain.
 func TestWorkspaceDifferentialWarm(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts Options
 	}{
-		{"dense", Options{Sparse: SparseOff}},
-		{"sparse", Options{Sparse: SparseOn}},
+		{"sparse", Options{}},
 	} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
@@ -232,17 +250,15 @@ func TestWorkspaceAliasingAndReset(t *testing.T) {
 }
 
 // allocPinCases are the representative instances the AllocsPerRun pins
-// run on: a dense revised solve, a CSC-backed sparse solve and a boxed
-// (bounded-variable) instance, per the acceptance criteria.
+// run on: a small and a larger staircase and a boxed (bounded-variable)
+// instance.
 func allocPinCases() []struct {
 	name string
 	p    *Problem
 	opts Options
 } {
-	sDense := rng.New(31, "lp-workspace-alloc-dense")
-	dense := generateStaircaseLP(sDense, 30, 3)
-	sSparse := rng.New(32, "lp-workspace-alloc-sparse")
-	sparse := generateStaircaseLP(sSparse, 80, 4)
+	small := generateStaircaseLP(rng.New(31, "lp-workspace-alloc-dense"), 30, 3)
+	large := generateStaircaseLP(rng.New(32, "lp-workspace-alloc-sparse"), 80, 4)
 	sBox := rng.New(33, "lp-workspace-alloc-boxed")
 	boxed := generateBoundedLP(sBox, 6, 8)
 	return []struct {
@@ -250,14 +266,14 @@ func allocPinCases() []struct {
 		p    *Problem
 		opts Options
 	}{
-		{"dense", dense.p, Options{Sparse: SparseOff}},
-		{"sparse", sparse.p, Options{Sparse: SparseOn}},
+		{"staircase-30x3", small.p, Options{}},
+		{"staircase-80x4", large.p, Options{}},
 		{"boxed", boxed.p, Options{}},
 	}
 }
 
 // TestAllocsWorkspaceSolve pins Workspace.Solve at ZERO allocations per
-// solve once warmed up, on dense, sparse and boxed instances.
+// solve once warmed up, on staircase and boxed instances.
 func TestAllocsWorkspaceSolve(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -281,8 +297,8 @@ func TestAllocsWorkspaceSolve(t *testing.T) {
 
 // TestAllocsWorkspaceSolveFrom pins Workspace.SolveFrom at ZERO
 // allocations per warm re-solve once warmed up — the exact per-node cost
-// of a branch-and-bound worker at steady state — on dense, sparse and
-// boxed instances.
+// of a branch-and-bound worker at steady state — on staircase and boxed
+// instances.
 func TestAllocsWorkspaceSolveFrom(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")

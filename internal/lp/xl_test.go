@@ -115,7 +115,7 @@ func powUniform(s *rng.Source, lo, hi float64) float64 {
 }
 
 // TestXLAutoSmoke: a tier-1-sized xl member must cross every auto
-// threshold — sparse matrix, partial pricing, presolve — and the
+// threshold — partial pricing, presolve — and the
 // resulting all-auto solve must agree with the dantzig/no-presolve
 // baseline on status, objective and the full solution vector.
 func TestXLAutoSmoke(t *testing.T) {
@@ -127,9 +127,6 @@ func TestXLAutoSmoke(t *testing.T) {
 	}
 	if n+m < pricingAutoCols {
 		t.Fatalf("smoke member prices %d columns, below the pricing auto threshold %d", n+m, pricingAutoCols)
-	}
-	if !autoSparse(m, n, dedupRows(g.p).nnz()) {
-		t.Fatal("smoke member not auto-sparse; generator misconfigured")
 	}
 	if got := resolvePricing(PricingAuto, n+m); got != PricingPartial {
 		t.Fatalf("auto pricing resolves to %v, want partial", got)

@@ -31,8 +31,7 @@ package mip
 // (appended rows enter with their logical columns basic, so the warm
 // re-solve is a few dual pivots), keeps the violation-ranked top slice per
 // round, and before the dive drops every cut that ended up slack at the
-// final root optimum. Under CutsTree the same separator runs at shallow
-// tree nodes on the node's own fractional optimum.
+// final root optimum.
 
 import (
 	"math"
@@ -58,10 +57,6 @@ const (
 	// cutStallTol: relative root-bound improvement below which the loop
 	// stops (tailing off).
 	cutStallTol = 1e-9
-	// cutTreeDepth is the deepest tree level CutsTree separates at.
-	cutTreeDepth = 2
-	// treeCutsPerNode caps the cuts a single shallow node may add.
-	treeCutsPerNode = 8
 	// maxPlunge bounds how many consecutive children a worker dives onto
 	// before returning to the global best-bound queue.
 	maxPlunge = 8
@@ -89,7 +84,7 @@ type knapRow struct {
 
 // separator holds the structure detected at root construction. Detection
 // fields are immutable after newSeparator returns; separate() keeps its
-// scratch local, so concurrent workers may share one separator.
+// scratch local.
 type separator struct {
 	nVars  int
 	binary []bool // integer variable with effective box inside [0,1]
@@ -343,10 +338,9 @@ func newSeparator(p *lp.Problem, integers []int, hint *Structure) *separator {
 
 // separate returns up to maxCuts inequalities violated at x, ranked by
 // violation (ties keep generation order, which is deterministic). The
-// detection structures are read-only; all scratch is call-local, so
-// concurrent workers may call separate on a shared separator.
+// detection structures are read-only; all scratch is call-local.
 //
-//lint:hotpath=bounded one separation round allocates its candidate and ordering scratch; it runs once per root round and once per shallow CutsTree node, never per deep node
+//lint:hotpath=bounded one separation round allocates its candidate and ordering scratch; it runs once per root cut round, never per node
 func (s *separator) separate(x []float64, maxCuts int) []cut {
 	type scored struct {
 		c    cut
@@ -573,7 +567,6 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 	if err != nil || sol.Status != lp.Optimal {
 		return
 	}
-	s.noteRootRows(work.NumConstraints())
 	imported := s.pool
 	var fresh []cut
 	prevObj := sol.Objective
@@ -609,7 +602,6 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 			s.rootFrom = nil
 			return
 		}
-		s.noteRootRows(work.NumConstraints())
 		if nsol.Status == lp.Infeasible {
 			// The cuts are valid for every integer point, so an infeasible
 			// cut LP proves integer infeasibility: keep the pool and let
@@ -694,14 +686,5 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 			}
 		}
 		s.rootFrom = basis.AdaptRows(rowMap, s.baseRows+len(kept))
-	}
-}
-
-// noteRootRows records a root cut-loop relaxation's row count in the
-// MaxNodeRows high-water mark. The loop runs before any worker starts, so
-// no lock is needed.
-func (s *searcher) noteRootRows(rows int) {
-	if rows > s.maxNodeRows {
-		s.maxNodeRows = rows
 	}
 }

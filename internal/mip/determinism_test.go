@@ -47,11 +47,11 @@ func sameSolution(a, b *Result) bool {
 
 // TestDeterministicAcrossWorkers: identical Status, Objective and X at
 // Workers = 1, 4 and 8 on a batch of seeded knapsacks, for the default
-// (plunging best-bound) and the depth-first node order.
+// (plunging best-bound) and the pure best-bound node order.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		prob := detKnapsack(trial)
-		for _, strat := range []NodeOrder{NodeOrderAuto, NodeOrderDepthFirst} {
+		for _, strat := range []NodeOrder{NodeOrderAuto, NodeOrderBestBound} {
 			var base *Result
 			for _, workers := range []int{1, 4, 8} {
 				res, err := Solve(prob, Options{Workers: workers, NodeOrder: strat})
@@ -210,20 +210,20 @@ func TestWarmStartAccounting(t *testing.T) {
 }
 
 // TestDeterministicBranchAndCutModes: the branch-and-cut machinery — root
-// and tree cuts, pseudo-cost/reliability branching (whose observations
-// live on node-local immutable chains precisely so that worker scheduling
-// cannot perturb them) and plunging node order — must keep incumbents
-// bit-identical at Workers = 1, 4 and 8.
+// cuts, reliability branching (whose pseudo-cost observations live on
+// node-local immutable chains precisely so that worker scheduling cannot
+// perturb them) and plunging node order — and the legacy settings must
+// keep incumbents bit-identical at Workers = 1, 4 and 8.
 func TestDeterministicBranchAndCutModes(t *testing.T) {
 	modes := []struct {
 		name string
 		opts Options
 	}{
 		{"default", Options{}},
-		{"cuts-root/pseudocost/best-bound", Options{Cuts: CutsRoot, Branching: BranchPseudoCost, NodeOrder: NodeOrderBestBound}},
-		{"cuts-tree/reliability/plunge", Options{Cuts: CutsTree, Branching: BranchReliability, NodeOrder: NodeOrderPlunge}},
+		{"cuts-root/reliability/best-bound", Options{Cuts: CutsRoot, Branching: BranchReliability, NodeOrder: NodeOrderBestBound}},
 		{"cuts-off/reliability/plunge", Options{Cuts: CutsOff, Branching: BranchReliability, NodeOrder: NodeOrderPlunge}},
-		{"cuts-tree/most-fractional/depth-first", Options{Cuts: CutsTree, Branching: BranchMostFractional, NodeOrder: NodeOrderDepthFirst}},
+		{"cuts-root/most-fractional/plunge", Options{Cuts: CutsRoot, Branching: BranchMostFractional, NodeOrder: NodeOrderPlunge}},
+		{"cuts-off/most-fractional/best-bound", Options{Cuts: CutsOff, Branching: BranchMostFractional, NodeOrder: NodeOrderBestBound}},
 	}
 	for trial := 0; trial < 4; trial++ {
 		prob := detKnapsack(400 + trial)

@@ -122,11 +122,6 @@ const (
 	// of separate → append → dual-simplex re-optimise, then slack cuts are
 	// dropped and the surviving pool becomes part of every node relaxation.
 	CutsRoot
-	// CutsTree additionally separates at shallow tree nodes (depth <=
-	// cutTreeDepth), carried on an immutable per-node cut chain so sibling
-	// subtrees stay independent. Node row counts then exceed the root's —
-	// the Result.MaxNodeRows high-water mark records it.
-	CutsTree
 )
 
 // String names the mode.
@@ -138,8 +133,6 @@ func (c CutMode) String() string {
 		return "off"
 	case CutsRoot:
 		return "root"
-	case CutsTree:
-		return "tree"
 	default:
 		return fmt.Sprintf("cutmode(%d)", int(c))
 	}
@@ -157,17 +150,15 @@ const (
 	// BranchMostFractional picks the variable farthest from integrality —
 	// the legacy rule, kept selectable for A/B comparison.
 	BranchMostFractional
-	// BranchPseudoCost scores candidates by the per-unit objective
+	// BranchReliability scores candidates by the per-unit objective
 	// degradation observed on ancestor branchings (the node-local
-	// pseudo-cost chain), product rule over the up/down estimates. No
-	// probing; unobserved variables fall back to the fractionality score.
-	BranchPseudoCost
-	// BranchReliability is pseudo-cost branching with strong-branching
-	// probes on unreliable candidates: variables with no observations yet
-	// are probed by bounded dual-simplex re-solves (Workspace.SolveFrom
-	// with a small pivot budget) before the scores are compared. Probe
-	// side effects — infeasible directions and truncated-but-dual-feasible
-	// objectives — tighten the resulting children.
+	// pseudo-cost chain), product rule over the up/down estimates, after
+	// strong-branching probes on unreliable candidates: variables with no
+	// observation yet in one direction or the other are probed by bounded
+	// dual-simplex re-solves (Workspace.SolveFrom with a small pivot
+	// budget) before the scores are compared. Probe side effects —
+	// infeasible directions and truncated-but-dual-feasible objectives —
+	// tighten the resulting children.
 	BranchReliability
 )
 
@@ -178,8 +169,6 @@ func (b BranchRule) String() string {
 		return "auto"
 	case BranchMostFractional:
 		return "most-fractional"
-	case BranchPseudoCost:
-		return "pseudocost"
 	case BranchReliability:
 		return "reliability"
 	default:
@@ -204,10 +193,6 @@ const (
 	// reorders exploration — the tree, the pruning and the incumbents are
 	// identical at any worker count.
 	NodeOrderPlunge
-	// NodeOrderDepthFirst dives: deepest open node first (ties broken by
-	// bound). It finds incumbents sooner and keeps the open set small, at
-	// the cost of a weaker global bound early on.
-	NodeOrderDepthFirst
 )
 
 // String names the order.
@@ -219,8 +204,6 @@ func (n NodeOrder) String() string {
 		return "best-bound"
 	case NodeOrderPlunge:
 		return "plunge"
-	case NodeOrderDepthFirst:
-		return "depth-first"
 	default:
 		return fmt.Sprintf("nodeorder(%d)", int(n))
 	}
@@ -266,7 +249,6 @@ type Options struct {
 
 	LP       lp.Options   // per-node LP options (deadline is overridden)
 	Rounding RoundingHook // optional primal heuristic, see RoundingHook
-	OnNode   func(n int)  // optional progress callback (nodes processed)
 
 	// DisableWarmStart forces every node relaxation to be solved from
 	// scratch (a cold two-phase solve) instead of warm-starting the dual
@@ -320,16 +302,9 @@ type Result struct {
 
 	// InheritFallbacks counts warm-started relaxations that reused the
 	// parent's basic column set but could not adopt its factorisation
-	// snapshot — missing, fill-heavy, failing the residual check, or
-	// dimension-mismatched (a CutsTree re-solve appends cut rows) — and
+	// snapshot — missing, fill-heavy or failing the residual check — and
 	// rebuilt the factors from scratch instead. A subset of WarmSolves.
 	InheritFallbacks int
-
-	// MaxNodeRows is the largest constraint-row count of any node
-	// relaxation solved during the search. Bound branching keeps it at the
-	// root LP's row count — plus the root cut pool kept after the cut loop
-	// — at any tree depth; CutsTree node-local cuts grow it further.
-	MaxNodeRows int
 
 	// Gap is Bound - Objective when an incumbent exists (0 at Optimal,
 	// +Inf otherwise).
@@ -337,11 +312,9 @@ type Result struct {
 
 	// Cuts is the number of cut rows in the root pool after slack removal
 	// (the rows every node relaxation carries); CutRounds is how many
-	// separate→re-optimise rounds the root loop ran; TreeCuts counts cuts
-	// separated at shallow tree nodes under CutsTree.
+	// separate→re-optimise rounds the root loop ran.
 	Cuts      int
 	CutRounds int
-	TreeCuts  int
 
 	// StrongBranches counts bounded strong-branching probe solves spent by
 	// reliability branching (two per probed candidate). Probe solves are
@@ -370,18 +343,6 @@ type fix struct {
 type fixChain struct {
 	f    fix
 	prev *fixChain
-}
-
-// cutChain is an immutable singly-linked list of node-local cuts, newest
-// first — the CutsTree mirror of fixChain: a child shares its parent's
-// chain, and nodes that separate fresh cuts prepend them, so sibling
-// subtrees never see each other's cuts and replaying a node's cuts costs
-// O(cuts on the root path).
-//
-//lint:frozen nodes share chain tails across the whole search tree
-type cutChain struct {
-	c    cut
-	prev *cutChain
 }
 
 // pcObs is one pseudo-cost observation: branching variable v in direction
@@ -416,9 +377,7 @@ type node struct {
 	path  string
 	basis *lp.Basis
 
-	pc    *pcObs    // inherited pseudo-cost observations, newest first
-	cuts  *cutChain // inherited node-local cuts (CutsTree), newest first
-	nCuts int       // the chain's length, for oldest-first replay
+	pc *pcObs // inherited pseudo-cost observations, newest first
 
 	// brVar/brDir/brDist record the branching step that created this node
 	// (-1/0/0 at the root): after the node's own solve, the observed
@@ -429,21 +388,14 @@ type node struct {
 	brDist float64
 }
 
-// nodeQueue is a heap of open nodes: highest bound first, or deepest
-// first under NodeOrderDepthFirst.
+// nodeQueue is a heap of open nodes, highest bound first.
 type nodeQueue struct {
-	items      []*node
-	depthFirst bool
+	items []*node
 }
 
 func (q *nodeQueue) Len() int { return len(q.items) }
 func (q *nodeQueue) Less(i, j int) bool {
 	a, b := q.items[i], q.items[j]
-	if q.depthFirst {
-		if a.depth != b.depth {
-			return a.depth > b.depth
-		}
-	}
 	if a.bound > b.bound {
 		return true
 	}

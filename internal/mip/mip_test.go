@@ -266,52 +266,11 @@ func TestRoundingHookProvidesIncumbent(t *testing.T) {
 	}
 }
 
-func TestOnNodeCallback(t *testing.T) {
-	count := 0
-	values := []float64{3, 5, 7, 9}
-	weights := []float64{2, 3, 4, 5}
-	_, err := Solve(knapsackProblem(values, weights, 7.5), Options{OnNode: func(int) { count++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count == 0 {
-		t.Error("OnNode never invoked")
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	for _, s := range []Status{Optimal, Feasible, NoIncumbent, Infeasible, Status(42)} {
 		if s.String() == "" {
 			t.Error("empty status string")
 		}
-	}
-}
-
-func TestDepthFirstMatchesBestBound(t *testing.T) {
-	src := rng.New(31, "dfs")
-	n := 12
-	values := make([]float64, n)
-	weights := make([]float64, n)
-	var total float64
-	for i := range values {
-		values[i] = src.Uniform(1, 100)
-		weights[i] = src.Uniform(1, 50)
-		total += weights[i]
-	}
-	prob := knapsackProblem(values, weights, total*0.4)
-	bb, err := Solve(prob, Options{NodeOrder: NodeOrderBestBound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dfs, err := Solve(prob, Options{NodeOrder: NodeOrderDepthFirst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bb.Status != Optimal || dfs.Status != Optimal {
-		t.Fatalf("statuses %v %v", bb.Status, dfs.Status)
-	}
-	if math.Abs(bb.Objective-dfs.Objective) > 1e-6 {
-		t.Errorf("best-bound %g != depth-first %g", bb.Objective, dfs.Objective)
 	}
 }
 
@@ -323,7 +282,6 @@ func TestStrategyString(t *testing.T) {
 		want string
 	}{
 		{NodeOrderBestBound, "best-bound"},
-		{NodeOrderDepthFirst, "depth-first"},
 		{NodeOrder(7), "nodeorder(7)"},
 	} {
 		if got := tc.s.String(); got != tc.want {

@@ -139,7 +139,7 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 	// candidates. Everything a probe learns is appended to the chain, so
 	// the estimates below and every descendant see it.
 	probes := 0
-	if s.branch == BranchReliability && basis != nil {
+	if basis != nil {
 		var pp *lp.Problem
 		probeOpts := s.opts.LP
 		probeOpts.Deadline = s.opts.Deadline

@@ -44,7 +44,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		opts:      opts,
 		branch:    branch,
 		plunge:    order == NodeOrderPlunge,
-		treeCuts:  cuts == CutsTree,
 		incumbent: math.Inf(-1),
 		inflight:  make(map[*node]struct{}),
 	}
@@ -123,13 +122,9 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		sep := newSeparator(s.prob.LP, s.prob.Integers, hint)
 		if sep.active() {
 			s.rootCuts(sep, rootWS)
-			if s.treeCuts {
-				s.sep = sep
-			}
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.queue.depthFirst = order == NodeOrderDepthFirst
 	heap.Push(&s.queue, &node{bound: math.Inf(1), brVar: -1, basis: s.rootFrom, pc: s.rootPC})
 
 	var wg sync.WaitGroup
@@ -161,10 +156,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		WarmSolves:       s.warmSolves,
 		ColdSolves:       s.coldSolves,
 		InheritFallbacks: s.inheritFallbacks,
-		MaxNodeRows:      s.maxNodeRows,
 		Cuts:             s.cutsKept,
 		CutRounds:        s.cutRounds,
-		TreeCuts:         s.treeCutCount,
 		StrongBranches:   s.strongBranches,
 	}
 	hasIncumbent := !math.IsInf(s.incumbent, -1)
@@ -214,13 +207,8 @@ type searcher struct {
 	prob *Problem
 	opts Options
 	// Resolved search configuration (Auto modes mapped to concrete ones).
-	branch   BranchRule
-	plunge   bool
-	treeCuts bool
-	// sep separates cuts at shallow tree nodes under CutsTree; its
-	// detection structures are immutable after construction, so concurrent
-	// workers share it read-only (separation scratch is per-call).
-	sep *separator
+	branch BranchRule
+	plunge bool
 	// ps is non-nil when the search runs in root-presolved reduced space:
 	// prob then holds the reduced LP with remapped integer indices, and
 	// the final result is postsolved back (see Solve).
@@ -252,10 +240,8 @@ type searcher struct {
 	warmSolves       int
 	coldSolves       int
 	inheritFallbacks int
-	maxNodeRows      int
 	cutsKept         int
 	cutRounds        int
-	treeCutCount     int
 	strongBranches   int
 	stopped          bool
 	err              error
@@ -327,9 +313,6 @@ func (s *searcher) admitLocked(nd *node) bool {
 	}
 	s.nodes++
 	s.inflight[nd] = struct{}{}
-	if s.opts.OnNode != nil {
-		s.opts.OnNode(s.nodes)
-	}
 	return true
 }
 
@@ -442,43 +425,6 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		return nil, nil
 	}
 
-	// Shallow-node separation (CutsTree): cut off the fractional optimum
-	// with fresh globally-valid inequalities, carried on the node's
-	// immutable cut chain so only this subtree pays for their rows, and
-	// re-solve warm from the node's own basis (the appended rows enter
-	// with their logicals basic, so the dual simplex repairs them in a few
-	// pivots — the same mechanics as the root loop).
-	if s.treeCuts && s.sep != nil && nd.depth > 0 && nd.depth <= cutTreeDepth && basis != nil {
-		if fresh := s.sep.separate(sol.X, treeCutsPerNode); len(fresh) > 0 {
-			for i := range fresh {
-				nd.cuts = &cutChain{c: fresh[i], prev: nd.cuts}
-				nd.nCuts++
-			}
-			s.mu.Lock()
-			s.treeCutCount += len(fresh)
-			s.mu.Unlock()
-			nsol, nbasis, nerr := s.solveNodeLP(nd, basis, nil, ws)
-			if nerr != nil {
-				return nil, nerr
-			}
-			switch nsol.Status {
-			case lp.Optimal:
-				sol, basis = nsol, nbasis
-			case lp.Infeasible:
-				// Valid cuts proved the subtree holds no integer point.
-				return nil, nil
-			}
-			// Limit statuses: keep the pre-cut solution; the chain stays,
-			// so the children still inherit the (valid) cuts.
-			s.mu.Lock()
-			pruned = sol.Objective <= s.incumbent+s.opts.Gap
-			s.mu.Unlock()
-			if pruned {
-				return nil, nil
-			}
-		}
-	}
-
 	// Record the pseudo-cost observation of the branching step that created
 	// this node: the relaxation degraded by (parent bound - node objective)
 	// over a bound movement of brDist. The chain extension is node-local
@@ -541,7 +487,6 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 			path:  nd.path + "0",
 			basis: basis,
 			pc:    pick.pc,
-			cuts:  nd.cuts, nCuts: nd.nCuts,
 			brVar: pick.v, brDir: 0, brDist: val - math.Floor(val),
 		})
 	}
@@ -553,7 +498,6 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 			path:  nd.path + "1",
 			basis: basis,
 			pc:    pick.pc,
-			cuts:  nd.cuts, nCuts: nd.nCuts,
 			brVar: pick.v, brDir: 1, brDist: math.Ceil(val) - val,
 		})
 	}
@@ -562,25 +506,15 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 
 // nodeProblem derives the node relaxation as a copy-free overlay of the
 // immutable base LP: branching decisions become tightened variable
-// bounds, inherited CutsTree cuts are replayed as rows oldest-first (so the
-// row order matches the ancestor append order a parent basis describes),
-// and a non-nil heuristicFix pins every integer variable. It returns
-// ok=false when a replayed box is empty — infeasibility proven without
-// invoking the solver. The base LP is never mutated during the search,
-// which is what makes concurrent overlays by parallel workers safe.
+// bounds, and a non-nil heuristicFix pins every integer variable. It
+// returns ok=false when a replayed box is empty — infeasibility proven
+// without invoking the solver. The base LP is never mutated during the
+// search, which is what makes concurrent overlays by parallel workers
+// safe.
 //
-//lint:hotpath=bounded one node derivation allocates an overlay plus the O(depth) replay scratch
+//lint:hotpath=bounded one node derivation allocates the overlay and its copy-on-write bounds
 func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, bool) {
 	p := s.prob.LP.Overlay()
-	if nd.cuts != nil {
-		cs := make([]*cutChain, nd.nCuts)
-		for c, i := nd.cuts, nd.nCuts-1; c != nil; c, i = c.prev, i-1 {
-			cs[i] = c
-		}
-		for _, cc := range cs {
-			p.AddConstraint(cc.c.terms, lp.LE, cc.c.rhs)
-		}
-	}
 	for c := nd.fixes; c != nil; c = c.prev {
 		lo, hi := p.Bounds(c.f.Var)
 		if c.f.Sense == lp.LE {
@@ -629,7 +563,6 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64,
 	}
 	lpOpts := s.opts.LP
 	lpOpts.Deadline = s.opts.Deadline
-	rows := p.NumConstraints()
 
 	// With every integer pinned (heuristicFix) the relaxation is close to a
 	// pure feasibility check; the parent basis is a poor starting point for
@@ -639,12 +572,12 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64,
 	// neither publishes a basis.
 	if s.opts.DisableWarmStart || heuristicFix != nil {
 		sol, err := ws.Solve(p, lpOpts)
-		s.countSolve(false, false, rows)
+		s.countSolve(false, false)
 		return sol, nil, err
 	}
 	if from != nil {
 		if sol, basis, err := ws.SolveBasisFrom(p, from, lpOpts); err == nil {
-			s.countSolve(true, sol.FactorRebuilt, rows)
+			s.countSolve(true, sol.FactorRebuilt)
 			return sol, basis, nil
 		}
 		// Warm start failed; fall through to a cold solve.
@@ -653,18 +586,17 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64,
 	if err != nil {
 		return nil, nil, err
 	}
-	s.countSolve(false, false, rows)
+	s.countSolve(false, false)
 	return sol, basis, nil
 }
 
-// countSolve tallies warm vs cold relaxation solves, inherit fallbacks
+// countSolve tallies warm vs cold relaxation solves and inherit fallbacks
 // (warm starts that had to refactorise because the parent snapshot could
-// not be adopted) and the relaxation row-count high-water mark for Result
-// reporting. Node solves and tree-cut re-solves go through here; root
+// not be adopted) for Result reporting. Node solves go through here; root
 // cut-loop solves and strong-branching probes do not (they keep their own
 // counters so WarmSolves+ColdSolves stays comparable across search
 // configurations).
-func (s *searcher) countSolve(warm, inheritFallback bool, rows int) {
+func (s *searcher) countSolve(warm, inheritFallback bool) {
 	s.mu.Lock()
 	if warm {
 		s.warmSolves++
@@ -673,9 +605,6 @@ func (s *searcher) countSolve(warm, inheritFallback bool, rows int) {
 		}
 	} else {
 		s.coldSolves++
-	}
-	if rows > s.maxNodeRows {
-		s.maxNodeRows = rows
 	}
 	s.mu.Unlock()
 }

@@ -1,21 +1,20 @@
 #!/usr/bin/env bash
 # verify.sh — the repository's full verification gate.
 #
-# Runs, in order: gofmt (no unformatted files), build, go vet, the
-# project's own static analyzers (cmd/dsctalint), the hot-path escape gate
-# (dsctalint -escape against the committed LINT_ESCAPE.json baseline), the
-# zero-allocation pins (the TestAllocs* AllocsPerRun tests, which the race
-# suite skips because -race perturbs allocation counts, so they get their
-# own non-race pass here), the race-enabled test suite and a cmd/dsctd
-# trace-replay smoke test (sharded + batched). Idempotent: safe to run
-# repeatedly from any working directory. Exits non-zero on the first
-# failure.
+# Runs, in order: gofmt (no unformatted files anywhere in the module),
+# build, go vet, the project's own static analyzers (cmd/dsctalint), the
+# hot-path escape gate (dsctalint -escape against the committed
+# LINT_ESCAPE.json baseline), the zero-allocation pins (the TestAllocs*
+# AllocsPerRun tests, which the race suite skips because -race perturbs
+# allocation counts, so they get their own non-race pass here), the
+# race-enabled test suite and a cmd/dsctd trace-replay smoke test (sharded
+# + batched). Idempotent: safe to run repeatedly from any working
+# directory. Exits non-zero on the first failure.
 #
 # With -bench, additionally runs the simplex benchmark suite — cold-vs-warm
-# (BenchmarkMIPColdVsWarm, BenchmarkWarmVsColdLP), dense-vs-sparse
-# (BenchmarkSparseVsDenseLP, BenchmarkSparseVsDenseWarmLP,
-# BenchmarkMIPDenseVsSparse) and rows-vs-bounds (BenchmarkBoundsVsRowsLP,
-# whose rows arm is the ExpandBounds reference encoding), plus the
+# (BenchmarkMIPColdVsWarm, BenchmarkWarmVsColdLP) and rows-vs-bounds
+# (BenchmarkBoundsVsRowsLP, whose rows arm is the ExpandBounds reference
+# encoding), plus the
 # xl-family pricing and presolve pairings (BenchmarkPricingXLLP
 # dantzig-vs-partial, BenchmarkPresolveXLLP nopresolve-vs-presolve; the
 # tier-1-sized xl smoke member runs as TestXLAutoSmoke in the ordinary race
@@ -81,7 +80,7 @@ bench_prev() {
 }
 
 echo "==> gofmt -l"
-unformatted="$(gofmt -l cmd internal scripts 2>/dev/null || true)"
+unformatted="$(gofmt -l . 2>/dev/null || true)"
 if [ -n "$unformatted" ]; then
   echo "verify.sh: unformatted files (run gofmt -w):" >&2
   echo "$unformatted" >&2
@@ -124,11 +123,8 @@ if [ "$run_bench" = 1 ]; then
   echo "==> simplex benchmarks -> BENCH_PR${pr_cur}.json"
   {
     go test -run='^$' -bench='^BenchmarkMIPColdVsWarm$' -benchtime=3x -count=4 .
-    go test -run='^$' -bench='^BenchmarkMIPDenseVsSparse$' -benchtime=2x -count=3 .
     go test -run='^$' -bench='^BenchmarkMIPBranchAndCut$' -benchtime=1x -count=2 -timeout 30m .
     go test -run='^$' -bench='^BenchmarkWarmVsColdLP$' -benchtime=50x -count=4 ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkSparseVsDenseLP$' -benchtime=1x -count=3 ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkSparseVsDenseWarmLP$' -benchtime=10x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBoundsVsRowsLP$' -benchtime=2x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkPricingXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
     go test -run='^$' -bench='^BenchmarkPresolveXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
