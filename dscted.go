@@ -168,10 +168,11 @@ func Guarantee(in *Instance) float64 { return approx.Guarantee(in) }
 
 // ExactResult is the outcome of an exact DSCT-EA solve.
 type ExactResult struct {
-	// Schedule is the incumbent integral schedule (nil if none was found
-	// within the limits).
+	// Schedule is the incumbent's integral schedule (nil if none was found
+	// within the limits): the exact optimum of the incumbent's
+	// task-to-machine assignment.
 	Schedule *Schedule
-	// TotalAccuracy is the incumbent's objective.
+	// TotalAccuracy is the schedule's own total accuracy.
 	TotalAccuracy float64
 	// Bound is the proven upper bound on the optimum.
 	Bound float64
@@ -205,7 +206,7 @@ func SolveExact(in *Instance, timeLimit time.Duration, workers int) (*ExactResul
 	}
 	if res.Status == mip.Optimal || res.Status == mip.Feasible {
 		out.Schedule = mm.Schedule(res.X)
-		out.TotalAccuracy = res.Objective
+		out.TotalAccuracy = out.Schedule.TotalAccuracy(in)
 	}
 	return out, nil
 }

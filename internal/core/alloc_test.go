@@ -25,3 +25,30 @@ func TestAllocsLineSearchValue(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsFixedAssignment pins a reused FixedAssignment evaluation — the
+// branch-and-bound heuristic's and the extraction's inner step — to zero
+// allocations, across assignments that move tasks between machines.
+func TestAllocsFixedAssignment(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	in := genInstance(t, 43, 24, 3, 0.35, 0.3, 5)
+	assigns := make([][]int, 3)
+	for k := range assigns {
+		assigns[k] = make([]int, in.N())
+		for j := range assigns[k] {
+			assigns[k][j] = (j + k) % 3
+		}
+	}
+	times := make([]float64, in.N())
+	var fx FixedAssignment
+	fx.Solve(in.Tasks, in.Machines, in.Budget, assigns[0], times)
+	k := 0
+	if got := testing.AllocsPerRun(50, func() {
+		k++
+		fx.Solve(in.Tasks, in.Machines, in.Budget, assigns[k%3], times)
+	}); got != 0 {
+		t.Errorf("fixed-assignment evaluation allocates %.0f per run, want 0", got)
+	}
+}

@@ -167,7 +167,7 @@ func (a *Allocator) allocate(caps []float64) {
 	}
 	for _, seg := range a.segs {
 		room := 0.0
-		for k := a.latest(seg.task); k >= 0; k = a.latest(k - 1) {
+		for k := latest(parent, seg.task); k >= 0; k = latest(parent, k-1) {
 			room += rem[k]
 			if room >= seg.width && room > numeric.Eps {
 				break
@@ -178,7 +178,7 @@ func (a *Allocator) allocate(caps []float64) {
 		}
 		grant := min(seg.width, room)
 		a.work[seg.task] += grant
-		for k := a.latest(seg.task); k >= 0; k = a.latest(k) {
+		for k := latest(parent, seg.task); k >= 0; k = latest(parent, k) {
 			if rem[k] > grant {
 				rem[k] -= grant
 				break
@@ -191,11 +191,12 @@ func (a *Allocator) allocate(caps []float64) {
 }
 
 // latest returns the latest interval k <= j with free capacity, or -1,
-// halving the path it walks.
+// halving the path it walks. parent is a union-find over intervals
+// shifted by one, index 0 standing for "none": the layout of
+// Allocator.allocate's kernel and of each FixedAssignment machine chain.
 //
-//lint:hotpath called per interval visited by allocate
-func (a *Allocator) latest(j int) int {
-	p := a.parent
+//lint:hotpath called per interval visited by allocate and FixedAssignment.grant
+func latest(p []int, j int) int {
 	x := j + 1
 	for p[x] != x {
 		p[x] = p[p[x]]

@@ -29,12 +29,15 @@ package incremental
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/accuracy"
+	"repro/internal/core"
 	"repro/internal/lp"
+	"repro/internal/machine"
 	"repro/internal/mip"
+	"repro/internal/task"
 )
 
 // EventKind names a scheduler event. The string values are the wire form
@@ -99,7 +102,9 @@ type Options struct {
 }
 
 // Solution is the engine's view of one re-solve: times and assignments
-// keyed by the caller's task and machine ids.
+// keyed by the caller's task and machine ids. The times are the exact
+// optimum of the incumbent's assignment (core.FixedAssignment), so every
+// value below is the schedule's own.
 type Solution struct {
 	Status mip.Status
 	// TotalAccuracy is Σ_j a_j over live tasks; Objective is the paper's
@@ -107,8 +112,10 @@ type Solution struct {
 	TotalAccuracy float64
 	Objective     float64
 	// Times[task][machine] is the processing time in seconds (live pairs
-	// only); Assigned[task] is the machine carrying the task's unit
-	// assignment. Energy is the schedule's total energy draw in joules.
+	// only, exact zeros off the assigned machine); Assigned[task] is the
+	// machine carrying the task's unit assignment. Energy is the
+	// schedule's total energy draw in joules, within the budget by
+	// construction.
 	Times    map[string]map[string]float64
 	Assigned map[string]string
 	Energy   float64
@@ -207,6 +214,22 @@ type Engine struct {
 	pending   []Event
 	projTasks map[string]bool // live ∪ pending view for Post-time validation
 	projMachs map[string]bool
+
+	// live holds the live tasks in staircase order (see before), kept
+	// sorted as tasks arrive and depart.
+	live []*liveTask
+
+	// The flush's fixed-assignment view, rebuilt by loadView before each
+	// re-solve and read-only during it: the live tasks in live order and
+	// the live machines in join order. The rounding hook reads it from
+	// every mip worker; extraction runs fx on this goroutine after
+	// mip.Solve returns, so fx, assign and times are reused across flushes.
+	vTasks []task.Task
+	vMachs []*liveMachine
+	fleet  machine.Fleet
+	fx     core.FixedAssignment
+	assign []int
+	times  []float64
 
 	warm  *mip.WarmState
 	ws    *lp.Workspace
@@ -359,16 +382,15 @@ func before(a, b *liveTask) bool {
 	return a.seq < b.seq
 }
 
-// liveSorted returns the live tasks in staircase order.
-func (e *Engine) liveSorted() []*liveTask {
-	ts := make([]*liveTask, 0, len(e.taskByID))
-	for _, tk := range e.tasks {
-		if tk.alive {
-			ts = append(ts, tk)
-		}
+// insertLive adds a newly arrived task to the staircase-ordered live
+// list. Arrivals carry the largest seq, so the task goes after every live
+// task it does not precede.
+func (e *Engine) insertLive(tk *liveTask) {
+	i := len(e.live)
+	for i > 0 && before(tk, e.live[i-1]) {
+		i--
 	}
-	sort.Slice(ts, func(i, j int) bool { return before(ts[i], ts[j]) })
-	return ts
+	e.live = slices.Insert(e.live, i, tk)
 }
 
 // applyEvent turns one (validated) event into problem deltas.
@@ -382,6 +404,8 @@ func (e *Engine) applyEvent(ev *Event) {
 		tk := e.taskByID[ev.Task]
 		tk.alive = false
 		delete(e.taskByID, ev.Task)
+		i := slices.Index(e.live, tk)
+		e.live = slices.Delete(e.live, i, i+1)
 		e.p.Deactivate(tk.z)
 		for _, v := range tk.t {
 			if v >= 0 {
@@ -437,6 +461,7 @@ func (e *Engine) applyArrive(ev *Event) {
 	}
 	e.tasks = append(e.tasks, tk)
 	e.taskByID[tk.id] = tk
+	e.insertLive(tk)
 
 	tk.z = e.p.AddVariables(1)
 	e.p.SetObjCoef(tk.z, 1)
@@ -492,7 +517,7 @@ func (e *Engine) applyArrive(ev *Event) {
 	// term appended to the rows of live tasks due after it. Departed tasks'
 	// rows are left alone — without the new term they are implied by the
 	// latest live predecessor's row, hence still valid.
-	live := e.liveSorted()
+	live := e.live
 	for _, mc := range e.machines {
 		if !mc.alive {
 			continue
@@ -538,7 +563,7 @@ func (e *Engine) applyJoin(ev *Event) {
 	e.machines = append(e.machines, mc)
 	e.machByID[mc.id] = mc
 
-	live := e.liveSorted()
+	live := e.live
 	var energy []lp.Term
 	for _, tk := range live {
 		for len(tk.t) <= mc.seq {
@@ -598,42 +623,61 @@ func (e *Engine) mipProblem() *mip.Problem {
 	return &mip.Problem{LP: e.p, Integers: ints, Structure: st}
 }
 
-// roundingHook builds the largest-x̂ assignment heuristic over the live
-// pairs, aligned with mipProblem's integer order.
-func (e *Engine) roundingHook() mip.RoundingHook {
-	type span struct{ cols []int }
-	var spans []span
-	total := 0
-	for _, tk := range e.tasks {
-		if !tk.alive {
-			continue
-		}
-		var cols []int
-		for _, mc := range e.machines {
-			if mc.alive && mc.seq < len(tk.x) && tk.x[mc.seq] >= 0 {
-				cols = append(cols, tk.x[mc.seq])
-			}
-		}
-		spans = append(spans, span{cols})
-		total += len(cols)
+// loadView rebuilds the flush's fixed-assignment view of the live
+// instance (see Engine.vTasks).
+func (e *Engine) loadView() {
+	e.vTasks = e.vTasks[:0]
+	for _, tk := range e.live {
+		e.vTasks = append(e.vTasks, task.Task{Name: tk.id, Deadline: tk.deadline, Acc: tk.acc})
 	}
-	return func(x []float64) ([]float64, bool) {
-		fixed := make([]float64, total)
-		base := 0
-		for _, sp := range spans {
-			if len(sp.cols) == 0 {
-				return nil, false
-			}
-			best, bestVal := 0, math.Inf(-1)
-			for i, c := range sp.cols {
-				if v := x[c]; v > bestVal {
-					bestVal, best = v, i
-				}
-			}
-			fixed[base+best] = 1
-			base += len(sp.cols)
+	e.vMachs, e.fleet = e.vMachs[:0], e.fleet[:0]
+	for _, mc := range e.machines {
+		if mc.alive {
+			e.vMachs = append(e.vMachs, mc)
+			e.fleet = append(e.fleet, machine.Machine{Name: mc.id, Speed: mc.speed, Power: mc.power})
 		}
-		return fixed, true
+	}
+}
+
+// exact rounds x to one live machine per live task — assign[j] indexes
+// vMachs with the largest x_jr of live task j, ties to the earlier
+// machine — and writes that assignment's exact times into t with fx,
+// returning their total accuracy.
+func (e *Engine) exact(x []float64, fx *core.FixedAssignment, assign []int, t []float64) float64 {
+	for j, tk := range e.live {
+		best, bestVal := 0, math.Inf(-1)
+		for r, mc := range e.vMachs {
+			if v := x[tk.x[mc.seq]]; v > bestVal {
+				bestVal, best = v, r
+			}
+		}
+		assign[j] = best
+	}
+	return fx.Solve(e.vTasks, e.fleet, e.budget, assign, t)
+}
+
+// roundingHook returns the primal heuristic over the flush's view: each
+// live task goes to its largest-x̂ live machine, and the candidate is that
+// assignment's exact optimum — one-hot x, core.FixedAssignment times t on
+// the chosen machines, z_j = a_j(s_r·t_j) — with zeros on dead columns and
+// on the dummy column 0. Every call allocates its own scratch, since the
+// hook runs on every mip worker. mip calls it only at a fractional node,
+// so some live task has columns and at least one machine is live.
+func (e *Engine) roundingHook() mip.RoundingHook {
+	nv := e.p.NumVars()
+	return func(x []float64) ([]float64, bool) {
+		n := len(e.live)
+		assign, t := make([]int, n), make([]float64, n)
+		e.exact(x, new(core.FixedAssignment), assign, t)
+		cand := make([]float64, nv)
+		for j, tk := range e.live {
+			r := assign[j]
+			seq := e.vMachs[r].seq
+			cand[tk.x[seq]] = 1
+			cand[tk.t[seq]] = t[j]
+			cand[tk.z] = tk.acc.Eval(e.fleet[r].Speed * t[j])
+		}
+		return cand, true
 	}
 }
 
@@ -641,6 +685,7 @@ func (e *Engine) roundingHook() mip.RoundingHook {
 // re-solve of the live problem and refreshes stats and the last solution.
 func (e *Engine) solve() (*Solution, error) {
 	prob := e.mipProblem()
+	e.loadView()
 	opts := mip.Options{
 		Workers:  e.opts.Workers,
 		MaxNodes: e.opts.MaxNodes,
@@ -692,32 +737,25 @@ func (e *Engine) solve() (*Solution, error) {
 		Nodes:    res.Nodes,
 	}
 	if res.Status == mip.Optimal || res.Status == mip.Feasible {
-		sol.TotalAccuracy = res.Objective
-		sol.Objective = float64(len(e.taskByID)) - res.Objective
-		for _, tk := range e.tasks {
-			if !tk.alive {
-				continue
-			}
-			times := make(map[string]float64)
-			bestID, bestX := "", 0.0
-			for _, mc := range e.machines {
-				if !mc.alive || mc.seq >= len(tk.t) || tk.t[mc.seq] < 0 {
-					continue
-				}
-				v := res.X[tk.t[mc.seq]]
-				if v < 0 {
-					v = 0
+		// Rebuild the times exactly from the incumbent's assignment: the
+		// reported accuracy and energy are the schedule's own.
+		n := len(e.live)
+		e.assign = slices.Grow(e.assign[:0], n)[:n]
+		e.times = slices.Grow(e.times[:0], n)[:n]
+		sol.TotalAccuracy = e.exact(res.X, &e.fx, e.assign, e.times)
+		sol.Objective = float64(n) - sol.TotalAccuracy
+		for j, tk := range e.live {
+			times := make(map[string]float64, len(e.vMachs))
+			for r, mc := range e.vMachs {
+				v := 0.0
+				if r == e.assign[j] {
+					v = e.times[j]
 				}
 				times[mc.id] = v
 				sol.Energy += mc.power * v
-				if xv := res.X[tk.x[mc.seq]]; xv > bestX {
-					bestX, bestID = xv, mc.id
-				}
 			}
 			sol.Times[tk.id] = times
-			if bestX > 0.5 {
-				sol.Assigned[tk.id] = bestID
-			}
+			sol.Assigned[tk.id] = e.vMachs[e.assign[j]].id
 		}
 	}
 	e.last = sol

@@ -1025,6 +1025,22 @@ func (r *Presolved) Col(orig int) int { return r.ps.colMap[orig] }
 // reduced-space one.
 func (r *Presolved) PostsolveX(xr []float64) []float64 { return r.ps.postsolveX(xr) }
 
+// ReduceX maps an original-space vector into the reduced space: the
+// inverse of PostsolveX on the surviving columns (eliminated columns are
+// dropped). x must have one entry per original column.
+func (r *Presolved) ReduceX(x []float64) []float64 {
+	ps := r.ps
+	xr := make([]float64, len(ps.cols))
+	for rj, oj := range ps.cols {
+		v := x[oj]
+		if ps.colScale != nil {
+			v /= ps.colScale[oj]
+		}
+		xr[rj] = v
+	}
+	return xr
+}
+
 // ObjOffset is the objective contribution of the eliminated columns:
 // original objective = reduced objective + ObjOffset.
 func (r *Presolved) ObjOffset() float64 { return r.ps.objOff }

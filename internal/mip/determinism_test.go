@@ -111,8 +111,8 @@ func TestDeterministicWithRoundingHook(t *testing.T) {
 // run under the race detector like the rest of this file — exercises the
 // aliasing-heavy workspace paths at Workers = 1, 4 and 8: the default
 // basis-publishing chain, the cold basis-free path under DisableWarmStart
-// (whose Solutions alias workspace buffers) and the heuristic re-solve on
-// top of it, which overwrites those buffers mid-node. Solutions must be
+// (whose Solutions alias workspace buffers) and the rounding hook on top
+// of it, called concurrently with such an aliased x. Solutions must be
 // bit-identical to serial at every worker count. Node counts ARE pinned at
 // Workers = 1 — a serial search is fully schedule-determined, so two runs
 // must visit exactly the same tree — while at higher worker counts only

@@ -279,14 +279,20 @@ type Options struct {
 }
 
 // RoundingHook is an optional primal heuristic: given the fractional LP
-// solution at a node, it may return a fully integral candidate assignment
-// for the integer variables (aligned with Problem.Integers). The solver
-// fixes those values, re-solves the LP over the continuous variables and,
-// if feasible, uses the result as an incumbent. Return ok=false to skip.
+// solution x at a node, it may return a complete candidate over all
+// Problem.LP.NumVars() columns, in the caller's (original) space. Return
+// ok=false to skip. The solver never trusts the candidate: it offers it as
+// an incumbent only if it has the right length, is integral on
+// Problem.Integers and meets the node's boxes (branching fixes included)
+// and every row of the node relaxation (base rows and the kept cut pool)
+// within a tolerance of 1e-9 relative; the solver computes its objective
+// itself. The solver keeps its own copy of an accepted candidate.
 //
-// x may alias the calling worker's solver workspace: it is valid for the
-// duration of the call only and must be copied if retained.
-type RoundingHook func(x []float64) (fixed []float64, ok bool)
+// With Workers > 1 the hook is called from every worker, so concurrent
+// calls must not share scratch. x may alias the calling worker's solver
+// workspace: it is valid for the duration of the call only and must be
+// copied if retained.
+type RoundingHook func(x []float64) (candidate []float64, ok bool)
 
 // Result is the outcome of a solve.
 type Result struct {
@@ -297,6 +303,9 @@ type Result struct {
 	Nodes     int     // LP relaxations solved
 	Elapsed   time.Duration
 
+	// Every node relaxation solve counts in one of WarmSolves and
+	// ColdSolves. Rounding-hook candidates are checked against the rows,
+	// not solved, and count in neither.
 	WarmSolves int // relaxations warm-started from a parent basis
 	ColdSolves int // relaxations solved from scratch
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/lp"
+	"repro/internal/numeric"
 	"repro/internal/rng"
 )
 
@@ -263,6 +264,66 @@ func TestRoundingHookProvidesIncumbent(t *testing.T) {
 	}
 	if res.Status != Optimal || math.Abs(res.Objective-220) > 1e-6 {
 		t.Errorf("got %v obj %g", res.Status, res.Objective)
+	}
+}
+
+// TestRoundingCandidateChecks: a rounding-hook candidate that misses the
+// node relaxation in one way — one row broken by 1e-6 relative, integrality,
+// the length, or one branching fix — is never offered. The capacity is
+// 60/(1+1e-6), so taking all three items breaks it by 1e-6 relative. The
+// row and integrality candidates score above the optimum (220), and a
+// short vector would index past its end, so a search that skipped one
+// check would show it; such a search must retrace the hook-free search
+// exactly. The branching-fix candidate is the optimum itself, feasible at
+// the root, so it is checked against a node below the fix x_2 <= 0.
+func TestRoundingCandidateChecks(t *testing.T) {
+	values := []float64{60, 100, 120}
+	weights := []float64{10, 20, 30}
+	capacity := 60 / (1 + 1e-6)
+	prob := knapsackProblem(values, weights, capacity)
+	opts := Options{Cuts: CutsOff} // the cover cut would make the root integral
+	ref, err := Solve(prob, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Status != Optimal || !numeric.AlmostEqual(ref.Objective, 220) {
+		t.Fatalf("reference search: %v obj %g, want optimal 220", ref.Status, ref.Objective)
+	}
+	for _, c := range []struct {
+		name string
+		x    []float64
+	}{
+		{"row", []float64{1, 1, 1}},
+		{"integrality", []float64{1, 1, (capacity - 30) / 30}},
+		{"length", []float64{0, 1}},
+	} {
+		called := false
+		o := opts
+		o.Rounding = func([]float64) ([]float64, bool) {
+			called = true
+			return append([]float64(nil), c.x...), true
+		}
+		res, err := Solve(prob, o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !called {
+			t.Fatalf("%s: rounding hook never called", c.name)
+		}
+		if res.Nodes != ref.Nodes || !sameSolution(ref, res) {
+			t.Errorf("%s: candidate offered: obj %g after %d nodes, hook-free search %g after %d",
+				c.name, res.Objective, res.Nodes, ref.Objective, ref.Nodes)
+		}
+	}
+
+	s := &searcher{prob: prob}
+	opt := []float64{0, 1, 1}
+	if obj, ok := s.candidate(&node{}, opt); !ok || !numeric.AlmostEqual(obj, 220) {
+		t.Fatalf("optimum rejected at the root: ok=%v obj %g", ok, obj)
+	}
+	below := &node{depth: 1, fixes: &fixChain{f: fix{Var: 2, Sense: lp.LE, Val: 0}}}
+	if _, ok := s.candidate(below, opt); ok {
+		t.Error("branching-fix: candidate with x_2 = 1 accepted below the fix x_2 <= 0")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/numeric"
 	"repro/internal/rng"
 )
 
@@ -101,6 +102,83 @@ func TestPresolvePinnedBinary(t *testing.T) {
 	// both: best is 60 + 120 = 180.
 	if math.Abs(presolved.Objective-180) > 1e-6 {
 		t.Errorf("objective %g, want 180", presolved.Objective)
+	}
+}
+
+// TestPresolveRoundingHook: under root presolve the hook's original-space
+// candidate is mapped into the reduced space (lp.Presolved.ReduceX) and
+// checked there. The problem mixes a knapsack with a continuous column y
+// that draws 40 capacity per unit and a column f fixed at 1, which
+// presolve eliminates. A hook returning the optimum lets a one-node search
+// end on it, with the same result as the direct search.
+func TestPresolveRoundingHook(t *testing.T) {
+	values := []float64{9, 13, 7, 11, 5}
+	weights := []float64{4, 6, 3, 5, 2}
+	const capacity = 13.5
+	n := len(values)
+	y, f := n, n+1
+	p := lp.NewProblem(n + 2)
+	capTerms := []lp.Term{{Var: y, Coef: 40}, {Var: f, Coef: 1}}
+	for i := range values {
+		p.SetObjCoef(i, values[i])
+		p.AddConstraint([]lp.Term{{Var: i, Coef: 1}}, lp.LE, 1)
+		capTerms = append(capTerms, lp.Term{Var: i, Coef: weights[i]})
+	}
+	p.SetObjCoef(y, 3)
+	p.SetBounds(y, 0, 0.25)
+	p.SetObjCoef(f, 2)
+	p.SetBounds(f, 1, 1)
+	p.AddConstraint(capTerms, lp.LE, capacity)
+	ints := make([]int, n)
+	for i := range ints {
+		ints[i] = i
+	}
+	prob := &Problem{LP: p, Integers: ints}
+
+	// Brute force: the best item set, then as much y as the room allows.
+	best, bestX := math.Inf(-1), []float64(nil)
+	for mask := 0; mask < 1<<n; mask++ {
+		x := make([]float64, n+2)
+		x[f] = 1
+		v, w := 2.0, 1.0
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				x[i] = 1
+				v += values[i]
+				w += weights[i]
+			}
+		}
+		if w > capacity {
+			continue
+		}
+		x[y] = math.Min(0.25, (capacity-w)/40)
+		if v += 3 * x[y]; v > best {
+			best, bestX = v, x
+		}
+	}
+
+	var got [2]*Result
+	for k, mode := range []lp.PresolveMode{lp.PresolveOff, lp.PresolveOn} {
+		called := false
+		res, err := Solve(prob, Options{MaxNodes: 1, LP: lp.Options{Presolve: mode}, Rounding: func([]float64) ([]float64, bool) {
+			called = true
+			return append([]float64(nil), bestX...), true
+		}})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !called {
+			t.Fatalf("%v: rounding hook never called at the root", mode)
+		}
+		if res.X == nil || !numeric.Close(res.Objective, best, 1e-12) {
+			t.Fatalf("%v: root candidate not adopted: status %v obj %g, want %g", mode, res.Status, res.Objective, best)
+		}
+		got[k] = res
+	}
+	for v := range got[0].X {
+		if !numeric.AlmostEqual(got[0].X[v], got[1].X[v]) {
+			t.Errorf("x[%d]: presolve off %g, on %g", v, got[0].X[v], got[1].X[v])
+		}
 	}
 }
 

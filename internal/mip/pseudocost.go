@@ -169,7 +169,7 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 			probed++
 			if pp == nil {
 				ok := false
-				if pp, ok = s.nodeProblem(nd, nil); !ok {
+				if pp, ok = s.nodeProblem(nd); !ok {
 					break // cannot happen: the node just solved feasible
 				}
 			}

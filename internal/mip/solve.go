@@ -69,11 +69,15 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			s.ps = ps
 			s.opts.LP.Presolve = lp.PresolveOff
 			if orig := opts.Rounding; orig != nil {
-				// The caller's heuristic sees original-space solutions; the
-				// fixed values it returns are unscaled keep columns, so they
-				// are valid in both spaces.
+				// The caller's heuristic sees and returns original-space
+				// vectors; the candidate is checked in the reduced space.
+				n := p.LP.NumVars()
 				s.opts.Rounding = func(xr []float64) ([]float64, bool) {
-					return orig(ps.PostsolveX(xr))
+					x, ok := orig(ps.PostsolveX(xr))
+					if !ok || len(x) != n {
+						return nil, false
+					}
+					return ps.ReduceX(x), true
 				}
 			}
 		} else {
@@ -390,7 +394,7 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 // process solves one node relaxation (on the worker's workspace) and
 // returns child nodes.
 func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (children []*node, fatal error) {
-	sol, basis, err := s.solveNodeLP(nd, nd.basis, nil, ws)
+	sol, basis, err := s.solveNodeLP(nd, nd.basis, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -449,25 +453,19 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		return nil, nil
 	}
 
-	// Capture the branching value and bound before any further solve on the
-	// worker's workspace: the cold basis-free solves (the heuristic below,
-	// or everything under DisableWarmStart) return Solutions that alias
-	// workspace buffers, so the heuristic re-solve would overwrite sol.
 	val := pick.val
 	bound := sol.Objective
 
-	// Primal heuristic: at the root and periodically thereafter, round the
-	// fractional solution, fix all integers and re-solve for a quick
-	// incumbent. The trigger depends only on the node's depth — never on a
-	// dequeue counter — so the set of heuristic solves (and hence every
-	// incumbent candidate) is identical at any worker count.
+	// Primal heuristic: at the root and periodically thereafter, the hook
+	// turns the fractional solution into a complete candidate, which is
+	// offered only if it lies in this node's relaxation and is integral.
+	// The trigger depends only on the node's depth — never on a dequeue
+	// counter — so the set of candidates is identical at any worker count.
 	d := nd.depth
 	if s.opts.Rounding != nil && (d == 0 || d%4 == 0) {
-		if fixed, ok := s.opts.Rounding(sol.X); ok && len(fixed) == len(s.prob.Integers) {
-			if hsol, _, err := s.solveNodeLP(nd, basis, fixed, ws); err == nil && hsol.Status == lp.Optimal {
-				if s.mostFractional(hsol.X) == -1 {
-					s.offerIncumbent(hsol.Objective, hsol.X, nd.path+"h", pick.pc)
-				}
+		if x, ok := s.opts.Rounding(sol.X); ok {
+			if obj, ok := s.candidate(nd, x); ok {
+				s.offerIncumbent(obj, x, nd.path+"h", pick.pc)
 			}
 		}
 	}
@@ -506,14 +504,13 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 
 // nodeProblem derives the node relaxation as a copy-free overlay of the
 // immutable base LP: branching decisions become tightened variable
-// bounds, and a non-nil heuristicFix pins every integer variable. It
-// returns ok=false when a replayed box is empty — infeasibility proven
-// without invoking the solver. The base LP is never mutated during the
-// search, which is what makes concurrent overlays by parallel workers
+// bounds. It returns ok=false when a replayed box is empty — infeasibility
+// proven without invoking the solver. The base LP is never mutated during
+// the search, which is what makes concurrent overlays by parallel workers
 // safe.
 //
 //lint:hotpath=bounded one node derivation allocates the overlay and its copy-on-write bounds
-func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, bool) {
+func (s *searcher) nodeProblem(nd *node) (*lp.Problem, bool) {
 	p := s.prob.LP.Overlay()
 	for c := nd.fixes; c != nil; c = c.prev {
 		lo, hi := p.Bounds(c.f.Var)
@@ -526,16 +523,6 @@ func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, b
 			return nil, false
 		}
 		p.SetBounds(c.f.Var, lo, hi)
-	}
-	if heuristicFix != nil {
-		for i, v := range s.prob.Integers {
-			val := heuristicFix[i]
-			lo, hi := p.Bounds(v)
-			if val < lo-intTol || val > hi+intTol {
-				return nil, false
-			}
-			p.SetBounds(v, val, val)
-		}
 	}
 	return p, true
 }
@@ -550,27 +537,22 @@ func (s *searcher) nodeProblem(nd *node, heuristicFix []float64) (*lp.Problem, b
 //
 // Every solve runs on ws, the calling worker's private workspace. The
 // basis-publishing paths return independent Solutions, safe to hold across
-// later solves; the basis-free cold solves (DisableWarmStart,
-// heuristicFix) return Solutions aliasing ws buffers, valid only until the
-// next solve on this worker — process captures what it needs before
-// re-solving.
+// later solves; the basis-free cold solve of DisableWarmStart returns a
+// Solution aliasing ws buffers, valid only until the next solve on this
+// worker.
 //
 //lint:hotpath=bounded one node relaxation allocates an overlay plus the published basis; solver scratch comes from the worker's workspace
-func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, heuristicFix []float64, ws *lp.Workspace) (*lp.Solution, *lp.Basis, error) {
-	p, ok := s.nodeProblem(nd, heuristicFix)
+func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (*lp.Solution, *lp.Basis, error) {
+	p, ok := s.nodeProblem(nd)
 	if !ok {
 		return &lp.Solution{Status: lp.Infeasible}, nil, nil
 	}
 	lpOpts := s.opts.LP
 	lpOpts.Deadline = s.opts.Deadline
 
-	// With every integer pinned (heuristicFix) the relaxation is close to a
-	// pure feasibility check; the parent basis is a poor starting point for
-	// that many simultaneous changes (the dual repair walks farther than a
-	// fresh solve), so it is solved cold. Children never inherit from
-	// heuristic solves, and under DisableWarmStart from no solve at all, so
-	// neither publishes a basis.
-	if s.opts.DisableWarmStart || heuristicFix != nil {
+	// Under DisableWarmStart children inherit from no solve, so the cold
+	// solve publishes no basis.
+	if s.opts.DisableWarmStart {
 		sol, err := ws.Solve(p, lpOpts)
 		s.countSolve(false, false)
 		return sol, nil, err
@@ -607,6 +589,73 @@ func (s *searcher) countSolve(warm, inheritFallback bool) {
 		s.coldSolves++
 	}
 	s.mu.Unlock()
+}
+
+// candTol is the relative tolerance within which a rounding-hook
+// candidate must meet the node relaxation's rows and boxes, scaled by
+// max(1, |rhs|, max_j |a_j·x_j|) for a row and by max(1, |bound|) for a
+// box. A candidate built exactly, like the fixed-assignment schedules of
+// internal/core, misses a row only by rounding, far below this.
+const candTol = 1e-9
+
+// candidate checks a rounding-hook vector against node nd's relaxation —
+// its length, the integrality of Problem.Integers, the boxes (the base
+// LP's and the node's branching fixes) and every row (base rows and the
+// kept cut pool) — and returns its objective c·x. A NaN or infinite
+// entry fails the check.
+func (s *searcher) candidate(nd *node, x []float64) (float64, bool) {
+	p := s.prob.LP
+	if len(x) != p.NumVars() || !integralOn(s.prob.Integers, x) {
+		return 0, false
+	}
+	for v, xv := range x {
+		lo, hi := p.Bounds(v)
+		if math.IsInf(xv, 0) || !(xv >= lo-boxTol(lo) && xv <= hi+boxTol(hi)) {
+			return 0, false
+		}
+	}
+	for c := nd.fixes; c != nil; c = c.prev {
+		xv, val := x[c.f.Var], c.f.Val
+		if c.f.Sense == lp.LE && xv > val+boxTol(val) || c.f.Sense == lp.GE && xv < val-boxTol(val) {
+			return 0, false
+		}
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		terms, sense, rhs := p.Constraint(i)
+		act, scale := 0.0, math.Max(1, math.Abs(rhs))
+		for _, t := range terms {
+			a := t.Coef * x[t.Var]
+			act += a
+			scale = math.Max(scale, math.Abs(a))
+		}
+		tol := candTol * scale
+		var ok bool
+		switch sense {
+		case lp.LE:
+			ok = act <= rhs+tol
+		case lp.GE:
+			ok = act >= rhs-tol
+		default:
+			ok = math.Abs(act-rhs) <= tol
+		}
+		if !ok {
+			return 0, false
+		}
+	}
+	var obj float64
+	for v, xv := range x {
+		obj += p.ObjCoef(v) * xv
+	}
+	return obj, true
+}
+
+// boxTol is candTol scaled for a bound b (0 at an infinite bound, where
+// nothing needs slack).
+func boxTol(b float64) float64 {
+	if math.IsInf(b, 0) {
+		return 0
+	}
+	return candTol * math.Max(1, math.Abs(b))
 }
 
 // integralOn reports whether every listed variable of x is integral

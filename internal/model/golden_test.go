@@ -2,10 +2,11 @@ package model
 
 // Golden pins for exact solves of the DSCT-EA MIP: the Workers=1 node
 // count, status and objective of a default-options mip.Solve with the
-// rounding hook on small Fig 4 instances. The hook's re-solves (every
-// integer pinned) and the warm node solves share the LP layer, so a change
-// there that alters the search shows up as a moved node count. Objectives
-// are pinned within numeric.AlmostEqual.
+// rounding hook on small Fig 4 instances. The hook's candidates (the
+// core.FixedAssignment optimum of the rounded assignment) set the early
+// incumbents and the warm node solves run on the LP layer, so a change
+// to either that alters the search shows up as a moved node count.
+// Objectives are pinned within numeric.AlmostEqual.
 //
 // Regenerate after an intentional change with
 //

@@ -15,6 +15,7 @@ package model
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/mip"
 	"repro/internal/schedule"
@@ -137,40 +138,56 @@ func BuildMIP(in *task.Instance) *MIPModel {
 	return mm
 }
 
-// Schedule converts a solver vector into a Schedule (reading the t_jr
-// block). Tiny negative residues are clamped to zero.
+// Schedule builds the schedule of x's assignment: each task goes to its
+// largest-x machine, and core.FixedAssignment rebuilds the times exactly
+// for that assignment, with exact zeros off the assigned machine and the
+// energy within the budget by construction. Its accuracy is the
+// assignment's optimum, so for an integral x it is at least the objective,
+// up to the LP tolerances x met its rows with.
 func (mm *MIPModel) Schedule(x []float64) *schedule.Schedule {
+	assign, t := mm.exact(x)
 	s := schedule.New(mm.n, mm.m)
-	for j := 0; j < mm.n; j++ {
-		for r := 0; r < mm.m; r++ {
-			v := x[mm.TVar(j, r)]
-			if v < 0 {
-				v = 0
-			}
-			s.Times[j][r] = v
-		}
+	for j, r := range assign {
+		s.Times[j][r] = t[j]
 	}
 	return s
 }
 
-// RoundingHook returns a primal heuristic for the branch-and-bound solver:
-// it assigns each task to its largest-x̂ machine and lets the node LP
-// re-optimise the processing times under those fixed assignments.
+// RoundingHook returns the primal heuristic for the branch-and-bound
+// solver: it assigns each task to its largest-x̂ machine and returns the
+// complete vector of that assignment's exact optimum — one-hot x, the
+// core.FixedAssignment times t on the chosen machines and
+// z_j = a_j(s_r·t_j). Concurrent calls share no scratch.
 func (mm *MIPModel) RoundingHook() mip.RoundingHook {
 	return func(x []float64) ([]float64, bool) {
-		fixed := make([]float64, mm.n*mm.m)
-		for j := 0; j < mm.n; j++ {
-			best, bestVal := 0, math.Inf(-1)
-			for r := 0; r < mm.m; r++ {
-				if v := x[mm.XVar(j, r)]; v > bestVal {
-					bestVal = v
-					best = r
-				}
-			}
-			fixed[j*mm.m+best] = 1
+		assign, t := mm.exact(x)
+		cand := make([]float64, mm.Prob.LP.NumVars())
+		for j, r := range assign {
+			cand[mm.XVar(j, r)] = 1
+			cand[mm.TVar(j, r)] = t[j]
+			cand[mm.ZVar(j)] = mm.Inst.Tasks[j].Acc.Eval(mm.Inst.Machines[r].Speed * t[j])
 		}
-		return fixed, true
+		return cand, true
 	}
+}
+
+// exact rounds x to one machine per task — the largest x_jr, ties to the
+// lower machine index — and returns that assignment with its exact times.
+func (mm *MIPModel) exact(x []float64) (assign []int, t []float64) {
+	assign, t = make([]int, mm.n), make([]float64, mm.n)
+	for j := range assign {
+		best, bestVal := 0, math.Inf(-1)
+		for r := 0; r < mm.m; r++ {
+			if v := x[mm.XVar(j, r)]; v > bestVal {
+				bestVal = v
+				best = r
+			}
+		}
+		assign[j] = best
+	}
+	var fx core.FixedAssignment
+	fx.Solve(mm.Inst.Tasks, mm.Inst.Machines, mm.Inst.Budget, assign, t)
+	return assign, t
 }
 
 // Objective converts a total-accuracy value (Σ z_j) to the paper's

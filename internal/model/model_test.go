@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/mip"
 	"repro/internal/numeric"
@@ -147,6 +148,10 @@ func TestMIPBoundedByFR(t *testing.T) {
 	}
 }
 
+// TestRoundingHookShape: the hook rounds each task to its largest-x̂
+// machine and returns that assignment's complete exact vector — one-hot x,
+// t only on the chosen machine, z_j = a_j(s_r·t_j) — and mip accepts the
+// vector as its incumbent.
 func TestRoundingHookShape(t *testing.T) {
 	in := genInstance(t, 6, 3, 2, 0.8, 0.8)
 	mm := BuildMIP(in)
@@ -157,14 +162,78 @@ func TestRoundingHookShape(t *testing.T) {
 		x[mm.XVar(j, 0)] = 0.4
 		x[mm.XVar(j, 1)] = 0.6
 	}
-	fixed, ok := hook(x)
-	if !ok || len(fixed) != len(mm.Prob.Integers) {
-		t.Fatalf("hook returned ok=%v len=%d", ok, len(fixed))
+	cand, ok := hook(x)
+	if !ok || len(cand) != mm.Prob.LP.NumVars() {
+		t.Fatalf("hook returned ok=%v len=%d, want %d", ok, len(cand), mm.Prob.LP.NumVars())
 	}
-	for j := 0; j < in.N(); j++ {
-		if !numeric.AlmostEqual(fixed[j*in.M()+1], 1) || fixed[j*in.M()+0] != 0 {
-			t.Errorf("task %d rounded to wrong machine: %v", j, fixed[j*in.M():j*in.M()+2])
+	for j, tk := range in.Tasks {
+		if !numeric.AlmostEqual(cand[mm.XVar(j, 1)], 1) || cand[mm.XVar(j, 0)] != 0 {
+			t.Errorf("task %d rounded to wrong machine: x = %g, %g", j, cand[mm.XVar(j, 0)], cand[mm.XVar(j, 1)])
 		}
+		if cand[mm.TVar(j, 0)] != 0 || !(cand[mm.TVar(j, 1)] > 0) {
+			t.Errorf("task %d: t = %g, %g, want time on machine 1 only", j, cand[mm.TVar(j, 0)], cand[mm.TVar(j, 1)])
+		}
+		if z := tk.Acc.Eval(in.Machines[1].Speed * cand[mm.TVar(j, 1)]); !numeric.AlmostEqual(cand[mm.ZVar(j)], z) {
+			t.Errorf("task %d: z = %.15g, want a_j(s_r·t_j) = %.15g", j, cand[mm.ZVar(j)], z)
+		}
+	}
+
+	// A one-node search offers the root candidate: its X is the hook's vector.
+	in = fig4PinInstance(t, 0)
+	mm = BuildMIP(in)
+	var last []float64
+	inner := mm.RoundingHook()
+	res, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, MaxNodes: 1, Rounding: func(x []float64) ([]float64, bool) {
+		c, ok := inner(x)
+		last = c
+		return c, ok
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last == nil {
+		t.Fatal("rounding hook never called at the root")
+	}
+	if res.X == nil {
+		t.Fatalf("root candidate not accepted: status %v", res.Status)
+	}
+	for v := range last {
+		if math.Float64bits(res.X[v]) != math.Float64bits(last[v]) {
+			t.Fatalf("incumbent differs from the root candidate at column %d: %g vs %g", v, res.X[v], last[v])
+		}
+	}
+}
+
+// TestScheduleExtractionMatchesObjective: MIPModel.Schedule rebuilds the
+// times from the incumbent's assignment, so the schedule scores exactly the
+// assignment's optimum. On this instance the incumbent's own t_jr met the
+// epigraph rows only within LP tolerance and scored 3.9e-5 below the
+// objective (5.72641475407 against 5.72663701114).
+func TestScheduleExtractionMatchesObjective(t *testing.T) {
+	in, err := task.GenerateUniformFleet(rng.NewReplicate(2, "scratch/n=11", 19), task.PaperFig4(11), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm := BuildMIP(in)
+	res, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != mip.Optimal || res.Nodes != 41 {
+		t.Fatalf("status %v after %d nodes, want optimal after 41", res.Status, res.Nodes)
+	}
+	if !numeric.Close(res.Objective, 5.72663701114, 1e-11) {
+		t.Fatalf("objective %.12g, want 5.72663701114", res.Objective)
+	}
+	s := mm.Schedule(res.X)
+	if err := s.Validate(in, schedule.ValidateOptions{RequireIntegral: true}); err != nil {
+		t.Fatalf("extracted schedule invalid: %v", err)
+	}
+	if acc := s.TotalAccuracy(in); !numeric.Close(acc, res.Objective, 1e-12) {
+		t.Errorf("schedule accuracy %.12g, objective %.12g", acc, res.Objective)
+	}
+	if e := s.Energy(in); e > in.Budget {
+		t.Errorf("schedule energy %.15g exceeds budget %.15g", e, in.Budget)
 	}
 }
 
@@ -212,44 +281,25 @@ func TestFRDualCertificate(t *testing.T) {
 // TestMIPAgainstAssignmentEnumeration is an independent oracle for the
 // whole exact path: for a tiny instance, enumerate every task-to-machine
 // assignment, solve the fixed-assignment LP over processing times, and
-// compare the best against branch-and-bound.
+// compare the best against branch-and-bound. At each assignment the
+// fixed-assignment evaluator must match the LP too.
 func TestMIPAgainstAssignmentEnumeration(t *testing.T) {
 	in := genInstance(t, 9, 4, 2, 0.15, 0.25)
-	n, m := in.N(), in.M()
+	mm := BuildMIP(in)
 
 	best := math.Inf(-1)
-	assignment := make([]int, n)
-	var enumerate func(j int)
-	enumerate = func(j int) {
-		if j == n {
-			mm := BuildMIP(in)
-			p := mm.Prob.LP.Clone()
-			for jj, r := range assignment {
-				for rr := 0; rr < m; rr++ {
-					v := 0.0
-					if rr == r {
-						v = 1
-					}
-					p.AddConstraint([]lp.Term{{Var: mm.XVar(jj, rr), Coef: 1}}, lp.EQ, v)
-				}
-			}
-			sol, err := lp.Solve(p, lp.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Status == lp.Optimal && sol.Objective > best {
-				best = sol.Objective
-			}
-			return
+	var fx core.FixedAssignment
+	times := make([]float64, in.N())
+	forEachAssignment(in.N(), in.M(), func(assign []int) {
+		obj := pinnedLP(t, mm, assign)
+		if obj > best {
+			best = obj
 		}
-		for r := 0; r < m; r++ {
-			assignment[j] = r
-			enumerate(j + 1)
+		if got := fx.Solve(in.Tasks, in.Machines, in.Budget, assign, times); !numeric.Close(got, obj, 1e-12) {
+			t.Errorf("assignment %v: evaluator %.15g, pinned LP %.15g", assign, got, obj)
 		}
-	}
-	enumerate(0)
+	})
 
-	mm := BuildMIP(in)
 	res, err := mip.Solve(mm.Prob, mip.Options{Deadline: time.Now().Add(60 * time.Second)})
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +310,73 @@ func TestMIPAgainstAssignmentEnumeration(t *testing.T) {
 	if math.Abs(res.Objective-best) > 1e-5*math.Max(1, best) {
 		t.Errorf("B&B optimum %.9g != enumeration optimum %.9g", res.Objective, best)
 	}
+}
+
+// TestFixedAssignmentMatchesPinnedLP is the evaluator's oracle: on every
+// assignment of a small corpus — (n, m) of (5, 2), (5, 3) and (6, 2),
+// tight and loose deadlines (ρ) crossed with tight and loose budgets (β),
+// three seeds — the core.FixedAssignment optimum must equal the LP
+// optimum with every binary pinned, within 1e-12 relative.
+func TestFixedAssignmentMatchesPinnedLP(t *testing.T) {
+	var fx core.FixedAssignment
+	for _, nm := range [][2]int{{5, 2}, {5, 3}, {6, 2}} {
+		for _, reg := range [][2]float64{{0.1, 0.15}, {0.1, 1}, {1, 0.15}, {1, 1}} {
+			for seed := int64(1); seed <= 3; seed++ {
+				in := genInstance(t, 100*seed+int64(nm[0]*10+nm[1]), nm[0], nm[1], reg[0], reg[1])
+				mm := BuildMIP(in)
+				times := make([]float64, in.N())
+				forEachAssignment(in.N(), in.M(), func(assign []int) {
+					want := pinnedLP(t, mm, assign)
+					if got := fx.Solve(in.Tasks, in.Machines, in.Budget, assign, times); !numeric.Close(got, want, 1e-12) {
+						t.Errorf("n=%d m=%d rho=%g beta=%g seed %d, assignment %v: evaluator %.15g, pinned LP %.15g",
+							nm[0], nm[1], reg[0], reg[1], seed, assign, got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// forEachAssignment calls visit with every assignment of n tasks to m
+// machines. visit must not retain the slice.
+func forEachAssignment(n, m int, visit func(assign []int)) {
+	assign := make([]int, n)
+	var rec func(j int)
+	rec = func(j int) {
+		if j == n {
+			visit(assign)
+			return
+		}
+		for r := 0; r < m; r++ {
+			assign[j] = r
+			rec(j + 1)
+		}
+	}
+	rec(0)
+}
+
+// pinnedLP solves mm's LP with every binary pinned to the assignment and
+// returns the optimum.
+func pinnedLP(t *testing.T, mm *MIPModel, assign []int) float64 {
+	t.Helper()
+	p := mm.Prob.LP.Overlay()
+	for j, r := range assign {
+		for rr := 0; rr < mm.m; rr++ {
+			v := 0.0
+			if rr == r {
+				v = 1
+			}
+			p.SetBounds(mm.XVar(j, rr), v, v)
+		}
+	}
+	sol, err := lp.Solve(p, lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.Optimal {
+		t.Fatalf("assignment %v: pinned LP %v", assign, sol.Status)
+	}
+	return sol.Objective
 }
 
 // TestMIPStructureHints: BuildMIP must hand the branch-and-cut separator

@@ -29,7 +29,10 @@
 # BenchmarkEventThroughput events/sec over a full mixed trace) and the
 # combinatorial FR solver (BenchmarkSolveFRScaling, DSCT-EA-FR-OPT at
 # n=100/200/500; BenchmarkAblationSegtreeVsScan, Algorithm 1's O(n²) scan
-# vs its default latest-interval kernel) —
+# vs its default latest-interval kernel) and the serial-vs-parallel exact
+# search (BenchmarkAblationParallelMIP at Workers=1/2/4, the only root
+# benchmark that runs MIPModel.RoundingHook and so the fixed-assignment
+# evaluator) —
 # records the parsed results, including
 # per-pair speedups, in BENCH_PR<cur>.json via cmd/benchjson, and diffs
 # them against the committed BENCH_PR<prev>.json baseline (shared
@@ -134,6 +137,7 @@ if [ "$run_bench" = 1 ]; then
     go test -run='^$' -bench='^BenchmarkEventThroughput$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
     go test -run='^$' -bench='^BenchmarkSolveFRScaling$' -benchtime=10x -count=3 -timeout 30m .
     go test -run='^$' -bench='^BenchmarkAblationSegtreeVsScan$' -benchtime=20x -count=3 .
+    go test -run='^$' -bench='^BenchmarkAblationParallelMIP$' -benchtime=20x -count=3 .
   } | tee /dev/stderr | go run ./cmd/benchjson -label "PR ${pr_cur}" -o "BENCH_PR${pr_cur}.json"
 
   if [ -n "$prev" ]; then
