@@ -35,6 +35,9 @@ type FRSolution struct {
 	TotalAccuracy float64
 	// Sweeps is the number of refinement sweeps performed.
 	Sweeps int
+	// Probes is the number of V(p) evaluations the solve made: every
+	// point refinement probed plus the final evaluation of the profile.
+	Probes int
 }
 
 // SolveFR runs DSCT-EA-FR-OPT (Algorithm 4): ComputeNaiveSolution
@@ -70,13 +73,15 @@ func SolveFR(in *task.Instance, opts FROptions) (*FRSolution, error) {
 		Work:          f,
 		TotalAccuracy: total,
 		Sweeps:        sweeps,
+		Probes:        alloc.probes,
 	}, nil
 }
 
 // solveFRPaper runs ComputeNaiveSolution followed by the paper-literal
 // Algorithm 3 pair sweep. The realised machine loads act as the profile.
 func solveFRPaper(in *task.Instance, p Profile, opts FROptions) (*FRSolution, error) {
-	_, f := Value(in, p, opts.Greedy)
+	alloc := NewAllocator(in.Tasks, opts.Greedy)
+	_, f := alloc.value(in, p)
 	sched, err := Split(in, p, f)
 	if err != nil {
 		return nil, err
@@ -95,5 +100,6 @@ func solveFRPaper(in *task.Instance, p Profile, opts FROptions) (*FRSolution, er
 		Work:          work,
 		TotalAccuracy: sched.TotalAccuracy(in),
 		Sweeps:        1,
+		Probes:        alloc.probes,
 	}, nil
 }

@@ -2,14 +2,18 @@ package core
 
 // Golden pins for DSCT-EA-FR-OPT. Each pinned instance is solved by
 // SolveFR with default options and recorded by its TotalAccuracy, its
-// refinement sweep count and FNV digests of the refined Profile and the
-// work vector. The instances are the Table 1 generator at n ∈ {100, 200},
-// m=5 (the experiment's own replicates), and Fig 6b skewed instances,
-// where the naive profile is suboptimal and refinement actually sweeps.
+// refinement sweep count, its V(p) probe count and FNV digests of the
+// refined Profile and the work vector. The instances are the Table 1
+// generator at n ∈ {100, 200}, m=5 (the experiment's own replicates);
+// Fig 6b skewed instances, where the naive profile is suboptimal and
+// refinement actually sweeps; Fig 6a and 6b instances on the 13-GPU
+// catalog fleet, whose many machines give the line searches the most
+// directions; and uniform fleets at m ∈ {2, 3, 8}.
 //
-// Sweeps must match exactly and TotalAccuracy must stay within 1e-12
-// relative of the recorded value; the digests pin the solution bit for
-// bit. Regenerate the digests after an intentional change with
+// Sweeps and probes must match exactly and TotalAccuracy must stay within
+// 1e-12 relative of the recorded value; the digests pin the solution bit
+// for bit. Regenerate the digests and probe counts after an intentional
+// change with
 //
 //	go test ./internal/core -run TestGoldenSolveFR -update
 //
@@ -40,6 +44,7 @@ type frPin struct {
 	Name    string  `json:"name"`
 	Total   float64 `json:"total_accuracy"`
 	Sweeps  int     `json:"sweeps"`
+	Probes  int     `json:"probes"`  // FRSolution.Probes
 	Profile uint64  `json:"profile"` // digest of FRSolution.Profile
 	Work    uint64  `json:"work"`    // digest of FRSolution.Work
 }
@@ -81,6 +86,39 @@ func goldenInstances() []goldenInstance {
 			})
 		}
 	}
+	for _, sc := range []struct {
+		fig      string
+		scenario task.Scenario
+	}{{"fig6a", task.Uniform}, {"fig6b", task.EarliestHighEfficient}} {
+		for _, beta := range []float64{0.1, 0.15, 0.2, 0.3} {
+			for i := 0; i < 8; i++ {
+				label := fmt.Sprintf("%s-catalog/beta=%g", sc.fig, beta)
+				out = append(out, goldenInstance{
+					name: fmt.Sprintf("%s/rep=%d", label, i),
+					gen: func() (*task.Instance, error) {
+						cfg, err := task.PaperFig6(50, sc.scenario, beta)
+						if err != nil {
+							return nil, err
+						}
+						return task.Generate(rng.NewReplicate(1, label, i), cfg, machine.CatalogFleet())
+					},
+				})
+			}
+		}
+	}
+	for _, m := range []int{2, 3, 8} {
+		for _, rb := range [][2]float64{{0.05, 0.1}, {0.1, 0.05}, {0.35, 0.1}} {
+			label := fmt.Sprintf("uniform/m=%d/rho=%g/beta=%g", m, rb[0], rb[1])
+			out = append(out, goldenInstance{
+				name: label,
+				gen: func() (*task.Instance, error) {
+					cfg := task.DefaultConfig(60, rb[0], rb[1])
+					cfg.ThetaMax = 1.0
+					return task.GenerateUniformFleet(rng.NewReplicate(1, label, 0), cfg, m)
+				},
+			})
+		}
+	}
 	return out
 }
 
@@ -109,6 +147,7 @@ func solvePin(g goldenInstance) (frPin, error) {
 		Name:    g.name,
 		Total:   sol.TotalAccuracy,
 		Sweeps:  sol.Sweeps,
+		Probes:  sol.Probes,
 		Profile: digest(sol.Profile),
 		Work:    digest(sol.Work),
 	}, nil
@@ -175,6 +214,9 @@ func TestGoldenSolveFR(t *testing.T) {
 		}
 		if got.Sweeps != want.Sweeps {
 			t.Errorf("%s: %d sweeps, pinned %d", g.name, got.Sweeps, want.Sweeps)
+		}
+		if got.Probes != want.Probes {
+			t.Errorf("%s: %d probes, pinned %d", g.name, got.Probes, want.Probes)
 		}
 		if rel := math.Abs(got.Total-want.Total) / math.Max(1, math.Abs(want.Total)); rel > 1e-12 {
 			t.Errorf("%s: accuracy %.17g, pinned %.17g (rel %g)", g.name, got.Total, want.Total, rel)

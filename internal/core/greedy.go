@@ -86,9 +86,10 @@ type GreedyOptions struct {
 // V(p) through it does not allocate. An Allocator is not safe for
 // concurrent use.
 type Allocator struct {
-	n    int
-	segs []segRef
-	opts GreedyOptions
+	n      int
+	segs   []segRef
+	opts   GreedyOptions
+	probes int // V(p) evaluations so far, reported as FRSolution.Probes
 
 	caps   []float64 // V(p)'s aggregate capacities
 	rem    []float64 // free capacity per deadline interval (kernel) or prefix slack (scan)

@@ -106,6 +106,7 @@ func (a *Allocator) value(in *task.Instance, p Profile) (float64, []float64) {
 //
 //lint:hotpath one V(p) evaluation per point probed by RefineProfile's line searches; pinned to zero allocations
 func (a *Allocator) total(in *task.Instance, p Profile) float64 {
+	a.probes++
 	capsInto(a.caps, in, p)
 	a.allocate(a.caps)
 	return TotalAccuracy(in.Tasks, a.work)
