@@ -95,6 +95,8 @@ type Allocator struct {
 	rem    []float64 // free capacity per deadline interval (kernel) or prefix slack (scan)
 	parent []int     // union-find over intervals shifted by one; index 0 stands for "none"
 	work   []float64 // the work vector of the last allocation
+
+	samples []sample // RefineProfile's line-search samples, reused from search to search
 }
 
 // NewAllocator prepares an allocator for the tasks (deadline order).

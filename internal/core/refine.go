@@ -13,7 +13,9 @@ type RefineOptions struct {
 	Greedy GreedyOptions
 	// MaxSweeps caps the outer improvement loop (default 64).
 	MaxSweeps int
-	// LineSearchIters is the ternary-search depth per exchange (default 48).
+	// LineSearchIters is the most ternary-search iterations one line
+	// search runs (default 48); a search stops sooner once its samples
+	// prove that no step gains Tol.
 	LineSearchIters int
 	// Tol is the minimum accuracy improvement worth applying (default 1e-9).
 	Tol float64
@@ -42,15 +44,41 @@ func (o *RefineOptions) defaults() {
 // naive one), it repeatedly moves energy from machine r' to machine r —
 // increasing p_r by e/P_r and decreasing p_{r'} by e/P_{r'} — whenever the
 // move improves the optimal accuracy V(p) of the inner greedy; it also
-// spends any slack budget. The exchange amount is chosen by exact line
+// spends any slack budget. The exchange amount is chosen by a ternary line
 // search on the concave function e -> V(p(e)), which generalises the
 // paper's accuracy-per-Joule (ψ = slope·E_r) pair ordering: a move is
 // improving exactly when the energy marginal gain on r exceeds the energy
-// marginal loss on r'. A deterministic random-direction polish pass guards
-// against stalls at kinks (where single-pair moves are blocked but a joint
-// move improves). Returns the refined profile and the number of sweeps.
+// marginal loss on r'. A line search stops early once its samples prove
+// that no point of the segment gains Tol (see maximizeAlong). A
+// deterministic random-direction polish pass guards against stalls at
+// kinks (where single-pair moves are blocked but a joint move improves).
+// Returns the refined profile and the number of sweeps.
 func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, int) {
 	return refineProfile(NewAllocator(in.Tasks, opts.Greedy), in, p, opts)
+}
+
+// refiner is one refinement run: the allocator that evaluates V(p) and
+// holds the line-search samples, plus the probe profile and polish
+// direction every line search reuses.
+type refiner struct {
+	alloc   *Allocator
+	in      *task.Instance
+	opts    RefineOptions
+	scratch Profile   // every line-search probe is evaluated here
+	dir     []float64 // polish's energy-space direction
+	src     *rng.Source
+}
+
+// newRefiner prepares a refinement run; opts must carry their defaults.
+func newRefiner(alloc *Allocator, in *task.Instance, opts RefineOptions) *refiner {
+	return &refiner{
+		alloc:   alloc,
+		in:      in,
+		opts:    opts,
+		scratch: make(Profile, in.M()),
+		dir:     make([]float64, in.M()),
+		src:     rng.New(opts.Seed, "core/refine-polish"),
+	}
 }
 
 // refineProfile is RefineProfile against a prepared allocator, which
@@ -71,10 +99,8 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 	if allFull {
 		return p, 0
 	}
-	value := func(q Profile) float64 { return alloc.total(in, q) }
-	cur := value(p)
-	scratch := make(Profile, m) // every line-search probe is evaluated here
-	polishSrc := rng.New(opts.Seed, "core/refine-polish")
+	rf := newRefiner(alloc, in, opts)
+	cur := alloc.total(in, p)
 
 	sweeps := 0
 	for ; sweeps < opts.MaxSweeps; sweeps++ {
@@ -94,11 +120,11 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 				if eMax <= 0 {
 					continue
 				}
-				best, gain := maximizeAlong(p, scratch, cur, func(q Profile, e float64) {
+				extend := func(q Profile, e float64) {
 					q[r] += e / in.Machines[r].Power
-				}, eMax, value, opts.LineSearchIters)
-				if gain > opts.Tol {
-					p = best
+				}
+				if e, gain := rf.maximizeAlong(p, cur, extend, eMax); gain > opts.Tol {
+					extend(p, e)
 					cur += gain
 					improved = true
 				}
@@ -115,15 +141,15 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 				if eMax <= 0 {
 					continue
 				}
-				best, gain := maximizeAlong(p, scratch, cur, func(q Profile, e float64) {
+				exchange := func(q Profile, e float64) {
 					q[r] += e / in.Machines[r].Power
 					q[rp] -= e / in.Machines[rp].Power
 					if q[rp] < 0 {
 						q[rp] = 0
 					}
-				}, eMax, value, opts.LineSearchIters)
-				if gain > opts.Tol {
-					p = best
+				}
+				if e, gain := rf.maximizeAlong(p, cur, exchange, eMax); gain > opts.Tol {
+					exchange(p, e)
 					cur += gain
 					improved = true
 				}
@@ -137,8 +163,7 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 			break
 		}
 		// Polish: joint random directions in the feasible cone.
-		if q, gain := polish(in, p, scratch, cur, value, polishSrc, opts); gain > opts.Tol {
-			p = q
+		if gain := rf.polish(p, cur); gain > opts.Tol {
 			cur += gain
 			continue
 		}
@@ -147,49 +172,135 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 	return p, sweeps
 }
 
-// maximizeAlong ternary-searches the concave map e -> V(apply(p, e)) over
-// [0, eMax] and returns the best profile and its gain over cur. Every
-// probe is evaluated on scratch; only the winner is cloned.
-func maximizeAlong(p, scratch Profile, cur float64, apply func(Profile, float64), eMax float64,
-	value func(Profile) float64, iters int) (Profile, float64) {
+// sample is one line-search probe: f(e) = v.
+type sample struct{ e, v float64 }
+
+// maximizeAlong ternary-searches the concave map f(e) = V(apply(p, e))
+// over [0, eMax] and returns the best step and its gain over cur = f(0).
+// Every probe is evaluated on rf.scratch; the caller applies the step.
+//
+// After each iteration the samples taken so far bound f through their
+// concave envelope (envelopeMax). Once that bound is within Tol/2 of cur,
+// no step can gain more than Tol, the least gain any caller accepts, so
+// the search returns (0, 0) without probing further: the full search
+// would have found a gain the caller rejects. The Tol/2 margin absorbs
+// the rounding in V's evaluations (DESIGN.md §4), so every refined profile
+// is the one the full search yields.
+func (rf *refiner) maximizeAlong(p Profile, cur float64, apply func(Profile, float64), eMax float64) (float64, float64) {
 	eval := func(e float64) float64 {
-		copy(scratch, p)
-		apply(scratch, e)
-		return value(scratch)
+		copy(rf.scratch, p)
+		apply(rf.scratch, e)
+		return rf.alloc.total(rf.in, rf.scratch)
 	}
+	samples := insertSample(rf.alloc.samples[:0], 0, cur)
 	lo, hi := 0.0, eMax
-	for i := 0; i < iters && hi-lo > 1e-12*math.Max(1, eMax); i++ {
+	for i := 0; i < rf.opts.LineSearchIters && hi-lo > 1e-12*math.Max(1, eMax); i++ {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
-		if eval(m1) < eval(m2) {
+		v1, v2 := eval(m1), eval(m2)
+		samples = insertSample(insertSample(samples, m1, v1), m2, v2)
+		if envelopeMax(samples, eMax)-cur <= rf.opts.Tol/2 {
+			rf.alloc.samples = samples
+			return 0, 0
+		}
+		if v1 < v2 {
 			lo = m1
 		} else {
 			hi = m2
 		}
 	}
+	rf.alloc.samples = samples
 	// Candidate points: interval midpoint and the full move.
 	bestE := (lo + hi) / 2
 	bestV := eval(bestE)
 	if vFull := eval(eMax); vFull > bestV {
 		bestE, bestV = eMax, vFull
 	}
-	best := p.Clone()
-	apply(best, bestE)
-	return best, bestV - cur
+	return bestE, bestV - cur
+}
+
+// insertSample adds the probe f(e) = v to s, which is sorted by e.
+//
+//lint:hotpath runs twice per ternary-search iteration; the buffer is reused across line searches
+func insertSample(s []sample, e, v float64) []sample {
+	var last sample
+	s = append(s, last)
+	i := len(s) - 1
+	for ; i > 0 && s[i-1].e > e; i-- {
+		s[i] = s[i-1]
+	}
+	s[i].e, s[i].v = e, v
+	return s
+}
+
+// envelopeMax bounds the maximum over [0, eMax] of a concave f sampled at
+// s (sorted by e, starting at e = 0). By concavity, f lies below the
+// extension of every chord between two samples outside the chord's own
+// span. A gap between two samples is therefore bounded by the extensions
+// of its neighbouring chords — the one ending at its left sample and the
+// one starting at its right sample — and the stretch past the last sample
+// by the last chord. The bound is at least every sample, +Inf when a gap
+// has no neighbouring chord, and exact when f is linear.
+//
+//lint:hotpath runs after every ternary-search iteration of RefineProfile's line searches
+func envelopeMax(s []sample, eMax float64) float64 {
+	k := len(s)
+	if k < 3 {
+		return math.Inf(1)
+	}
+	best := math.Inf(-1)
+	for _, q := range s {
+		best = max(best, q.v)
+	}
+	for i := 0; i+1 < k; i++ {
+		a, b := s[i], s[i+1]
+		w := b.e - a.e
+		switch {
+		case i == 0: // only the right neighbour, extended back to a
+			best = max(best, b.v-chordSlope(b, s[i+2])*w)
+		case i+2 == k: // only the left neighbour, extended forward to b
+			best = max(best, a.v+chordSlope(s[i-1], a)*w)
+		default:
+			best = max(best, tentMax(a.v, b.v, chordSlope(s[i-1], a), chordSlope(b, s[i+2]), w))
+		}
+	}
+	if last := s[k-1]; eMax > last.e {
+		best = max(best, last.v+chordSlope(s[k-2], last)*(eMax-last.e))
+	}
+	return best
+}
+
+// chordSlope is the slope of the chord from sample a to sample b.
+//
+//lint:hotpath called per gap by envelopeMax
+func chordSlope(a, b sample) float64 { return (b.v - a.v) / (b.e - a.e) }
+
+// tentMax is the maximum over t in [0, w] of min(va + sl·t, vb − sr·(w − t)):
+// the lower of the line through (0, va) with slope sl and the line through
+// (w, vb) with slope sr. The minimum of two lines is concave, so its
+// maximum lies at an end of the gap or where the lines cross.
+//
+//lint:hotpath called per gap by envelopeMax
+func tentMax(va, vb, sl, sr, w float64) float64 {
+	best := max(min(va, vb-sr*w), min(va+sl*w, vb))
+	// Parallel lines give t = ±Inf or NaN, which the range check rejects.
+	if t := (vb - va - sr*w) / (sl - sr); t > 0 && t < w {
+		best = max(best, min(va+sl*t, vb-sr*(w-t)))
+	}
+	return best
 }
 
 // polish tries a handful of deterministic random joint directions that
-// respect the budget hyperplane and box; it returns an improved profile
-// when one is found.
-func polish(in *task.Instance, p, scratch Profile, cur float64, value func(Profile) float64,
-	src *rng.Source, opts RefineOptions) (Profile, float64) {
+// respect the budget hyperplane and box; when one improves p it moves p
+// along it in place and returns the gain.
+func (rf *refiner) polish(p Profile, cur float64) float64 {
+	in, opts, dir := rf.in, rf.opts, rf.dir
 	m := in.M()
 	dMax := in.MaxDeadline()
 	budgetTight := in.Budget-p.Energy(in) <= opts.Tol
 	for attempt := 0; attempt < 8*m; attempt++ {
-		dir := make([]float64, m) // energy-space direction
 		for r := range dir {
-			dir[r] = src.Uniform(-1, 1)
+			dir[r] = rf.src.Uniform(-1, 1)
 		}
 		if budgetTight {
 			// Project onto Σ dir = 0 in energy space so the move stays on
@@ -226,20 +337,21 @@ func polish(in *task.Instance, p, scratch Profile, cur float64, value func(Profi
 		if !numeric.IsFinite(eMax) || eMax <= 0 {
 			continue
 		}
-		q, gain := maximizeAlong(p, scratch, cur, func(qq Profile, e float64) {
+		move := func(q Profile, e float64) {
 			for r := range dir {
-				qq[r] += e * dir[r] / in.Machines[r].Power
-				if qq[r] < 0 {
-					qq[r] = 0
+				q[r] += e * dir[r] / in.Machines[r].Power
+				if q[r] < 0 {
+					q[r] = 0
 				}
-				if qq[r] > dMax {
-					qq[r] = dMax
+				if q[r] > dMax {
+					q[r] = dMax
 				}
 			}
-		}, eMax, value, opts.LineSearchIters)
-		if gain > opts.Tol {
-			return q, gain
+		}
+		if e, gain := rf.maximizeAlong(p, cur, move, eMax); gain > opts.Tol {
+			move(p, e)
+			return gain
 		}
 	}
-	return p, 0
+	return 0
 }
