@@ -97,7 +97,8 @@ func BenchmarkAblationSegtreeVsScan(b *testing.B) {
 
 // BenchmarkAblationRefineVariants compares the profile-refinement variants:
 // none (naive profile), exchanges without the polish pass, and the full
-// refinement. The accuracy each attains is reported alongside the time.
+// refinement. The accuracy each attains and its V(p) probe count are
+// reported alongside the time.
 func BenchmarkAblationRefineVariants(b *testing.B) {
 	in := benchSkewedInstance(b, 100)
 	variants := []struct {
@@ -112,14 +113,16 @@ func BenchmarkAblationRefineVariants(b *testing.B) {
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			var acc float64
+			probes := 0
 			for i := 0; i < b.N; i++ {
 				sol, err := core.SolveFR(in, v.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				acc = sol.TotalAccuracy
+				acc, probes = sol.TotalAccuracy, sol.Probes
 			}
 			b.ReportMetric(acc/float64(in.N()), "avg-accuracy")
+			b.ReportMetric(float64(probes), "probes/op")
 		})
 	}
 }
@@ -311,16 +314,20 @@ func BenchmarkAblationParallelExperiments(b *testing.B) {
 }
 
 // BenchmarkSolveFRScaling tracks the combinatorial solver alone across
-// instance sizes (the left column of Table 1).
+// instance sizes (the left column of Table 1), with its V(p) probe count.
 func BenchmarkSolveFRScaling(b *testing.B) {
 	for _, n := range []int{100, 200, 500} {
 		in := benchInstance(b, n, 5, 5)
 		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			probes := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SolveFR(in, core.FROptions{}); err != nil {
+				sol, err := core.SolveFR(in, core.FROptions{})
+				if err != nil {
 					b.Fatal(err)
 				}
+				probes = sol.Probes
 			}
+			b.ReportMetric(float64(probes), "probes/op")
 		})
 	}
 }

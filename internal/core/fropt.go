@@ -35,8 +35,8 @@ type FRSolution struct {
 	TotalAccuracy float64
 	// Sweeps is the number of refinement sweeps performed.
 	Sweeps int
-	// Probes is the number of V(p) evaluations the solve made: every
-	// point refinement probed plus the final evaluation of the profile.
+	// Probes counts the solve's V(p) evaluations: the points refinement's
+	// line searches probed plus the evaluations of the profile itself.
 	Probes int
 }
 

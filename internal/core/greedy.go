@@ -82,9 +82,9 @@ type GreedyOptions struct {
 // Allocator is a reusable Algorithm 1 runner: it caches the slope-sorted
 // segment list of a task set so that repeated allocations against
 // different capacity vectors (as in RefineProfile's line searches) skip
-// the O(S log S) sort, and it owns the kernel's scratch, so evaluating
-// V(p) through it does not allocate. An Allocator is not safe for
-// concurrent use.
+// the O(S log S) sort, and it owns the kernel's scratch and the
+// line-search samples, so neither evaluating V(p) through it nor a line
+// search allocates. An Allocator is not safe for concurrent use.
 type Allocator struct {
 	n      int
 	segs   []segRef

@@ -88,7 +88,7 @@ func runTable1(cfg Config) (*Table, error) {
 				lpDead = true
 			}
 		}
-		t.AddRow(fmt.Sprintf("%d", n), f3(stats.Mean(froptTimes)), lpCell,
+		t.AddRow(fmt.Sprintf("%d", n), f4(stats.Mean(froptTimes)), lpCell,
 			fmt.Sprintf("%d", nTimeouts), g4(stats.Mean(diffs)))
 	}
 	t.Note("value_rel_diff is (LP − FR-OPT)/LP over replicates where the LP finished: ~0 certifies both solve the same relaxation")

@@ -29,10 +29,13 @@
 # BenchmarkEventThroughput events/sec over a full mixed trace) and the
 # combinatorial FR solver (BenchmarkSolveFRScaling, DSCT-EA-FR-OPT at
 # n=100/200/500; BenchmarkAblationSegtreeVsScan, Algorithm 1's O(n²) scan
-# vs its default latest-interval kernel) and the serial-vs-parallel exact
-# search (BenchmarkAblationParallelMIP at Workers=1/2/4, the only root
-# benchmark that runs MIPModel.RoundingHook and so the fixed-assignment
-# evaluator) —
+# vs its default latest-interval kernel; BenchmarkApproxEndToEnd,
+# FR-OPT plus DSCT-EA-APPROX rounding at n=100, m=5;
+# BenchmarkAblationRefineVariants, the four refinement variants on a
+# Fig 6b instance, where refinement's line searches do the work) and the
+# serial-vs-parallel exact search (BenchmarkAblationParallelMIP at
+# Workers=1/2/4, the only root benchmark that runs
+# MIPModel.RoundingHook and so the fixed-assignment evaluator) —
 # records the parsed results, including
 # per-pair speedups, in BENCH_PR<cur>.json via cmd/benchjson, and diffs
 # them against the committed BENCH_PR<prev>.json baseline (shared
@@ -137,6 +140,8 @@ if [ "$run_bench" = 1 ]; then
     go test -run='^$' -bench='^BenchmarkEventThroughput$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
     go test -run='^$' -bench='^BenchmarkSolveFRScaling$' -benchtime=10x -count=3 -timeout 30m .
     go test -run='^$' -bench='^BenchmarkAblationSegtreeVsScan$' -benchtime=20x -count=3 .
+    go test -run='^$' -bench='^BenchmarkApproxEndToEnd$' -benchtime=20x -count=3 .
+    go test -run='^$' -bench='^BenchmarkAblationRefineVariants$' -benchtime=20x -count=3 .
     go test -run='^$' -bench='^BenchmarkAblationParallelMIP$' -benchtime=20x -count=3 .
   } | tee /dev/stderr | go run ./cmd/benchjson -label "PR ${pr_cur}" -o "BENCH_PR${pr_cur}.json"
 
