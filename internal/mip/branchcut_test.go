@@ -1,9 +1,8 @@
 package mip
 
 // Branch-and-cut tests: the separator's cut families, the differential
-// corpus holding every Cuts × Branching × NodeOrder combination to the
-// legacy solver's answers, and the row-accounting guarantees when cut rows
-// are appended and removed.
+// corpus holding the search to a brute-force oracle (oracle_test.go), and
+// the row-accounting guarantees when cut rows are appended and removed.
 
 import (
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/numeric"
 	"repro/internal/rng"
 )
 
@@ -304,92 +304,120 @@ func checkIncumbentFeasible(t *testing.T, label string, prob *Problem, res *Resu
 	}
 }
 
-// TestBranchAndCutDifferentialCorpus holds every non-legacy option
-// combination to the legacy solver's answer on a 240-instance corpus: the
-// seven other corners of the cuts × branching × node-order grid, plus
-// presolve-off and cold-node (DisableWarmStart) flavours of the default,
-// each on every instance.
-func TestBranchAndCutDifferentialCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus test skipped in -short mode")
+// bruteOf flattens p into the plain form of the brute-force oracle
+// (oracle_test.go), which reads no lp type.
+func bruteOf(p *Problem) *bruteMIP {
+	n := p.LP.NumVars()
+	b := &bruteMIP{
+		obj: make([]float64, n), lo: make([]float64, n), hi: make([]float64, n),
+		ints: p.Integers,
 	}
-	legacy := Options{Cuts: CutsOff, Branching: BranchMostFractional, NodeOrder: NodeOrderBestBound}
-	var combos []Options
+	for v := 0; v < n; v++ {
+		b.obj[v] = p.LP.ObjCoef(v)
+		b.lo[v], b.hi[v] = p.LP.Bounds(v)
+	}
+	for i := 0; i < p.LP.NumConstraints(); i++ {
+		terms, sense, rhs := p.LP.Constraint(i)
+		r := bruteRow{rhs: rhs}
+		switch sense {
+		case lp.LE:
+			r.sense = -1
+		case lp.GE:
+			r.sense = 1
+		}
+		for _, tm := range terms {
+			r.terms = append(r.terms, bruteTerm{v: tm.Var, a: tm.Coef})
+		}
+		b.rows = append(b.rows, r)
+	}
+	return b
+}
+
+// corpusSetting is one search configuration the corpus oracle checks.
+type corpusSetting struct {
+	name string
+	opts Options
+}
+
+// corpusSettings are the default search, its parallel, cold-node and
+// root-presolve variants, and every corner of the cuts × branching ×
+// node-order grid, the legacy search among them.
+func corpusSettings() []corpusSetting {
+	settings := []corpusSetting{
+		{"default", Options{}},
+		{"workers=4", Options{Workers: 4}},
+		{"cold", Options{DisableWarmStart: true}},
+		{"presolve", Options{LP: lp.Options{Presolve: lp.PresolveOn}}},
+		{"presolve-off", Options{LP: lp.Options{Presolve: lp.PresolveOff}}},
+	}
 	for _, cm := range []CutMode{CutsOff, CutsRoot} {
 		for _, br := range []BranchRule{BranchMostFractional, BranchReliability} {
 			for _, no := range []NodeOrder{NodeOrderBestBound, NodeOrderPlunge} {
-				if cm == CutsOff && br == BranchMostFractional && no == NodeOrderBestBound {
-					continue // that is the reference itself
-				}
-				combos = append(combos, Options{Cuts: cm, Branching: br, NodeOrder: no})
+				settings = append(settings, corpusSetting{
+					fmt.Sprintf("%v/%v/%v", cm, br, no),
+					Options{Cuts: cm, Branching: br, NodeOrder: no},
+				})
 			}
 		}
 	}
-	combos = append(combos,
-		Options{LP: lp.Options{Presolve: lp.PresolveOff}},
-		Options{DisableWarmStart: true},
-	)
+	return settings
+}
 
-	const instances = 240
-	for i := 0; i < instances; i++ {
-		prob := corpusProblem(i)
-		ref, err := Solve(prob, legacy)
+// checkCorpusInstance solves corpus instance i under every setting and
+// holds each result to the brute-force oracle: the oracle's optimum within
+// 1e-12 relative, or a proof of infeasibility where the oracle found no
+// integer point, plus a feasible incumbent, a closed gap and a valid dual
+// bound.
+func checkCorpusInstance(t *testing.T, i int, settings []corpusSetting) {
+	t.Helper()
+	prob := corpusProblem(i)
+	best, _, feasible := bruteSolve(bruteOf(prob))
+	for _, st := range settings {
+		res, err := Solve(prob, st.opts)
 		if err != nil {
-			t.Fatalf("instance %d legacy: %v", i, err)
+			t.Fatalf("instance %d %s: %v", i, st.name, err)
 		}
-		if ref.Status != Optimal && ref.Status != Infeasible {
-			t.Fatalf("instance %d legacy status %v", i, ref.Status)
+		label := fmt.Sprintf("instance %d %s", i, st.name)
+		if !feasible {
+			if res.Status != Infeasible {
+				t.Fatalf("%s: status %v, the oracle found no integer point", label, res.Status)
+			}
+			continue
 		}
-		for k, opts := range combos {
-			res, err := Solve(prob, opts)
-			if err != nil {
-				t.Fatalf("instance %d combo %d: %v", i, k, err)
-			}
-			label := fmt.Sprintf("combo %d (%v/%v/%v)", k, opts.Cuts, opts.Branching, opts.NodeOrder)
-			if ref.Status == Infeasible {
-				// Some assignment-knapsack draws are integer infeasible;
-				// every combination must prove the same.
-				if res.Status != Infeasible {
-					t.Fatalf("instance %d %s: status %v, legacy proved infeasible", i, label, res.Status)
-				}
-				continue
-			}
-			if res.Status != Optimal {
-				t.Fatalf("instance %d %s: status %v, want optimal", i, label, res.Status)
-			}
-			if math.Abs(res.Objective-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
-				t.Fatalf("instance %d %s: objective %.12g, legacy %.12g", i, label, res.Objective, ref.Objective)
-			}
-			checkIncumbentFeasible(t, label, prob, res)
-			if res.Gap > 1e-6*(1+math.Abs(res.Objective)) {
-				t.Fatalf("instance %d %s: optimal with gap %g", i, label, res.Gap)
-			}
-			if res.Bound < res.Objective-1e-9 {
-				t.Fatalf("instance %d %s: dual bound %g below objective %g", i, label, res.Bound, res.Objective)
-			}
+		if res.Status != Optimal {
+			t.Fatalf("%s: status %v, want optimal", label, res.Status)
+		}
+		if !numeric.Close(res.Objective, best, 1e-12) {
+			t.Fatalf("%s: objective %.17g, oracle %.17g", label, res.Objective, best)
+		}
+		checkIncumbentFeasible(t, label, prob, res)
+		if res.Gap > 1e-6*(1+math.Abs(res.Objective)) {
+			t.Fatalf("%s: optimal with gap %g", label, res.Gap)
+		}
+		if res.Bound < res.Objective-1e-9 {
+			t.Fatalf("%s: dual bound %g below objective %g", label, res.Bound, res.Objective)
 		}
 	}
 }
 
-// TestBranchAndCutSmallCorpusShort is the -short stand-in: eight instances
-// across the default and legacy paths.
+// TestBranchAndCutDifferentialCorpus holds every corpus setting to the
+// brute-force oracle on all 240 corpus instances.
+func TestBranchAndCutDifferentialCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus test skipped in -short mode")
+	}
+	settings := corpusSettings()
+	for i := 0; i < 240; i++ {
+		checkCorpusInstance(t, i, settings)
+	}
+}
+
+// TestBranchAndCutSmallCorpusShort is the -short stand-in: the first eight
+// instances.
 func TestBranchAndCutSmallCorpusShort(t *testing.T) {
-	legacy := Options{Cuts: CutsOff, Branching: BranchMostFractional, NodeOrder: NodeOrderBestBound}
+	settings := corpusSettings()
 	for i := 0; i < 8; i++ {
-		prob := corpusProblem(i)
-		ref, err := Solve(prob, legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Solve(prob, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Status != Optimal || res.Status != Optimal ||
-			math.Abs(res.Objective-ref.Objective) > 1e-6*(1+math.Abs(ref.Objective)) {
-			t.Fatalf("instance %d: legacy %v %.12g vs default %v %.12g",
-				i, ref.Status, ref.Objective, res.Status, res.Objective)
-		}
+		checkCorpusInstance(t, i, settings)
 	}
 }
 

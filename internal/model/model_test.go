@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -278,37 +279,51 @@ func TestFRDualCertificate(t *testing.T) {
 	}
 }
 
-// TestMIPAgainstAssignmentEnumeration is an independent oracle for the
-// whole exact path: for a tiny instance, enumerate every task-to-machine
-// assignment, solve the fixed-assignment LP over processing times, and
-// compare the best against branch-and-bound. At each assignment the
-// fixed-assignment evaluator must match the LP too.
+// TestMIPAgainstAssignmentEnumeration holds the exact path to the
+// brute-force oracle (oracle_test.go): on every assignment of 48 instances
+// — (n, m) in {5, 6, 7} × {2, 3}, tight and loose deadlines (ρ) crossed
+// with tight and loose budgets (β), two seeds — core.FixedAssignment must
+// match the oracle's score, and the branch-and-bound optimum must match
+// the best score under every search setting, each within 1e-12 relative.
 func TestMIPAgainstAssignmentEnumeration(t *testing.T) {
-	in := genInstance(t, 9, 4, 2, 0.15, 0.25)
-	mm := BuildMIP(in)
-
-	best := math.Inf(-1)
+	settings := []struct {
+		name string
+		opts mip.Options
+	}{
+		{"default", mip.Options{}},
+		{"workers=4", mip.Options{Workers: 4}},
+		{"cold", mip.Options{DisableWarmStart: true}},
+		{"legacy", mip.Options{Cuts: mip.CutsOff, Branching: mip.BranchMostFractional, NodeOrder: mip.NodeOrderBestBound}},
+	}
 	var fx core.FixedAssignment
-	times := make([]float64, in.N())
-	forEachAssignment(in.N(), in.M(), func(assign []int) {
-		obj := pinnedLP(t, mm, assign)
-		if obj > best {
-			best = obj
+	for _, n := range []int{5, 6, 7} {
+		for _, m := range []int{2, 3} {
+			for _, reg := range [][2]float64{{0.1, 0.15}, {0.1, 1}, {1, 0.15}, {1, 1}} {
+				for seed := int64(1); seed <= 2; seed++ {
+					in := genInstance(t, 1000*seed+int64(10*n+m), n, m, reg[0], reg[1])
+					label := fmt.Sprintf("n=%d m=%d rho=%g beta=%g seed %d", n, m, reg[0], reg[1], seed)
+					best := math.Inf(-1)
+					times := make([]float64, n)
+					forEachAssignment(n, m, func(assign []int) {
+						want := scanAssignment(in.Tasks, in.Machines, in.Budget, assign)
+						best = math.Max(best, want)
+						if got := fx.Solve(in.Tasks, in.Machines, in.Budget, assign, times); !numeric.Close(got, want, 1e-12) {
+							t.Errorf("%s, assignment %v: evaluator %.17g, oracle %.17g", label, assign, got, want)
+						}
+					})
+					mm := BuildMIP(in)
+					for _, st := range settings {
+						res, err := mip.Solve(mm.Prob, st.opts)
+						if err != nil {
+							t.Fatalf("%s %s: %v", label, st.name, err)
+						}
+						if res.Status != mip.Optimal || !numeric.Close(res.Objective, best, 1e-12) {
+							t.Errorf("%s %s: %v optimum %.17g, oracle %.17g", label, st.name, res.Status, res.Objective, best)
+						}
+					}
+				}
+			}
 		}
-		if got := fx.Solve(in.Tasks, in.Machines, in.Budget, assign, times); !numeric.Close(got, obj, 1e-12) {
-			t.Errorf("assignment %v: evaluator %.15g, pinned LP %.15g", assign, got, obj)
-		}
-	})
-
-	res, err := mip.Solve(mm.Prob, mip.Options{Deadline: time.Now().Add(60 * time.Second)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != mip.Optimal {
-		t.Skipf("MIP hit the limit: %v", res.Status)
-	}
-	if math.Abs(res.Objective-best) > 1e-5*math.Max(1, best) {
-		t.Errorf("B&B optimum %.9g != enumeration optimum %.9g", res.Objective, best)
 	}
 }
 
@@ -335,24 +350,6 @@ func TestFixedAssignmentMatchesPinnedLP(t *testing.T) {
 			}
 		}
 	}
-}
-
-// forEachAssignment calls visit with every assignment of n tasks to m
-// machines. visit must not retain the slice.
-func forEachAssignment(n, m int, visit func(assign []int)) {
-	assign := make([]int, n)
-	var rec func(j int)
-	rec = func(j int) {
-		if j == n {
-			visit(assign)
-			return
-		}
-		for r := 0; r < m; r++ {
-			assign[j] = r
-			rec(j + 1)
-		}
-	}
-	rec(0)
 }
 
 // pinnedLP solves mm's LP with every binary pinned to the assignment and
