@@ -18,7 +18,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/model"
-	"repro/internal/numeric"
 	"repro/internal/rng"
 	"repro/internal/task"
 )
@@ -142,36 +141,19 @@ func benchSkewedInstance(b *testing.B, n int) *task.Instance {
 	return in
 }
 
-// legacySearch returns the pre-branch-and-cut search configuration:
-// most-fractional branching, pure best-bound node order, no cutting
-// planes. The LP-machinery ablation benchmarks below pin it so that
-// their ns/op, allocs/op and node counts measure the kernel under test
-// rather than the search policy, and stay comparable across PRs;
-// BenchmarkMIPBranchAndCut measures the branch-and-cut defaults against
-// this baseline.
-func legacySearch() mip.Options {
-	return mip.Options{
-		Cuts:      mip.CutsOff,
-		Branching: mip.BranchMostFractional,
-		NodeOrder: mip.NodeOrderBestBound,
-	}
-}
-
-// BenchmarkAblationParallelMIP compares serial vs parallel branch-and-bound
-// on a fixed DSCT-EA instance (legacy search pinned: the parallel speedup
-// of the branch-and-cut defaults is tracked by BenchmarkMIPBranchAndCut
-// and the determinism tests).
+// BenchmarkAblationParallelMIP compares serial vs parallel branch-and-cut
+// on a fixed DSCT-EA instance.
 func BenchmarkAblationParallelMIP(b *testing.B) {
 	in := benchInstance(b, 8, 2, 2)
 	mm := model.BuildMIP(in)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := legacySearch()
-				opts.Workers = workers
-				opts.Deadline = time.Now().Add(30 * time.Second)
-				opts.Rounding = mm.RoundingHook()
-				res, err := mip.Solve(mm.Prob, opts)
+				res, err := mip.Solve(mm.Prob, mip.Options{
+					Workers:  workers,
+					Deadline: time.Now().Add(30 * time.Second),
+					Rounding: mm.RoundingHook(),
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -184,7 +166,7 @@ func BenchmarkAblationParallelMIP(b *testing.B) {
 }
 
 // BenchmarkMIPColdVsWarm measures the warm-start speedup in branch-and-
-// bound: every node relaxation warm-started from its parent's basis via
+// cut: every node relaxation warm-started from its parent's basis via
 // the dual simplex (warm) against from-scratch two-phase solves at every
 // node (cold, Options.DisableWarmStart). The warm-started node fraction
 // and the node count are reported alongside the time; scripts/verify.sh
@@ -203,9 +185,7 @@ func BenchmarkMIPColdVsWarm(b *testing.B) {
 			b.Run(mode.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
 				var last *mip.Result
 				for i := 0; i < b.N; i++ {
-					opts := legacySearch()
-					opts.DisableWarmStart = mode.disable
-					res, err := mip.Solve(mm.Prob, opts)
+					res, err := mip.Solve(mm.Prob, mip.Options{DisableWarmStart: mode.disable})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -223,15 +203,12 @@ func BenchmarkMIPColdVsWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkMIPBranchAndCut: the legacy branch-and-bound versus the
-// branch-and-cut defaults (reliability branching primed by strong-
-// branching probes, best-bound with plunging, root cuts) on the hardest
-// exact-solve regime in the paper's evaluation — fig4 tight-deadline
-// instances (rho = 0.1, theta_max = 1.0) at n = 24 tasks on a 4-machine
-// fleet. Node counts are the point of the comparison: cmd/benchjson
-// pairs each legacy/... row with its bnc/... twin and reports the
-// node_reduction factor, which scripts/verify.sh diff-gates across PRs.
-// Both configurations must prove the identical optimum.
+// BenchmarkMIPBranchAndCut runs the branch-and-cut search (reliability
+// branching primed by strong-branching probes, best-bound with plunging,
+// root cuts) on the hardest exact-solve regime in the paper's evaluation —
+// fig4 tight-deadline instances (rho = 0.1, theta_max = 1.0) at n = 24
+// tasks on a 4-machine fleet — and reports its node and probe counts,
+// which cmd/benchjson -diff gates across PRs.
 func BenchmarkMIPBranchAndCut(b *testing.B) {
 	for _, seed := range []int64{3, 9} {
 		in, err := task.GenerateUniformFleet(rng.New(seed, "dsct-nodes"), task.PaperFig4(24), 4)
@@ -239,34 +216,21 @@ func BenchmarkMIPBranchAndCut(b *testing.B) {
 			b.Fatal(err)
 		}
 		mm := model.BuildMIP(in)
-		objs := make(map[string]float64)
-		for _, mode := range []struct {
-			name string
-			opts mip.Options
-		}{
-			{"legacy", legacySearch()},
-			{"bnc", mip.Options{}},
-		} {
-			b.Run(mode.name+"/fig4/n=24/s="+strconv.FormatInt(seed, 10), func(b *testing.B) {
-				var last *mip.Result
-				for i := 0; i < b.N; i++ {
-					res, err := mip.Solve(mm.Prob, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Status != mip.Optimal {
-						b.Fatalf("status %v", res.Status)
-					}
-					last = res
+		b.Run("bnc/fig4/n=24/s="+strconv.FormatInt(seed, 10), func(b *testing.B) {
+			var last *mip.Result
+			for i := 0; i < b.N; i++ {
+				res, err := mip.Solve(mm.Prob, mip.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				objs[mode.name] = last.Objective
-				b.ReportMetric(float64(last.Nodes), "nodes")
-				b.ReportMetric(float64(last.StrongBranches), "strong-branches")
-			})
-		}
-		if lo, bo := objs["legacy"], objs["bnc"]; len(objs) == 2 && !numeric.AlmostEqual(lo, bo) {
-			b.Fatalf("s=%d: legacy objective %.17g != b&c objective %.17g", seed, lo, bo)
-		}
+				if res.Status != mip.Optimal {
+					b.Fatalf("status %v", res.Status)
+				}
+				last = res
+			}
+			b.ReportMetric(float64(last.Nodes), "nodes")
+			b.ReportMetric(float64(last.StrongBranches), "strong-branches")
+		})
 	}
 }
 

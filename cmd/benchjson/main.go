@@ -12,11 +12,11 @@
 // segment is paired with its twin that holds the variant segment in the
 // same place, for each (baseline, variant) in segmentRules — "cold" vs
 // "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16), "rows" vs
-// "bounds", "dantzig" vs "partial", "nopresolve" vs "presolve" and
-// "legacy" vs "bnc". Each pair records the baseline/variant
-// speedup and, when both sides report a nodes metric, the node-count
-// reduction (the branch-and-cut comparison's point) — which is how
-// scripts/verify.sh -bench produces the committed BENCH_*.json records.
+// "bounds", "dantzig" vs "partial" and "nopresolve" vs "presolve". Each
+// pair records the baseline/variant speedup and, when both sides report
+// a nodes metric (the cold/warm MIP pairs), the node-count reduction —
+// which is how scripts/verify.sh -bench produces the committed
+// BENCH_*.json records.
 //
 // In -diff mode the two JSON records are matched by benchmark name and the
 // new/old ns-per-op ratio is printed per benchmark; any common benchmark
@@ -63,7 +63,6 @@ var segmentRules = []struct{ baseline, variant string }{
 	{"rows", "bounds"},         // explicit bound rows vs implicit boxes
 	{"dantzig", "partial"},     // pricing rule
 	{"nopresolve", "presolve"}, // presolve layer off vs on
-	{"legacy", "bnc"},          // legacy search vs branch-and-cut
 }
 
 // segmentPair joins a baseline benchmark with its variant twin. Name is the

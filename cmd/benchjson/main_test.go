@@ -74,6 +74,11 @@ func TestBenchjsonParsesAndPairs(t *testing.T) {
 	if math.Abs(mip.Speedup-930224881.0/687563467.0) > 1e-12 {
 		t.Errorf("speedup = %v", mip.Speedup)
 	}
+	//lint:ignore floatcmp parsed node metrics round-trip the exact benchmark literals
+	if mip.BaselineNodes != 913 || mip.VariantNodes != 999 ||
+		math.Abs(mip.NodeReduction-913.0/999.0) > 1e-12 {
+		t.Errorf("node reduction fields = %+v", mip)
+	}
 }
 
 func TestBenchjsonErrors(t *testing.T) {
@@ -296,31 +301,5 @@ func TestBenchjsonPairsPricingPresolve(t *testing.T) {
 	ps := presolve[0]
 	if ps.Name != "BenchmarkPresolveXLLP/*/tasks=10000,mach=100" || math.Abs(ps.Speedup-2) > 1e-12 {
 		t.Errorf("presolve pair = %+v", ps)
-	}
-}
-
-func TestBenchjsonPairsLegacyBnc(t *testing.T) {
-	input := "BenchmarkMIPBranchAndCut/legacy/fig4/n=24/s=9-8 1 5000000000 ns/op 15545 nodes\n" +
-		"BenchmarkMIPBranchAndCut/bnc/fig4/n=24/s=9-8 1 1500000000 ns/op 1983 nodes\n" +
-		"BenchmarkMIPBranchAndCut/legacy/fig4/n=24/s=3-8 1 9000000000 ns/op\n"
-	rep, err := runTool(t, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Pairs) != 1 {
-		t.Fatalf("got %d legacy/bnc pairs, want 1 (unpaired legacy dropped):\n%+v",
-			len(rep.Pairs), rep.Pairs)
-	}
-	p := rep.Pairs[0]
-	if p.Name != "BenchmarkMIPBranchAndCut/*/fig4/n=24/s=9" || p.Baseline != "legacy" || p.Variant != "bnc" {
-		t.Errorf("pair = %+v", p)
-	}
-	if math.Abs(p.Speedup-5000000000.0/1500000000.0) > 1e-12 {
-		t.Errorf("speedup = %g", p.Speedup)
-	}
-	//lint:ignore floatcmp parsed node metrics round-trip the exact benchmark literals
-	if p.BaselineNodes != 15545 || p.VariantNodes != 1983 ||
-		math.Abs(p.NodeReduction-15545.0/1983.0) > 1e-12 {
-		t.Errorf("node reduction fields = %+v", p)
 	}
 }

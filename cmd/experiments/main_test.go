@@ -41,16 +41,6 @@ func TestExperimentsFlagMatrix(t *testing.T) {
 			args:    append([]string{"-run", "fig3", "-format", "csv"}, quick...),
 			wantOut: []string{"mu,gap_mean,gap_ci95_lo"},
 		},
-		{
-			name:    "cuts-md",
-			args:    append([]string{"-run", "cuts", "-format", "md"}, quick...),
-			wantOut: []string{"### cuts", "legacy_nodes_mean", "bc_nodes_mean", "node_ratio", "strong_branches_mean"},
-		},
-		{
-			name:    "cuts-csv",
-			args:    append([]string{"-run", "cuts", "-format", "csv"}, quick...),
-			wantOut: []string{"family,n,m,legacy_nodes_mean,bc_nodes_mean,node_ratio"},
-		},
 		{name: "missing-run", args: nil, wantErr: "missing -run"},
 		{name: "unknown-id", args: []string{"-run", "fig99"}, wantErr: "unknown id"},
 		{

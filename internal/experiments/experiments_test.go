@@ -19,7 +19,7 @@ func tinyCfg() Config {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4a", "fig4b", "table1", "fig5", "gain", "fig6a", "fig6b",
-		"ext-renewable", "ext-comm", "abl-refine", "batch", "cuts",
+		"ext-renewable", "ext-comm", "abl-refine", "batch",
 	}
 	have := map[string]bool{}
 	for _, s := range All() {

@@ -333,46 +333,30 @@ func bruteOf(p *Problem) *bruteMIP {
 	return b
 }
 
-// corpusSetting is one search configuration the corpus oracle checks.
-type corpusSetting struct {
+// corpusSettings are the search settings the corpus oracle checks: the
+// default search and its parallel, cold-node and root-presolve variants.
+// The corpus is below PresolveAuto's row threshold, so only PresolveOn
+// runs the search in reduced space.
+var corpusSettings = []struct {
 	name string
 	opts Options
+}{
+	{"default", Options{}},
+	{"workers=4", Options{Workers: 4}},
+	{"cold", Options{DisableWarmStart: true}},
+	{"presolve", Options{LP: lp.Options{Presolve: lp.PresolveOn}}},
 }
 
-// corpusSettings are the default search, its parallel, cold-node and
-// root-presolve variants, and every corner of the cuts × branching ×
-// node-order grid, the legacy search among them.
-func corpusSettings() []corpusSetting {
-	settings := []corpusSetting{
-		{"default", Options{}},
-		{"workers=4", Options{Workers: 4}},
-		{"cold", Options{DisableWarmStart: true}},
-		{"presolve", Options{LP: lp.Options{Presolve: lp.PresolveOn}}},
-		{"presolve-off", Options{LP: lp.Options{Presolve: lp.PresolveOff}}},
-	}
-	for _, cm := range []CutMode{CutsOff, CutsRoot} {
-		for _, br := range []BranchRule{BranchMostFractional, BranchReliability} {
-			for _, no := range []NodeOrder{NodeOrderBestBound, NodeOrderPlunge} {
-				settings = append(settings, corpusSetting{
-					fmt.Sprintf("%v/%v/%v", cm, br, no),
-					Options{Cuts: cm, Branching: br, NodeOrder: no},
-				})
-			}
-		}
-	}
-	return settings
-}
-
-// checkCorpusInstance solves corpus instance i under every setting and
-// holds each result to the brute-force oracle: the oracle's optimum within
-// 1e-12 relative, or a proof of infeasibility where the oracle found no
-// integer point, plus a feasible incumbent, a closed gap and a valid dual
-// bound.
-func checkCorpusInstance(t *testing.T, i int, settings []corpusSetting) {
+// checkCorpusInstance solves corpus instance i under every corpus setting
+// and holds each result to the brute-force oracle: the oracle's optimum
+// within 1e-12 relative, or a proof of infeasibility where the oracle
+// found no integer point, plus a feasible incumbent, a closed gap and a
+// valid dual bound.
+func checkCorpusInstance(t *testing.T, i int) {
 	t.Helper()
 	prob := corpusProblem(i)
 	best, _, feasible := bruteSolve(bruteOf(prob))
-	for _, st := range settings {
+	for _, st := range corpusSettings {
 		res, err := Solve(prob, st.opts)
 		if err != nil {
 			t.Fatalf("instance %d %s: %v", i, st.name, err)
@@ -406,18 +390,16 @@ func TestBranchAndCutDifferentialCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus test skipped in -short mode")
 	}
-	settings := corpusSettings()
 	for i := 0; i < 240; i++ {
-		checkCorpusInstance(t, i, settings)
+		checkCorpusInstance(t, i)
 	}
 }
 
 // TestBranchAndCutSmallCorpusShort is the -short stand-in: the first eight
 // instances.
 func TestBranchAndCutSmallCorpusShort(t *testing.T) {
-	settings := corpusSettings()
 	for i := 0; i < 8; i++ {
-		checkCorpusInstance(t, i, settings)
+		checkCorpusInstance(t, i)
 	}
 }
 
@@ -440,15 +422,14 @@ func cutHeavyProblem(trial int) *Problem {
 }
 
 // TestCutRowAccounting: on a cut-heavy instance the root loop must report
-// the rounds it ran and keep no more rows than those rounds appended, and
-// CutsOff must report neither while reaching the same optimum.
+// the rounds it ran and keep no more rows than those rounds appended.
 func TestCutRowAccounting(t *testing.T) {
 	var prob *Problem
 	var root *Result
 	trial := 0
 	for ; trial < 20; trial++ {
 		prob = cutHeavyProblem(trial)
-		r, err := Solve(prob, Options{Cuts: CutsRoot})
+		r, err := Solve(prob, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,18 +442,7 @@ func TestCutRowAccounting(t *testing.T) {
 		t.Fatal("no cut-heavy trial produced root cuts; separator dead?")
 	}
 	if root.CutRounds == 0 || root.Cuts > root.CutRounds*cutsPerRound {
-		t.Errorf("CutsRoot: %d kept cuts from %d rounds of at most %d", root.Cuts, root.CutRounds, cutsPerRound)
-	}
-
-	off, err := Solve(prob, Options{Cuts: CutsOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Status != Optimal || math.Abs(off.Objective-root.Objective) > 1e-9*(1+math.Abs(root.Objective)) {
-		t.Fatalf("CutsOff objective %v %.12g, want %.12g", off.Status, off.Objective, root.Objective)
-	}
-	if off.Cuts != 0 || off.CutRounds != 0 {
-		t.Errorf("CutsOff reported %d cuts from %d rounds", off.Cuts, off.CutRounds)
+		t.Errorf("%d kept cuts from %d rounds of at most %d", root.Cuts, root.CutRounds, cutsPerRound)
 	}
 }
 
@@ -513,26 +483,5 @@ func TestGapAndDualBound(t *testing.T) {
 	}
 	if loose.Objective > exact.Objective+1e-9 {
 		t.Errorf("early incumbent %.12g above optimum %.12g", loose.Objective, exact.Objective)
-	}
-}
-
-// TestOptionEnumStrings covers the A/B switch enum stringers.
-func TestOptionEnumStrings(t *testing.T) {
-	for _, tc := range []struct {
-		got, want string
-	}{
-		{CutsAuto.String(), "auto"},
-		{CutsOff.String(), "off"},
-		{CutsRoot.String(), "root"},
-		{BranchAuto.String(), "auto"},
-		{BranchMostFractional.String(), "most-fractional"},
-		{BranchReliability.String(), "reliability"},
-		{NodeOrderAuto.String(), "auto"},
-		{NodeOrderBestBound.String(), "best-bound"},
-		{NodeOrderPlunge.String(), "plunge"},
-	} {
-		if tc.got != tc.want {
-			t.Errorf("String() = %q, want %q", tc.got, tc.want)
-		}
 	}
 }

@@ -1,8 +1,9 @@
 package mip
 
-// Cutting planes for the branch-and-cut search (see the package comment
-// and Options.Cuts). Three families, all derived from root-problem data
-// only — so every cut is valid at every node of the tree:
+// Cutting planes for the branch-and-cut search, separated at the root
+// (see the package comment). Three families, all derived from
+// root-problem data only — so every cut is valid at every node of the
+// tree:
 //
 //   - Cover cuts from knapsack rows: a <=-row whose binary items cannot
 //     all be at their "heavy" value. Negative-coefficient binaries are

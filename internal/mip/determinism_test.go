@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/lp"
 	"repro/internal/rng"
 )
 
@@ -46,29 +47,26 @@ func sameSolution(a, b *Result) bool {
 }
 
 // TestDeterministicAcrossWorkers: identical Status, Objective and X at
-// Workers = 1, 4 and 8 on a batch of seeded knapsacks, for the default
-// (plunging best-bound) and the pure best-bound node order.
+// Workers = 1, 4 and 8 on a batch of seeded knapsacks.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		prob := detKnapsack(trial)
-		for _, strat := range []NodeOrder{NodeOrderAuto, NodeOrderBestBound} {
-			var base *Result
-			for _, workers := range []int{1, 4, 8} {
-				res, err := Solve(prob, Options{Workers: workers, NodeOrder: strat})
-				if err != nil {
-					t.Fatalf("trial %d %v workers=%d: %v", trial, strat, workers, err)
-				}
-				if res.Status != Optimal {
-					t.Fatalf("trial %d %v workers=%d: status %v", trial, strat, workers, res.Status)
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if !sameSolution(base, res) {
-					t.Errorf("trial %d %v: workers=%d solution differs from workers=1:\nobj %.17g vs %.17g\nX    %v\nvs   %v",
-						trial, strat, workers, base.Objective, res.Objective, base.X, res.X)
-				}
+		var base *Result
+		for _, workers := range []int{1, 4, 8} {
+			res, err := Solve(prob, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+			}
+			if res.Status != Optimal {
+				t.Fatalf("trial %d workers=%d: status %v", trial, workers, res.Status)
+			}
+			if base == nil {
+				base = res
+				continue
+			}
+			if !sameSolution(base, res) {
+				t.Errorf("trial %d: workers=%d solution differs from workers=1:\nobj %.17g vs %.17g\nX    %v\nvs   %v",
+					trial, workers, base.Objective, res.Objective, base.X, res.X)
 			}
 		}
 	}
@@ -212,18 +210,17 @@ func TestWarmStartAccounting(t *testing.T) {
 // TestDeterministicBranchAndCutModes: the branch-and-cut machinery — root
 // cuts, reliability branching (whose pseudo-cost observations live on
 // node-local immutable chains precisely so that worker scheduling cannot
-// perturb them) and plunging node order — and the legacy settings must
-// keep incumbents bit-identical at Workers = 1, 4 and 8.
+// perturb them) and plunging node order — must keep incumbents
+// bit-identical at Workers = 1, 4 and 8, with warm or cold node solves
+// and in root-presolved space.
 func TestDeterministicBranchAndCutModes(t *testing.T) {
 	modes := []struct {
 		name string
 		opts Options
 	}{
 		{"default", Options{}},
-		{"cuts-root/reliability/best-bound", Options{Cuts: CutsRoot, Branching: BranchReliability, NodeOrder: NodeOrderBestBound}},
-		{"cuts-off/reliability/plunge", Options{Cuts: CutsOff, Branching: BranchReliability, NodeOrder: NodeOrderPlunge}},
-		{"cuts-root/most-fractional/plunge", Options{Cuts: CutsRoot, Branching: BranchMostFractional, NodeOrder: NodeOrderPlunge}},
-		{"cuts-off/most-fractional/best-bound", Options{Cuts: CutsOff, Branching: BranchMostFractional, NodeOrder: NodeOrderBestBound}},
+		{"cold", Options{DisableWarmStart: true}},
+		{"presolve", Options{LP: lp.Options{Presolve: lp.PresolveOn}}},
 	}
 	for trial := 0; trial < 4; trial++ {
 		prob := detKnapsack(400 + trial)

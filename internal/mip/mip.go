@@ -2,9 +2,21 @@
 // programs over the package lp simplex solver. It is the module's
 // substitute for the commercial MIP solver (cvx-MOSEK) the paper uses as
 // the exact DSCT-EA baseline ("DSCT-EA-Opt") in its runtime comparison
-// (Fig 4): LP relaxations at every node, root cover/GUB/VUB cuts,
-// reliability branching, plunging best-bound node selection, and optional
-// parallel node processing.
+// (Fig 4). It solves an LP relaxation at every node and runs one search,
+// with no option selecting another:
+//
+//   - root cuts: rounds of cover, GUB-cover and VUB separation from the
+//     model structure, each re-optimised with the dual simplex; slack cuts
+//     are dropped and the surviving pool joins every node relaxation
+//     (cuts.go);
+//   - reliability branching: pseudo-cost scores from the node's ancestry,
+//     after strong-branching probes on candidates with no observation yet
+//     in one direction (pseudocost.go);
+//   - best-bound node order with plunging: a worker dives onto the
+//     stronger child of the node it just solved, to a bounded depth,
+//     before it returns to the best-bound queue.
+//
+// Nodes may be processed in parallel (Options.Workers).
 //
 // The solver maximises. Integer variables are branched by tightening their
 // bounds (x <= floor(v) becomes hi = floor(v), x >= ceil(v) becomes
@@ -108,113 +120,11 @@ func (s Status) String() string {
 	}
 }
 
-// CutMode selects the cutting-plane layer (see cuts.go).
-type CutMode int
-
-// Cut modes.
-const (
-	// CutsAuto separates cuts at the root (equivalent to CutsRoot).
-	CutsAuto CutMode = iota
-	// CutsOff disables the separator entirely: the legacy pure
-	// branch-and-bound path, kept selectable for A/B comparison.
-	CutsOff
-	// CutsRoot separates cover/GUB-cover/VUB cuts at the root only: rounds
-	// of separate → append → dual-simplex re-optimise, then slack cuts are
-	// dropped and the surviving pool becomes part of every node relaxation.
-	CutsRoot
-)
-
-// String names the mode.
-func (c CutMode) String() string {
-	switch c {
-	case CutsAuto:
-		return "auto"
-	case CutsOff:
-		return "off"
-	case CutsRoot:
-		return "root"
-	default:
-		return fmt.Sprintf("cutmode(%d)", int(c))
-	}
-}
-
-// BranchRule selects how the branching variable is chosen at a node with
-// fractional integers (see pseudocost.go).
-type BranchRule int
-
-// Branching rules.
-const (
-	// BranchAuto uses reliability branching (equivalent to
-	// BranchReliability).
-	BranchAuto BranchRule = iota
-	// BranchMostFractional picks the variable farthest from integrality —
-	// the legacy rule, kept selectable for A/B comparison.
-	BranchMostFractional
-	// BranchReliability scores candidates by the per-unit objective
-	// degradation observed on ancestor branchings (the node-local
-	// pseudo-cost chain), product rule over the up/down estimates, after
-	// strong-branching probes on unreliable candidates: variables with no
-	// observation yet in one direction or the other are probed by bounded
-	// dual-simplex re-solves (Workspace.SolveFrom with a small pivot
-	// budget) before the scores are compared. Probe side effects —
-	// infeasible directions and truncated-but-dual-feasible objectives —
-	// tighten the resulting children.
-	BranchReliability
-)
-
-// String names the rule.
-func (b BranchRule) String() string {
-	switch b {
-	case BranchAuto:
-		return "auto"
-	case BranchMostFractional:
-		return "most-fractional"
-	case BranchReliability:
-		return "reliability"
-	default:
-		return fmt.Sprintf("branchrule(%d)", int(b))
-	}
-}
-
-// NodeOrder selects the open-node exploration order.
-type NodeOrder int
-
-// Node orders.
-const (
-	// NodeOrderAuto plunges under best-bound ordering (equivalent to
-	// NodeOrderPlunge).
-	NodeOrderAuto NodeOrder = iota
-	// NodeOrderBestBound is the legacy pure best-bound queue: every child
-	// goes through the global heap (highest bound first, path tie-break).
-	NodeOrderBestBound
-	// NodeOrderPlunge keeps best-bound ordering for the global queue but
-	// lets a worker dive onto one child of the node it just processed (the
-	// down child first, bounded depth), pushing the sibling. Plunging only
-	// reorders exploration — the tree, the pruning and the incumbents are
-	// identical at any worker count.
-	NodeOrderPlunge
-)
-
-// String names the order.
-func (n NodeOrder) String() string {
-	switch n {
-	case NodeOrderAuto:
-		return "auto"
-	case NodeOrderBestBound:
-		return "best-bound"
-	case NodeOrderPlunge:
-		return "plunge"
-	default:
-		return fmt.Sprintf("nodeorder(%d)", int(n))
-	}
-}
-
 // Options tunes the search. The zero value uses defaults: serial
-// branch-and-cut (root cuts, reliability branching, plunging best-bound
-// order), no deadline, gap 1e-6, node limit 1<<20. The legacy pure
-// branch-and-bound path of PRs 1–8 is the combination
-// {Cuts: CutsOff, Branching: BranchMostFractional, NodeOrder:
-// NodeOrderBestBound}.
+// search, no deadline, gap 1e-6, node limit 1<<20. The search itself has
+// one configuration: root cuts, reliability branching and plunging
+// best-bound node order (see the package comment); no option selects
+// another.
 type Options struct {
 	Deadline time.Time // wall-clock limit (zero: none)
 	MaxNodes int       // node budget (0: default 1<<20)
@@ -225,15 +135,6 @@ type Options struct {
 	// incumbent is then reported as Feasible with Result.Gap recording the
 	// proven relative gap. Zero keeps the exact Gap-based criterion.
 	RelGap float64
-
-	// Cuts selects the cutting-plane layer (default CutsAuto: root cuts).
-	Cuts CutMode
-	// Branching selects the branching rule (default BranchAuto:
-	// reliability branching).
-	Branching BranchRule
-	// NodeOrder selects the exploration order (default NodeOrderAuto:
-	// plunging best-bound).
-	NodeOrder NodeOrder
 
 	// Workers is the number of parallel node processors (<=1: serial).
 	// Each worker goroutine owns a private lp.Workspace for the lifetime

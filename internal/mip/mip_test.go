@@ -238,10 +238,17 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
+// hookValues and hookWeights are the items of a 10-item knapsack whose
+// root relaxation, at capacity 17 and at 18/(1+1e-6), stays fractional
+// after the root cuts, so a rounding hook runs at the root.
+var (
+	hookValues  = []float64{9, 13, 7, 11, 5, 8, 12, 6, 10, 4}
+	hookWeights = []float64{4, 6, 3, 5, 2, 4, 6, 3, 5, 2}
+)
+
 func TestRoundingHookProvidesIncumbent(t *testing.T) {
-	values := []float64{60, 100, 120}
-	weights := []float64{10, 20, 30}
-	prob := knapsackProblem(values, weights, 50)
+	prob := knapsackProblem(hookValues, hookWeights, 17)
+	want := bruteKnapsack(hookValues, hookWeights, 17)
 	called := false
 	hook := func(x []float64) ([]float64, bool) {
 		called = true
@@ -253,57 +260,57 @@ func TestRoundingHookProvidesIncumbent(t *testing.T) {
 		}
 		return fixed, true
 	}
-	// Cuts off: the cover cut makes this root integral, and the heuristic
-	// only runs at nodes that still have a fractional relaxation.
-	res, err := Solve(prob, Options{Rounding: hook, Cuts: CutsOff})
+	res, err := Solve(prob, Options{Rounding: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !called {
 		t.Error("rounding hook never called")
 	}
-	if res.Status != Optimal || math.Abs(res.Objective-220) > 1e-6 {
-		t.Errorf("got %v obj %g", res.Status, res.Objective)
+	if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
+		t.Errorf("got %v obj %g, want optimal %g", res.Status, res.Objective, want)
 	}
 }
 
 // TestRoundingCandidateChecks: a rounding-hook candidate that misses the
 // node relaxation in one way — one row broken by 1e-6 relative, integrality,
-// the length, or one branching fix — is never offered. The capacity is
-// 60/(1+1e-6), so taking all three items breaks it by 1e-6 relative. The
-// row and integrality candidates score above the optimum (220), and a
-// short vector would index past its end, so a search that skipped one
-// check would show it; such a search must retrace the hook-free search
-// exactly. The branching-fix candidate is the optimum itself, feasible at
-// the root, so it is checked against a node below the fix x_2 <= 0.
+// the length, or one branching fix — is never offered. On the hook
+// knapsack's items the capacity is 18/(1+1e-6), so the items {0, 2, 3, 4, 5}, of
+// weight 18, break it by 1e-6 relative; the optimum takes {0, 2, 3, 4, 7}
+// (weight 17, value 38). The row candidate and the integrality candidate
+// (the optimum plus the fraction of item 5 that fills the capacity) score
+// above the optimum, and a short vector would index past its end, so a
+// search that skipped one check would show it; such a search must retrace
+// the hook-free search exactly. The branching-fix candidate is the optimum
+// itself, feasible at the root, so it is checked against a node below the
+// fix x_2 <= 0.
 func TestRoundingCandidateChecks(t *testing.T) {
-	values := []float64{60, 100, 120}
-	weights := []float64{10, 20, 30}
-	capacity := 60 / (1 + 1e-6)
-	prob := knapsackProblem(values, weights, capacity)
-	opts := Options{Cuts: CutsOff} // the cover cut would make the root integral
-	ref, err := Solve(prob, opts)
+	capacity := 18 / (1 + 1e-6)
+	prob := knapsackProblem(hookValues, hookWeights, capacity)
+	ref, err := Solve(prob, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Status != Optimal || !numeric.AlmostEqual(ref.Objective, 220) {
-		t.Fatalf("reference search: %v obj %g, want optimal 220", ref.Status, ref.Objective)
+	if ref.Status != Optimal || !numeric.AlmostEqual(ref.Objective, 38) {
+		t.Fatalf("reference search: %v obj %g, want optimal 38", ref.Status, ref.Objective)
 	}
+	opt := []float64{1, 0, 1, 1, 1, 0, 0, 1, 0, 0}
+	frac := append([]float64(nil), opt...)
+	frac[5] = (capacity - 17) / 4
 	for _, c := range []struct {
 		name string
 		x    []float64
 	}{
-		{"row", []float64{1, 1, 1}},
-		{"integrality", []float64{1, 1, (capacity - 30) / 30}},
+		{"row", []float64{1, 0, 1, 1, 1, 1, 0, 0, 0, 0}},
+		{"integrality", frac},
 		{"length", []float64{0, 1}},
 	} {
 		called := false
-		o := opts
-		o.Rounding = func([]float64) ([]float64, bool) {
+		hook := func([]float64) ([]float64, bool) {
 			called = true
 			return append([]float64(nil), c.x...), true
 		}
-		res, err := Solve(prob, o)
+		res, err := Solve(prob, Options{Rounding: hook})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -317,8 +324,7 @@ func TestRoundingCandidateChecks(t *testing.T) {
 	}
 
 	s := &searcher{prob: prob}
-	opt := []float64{0, 1, 1}
-	if obj, ok := s.candidate(&node{}, opt); !ok || !numeric.AlmostEqual(obj, 220) {
+	if obj, ok := s.candidate(&node{}, opt); !ok || !numeric.AlmostEqual(obj, 38) {
 		t.Fatalf("optimum rejected at the root: ok=%v obj %g", ok, obj)
 	}
 	below := &node{depth: 1, fixes: &fixChain{f: fix{Var: 2, Sense: lp.LE, Val: 0}}}
@@ -335,31 +341,13 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-// TestStrategyString: the node-search strategies (NodeOrder) print their
-// names, and an out-of-range value prints a non-empty fallback.
-func TestStrategyString(t *testing.T) {
-	for _, tc := range []struct {
-		s    NodeOrder
-		want string
-	}{
-		{NodeOrderBestBound, "best-bound"},
-		{NodeOrder(7), "nodeorder(7)"},
-	} {
-		if got := tc.s.String(); got != tc.want {
-			t.Errorf("NodeOrder(%d).String() = %q, want %q", int(tc.s), got, tc.want)
-		}
-	}
-}
-
 // TestInheritFallbackAccounting pins Result.InheritFallbacks on a fixed
 // knapsack search: under row-free bound branching every child keeps its
 // parent's basis dimension, so every warm solve adopts the parent's
 // factors and none falls back.
 func TestInheritFallbackAccounting(t *testing.T) {
-	values := []float64{9, 13, 7, 11, 5, 8, 12, 6, 10, 4}
-	weights := []float64{4, 6, 3, 5, 2, 4, 6, 3, 5, 2}
-	p := knapsackProblem(values, weights, 17)
-	want := bruteKnapsack(values, weights, 17)
+	p := knapsackProblem(hookValues, hookWeights, 17)
+	want := bruteKnapsack(hookValues, hookWeights, 17)
 
 	res, err := Solve(p, Options{})
 	if err != nil {

@@ -1,6 +1,6 @@
 package mip
 
-// Pseudo-cost / reliability branching (see Options.Branching). A node's
+// Pseudo-cost / reliability branching, the search's branching rule. A node's
 // pseudo-cost estimates come exclusively from its own ancestry — the
 // immutable pcObs chain inherited parent→child plus the strong-branching
 // probes run at the node itself — never from a shared store, so the shape
@@ -87,15 +87,6 @@ func newBranchScratch(nVars int) *branchScratch {
 //
 //lint:hotpath=bounded candidate collection reuses worker scratch; probes allocate one extra overlay per probing node
 func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr *branchScratch, ws *lp.Workspace) branchPick {
-	if s.branch == BranchMostFractional {
-		v := s.mostFractional(sol.X)
-		pick := branchPick{v: v, downBound: math.Inf(1), upBound: math.Inf(1), pc: nd.pc}
-		if v >= 0 {
-			pick.val = sol.X[v]
-		}
-		return pick
-	}
-
 	// Fractional candidates, in Integers order (deterministic).
 	cands := scr.cands[:0]
 	for _, v := range s.prob.Integers {
@@ -231,7 +222,7 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 	}
 
 	// Score and select. With no observations anywhere the product rule is
-	// flat, so fall back to pure fractionality — the legacy rule.
+	// flat, so fall back to pure fractionality.
 	best := -1
 	var bestScore float64
 	for i := range cands {

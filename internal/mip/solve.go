@@ -26,24 +26,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	cuts := opts.Cuts
-	if cuts == CutsAuto {
-		cuts = CutsRoot
-	}
-	branch := opts.Branching
-	if branch == BranchAuto {
-		branch = BranchReliability
-	}
-	order := opts.NodeOrder
-	if order == NodeOrderAuto {
-		order = NodeOrderPlunge
-	}
 
 	s := &searcher{
 		prob:      p,
 		opts:      opts,
-		branch:    branch,
-		plunge:    order == NodeOrderPlunge,
 		incumbent: math.Inf(-1),
 		inflight:  make(map[*node]struct{}),
 	}
@@ -118,7 +104,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	// slack ones and make the surviving pool part of every node relaxation
 	// (see cuts.go). Builder hints index the as-built rows, so they only
 	// apply when no root presolve remapped them.
-	if cuts != CutsOff && len(s.prob.Integers) > 0 {
+	if len(s.prob.Integers) > 0 {
 		var hint *Structure
 		if s.ps == nil {
 			hint = p.Structure
@@ -210,9 +196,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 type searcher struct {
 	prob *Problem
 	opts Options
-	// Resolved search configuration (Auto modes mapped to concrete ones).
-	branch BranchRule
-	plunge bool
 	// ps is non-nil when the search runs in root-presolved reduced space:
 	// prob then holds the reduced LP with remapped integer indices, and
 	// the final result is postsolved back (see Solve).
@@ -222,7 +205,7 @@ type searcher struct {
 	// problem before any cut rows joined it — the layout WarmState.BaseRows
 	// describes. pool is the current root cut pool (imported then updated
 	// by the root loop); rootFrom/rootPC seed the root node's basis and
-	// pseudo-cost chain (nil outside warm mode, keeping the legacy tree
+	// pseudo-cost chain (nil outside warm mode, keeping the cold tree
 	// shape bit-identical); warmMode records that an import happened.
 	baseLP   *lp.Problem
 	baseRows int
@@ -346,8 +329,8 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 		}
 		s.mu.Unlock()
 
-		// Process nd, then — when plunging — continue directly with one of
-		// its children instead of going back through the global queue: the
+		// Process nd, then plunge: continue directly with one of its
+		// children instead of going back through the global queue. The
 		// worker dives down one path (bounded depth), keeping the parent's
 		// basis hot in its workspace. Plunging only reorders exploration;
 		// the tree, the pruning and the incumbents are untouched, so
@@ -362,7 +345,7 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 				s.stopped = true
 			}
 			var carry *node
-			if s.plunge && !s.stopped && depth < maxPlunge {
+			if !s.stopped && depth < maxPlunge {
 				// Dive onto the child with the stronger bound (tie: the
 				// down branch, matching the queue's path tie-break).
 				for _, c := range children {
@@ -433,7 +416,7 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	// this node: the relaxation degraded by (parent bound - node objective)
 	// over a bound movement of brDist. The chain extension is node-local
 	// and immutable, so estimates depend only on ancestry (see pcObs).
-	if s.branch != BranchMostFractional && nd.brVar >= 0 && nd.brDist > intTol && !math.IsInf(nd.bound, 1) {
+	if nd.brVar >= 0 && nd.brDist > intTol && !math.IsInf(nd.bound, 1) {
 		nd.pc = &pcObs{
 			v: nd.brVar, dir: nd.brDir,
 			delta: math.Max(0, nd.bound-sol.Objective) / nd.brDist,
@@ -668,22 +651,6 @@ func integralOn(integers []int, x []float64) bool {
 		}
 	}
 	return true
-}
-
-// mostFractional returns the integer variable whose value is farthest from
-// integral (closest to 0.5 fractional part), or -1 if all are integral.
-func (s *searcher) mostFractional(x []float64) int {
-	varIdx := -1
-	best := intTol
-	for _, v := range s.prob.Integers {
-		f := x[v] - math.Floor(x[v])
-		dist := math.Min(f, 1-f)
-		if dist > best {
-			best = dist
-			varIdx = v
-		}
-	}
-	return varIdx
 }
 
 // incumbentTieTol bounds the objective difference under which two

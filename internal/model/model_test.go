@@ -293,7 +293,6 @@ func TestMIPAgainstAssignmentEnumeration(t *testing.T) {
 		{"default", mip.Options{}},
 		{"workers=4", mip.Options{Workers: 4}},
 		{"cold", mip.Options{DisableWarmStart: true}},
-		{"legacy", mip.Options{Cuts: mip.CutsOff, Branching: mip.BranchMostFractional, NodeOrder: mip.NodeOrderBestBound}},
 	}
 	var fx core.FixedAssignment
 	for _, n := range []int{5, 6, 7} {
