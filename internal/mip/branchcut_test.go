@@ -355,7 +355,7 @@ var corpusSettings = []struct {
 func checkCorpusInstance(t *testing.T, i int) {
 	t.Helper()
 	prob := corpusProblem(i)
-	best, _, feasible := bruteSolve(bruteOf(prob))
+	best, feasible := bruteSolve(bruteOf(prob))
 	for _, st := range corpusSettings {
 		res, err := Solve(prob, st.opts)
 		if err != nil {

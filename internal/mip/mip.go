@@ -120,11 +120,9 @@ func (s Status) String() string {
 	}
 }
 
-// Options tunes the search. The zero value uses defaults: serial
-// search, no deadline, gap 1e-6, node limit 1<<20. The search itself has
-// one configuration: root cuts, reliability branching and plunging
-// best-bound node order (see the package comment); no option selects
-// another.
+// Options tunes the search (see the package comment; no option changes
+// its cuts, branching rule or node order). The zero value uses defaults:
+// serial search, no deadline, gap 1e-6, node limit 1<<20.
 type Options struct {
 	Deadline time.Time // wall-clock limit (zero: none)
 	MaxNodes int       // node budget (0: default 1<<20)

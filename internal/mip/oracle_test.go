@@ -42,13 +42,12 @@ type bruteMIP struct {
 	ints   []int
 }
 
-// bruteSolve returns the optimum of p and one optimal vector, or
-// feasible=false when no 0/1 vector of the integer columns extends to a
-// feasible point. It panics on a problem outside the shapes the oracle can
+// bruteSolve returns the optimum of p, or feasible=false when no 0/1
+// vector of the integer columns extends to a feasible point. It panics on a problem outside the shapes the oracle can
 // solve exactly: an integer column that can take a value other than 0 or
 // 1, a continuous column with a nonzero lower bound, or a row coupling
 // continuous columns other than one unit-weight <= row.
-func bruteSolve(p *bruteMIP) (best float64, bestX []float64, feasible bool) {
+func bruteSolve(p *bruteMIP) (best float64, feasible bool) {
 	n := len(p.obj)
 	isInt := make([]bool, n)
 	for _, v := range p.ints {
@@ -86,12 +85,9 @@ func bruteSolve(p *bruteMIP) (best float64, bestX []float64, feasible bool) {
 		for v, xv := range x {
 			obj += p.obj[v] * xv
 		}
-		if obj > best {
-			best = obj
-			bestX = append(bestX[:0], x...)
-		}
+		best, feasible = math.Max(best, obj), true
 	}
-	return best, bestX, bestX != nil
+	return best, feasible
 }
 
 // bruteBinaryCap is integer column v's upper limit: its box, tightened by
