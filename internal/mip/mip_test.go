@@ -275,15 +275,17 @@ func TestRoundingHookProvidesIncumbent(t *testing.T) {
 // TestRoundingCandidateChecks: a rounding-hook candidate that misses the
 // node relaxation in one way — one row broken by 1e-6 relative, integrality,
 // the length, or one branching fix — is never offered. On the hook
-// knapsack's items the capacity is 18/(1+1e-6), so the items {0, 2, 3, 4, 5}, of
-// weight 18, break it by 1e-6 relative; the optimum takes {0, 2, 3, 4, 7}
-// (weight 17, value 38). The row candidate and the integrality candidate
-// (the optimum plus the fraction of item 5 that fills the capacity) score
-// above the optimum, and a short vector would index past its end, so a
-// search that skipped one check would show it; such a search must retrace
-// the hook-free search exactly. The branching-fix candidate is the optimum
-// itself, feasible at the root, so it is checked against a node below the
-// fix x_2 <= 0.
+// knapsack's items the capacity is 18/(1+1e-6), so the row candidate, the
+// items {0, 2, 3, 4, 5} of weight 18, breaks it by 1e-6 relative and
+// scores 40, above the optimum 38. The integrality candidate is the
+// midpoint of the optima {0, 2, 3, 4, 7} and {0, 1, 3, 4}: it scores 38
+// and meets every row and every valid cut the root loop keeps, so only
+// the integrality check rejects it, and accepted at the root it would
+// prune the tree early. A short vector would index past its end. So a
+// search that skipped one check would show it; such a search must
+// retrace the hook-free search exactly. The branching-fix candidate is
+// the optimum {0, 2, 3, 4, 7}, feasible at the root, so it is checked
+// against a node below the fix x_2 <= 0.
 func TestRoundingCandidateChecks(t *testing.T) {
 	capacity := 18 / (1 + 1e-6)
 	prob := knapsackProblem(hookValues, hookWeights, capacity)
@@ -295,14 +297,12 @@ func TestRoundingCandidateChecks(t *testing.T) {
 		t.Fatalf("reference search: %v obj %g, want optimal 38", ref.Status, ref.Objective)
 	}
 	opt := []float64{1, 0, 1, 1, 1, 0, 0, 1, 0, 0}
-	frac := append([]float64(nil), opt...)
-	frac[5] = (capacity - 17) / 4
 	for _, c := range []struct {
 		name string
 		x    []float64
 	}{
 		{"row", []float64{1, 0, 1, 1, 1, 1, 0, 0, 0, 0}},
-		{"integrality", frac},
+		{"integrality", []float64{1, 0.5, 0.5, 1, 1, 0, 0, 0.5, 0, 0}},
 		{"length", []float64{0, 1}},
 	} {
 		called := false
