@@ -194,9 +194,12 @@ func TestSeparatorSkipsContinuousKnapsack(t *testing.T) {
 		{Var: 0, Coef: 2}, {Var: 1, Coef: 3}, {Var: 2, Coef: 5},
 	}, lp.LE, 50)
 	sep := newSeparator(p, nil, nil)
-	if sep.active() {
-		t.Fatalf("separator active on a continuous-only problem: %d knaps, %d vubs",
+	if len(sep.knaps) > 0 || len(sep.vubs) > 0 {
+		t.Fatalf("separator found structure on a continuous-only problem: %d knaps, %d vubs",
 			len(sep.knaps), len(sep.vubs))
+	}
+	if cuts := sep.separate([]float64{10, 10, 10}, cutsPerRound); len(cuts) > 0 {
+		t.Fatalf("separator emitted %d cuts on a continuous-only problem", len(cuts))
 	}
 }
 

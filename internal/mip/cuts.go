@@ -94,11 +94,6 @@ type separator struct {
 	vubs   []VUB // strengthened links: emit Cont - U·Bin <= 0 (U already tightened)
 }
 
-// active reports whether any cut family found structure to separate from.
-func (s *separator) active() bool {
-	return len(s.knaps) > 0 || len(s.vubs) > 0
-}
-
 // newSeparator scans p's rows for the three cut families. hint, when
 // non-nil, names builder-known budget/GUB/VUB rows which are processed
 // first; the generic scan then covers everything else, so hints never
@@ -538,28 +533,40 @@ func gubCoverCut(kr *knapRow, gubOf []int, yv []float64) (res struct {
 	return
 }
 
-// rootCuts runs the root cutting loop on the searcher's (possibly
-// presolved, possibly warm-imported) problem: solve the root relaxation —
-// warm from the imported root basis when one was adopted — separate,
-// append the violated top slice, warm re-optimise with the dual simplex,
-// repeat until no violated cut is found, the bound stops moving, or the
-// round budget is spent. Slack cuts (imported and fresh alike) are then
-// dropped and s.prob is rebuilt as an overlay of the pre-cut base LP
-// carrying the surviving pool, which every node relaxation inherits; in
-// warm mode the final root basis is adapted to that kept-row layout and
-// seeds the root node. Any solver trouble abandons the fresh cuts — the
-// search then runs on the pre-loop root (imported pool included), never on
-// a half-built one. ws is the caller's pre-search workspace.
-func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
+// rootCuts solves the root relaxation and runs the root cutting loop on
+// the searcher's (possibly presolved, possibly warm-imported) problem:
+// solve the root — warm from the imported root basis when one was adopted
+// — and while the solution is fractional on Problem.Integers, separate,
+// append the violated top slice and warm re-optimise with the dual
+// simplex, until no violated cut is found, the bound stops moving, or the
+// round budget is spent. The separator is built from hint and the root
+// rows the first time a root solution is fractional, so an integral root
+// never builds one. Slack cuts (imported and fresh alike) are then dropped
+// and s.prob is rebuilt as an overlay of the pre-cut base LP carrying the
+// surviving pool, which every node relaxation inherits; the final root
+// basis is adapted to that kept-row layout and seeds the root node.
+//
+// When the last solve was optimal and no cut joined the rows after it,
+// its solution stays optimal for the rebuilt root — a slack cut has a zero
+// dual — and becomes the root node's relaxation (s.rootSol). Otherwise (a
+// solve failed, a limit struck, or the last cuts made the relaxation
+// infeasible) the root node solves its relaxation itself, warm from the
+// adapted basis in warm mode and cold outside it. Any solver trouble
+// abandons the fresh cuts — the search then runs on the pre-loop root
+// (imported pool included), never on a half-built one. ws is the caller's
+// pre-search workspace.
+func (s *searcher) rootCuts(hint *Structure, ws *lp.Workspace) {
 	lpOpts := s.opts.LP
 	lpOpts.Deadline = s.opts.Deadline
 	work := s.prob.LP.Overlay()
 	var sol *lp.Solution
 	var basis *lp.Basis
 	var err error
-	if s.rootFrom != nil && !s.opts.DisableWarmStart {
+	warm := s.rootFrom != nil && !s.opts.DisableWarmStart
+	if warm {
 		sol, basis, err = ws.SolveBasisFrom(work, s.rootFrom, lpOpts)
 		if err != nil {
+			warm = false
 			sol, basis, err = ws.SolveBasis(work, lpOpts)
 		}
 	} else {
@@ -570,11 +577,19 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 	}
 	imported := s.pool
 	var fresh []cut
+	var sep *separator
+	adopt := true // sol is optimal for work's current rows
 	prevObj := sol.Objective
 	for round := 0; round < cutMaxRounds; round++ {
 		//lint:ignore wallclock sanctioned deadline probe, once per root cutting round
 		if !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline) {
 			break
+		}
+		if integralOn(s.prob.Integers, sol.X) {
+			break
+		}
+		if sep == nil {
+			sep = newSeparator(s.prob.LP, s.prob.Integers, hint)
 		}
 		found := sep.separate(sol.X, cutsPerRound)
 		if len(found) == 0 {
@@ -588,13 +603,15 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 		var nsol *lp.Solution
 		var nbasis *lp.Basis
 		var nerr error
-		if s.opts.DisableWarmStart || basis == nil {
-			nsol, nbasis, nerr = ws.SolveBasis(work, lpOpts)
-		} else {
+		nwarm := !s.opts.DisableWarmStart && basis != nil
+		if nwarm {
 			nsol, nbasis, nerr = ws.SolveBasisFrom(work, basis, lpOpts)
 			if nerr != nil {
+				nwarm = false
 				nsol, nbasis, nerr = ws.SolveBasis(work, lpOpts)
 			}
+		} else {
+			nsol, nbasis, nerr = ws.SolveBasis(work, lpOpts)
 		}
 		if nerr != nil {
 			// Abandon the fresh cuts; the imported pool (already part of
@@ -607,13 +624,14 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 			// The cuts are valid for every integer point, so an infeasible
 			// cut LP proves integer infeasibility: keep the pool and let
 			// the root node discover it.
-			sol, basis = nsol, nil
+			sol, basis, adopt = nsol, nil, false
 			break
 		}
 		if nsol.Status != lp.Optimal {
+			adopt = false
 			break // limit struck: stop cutting, keep what is proven valid
 		}
-		sol, basis = nsol, nbasis
+		sol, basis, warm = nsol, nbasis, nwarm
 		if prevObj-sol.Objective <= cutStallTol*(1+math.Abs(prevObj)) {
 			break // tailing off
 		}
@@ -622,12 +640,6 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 	combined := imported
 	if len(fresh) > 0 {
 		combined = append(append(make([]cut, 0, len(imported)+len(fresh)), imported...), fresh...)
-	}
-	if len(combined) == 0 {
-		if s.warmMode {
-			s.rootFrom = basis // cut-free layout: directly adoptable
-		}
-		return
 	}
 	// Drop cuts that ended up slack at the final root optimum: they did
 	// their work guiding the loop but would only burden every node solve.
@@ -646,22 +658,39 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 		keep[k] = true
 		nKept++
 	}
-	if nKept == 0 && !s.warmMode {
-		return // nothing to carry and s.prob already is the base LP
+	// The last solution is the root node's relaxation when the root keeps
+	// no cut row: a slack cut has a zero dual, so the point stays optimal
+	// without it. With kept cuts the root node still solves its rebuilt
+	// relaxation; adopting there too moved search trees (DESIGN §4).
+	adopt = adopt && nKept == 0
+	if adopt {
+		s.rootSol, s.rootWarm, s.rootRebuilt = sol, warm, sol.FactorRebuilt
 	}
-	kept := make([]cut, 0, nKept)
-	aug := s.baseLP.Overlay()
-	for k, c := range combined {
-		if keep[k] {
-			kept = append(kept, c)
-			aug.AddConstraint(c.terms, lp.LE, c.rhs)
+	// Under DisableWarmStart the root publishes no basis, as a basis-free
+	// root solve would not; outside warm mode a root that solves again
+	// solves cold.
+	if s.opts.DisableWarmStart || !adopt && !s.warmMode {
+		basis = nil
+	}
+	if len(combined) == 0 {
+		s.rootFrom = basis // cut-free layout: directly adoptable
+		return
+	}
+	if nKept > 0 || s.warmMode {
+		kept := make([]cut, 0, nKept)
+		aug := s.baseLP.Overlay()
+		for k, c := range combined {
+			if keep[k] {
+				kept = append(kept, c)
+				aug.AddConstraint(c.terms, lp.LE, c.rhs)
+			}
 		}
-	}
-	s.prob = &Problem{LP: aug, Integers: s.prob.Integers, Structure: s.prob.Structure}
-	s.pool = kept
-	s.cutsKept = len(kept)
+		s.prob = &Problem{LP: aug, Integers: s.prob.Integers, Structure: s.prob.Structure}
+		s.pool = kept
+		s.cutsKept = len(kept)
+	} // else nothing to carry and s.prob already is the base LP
 	s.rootFrom = nil
-	if s.warmMode && basis != nil {
+	if basis != nil {
 		// The loop's final basis describes [0, baseRows) plus the cut rows
 		// present at its last successful solve; route the kept ones to their
 		// positions in the rebuilt layout and drop the rest.
@@ -686,6 +715,6 @@ func (s *searcher) rootCuts(sep *separator, ws *lp.Workspace) {
 				rowMap[i] = -1
 			}
 		}
-		s.rootFrom = basis.AdaptRows(rowMap, s.baseRows+len(kept))
+		s.rootFrom = basis.AdaptRows(rowMap, s.baseRows+nKept)
 	}
 }

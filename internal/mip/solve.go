@@ -99,20 +99,20 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if rootWS == nil || workers > 1 {
 		rootWS = lp.NewWorkspace()
 	}
-	// Root cutting loop: separate valid inequalities from the model
+	// Root relaxation and cutting loop: solve the root and, while its
+	// solution is fractional, separate valid inequalities from the model
 	// structure, append the violated ones and re-optimise, then drop the
 	// slack ones and make the surviving pool part of every node relaxation
-	// (see cuts.go). Builder hints index the as-built rows, so they only
-	// apply when no root presolve remapped them.
+	// (see cuts.go). The loop's last optimal solution is the root node's
+	// relaxation, so the root is solved once. Builder hints index the
+	// as-built rows, so they only apply when no root presolve remapped
+	// them.
 	if len(s.prob.Integers) > 0 {
 		var hint *Structure
 		if s.ps == nil {
 			hint = p.Structure
 		}
-		sep := newSeparator(s.prob.LP, s.prob.Integers, hint)
-		if sep.active() {
-			s.rootCuts(sep, rootWS)
-		}
+		s.rootCuts(hint, rootWS)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	heap.Push(&s.queue, &node{bound: math.Inf(1), brVar: -1, basis: s.rootFrom, pc: s.rootPC})
@@ -205,14 +205,22 @@ type searcher struct {
 	// problem before any cut rows joined it — the layout WarmState.BaseRows
 	// describes. pool is the current root cut pool (imported then updated
 	// by the root loop); rootFrom/rootPC seed the root node's basis and
-	// pseudo-cost chain (nil outside warm mode, keeping the cold tree
-	// shape bit-identical); warmMode records that an import happened.
+	// pseudo-cost chain; warmMode records that an import happened.
 	baseLP   *lp.Problem
 	baseRows int
 	pool     []cut
 	rootFrom *lp.Basis
 	rootPC   *pcObs
 	warmMode bool
+
+	// rootSol is the root relaxation the cut loop solved, when it is
+	// optimal for exactly the rows the root node carries (see rootCuts);
+	// the root node adopts it with basis rootFrom instead of solving
+	// again. rootWarm and rootRebuilt record how the producing solve ran,
+	// for countSolve. nil: the root node solves its relaxation itself.
+	rootSol     *lp.Solution
+	rootWarm    bool
+	rootRebuilt bool
 
 	mu               sync.Mutex
 	cond             *sync.Cond
@@ -377,9 +385,18 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 // process solves one node relaxation (on the worker's workspace) and
 // returns child nodes.
 func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (children []*node, fatal error) {
-	sol, basis, err := s.solveNodeLP(nd, nd.basis, ws)
-	if err != nil {
-		return nil, err
+	var sol *lp.Solution
+	var basis *lp.Basis
+	if nd.depth == 0 && s.rootSol != nil {
+		// The root cut loop already solved this relaxation; it counts as
+		// the solve that produced it.
+		sol, basis = s.rootSol, nd.basis
+		s.countSolve(s.rootWarm, s.rootRebuilt)
+	} else {
+		var err error
+		if sol, basis, err = s.solveNodeLP(nd, nd.basis, ws); err != nil {
+			return nil, err
+		}
 	}
 	switch sol.Status {
 	case lp.Infeasible:
@@ -557,10 +574,10 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (*lp.
 
 // countSolve tallies warm vs cold relaxation solves and inherit fallbacks
 // (warm starts that had to refactorise because the parent snapshot could
-// not be adopted) for Result reporting. Node solves go through here; root
-// cut-loop solves and strong-branching probes do not (they keep their own
-// counters so WarmSolves+ColdSolves stays comparable across search
-// configurations).
+// not be adopted) for Result reporting. Node solves go through here, the
+// root's once, as the solve that produced it; the other root cut-loop
+// solves and strong-branching probes do not (they keep their own counters
+// so WarmSolves+ColdSolves stays equal to Nodes).
 func (s *searcher) countSolve(warm, inheritFallback bool) {
 	s.mu.Lock()
 	if warm {
