@@ -19,8 +19,9 @@
 // -v adds the full per-task time maps. With -replay N a deterministic
 // N-event synthetic trace (internal/incremental.GenTrace) is replayed
 // instead of reading stdin — the smoke-test and benchmarking mode. Final
-// engine stats (warm-hit rate, events/sec, solve-latency summary) go to
-// stderr on exit.
+// engine stats (warm-hit rate, events/sec, and the p50/p90/p99/max
+// latency of the flushes, each timed from event apply to published
+// schedule) go to stderr on exit.
 package main
 
 import (
@@ -30,8 +31,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/incremental"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -99,6 +102,7 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		return err
 	}
 	enc := json.NewEncoder(out)
+	var lat []float64 // per-flush latency in nanoseconds
 	n := 0
 	for {
 		ev, ok, err := events()
@@ -115,26 +119,30 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		if n%*batch != 0 {
 			continue
 		}
-		if err := report(enc, p, n, *verbose); err != nil {
+		if err := report(enc, p, n, *verbose, &lat); err != nil {
 			return err
 		}
 	}
 	if n%*batch != 0 { // drain the partial tail batch
-		if err := report(enc, p, n, *verbose); err != nil {
+		if err := report(enc, p, n, *verbose, &lat); err != nil {
 			return err
 		}
 	}
 	st := p.stats()
 	_, _ = fmt.Fprintf(errw, "dsctd: %d events, %d solves (%d warm, %d cold, warm-hit %.0f%%), %d nodes\n",
 		st.Events, st.Solves, st.WarmResolves, st.ColdResolves, 100*st.WarmHitRate(), st.Nodes)
-	_, _ = fmt.Fprintf(errw, "dsctd: solve time %v total, %v avg, %v max, %.0f events/sec\n",
-		st.SolveTime, st.AvgSolve(), st.MaxSolve, st.EventsPerSec())
+	pct := func(q float64) time.Duration { return time.Duration(stats.Percentile(lat, q)) }
+	_, _ = fmt.Fprintf(errw, "dsctd: %d flushes, latency p50 %v, p90 %v, p99 %v, max %v; solve time %v total, %.0f events/sec\n",
+		len(lat), pct(50), pct(90), pct(99), pct(100), st.SolveTime, st.EventsPerSec())
 	return nil
 }
 
-// report flushes pending events and writes one summary line.
-func report(enc *json.Encoder, p poster, n int, verbose bool) error {
+// report flushes pending events, appends the flush's latency to lat and
+// writes one summary line.
+func report(enc *json.Encoder, p poster, n int, verbose bool, lat *[]float64) error {
+	start := time.Now()
 	sol, err := p.flush()
+	*lat = append(*lat, float64(time.Since(start)))
 	if err != nil {
 		return err
 	}

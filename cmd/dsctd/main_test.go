@@ -52,8 +52,10 @@ func TestStdinMode(t *testing.T) {
 	if _, ok := final.Times["t1"]; !ok {
 		t.Errorf("-v output missing time map for t1: %+v", final.Times)
 	}
-	if !strings.Contains(errw.String(), "events/sec") {
-		t.Errorf("stats footer missing from stderr: %q", errw.String())
+	for _, want := range []string{"5 flushes", "latency p50 ", ", p90 ", ", p99 ", ", max ", "events/sec"} {
+		if !strings.Contains(errw.String(), want) {
+			t.Errorf("stats footer %q lacks %q", errw.String(), want)
+		}
 	}
 }
 
@@ -105,8 +107,10 @@ func TestReplayShardedAndBatched(t *testing.T) {
 	if got := sums[len(sums)-1].Event; got != 30 {
 		t.Errorf("last summary at event %d, want 30", got)
 	}
-	if !strings.Contains(errw.String(), "30 events") {
-		t.Errorf("stats footer %q does not account 30 events", errw.String())
+	for _, want := range []string{"30 events", "8 flushes"} {
+		if !strings.Contains(errw.String(), want) {
+			t.Errorf("stats footer %q does not account %s", errw.String(), want)
+		}
 	}
 }
 

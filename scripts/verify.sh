@@ -4,11 +4,12 @@
 # Runs, in order: gofmt (no unformatted files anywhere in the module),
 # build, go vet, the project's own static analyzers (cmd/dsctalint), the
 # hot-path escape gate (dsctalint -escape against the committed
-# LINT_ESCAPE.json baseline), the zero-allocation pins (the TestAllocs*
-# AllocsPerRun tests, which the race suite skips because -race perturbs
-# allocation counts, so they get their own non-race pass here), the
-# race-enabled test suite and a cmd/dsctd trace-replay smoke test (sharded
-# + batched). Idempotent: safe to run repeatedly from any working
+# LINT_ESCAPE.json baseline), the allocation pins (the TestAllocs*
+# AllocsPerRun tests: zero-allocation kernels in lp and core, the warm
+# engine flush's ceiling in incremental; the race suite skips them because
+# -race perturbs allocation counts, so they get their own non-race pass
+# here), the race-enabled test suite and a cmd/dsctd trace-replay smoke
+# test (sharded + batched). Idempotent: safe to run repeatedly from any working
 # directory. Exits non-zero on the first failure.
 #
 # With -bench, additionally runs the simplex benchmark suite — cold-vs-warm
@@ -104,8 +105,8 @@ go run ./cmd/dsctalint ./...
 echo "==> dsctalint -escape (LINT_ESCAPE.json baseline)"
 go run ./cmd/dsctalint -escape -baseline LINT_ESCAPE.json ./...
 
-echo "==> go test -run '^TestAllocs' ./internal/lp/ ./internal/core/ (zero-alloc pins, non-race)"
-go test -run '^TestAllocs' ./internal/lp/ ./internal/core/
+echo "==> go test -run '^TestAllocs' ./internal/lp/ ./internal/core/ ./internal/incremental/ (allocation pins, non-race)"
+go test -run '^TestAllocs' ./internal/lp/ ./internal/core/ ./internal/incremental/
 
 echo "==> go test -race ./..."
 go test -race ./...
