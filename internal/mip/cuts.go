@@ -546,12 +546,13 @@ func gubCoverCut(kr *knapRow, gubOf []int, yv []float64) (res struct {
 // surviving pool, which every node relaxation inherits; the final root
 // basis is adapted to that kept-row layout and seeds the root node.
 //
-// When the last solve was optimal and no cut joined the rows after it,
-// its solution stays optimal for the rebuilt root — a slack cut has a zero
-// dual — and becomes the root node's relaxation (s.rootSol). Otherwise (a
-// solve failed, a limit struck, or the last cuts made the relaxation
-// infeasible) the root node solves its relaxation itself, warm from the
-// adapted basis in warm mode and cold outside it. Any solver trouble
+// When the last solve was optimal, no cut joined the rows after it and
+// the root keeps no cut row, that solution stays optimal for the rebuilt
+// root — a slack cut has a zero dual — and becomes the root node's
+// relaxation (s.rootSol). Otherwise (a solve failed, a limit struck, the
+// last cuts made the relaxation infeasible, or cuts were kept) the root
+// node solves its relaxation itself, warm from the adapted basis in warm
+// mode and cold outside it. Any solver trouble
 // abandons the fresh cuts — the search then runs on the pre-loop root
 // (imported pool included), never on a half-built one. ws is the caller's
 // pre-search workspace.
@@ -658,13 +659,11 @@ func (s *searcher) rootCuts(hint *Structure, ws *lp.Workspace) {
 		keep[k] = true
 		nKept++
 	}
-	// The last solution is the root node's relaxation when the root keeps
-	// no cut row: a slack cut has a zero dual, so the point stays optimal
-	// without it. With kept cuts the root node still solves its rebuilt
-	// relaxation; adopting there too moved search trees (DESIGN §4).
+	// With kept cuts the root node still solves its rebuilt relaxation:
+	// adopting the loop's point there too moved search trees (DESIGN §4).
 	adopt = adopt && nKept == 0
 	if adopt {
-		s.rootSol, s.rootWarm, s.rootRebuilt = sol, warm, sol.FactorRebuilt
+		s.rootSol, s.rootWarm = sol, warm
 	}
 	// Under DisableWarmStart the root publishes no basis, as a basis-free
 	// root solve would not; outside warm mode a root that solves again

@@ -5,10 +5,14 @@
 // (Fig 4). It solves an LP relaxation at every node and runs one search,
 // with no option selecting another:
 //
-//   - root cuts: rounds of cover, GUB-cover and VUB separation from the
-//     model structure, each re-optimised with the dual simplex; slack cuts
-//     are dropped and the surviving pool joins every node relaxation
-//     (cuts.go);
+//   - root cuts: while the root relaxation's solution is fractional,
+//     rounds of cover, GUB-cover and VUB separation from the model
+//     structure, each re-optimised with the dual simplex; slack cuts are
+//     dropped and the surviving pool joins every node relaxation
+//     (cuts.go). The separator is built the first time a root solution
+//     is fractional, so an integral root never builds one, and when the
+//     root keeps no cut the loop's last solution is the root node's
+//     relaxation: the root is solved once;
 //   - reliability branching: pseudo-cost scores from the node's ancestry,
 //     after strong-branching probes on candidates with no observation yet
 //     in one direction (pseudocost.go);
@@ -199,12 +203,15 @@ type Result struct {
 	Objective float64 // incumbent objective (valid unless NoIncumbent/Infeasible)
 	X         []float64
 	Bound     float64 // best proven upper bound on the optimum (the dual bound)
-	Nodes     int     // LP relaxations solved
+	Nodes     int     // node relaxations processed, the root included
 	Elapsed   time.Duration
 
-	// Every node relaxation solve counts in one of WarmSolves and
-	// ColdSolves. Rounding-hook candidates are checked against the rows,
-	// not solved, and count in neither.
+	// Every node relaxation counts once in one of WarmSolves and
+	// ColdSolves, as the solve that produced it. For the root that is the
+	// root cut loop's last solve when the root node adopts it (the root
+	// keeps no cut row), else the root node's own solve; the loop's other
+	// solves, strong-branching probes and rounding-hook candidates (checked
+	// against the rows, not solved) count in neither.
 	WarmSolves int // relaxations warm-started from a parent basis
 	ColdSolves int // relaxations solved from scratch
 
@@ -212,6 +219,9 @@ type Result struct {
 	// parent's basic column set but could not adopt its factorisation
 	// snapshot — missing, fill-heavy or failing the residual check — and
 	// rebuilt the factors from scratch instead. A subset of WarmSolves.
+	// An adopted root counts here when its solve started from a basis
+	// whose rows changed: an imported root basis after rows were appended,
+	// or the previous cut round's basis.
 	InheritFallbacks int
 
 	// Gap is Bound - Objective when an incumbent exists (0 at Optimal,

@@ -216,11 +216,10 @@ type searcher struct {
 	// rootSol is the root relaxation the cut loop solved, when it is
 	// optimal for exactly the rows the root node carries (see rootCuts);
 	// the root node adopts it with basis rootFrom instead of solving
-	// again. rootWarm and rootRebuilt record how the producing solve ran,
-	// for countSolve. nil: the root node solves its relaxation itself.
-	rootSol     *lp.Solution
-	rootWarm    bool
-	rootRebuilt bool
+	// again. rootWarm records whether the producing solve was warm, for
+	// countSolve. nil: the root node solves its relaxation itself.
+	rootSol  *lp.Solution
+	rootWarm bool
 
 	mu               sync.Mutex
 	cond             *sync.Cond
@@ -391,7 +390,7 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		// The root cut loop already solved this relaxation; it counts as
 		// the solve that produced it.
 		sol, basis = s.rootSol, nd.basis
-		s.countSolve(s.rootWarm, s.rootRebuilt)
+		s.countSolve(s.rootWarm, sol.FactorRebuilt)
 	} else {
 		var err error
 		if sol, basis, err = s.solveNodeLP(nd, nd.basis, ws); err != nil {
