@@ -50,8 +50,11 @@ func TestAllocsWarmFlush(t *testing.T) {
 	}
 	prob := e.mipProblem()
 	rel, err := lp.Solve(prob.LP, lp.Options{Presolve: lp.PresolveOff})
-	if err != nil || rel.Status != lp.Optimal {
-		t.Fatalf("root relaxation: status %v, err %v", rel.Status, err)
+	if err != nil {
+		t.Fatalf("root relaxation: %v", err)
+	}
+	if rel.Status != lp.Optimal {
+		t.Fatalf("root relaxation: status %v", rel.Status)
 	}
 	for _, v := range prob.Integers {
 		if f := rel.X[v] - math.Floor(rel.X[v]); math.Min(f, 1-f) > 1e-6 {

@@ -49,11 +49,14 @@ type tracePin struct {
 	Flushes []flushPin `json:"flushes"`
 }
 
-// goldenTraces lists the pinned traces in file order.
-func goldenTraces(t *testing.T) []struct {
+// goldenTrace is one pinned input.
+type goldenTrace struct {
 	name  string
 	trace []Event
-} {
+}
+
+// goldenTraces lists the pinned traces in file order.
+func goldenTraces(t *testing.T) []goldenTrace {
 	slack := DefaultTraceConfig(61, 24+3+1+72, 24, 3)
 	slack.DeadlineScale = 20
 	slack.BudgetScale = 50
@@ -61,10 +64,7 @@ func goldenTraces(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []struct {
-		name  string
-		trace []Event
-	}{
+	return []goldenTrace{
 		{"stream-vs-cold/seed=41", genTestTrace(t, 41, 220)},
 		{"workers/seed=43", genTestTrace(t, 43, 80)},
 		{"slack/seed=61", slackTrace},
