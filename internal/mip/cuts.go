@@ -552,10 +552,9 @@ func gubCoverCut(kr *knapRow, gubOf []int, yv []float64) (res struct {
 // relaxation (s.rootSol). Otherwise (a solve failed, a limit struck, the
 // last cuts made the relaxation infeasible, or cuts were kept) the root
 // node solves its relaxation itself, warm from the adapted basis in warm
-// mode and cold outside it. Any solver trouble
-// abandons the fresh cuts — the search then runs on the pre-loop root
-// (imported pool included), never on a half-built one. ws is the caller's
-// pre-search workspace.
+// mode and cold outside it. Any solver trouble abandons the fresh cuts —
+// the search then runs on the pre-loop root (imported pool included),
+// never on a half-built one. ws is the caller's pre-search workspace.
 func (s *searcher) rootCuts(hint *Structure, ws *lp.Workspace) {
 	lpOpts := s.opts.LP
 	lpOpts.Deadline = s.opts.Deadline
@@ -564,13 +563,20 @@ func (s *searcher) rootCuts(hint *Structure, ws *lp.Workspace) {
 	var basis *lp.Basis
 	var err error
 	warm := s.rootFrom != nil && !s.opts.DisableWarmStart
-	if warm {
+	switch {
+	case warm:
 		sol, basis, err = ws.SolveBasisFrom(work, s.rootFrom, lpOpts)
 		if err != nil {
 			warm = false
 			sol, basis, err = ws.SolveBasis(work, lpOpts)
 		}
-	} else {
+	case s.opts.DisableWarmStart:
+		// Basis-free, like every node solve under DisableWarmStart. The
+		// Solution aliases ws's output buffers, which only another
+		// basis-free solve overwrites: the loop's re-solves publish their
+		// own, and the root node is done with it before ws solves again.
+		sol, err = ws.Solve(work, lpOpts)
+	default:
 		sol, basis, err = ws.SolveBasis(work, lpOpts)
 	}
 	if err != nil || sol.Status != lp.Optimal {
