@@ -21,7 +21,8 @@
 // instead of reading stdin — the smoke-test and benchmarking mode. Final
 // engine stats (warm-hit rate, events/sec, and the p50/p90/p99/max
 // latency of the flushes, each timed from event apply to published
-// schedule) go to stderr on exit.
+// schedule; percentiles within 6.25% above, max exact) go to stderr on
+// exit.
 package main
 
 import (
@@ -30,11 +31,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
 	"repro/internal/incremental"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -89,10 +90,12 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		return fmt.Errorf("-shards and -batch must be >= 1 (got %d, %d)", *shards, *batch)
 	}
 
-	opts := incremental.Options{Workers: *workers, BatchWindow: *batch, DisableWarm: *cold}
+	// The loop below flushes every -batch events itself, so no engine
+	// flushes on Post: each solve runs inside report's timed flush.
+	opts := incremental.Options{Workers: *workers, BatchWindow: math.MaxInt, DisableWarm: *cold}
 	var p poster
 	if *shards > 1 {
-		p = &shardedPoster{s: incremental.NewSharded(*shards, opts), window: *batch}
+		p = &shardedPoster{s: incremental.NewSharded(*shards, opts)}
 	} else {
 		p = &enginePoster{e: incremental.New(opts)}
 	}
@@ -102,7 +105,7 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		return err
 	}
 	enc := json.NewEncoder(out)
-	var lat []float64 // per-flush latency in nanoseconds
+	var lat latencyHist
 	n := 0
 	for {
 		ev, ok, err := events()
@@ -131,18 +134,17 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 	st := p.stats()
 	_, _ = fmt.Fprintf(errw, "dsctd: %d events, %d solves (%d warm, %d cold, warm-hit %.0f%%), %d nodes\n",
 		st.Events, st.Solves, st.WarmResolves, st.ColdResolves, 100*st.WarmHitRate(), st.Nodes)
-	pct := func(q float64) time.Duration { return time.Duration(stats.Percentile(lat, q)) }
-	_, _ = fmt.Fprintf(errw, "dsctd: %d flushes, latency p50 %v, p90 %v, p99 %v, max %v; solve time %v total, %.0f events/sec\n",
-		len(lat), pct(50), pct(90), pct(99), pct(100), st.SolveTime, st.EventsPerSec())
+	_, _ = fmt.Fprintf(errw, "dsctd: %d flushes, latency p50 %v, p90 %v, p99 %v, max %v; flush time %v total, solve time %v total, %.0f events/sec\n",
+		lat.n, lat.quantile(50), lat.quantile(90), lat.quantile(99), lat.max, lat.total, st.SolveTime, st.EventsPerSec())
 	return nil
 }
 
-// report flushes pending events, appends the flush's latency to lat and
+// report flushes pending events, records the flush's latency in lat and
 // writes one summary line.
-func report(enc *json.Encoder, p poster, n int, verbose bool, lat *[]float64) error {
+func report(enc *json.Encoder, p poster, n int, verbose bool, lat *latencyHist) error {
 	start := time.Now()
 	sol, err := p.flush()
-	*lat = append(*lat, float64(time.Since(start)))
+	lat.record(time.Since(start))
 	if err != nil {
 		return err
 	}
@@ -211,20 +213,14 @@ func eventSource(replay int, seed int64, tasks, machines int, in io.Reader) (fun
 type enginePoster struct{ e *incremental.Engine }
 
 func (p *enginePoster) post(ev incremental.Event) error {
-	// BatchWindow is configured on the engine, but the daemon flushes on
-	// its own cadence; buffering never solves here because report() flushes
-	// at every window boundary.
-	_, err := p.e.Post(ev)
+	_, err := p.e.Post(ev) // only buffers: the engine's window never fills
 	return err
 }
 func (p *enginePoster) flush() (*incremental.Solution, error) { return p.e.Flush() }
 func (p *enginePoster) stats() incremental.Stats              { return p.e.Stats() }
 func (p *enginePoster) live() (int, int)                      { return p.e.LiveTasks(), p.e.LiveMachines() }
 
-type shardedPoster struct {
-	s      *incremental.Sharded
-	window int
-}
+type shardedPoster struct{ s *incremental.Sharded }
 
 func (p *shardedPoster) post(ev incremental.Event) error       { return p.s.Post(ev) }
 func (p *shardedPoster) flush() (*incremental.Solution, error) { return p.s.Flush() }

@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // decodeSummaries parses the stdout JSON lines.
@@ -56,6 +58,100 @@ func TestStdinMode(t *testing.T) {
 		if !strings.Contains(errw.String(), want) {
 			t.Errorf("stats footer %q lacks %q", errw.String(), want)
 		}
+	}
+	checkFlushesTimeSolves(t, errw.String())
+}
+
+var footerTimes = regexp.MustCompile(`flush time (\S+) total, solve time (\S+) total`)
+
+// checkFlushesTimeSolves checks a single-engine footer: every solve runs
+// inside one timed flush, so the flushes' summed latency is at least the
+// engine's total solve time, and some solve ran.
+func checkFlushesTimeSolves(t *testing.T, footer string) {
+	t.Helper()
+	m := footerTimes.FindStringSubmatch(footer)
+	if m == nil {
+		t.Fatalf("stats footer %q lacks the flush and solve totals", footer)
+	}
+	flush, err := time.ParseDuration(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve, err := time.ParseDuration(m[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solve <= 0 || flush < solve {
+		t.Errorf("flush time %v total, solve time %v total: want flushes to cover every solve", flush, solve)
+	}
+}
+
+func TestBatchedFlushesTimeSolves(t *testing.T) {
+	var out, errw strings.Builder
+	if err := run([]string{"-replay", "30", "-tasks", "5", "-machines", "2", "-seed", "11", "-batch", "4"},
+		strings.NewReader(""), &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	if sums := decodeSummaries(t, out.String()); len(sums) != 8 {
+		t.Fatalf("got %d summaries, want 8", len(sums))
+	}
+	if !strings.Contains(errw.String(), "8 flushes") {
+		t.Errorf("stats footer %q does not account 8 flushes", errw.String())
+	}
+	checkFlushesTimeSolves(t, errw.String())
+}
+
+func TestLatencyHistBuckets(t *testing.T) {
+	// Bucket i holds exactly the durations in (histUpper(i-1), histUpper(i)].
+	prev := time.Duration(-1)
+	for i := 0; i < histBuckets; i++ {
+		hi := histUpper(i)
+		if hi <= prev {
+			t.Fatalf("bucket %d: upper %d not above bucket %d's %d", i, hi, i-1, prev)
+		}
+		if got := histBucket(prev + 1); got != i {
+			t.Fatalf("duration %d in bucket %d, want %d", prev+1, got, i)
+		}
+		if got := histBucket(hi); got != i {
+			t.Fatalf("duration %d in bucket %d, want %d", hi, got, i)
+		}
+		if lo := prev + 1; lo >= 32 && hi-lo >= lo/16 {
+			t.Fatalf("bucket %d spans [%d, %d], wider than 1/16 of its lower edge", i, lo, hi)
+		}
+		prev = hi
+	}
+	if prev != time.Duration(1<<63-1) {
+		t.Errorf("last bucket ends at %d, want the largest duration", prev)
+	}
+}
+
+func TestLatencyHistQuantiles(t *testing.T) {
+	var h latencyHist
+	if h.quantile(50) != 0 {
+		t.Errorf("empty p50 %v, want 0", h.quantile(50))
+	}
+	// 1..1000 µs: nearest-rank p50 is 500 µs, p90 900 µs, p99 990 µs.
+	for i := 1000; i >= 1; i-- {
+		h.record(time.Duration(i) * time.Microsecond)
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{50, 500 * time.Microsecond}, {90, 900 * time.Microsecond}, {99, 990 * time.Microsecond}, {100, time.Millisecond}} {
+		got := h.quantile(c.q)
+		if got < c.want || got > c.want+c.want/16 {
+			t.Errorf("p%g = %v, want within [%v, +1/16]", c.q, got, c.want)
+		}
+	}
+	if h.quantile(100) != time.Millisecond || h.max != time.Millisecond {
+		t.Errorf("max %v, p100 %v, want exactly 1ms", h.max, h.quantile(100))
+	}
+	if h.n != 1000 || h.total != 500500*time.Microsecond {
+		t.Errorf("n %d, total %v, want 1000 and 500.5ms", h.n, h.total)
+	}
+	h.record(-time.Second) // a clock step back counts as zero
+	if h.n != 1001 || h.total != 500500*time.Microsecond {
+		t.Errorf("after a negative record: n %d, total %v", h.n, h.total)
 	}
 }
 
