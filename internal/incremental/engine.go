@@ -142,7 +142,6 @@ type Stats struct {
 
 	SolveTime time.Duration // total wall time inside mip.Solve
 	LastSolve time.Duration
-	MaxSolve  time.Duration
 }
 
 // WarmHitRate is the fraction of re-solves that started from imported
@@ -161,14 +160,6 @@ func (s Stats) EventsPerSec() float64 {
 		return 0
 	}
 	return float64(s.Events) / s.SolveTime.Seconds()
-}
-
-// AvgSolve is the mean re-solve latency (0 before the first solve).
-func (s Stats) AvgSolve() time.Duration {
-	if s.Solves == 0 {
-		return 0
-	}
-	return s.SolveTime / time.Duration(s.Solves)
 }
 
 // liveTask is the engine's bookkeeping for one (possibly departed) task.
@@ -726,9 +717,6 @@ func (e *Engine) solve() (*Solution, error) {
 	e.stats.CutsCarried = res.Cuts
 	e.stats.SolveTime += elapsed
 	e.stats.LastSolve = elapsed
-	if elapsed > e.stats.MaxSolve {
-		e.stats.MaxSolve = elapsed
-	}
 
 	sol := &Solution{
 		Status:   res.Status,

@@ -406,7 +406,7 @@ func TestShardedDeterministicReplay(t *testing.T) {
 // TestEngineStats sanity-checks the derived stats accessors.
 func TestEngineStats(t *testing.T) {
 	var zero Stats
-	if zero.WarmHitRate() != 0 || zero.EventsPerSec() != 0 || zero.AvgSolve() != 0 {
+	if zero.WarmHitRate() != 0 || zero.EventsPerSec() != 0 {
 		t.Error("zero stats must derive zeros")
 	}
 	trace := genTestTrace(t, 59, 30)
@@ -426,13 +426,10 @@ func TestEngineStats(t *testing.T) {
 	if got := st.WarmHitRate(); math.Abs(got-float64(st.Solves-1)/float64(st.Solves)) > 1e-12 {
 		t.Errorf("warm hit rate = %g", got)
 	}
-	if st.SolveTime <= 0 || st.MaxSolve < st.LastSolve && st.MaxSolve <= 0 {
+	if st.SolveTime <= 0 || st.LastSolve <= 0 || st.LastSolve > st.SolveTime {
 		t.Errorf("degenerate timings: %+v", st)
 	}
 	if st.EventsPerSec() <= 0 {
 		t.Error("events/sec not positive after solves")
-	}
-	if st.AvgSolve() <= 0 || st.AvgSolve() > st.MaxSolve {
-		t.Errorf("avg solve %v out of range (max %v)", st.AvgSolve(), st.MaxSolve)
 	}
 }

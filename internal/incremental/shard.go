@@ -207,8 +207,8 @@ func statusRank(st mip.Status) int {
 	}
 }
 
-// Stats sums the shard stats (durations add; Last/Max take the max over
-// shards' own maxima). Events counts stream events posted to the wrapper —
+// Stats sums the shard stats (SolveTime adds; LastSolve is the largest
+// shard's). Events counts stream events posted to the wrapper —
 // a fanned-out budget change is one event, not one per shard.
 func (s *Sharded) Stats() Stats {
 	var total Stats
@@ -226,9 +226,6 @@ func (s *Sharded) Stats() Stats {
 		total.SolveTime += st.SolveTime
 		if st.LastSolve > total.LastSolve {
 			total.LastSolve = st.LastSolve
-		}
-		if st.MaxSolve > total.MaxSolve {
-			total.MaxSolve = st.MaxSolve
 		}
 	}
 	total.Events = s.stats.Events
