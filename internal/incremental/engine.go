@@ -9,8 +9,7 @@
 // edits; see internal/lp's mutation API), and the re-solve imports the
 // previous solve's mip.WarmState: the root relaxation starts from the
 // previous optimal basis (dual simplex repairs the handful of violated
-// rows), the root cut pool is re-imposed instead of re-separated, and the
-// pseudo-cost observations keep branching informed. Any non-adoptable
+// rows), and the pseudo-cost observations keep branching informed. Any non-adoptable
 // piece degrades to its cold equivalent, so warm starting is a latency
 // optimisation, never a correctness risk.
 //
@@ -20,7 +19,7 @@
 // because concave accuracy curves with a(0) >= 0 have non-negative chord
 // intercepts; a stale deadline-staircase row is implied by the latest live
 // task's row below it). Column indices therefore stay stable for the
-// lifetime of the engine, which is what lets bases, cuts and pseudo-cost
+// lifetime of the engine, which is what lets bases and pseudo-cost
 // observations survive arbitrarily long event streams. The cost is that
 // the problem monotonically grows with total events seen — an engine is a
 // steady-state object, recycled at operator cadence, not a forever object.
@@ -91,8 +90,8 @@ type Options struct {
 	// pending, then applies them as one delta batch and re-solves once.
 	// <= 1 re-solves per event; Flush always drains regardless.
 	BatchWindow int
-	// DisableWarm solves every batch cold — no basis, cut-pool or
-	// pseudo-cost carry-over, no workspace reuse. The differential baseline
+	// DisableWarm solves every batch cold — no basis or pseudo-cost
+	// carry-over, no workspace reuse. The differential baseline
 	// and the benchmark's cold arm.
 	DisableWarm bool
 	// MaxNodes caps each re-solve's branch-and-bound tree (0: mip default).
@@ -132,13 +131,15 @@ type Stats struct {
 	ColdResolves int // re-solves without one (first solve, DisableWarm)
 
 	// Node-level accounting summed over all re-solves: warm/cold node
-	// relaxations, warm starts that had to refactorise, branch-and-bound
-	// nodes, and the cut rows carried by the latest re-solve.
+	// relaxations, warm starts that had to refactorise, and
+	// branch-and-bound nodes.
 	NodeWarm         int
 	NodeCold         int
 	InheritFallbacks int
 	Nodes            int
-	CutsCarried      int
+	// CutsCarried is always zero: re-solves add no cutting planes. It
+	// remains so that callers reporting it still build.
+	CutsCarried int
 
 	SolveTime time.Duration // total wall time inside mip.Solve
 	LastSolve time.Duration
@@ -179,6 +180,15 @@ type liveTask struct {
 	aggRow  int
 	gubRow  int
 	stair   []int // staircase row of this task per machine seq (-1: none)
+}
+
+// link returns the coefficient U of the task's deadline link
+// t_r <= U·x_r on machine mc: min(d, f^max/s_r). The box caps t_r at
+// f^max/s_r and x_r is 0 or 1, so the link is valid at every integral
+// point, and its relaxation is the tightest of the two bounds (1c) and
+// (1d) give.
+func (tk *liveTask) link(mc *liveMachine) float64 {
+	return math.Min(tk.deadline, tk.acc.FMax()/mc.speed)
 }
 
 // liveMachine is the bookkeeping for one (possibly withdrawn) machine.
@@ -424,12 +434,6 @@ func (e *Engine) applyEvent(ev *Event) {
 			e.p.Deactivate(tk.x[mc.seq])
 		}
 	case BudgetChange:
-		if ev.Budget > e.budget && e.warm != nil {
-			// A budget increase relaxes the energy knapsack the cover-style
-			// cuts were derived from, so the pool is no longer proven valid:
-			// drop it, keep the basis and pseudo-costs (always safe).
-			e.warm = &mip.WarmState{RootBasis: e.warm.RootBasis, BaseRows: e.warm.BaseRows, Obs: e.warm.Obs}
-		}
 		e.budget = ev.Budget
 		e.p.SetRHS(e.budgetRow, ev.Budget)
 	}
@@ -437,7 +441,7 @@ func (e *Engine) applyEvent(ev *Event) {
 
 // applyArrive appends the task's column block (z, then t/x per live
 // machine), its own rows (epigraph segments, aggregate work cap, deadline
-// VUB links, assignment GUB, one staircase row per live machine) and its
+// links, assignment GUB, one staircase row per live machine) and its
 // terms on shared rows (the energy budget row and the staircase rows of
 // live tasks due after it).
 func (e *Engine) applyArrive(ev *Event) {
@@ -486,12 +490,12 @@ func (e *Engine) applyArrive(ev *Event) {
 		}
 	}
 	tk.aggRow = e.p.AddConstraint(agg, lp.LE, acc.FMax())
-	// Deadline VUB links (1d): t_r - d·x_r <= 0.
+	// Deadline links (1d) at their tight coefficient: t_r - U_r·x_r <= 0.
 	for _, mc := range e.machines {
 		if mc.alive {
 			e.p.AddConstraint([]lp.Term{
 				{Var: tk.t[mc.seq], Coef: 1},
-				{Var: tk.x[mc.seq], Coef: -tk.deadline},
+				{Var: tk.x[mc.seq], Coef: -tk.link(mc)},
 			}, lp.LE, 0)
 		}
 	}
@@ -547,8 +551,8 @@ func (e *Engine) applyArrive(ev *Event) {
 }
 
 // applyJoin appends the machine's column block (t/x per live task), the
-// new columns' terms on every live task's shared rows, the new VUB links,
-// and the machine's own staircase rows.
+// new columns' terms on every live task's shared rows, the new deadline
+// links, and the machine's own staircase rows.
 func (e *Engine) applyJoin(ev *Event) {
 	mc := &liveMachine{id: ev.Machine, seq: len(e.machines), speed: ev.Speed, power: ev.Power, alive: true}
 	e.machines = append(e.machines, mc)
@@ -574,7 +578,7 @@ func (e *Engine) applyJoin(ev *Event) {
 		}
 		e.p.AppendTerms(tk.aggRow, []lp.Term{{Var: tv, Coef: mc.speed}})
 		e.p.AddConstraint([]lp.Term{
-			{Var: tv, Coef: 1}, {Var: xv, Coef: -tk.deadline},
+			{Var: tv, Coef: 1}, {Var: xv, Coef: -tk.link(mc)},
 		}, lp.LE, 0)
 		e.p.AppendTerms(tk.gubRow, []lp.Term{{Var: xv, Coef: 1}})
 		energy = append(energy, lp.Term{Var: tv, Coef: mc.power})
@@ -593,25 +597,21 @@ func (e *Engine) applyJoin(ev *Event) {
 }
 
 // mipProblem assembles the mip view of the live problem: the integer set
-// (live assignment binaries, stable task-then-machine order) and the
-// separator's structure hints over live rows and pairs.
+// (live assignment binaries, stable task-then-machine order).
 func (e *Engine) mipProblem() *mip.Problem {
-	st := &mip.Structure{BudgetRows: []int{e.budgetRow}}
 	var ints []int
 	for _, tk := range e.tasks {
 		if !tk.alive {
 			continue
 		}
-		st.GUBRows = append(st.GUBRows, tk.gubRow)
 		for _, mc := range e.machines {
 			if !mc.alive || mc.seq >= len(tk.x) || tk.x[mc.seq] < 0 {
 				continue
 			}
 			ints = append(ints, tk.x[mc.seq])
-			st.VUBs = append(st.VUBs, mip.VUB{Cont: tk.t[mc.seq], Bin: tk.x[mc.seq], U: tk.deadline})
 		}
 	}
-	return &mip.Problem{LP: e.p, Integers: ints, Structure: st}
+	return &mip.Problem{LP: e.p, Integers: ints}
 }
 
 // loadView rebuilds the flush's fixed-assignment view of the live
@@ -714,7 +714,6 @@ func (e *Engine) solve() (*Solution, error) {
 	e.stats.NodeCold += res.ColdSolves
 	e.stats.InheritFallbacks += res.InheritFallbacks
 	e.stats.Nodes += res.Nodes
-	e.stats.CutsCarried = res.Cuts
 	e.stats.SolveTime += elapsed
 	e.stats.LastSolve = elapsed
 

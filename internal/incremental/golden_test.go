@@ -2,14 +2,14 @@ package incremental
 
 // Golden pins for the engine: every flush of three replayed traces at
 // Workers=1, recorded by its status, the bits of its total accuracy, an
-// FNV digest of the published times, its branch-and-bound node count and
-// the cut rows it carried. The traces are the one TestStreamVsCold replays
+// FNV digest of the published times and its branch-and-bound node count.
+// The traces are the one TestStreamVsCold replays
 // (seed 41), the one TestEngineDeterministicAcrossWorkers replays (seed
 // 43) and a slack trace of 24 tasks on 3 machines with DeadlineScale 20
 // and BudgetScale 50, the regime of the benchmark's daemon-churn workload,
 // where most roots are integral. Every field must match exactly: a change
-// to the search that alters a tree, a vertex the schedule is rounded from,
-// or the cut pool surfaces here as a moved pin.
+// to the search or the model rows that alters a tree or a vertex the
+// schedule is rounded from surfaces here as a moved pin.
 //
 // Regenerate after an intentional change with
 //
@@ -40,7 +40,6 @@ type flushPin struct {
 	Acc    uint64 `json:"acc"`   // math.Float64bits(Solution.TotalAccuracy)
 	Times  uint64 `json:"times"` // timesDigest(Solution.Times)
 	Nodes  int    `json:"nodes"`
-	Cuts   int    `json:"cuts"` // Stats.CutsCarried after the flush
 }
 
 // tracePin is one replayed trace's golden record, one pin per event.
@@ -114,7 +113,6 @@ func replayPins(t *testing.T, trace []Event) []flushPin {
 			Acc:    math.Float64bits(sol.TotalAccuracy),
 			Times:  timesDigest(sol.Times),
 			Nodes:  sol.Nodes,
-			Cuts:   e.Stats().CutsCarried,
 		}
 	}
 	return pins
@@ -179,8 +177,8 @@ func TestGoldenFlushes(t *testing.T) {
 		}
 		for k, wp := range w.Flushes {
 			if gp := g.Flushes[k]; gp != wp {
-				t.Errorf("%s event %d: got %s acc %#x times %#x, %d nodes, %d cuts; pinned %s acc %#x times %#x, %d nodes, %d cuts",
-					g.Name, k, gp.Status, gp.Acc, gp.Times, gp.Nodes, gp.Cuts, wp.Status, wp.Acc, wp.Times, wp.Nodes, wp.Cuts)
+				t.Errorf("%s event %d: got %s acc %#x times %#x, %d nodes; pinned %s acc %#x times %#x, %d nodes",
+					g.Name, k, gp.Status, gp.Acc, gp.Times, gp.Nodes, wp.Status, wp.Acc, wp.Times, wp.Nodes)
 			}
 		}
 	}

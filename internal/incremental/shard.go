@@ -222,7 +222,6 @@ func (s *Sharded) Stats() Stats {
 		total.NodeCold += st.NodeCold
 		total.InheritFallbacks += st.InheritFallbacks
 		total.Nodes += st.Nodes
-		total.CutsCarried += st.CutsCarried
 		total.SolveTime += st.SolveTime
 		if st.LastSolve > total.LastSolve {
 			total.LastSolve = st.LastSolve

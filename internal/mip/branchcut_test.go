@@ -1,8 +1,8 @@
 package mip
 
-// Branch-and-cut tests: the separator's cut families, the differential
-// corpus holding the search to a brute-force oracle (oracle_test.go), and
-// the row-accounting guarantees when cut rows are appended and removed.
+// Search tests: the differential corpus holding the search to a
+// brute-force oracle (oracle_test.go), and the gap and dual-bound
+// reporting.
 
 import (
 	"fmt"
@@ -13,195 +13,6 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/rng"
 )
-
-// --- separator unit tests -------------------------------------------------
-
-// binKnapLP builds max Σ v x s.t. Σ w x <= cap with x binary encoded as
-// x <= 1 rows (the separator must fold those into effective bounds).
-func binKnapLP(values, weights []float64, capacity float64) *Problem {
-	return knapsackProblem(values, weights, capacity)
-}
-
-func TestSeparatorCoverCut(t *testing.T) {
-	// Three items of weight 3, capacity 5: any two overflow, so the
-	// extended cover is x0+x1+x2 <= 1.
-	p := binKnapLP([]float64{1, 1, 1}, []float64{3, 3, 3}, 5)
-	sep := newSeparator(p.LP, p.Integers, nil)
-	if len(sep.knaps) != 1 {
-		t.Fatalf("knapsack rows detected = %d, want 1", len(sep.knaps))
-	}
-	for v := 0; v < 3; v++ {
-		if !sep.binary[v] {
-			t.Fatalf("x%d not recognised as binary (x <= 1 is a row, not a box)", v)
-		}
-	}
-	x := []float64{0.55, 0.55, 0.55} // feasible for the row (4.95 <= 5)
-	cuts := sep.separate(x, 8)
-	if len(cuts) != 1 {
-		t.Fatalf("cuts = %d, want 1 cover cut", len(cuts))
-	}
-	c := cuts[0]
-	//lint:ignore floatcmp the separator assigns the exact integer literal |C|-1
-	if len(c.terms) != 3 || c.rhs != 1 {
-		t.Fatalf("cover cut = %+v, want x0+x1+x2 <= 1", c)
-	}
-	var lhs float64
-	for _, tm := range c.terms {
-		//lint:ignore floatcmp cover coefficients are the exact literal 1
-		if tm.Coef != 1 {
-			t.Fatalf("cover coefficient %g, want 1", tm.Coef)
-		}
-		lhs += x[tm.Var]
-	}
-	if lhs <= c.rhs {
-		t.Fatalf("emitted cut not violated at x: lhs %g rhs %g", lhs, c.rhs)
-	}
-}
-
-func TestSeparatorComplementedCover(t *testing.T) {
-	// -3 y0 - 3 y1 - 3 y2 >= -5  ==  3 y0 + 3 y1 + 3 y2 <= 5 after the GE
-	// negation; the coefficients stay positive so this exercises the GE
-	// path, while a genuinely negative LE coefficient exercises
-	// complementation: 3 y0 + 3 y1 - 3 y2 <= 2 has the binary relaxation
-	// 3 y0 + 3 y1 + 3 y2'' <= 5 with y2'' = 1 - y2.
-	p := lp.NewProblem(3)
-	for i := 0; i < 3; i++ {
-		p.SetObjCoef(i, 1)
-		p.SetBounds(i, 0, 1)
-	}
-	p.AddConstraint([]lp.Term{
-		{Var: 0, Coef: 3}, {Var: 1, Coef: 3}, {Var: 2, Coef: -3},
-	}, lp.LE, 2)
-	sep := newSeparator(p, []int{0, 1, 2}, nil)
-	if len(sep.knaps) != 1 {
-		t.Fatalf("knapsack rows detected = %d, want 1", len(sep.knaps))
-	}
-	kr := sep.knaps[0]
-	if kr.pure {
-		t.Fatal("row with a negative binary coefficient marked pure")
-	}
-	// y = (0.55, 0.55, 0.45): row activity 1.95 <= 2 feasible, but
-	// y'' = (0.55, 0.55, 0.55) violates the cover y0 + y1 + y2'' <= 1,
-	// i.e. y0 + y1 - y2 <= 0.
-	cuts := sep.separate([]float64{0.55, 0.55, 0.45}, 8)
-	if len(cuts) != 1 {
-		t.Fatalf("cuts = %d, want 1", len(cuts))
-	}
-	c := cuts[0]
-	if c.rhs != 0 {
-		t.Fatalf("complemented cover rhs = %g, want 0 (= |C|-1 shifted by one complement)", c.rhs)
-	}
-	var neg int
-	for _, tm := range c.terms {
-		//lint:ignore floatcmp complemented terms carry the exact literal -1
-		if tm.Coef == -1 {
-			neg++
-		}
-	}
-	if neg != 1 {
-		t.Fatalf("complemented cover has %d negative terms, want exactly 1", neg)
-	}
-}
-
-func TestSeparatorGUBCover(t *testing.T) {
-	// Two assignment groups {0,1} and {2,3} (one-of-each GUB rows) sharing
-	// a knapsack 3 y0 + 3 y1 + 3 y2 + 3 y3 <= 5. The plain cover over the
-	// two per-group representatives lifts to all four variables with
-	// rhs 1 — stronger than the four-variable plain cover (rhs 1 needs a
-	// 2-cover; the plain greedy cover gets the same rhs here, so assert
-	// the GUB cut exists and is group-lifted).
-	p := lp.NewProblem(4)
-	for i := 0; i < 4; i++ {
-		p.SetObjCoef(i, 1)
-		p.SetBounds(i, 0, 1)
-	}
-	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.EQ, 1)
-	p.AddConstraint([]lp.Term{{Var: 2, Coef: 1}, {Var: 3, Coef: 1}}, lp.EQ, 1)
-	p.AddConstraint([]lp.Term{
-		{Var: 0, Coef: 3}, {Var: 1, Coef: 3}, {Var: 2, Coef: 3}, {Var: 3, Coef: 3},
-	}, lp.LE, 5)
-	sep := newSeparator(p, []int{0, 1, 2, 3}, nil)
-	if sep.gubOf[0] != sep.gubOf[1] || sep.gubOf[2] != sep.gubOf[3] ||
-		sep.gubOf[0] == sep.gubOf[2] || sep.gubOf[0] == -1 {
-		t.Fatalf("GUB groups = %v, want {0,1} and {2,3}", sep.gubOf)
-	}
-	cuts := sep.separate([]float64{0.45, 0.45, 0.45, 0.45}, 8)
-	if len(cuts) == 0 {
-		t.Fatal("no cuts at a point violating the GUB cover")
-	}
-	// The top cut must be the lifted 4-variable rhs-1 inequality.
-	c := cuts[0]
-	//lint:ignore floatcmp the separator assigns the exact integer literal 1
-	if len(c.terms) != 4 || c.rhs != 1 {
-		t.Fatalf("top cut = %+v, want y0+y1+y2+y3 <= 1", c)
-	}
-}
-
-func TestSeparatorVUBStrengthening(t *testing.T) {
-	// t <= 10 x (a VUB row) with box t <= 4: the strengthened link
-	// t <= 4 x cuts points the weak row admits. Detected both from the
-	// builder hint and the generic two-term-row scan.
-	build := func() *lp.Problem {
-		p := lp.NewProblem(2)
-		p.SetObjCoef(0, 1)
-		p.SetBounds(0, 0, 4)
-		p.SetBounds(1, 0, 1)
-		p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: -10}}, lp.LE, 0)
-		return p
-	}
-	for _, tc := range []struct {
-		name string
-		hint *Structure
-	}{
-		{"scan", nil},
-		{"hint", &Structure{VUBs: []VUB{{Cont: 0, Bin: 1, U: 10}}}},
-	} {
-		sep := newSeparator(build(), []int{1}, tc.hint)
-		if len(sep.vubs) != 1 {
-			t.Fatalf("%s: VUBs detected = %d, want 1", tc.name, len(sep.vubs))
-		}
-		if vb := sep.vubs[0]; vb.Cont != 0 || vb.Bin != 1 || math.Abs(vb.U-4) > 1e-12 {
-			t.Fatalf("%s: strengthened VUB = %+v, want {Cont:0 Bin:1 U:4}", tc.name, vb)
-		}
-		// t=4, x=0.4 satisfies t <= 10x but violates t <= 4x.
-		cuts := sep.separate([]float64{4, 0.4}, 8)
-		if len(cuts) != 1 {
-			t.Fatalf("%s: cuts = %d, want 1", tc.name, len(cuts))
-		}
-		c := cuts[0]
-		if c.rhs != 0 || len(c.terms) != 2 {
-			t.Fatalf("%s: VUB cut = %+v", tc.name, c)
-		}
-	}
-	// No strengthening when the box is not tighter than the link.
-	p := build()
-	p.SetBounds(0, 0, 10)
-	if sep := newSeparator(p, []int{1}, nil); len(sep.vubs) != 0 {
-		t.Fatalf("VUB strengthened with u >= U: %+v", sep.vubs)
-	}
-}
-
-func TestSeparatorSkipsContinuousKnapsack(t *testing.T) {
-	// The DSCT-EA energy row shape: all-continuous <= row. No binary
-	// items, so no knapsack relaxation and no cuts — the separator must
-	// report inactive rather than emit something bogus.
-	p := lp.NewProblem(3)
-	for i := 0; i < 3; i++ {
-		p.SetObjCoef(i, 1)
-		p.SetBounds(i, 0, 100)
-	}
-	p.AddConstraint([]lp.Term{
-		{Var: 0, Coef: 2}, {Var: 1, Coef: 3}, {Var: 2, Coef: 5},
-	}, lp.LE, 50)
-	sep := newSeparator(p, nil, nil)
-	if len(sep.knaps) > 0 || len(sep.vubs) > 0 {
-		t.Fatalf("separator found structure on a continuous-only problem: %d knaps, %d vubs",
-			len(sep.knaps), len(sep.vubs))
-	}
-	if cuts := sep.separate([]float64{10, 10, 10}, cutsPerRound); len(cuts) > 0 {
-		t.Fatalf("separator emitted %d cuts on a continuous-only problem", len(cuts))
-	}
-}
 
 // --- differential corpus --------------------------------------------------
 
@@ -406,11 +217,10 @@ func TestBranchAndCutSmallCorpusShort(t *testing.T) {
 	}
 }
 
-// --- cut-row accounting ---------------------------------------------------
-
-// cutHeavyProblem is a knapsack family where root cuts reliably fire
-// (weights clustered around half the capacity).
-func cutHeavyProblem(trial int) *Problem {
+// clusteredKnapsack is a knapsack family whose weights cluster around a
+// third of the capacity, so the relaxation stays fractional and the tree
+// branches.
+func clusteredKnapsack(trial int) *Problem {
 	src := rng.NewReplicate(47, "cut-heavy", trial)
 	n := 14 + src.Intn(4)
 	values := make([]float64, n)
@@ -424,36 +234,11 @@ func cutHeavyProblem(trial int) *Problem {
 	return knapsackProblem(values, weights, total*0.35)
 }
 
-// TestCutRowAccounting: on a cut-heavy instance the root loop must report
-// the rounds it ran and keep no more rows than those rounds appended.
-func TestCutRowAccounting(t *testing.T) {
-	var prob *Problem
-	var root *Result
-	trial := 0
-	for ; trial < 20; trial++ {
-		prob = cutHeavyProblem(trial)
-		r, err := Solve(prob, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Cuts > 0 && r.Nodes > 4 {
-			root = r
-			break
-		}
-	}
-	if root == nil {
-		t.Fatal("no cut-heavy trial produced root cuts; separator dead?")
-	}
-	if root.CutRounds == 0 || root.Cuts > root.CutRounds*cutsPerRound {
-		t.Errorf("%d kept cuts from %d rounds of at most %d", root.Cuts, root.CutRounds, cutsPerRound)
-	}
-}
-
 // TestGapAndDualBound: RelGap terminates early with a Feasible status, an
 // honest Gap and a valid dual bound (Result.Bound); a run to completion
 // reports Gap 0 at the optimum.
 func TestGapAndDualBound(t *testing.T) {
-	prob := cutHeavyProblem(3)
+	prob := clusteredKnapsack(3)
 	exact, err := Solve(prob, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -207,8 +207,8 @@ func TestWarmStartAccounting(t *testing.T) {
 	}
 }
 
-// TestDeterministicBranchAndCutModes: the branch-and-cut machinery — root
-// cuts, reliability branching (whose pseudo-cost observations live on
+// TestDeterministicBranchAndCutModes: the search machinery — reliability
+// branching (whose pseudo-cost observations live on
 // node-local immutable chains precisely so that worker scheduling cannot
 // perturb them) and plunging node order — must keep incumbents
 // bit-identical at Workers = 1, 4 and 8, with warm or cold node solves

@@ -1,18 +1,13 @@
-// Package mip implements a branch-and-cut solver for mixed-integer
+// Package mip implements a branch-and-bound solver for mixed-integer
 // programs over the package lp simplex solver. It is the module's
 // substitute for the commercial MIP solver (cvx-MOSEK) the paper uses as
 // the exact DSCT-EA baseline ("DSCT-EA-Opt") in its runtime comparison
-// (Fig 4). It solves an LP relaxation at every node and runs one search,
-// with no option selecting another:
+// (Fig 4). It solves an LP relaxation at every node, the root included,
+// and runs one search, with no option selecting another:
 //
-//   - root cuts: while the root relaxation's solution is fractional,
-//     rounds of cover, GUB-cover and VUB separation from the model
-//     structure, each re-optimised with the dual simplex; slack cuts are
-//     dropped and the surviving pool joins every node relaxation
-//     (cuts.go). The separator is built the first time a root solution
-//     is fractional, so an integral root never builds one, and when the
-//     root keeps no cut the loop's last solution is the root node's
-//     relaxation: the root is solved once;
+//   - no cutting planes: every node relaxation carries exactly the model's
+//     rows. The root is solved once, like any other node, warm from an
+//     imported root basis when Options.Warm supplies one;
 //   - reliability branching: pseudo-cost scores from the node's ancestry,
 //     after strong-branching probes on candidates with no observation yet
 //     in one direction (pseudocost.go);
@@ -55,42 +50,14 @@ import (
 // is considered integral.
 const intTol = 1e-6
 
+// maxPlunge bounds how many consecutive children a worker dives onto
+// before returning to the global best-bound queue.
+const maxPlunge = 8
+
 // Problem couples an LP with integrality requirements.
 type Problem struct {
 	LP       *lp.Problem
 	Integers []int // variable indices required to take integer values
-
-	// Structure optionally describes model rows the cut separator can
-	// exploit (knapsack/budget rows, GUB assignment rows, variable upper
-	// bounds). Model builders that know their row layout — internal/model
-	// does — fill it in; when nil, or when a root presolve remaps the rows
-	// out from under it, the separator detects the same structure from the
-	// LP itself.
-	Structure *Structure
-}
-
-// Structure is builder-provided row metadata for the cut separator. All
-// indices refer to the rows and variables of Problem.LP as built.
-type Structure struct {
-	// BudgetRows are <=-rows with nonnegative coefficients over mixed or
-	// continuous variables, e.g. the DSCT-EA energy row Σ P_r·t_jr <= B:
-	// cover-cut candidates after continuous terms are shifted to the
-	// right-hand side by their bounds.
-	BudgetRows []int
-	// GUBRows are generalised-upper-bound assignment rows: Σ x in G {<=,=} 1
-	// over binaries, e.g. the one-machine-per-task rows Σ_r x_jr = 1.
-	GUBRows []int
-	// VUBs are variable-upper-bound links t <= U·x with x binary, e.g. the
-	// DSCT-EA deadline links t_jr <= d_j·x_jr. The separator strengthens U
-	// down to t's own upper bound when that is tighter.
-	VUBs []VUB
-}
-
-// VUB is one variable-upper-bound link Cont <= U·Bin.
-type VUB struct {
-	Cont int     // continuous variable
-	Bin  int     // binary variable
-	U    float64 // link coefficient as built
 }
 
 // Status reports how the search terminated.
@@ -125,7 +92,7 @@ func (s Status) String() string {
 }
 
 // Options tunes the search (see the package comment; no option changes
-// its cuts, branching rule or node order). The zero value uses defaults:
+// its branching rule or node order). The zero value uses defaults:
 // serial search, no deadline, gap 1e-6, node limit 1<<20.
 type Options struct {
 	Deadline time.Time // wall-clock limit (zero: none)
@@ -162,9 +129,8 @@ type Options struct {
 
 	// Warm imports search state exported by a previous Solve over a
 	// compatibly-mutated problem (see WarmState for the compatibility
-	// contract): the cut pool joins every node relaxation, the root basis
-	// warm-starts the root solve, and the pseudo-cost observations seed
-	// branching. Ignored under root presolve (the exported state lives in
+	// contract): the root basis warm-starts the root solve, and the
+	// pseudo-cost observations seed branching. Ignored under root presolve (the exported state lives in
 	// original row/column space); any non-adoptable piece degrades to the
 	// cold equivalent rather than failing the solve.
 	Warm *WarmState
@@ -174,8 +140,8 @@ type Options struct {
 	ExportWarm bool
 
 	// Workspace, when non-nil and Workers <= 1, is the caller-owned
-	// lp.Workspace the root cut loop and the single search worker run on,
-	// letting consecutive re-solves reuse one workspace's buffers. The
+	// lp.Workspace the single search worker runs on, letting consecutive
+	// re-solves reuse one workspace's buffers. The
 	// caller must not use it concurrently with Solve. Ignored when
 	// Workers > 1 (each worker owns a private workspace).
 	Workspace *lp.Workspace
@@ -187,8 +153,7 @@ type Options struct {
 // ok=false to skip. The solver never trusts the candidate: it offers it as
 // an incumbent only if it has the right length, is integral on
 // Problem.Integers and meets the node's boxes (branching fixes included)
-// and every row of the node relaxation (base rows and the kept cut pool)
-// within a tolerance of 1e-9 relative; the solver computes its objective
+// and every row of the problem within a tolerance of 1e-9 relative; the solver computes its objective
 // itself. The solver keeps its own copy of an accepted candidate.
 //
 // With Workers > 1 the hook is called from every worker, so concurrent
@@ -206,12 +171,9 @@ type Result struct {
 	Nodes     int     // node relaxations processed, the root included
 	Elapsed   time.Duration
 
-	// Every node relaxation counts once in one of WarmSolves and
-	// ColdSolves, as the solve that produced it. For the root that is the
-	// root cut loop's last solve when the root node adopts it (the root
-	// keeps no cut row), else the root node's own solve; the loop's other
-	// solves, strong-branching probes and rounding-hook candidates (checked
-	// against the rows, not solved) count in neither.
+	// Every node relaxation, the root included, counts once in one of
+	// WarmSolves and ColdSolves; strong-branching probes and rounding-hook
+	// candidates (checked against the rows, not solved) count in neither.
 	WarmSolves int // relaxations warm-started from a parent basis
 	ColdSolves int // relaxations solved from scratch
 
@@ -219,18 +181,16 @@ type Result struct {
 	// parent's basic column set but could not adopt its factorisation
 	// snapshot — missing, fill-heavy or failing the residual check — and
 	// rebuilt the factors from scratch instead. A subset of WarmSolves.
-	// An adopted root counts here when its solve started from a basis
-	// whose rows changed: an imported root basis after rows were appended,
-	// or the previous cut round's basis.
+	// The root counts here when it starts from an imported root basis
+	// whose rows changed since the export (rows were appended).
 	InheritFallbacks int
 
 	// Gap is Bound - Objective when an incumbent exists (0 at Optimal,
 	// +Inf otherwise).
 	Gap float64
 
-	// Cuts is the number of cut rows in the root pool after slack removal
-	// (the rows every node relaxation carries); CutRounds is how many
-	// separate→re-optimise rounds the root loop ran.
+	// Cuts and CutRounds are always zero: the search adds no cutting
+	// planes. They remain so that callers reporting them still build.
 	Cuts      int
 	CutRounds int
 

@@ -239,8 +239,8 @@ func TestNodeLimit(t *testing.T) {
 }
 
 // hookValues and hookWeights are the items of a 10-item knapsack whose
-// root relaxation, at capacity 17 and at 18/(1+1e-6), stays fractional
-// after the root cuts, so a rounding hook runs at the root.
+// root relaxation, at capacity 17 and at 18/(1+1e-6), is fractional, so a
+// rounding hook runs at the root.
 var (
 	hookValues  = []float64{9, 13, 7, 11, 5, 8, 12, 6, 10, 4}
 	hookWeights = []float64{4, 6, 3, 5, 2, 4, 6, 3, 5, 2}
@@ -279,8 +279,7 @@ func TestRoundingHookProvidesIncumbent(t *testing.T) {
 // items {0, 2, 3, 4, 5} of weight 18, breaks it by 1e-6 relative and
 // scores 40, above the optimum 38. The integrality candidate is the
 // midpoint of the optima {0, 2, 3, 4, 7} and {0, 1, 3, 4}: it scores 38
-// and meets every row and every valid cut the root loop keeps, so only
-// the integrality check rejects it, and accepted at the root it would
+// and meets every row, so only the integrality check rejects it, and accepted at the root it would
 // prune the tree early. A short vector would index past its end. So a
 // search that skipped one check would show it; such a search must
 // retrace the hook-free search exactly. The branching-fix candidate is

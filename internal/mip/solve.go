@@ -13,7 +13,7 @@ import (
 // ErrUnbounded is returned when the root relaxation is unbounded.
 var ErrUnbounded = errors.New("mip: unbounded relaxation")
 
-// Solve runs branch-and-cut on p.
+// Solve runs branch-and-bound on p.
 func Solve(p *Problem, opts Options) (*Result, error) {
 	start := time.Now() //lint:ignore wallclock sanctioned once-per-solve stamp for Result wall-time reporting
 	if opts.MaxNodes == 0 {
@@ -83,36 +83,12 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			}
 		}
 	}
-	// Cross-solve warm state (incremental re-solves): record the base-row
-	// watermark first — export needs it even without an import — then graft
-	// the imported cut pool, adapted root basis and pseudo-cost chain onto
-	// the searcher. Both directions are disabled under root presolve, whose
-	// row/column remapping the exported state does not survive.
-	s.baseLP = s.prob.LP
-	s.baseRows = s.prob.LP.NumConstraints()
+	// Cross-solve warm state (incremental re-solves): graft the adapted
+	// root basis and pseudo-cost chain onto the root node. Both directions
+	// are disabled under root presolve, whose row/column remapping the
+	// exported state does not survive.
 	if opts.Warm != nil && s.ps == nil {
 		s.importWarm(opts.Warm)
-	}
-	// The caller-owned workspace serves the serial pre-search phases (root
-	// cut loop) and, below, the single worker; parallel searches ignore it.
-	rootWS := opts.Workspace
-	if rootWS == nil || workers > 1 {
-		rootWS = lp.NewWorkspace()
-	}
-	// Root relaxation and cutting loop: solve the root and, while its
-	// solution is fractional, separate valid inequalities from the model
-	// structure, append the violated ones and re-optimise, then drop the
-	// slack ones and make the surviving pool part of every node relaxation
-	// (see cuts.go). The loop's last optimal solution is the root node's
-	// relaxation, so the root is solved once. Builder hints index the
-	// as-built rows, so they only apply when no root presolve remapped
-	// them.
-	if len(s.prob.Integers) > 0 {
-		var hint *Structure
-		if s.ps == nil {
-			hint = p.Structure
-		}
-		s.rootCuts(hint, rootWS)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	heap.Push(&s.queue, &node{bound: math.Inf(1), brVar: -1, basis: s.rootFrom, pc: s.rootPC})
@@ -126,10 +102,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			// reused across every node it dequeues: node solves hit zero
 			// steady-state solver allocations, and workspaces are never
 			// shared across goroutines (see Options.Workers). A serial
-			// search reuses the pre-search workspace (the caller's, when
-			// Options.Workspace provided one).
-			ws := rootWS
-			if workers > 1 {
+			// search runs on the caller's Options.Workspace when it
+			// provided one.
+			ws := opts.Workspace
+			if ws == nil || workers > 1 {
 				ws = lp.NewWorkspace()
 			}
 			s.run(ws, newBranchScratch(s.prob.LP.NumVars()))
@@ -146,8 +122,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		WarmSolves:       s.warmSolves,
 		ColdSolves:       s.coldSolves,
 		InheritFallbacks: s.inheritFallbacks,
-		Cuts:             s.cutsKept,
-		CutRounds:        s.cutRounds,
 		StrongBranches:   s.strongBranches,
 	}
 	hasIncumbent := !math.IsInf(s.incumbent, -1)
@@ -201,25 +175,10 @@ type searcher struct {
 	// the final result is postsolved back (see Solve).
 	ps *lp.Presolved
 
-	// Cross-solve warm state (see warm.go). baseLP/baseRows snapshot the
-	// problem before any cut rows joined it — the layout WarmState.BaseRows
-	// describes. pool is the current root cut pool (imported then updated
-	// by the root loop); rootFrom/rootPC seed the root node's basis and
-	// pseudo-cost chain; warmMode records that an import happened.
-	baseLP   *lp.Problem
-	baseRows int
-	pool     []cut
+	// Cross-solve warm state (see warm.go): rootFrom/rootPC seed the root
+	// node's basis and pseudo-cost chain.
 	rootFrom *lp.Basis
 	rootPC   *pcObs
-	warmMode bool
-
-	// rootSol is the root relaxation the cut loop solved, when it is
-	// optimal for exactly the rows the root node carries (see rootCuts);
-	// the root node adopts it with basis rootFrom instead of solving
-	// again. rootWarm records whether the producing solve was warm, for
-	// countSolve. nil: the root node solves its relaxation itself.
-	rootSol  *lp.Solution
-	rootWarm bool
 
 	mu               sync.Mutex
 	cond             *sync.Cond
@@ -234,8 +193,6 @@ type searcher struct {
 	warmSolves       int
 	coldSolves       int
 	inheritFallbacks int
-	cutsKept         int
-	cutRounds        int
 	strongBranches   int
 	stopped          bool
 	err              error
@@ -384,18 +341,9 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 // process solves one node relaxation (on the worker's workspace) and
 // returns child nodes.
 func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (children []*node, fatal error) {
-	var sol *lp.Solution
-	var basis *lp.Basis
-	if nd.depth == 0 && s.rootSol != nil {
-		// The root cut loop already solved this relaxation; it counts as
-		// the solve that produced it.
-		sol, basis = s.rootSol, nd.basis
-		s.countSolve(s.rootWarm, sol.FactorRebuilt)
-	} else {
-		var err error
-		if sol, basis, err = s.solveNodeLP(nd, nd.basis, ws); err != nil {
-			return nil, err
-		}
+	sol, basis, err := s.solveNodeLP(nd, nd.basis, ws)
+	if err != nil {
+		return nil, err
 	}
 	switch sol.Status {
 	case lp.Infeasible:
@@ -573,10 +521,9 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (*lp.
 
 // countSolve tallies warm vs cold relaxation solves and inherit fallbacks
 // (warm starts that had to refactorise because the parent snapshot could
-// not be adopted) for Result reporting. Node solves go through here, the
-// root's once, as the solve that produced it; the other root cut-loop
-// solves and strong-branching probes do not (they keep their own counters
-// so WarmSolves+ColdSolves stays equal to Nodes).
+// not be adopted) for Result reporting. Node solves go through here;
+// strong-branching probes do not (they keep their own counter so
+// WarmSolves+ColdSolves stays equal to Nodes).
 func (s *searcher) countSolve(warm, inheritFallback bool) {
 	s.mu.Lock()
 	if warm {
@@ -598,9 +545,9 @@ func (s *searcher) countSolve(warm, inheritFallback bool) {
 const candTol = 1e-9
 
 // candidate checks a rounding-hook vector against node nd's relaxation —
-// its length, the integrality of Problem.Integers, the boxes (the base
-// LP's and the node's branching fixes) and every row (base rows and the
-// kept cut pool) — and returns its objective c·x. A NaN or infinite
+// its length, the integrality of Problem.Integers, the boxes (the LP's and
+// the node's branching fixes) and every row — and returns its objective
+// c·x. A NaN or infinite
 // entry fails the check.
 func (s *searcher) candidate(nd *node, x []float64) (float64, bool) {
 	p := s.prob.LP

@@ -11,18 +11,6 @@ import (
 // branching candidates more than no estimate at all.
 const maxWarmObs = 512
 
-// WarmCut is one exported root-pool cut, Σ Terms <= RHS, valid for every
-// integer point of the producing problem. Whether it remains valid for a
-// mutated problem is the importer's judgement call: cuts derived from
-// still-present structure (variable-upper-bound links, assignment groups)
-// survive restrictions and extensions, while a relaxation of the rows they
-// were derived from (e.g. an energy-budget increase) invalidates
-// cover-style cuts — the incremental engine drops the pool on such events.
-type WarmCut struct {
-	Terms []lp.Term
-	RHS   float64
-}
-
 // WarmObs is one exported pseudo-cost observation: branching variable Var
 // in direction Dir (0 = down, 1 = up) degraded the relaxation objective by
 // Delta per unit of bound movement. Observations are ordered oldest-first.
@@ -37,65 +25,44 @@ type WarmObs struct {
 // inside one tree. Produced by Options.ExportWarm (Result.Warm), consumed
 // by Options.Warm. The contract importers must keep:
 //
-//   - The consuming problem's first min(BaseRows, current rows) rows are
-//     the producing problem's rows, possibly with edited right-hand sides,
-//     appended terms or changed variable bounds, and never reordered.
-//     Variables may have been appended (never removed — deactivate by
-//     boxing to [0,0] instead), so column indices stay stable.
-//   - Every Cuts entry is still valid for the consuming problem's integer
-//     points; drop entries (or the whole pool) when a mutation relaxed the
-//     structure they were derived from.
+//   - The consuming problem's first min(RootBasis.NumRows(), current rows)
+//     rows are the producing problem's rows, possibly with edited
+//     right-hand sides, appended terms or changed variable bounds, and
+//     never reordered. Variables may have been appended (never removed —
+//     deactivate by boxing to [0,0] instead), so column indices stay
+//     stable.
 //   - Obs indices refer to consuming-problem variables (stable under the
 //     append-only rule above).
 //
-// RootBasis is the producing root relaxation's optimal basis over the
-// layout [0, BaseRows) base rows then one row per Cuts entry; Solve adapts
-// it to the consuming layout with lp.Basis.AdaptRows and falls back to a
-// cold root solve when it is not adoptable. A zero WarmState imports as a
-// no-op. WarmState is read-only to the solver: the same value may be
+// RootBasis is the producing root relaxation's optimal basis; Solve adapts
+// it to the consuming row count with lp.Basis.AdaptRows and falls back to
+// a cold root solve when it is not adoptable. A zero WarmState imports as
+// a no-op. WarmState is read-only to the solver: the same value may be
 // imported by several Solves.
 type WarmState struct {
 	RootBasis *lp.Basis
-	BaseRows  int
-	Cuts      []WarmCut
 	Obs       []WarmObs
 }
 
-// importWarm installs w into the searcher before the root cut loop: the
-// cut pool is appended to the root relaxation (every node inherits it,
-// exactly as a kept root-separated pool), the root basis is adapted to the
-// current row layout, and the observations are rebuilt into the root
-// node's pseudo-cost chain. Never called under root presolve — the
-// exported state lives in original variable/row space and a presolve
-// remaps both.
+// importWarm installs w into the searcher before the search: the root
+// basis is adapted to the current row layout and the observations are
+// rebuilt into the root node's pseudo-cost chain. Never called under root
+// presolve — the exported state lives in original variable/row space and
+// a presolve remaps both.
 func (s *searcher) importWarm(w *WarmState) {
-	s.warmMode = true
-	if len(w.Cuts) > 0 {
-		aug := s.prob.LP.Overlay()
-		s.pool = make([]cut, len(w.Cuts))
-		for i, c := range w.Cuts {
-			aug.AddConstraint(c.Terms, lp.LE, c.RHS)
-			s.pool[i] = cut{terms: c.Terms, rhs: c.RHS}
-		}
-		s.prob = &Problem{LP: aug, Integers: s.prob.Integers, Structure: s.prob.Structure}
-		s.cutsKept = len(s.pool)
-	}
 	if w.RootBasis != nil && w.RootBasis.NumVars() <= s.prob.LP.NumVars() {
-		// Producing layout: [0, w.BaseRows) base rows, then w.Cuts rows.
-		// Consuming layout: [0, s.baseRows) base rows (a superset of the
-		// producer's shared prefix), then the just-appended pool.
+		// The producer's rows are the consumer's leading rows; rows the
+		// consumer no longer has are dropped, rows it appended since start
+		// with their own logical basic.
+		rows := s.prob.LP.NumConstraints()
 		rowMap := make([]int, w.RootBasis.NumRows())
 		for i := range rowMap {
-			switch {
-			case i < w.BaseRows && i < s.baseRows:
-				rowMap[i] = i
-			case i >= w.BaseRows && i-w.BaseRows < len(w.Cuts):
-				rowMap[i] = s.baseRows + (i - w.BaseRows)
-			default:
+			rowMap[i] = i
+			if i >= rows {
 				rowMap[i] = -1
 			}
 		}
-		s.rootFrom = w.RootBasis.AdaptRows(rowMap, s.baseRows+len(w.Cuts))
+		s.rootFrom = w.RootBasis.AdaptRows(rowMap, rows)
 	}
 	// Obs is oldest-first; the chain is newest-first, so a forward walk
 	// prepending each observation leaves the newest at the head.
@@ -104,19 +71,12 @@ func (s *searcher) importWarm(w *WarmState) {
 	}
 }
 
-// exportWarm assembles the Result.Warm payload after the search: the final
-// root cut pool (terms deep-copied, so the caller's WarmState never
-// aliases solver internals), the root relaxation basis captured when the
-// root node was processed, and the newest maxWarmObs pseudo-cost
-// observations on the incumbent's chain, reversed to oldest-first.
+// exportWarm assembles the Result.Warm payload after the search: the root
+// relaxation basis captured when the root node was processed, and the
+// newest maxWarmObs pseudo-cost observations on the incumbent's chain,
+// reversed to oldest-first.
 func (s *searcher) exportWarm() *WarmState {
-	w := &WarmState{RootBasis: s.rootBasis, BaseRows: s.baseRows}
-	if len(s.pool) > 0 {
-		w.Cuts = make([]WarmCut, len(s.pool))
-		for i, c := range s.pool {
-			w.Cuts[i] = WarmCut{Terms: append([]lp.Term(nil), c.terms...), RHS: c.rhs}
-		}
-	}
+	w := &WarmState{RootBasis: s.rootBasis}
 	var newest []WarmObs
 	for o := s.incumbentPC; o != nil && len(newest) < maxWarmObs; o = o.prev {
 		newest = append(newest, WarmObs{Var: o.v, Dir: o.dir, Delta: o.delta})

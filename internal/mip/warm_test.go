@@ -12,8 +12,8 @@ import (
 	"repro/internal/rng"
 )
 
-// warmKnapsack builds a GUB-structured knapsack that exercises the cut
-// separator: pairs (x_2k, x_2k+1) with Σ = 1 rows and a shared capacity.
+// warmKnapsack builds a GUB-structured knapsack: pairs (x_2k, x_2k+1)
+// with Σ <= 1 rows and a shared capacity.
 func warmKnapsack(seed int64) *Problem {
 	src := rng.New(seed, "mip-warm")
 	const groups = 5
@@ -64,11 +64,11 @@ func TestExportWarmIsObservationally(t *testing.T) {
 	if w.RootBasis == nil {
 		t.Error("exported state has no root basis")
 	}
-	if w.BaseRows != p.LP.NumConstraints() {
-		t.Errorf("BaseRows = %d, want %d", w.BaseRows, p.LP.NumConstraints())
+	if w.RootBasis != nil && w.RootBasis.NumRows() != p.LP.NumConstraints() {
+		t.Errorf("root basis over %d rows, want %d", w.RootBasis.NumRows(), p.LP.NumConstraints())
 	}
-	if len(w.Cuts) != exported.Cuts {
-		t.Errorf("exported %d cuts, Result.Cuts = %d", len(w.Cuts), exported.Cuts)
+	if exported.Cuts != 0 || exported.CutRounds != 0 {
+		t.Errorf("Result reports %d cuts from %d rounds; the search adds none", exported.Cuts, exported.CutRounds)
 	}
 	if plain.Warm != nil {
 		t.Error("warm state exported without ExportWarm")
@@ -120,12 +120,7 @@ func TestWarmAcrossMutations(t *testing.T) {
 
 	step("tighten capacity", func() { p.LP.SetRHS(capRow, 12) })
 	step("deactivate a column", func() { p.LP.Deactivate(3) })
-	step("relax capacity, pool dropped", func() {
-		p.LP.SetRHS(capRow, 28)
-		// A capacity increase invalidates cover-style cuts: the importer's
-		// side of the WarmState contract.
-		warm = &WarmState{RootBasis: warm.RootBasis, BaseRows: warm.BaseRows, Obs: warm.Obs}
-	})
+	step("relax capacity", func() { p.LP.SetRHS(capRow, 28) })
 	step("append a variable into the capacity row", func() {
 		v := p.LP.AddVariables(1)
 		p.LP.SetObjCoef(v, 9)
@@ -179,10 +174,16 @@ func TestWarmCallerWorkspace(t *testing.T) {
 // degrade to a cold root solve, not fail.
 func TestWarmNonAdoptableFallsBack(t *testing.T) {
 	p := warmKnapsack(29)
-	res := solveMIP(t, p, Options{ExportWarm: true})
-	w := *res.Warm
-	w.BaseRows = 2 // misdeclare the layout: the adapted basis may be rejected
-	warmRes := solveMIP(t, p, Options{Warm: &w})
+	// Export from a copy with two extra rows: the basis names rows p does
+	// not have, so the adapted basis may be rejected.
+	bigger := p.LP.Clone()
+	bigger.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 2, Coef: 1}}, lp.LE, 1)
+	bigger.AddConstraint([]lp.Term{{Var: 1, Coef: 1}, {Var: 3, Coef: 1}}, lp.LE, 1)
+	res := solveMIP(t, &Problem{LP: bigger, Integers: p.Integers}, Options{ExportWarm: true})
+	if res.Warm.RootBasis == nil || res.Warm.RootBasis.NumRows() <= p.LP.NumConstraints() {
+		t.Fatal("no root basis over more rows than the problem has")
+	}
+	warmRes := solveMIP(t, p, Options{Warm: res.Warm})
 	cold := solveMIP(t, p, Options{})
 	if warmRes.Status != Optimal || math.Abs(warmRes.Objective-cold.Objective) > 1e-9 {
 		t.Fatalf("mis-declared warm state: status %v objective %g, want optimal %g",

@@ -54,10 +54,6 @@ func BuildMIP(in *task.Instance) *MIPModel {
 	n, m := in.N(), in.M()
 	mm := &MIPModel{Inst: in, n: n, m: m}
 	p := lp.NewProblem(2*n*m + n)
-	// Row structure handed to the branch-and-cut separator: the builder
-	// knows exactly which rows are GUB assignments, VUB deadline links and
-	// the energy-budget knapsack, so the separator need not re-detect them.
-	st := &mip.Structure{}
 
 	for j := 0; j < n; j++ {
 		p.SetObjCoef(mm.ZVar(j), 1)
@@ -91,21 +87,22 @@ func BuildMIP(in *task.Instance) *MIPModel {
 		}
 		p.AddConstraint(aggTerms, lp.LE, tk.FMax())
 
-		// (1d): t_jr <= x_jr · d_j. A variable upper bound: when the box cap
-		// f_j^max/s_r is tighter than d_j the separator strengthens the link.
+		// (1d): t_jr <= x_jr · d_j, as printed. The box cap f_j^max/s_r is
+		// often tighter than d_j; writing the link at min(d_j, f_j^max/s_r),
+		// as internal/incremental does, moves the search trees and is a
+		// separate, measured change (DESIGN §4).
 		for r := 0; r < m; r++ {
 			p.AddConstraint([]lp.Term{
 				{Var: mm.TVar(j, r), Coef: 1},
 				{Var: mm.XVar(j, r), Coef: -tk.Deadline},
 			}, lp.LE, 0)
-			st.VUBs = append(st.VUBs, mip.VUB{Cont: mm.TVar(j, r), Bin: mm.XVar(j, r), U: tk.Deadline})
 		}
 		// (1e): Σ_r x_jr = 1 — the one-machine-per-task GUB row.
 		xTerms := make([]lp.Term, 0, m)
 		for r := 0; r < m; r++ {
 			xTerms = append(xTerms, lp.Term{Var: mm.XVar(j, r), Coef: 1})
 		}
-		st.GUBRows = append(st.GUBRows, p.AddConstraint(xTerms, lp.EQ, 1))
+		p.AddConstraint(xTerms, lp.EQ, 1)
 	}
 
 	// (1b): deadline staircases Σ_{i<=j} t_ir <= d_j for every (j, r).
@@ -126,7 +123,7 @@ func BuildMIP(in *task.Instance) *MIPModel {
 			eTerms = append(eTerms, lp.Term{Var: mm.TVar(j, r), Coef: mc.Power})
 		}
 	}
-	st.BudgetRows = append(st.BudgetRows, p.AddConstraint(eTerms, lp.LE, in.Budget))
+	p.AddConstraint(eTerms, lp.LE, in.Budget)
 
 	ints := make([]int, 0, n*m)
 	for j := 0; j < n; j++ {
@@ -134,7 +131,7 @@ func BuildMIP(in *task.Instance) *MIPModel {
 			ints = append(ints, mm.XVar(j, r))
 		}
 	}
-	mm.Prob = &mip.Problem{LP: p, Integers: ints, Structure: st}
+	mm.Prob = &mip.Problem{LP: p, Integers: ints}
 	return mm
 }
 

@@ -374,54 +374,3 @@ func pinnedLP(t *testing.T, mm *MIPModel, assign []int) float64 {
 	}
 	return sol.Objective
 }
-
-// TestMIPStructureHints: BuildMIP must hand the branch-and-cut separator
-// an accurate row map — one GUB assignment row per task, exactly one
-// energy-budget row, and one VUB deadline link per (task, machine) — with
-// indices that really point at rows of that shape.
-func TestMIPStructureHints(t *testing.T) {
-	in := genInstance(t, 9, 5, 3, 0.4, 0.5)
-	mm := BuildMIP(in)
-	st := mm.Prob.Structure
-	if st == nil {
-		t.Fatal("BuildMIP left Problem.Structure nil")
-	}
-	n, m := in.N(), in.M()
-	if len(st.GUBRows) != n {
-		t.Fatalf("GUB rows = %d, want %d", len(st.GUBRows), n)
-	}
-	if len(st.BudgetRows) != 1 {
-		t.Fatalf("budget rows = %d, want 1", len(st.BudgetRows))
-	}
-	if len(st.VUBs) != n*m {
-		t.Fatalf("VUBs = %d, want %d", len(st.VUBs), n*m)
-	}
-	for j, row := range st.GUBRows {
-		terms, sense, rhs := mm.Prob.LP.Constraint(row)
-		//lint:ignore floatcmp BuildMIP writes the exact literal 1 as the assignment rhs
-		if sense != lp.EQ || rhs != 1 || len(terms) != m {
-			t.Fatalf("GUB row %d for task %d: %d terms, sense %v, rhs %g", row, j, len(terms), sense, rhs)
-		}
-		for r, tm := range terms {
-			//lint:ignore floatcmp assignment coefficients are the exact literal 1
-			if tm.Var != mm.XVar(j, r) || tm.Coef != 1 {
-				t.Fatalf("GUB row for task %d has term %+v at position %d", j, tm, r)
-			}
-		}
-	}
-	terms, sense, rhs := mm.Prob.LP.Constraint(st.BudgetRows[0])
-	//lint:ignore floatcmp the budget rhs is copied verbatim from the instance
-	if sense != lp.LE || rhs != in.Budget || len(terms) != n*m {
-		t.Fatalf("budget row: %d terms, sense %v, rhs %g (budget %g)", len(terms), sense, rhs, in.Budget)
-	}
-	for k, vb := range st.VUBs {
-		j, r := k/m, k%m
-		if vb.Cont != mm.TVar(j, r) || vb.Bin != mm.XVar(j, r) {
-			t.Fatalf("VUB %d = %+v, want link t(%d,%d) <= d·x(%d,%d)", k, vb, j, r, j, r)
-		}
-		//lint:ignore floatcmp the VUB bound is copied verbatim from the task deadline
-		if vb.U != in.Tasks[j].Deadline {
-			t.Fatalf("VUB %d U = %g, want deadline %g", k, vb.U, in.Tasks[j].Deadline)
-		}
-	}
-}
