@@ -690,9 +690,7 @@ func (e *Engine) solve() (*Solution, error) {
 		opts.ExportWarm = true
 		opts.Warm = e.warm
 		warm = e.warm != nil
-		if e.opts.Workers <= 1 {
-			opts.Workspace = e.ws
-		}
+		opts.Workspace = e.ws
 	}
 	start := time.Now() //lint:ignore wallclock sanctioned solve-latency stats stamp
 	res, err := mip.Solve(prob, opts)

@@ -1,7 +1,8 @@
 package mip
 
 // Determinism tests for parallel branch-and-bound: the solver must return
-// bit-identical incumbents at any Workers setting. These tests are meant
+// bit-identical incumbents, and run the same search, at any Workers
+// setting. These tests are meant
 // to run under the race detector (scripts/verify.sh runs
 // `go test -race ./internal/mip`), where goroutine schedules are
 // perturbed enough to expose order-dependent incumbent selection.
@@ -67,6 +68,37 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			if !sameSolution(base, res) {
 				t.Errorf("trial %d: workers=%d solution differs from workers=1:\nobj %.17g vs %.17g\nX    %v\nvs   %v",
 					trial, workers, base.Objective, res.Objective, base.X, res.X)
+			}
+		}
+	}
+}
+
+// TestSameSearchAtAnyWorkers: Workers > 1 only computes node expansions
+// ahead of the search, so the search itself — its node count, its solve
+// and probe counters, its dual bound and its incumbent — is the one
+// Workers = 1 runs, with or without a node cap.
+func TestSameSearchAtAnyWorkers(t *testing.T) {
+	for trial := 0; trial < 6; trial++ {
+		prob := detKnapsack(trial)
+		for _, maxNodes := range []int{0, 7, 30} {
+			var base *Result
+			for _, workers := range []int{1, 2, 4} {
+				res, err := Solve(prob, Options{Workers: workers, MaxNodes: maxNodes})
+				if err != nil {
+					t.Fatalf("trial %d cap %d workers=%d: %v", trial, maxNodes, workers, err)
+				}
+				if base == nil {
+					base = res
+					continue
+				}
+				if !sameSolution(base, res) || res.Nodes != base.Nodes ||
+					res.WarmSolves != base.WarmSolves || res.ColdSolves != base.ColdSolves ||
+					res.InheritFallbacks != base.InheritFallbacks || res.StrongBranches != base.StrongBranches ||
+					math.Float64bits(res.Bound) != math.Float64bits(base.Bound) {
+					t.Errorf("trial %d cap %d: workers=%d ran another search: %v obj %.17g, %d nodes, %d/%d/%d warm/cold/fallback, %d probes, bound %.17g; workers=1 %v obj %.17g, %d nodes, %d/%d/%d, %d probes, bound %.17g",
+						trial, maxNodes, workers, res.Status, res.Objective, res.Nodes, res.WarmSolves, res.ColdSolves, res.InheritFallbacks, res.StrongBranches, res.Bound,
+						base.Status, base.Objective, base.Nodes, base.WarmSolves, base.ColdSolves, base.InheritFallbacks, base.StrongBranches, base.Bound)
+				}
 			}
 		}
 	}

@@ -11,11 +11,13 @@
 //   - reliability branching: pseudo-cost scores from the node's ancestry,
 //     after strong-branching probes on candidates with no observation yet
 //     in one direction (pseudocost.go);
-//   - best-bound node order with plunging: a worker dives onto the
+//   - best-bound node order with plunging: the search dives onto the
 //     stronger child of the node it just solved, to a bounded depth,
 //     before it returns to the best-bound queue.
 //
-// Nodes may be processed in parallel (Options.Workers).
+// Node relaxations may be solved in parallel (Options.Workers): helper
+// goroutines solve and branch queued nodes ahead of the search, which
+// applies their work in its own order, so the search is the serial one.
 //
 // The solver maximises. Integer variables are branched by tightening their
 // bounds (x <= floor(v) becomes hi = floor(v), x >= ceil(v) becomes
@@ -33,10 +35,11 @@
 // under the child's data) the node falls back to a cold Phase-1 solve. Set
 // Options.DisableWarmStart to benchmark the cold path.
 //
-// Incumbent selection is deterministic at any Options.Workers setting:
+// The search is deterministic at any Options.Workers setting: it takes,
+// prunes and counts nodes in the same order as a serial search, and
 // candidates with equal objectives (within an internal tolerance) are
-// tie-broken by their position in the search tree, so the reported X does
-// not depend on worker scheduling.
+// tie-broken by their position in the search tree, so the reported X, the
+// node count and every counter do not depend on goroutine scheduling.
 package mip
 
 import (
@@ -50,7 +53,7 @@ import (
 // is considered integral.
 const intTol = 1e-6
 
-// maxPlunge bounds how many consecutive children a worker dives onto
+// maxPlunge bounds how many consecutive children the search dives onto
 // before returning to the global best-bound queue.
 const maxPlunge = 8
 
@@ -105,16 +108,16 @@ type Options struct {
 	// proven relative gap. Zero keeps the exact Gap-based criterion.
 	RelGap float64
 
-	// Workers is the number of parallel node processors (<=1: serial).
-	// Each worker goroutine owns a private lp.Workspace for the lifetime
-	// of the search and reuses it across every node it dequeues, so node
-	// relaxations run with zero steady-state solver allocations. A
-	// workspace is never shared across goroutines — workers communicate
-	// only through the (mutex-guarded) node queue and incumbent, and the
-	// Basis snapshots nodes carry are independent copy-outs, safe to adopt
-	// by whichever worker dequeues the child. Results are bit-identical at
-	// any Workers setting (see the package comment on deterministic
-	// incumbent selection).
+	// Workers is the number of goroutines solving node relaxations
+	// (<=1: serial). The search runs on the calling goroutine; Workers-1
+	// helpers solve and branch queued nodes ahead of it, newest first, and
+	// the search applies that work when it reaches the node — or drops it
+	// when the node is pruned by then. Each goroutine owns a private
+	// lp.Workspace for the lifetime of the search and reuses it across
+	// every node it solves, so node relaxations run with zero steady-state
+	// solver allocations; the Basis snapshots nodes carry are independent
+	// copy-outs, safe to adopt on any goroutine. The search, and so every
+	// Result field but Elapsed, is the same at any Workers setting.
 	Workers int
 
 	LP       lp.Options   // per-node LP options (deadline is overridden)
@@ -139,11 +142,10 @@ type Options struct {
 	// Ignored under root presolve.
 	ExportWarm bool
 
-	// Workspace, when non-nil and Workers <= 1, is the caller-owned
-	// lp.Workspace the single search worker runs on, letting consecutive
-	// re-solves reuse one workspace's buffers. The
-	// caller must not use it concurrently with Solve. Ignored when
-	// Workers > 1 (each worker owns a private workspace).
+	// Workspace, when non-nil, is the caller-owned lp.Workspace the search
+	// runs on (helpers own private ones), letting consecutive re-solves
+	// reuse one workspace's buffers. The caller must not use it
+	// concurrently with Solve.
 	Workspace *lp.Workspace
 }
 
@@ -153,11 +155,13 @@ type Options struct {
 // ok=false to skip. The solver never trusts the candidate: it offers it as
 // an incumbent only if it has the right length, is integral on
 // Problem.Integers and meets the node's boxes (branching fixes included)
-// and every row of the problem within a tolerance of 1e-9 relative; the solver computes its objective
-// itself. The solver keeps its own copy of an accepted candidate.
+// and every row of the problem within a tolerance of 1e-9 relative; the
+// solver computes its objective itself. The solver keeps its own copy of an
+// accepted candidate.
 //
-// With Workers > 1 the hook is called from every worker, so concurrent
-// calls must not share scratch. x may alias the calling worker's solver
+// With Workers > 1 the hook is called from the helper goroutines too, so
+// concurrent calls must not share scratch, and it may be called at nodes
+// the search then prunes. x may alias the calling goroutine's solver
 // workspace: it is valid for the duration of the call only and must be
 // copied if retained.
 type RoundingHook func(x []float64) (candidate []float64, ok bool)
@@ -227,9 +231,8 @@ type fixChain struct {
 // dir (0 = down, 1 = up) degraded the relaxation objective by delta per
 // unit of bound movement. Observations form an immutable chain inherited
 // parent→child exactly like fixChain, so a node's pseudo-cost estimates
-// depend only on its ancestry — never on what other workers explored —
-// which keeps the tree shape and hence the incumbents bit-identical at
-// any Workers setting (a shared mutable pseudo-cost store would not).
+// depend only on its ancestry, so a helper can branch a node ahead of the
+// search with the estimates the search would use.
 //
 //lint:frozen nodes share chain tails across the whole search tree
 type pcObs struct {
@@ -242,10 +245,9 @@ type pcObs struct {
 // node is a subproblem in the search tree.
 //
 // path is the node's position in the tree as a bit string ("0" = down
-// branch, "1" = up branch, "" = root). It is a scheduling-independent
-// identity: unlike a dequeue counter it does not depend on which worker
-// popped the node first, so it can deterministically tie-break incumbents
-// with equal objectives. basis is the parent's optimal basis (nil at the
+// branch, "1" = up branch, "" = root). It is an identity independent of
+// the order nodes are taken in, so it can deterministically tie-break
+// incumbents with equal objectives. basis is the parent's optimal basis (nil at the
 // root and after cold fallbacks) used to warm-start this node's
 // relaxation.
 type node struct {
@@ -264,6 +266,11 @@ type node struct {
 	brVar  int
 	brDir  int8
 	brDist float64
+
+	// claimed marks a node the search or a helper has taken (guarded by
+	// searcher.mu); exp is its expansion when a helper took it.
+	claimed bool
+	exp     *expansion
 }
 
 // nodeQueue is a heap of open nodes, highest bound first.

@@ -46,6 +46,7 @@ type branchPick struct {
 	downBound, upBound   float64
 	downInfeas, upInfeas bool
 	pc                   *pcObs
+	probes               int // strong-branching probe solves spent
 }
 
 // pcCand is one fractional branching candidate during selection.
@@ -215,11 +216,6 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 			}
 		}
 	}
-	if probes > 0 {
-		s.mu.Lock()
-		s.strongBranches += probes
-		s.mu.Unlock()
-	}
 
 	// Score and select. With no observations anywhere the product rule is
 	// flat, so fall back to pure fractionality.
@@ -262,7 +258,7 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 		v: c.v, val: c.val,
 		downBound: math.Inf(1), upBound: math.Inf(1),
 		downInfeas: c.downInf, upInfeas: c.upInf,
-		pc: chain,
+		pc: chain, probes: probes,
 	}
 	if !math.IsNaN(c.downObj) {
 		pick.downBound = c.downObj

@@ -93,24 +93,29 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	s.cond = sync.NewCond(&s.mu)
 	heap.Push(&s.queue, &node{bound: math.Inf(1), brVar: -1, basis: s.rootFrom, pc: s.rootPC})
 
+	// The search runs on this goroutine; Workers-1 helpers expand queued
+	// nodes ahead of it (see speculate). Each owns a private lp.Workspace
+	// and branching scratch, reused across every node it solves: node
+	// solves hit zero steady-state solver allocations, and workspaces are
+	// never shared across goroutines (see Options.Workers).
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	s.helpers = workers - 1
+	for w := 0; w < s.helpers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns a private lp.Workspace and branching scratch,
-			// reused across every node it dequeues: node solves hit zero
-			// steady-state solver allocations, and workspaces are never
-			// shared across goroutines (see Options.Workers). A serial
-			// search runs on the caller's Options.Workspace when it
-			// provided one.
-			ws := opts.Workspace
-			if ws == nil || workers > 1 {
-				ws = lp.NewWorkspace()
-			}
-			s.run(ws, newBranchScratch(s.prob.LP.NumVars()))
+			s.speculate(lp.NewWorkspace(), newBranchScratch(s.prob.LP.NumVars()))
 		}()
 	}
+	ws := opts.Workspace
+	if ws == nil {
+		ws = lp.NewWorkspace()
+	}
+	s.run(ws, newBranchScratch(s.prob.LP.NumVars()))
+	s.mu.Lock()
+	s.finished = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
 	wg.Wait()
 
 	if s.err != nil {
@@ -179,6 +184,13 @@ type searcher struct {
 	// node's basis and pseudo-cost chain.
 	rootFrom *lp.Basis
 	rootPC   *pcObs
+
+	// helpers is the number of speculate goroutines (Workers-1); ahead
+	// holds the queued nodes they may expand, newest last; finished tells
+	// them the search is over.
+	helpers  int
+	ahead    []*node
+	finished bool
 
 	mu               sync.Mutex
 	cond             *sync.Cond
@@ -267,17 +279,14 @@ func (s *searcher) admitLocked(nd *node) bool {
 	return true
 }
 
-// run is one worker's loop. ws is the worker's private solver workspace
-// and scr its private branching scratch; neither may be shared with any
-// other goroutine.
+// run is the search loop: it takes nodes in best-bound order, processes
+// them and plunges, the same sequence at any Workers setting. ws is its
+// solver workspace and scr its branching scratch; neither may be shared
+// with any other goroutine.
 func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 	for {
 		s.mu.Lock()
-		for s.queue.Len() == 0 && len(s.inflight) > 0 && !s.stopped {
-			s.cond.Wait()
-		}
-		if s.stopped || (s.queue.Len() == 0 && len(s.inflight) == 0) {
-			s.cond.Broadcast()
+		if s.stopped || s.queue.Len() == 0 {
 			s.mu.Unlock()
 			return
 		}
@@ -295,10 +304,8 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 
 		// Process nd, then plunge: continue directly with one of its
 		// children instead of going back through the global queue. The
-		// worker dives down one path (bounded depth), keeping the parent's
-		// basis hot in its workspace. Plunging only reorders exploration;
-		// the tree, the pruning and the incumbents are untouched, so
-		// determinism across worker counts is preserved.
+		// search dives down one path (bounded depth), keeping the parent's
+		// basis hot in its workspace.
 		for depth := 0; nd != nil; depth++ {
 			children, fatal := s.process(nd, ws, scr)
 
@@ -326,6 +333,9 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 			for _, c := range children {
 				if c != carry {
 					heap.Push(&s.queue, c)
+					if s.helpers > 0 {
+						s.ahead = append(s.ahead, c)
+					}
 				}
 			}
 			if carry != nil && !s.admitLocked(carry) {
@@ -338,13 +348,43 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 	}
 }
 
-// process solves one node relaxation (on the worker's workspace) and
-// returns child nodes.
+// expansion is what processing a node computes from the node alone,
+// never from the incumbent: its relaxation's solve and, when the node is
+// branched on, the branching decision and the rounding candidate. At
+// Workers > 1 helpers compute expansions ahead of the search (see
+// speculate); the search applies them, in its own order, exactly as it
+// applies the ones it computes itself.
+type expansion struct {
+	ns  nodeSolve
+	err error
+
+	// branched reports that pick and the hook fields are set: always on a
+	// helper's expansion, and on the search's own only when the node
+	// survived the pruning test after its solve.
+	branched bool
+	pick     branchPick
+	hookX    []float64 // the rounding candidate when hookOK
+	hookObj  float64
+	hookOK   bool
+
+	done bool // a helper finished it (guarded by searcher.mu)
+}
+
+// process applies one node's expansion — taken from a helper, or computed
+// on the search's workspace — and returns the child nodes.
 func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (children []*node, fatal error) {
-	sol, basis, err := s.solveNodeLP(nd, nd.basis, ws)
-	if err != nil {
-		return nil, err
+	e := s.claim(nd)
+	if e == nil {
+		e = &expansion{}
+		e.ns, e.err = s.solveNodeLP(nd, nd.basis, ws)
 	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	if e.ns.counted {
+		s.countSolve(e.ns.warm, e.ns.rebuilt)
+	}
+	sol, basis := e.ns.sol, e.ns.basis
 	switch sol.Status {
 	case lp.Infeasible:
 		return nil, nil
@@ -363,7 +403,7 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	if nd.depth == 0 && s.opts.ExportWarm && basis != nil {
 		// Root relaxation basis for WarmState export. Captured before the
 		// pruning gate so even a one-node search exports it; an independent
-		// copy-out, safe to hold past this worker's next solve.
+		// copy-out, safe to hold past later solves.
 		s.mu.Lock()
 		s.rootBasis = basis
 		s.mu.Unlock()
@@ -376,19 +416,15 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		return nil, nil
 	}
 
-	// Record the pseudo-cost observation of the branching step that created
-	// this node: the relaxation degraded by (parent bound - node objective)
-	// over a bound movement of brDist. The chain extension is node-local
-	// and immutable, so estimates depend only on ancestry (see pcObs).
-	if nd.brVar >= 0 && nd.brDist > intTol && !math.IsInf(nd.bound, 1) {
-		nd.pc = &pcObs{
-			v: nd.brVar, dir: nd.brDir,
-			delta: math.Max(0, nd.bound-sol.Objective) / nd.brDist,
-			prev:  nd.pc,
-		}
+	if !e.branched {
+		s.branch(nd, e, scr, ws)
 	}
-
-	pick := s.selectBranch(nd, sol, basis, scr, ws)
+	pick := e.pick
+	if pick.probes > 0 {
+		s.mu.Lock()
+		s.strongBranches += pick.probes
+		s.mu.Unlock()
+	}
 	if pick.v == -1 {
 		// Integral: candidate incumbent.
 		s.offerIncumbent(sol.Objective, sol.X, nd.path, pick.pc)
@@ -402,19 +438,8 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 
 	val := pick.val
 	bound := sol.Objective
-
-	// Primal heuristic: at the root and periodically thereafter, the hook
-	// turns the fractional solution into a complete candidate, which is
-	// offered only if it lies in this node's relaxation and is integral.
-	// The trigger depends only on the node's depth — never on a dequeue
-	// counter — so the set of candidates is identical at any worker count.
-	d := nd.depth
-	if s.opts.Rounding != nil && (d == 0 || d%4 == 0) {
-		if x, ok := s.opts.Rounding(sol.X); ok {
-			if obj, ok := s.candidate(nd, x); ok {
-				s.offerIncumbent(obj, x, nd.path+"h", pick.pc)
-			}
-		}
+	if e.hookOK {
+		s.offerIncumbent(e.hookObj, e.hookX, nd.path+"h", pick.pc)
 	}
 
 	// Children share the parent's immutable fix chain and prepend their one
@@ -449,6 +474,113 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	return children, nil
 }
 
+// branch completes e past the node's solve: it records the pseudo-cost
+// observation of the branching step that created nd, picks the branching
+// variable and, at a fractional node the hook runs at, builds and checks
+// the rounding candidate.
+func (s *searcher) branch(nd *node, e *expansion, scr *branchScratch, ws *lp.Workspace) {
+	sol := e.ns.sol
+	// The relaxation degraded by (parent bound - node objective) over a
+	// bound movement of brDist. The chain extension is node-local and
+	// immutable, so estimates depend only on ancestry (see pcObs).
+	if nd.brVar >= 0 && nd.brDist > intTol && !math.IsInf(nd.bound, 1) {
+		nd.pc = &pcObs{
+			v: nd.brVar, dir: nd.brDir,
+			delta: math.Max(0, nd.bound-sol.Objective) / nd.brDist,
+			prev:  nd.pc,
+		}
+	}
+	e.pick = s.selectBranch(nd, sol, e.ns.basis, scr, ws)
+	e.branched = true
+	if e.pick.v == -1 || e.pick.downInfeas && e.pick.upInfeas {
+		return
+	}
+	// Primal heuristic: at the root and periodically thereafter, the hook
+	// turns the fractional solution into a complete candidate, which is
+	// offered only if it lies in this node's relaxation and is integral.
+	// The trigger depends only on the node's depth, so the set of
+	// candidates does not depend on the order nodes are taken in.
+	d := nd.depth
+	if s.opts.Rounding != nil && (d == 0 || d%4 == 0) {
+		if x, ok := s.opts.Rounding(sol.X); ok {
+			e.hookObj, e.hookOK = s.candidate(nd, x)
+			e.hookX = x
+		}
+	}
+}
+
+// claim hands the search nd's expansion when a helper took the node,
+// waiting for the helper to finish it; otherwise it marks the node taken,
+// so no helper starts on it, and returns nil.
+func (s *searcher) claim(nd *node) *expansion {
+	if s.helpers == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !nd.claimed {
+		nd.claimed = true
+		return nil
+	}
+	for !nd.exp.done {
+		s.cond.Wait()
+	}
+	return nd.exp
+}
+
+// speculate is a helper's loop at Workers > 1. It takes the newest queued
+// node no one has taken and the incumbent cannot prune yet, and expands it
+// on its own workspace ws and scratch scr: the node's solve, then branch,
+// whatever the incumbent. The search later applies the expansion as if it
+// had computed it, so the search — nodes, incumbents, counters — is the
+// one Workers = 1 runs. An expansion of a node the search then prunes is
+// wasted work, never a different result.
+func (s *searcher) speculate(ws *lp.Workspace, scr *branchScratch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.ahead) == 0 && !s.finished {
+			s.cond.Wait()
+		}
+		if s.finished {
+			return
+		}
+		nd := s.ahead[len(s.ahead)-1]
+		s.ahead = s.ahead[:len(s.ahead)-1]
+		// The incumbent only rises, so a node it prunes now is pruned when
+		// the search reaches it.
+		if nd.claimed || nd.bound <= s.incumbent+s.opts.Gap {
+			continue
+		}
+		e := &expansion{}
+		nd.claimed, nd.exp = true, e
+		s.mu.Unlock()
+		s.expand(nd, e, ws, scr)
+		s.mu.Lock()
+		e.done = true
+		s.cond.Broadcast()
+	}
+}
+
+// expand fills e for nd on a helper: the node's solve and, when it is
+// optimal, branch.
+func (s *searcher) expand(nd *node, e *expansion, ws *lp.Workspace, scr *branchScratch) {
+	e.ns, e.err = s.solveNodeLP(nd, nd.basis, ws)
+	if e.err != nil {
+		return
+	}
+	if s.opts.DisableWarmStart {
+		// The basis-free solve aliases ws, which this helper solves on
+		// again before the search reads the solution.
+		sol := *e.ns.sol
+		sol.X = append([]float64(nil), sol.X...)
+		e.ns.sol = &sol
+	}
+	if e.ns.sol.Status == lp.Optimal {
+		s.branch(nd, e, scr, ws)
+	}
+}
+
 // nodeProblem derives the node relaxation as a copy-free overlay of the
 // immutable base LP: branching decisions become tightened variable
 // bounds. It returns ok=false when a replayed box is empty — infeasibility
@@ -474,6 +606,17 @@ func (s *searcher) nodeProblem(nd *node) (*lp.Problem, bool) {
 	return p, true
 }
 
+// nodeSolve is one node relaxation's solve: the solution, the basis the
+// node's children warm-start from, and how countSolve tallies it (counted
+// is false when nodeProblem proved the box empty without a solve).
+type nodeSolve struct {
+	sol     *lp.Solution
+	basis   *lp.Basis
+	counted bool
+	warm    bool
+	rebuilt bool
+}
+
 // solveNodeLP derives the node relaxation via nodeProblem and solves it.
 //
 // When warm starts are enabled and a parent basis is available, the node
@@ -482,17 +625,16 @@ func (s *searcher) nodeProblem(nd *node) (*lp.Problem, bool) {
 // solve. The returned basis warm-starts this node's children (nil after a
 // basis-free solve or when the relaxation was not solved to optimality).
 //
-// Every solve runs on ws, the calling worker's private workspace. The
+// Every solve runs on ws, the calling goroutine's private workspace. The
 // basis-publishing paths return independent Solutions, safe to hold across
 // later solves; the basis-free cold solve of DisableWarmStart returns a
-// Solution aliasing ws buffers, valid only until the next solve on this
-// worker.
+// Solution aliasing ws buffers, valid only until the next solve on ws.
 //
-//lint:hotpath=bounded one node relaxation allocates an overlay plus the published basis; solver scratch comes from the worker's workspace
-func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (*lp.Solution, *lp.Basis, error) {
+//lint:hotpath=bounded one node relaxation allocates an overlay plus the published basis; solver scratch comes from the caller's workspace
+func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (nodeSolve, error) {
 	p, ok := s.nodeProblem(nd)
 	if !ok {
-		return &lp.Solution{Status: lp.Infeasible}, nil, nil
+		return nodeSolve{sol: &lp.Solution{Status: lp.Infeasible}}, nil
 	}
 	lpOpts := s.opts.LP
 	lpOpts.Deadline = s.opts.Deadline
@@ -501,29 +643,26 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (*lp.
 	// solve publishes no basis.
 	if s.opts.DisableWarmStart {
 		sol, err := ws.Solve(p, lpOpts)
-		s.countSolve(false, false)
-		return sol, nil, err
+		return nodeSolve{sol: sol, counted: true}, err
 	}
 	if from != nil {
 		if sol, basis, err := ws.SolveBasisFrom(p, from, lpOpts); err == nil {
-			s.countSolve(true, sol.FactorRebuilt)
-			return sol, basis, nil
+			return nodeSolve{sol: sol, basis: basis, counted: true, warm: true, rebuilt: sol.FactorRebuilt}, nil
 		}
 		// Warm start failed; fall through to a cold solve.
 	}
 	sol, basis, err := ws.SolveBasis(p, lpOpts)
 	if err != nil {
-		return nil, nil, err
+		return nodeSolve{}, err
 	}
-	s.countSolve(false, false)
-	return sol, basis, nil
+	return nodeSolve{sol: sol, basis: basis, counted: true}, nil
 }
 
 // countSolve tallies warm vs cold relaxation solves and inherit fallbacks
 // (warm starts that had to refactorise because the parent snapshot could
-// not be adopted) for Result reporting. Node solves go through here;
-// strong-branching probes do not (they keep their own counter so
-// WarmSolves+ColdSolves stays equal to Nodes).
+// not be adopted) for Result reporting, as the search applies each node's
+// solve; strong-branching probes keep their own counter, so
+// WarmSolves+ColdSolves stays equal to Nodes.
 func (s *searcher) countSolve(warm, inheritFallback bool) {
 	s.mu.Lock()
 	if warm {
@@ -624,14 +763,10 @@ const incumbentTieTol = 1e-9
 
 // offerIncumbent installs (obj, x) as the incumbent if it improves, or if
 // it ties the current incumbent (within incumbentTieTol) and comes from a
-// lexicographically earlier tree path. The path tie-break makes the
-// winning solution a function of the search tree alone, not of which
-// worker reported first, so Solve returns identical X at any Workers
-// setting (up to exact-objective ties between distinct optima, which the
-// path ordering then resolves deterministically as well).
-// pc is the offering node's pseudo-cost chain; the winning candidate's
-// chain is what ExportWarm hands to the next solve (the deterministic
-// tie-break keeps it scheduling-independent too).
+// lexicographically earlier tree path. Only the search offers, in its own
+// order, so the winner is the same at any Workers setting. pc is the
+// offering node's pseudo-cost chain; the winning candidate's chain is what
+// ExportWarm hands to the next solve.
 func (s *searcher) offerIncumbent(obj float64, x []float64, path string, pc *pcObs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
