@@ -1,11 +1,12 @@
-package model
-
-// Brute-force oracle for the exact DSCT-EA path. It shares no code with the
-// solvers under test: it imports neither lp, mip nor core. forEachAssignment
-// enumerates every task-to-machine assignment, and scanAssignment scores
-// one with its own copy of the accuracy-per-Joule greedy, whose room on a
-// machine is a plain O(n) scan of the machine's deadline prefixes instead
-// of core's latest-interval kernel.
+// Package bruteforce is the brute-force oracle the exact DSCT-EA paths
+// are tested against: internal/model's branch-and-bound and
+// internal/incremental's engine flushes. It shares no code with the
+// solvers under test: it imports neither lp, mip nor core.
+// ForEachAssignment enumerates every task-to-machine assignment, and
+// ScanAssignment scores one with its own copy of the accuracy-per-Joule
+// greedy, whose room on a machine is a plain O(n) scan of the machine's
+// deadline prefixes instead of core's latest-interval kernel.
+package bruteforce
 
 import (
 	"math"
@@ -16,9 +17,9 @@ import (
 	"repro/internal/task"
 )
 
-// forEachAssignment calls visit with every assignment of n tasks to m
+// ForEachAssignment calls visit with every assignment of n tasks to m
 // machines. visit must not retain the slice.
-func forEachAssignment(n, m int, visit func(assign []int)) {
+func ForEachAssignment(n, m int, visit func(assign []int)) {
 	assign := make([]int, n)
 	var rec func(j int)
 	rec = func(j int) {
@@ -41,10 +42,11 @@ type scanSeg struct {
 	seconds   float64 // the segment's width in seconds on the machine
 }
 
-// scanAssignment returns the best total accuracy Σ_j a_j(s_r·t_j) of the
+// ScanAssignment returns the best total accuracy Σ_j a_j(s_r·t_j) of the
 // assignment (task j on machine assign[j]) subject to the MIP's rows:
 // every machine's deadline prefixes Σ_{i<=k, i on r} t_i <= d_k over task
-// indices, and the energy budget Σ_j P_r·t_j <= budget.
+// indices, and the energy budget Σ_j P_r·t_j <= budget. tasks must be in
+// deadline order, as the MIP's staircase rows are.
 //
 // With the machines fixed, the rows form a laminar family in Joules, so
 // granting segments in non-increasing accuracy per Joule (ties by task,
@@ -53,7 +55,7 @@ type scanSeg struct {
 // d_k - Σ_{i<=k, i on r} t_i over the tasks k >= j on its machine. A room
 // or a budget of at most numeric.Eps seconds is skipped, as Algorithm 1
 // skips it.
-func scanAssignment(tasks []task.Task, fleet machine.Fleet, budget float64, assign []int) float64 {
+func ScanAssignment(tasks []task.Task, fleet machine.Fleet, budget float64, assign []int) float64 {
 	var segs []scanSeg
 	for j, tk := range tasks {
 		mc := fleet[assign[j]]

@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/accuracy"
+	"repro/internal/bruteforce"
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/model"
+	"repro/internal/numeric"
 	"repro/internal/task"
 )
 
@@ -181,7 +183,10 @@ func genTestTrace(t *testing.T, seed int64, events int) []Event {
 // TestStreamVsCold is the differential gate: after every event of a
 // 220-event trace the warm engine, the cold engine and a from-scratch
 // solve of the live instance must agree on the optimum, and the warm
-// engine's schedule must be feasible.
+// engine's schedule must be feasible. Both engines' accuracies must also
+// match the best assignment of the brute-force oracle, which shares no
+// code with the engine, within 1e-12 relative: the trace keeps at most 6
+// tasks on 3 machines, so the oracle scores every assignment.
 func TestStreamVsCold(t *testing.T) {
 	trace := genTestTrace(t, 41, 220)
 	warm := New(Options{})
@@ -205,6 +210,10 @@ func TestStreamVsCold(t *testing.T) {
 		if ws.Status != mip.Optimal || cs.Status != mip.Optimal {
 			t.Fatalf("event %d: warm status %v, cold status %v", i, ws.Status, cs.Status)
 		}
+		best := bestAssignment(in)
+		if !numeric.Close(ws.TotalAccuracy, best, 1e-12) || !numeric.Close(cs.TotalAccuracy, best, 1e-12) {
+			t.Fatalf("event %d (%s): warm accuracy %.17g, cold %.17g, best assignment %.17g", i, ev.Kind, ws.TotalAccuracy, cs.TotalAccuracy, best)
+		}
 		tol := 1e-6 * (1 + math.Abs(ref))
 		if math.Abs(ws.TotalAccuracy-ref) > tol {
 			t.Fatalf("event %d (%s): warm accuracy %.12g, scratch %.12g", i, ev.Kind, ws.TotalAccuracy, ref)
@@ -224,6 +233,46 @@ func TestStreamVsCold(t *testing.T) {
 	if cold.Stats().WarmResolves != 0 {
 		t.Errorf("cold engine reported %d warm re-solves", cold.Stats().WarmResolves)
 	}
+}
+
+// bestAssignment is the brute-force optimum of in: the best
+// bruteforce.ScanAssignment score over every task-to-machine assignment.
+func bestAssignment(in *task.Instance) float64 {
+	best := math.Inf(-1)
+	bruteforce.ForEachAssignment(in.N(), in.M(), func(assign []int) {
+		best = math.Max(best, bruteforce.ScanAssignment(in.Tasks, in.Machines, in.Budget, assign))
+	})
+	return best
+}
+
+// TestContendedWarmUpFlush replays a flush that once failed: the warm-up
+// of a contended 24-task, 3-machine stream (DeadlineScale 3, BudgetScale
+// 5) posted in one batch under a 16-node cap. Its root relaxation kept
+// cut rows, and the root node's cold re-solve of them failed with a
+// singular basis, so the flush returned an error instead of a schedule.
+func TestContendedWarmUpFlush(t *testing.T) {
+	cfg := DefaultTraceConfig(45070, 36, 24, 3)
+	cfg.DeadlineScale, cfg.BudgetScale = 3, 5
+	trace, err := GenTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 1, BatchWindow: math.MaxInt, MaxNodes: 16})
+	o := newOracle()
+	for i, ev := range trace[:28] {
+		o.apply(ev)
+		if _, err := e.Post(ev); err != nil {
+			t.Fatalf("event %d (%s): %v", i, ev.Kind, err)
+		}
+	}
+	sol, err := e.Flush()
+	if err != nil {
+		t.Fatalf("warm-up flush: %v", err)
+	}
+	if sol.Status != mip.Optimal && sol.Status != mip.Feasible {
+		t.Fatalf("warm-up flush published no schedule: status %v", sol.Status)
+	}
+	checkFeasible(t, o, sol)
 }
 
 // sameEngineSolution compares two solutions bitwise (objective and every

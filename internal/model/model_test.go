@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/mip"
@@ -280,7 +281,7 @@ func TestFRDualCertificate(t *testing.T) {
 }
 
 // TestMIPAgainstAssignmentEnumeration holds the exact path to the
-// brute-force oracle (oracle_test.go): on every assignment of 48 instances
+// brute-force oracle (internal/bruteforce): on every assignment of 48 instances
 // — (n, m) in {5, 6, 7} × {2, 3}, tight and loose deadlines (ρ) crossed
 // with tight and loose budgets (β), two seeds — core.FixedAssignment must
 // match the oracle's score, and the branch-and-bound optimum must match
@@ -303,8 +304,8 @@ func TestMIPAgainstAssignmentEnumeration(t *testing.T) {
 					label := fmt.Sprintf("n=%d m=%d rho=%g beta=%g seed %d", n, m, reg[0], reg[1], seed)
 					best := math.Inf(-1)
 					times := make([]float64, n)
-					forEachAssignment(n, m, func(assign []int) {
-						want := scanAssignment(in.Tasks, in.Machines, in.Budget, assign)
+					bruteforce.ForEachAssignment(n, m, func(assign []int) {
+						want := bruteforce.ScanAssignment(in.Tasks, in.Machines, in.Budget, assign)
 						best = math.Max(best, want)
 						if got := fx.Solve(in.Tasks, in.Machines, in.Budget, assign, times); !numeric.Close(got, want, 1e-12) {
 							t.Errorf("%s, assignment %v: evaluator %.17g, oracle %.17g", label, assign, got, want)
@@ -339,7 +340,7 @@ func TestFixedAssignmentMatchesPinnedLP(t *testing.T) {
 				in := genInstance(t, 100*seed+int64(nm[0]*10+nm[1]), nm[0], nm[1], reg[0], reg[1])
 				mm := BuildMIP(in)
 				times := make([]float64, in.N())
-				forEachAssignment(in.N(), in.M(), func(assign []int) {
+				bruteforce.ForEachAssignment(in.N(), in.M(), func(assign []int) {
 					want := pinnedLP(t, mm, assign)
 					if got := fx.Solve(in.Tasks, in.Machines, in.Budget, assign, times); !numeric.Close(got, want, 1e-12) {
 						t.Errorf("n=%d m=%d rho=%g beta=%g seed %d, assignment %v: evaluator %.15g, pinned LP %.15g",

@@ -23,8 +23,9 @@
 # batch-throughput harness (BenchmarkBatchThroughputLP over the 240-instance
 # corpus, BenchmarkBatchThroughputXLLP over an xl shard; fresh-vs-pooled-vs-
 # batch segments reporting instances/sec and allocs/op) and the
-# branch-and-cut search on hard fig4 instances (BenchmarkMIPBranchAndCut,
-# whose node counts the diff gates) and the incremental-engine event-stream
+# branch-and-bound search on hard fig4 instances (BenchmarkMIPBranchAndCut,
+# named before the search lost its cutting planes; the diff gates its node
+# counts) and the incremental-engine event-stream
 # pair (BenchmarkIncrementalResolve cold-vs-warm per-event re-solves,
 # BenchmarkEventThroughput events/sec over a full mixed trace) and the
 # combinatorial FR solver (BenchmarkSolveFRScaling, DSCT-EA-FR-OPT at
