@@ -373,9 +373,10 @@ type expansion struct {
 // process applies one node's expansion — taken from a helper, or computed
 // on the search's workspace — and returns the child nodes.
 func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (children []*node, fatal error) {
+	var own expansion
 	e := s.claim(nd)
 	if e == nil {
-		e = &expansion{}
+		e = &own
 		e.ns, e.err = s.solveNodeLP(nd, nd.basis, ws)
 	}
 	if e.err != nil {
