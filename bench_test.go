@@ -141,8 +141,9 @@ func benchSkewedInstance(b *testing.B, n int) *task.Instance {
 	return in
 }
 
-// BenchmarkAblationParallelMIP compares serial vs parallel branch-and-cut
-// on a fixed DSCT-EA instance.
+// BenchmarkAblationParallelMIP compares the serial branch-and-bound search
+// with the same search plus helpers solving queued nodes ahead of it, on a
+// fixed DSCT-EA instance.
 func BenchmarkAblationParallelMIP(b *testing.B) {
 	in := benchInstance(b, 8, 2, 2)
 	mm := model.BuildMIP(in)
@@ -166,7 +167,7 @@ func BenchmarkAblationParallelMIP(b *testing.B) {
 }
 
 // BenchmarkMIPColdVsWarm measures the warm-start speedup in branch-and-
-// cut: every node relaxation warm-started from its parent's basis via
+// bound: every node relaxation warm-started from its parent's basis via
 // the dual simplex (warm) against from-scratch two-phase solves at every
 // node (cold, Options.DisableWarmStart). The warm-started node fraction
 // and the node count are reported alongside the time; scripts/verify.sh
@@ -203,9 +204,10 @@ func BenchmarkMIPColdVsWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkMIPBranchAndCut runs the branch-and-cut search (reliability
-// branching primed by strong-branching probes, best-bound with plunging,
-// root cuts) on the hardest exact-solve regime in the paper's evaluation —
+// BenchmarkMIPBranchAndCut runs the branch-and-bound search (reliability
+// branching primed by strong-branching probes, best-bound with plunging;
+// the name predates the deletion of the search's cutting planes) on the
+// hardest exact-solve regime in the paper's evaluation —
 // fig4 tight-deadline instances (rho = 0.1, theta_max = 1.0) at n = 24
 // tasks on a 4-machine fleet — and reports its node and probe counts,
 // which cmd/benchjson -diff gates across PRs.

@@ -12,9 +12,8 @@ import (
 var raceEnabled = false
 
 // warmFlushAllocs is TestAllocsWarmFlush's ceiling. Such a flush made 991
-// allocations while every solve built the cut separator, and makes 114
-// with one root solve and no separator; a separator built for an
-// integral root again would break the ceiling.
+// allocations when every solve built a cut separator, and makes 93 with
+// one root solve and no cut layer.
 const warmFlushAllocs = 200
 
 // TestAllocsWarmFlush pins the allocations of one warm Post + Flush in the
@@ -22,7 +21,7 @@ const warmFlushAllocs = 200
 // where most roots are integral: a budget-change event that leaves the
 // budget where it is, re-posted on an engine past its warm-up. The root
 // relaxation is checked integral first, so the pin covers the flush that
-// finds nothing to cut: one root LP solve, no separator, no branching.
+// needs one root LP solve and no branching.
 func TestAllocsWarmFlush(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")

@@ -2,7 +2,7 @@ package incremental
 
 // Steady-state re-solve benchmarks. BenchmarkIncrementalResolve pairs a
 // cold arm (every event solved from scratch, DisableWarm) against the warm
-// arm (basis + cut pool + pseudo-cost carry-over) on the same fig-scale
+// arm (basis + pseudo-cost carry-over) on the same fig-scale
 // trace tail: the /cold vs /warm sub-names line up with cmd/benchjson's
 // cold_vs_warm pairing, which gates the warm speedup. Per iteration the
 // engine is rebuilt and the trace prefix replayed off the clock, so only

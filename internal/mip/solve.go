@@ -31,7 +31,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		prob:      p,
 		opts:      opts,
 		incumbent: math.Inf(-1),
-		inflight:  make(map[*node]struct{}),
 	}
 	// Root presolve (when opts.LP.Presolve selects it): reduce the LP once
 	// with the integer columns kept, search entirely in the reduced space —
@@ -195,7 +194,6 @@ type searcher struct {
 	mu               sync.Mutex
 	cond             *sync.Cond
 	queue            nodeQueue
-	inflight         map[*node]struct{}
 	incumbent        float64
 	incumbentX       []float64
 	incumbentPath    string
@@ -210,8 +208,8 @@ type searcher struct {
 	err              error
 }
 
-// openBound returns the best upper bound over open and in-flight nodes and
-// the incumbent; callers must not hold the mutex.
+// openBound returns the best upper bound over the open nodes and the
+// incumbent; callers must not hold the mutex.
 func (s *searcher) openBound() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,15 +217,11 @@ func (s *searcher) openBound() float64 {
 }
 
 // openBoundLocked is openBound's locked core: the global dual bound over
-// the open queue, the in-flight nodes and the incumbent.
+// the open queue and the incumbent. The search loop calls it only between
+// nodes, so no node is in flight.
 func (s *searcher) openBoundLocked() float64 {
 	b := s.incumbent
 	for _, nd := range s.queue.items {
-		if nd.bound > b {
-			b = nd.bound
-		}
-	}
-	for nd := range s.inflight {
 		if nd.bound > b {
 			b = nd.bound
 		}
@@ -251,31 +245,27 @@ func (s *searcher) gapMetLocked(extra *node) bool {
 }
 
 // admitLocked runs the node-budget and deadline gates for a node about to
-// be processed and, when admitted, registers it in flight and counts it.
+// be processed and, when admitted, counts it.
 // It returns false — with nd pushed back on the queue for bound reporting
 // and the search stopped — when a limit struck. Caller holds the mutex.
 func (s *searcher) admitLocked(nd *node) bool {
 	if s.nodes >= s.opts.MaxNodes {
 		heap.Push(&s.queue, nd)
 		s.stopped = true
-		s.cond.Broadcast()
 		return false
 	}
 	//lint:ignore wallclock sanctioned deadline probe, once per admitted branch-and-bound node
 	if !s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline) {
 		heap.Push(&s.queue, nd)
 		s.stopped = true
-		s.cond.Broadcast()
 		return false
 	}
 	if s.gapMetLocked(nd) {
 		heap.Push(&s.queue, nd)
 		s.stopped = true
-		s.cond.Broadcast()
 		return false
 	}
 	s.nodes++
-	s.inflight[nd] = struct{}{}
 	return true
 }
 
@@ -292,7 +282,7 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 		}
 		nd := heap.Pop(&s.queue).(*node)
 		if nd.bound <= s.incumbent+s.opts.Gap {
-			// Pruned by bound; nothing in flight changes.
+			// Pruned by bound.
 			s.mu.Unlock()
 			continue
 		}
@@ -310,7 +300,6 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 			children, fatal := s.process(nd, ws, scr)
 
 			s.mu.Lock()
-			delete(s.inflight, nd)
 			if fatal != nil && s.err == nil {
 				s.err = fatal
 				s.stopped = true
