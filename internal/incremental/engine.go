@@ -9,9 +9,9 @@
 // edits; see internal/lp's mutation API), and the re-solve imports the
 // previous solve's mip.WarmState: the root relaxation starts from the
 // previous optimal basis (dual simplex repairs the handful of violated
-// rows), and the pseudo-cost observations keep branching informed. Any non-adoptable
-// piece degrades to its cold equivalent, so warm starting is a latency
-// optimisation, never a correctness risk.
+// rows), and the pseudo-cost observations keep branching informed. Any
+// non-adoptable piece degrades to its cold equivalent, so warm starting is
+// a latency optimisation, never a correctness risk.
 //
 // Departed entities are deactivated, never deleted: their columns are
 // boxed to [0,0] and their rows become inert (a departed task's assignment
@@ -185,8 +185,8 @@ type liveTask struct {
 // link returns the coefficient U of the task's deadline link
 // t_r <= U·x_r on machine mc: min(d, f^max/s_r). The box caps t_r at
 // f^max/s_r and x_r is 0 or 1, so the link is valid at every integral
-// point, and its relaxation is the tightest of the two bounds (1c) and
-// (1d) give.
+// point, and where f^max/s_r < d its relaxation is tighter than the
+// paper's t_r <= d·x_r.
 func (tk *liveTask) link(mc *liveMachine) float64 {
 	return math.Min(tk.deadline, tk.acc.FMax()/mc.speed)
 }

@@ -116,8 +116,9 @@ type Options struct {
 	// lp.Workspace for the lifetime of the search and reuses it across
 	// every node it solves, so node relaxations run with zero steady-state
 	// solver allocations; the Basis snapshots nodes carry are independent
-	// copy-outs, safe to adopt on any goroutine. The search, and so every
-	// Result field but Elapsed, is the same at any Workers setting.
+	// copy-outs, safe to adopt on any goroutine. Without a Deadline the
+	// search, and so every Result field but Elapsed, is the same at any
+	// Workers setting.
 	Workers int
 
 	LP       lp.Options   // per-node LP options (deadline is overridden)
@@ -133,9 +134,10 @@ type Options struct {
 	// Warm imports search state exported by a previous Solve over a
 	// compatibly-mutated problem (see WarmState for the compatibility
 	// contract): the root basis warm-starts the root solve, and the
-	// pseudo-cost observations seed branching. Ignored under root presolve (the exported state lives in
-	// original row/column space); any non-adoptable piece degrades to the
-	// cold equivalent rather than failing the solve.
+	// pseudo-cost observations seed branching. Ignored under root presolve
+	// (the exported state lives in original row/column space); any
+	// non-adoptable piece degrades to the cold equivalent rather than
+	// failing the solve.
 	Warm *WarmState
 
 	// ExportWarm asks Solve to assemble Result.Warm for the next re-solve.

@@ -186,7 +186,7 @@ func TestWarmNonAdoptableFallsBack(t *testing.T) {
 	warmRes := solveMIP(t, p, Options{Warm: res.Warm})
 	cold := solveMIP(t, p, Options{})
 	if warmRes.Status != Optimal || math.Abs(warmRes.Objective-cold.Objective) > 1e-9 {
-		t.Fatalf("mis-declared warm state: status %v objective %g, want optimal %g",
+		t.Fatalf("stale warm state: status %v objective %g, want optimal %g",
 			warmRes.Status, warmRes.Objective, cold.Objective)
 	}
 }
