@@ -1,10 +1,10 @@
 package lp
 
-// Tests for the two small API additions carried by the branch-and-cut
-// work: the Problem.Constraint row accessor (the cut separator reads rows
-// through it) and the Solution.DualFeasible flag (strong-branching probes
-// trust a truncated warm solve's objective as a bound only when it is
-// set).
+// Tests for two small API pieces the branch-and-bound search relies on:
+// the Problem.Constraint row accessor (rounding candidates are checked
+// against rows through it) and the Solution.DualFeasible flag
+// (strong-branching probes trust a truncated warm solve's objective as a
+// bound only when it is set).
 
 import (
 	"math"

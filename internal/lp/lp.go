@@ -123,8 +123,9 @@ func (p *Problem) rowAt(i int) row {
 // slice aliases the problem's storage and must be treated as read-only.
 // Like AddConstraint's input, terms may repeat a variable; readers must
 // accumulate duplicates the way the solver does. It panics when i is
-// out of range. Cut separators and other structure scanners use this to
-// read rows without access to the package internals.
+// out of range. Callers that check a point against the rows, like the mip
+// rounding-candidate check, use this to read rows without access to the
+// package internals.
 func (p *Problem) Constraint(i int) ([]Term, Sense, float64) {
 	if i < 0 || i >= p.NumConstraints() {
 		panic(fmt.Sprintf("lp: constraint %d out of range [0,%d)", i, p.NumConstraints()))

@@ -9,7 +9,7 @@ package lp
 //   - an exportable Basis: the basic column set (plus the nonbasic-at-bound
 //     markers) is plain data that survives the solve and can seed another;
 //   - warm starts (SolveFrom): branch-and-bound children differ from their
-//     parent only by tightened variable bounds (or appended cut rows), so
+//     parent only by tightened variable bounds (or appended rows), so
 //     the parent's optimal basis stays dual feasible for the child and a
 //     short dual-simplex phase restores primal feasibility in a handful of
 //     pivots instead of a full two-phase solve.
@@ -430,7 +430,7 @@ func (t *rev) reuseFactor() bool { return t.owned && t.noEscape }
 // copy-on-write, so sibling children adopting the same snapshot never
 // race). It reports false — leaving the caller to refactorise — when the
 // snapshot carries no factor, when the child's basis dimension differs
-// (appended cut rows), when the eta file is already fill-heavy, or when
+// (appended rows), when the eta file is already fill-heavy, or when
 // the residual check B·xb ≈ q fails (q, not b: a child that tightened a
 // bound moved the nonbasic contribution folded into q, and a flipped
 // artificial sign surfaces here too).

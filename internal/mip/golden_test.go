@@ -1,9 +1,9 @@
 package mip
 
 // Golden pins for the search: the Workers=1 node count, status and
-// objective of a default-options solve of every branch-and-cut corpus
-// instance (branchcut_test.go). Node counts are deterministic at a fixed
-// Workers setting, so they are pinned exactly; objectives within
+// objective of a default-options solve of every search corpus
+// instance (branchcut_test.go). Node counts are deterministic, so they
+// are pinned exactly; objectives within
 // numeric.AlmostEqual, since an alternative LP vertex at a degenerate
 // optimum may change the last bits. A change to the LP layer that alters
 // the tree — a different vertex, branching value or pruning decision —

@@ -1,6 +1,6 @@
 package mip
 
-// Brute-force oracle for the branch-and-cut corpus (corpusProblem). It
+// Brute-force oracle for the search corpus (corpusProblem). It
 // shares no code with the solver: it imports neither lp nor core, solves no
 // LP relaxation and works on a plain copy of the problem (bruteMIP, which
 // the tests flatten from a Problem). It enumerates every 0/1 vector of the
