@@ -12,11 +12,10 @@
 // segment is paired with its twin that holds the variant segment in the
 // same place, for each (baseline, variant) in segmentRules — "cold" vs
 // "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16), "rows" vs
-// "bounds", "dantzig" vs "partial" and "nopresolve" vs "presolve". Each
-// pair records the baseline/variant speedup and, when both sides report
-// a nodes metric (the cold/warm MIP pairs), the node-count reduction —
-// which is how scripts/verify.sh -bench produces the committed
-// BENCH_*.json records.
+// "bounds" and "dantzig" vs "partial". Each pair records the
+// baseline/variant speedup and, when both sides report a nodes metric
+// (the cold/warm MIP pairs), the node-count reduction — which is how
+// scripts/verify.sh -bench produces the committed BENCH_*.json records.
 //
 // In -diff mode the two JSON records are matched by benchmark name and the
 // new/old ns-per-op ratio is printed per benchmark; any common benchmark
@@ -59,10 +58,9 @@ type benchResult struct {
 // benchmark carrying the baseline segment is paired with its twin carrying
 // the variant segment in the same place.
 var segmentRules = []struct{ baseline, variant string }{
-	{"cold", "warm"},           // warm-started vs from-scratch solves
-	{"rows", "bounds"},         // explicit bound rows vs implicit boxes
-	{"dantzig", "partial"},     // pricing rule
-	{"nopresolve", "presolve"}, // presolve layer off vs on
+	{"cold", "warm"},       // warm-started vs from-scratch solves
+	{"rows", "bounds"},     // explicit bound rows vs implicit boxes
+	{"dantzig", "partial"}, // pricing rule
 }
 
 // segmentPair joins a baseline benchmark with its variant twin. Name is the

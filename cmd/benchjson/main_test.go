@@ -264,21 +264,18 @@ func TestBenchjsonSkipsMalformedLines(t *testing.T) {
 	}
 }
 
-func TestBenchjsonPairsPricingPresolve(t *testing.T) {
+func TestBenchjsonPairsPricing(t *testing.T) {
 	input := "BenchmarkPricingXLLP/dantzig/tasks=10000,mach=100-8 1 5000000 ns/op 10459 pivots\n" +
 		"BenchmarkPricingXLLP/partial/tasks=10000,mach=100-8 1 2500000 ns/op 14528 pivots\n" +
 		"BenchmarkPricingXLLP/dantzig/tasks=2000,mach=20-8 1 200000 ns/op\n" +
 		"BenchmarkPricingXLLP/partial/tasks=2000,mach=20-8 1 100000 ns/op\n" +
-		"BenchmarkPricingXLLP/dantzig/tasks=500,mach=5-8 1 9000 ns/op\n" +
-		"BenchmarkPresolveXLLP/nopresolve/tasks=10000,mach=100-8 1 4400000 ns/op\n" +
-		"BenchmarkPresolveXLLP/presolve/tasks=10000,mach=100-8 1 2200000 ns/op\n" +
-		"BenchmarkPresolveXLLP/nopresolve/tasks=2000,mach=20-8 1 7000 ns/op\n"
+		"BenchmarkPricingXLLP/dantzig/tasks=500,mach=5-8 1 9000 ns/op\n"
 	rep, err := runTool(t, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pricing, presolve := pairsOf(rep, "dantzig"), pairsOf(rep, "nopresolve")
-	if len(pricing)+len(presolve) != len(rep.Pairs) {
+	pricing := pairsOf(rep, "dantzig")
+	if len(pricing) != len(rep.Pairs) {
 		t.Errorf("unexpected pairs from other rules: %+v", rep.Pairs)
 	}
 	// The dantzig run at 500 tasks has no partial twin and is dropped.
@@ -294,12 +291,5 @@ func TestBenchjsonPairsPricingPresolve(t *testing.T) {
 	small := pricing[1]
 	if small.Name != "BenchmarkPricingXLLP/*/tasks=2000,mach=20" || math.Abs(small.Speedup-2) > 1e-12 {
 		t.Errorf("small pair = %+v", small)
-	}
-	if len(presolve) != 1 {
-		t.Fatalf("got %d presolve pairs, want 1 (unpaired nopresolve dropped):\n%+v", len(presolve), presolve)
-	}
-	ps := presolve[0]
-	if ps.Name != "BenchmarkPresolveXLLP/*/tasks=10000,mach=100" || math.Abs(ps.Speedup-2) > 1e-12 {
-		t.Errorf("presolve pair = %+v", ps)
 	}
 }

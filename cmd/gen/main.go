@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	case "xl":
 		// The xl family: the 10k-task, 100-machine scale the solver's
-		// pricing and presolve benchmarks pin. Same workload model as the
+		// pricing benchmark pins. Same workload model as the
 		// default scenario; -n/-m still override the xl shape.
 		if !explicit["n"] {
 			*n = 10000

@@ -48,7 +48,7 @@ func TestAllocsWarmFlush(t *testing.T) {
 		t.Fatalf("flush took %d nodes, want 1", sol.Nodes)
 	}
 	prob := e.mipProblem()
-	rel, err := lp.Solve(prob.LP, lp.Options{Presolve: lp.PresolveOff})
+	rel, err := lp.Solve(prob.LP, lp.Options{})
 	if err != nil {
 		t.Fatalf("root relaxation: %v", err)
 	}

@@ -681,9 +681,6 @@ func (e *Engine) solve() (*Solution, error) {
 		Workers:  e.opts.Workers,
 		MaxNodes: e.opts.MaxNodes,
 		Rounding: e.roundingHook(),
-		// Presolve must stay off: its row/column remapping would strand the
-		// exported warm state, and the engine's deltas index as-built rows.
-		LP: lp.Options{Presolve: lp.PresolveOff},
 	}
 	warm := false
 	if !e.opts.DisableWarm {

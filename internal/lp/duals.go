@@ -32,12 +32,7 @@ type DualSolution struct {
 
 // SolveWithDuals solves p and extracts the dual values of the optimal
 // basis: SolveBasisWithDuals without the warm-start token. Only Optimal
-// results carry duals. Under the presolve layer the reduced problem is
-// solved and postsolve recovers the original duals: surviving rows unscale
-// theirs, eliminated rows get zero except singleton rows, whose dual is
-// reconstructed from the residual reduced cost of their column
-// (presolve.go), so the result still passes Certify against the original
-// problem.
+// results carry duals.
 func SolveWithDuals(p *Problem, opts Options) (*DualSolution, error) {
 	ds, _, err := SolveBasisWithDuals(p, opts)
 	return ds, err
@@ -51,28 +46,7 @@ func SolveWithDuals(p *Problem, opts Options) (*DualSolution, error) {
 // Reduced costs come from the same pricing pass (columns are never
 // rescaled, so no undo is needed). Like SolveBasis it also returns the
 // optimal basis as a warm-start token. Only Optimal results carry duals.
-// Presolve is handled as described at SolveWithDuals, with the basis
-// restored to the original problem like SolveBasis does.
 func SolveBasisWithDuals(p *Problem, opts Options) (*DualSolution, *Basis, error) {
-	if ps := presolveFor(p, opts, true); ps != nil {
-		if ps.status == Infeasible {
-			return &DualSolution{Solution: Solution{Status: Infeasible}}, nil, nil
-		}
-		if ps.reduced == nil {
-			return ps.directDualSolution(), ps.restoreBasis(nil), nil
-		}
-		opts.Presolve = PresolveOff
-		ds, bs, err := solveBasisDuals(ps.reduced, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ps.mapDualSolution(ds), ps.restoreBasis(bs), nil
-	}
-	return solveBasisDuals(p, opts)
-}
-
-// solveBasisDuals is the presolve-free revised solve-with-duals.
-func solveBasisDuals(p *Problem, opts Options) (*DualSolution, *Basis, error) {
 	t, sol, bs, err := solveBasisRev(p, opts)
 	if err != nil {
 		return nil, nil, err

@@ -13,17 +13,16 @@ import (
 // dual certificate Certify accepts. Each input additionally derives a randomly
 // boxed instance (finite bounds, positive lower bounds, fixed variables)
 // and cross-checks the bounded-variable method against the same problem
-// with its bounds expanded to explicit rows via ExpandBounds. Two extra
-// fuzzed bytes pick an Options.Pricing rule and an Options.Presolve mode;
-// the variant solve is cross-checked against the baseline, and the
-// presolved dual path must certify against the original problem.
+// with its bounds expanded to explicit rows via ExpandBounds. An extra
+// fuzzed byte picks an Options.Pricing rule; the variant solve is
+// cross-checked against the baseline.
 func FuzzSimplex(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(4), uint8(0), uint8(0))
-	f.Add(int64(42), uint8(1), uint8(1), uint8(2), uint8(1))
-	f.Add(int64(-7), uint8(6), uint8(8), uint8(3), uint8(1))
-	f.Add(int64(1<<40), uint8(2), uint8(0), uint8(1), uint8(2))
+	f.Add(int64(1), uint8(3), uint8(4), uint8(0))
+	f.Add(int64(42), uint8(1), uint8(1), uint8(2))
+	f.Add(int64(-7), uint8(6), uint8(8), uint8(3))
+	f.Add(int64(1<<40), uint8(2), uint8(0), uint8(1))
 
-	f.Fuzz(func(t *testing.T, seed int64, nvRaw, ncRaw, prRaw, psRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nvRaw, ncRaw, prRaw uint8) {
 		s := rng.New(seed, "fuzz-simplex")
 		n := 1 + int(nvRaw)%6
 		m := int(ncRaw) % 9
@@ -76,32 +75,20 @@ func FuzzSimplex(f *testing.F) {
 			t.Errorf("certificate: %v", err)
 		}
 
-		// Fuzzed pricing rule and presolve mode: whatever the bytes pick,
-		// the variant must land on the baseline optimum.
+		// Fuzzed pricing rule: whatever the byte picks, the variant must
+		// land on the baseline optimum.
 		pricing := []PricingMode{PricingAuto, PricingDantzig, PricingPartial}[int(prRaw)%3]
-		presolve := []PresolveMode{PresolveAuto, PresolveOn, PresolveOff}[int(psRaw)%3]
-		vopts := Options{Pricing: pricing, Presolve: presolve}
+		vopts := Options{Pricing: pricing}
 		vsol, err := Solve(g.p, vopts)
 		if err != nil {
-			t.Fatalf("Solve(%v, %v): %v", pricing, presolve, err)
+			t.Fatalf("Solve(%v): %v", pricing, err)
 		}
 		if vsol.Status != Optimal {
-			t.Fatalf("variant status = %v (pricing %v, presolve %v), want Optimal", vsol.Status, pricing, presolve)
+			t.Fatalf("variant status = %v (pricing %v), want Optimal", vsol.Status, pricing)
 		}
 		if d := vsol.Objective - sol.Objective; abs(d) > 1e-6*(1+abs(sol.Objective)) {
-			t.Errorf("variant objective %g != baseline %g (pricing %v, presolve %v)",
-				vsol.Objective, sol.Objective, pricing, presolve)
-		}
-		// The presolved dual path must still produce a certificate of the
-		// ORIGINAL problem.
-		ds, err := SolveWithDuals(g.p, Options{Presolve: PresolveOn})
-		if err != nil {
-			t.Fatalf("SolveWithDuals(PresolveOn): %v", err)
-		}
-		if ds.Status == Optimal {
-			if err := Certify(g.p, ds.X, ds.Duals, 1e-6); err != nil {
-				t.Errorf("presolved certificate: %v", err)
-			}
+			t.Errorf("variant objective %g != baseline %g (pricing %v)",
+				vsol.Objective, sol.Objective, pricing)
 		}
 
 		// Boxed variant from the same stream: the bounded-variable method
@@ -131,18 +118,17 @@ func FuzzSimplex(f *testing.F) {
 			t.Errorf("bounded objective %g != rows-expanded objective %g (diff %g)",
 				bounded.Objective, expanded.Objective, d)
 		}
-		// The boxed family's fixed variables are presolve's fixed-column
-		// food: the fuzzed variant options must agree here too.
+		// The fuzzed pricing rule must agree on the boxed family too.
 		vbounded, _, err := SolveBasis(gb.p, vopts)
 		if err != nil {
-			t.Fatalf("SolveBasis(bounded, %v, %v): %v", pricing, presolve, err)
+			t.Fatalf("SolveBasis(bounded, %v): %v", pricing, err)
 		}
 		if vbounded.Status != Optimal {
 			t.Fatalf("bounded variant status = %v, want Optimal", vbounded.Status)
 		}
 		if d := vbounded.Objective - bounded.Objective; abs(d) > 1e-6*(1+abs(bounded.Objective)) {
-			t.Errorf("bounded variant objective %g != baseline %g (pricing %v, presolve %v)",
-				vbounded.Objective, bounded.Objective, pricing, presolve)
+			t.Errorf("bounded variant objective %g != baseline %g (pricing %v)",
+				vbounded.Objective, bounded.Objective, pricing)
 		}
 	})
 }

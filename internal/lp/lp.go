@@ -15,8 +15,8 @@
 // factorisation of the basis with eta-file updates (factor.go). Rows are
 // equilibrated before solving, pricing falls back to Bland's rule after a
 // run of degenerate pivots (anti-cycling), and artificials are pivoted out
-// after phase 1. An optional presolve/postsolve layer (presolve.go)
-// shrinks large problems first. Problems are built row by row from sparse
+// after phase 1. Every solve runs on the rows and columns as built, with
+// no reduction pass first. Problems are built row by row from sparse
 // Terms and stored as a CSR+CSC pair (sparse.go).
 package lp
 
@@ -297,37 +297,6 @@ func (p PricingMode) String() string {
 	}
 }
 
-// PresolveMode selects whether solves run through the presolve/postsolve
-// layer in presolve.go before the simplex core sees the problem.
-type PresolveMode int
-
-// Presolve modes.
-const (
-	// PresolveAuto presolves once the problem reaches presolveAutoRows
-	// constraint rows — the scale where shrinking the basis pays for the
-	// reduction pass — and leaves smaller problems untouched, so default
-	// solves of small problems are bit-identical to PresolveOff.
-	PresolveAuto PresolveMode = iota
-	// PresolveOn forces the presolve/postsolve layer.
-	PresolveOn
-	// PresolveOff bypasses it.
-	PresolveOff
-)
-
-// String names the mode.
-func (p PresolveMode) String() string {
-	switch p {
-	case PresolveAuto:
-		return "auto"
-	case PresolveOn:
-		return "presolve"
-	case PresolveOff:
-		return "nopresolve"
-	default:
-		return fmt.Sprintf("presolvemode(%d)", int(p))
-	}
-}
-
 // Options tunes a solve. The zero value uses defaults.
 type Options struct {
 	// MaxIters caps simplex pivots across both phases
@@ -341,12 +310,6 @@ type Options struct {
 	// partial pricing on wide problems, Dantzig otherwise). All rules
 	// reach the same optimum; only the pivot order differs.
 	Pricing PricingMode
-	// Presolve selects whether the solve runs through the
-	// presolve/postsolve layer first (default PresolveAuto: on for large
-	// problems only). SolveFrom ignores it: a warm-start basis snapshot
-	// indexes the original problem, so warm solves always see the
-	// unreduced rows.
-	Presolve PresolveMode
 }
 
 // Solution is the result of a solve. X is populated for Optimal and, on a
@@ -360,10 +323,10 @@ type Solution struct {
 
 	// FactorRebuilt reports that a warm start (SolveFrom) could not adopt
 	// the supplied basis snapshot's factorisation — missing (a snapshot
-	// from AdaptRows or presolve restoration carries none),
-	// dimension-mismatched after appended rows, fill-heavy, or failing the
-	// B·xb ≈ q residual check — and the solve refactorised the inherited
-	// column set from scratch instead. Always false for cold solves.
+	// from AdaptRows carries none), dimension-mismatched after appended
+	// rows, fill-heavy, or failing the B·xb ≈ q residual check — and the
+	// solve refactorised the inherited column set from scratch instead.
+	// Always false for cold solves.
 	FactorRebuilt bool
 
 	// DualFeasible reports that the solve ended on a dual-feasible basis,

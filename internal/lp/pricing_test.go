@@ -42,8 +42,7 @@ func assertAgreeXTol(t *testing.T, label string, a, b *Solution) {
 }
 
 // assertAgreeXWithin is the underlying comparison at an explicit scaled
-// tolerance; the presolve differential passes a looser one because the
-// reductions perturb the instance by O(presolveTol) per record.
+// tolerance; the xl smoke test passes a looser one (xlXTol).
 func assertAgreeXWithin(t *testing.T, label string, a, b *Solution, tol float64) {
 	t.Helper()
 	if a.Status != b.Status {

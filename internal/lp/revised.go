@@ -1262,36 +1262,18 @@ func (t *rev) bareSolution(status Status) *Solution {
 	return &Solution{Status: status, Iterations: t.iters}
 }
 
-// Solve solves p from scratch: two-phase bounded-variable primal simplex,
-// through the presolve/postsolve layer when Options.Presolve selects it.
-// It returns exactly the Solution SolveBasis returns; call SolveBasis when
-// the optimal basis is wanted as a warm-start token.
+// Solve solves p from scratch with the two-phase bounded-variable primal
+// simplex. It returns exactly the Solution SolveBasis returns; call
+// SolveBasis when the optimal basis is wanted as a warm-start token.
 func Solve(p *Problem, opts Options) (*Solution, error) {
 	sol, _, err := SolveBasis(p, opts)
 	return sol, err
 }
 
 // SolveBasis solves p from scratch like Solve and additionally returns the
-// optimal basis for use as a warm start by SolveFrom. The Basis is nil unless the status is Optimal.
-// When Options.Presolve selects the presolve layer, the reduced problem
-// is solved and the returned Basis is restored to index the original
-// problem's rows and columns (eliminated rows seat their logicals), so
-// it remains a valid SolveFrom token for the original problem.
+// optimal basis for use as a warm start by SolveFrom. The Basis is nil
+// unless the status is Optimal.
 func SolveBasis(p *Problem, opts Options) (*Solution, *Basis, error) {
-	if ps := presolveFor(p, opts, false); ps != nil {
-		if ps.status == Infeasible {
-			return &Solution{Status: Infeasible}, nil, nil
-		}
-		if ps.reduced == nil {
-			return ps.directSolution(), ps.restoreBasis(nil), nil
-		}
-		opts.Presolve = PresolveOff
-		_, sol, bs, err := solveBasisRev(ps.reduced, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ps.mapSolution(sol), ps.restoreBasis(bs), nil
-	}
 	_, sol, bs, err := solveBasisRev(p, opts)
 	return sol, bs, err
 }

@@ -6,10 +6,10 @@ package lp
 // density falls roughly as 1/m — so every pass of the simplex core walks
 // nonzeros only. This file provides the two ingredients:
 //
-//   - dedupRows flattens a Problem into sorted, deduplicated index/value
-//     rows (repeated Terms accumulate, as AddConstraint documents), the
-//     single construction path for the simplex core's matrix and the
-//     presolve layer;
+//   - dedupScratch.flatten turns a Problem into sorted, deduplicated
+//     index/value rows (repeated Terms accumulate, as AddConstraint
+//     documents), the single construction path for the simplex core's
+//     matrix;
 //   - csMatrix holds the oriented, equilibrated structural block in both
 //     CSR (row-major: pricing and pivot-row passes walk row nonzeros) and
 //     CSC (column-major: FTRAN and basis gathers walk column nonzeros).
@@ -36,13 +36,6 @@ type sparseRows struct {
 // row returns the index and value slices of row i (read-only views).
 func (sr *sparseRows) row(i int) ([]int, []float64) {
 	return sr.idx[sr.ptr[i]:sr.ptr[i+1]], sr.val[sr.ptr[i]:sr.ptr[i+1]]
-}
-
-// dedupRows flattens p into fresh sparseRows storage; see
-// dedupScratch.flatten for the reusable-form worker.
-func dedupRows(p *Problem) *sparseRows {
-	var ds dedupScratch
-	return ds.flatten(p, &sparseRows{})
 }
 
 // dedupScratch is the scatter buffer of the row flattener, reusable across

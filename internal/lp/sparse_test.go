@@ -8,6 +8,12 @@ import (
 	"repro/internal/rng"
 )
 
+// dedupRows flattens p into fresh sparseRows storage.
+func dedupRows(p *Problem) *sparseRows {
+	var ds dedupScratch
+	return ds.flatten(p, &sparseRows{})
+}
+
 // TestDedupRows: the shared flattener must accumulate repeated Terms, sort
 // columns within a row, and drop exact cancellations.
 func TestDedupRows(t *testing.T) {

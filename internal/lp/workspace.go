@@ -15,7 +15,6 @@ package lp
 //     factors (basis-publishing mode);
 //   - pricing state: devex reference weights and partial-pricing candidate
 //     lists;
-//   - the presolve reducer's undo stack and working arrays;
 //   - the row flattener, ratio-test, bound-flip and residual-check scratch;
 //   - the output Solution and its X vector (noEscape mode).
 //
@@ -32,10 +31,7 @@ package lp
 // next solve allocate fresh ones. SolveBasis/SolveBasisFrom publish a
 // Basis and therefore return fully independent Solutions and snapshots
 // (copy-out instead of aliasing) — that is the variant internal/mip uses,
-// one Workspace per worker goroutine. Under an active presolve the
-// returned Solution is also independent (postsolve reconstructs it), but
-// callers should not rely on that: the aliasing rule is "valid until the
-// next solve" for everything Solve/SolveFrom return.
+// one Workspace per worker goroutine.
 //
 // A Workspace is NOT safe for concurrent use: one goroutine at a time.
 // Concurrent batch solving wants one Workspace per worker — that is
@@ -71,7 +67,6 @@ func taken[T any](dst, src []T) []T {
 // its buffer-reuse decisions on.
 type Workspace struct {
 	rev rev
-	rd  reducer
 }
 
 // NewWorkspace returns an empty Workspace. Buffers are grown lazily by the
@@ -92,33 +87,13 @@ func (ws *Workspace) Reset() {
 	ws.rev.xOut = nil
 }
 
-// Solve is the reusing equivalent of the package-level Solve (through the
-// presolve layer when Options.Presolve selects it): the same statuses,
-// objectives and X vectors bit-for-bit, with every scratch buffer taken
-// from the Workspace. The returned Solution aliases
+// Solve is the reusing equivalent of the package-level Solve: the same
+// statuses, objectives and X vectors bit-for-bit, with every scratch
+// buffer taken from the Workspace. The returned Solution aliases
 // Workspace-owned buffers — see the aliasing contract in the file comment.
-// Under an active presolve the reducer state is reused but the reduced
-// problem and the postsolved Solution still allocate (bounded per solve).
 //
-//lint:hotpath=bounded the workspace cold solve allocates only on warm-up growth and presolve postsolve; the AllocsPerRun pins hold the steady state at zero
+//lint:hotpath=bounded the workspace cold solve allocates only on warm-up growth; the AllocsPerRun pins hold the steady state at zero
 func (ws *Workspace) Solve(p *Problem, opts Options) (*Solution, error) {
-	if ps := ws.presolve(p, opts); ps != nil {
-		if ps.status == Infeasible {
-			return &Solution{Status: Infeasible}, nil
-		}
-		if ps.reduced == nil {
-			return ps.directSolution(), nil
-		}
-		opts.Presolve = PresolveOff
-		t := &ws.rev
-		t.noEscape = true
-		t.init(ps.reduced, opts)
-		sol, _, err := t.solveCold(ps.reduced)
-		if err != nil {
-			return nil, err
-		}
-		return ps.mapSolution(sol), nil
-	}
 	t := &ws.rev
 	t.noEscape = true
 	t.init(p, opts)
@@ -132,7 +107,7 @@ func (ws *Workspace) Solve(p *Problem, opts Options) (*Solution, error) {
 // frozen LU factors, so eta appends never trigger copy-on-write growth —
 // taken from the Workspace. No Basis is published; use SolveBasisFrom when
 // the caller needs one. The returned Solution aliases Workspace-owned
-// buffers. Like the package-level SolveFrom, it never presolves.
+// buffers.
 //
 //lint:hotpath=bounded the workspace warm solve allocates only on warm-up growth; the AllocsPerRun pins hold the steady state at zero
 func (ws *Workspace) SolveFrom(p *Problem, from *Basis, opts Options) (*Solution, error) {
@@ -152,23 +127,6 @@ func (ws *Workspace) SolveFrom(p *Problem, from *Basis, opts Options) (*Solution
 // internal scratch still comes from the Workspace. This is the cold-solve
 // entry point internal/mip routes node solves through.
 func (ws *Workspace) SolveBasis(p *Problem, opts Options) (*Solution, *Basis, error) {
-	if ps := ws.presolve(p, opts); ps != nil {
-		if ps.status == Infeasible {
-			return &Solution{Status: Infeasible}, nil, nil
-		}
-		if ps.reduced == nil {
-			return ps.directSolution(), ps.restoreBasis(nil), nil
-		}
-		opts.Presolve = PresolveOff
-		t := &ws.rev
-		t.noEscape = false
-		t.init(ps.reduced, opts)
-		sol, bs, err := t.solveCold(ps.reduced)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ps.mapSolution(sol), ps.restoreBasis(bs), nil
-	}
 	t := &ws.rev
 	t.noEscape = false
 	t.init(p, opts)
@@ -178,7 +136,7 @@ func (ws *Workspace) SolveBasis(p *Problem, opts Options) (*Solution, *Basis, er
 // SolveBasisFrom is the reusing equivalent of SolveFrom: a warm start that
 // publishes a fresh Basis snapshot (adopted parent factors are held by
 // value and frozen copy-on-write, exactly like the package-level path).
-// Solution and Basis are safe to retain. Never presolves.
+// Solution and Basis are safe to retain.
 func (ws *Workspace) SolveBasisFrom(p *Problem, from *Basis, opts Options) (*Solution, *Basis, error) {
 	if err := checkBasisFit(p, from); err != nil {
 		return nil, nil, err
@@ -187,23 +145,6 @@ func (ws *Workspace) SolveBasisFrom(p *Problem, from *Basis, opts Options) (*Sol
 	t.noEscape = false
 	t.init(p, opts)
 	return t.solveFrom(p, from)
-}
-
-// presolve runs the layer for a Workspace solve, reusing the Workspace's
-// reducer (undo stack, compressed rows, working bounds) across calls. The
-// returned presolved aliases the reducer's undo stack and must be consumed
-// before the next solve on this Workspace — which every caller in this
-// file does. Returns nil when the mode resolves to off or the layer falls
-// back.
-func (ws *Workspace) presolve(p *Problem, opts Options) *presolved {
-	if !resolvePresolve(opts.Presolve, p.NumConstraints()) {
-		return nil
-	}
-	ps := presolveInto(&ws.rd, p, nil, false)
-	if ps.fallback {
-		return nil
-	}
-	return ps
 }
 
 // clone returns an independent deep copy of a possibly Workspace-aliased

@@ -47,8 +47,7 @@ func assertIdentical(t *testing.T, label string, a, b *Solution) {
 // workspaceDiffOptions are the sweeps the cold differential runs: every
 // pricing rule over the small random corpus and over larger, sparser
 // DSCT-EA-FR staircases (the sparse sweeps, where refactorisation
-// triggers), plus the presolve layer, so each instance exercises every
-// reused buffer.
+// triggers), so each instance exercises every reused buffer.
 var workspaceDiffOptions = []struct {
 	name      string
 	opts      Options
@@ -58,7 +57,6 @@ var workspaceDiffOptions = []struct {
 	{"sparse", Options{}, true},
 	{"partial", Options{Pricing: PricingPartial}, false},
 	{"partial-sparse", Options{Pricing: PricingPartial}, true},
-	{"presolve", Options{Presolve: PresolveOn}, false},
 }
 
 // workspaceStaircaseCount is the size of the staircase corpus the sparse

@@ -148,9 +148,7 @@ func bruteOf(p *Problem) *bruteMIP {
 }
 
 // corpusSettings are the search settings the corpus oracle checks: the
-// default search and its parallel, cold-node and root-presolve variants.
-// The corpus is below PresolveAuto's row threshold, so only PresolveOn
-// runs the search in reduced space.
+// default search and its parallel and cold-node variants.
 var corpusSettings = []struct {
 	name string
 	opts Options
@@ -158,7 +156,6 @@ var corpusSettings = []struct {
 	{"default", Options{}},
 	{"workers=4", Options{Workers: 4}},
 	{"cold", Options{DisableWarmStart: true}},
-	{"presolve", Options{LP: lp.Options{Presolve: lp.PresolveOn}}},
 }
 
 // checkCorpusInstance solves corpus instance i under every corpus setting

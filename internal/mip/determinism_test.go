@@ -11,7 +11,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/lp"
 	"repro/internal/rng"
 )
 
@@ -243,8 +242,7 @@ func TestWarmStartAccounting(t *testing.T) {
 // branching (whose pseudo-cost observations live on
 // node-local immutable chains precisely so that worker scheduling cannot
 // perturb them) and plunging node order — must keep incumbents
-// bit-identical at Workers = 1, 4 and 8, with warm or cold node solves
-// and in root-presolved space.
+// bit-identical at Workers = 1, 4 and 8, with warm or cold node solves.
 func TestDeterministicBranchAndCutModes(t *testing.T) {
 	modes := []struct {
 		name string
@@ -252,7 +250,6 @@ func TestDeterministicBranchAndCutModes(t *testing.T) {
 	}{
 		{"default", Options{}},
 		{"cold", Options{DisableWarmStart: true}},
-		{"presolve", Options{LP: lp.Options{Presolve: lp.PresolveOn}}},
 	}
 	for trial := 0; trial < 4; trial++ {
 		prob := detKnapsack(400 + trial)

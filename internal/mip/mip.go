@@ -134,14 +134,11 @@ type Options struct {
 	// Warm imports search state exported by a previous Solve over a
 	// compatibly-mutated problem (see WarmState for the compatibility
 	// contract): the root basis warm-starts the root solve, and the
-	// pseudo-cost observations seed branching. Ignored under root presolve
-	// (the exported state lives in original row/column space); any
-	// non-adoptable piece degrades to the cold equivalent rather than
-	// failing the solve.
+	// pseudo-cost observations seed branching. Any non-adoptable piece
+	// degrades to the cold equivalent rather than failing the solve.
 	Warm *WarmState
 
 	// ExportWarm asks Solve to assemble Result.Warm for the next re-solve.
-	// Ignored under root presolve.
 	ExportWarm bool
 
 	// Workspace, when non-nil, is the caller-owned lp.Workspace the search
@@ -153,9 +150,9 @@ type Options struct {
 
 // RoundingHook is an optional primal heuristic: given the fractional LP
 // solution x at a node, it may return a complete candidate over all
-// Problem.LP.NumVars() columns, in the caller's (original) space. Return
-// ok=false to skip. The solver never trusts the candidate: it offers it as
-// an incumbent only if it has the right length, is integral on
+// Problem.LP.NumVars() columns. Return ok=false to skip. The solver never
+// trusts the candidate: it offers it as an incumbent only if it has the
+// right length, is integral on
 // Problem.Integers and meets the node's boxes (branching fixes included)
 // and every row of the problem within a tolerance of 1e-9 relative; the
 // solver computes its objective itself. The solver keeps its own copy of an
@@ -206,7 +203,7 @@ type Result struct {
 	StrongBranches int
 
 	// Warm is the exported cross-solve state (Options.ExportWarm); nil
-	// when export was off or the solve ran under root presolve.
+	// when export was off.
 	Warm *WarmState
 }
 

@@ -70,6 +70,30 @@ func TestKnapsackSmall(t *testing.T) {
 	}
 }
 
+// TestPinnedBinary: a zero-width box on an integer (exactly what branching
+// produces) must come back pinned in the incumbent.
+func TestPinnedBinary(t *testing.T) {
+	values := []float64{60, 100, 120}
+	weights := []float64{10, 20, 30}
+	prob := knapsackProblem(values, weights, 50)
+	prob.LP.SetBounds(0, 1, 1) // force item 0 in
+	res, err := Solve(prob, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Optimal {
+		t.Fatalf("status = %v, want Optimal", res.Status)
+	}
+	if res.X[0] < 1-intTol {
+		t.Errorf("pinned item not in solution: x[0] = %g", res.X[0])
+	}
+	// Forcing item 0 (weight 10) leaves room for item 2 or 1 but not
+	// both: best is 60 + 120 = 180.
+	if math.Abs(res.Objective-180) > 1e-6 {
+		t.Errorf("objective %g, want 180", res.Objective)
+	}
+}
+
 func TestKnapsackRandomAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		src := rng.NewReplicate(11, "knap", trial)
@@ -269,6 +293,78 @@ func TestRoundingHookProvidesIncumbent(t *testing.T) {
 	}
 	if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
 		t.Errorf("got %v obj %g, want optimal %g", res.Status, res.Objective, want)
+	}
+}
+
+// TestRoundingHookEndsRootSearch: a hook that returns the optimum lets a
+// one-node search end on it. The problem mixes a knapsack with a
+// continuous column y that draws 40 capacity per unit and a column f
+// fixed at 1, so the candidate is checked against a mixed row with a
+// pinned term.
+func TestRoundingHookEndsRootSearch(t *testing.T) {
+	values := []float64{9, 13, 7, 11, 5}
+	weights := []float64{4, 6, 3, 5, 2}
+	const capacity = 13.5
+	n := len(values)
+	y, f := n, n+1
+	p := lp.NewProblem(n + 2)
+	capTerms := []lp.Term{{Var: y, Coef: 40}, {Var: f, Coef: 1}}
+	for i := range values {
+		p.SetObjCoef(i, values[i])
+		p.AddConstraint([]lp.Term{{Var: i, Coef: 1}}, lp.LE, 1)
+		capTerms = append(capTerms, lp.Term{Var: i, Coef: weights[i]})
+	}
+	p.SetObjCoef(y, 3)
+	p.SetBounds(y, 0, 0.25)
+	p.SetObjCoef(f, 2)
+	p.SetBounds(f, 1, 1)
+	p.AddConstraint(capTerms, lp.LE, capacity)
+	ints := make([]int, n)
+	for i := range ints {
+		ints[i] = i
+	}
+	prob := &Problem{LP: p, Integers: ints}
+
+	// Brute force: the best item set, then as much y as the room allows.
+	best, bestX := math.Inf(-1), []float64(nil)
+	for mask := 0; mask < 1<<n; mask++ {
+		x := make([]float64, n+2)
+		x[f] = 1
+		v, w := 2.0, 1.0
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) != 0 {
+				x[i] = 1
+				v += values[i]
+				w += weights[i]
+			}
+		}
+		if w > capacity {
+			continue
+		}
+		x[y] = math.Min(0.25, (capacity-w)/40)
+		if v += 3 * x[y]; v > best {
+			best, bestX = v, x
+		}
+	}
+
+	called := false
+	res, err := Solve(prob, Options{MaxNodes: 1, Rounding: func([]float64) ([]float64, bool) {
+		called = true
+		return append([]float64(nil), bestX...), true
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !called {
+		t.Fatal("rounding hook never called at the root")
+	}
+	if res.X == nil || !numeric.Close(res.Objective, best, 1e-12) {
+		t.Fatalf("root candidate not adopted: status %v obj %g, want %g", res.Status, res.Objective, best)
+	}
+	for v := range bestX {
+		if !numeric.AlmostEqual(res.X[v], bestX[v]) {
+			t.Errorf("x[%d] = %g, candidate %g", v, res.X[v], bestX[v])
+		}
 	}
 }
 

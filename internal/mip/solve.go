@@ -32,61 +32,9 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		opts:      opts,
 		incumbent: math.Inf(-1),
 	}
-	// Root presolve (when opts.LP.Presolve selects it): reduce the LP once
-	// with the integer columns kept, search entirely in the reduced space —
-	// warm-start chains and bound branching work unchanged because integer
-	// indices and values map one-to-one — and postsolve the incumbent at
-	// the end. Node solves must not re-presolve: their basis snapshots have
-	// to stay coherent across the warm-start chain.
-	if ps := lp.RootPresolve(p.LP, p.Integers, opts.LP); ps != nil {
-		if ps.Status() == lp.Infeasible {
-			return &Result{
-				Status: Infeasible, Bound: math.Inf(-1),
-				Gap: math.Inf(1), Elapsed: time.Since(start),
-			}, nil
-		}
-		if red := ps.Reduced(); red != nil {
-			ints := make([]int, len(p.Integers))
-			for i, v := range p.Integers {
-				ints[i] = ps.Col(v)
-			}
-			s.prob = &Problem{LP: red, Integers: ints}
-			s.ps = ps
-			s.opts.LP.Presolve = lp.PresolveOff
-			if orig := opts.Rounding; orig != nil {
-				// The caller's heuristic sees and returns original-space
-				// vectors; the candidate is checked in the reduced space.
-				n := p.LP.NumVars()
-				s.opts.Rounding = func(xr []float64) ([]float64, bool) {
-					x, ok := orig(ps.PostsolveX(xr))
-					if !ok || len(x) != n {
-						return nil, false
-					}
-					return ps.ReduceX(x), true
-				}
-			}
-		} else {
-			// Presolve decided every column (possible only with no integer
-			// variables, which are always kept): the box solution is the
-			// optimum if integral, else search the original problem.
-			x := ps.PostsolveX(nil)
-			if integralOn(p.Integers, x) {
-				var obj float64
-				for v := 0; v < p.LP.NumVars(); v++ {
-					obj += p.LP.ObjCoef(v) * x[v]
-				}
-				return &Result{
-					Status: Optimal, Objective: obj, X: x, Bound: obj,
-					Nodes: 0, Elapsed: time.Since(start),
-				}, nil
-			}
-		}
-	}
 	// Cross-solve warm state (incremental re-solves): graft the adapted
-	// root basis and pseudo-cost chain onto the root node. Both directions
-	// are disabled under root presolve, whose row/column remapping the
-	// exported state does not survive.
-	if opts.Warm != nil && s.ps == nil {
+	// root basis and pseudo-cost chain onto the root node.
+	if opts.Warm != nil {
 		s.importWarm(opts.Warm)
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -147,25 +95,12 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		res.Status = NoIncumbent
 		res.Bound = s.openBound()
 	}
-	if s.ps != nil {
-		// Lift the reduced-space result back to the original problem: X
-		// through the undo stack, objective and bound by the eliminated
-		// columns' offset (reduced objective + offset = original exactly;
-		// infinite bounds stay infinite).
-		if res.X != nil {
-			res.X = s.ps.PostsolveX(res.X)
-		}
-		if hasIncumbent {
-			res.Objective += s.ps.ObjOffset()
-		}
-		res.Bound += s.ps.ObjOffset()
-	}
 	if hasIncumbent {
 		res.Gap = math.Max(0, res.Bound-res.Objective)
 	} else {
 		res.Gap = math.Inf(1)
 	}
-	if opts.ExportWarm && s.ps == nil {
+	if opts.ExportWarm {
 		res.Warm = s.exportWarm()
 	}
 	return res, nil
@@ -174,10 +109,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 type searcher struct {
 	prob *Problem
 	opts Options
-	// ps is non-nil when the search runs in root-presolved reduced space:
-	// prob then holds the reduced LP with remapped integer indices, and
-	// the final result is postsolved back (see Solve).
-	ps *lp.Presolved
 
 	// Cross-solve warm state (see warm.go): rootFrom/rootPC seed the root
 	// node's basis and pseudo-cost chain.

@@ -46,9 +46,7 @@ type WarmState struct {
 
 // importWarm installs w into the searcher before the search: the root
 // basis is adapted to the current row layout and the observations are
-// rebuilt into the root node's pseudo-cost chain. Never called under root
-// presolve — the exported state lives in original variable/row space and
-// a presolve remaps both.
+// rebuilt into the root node's pseudo-cost chain.
 func (s *searcher) importWarm(w *WarmState) {
 	if w.RootBasis != nil && w.RootBasis.NumVars() <= s.prob.LP.NumVars() {
 		// The producer's rows are the consumer's leading rows; rows the

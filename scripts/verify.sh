@@ -16,8 +16,7 @@
 # (BenchmarkMIPColdVsWarm, BenchmarkWarmVsColdLP) and rows-vs-bounds
 # (BenchmarkBoundsVsRowsLP, whose rows arm is the ExpandBounds reference
 # encoding), plus the
-# xl-family pricing and presolve pairings (BenchmarkPricingXLLP
-# dantzig-vs-partial, BenchmarkPresolveXLLP nopresolve-vs-presolve; the
+# xl-family pricing pairing (BenchmarkPricingXLLP dantzig-vs-partial; the
 # tier-1-sized xl smoke member runs as TestXLAutoSmoke in the ordinary race
 # suite above) and the
 # batch-throughput harness (BenchmarkBatchThroughputLP over the 240-instance
@@ -134,7 +133,6 @@ if [ "$run_bench" = 1 ]; then
     go test -run='^$' -bench='^BenchmarkWarmVsColdLP$' -benchtime=50x -count=4 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBoundsVsRowsLP$' -benchtime=2x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkPricingXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkPresolveXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBatchThroughputLP$' -benchtime=20x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBatchThroughputXLLP$' -benchtime=3x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkIncrementalResolve$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
