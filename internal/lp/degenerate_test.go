@@ -67,6 +67,32 @@ func TestDegenerateStaircaseAntiCycling(t *testing.T) {
 	}
 }
 
+// TestPresolveDegenerateStaircase: on the massively degenerate staircase
+// the duals must certify as well as the objective. (The id dates from the
+// project's former presolve layer, whose singleton reductions this
+// instance once exercised.)
+func TestPresolveDegenerateStaircase(t *testing.T) {
+	p := degenerateStaircaseLP(30, 3)
+	want := 3.0
+	sol, err := Solve(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal || math.Abs(sol.Objective-want) > 1e-9 {
+		t.Fatalf("status %v objective %g, want Optimal %g", sol.Status, sol.Objective, want)
+	}
+	ds, err := SolveWithDuals(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Status != Optimal {
+		t.Fatalf("duals: status %v", ds.Status)
+	}
+	if err := Certify(p, ds.X, ds.Duals, 1e-6); err != nil {
+		t.Fatalf("degenerate certificate: %v", err)
+	}
+}
+
 // TestDegenerateStaircaseStallsDantzig checks, white-box, that the instance
 // really exercises the anti-cycling machinery: the core must run through
 // degenerateRunLimit consecutive zero-ratio pivots and flip to Bland's rule
