@@ -11,8 +11,8 @@
 // paired by one A/B rule: a benchmark whose sub-test path holds a baseline
 // segment is paired with its twin that holds the variant segment in the
 // same place, for each (baseline, variant) in segmentRules — "cold" vs
-// "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16), "rows" vs
-// "bounds" and "dantzig" vs "partial". Each pair records the
+// "warm" (BenchmarkMIPColdVsWarm/cold/n=16 and .../warm/n=16) and "rows"
+// vs "bounds". Each pair records the
 // baseline/variant speedup and, when both sides report a nodes metric
 // (the cold/warm MIP pairs), the node-count reduction — which is how
 // scripts/verify.sh -bench produces the committed BENCH_*.json records.
@@ -58,9 +58,8 @@ type benchResult struct {
 // benchmark carrying the baseline segment is paired with its twin carrying
 // the variant segment in the same place.
 var segmentRules = []struct{ baseline, variant string }{
-	{"cold", "warm"},       // warm-started vs from-scratch solves
-	{"rows", "bounds"},     // explicit bound rows vs implicit boxes
-	{"dantzig", "partial"}, // pricing rule
+	{"cold", "warm"},   // warm-started vs from-scratch solves
+	{"rows", "bounds"}, // explicit bound rows vs implicit boxes
 }
 
 // segmentPair joins a baseline benchmark with its variant twin. Name is the

@@ -263,33 +263,3 @@ func TestBenchjsonSkipsMalformedLines(t *testing.T) {
 		t.Errorf("ns/op = %v", rep.Benchmarks[0].NsPerOp)
 	}
 }
-
-func TestBenchjsonPairsPricing(t *testing.T) {
-	input := "BenchmarkPricingXLLP/dantzig/tasks=10000,mach=100-8 1 5000000 ns/op 10459 pivots\n" +
-		"BenchmarkPricingXLLP/partial/tasks=10000,mach=100-8 1 2500000 ns/op 14528 pivots\n" +
-		"BenchmarkPricingXLLP/dantzig/tasks=2000,mach=20-8 1 200000 ns/op\n" +
-		"BenchmarkPricingXLLP/partial/tasks=2000,mach=20-8 1 100000 ns/op\n" +
-		"BenchmarkPricingXLLP/dantzig/tasks=500,mach=5-8 1 9000 ns/op\n"
-	rep, err := runTool(t, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pricing := pairsOf(rep, "dantzig")
-	if len(pricing) != len(rep.Pairs) {
-		t.Errorf("unexpected pairs from other rules: %+v", rep.Pairs)
-	}
-	// The dantzig run at 500 tasks has no partial twin and is dropped.
-	if len(pricing) != 2 {
-		t.Fatalf("got %d pricing pairs, want 2:\n%+v", len(pricing), pricing)
-	}
-	// Sorted by name: "tasks=10000" < "tasks=2000" lexically.
-	big := pricing[0]
-	if big.Name != "BenchmarkPricingXLLP/*/tasks=10000,mach=100" || big.Variant != "partial" ||
-		math.Abs(big.Speedup-2) > 1e-12 {
-		t.Errorf("partial pair = %+v", big)
-	}
-	small := pricing[1]
-	if small.Name != "BenchmarkPricingXLLP/*/tasks=2000,mach=20" || math.Abs(small.Speedup-2) > 1e-12 {
-		t.Errorf("small pair = %+v", small)
-	}
-}

@@ -69,9 +69,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("unknown scenario %q", *scenario)
 		}
 	case "xl":
-		// The xl family: the 10k-task, 100-machine scale the solver's
-		// pricing benchmark pins. Same workload model as the
-		// default scenario; -n/-m still override the xl shape.
+		// The xl family: the 10k-task, 100-machine scale of the lp
+		// package's xl benchmark, wider than any paper figure. Same
+		// workload model as the default scenario; -n/-m still override
+		// the xl shape.
 		if !explicit["n"] {
 			*n = 10000
 		}

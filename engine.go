@@ -3,9 +3,9 @@ package dscted
 // Incremental re-solve façade: the event-driven engine of
 // internal/incremental, which keeps one DSCT-EA instance alive across
 // scheduler events (task arrivals/departures, machine churn, budget
-// renegotiations) and re-optimises from the previous solve's basis, cut
-// pool and pseudo-costs instead of solving cold. cmd/dsctd wraps the same
-// engine as a daemon.
+// renegotiations) and re-optimises from the previous solve's basis and
+// pseudo-costs instead of solving cold. cmd/dsctd wraps the same engine as
+// a daemon.
 
 import "repro/internal/incremental"
 

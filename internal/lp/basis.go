@@ -61,16 +61,6 @@ type Basis struct {
 	fac *luFactor // frozen LU factors + eta file (nil: none)
 	//lint:frozen a Basis is immutable once returned
 	age int // updates absorbed since the last true factorisation
-	// devex snapshots the devex reference weights at optimality — [0, n)
-	// structural, then one weight per row's logical — when the producing
-	// solve priced with them (partial pricing; nil otherwise). A
-	// warm-started child that also prices with them adopts the shared
-	// segments so its first pivots rank columns by the parent's geometry;
-	// the weights reset to unit on any refactorisation, the warm-start
-	// fallback included.
-	//
-	//lint:frozen the weight snapshot is shared by every child warm start
-	devex []float64
 }
 
 // NumVars returns the structural variable count of the producing problem.
@@ -108,9 +98,9 @@ func (b *Basis) String() string {
 // NumRows) returns b itself, snapshot factors intact — the fast path for
 // re-solves whose deltas were pure bound, objective or right-hand-side
 // edits. Any real rearrangement returns a new Basis carrying only the
-// column set and at-upper markers: the factorisation and pricing
-// snapshots describe the old row order and are dropped, so the adopting
-// solve refactorises once (lp.Solution.FactorRebuilt reports it).
+// column set and at-upper markers: the factorisation snapshot describes
+// the old row order and is dropped, so the adopting solve refactorises
+// once (lp.Solution.FactorRebuilt reports it).
 //
 // Adaptation is positional and cannot consult the problems involved, so a
 // pathological map can produce a column set SolveFrom rejects (e.g. a

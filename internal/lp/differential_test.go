@@ -63,6 +63,106 @@ func assertAgreeX(t *testing.T, label string, a, b *Solution) {
 	}
 }
 
+// pricingXTol is the agreement criterion for solves that pivot in
+// different orders: the corpus optima are unique (generic random data),
+// so every entering rule reaches the same vertex, but through different
+// arithmetic — bit-level TestTol agreement is not meaningful.
+const pricingXTol = 1e-8
+
+// assertAgreeXTol fails unless the two solutions agree on status and,
+// when optimal, on objective and the full solution vector within
+// pricingXTol (scaled).
+func assertAgreeXTol(t *testing.T, label string, a, b *Solution) {
+	t.Helper()
+	assertAgreeXWithin(t, label, a, b, pricingXTol)
+}
+
+// assertAgreeXWithin is the underlying comparison at an explicit scaled
+// tolerance.
+func assertAgreeXWithin(t *testing.T, label string, a, b *Solution, tol float64) {
+	t.Helper()
+	if a.Status != b.Status {
+		t.Fatalf("%s: status %v != %v", label, a.Status, b.Status)
+	}
+	if a.Status != Optimal {
+		return
+	}
+	if !numeric.Close(a.Objective, b.Objective, tol) {
+		t.Fatalf("%s: objective %.17g != %.17g (diff %g)",
+			label, a.Objective, b.Objective, a.Objective-b.Objective)
+	}
+	for v := range a.X {
+		if !numeric.Close(a.X[v], b.X[v], tol) {
+			t.Fatalf("%s: x[%d] %.17g != %.17g", label, v, a.X[v], b.X[v])
+		}
+	}
+}
+
+// TestDifferentialPricing: the two entering rules of the simplex core,
+// Dantzig's and the Bland fallback, must reach the same optimum. On every
+// corpus instance a solve that runs Bland's rule from its first pivot
+// must reproduce the Dantzig Solve — status, objective and full X — and
+// its basis must warm-start two children to their cold optima, both under
+// the default rules and with Bland's leaving rule forced on the dual
+// simplex: a bound-row child, whose new logical leaves below its lower
+// bound, and a child with the same upper bound set on the variable's box,
+// where a basic value leaves above its upper bound.
+func TestDifferentialPricing(t *testing.T) {
+	for i := 0; i < corpusSize; i++ {
+		i := i
+		t.Run(strconv.Itoa(i), func(t *testing.T) {
+			t.Parallel()
+			g := corpusInstance(i)
+			ref, err := Solve(g.p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Status != Optimal {
+				t.Fatalf("dantzig reference not optimal (%v); generator broken", ref.Status)
+			}
+			bland := newRev(g.p, Options{})
+			bland.blandMode = true
+			sol, bs, err := bland.solveCold(g.p)
+			if err != nil {
+				t.Fatalf("bland: %v", err)
+			}
+			assertAgreeXTol(t, "bland", ref, sol)
+
+			s := rng.NewReplicate(6, "lp-differential-pricing", i)
+			v := s.Intn(g.p.NumVars())
+			rowChild := g.p.Clone()
+			rowChild.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, math.Floor(ref.X[v]))
+			boxChild := g.p.Overlay()
+			boxChild.SetBounds(v, 0, math.Floor(ref.X[v]))
+			for _, c := range []struct {
+				name string
+				p    *Problem
+			}{{"row", rowChild}, {"box", boxChild}} {
+				refChild, err := Solve(c.p, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm, _, err := SolveFrom(c.p, bs, Options{})
+				if err != nil {
+					t.Fatalf("bland/%s/warm: %v", c.name, err)
+				}
+				assertAgreeXTol(t, "bland/"+c.name+"/warm", refChild, warm)
+
+				if err := checkBasisFit(c.p, bs); err != nil {
+					t.Fatal(err)
+				}
+				wb := newRev(c.p, Options{})
+				wb.blandMode = true
+				warmBland, _, err := wb.solveFrom(c.p, bs)
+				if err != nil {
+					t.Fatalf("bland/%s/warm-bland: %v", c.name, err)
+				}
+				assertAgreeXTol(t, "bland/"+c.name+"/warm-bland", refChild, warmBland)
+			}
+		})
+	}
+}
+
 // TestDifferentialColdRevisedVsTableau: the cold revised solve of every
 // corpus instance reproduces its golden pin bit for bit and matches the
 // optimum the dense tableau core recorded for it (golden_test.go), Solve
@@ -178,10 +278,10 @@ func TestDifferentialWarmVsColdAfterBoundRows(t *testing.T) {
 // TestDifferentialSparseVsDense: every pass of the simplex core walks the
 // CSR/CSC pair, and each must compute exactly what the same pass computed
 // over the retired dense row-major matrix. On every corpus instance, at
-// the optimal basis of a cold solve, the column gather, q update, full and
-// single-column pricing, pivot row and ρ·A_j kernels are replayed against
-// a dense copy of the oriented, equilibrated matrix built here from the
-// Problem's rows, with the dense pass's accumulation order.
+// the optimal basis of a cold solve, the column gather, q update, pricing
+// and pivot row kernels are replayed against a dense copy of the oriented,
+// equilibrated matrix built here from the Problem's rows, with the dense
+// pass's accumulation order.
 func TestDifferentialSparseVsDense(t *testing.T) {
 	for i := 0; i < corpusSize; i++ {
 		i := i
@@ -237,36 +337,28 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			}
 			tt.prices(c)
 			for j := 0; j < rw; j++ {
-				want, single := c[j], c[j]
+				want := c[j]
 				for r := 0; r < m; r++ {
-					if v := a[r*rw+j]; v != 0 {
-						single -= tt.y[r] * v
-						if tt.y[r] != 0 {
-							want -= tt.y[r] * v
-						}
+					if v := a[r*rw+j]; v != 0 && tt.y[r] != 0 {
+						want -= tt.y[r] * v
 					}
 				}
 				if tt.inBasis[j] {
 					want = 0
 				}
 				same(fmt.Sprintf("prices d[%d]", j), tt.d[j], want)
-				same(fmt.Sprintf("priceCol(%d)", j), tt.priceCol(c, j), single)
 			}
 
 			for pr := 0; pr < m; pr++ {
 				tt.pivotRow(pr)
 				for j := 0; j < rw; j++ {
-					var want, dot float64
+					var want float64
 					for k := 0; k < m; k++ {
-						if v := a[k*rw+j]; v != 0 {
-							dot += tt.rho[k] * v
-							if tt.rho[k] != 0 {
-								want += tt.rho[k] * v
-							}
+						if v := a[k*rw+j]; v != 0 && tt.rho[k] != 0 {
+							want += tt.rho[k] * v
 						}
 					}
 					same(fmt.Sprintf("pivotRow(%d)[%d]", pr, j), tt.alpha[j], want)
-					same(fmt.Sprintf("rhoDotCol(%d)", j), tt.rhoDotCol(tt.rho, j), dot)
 				}
 			}
 		})

@@ -13,16 +13,14 @@ import (
 // dual certificate Certify accepts. Each input additionally derives a randomly
 // boxed instance (finite bounds, positive lower bounds, fixed variables)
 // and cross-checks the bounded-variable method against the same problem
-// with its bounds expanded to explicit rows via ExpandBounds. An extra
-// fuzzed byte picks an Options.Pricing rule; the variant solve is
-// cross-checked against the baseline.
+// with its bounds expanded to explicit rows via ExpandBounds.
 func FuzzSimplex(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(4), uint8(0))
-	f.Add(int64(42), uint8(1), uint8(1), uint8(2))
-	f.Add(int64(-7), uint8(6), uint8(8), uint8(3))
-	f.Add(int64(1<<40), uint8(2), uint8(0), uint8(1))
+	f.Add(int64(1), uint8(3), uint8(4))
+	f.Add(int64(42), uint8(1), uint8(1))
+	f.Add(int64(-7), uint8(6), uint8(8))
+	f.Add(int64(1<<40), uint8(2), uint8(0))
 
-	f.Fuzz(func(t *testing.T, seed int64, nvRaw, ncRaw, prRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nvRaw, ncRaw uint8) {
 		s := rng.New(seed, "fuzz-simplex")
 		n := 1 + int(nvRaw)%6
 		m := int(ncRaw) % 9
@@ -75,22 +73,6 @@ func FuzzSimplex(f *testing.F) {
 			t.Errorf("certificate: %v", err)
 		}
 
-		// Fuzzed pricing rule: whatever the byte picks, the variant must
-		// land on the baseline optimum.
-		pricing := []PricingMode{PricingAuto, PricingDantzig, PricingPartial}[int(prRaw)%3]
-		vopts := Options{Pricing: pricing}
-		vsol, err := Solve(g.p, vopts)
-		if err != nil {
-			t.Fatalf("Solve(%v): %v", pricing, err)
-		}
-		if vsol.Status != Optimal {
-			t.Fatalf("variant status = %v (pricing %v), want Optimal", vsol.Status, pricing)
-		}
-		if d := vsol.Objective - sol.Objective; abs(d) > 1e-6*(1+abs(sol.Objective)) {
-			t.Errorf("variant objective %g != baseline %g (pricing %v)",
-				vsol.Objective, sol.Objective, pricing)
-		}
-
 		// Boxed variant from the same stream: the bounded-variable method
 		// must match the bounds-expanded-to-rows rewrite of the identical
 		// instance, and its solution must respect the original boxes.
@@ -117,18 +99,6 @@ func FuzzSimplex(f *testing.F) {
 		if d := bounded.Objective - expanded.Objective; abs(d) > 1e-6*(1+abs(expanded.Objective)) {
 			t.Errorf("bounded objective %g != rows-expanded objective %g (diff %g)",
 				bounded.Objective, expanded.Objective, d)
-		}
-		// The fuzzed pricing rule must agree on the boxed family too.
-		vbounded, _, err := SolveBasis(gb.p, vopts)
-		if err != nil {
-			t.Fatalf("SolveBasis(bounded, %v): %v", pricing, err)
-		}
-		if vbounded.Status != Optimal {
-			t.Fatalf("bounded variant status = %v, want Optimal", vbounded.Status)
-		}
-		if d := vbounded.Objective - bounded.Objective; abs(d) > 1e-6*(1+abs(bounded.Objective)) {
-			t.Errorf("bounded variant objective %g != baseline %g (pricing %v)",
-				vbounded.Objective, bounded.Objective, pricing)
 		}
 	})
 }

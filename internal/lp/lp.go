@@ -13,11 +13,12 @@
 // Every entry point runs one core (revised.go): two-phase primal simplex
 // for cold solves, dual simplex for warm starts, over a sparse LU
 // factorisation of the basis with eta-file updates (factor.go). Rows are
-// equilibrated before solving, pricing falls back to Bland's rule after a
-// run of degenerate pivots (anti-cycling), and artificials are pivoted out
-// after phase 1. Every solve runs on the rows and columns as built, with
-// no reduction pass first. Problems are built row by row from sparse
-// Terms and stored as a CSR+CSC pair (sparse.go).
+// equilibrated before solving. The entering column is chosen by Dantzig's
+// rule (the largest reduced cost over every column), which falls back to
+// Bland's rule after a run of degenerate pivots (anti-cycling), and
+// artificials are pivoted out after phase 1. Every solve runs on the rows
+// and columns as built, with no reduction pass first. Problems are built
+// row by row from sparse Terms and stored as a CSR+CSC pair (sparse.go).
 package lp
 
 import (
@@ -196,9 +197,9 @@ func (p *Problem) Clone() *Problem {
 // (O(rows) only when p is itself an overlay), and appending k rows costs
 // O(k) — compare Clone, which deep-copies every coefficient. Branch-and-
 // bound uses this to derive node problems from the immutable root LP in
-// O(depth): bound tightenings go through SetBounds (which copies the two
-// bound slices once per overlay, on first write) and any remaining cuts
-// through AddConstraint.
+// O(depth): bound tightenings go through SetBounds, which copies the two
+// bound slices once per overlay, on first write. Rows appended with
+// AddConstraint are owned by the overlay.
 //
 // The overlay aliases p's data: p must not be modified while any overlay
 // derived from it is alive. Overlays themselves are freely mutable —
@@ -257,46 +258,6 @@ func (s Status) String() string {
 	}
 }
 
-// PricingMode selects the entering-column pricing rule. Pricing only
-// chooses the pivot order: every mode reaches the same optimum, and every
-// mode yields to Bland's rule after a degenerate run, so the anti-cycling
-// guarantee is mode-independent.
-type PricingMode int
-
-// Pricing modes.
-const (
-	// PricingAuto picks the rule from the problem: partial pricing with
-	// candidate lists once the priced column space reaches
-	// pricingAutoCols (where the O(n) per-pivot scan dominates), Dantzig
-	// below it.
-	PricingAuto PricingMode = iota
-	// PricingDantzig scans every column and enters the one with the
-	// largest sign-aware reduced cost |d_j| — the classic textbook rule,
-	// O(n) per pivot.
-	PricingDantzig
-	// PricingPartial prices a bounded candidate list with devex scores
-	// d_j²/w_j (Forrest–Goldfarb reference weights, an approximation of
-	// steepest edge) and refills it by scanning rotating sections of the
-	// column space — per-pivot work proportional to the candidate list and
-	// section, not to n. Optimality is still certified by a full wrap of
-	// the column space finding no candidate.
-	PricingPartial
-)
-
-// String names the mode.
-func (p PricingMode) String() string {
-	switch p {
-	case PricingAuto:
-		return "auto"
-	case PricingDantzig:
-		return "dantzig"
-	case PricingPartial:
-		return "partial"
-	default:
-		return fmt.Sprintf("pricingmode(%d)", int(p))
-	}
-}
-
 // Options tunes a solve. The zero value uses defaults.
 type Options struct {
 	// MaxIters caps simplex pivots across both phases
@@ -304,12 +265,6 @@ type Options struct {
 	MaxIters int
 	// Deadline aborts the solve when passed (zero means none).
 	Deadline time.Time
-	// Tol is the pivot/feasibility tolerance (default 1e-9).
-	Tol float64
-	// Pricing selects the entering-column rule (default PricingAuto:
-	// partial pricing on wide problems, Dantzig otherwise). All rules
-	// reach the same optimum; only the pivot order differs.
-	Pricing PricingMode
 }
 
 // Solution is the result of a solve. X is populated for Optimal and, on a

@@ -43,7 +43,8 @@ import (
 )
 
 const (
-	defaultTol = 1e-9
+	// tol is the pivot and feasibility tolerance of every solve.
+	tol = 1e-9
 	// feasTol is the (post-equilibration) tolerance used to decide phase-1
 	// feasibility and to report residual artificial infeasibility.
 	feasTol = 1e-7
@@ -90,13 +91,6 @@ type rev struct {
 	lu *luFactor // basis factors with their eta file of pivot updates
 	xb []float64 // current basic values, B⁻¹·q
 
-	// pricing is the resolved entering rule (never PricingAuto); pp holds
-	// its state: for partial pricing, the devex reference weights and the
-	// candidate list with its rotating refill cursor.
-	pricing PricingMode
-	pp      pricer
-
-	tol           float64
 	iters         int
 	iterLimit     int
 	deadline      time.Time
@@ -211,12 +205,6 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.numRetries = 0
 	t.dFresh = false
 	t.lu = nil
-	t.pricing = resolvePricing(opts.Pricing, t.rw)
-	t.pp.init(t.pricing, t.rw)
-	t.tol = opts.Tol
-	if t.tol == 0 {
-		t.tol = defaultTol
-	}
 	t.iterLimit = opts.MaxIters
 	if t.iterLimit == 0 {
 		t.iterLimit = 100*(m+n) + 1000
@@ -366,12 +354,8 @@ func (t *rev) gatherCol(col int) {
 // refactorize gathers the basis columns into CSC form, computes a fresh
 // sparse LU (factor.go) with an empty eta file and refreshes xb = B⁻¹q:
 // an O(nnz of the basis) gather plus the near-O(nnz) elimination on the
-// staircase bases the paper's instances produce. The rebuilt factors also
-// restart the devex reference framework: weights measured against the old
-// factors would no longer approximate the new geometry, and the fresh
-// basis is the natural new reference.
+// staircase bases the paper's instances produce.
 func (t *rev) refactorize() error {
-	t.pp.resetWeights()
 	m := t.m
 	t.fColPtr = grown(t.fColPtr, m+1)
 	colPtr := t.fColPtr
@@ -522,9 +506,9 @@ func (t *rev) computeXB() {
 //lint:hotpath runs once per basic row per pivot; pinned to zero allocations
 func (t *rev) snapXB(i int) {
 	bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
-	if t.xb[i] < bl && t.xb[i] > bl-t.tol {
+	if t.xb[i] < bl && t.xb[i] > bl-tol {
 		t.xb[i] = bl
-	} else if t.xb[i] > bh && t.xb[i] < bh+t.tol {
+	} else if t.xb[i] > bh && t.xb[i] < bh+tol {
 		t.xb[i] = bh
 	}
 }
@@ -540,44 +524,17 @@ func (t *rev) setBasis(cols []int) {
 	}
 }
 
-// computeY computes the dual prices y = c_B B⁻¹ of the working cost
-// vector: the BTRAN half of prices, which partial pricing runs alone —
-// its per-candidate pricing needs y but never the full reduced-cost
-// vector.
-//
-//lint:hotpath one BTRAN per pricing pass; pinned to zero allocations
-func (t *rev) computeY(c []float64) {
-	// One BTRAN of the basic costs against the factors + eta file.
-	for i := 0; i < t.m; i++ {
-		t.cb[i] = c[t.basis[i]]
-	}
-	t.lu.btran(t.cb, t.y, t.luW, t.luC)
-}
-
-// priceCol prices a single column against the current duals in t.y:
-// d_j = c_j − y·A_j. Partial pricing calls it per candidate — an O(nnz
-// of the column) walk — instead of materialising all rw reduced costs.
-// Never called for artificial columns (they cannot enter).
-//
-//lint:hotpath per-candidate pricing kernel; pinned to zero allocations
-func (t *rev) priceCol(c []float64, j int) float64 {
-	d := c[j]
-	if j >= t.n { // logical of row j−n: implicit +e_i column
-		return d - t.y[j-t.n]
-	}
-	for k := t.sp.colPtr[j]; k < t.sp.colPtr[j+1]; k++ {
-		d -= t.y[t.sp.rowIdx[k]] * t.sp.colVal[k]
-	}
-	return d
-}
-
 // prices computes the dual prices y = c_B B⁻¹ and reduced costs
 // d = c − yᵀA for the working cost vector c.
 //
 //lint:hotpath full pricing pass per iteration; pinned to zero allocations
 func (t *rev) prices(c []float64) {
 	m := t.m
-	t.computeY(c)
+	// One BTRAN of the basic costs against the factors + eta file.
+	for i := 0; i < m; i++ {
+		t.cb[i] = c[t.basis[i]]
+	}
+	t.lu.btran(t.cb, t.y, t.luW, t.luC)
 	// Artificial reduced costs (columns >= rw) are never read — artificials
 	// cannot enter — so only the structural+logical block is priced: y_i is
 	// subtracted over row i's nonzeros plus the implicit logical
@@ -617,9 +574,14 @@ func (t *rev) pivotRow(pr int) {
 	for j := 0; j < t.rw; j++ {
 		t.alpha[j] = 0
 	}
-	row := t.computeRho(pr)
+	// Row pr of B⁻¹: one BTRAN of the unit vector e_pr.
+	for k := range t.cb {
+		t.cb[k] = 0
+	}
+	t.cb[pr] = 1
+	t.lu.btran(t.cb, t.rho, t.luW, t.luC)
 	for k := 0; k < t.m; k++ {
-		bk := row[k]
+		bk := t.rho[k]
 		if bk == 0 {
 			continue
 		}
@@ -628,136 +590,6 @@ func (t *rev) pivotRow(pr int) {
 		}
 		t.alpha[t.n+k] += bk
 	}
-}
-
-// computeRho materialises row pr of B⁻¹ by one BTRAN of a unit vector.
-// Shared by pivotRow (which expands it into the full pivot row) and the
-// partial devex update (which dots it against candidate columns only).
-//
-//lint:hotpath one unit-vector BTRAN per pivot row; pinned to zero allocations
-func (t *rev) computeRho(pr int) []float64 {
-	for k := range t.cb {
-		t.cb[k] = 0
-	}
-	t.cb[pr] = 1
-	t.lu.btran(t.cb, t.rho, t.luW, t.luC)
-	return t.rho
-}
-
-// rhoDotCol dots one row of B⁻¹ against matrix column j — the single
-// pivot-row coefficient α_j = ρ·A_j that the candidate-restricted devex
-// update needs, at O(nnz of the column) instead of the full pivot row.
-//
-//lint:hotpath per-candidate pivot-row coefficient; pinned to zero allocations
-func (t *rev) rhoDotCol(rho []float64, j int) float64 {
-	if j >= t.n { // logical of row j−n: implicit +e_i column
-		return rho[j-t.n]
-	}
-	var s float64
-	for k := t.sp.colPtr[j]; k < t.sp.colPtr[j+1]; k++ {
-		s += rho[t.sp.rowIdx[k]] * t.sp.colVal[k]
-	}
-	return s
-}
-
-// updateDevex applies partial pricing's reference-framework weight update
-// for the pivot about to happen at (pr, pc), restricted to the candidate
-// list plus the leaving column. It must run before pivotBounded mutates the
-// factorisation — the pivot-row coefficients are priced against the
-// pre-pivot B⁻¹ — and reuses the entering direction already in t.w for
-// the pivot element.
-func (t *rev) updateDevex(pr, pc int) {
-	apiv := t.w[pr]
-	if apiv == 0 {
-		return
-	}
-	leave := t.basis[pr]
-	if leave >= t.rw {
-		leave = -1 // artificial: carries no weight
-	}
-	ref := t.pp.devex[pc] / (apiv * apiv)
-	rho := t.computeRho(pr)
-	for _, j := range t.pp.cand {
-		if j == pc || t.inBasis[j] {
-			continue
-		}
-		t.pp.bumpWeight(j, t.rhoDotCol(rho, j), ref)
-	}
-	t.pp.sealUpdate(ref, pc, leave)
-}
-
-// partialPrice chooses the entering column by partial pricing: one BTRAN
-// refreshes the duals, the surviving candidates are re-priced
-// individually (unattractive ones drop out in place), and an empty list
-// refills by pricing rotating sections of the column space from the
-// cursor. It returns −1 — optimality — only after a full wrap of the
-// column space finds no attractive column: no pivot happened since the
-// BTRAN, so the duals certifying that wrap are exact.
-//
-//lint:hotpath the whole per-iteration pricing pass of partial mode; pinned to zero allocations
-func (t *rev) partialPrice(c []float64) int {
-	t.computeY(c)
-	best := 0.0
-	pc := -1
-	keep := t.pp.cand[:0]
-	for _, j := range t.pp.cand {
-		if !t.eligible(j) {
-			continue
-		}
-		deff := t.priceCol(c, j)
-		if t.atUpper[j] {
-			deff = -deff
-		}
-		if deff <= t.tol {
-			continue
-		}
-		keep = append(keep, j)
-		if score := deff * deff / t.pp.devex[j]; score > best {
-			best, pc = score, j
-		}
-	}
-	t.pp.cand = keep
-	if pc != -1 {
-		return pc
-	}
-	start := t.pp.cursor
-	scanned := 0
-	for scanned < t.rw {
-		secEnd := scanned + partialSection
-		if secEnd > t.rw {
-			secEnd = t.rw
-		}
-		for ; scanned < secEnd; scanned++ {
-			col := start + scanned
-			if col >= t.rw {
-				col -= t.rw
-			}
-			if !t.eligible(col) {
-				continue
-			}
-			deff := t.priceCol(c, col)
-			if t.atUpper[col] {
-				deff = -deff
-			}
-			if deff <= t.tol {
-				continue
-			}
-			if len(t.pp.cand) < partialListCap {
-				t.pp.cand = append(t.pp.cand, col)
-			}
-			if score := deff * deff / t.pp.devex[col]; score > best {
-				best, pc = score, col
-			}
-		}
-		if pc != -1 && len(t.pp.cand) >= partialMinFill {
-			break
-		}
-	}
-	t.pp.cursor = start + scanned
-	if t.pp.cursor >= t.rw {
-		t.pp.cursor -= t.rw
-	}
-	return pc
 }
 
 // flipCol moves nonbasic column pc from its current bound to the opposite
@@ -859,15 +691,13 @@ func (t *rev) limits() Status {
 
 // trackDegenerate switches to Bland's rule after limit consecutive
 // degenerate steps — a primal step length or a dual step (the entering
-// reduced cost's ratio) of zero. Entering Bland mode abandons the devex
-// reference framework — Bland's first-index scan never consults weights,
-// and any later return to weighted pricing deserves a fresh reference.
+// reduced cost's ratio) of zero. Bland mode is sticky for the rest of
+// the solve.
 func (t *rev) trackDegenerate(ratio float64, limit int) {
-	if ratio <= t.tol {
+	if ratio <= tol {
 		t.degenRun++
-		if t.degenRun >= limit && !t.blandMode {
+		if t.degenRun >= limit {
 			t.blandMode = true
-			t.pp.resetWeights()
 		}
 	} else {
 		t.degenRun = 0
@@ -884,34 +714,29 @@ func (t *rev) primal(c []float64) (Status, error) {
 		}
 		// Entering column, sign-aware: a column at its lower bound improves
 		// by increasing (d > 0, sigma +1), one at its upper bound by
-		// decreasing (d < 0, sigma −1). Bland takes the first eligible
-		// column (always over full prices — its anti-cycling guarantee
-		// needs the complete index order); Dantzig scores |d|; partial
-		// prices a candidate list by d²/w.
+		// decreasing (d < 0, sigma −1). Dantzig's rule enters the largest
+		// such |d|; after a degenerate run Bland's rule takes the first
+		// eligible column instead.
+		t.prices(c)
 		pc := -1
 		sigma := 1.0
-		switch {
-		case t.blandMode:
-			t.prices(c)
+		if t.blandMode {
 			for j := 0; j < t.rw; j++ {
 				if !t.eligible(j) {
 					continue
 				}
 				if t.atUpper[j] {
-					if t.d[j] < -t.tol {
+					if t.d[j] < -tol {
 						pc = j
 						break
 					}
-				} else if t.d[j] > t.tol {
+				} else if t.d[j] > tol {
 					pc = j
 					break
 				}
 			}
-		case t.pricing == PricingPartial:
-			pc = t.partialPrice(c)
-		default: // Dantzig
-			t.prices(c)
-			best := t.tol
+		} else {
+			best := tol
 			for j := 0; j < t.rw; j++ {
 				if !t.eligible(j) {
 					continue
@@ -951,9 +776,9 @@ func (t *rev) primal(c []float64) (Status, error) {
 			bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
 			var ratio float64
 			var toUpper bool
-			if wi > t.tol {
+			if wi > tol {
 				ratio = (t.xb[i] - bl) / wi
-			} else if wi < -t.tol && !math.IsInf(bh, 1) {
+			} else if wi < -tol && !math.IsInf(bh, 1) {
 				ratio = (bh - t.xb[i]) / -wi
 				toUpper = true
 			} else {
@@ -962,7 +787,7 @@ func (t *rev) primal(c []float64) (Status, error) {
 			if ratio < 0 {
 				ratio = 0 // roundoff residue just outside the box
 			}
-			if ratio < minRatio-t.tol || (math.Abs(ratio-minRatio) <= t.tol && (pr == -1 || t.basis[i] < t.basis[pr])) {
+			if ratio < minRatio-tol || (math.Abs(ratio-minRatio) <= tol && (pr == -1 || t.basis[i] < t.basis[pr])) {
 				minRatio = ratio
 				pr = i
 				leaveToUpper = toUpper
@@ -979,9 +804,6 @@ func (t *rev) primal(c []float64) (Status, error) {
 			continue
 		}
 		t.trackDegenerate(minRatio, degenerateRunLimit)
-		if t.pp.devex != nil && !t.blandMode {
-			t.updateDevex(pr, pc)
-		}
 
 		if err := t.pivotBounded(pr, pc, leaveToUpper); err != nil {
 			if errors.Is(err, errNumerical) && t.numRetries < 3 {
@@ -1032,13 +854,13 @@ func (t *rev) dual(c []float64) (Status, error) {
 			// leaves.
 			for i := 0; i < t.m; i++ {
 				bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
-				below, above := t.xb[i] < bl-t.tol, t.xb[i] > bh+t.tol
+				below, above := t.xb[i] < bl-tol, t.xb[i] > bh+tol
 				if (below || above) && (pr == -1 || t.basis[i] < t.basis[pr]) {
 					pr, toUpper = i, above
 				}
 			}
 		} else {
-			viol := t.tol
+			viol := tol
 			for i := 0; i < t.m; i++ {
 				bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
 				if v := bl - t.xb[i]; v > viol {
@@ -1081,11 +903,11 @@ func (t *rev) dual(c []float64) (Status, error) {
 			if t.atUpper[j] {
 				aeff, deff = -aeff, -deff
 			}
-			if aeff >= -t.tol {
+			if aeff >= -tol {
 				continue
 			}
 			ratio := deff / aeff
-			if ratio < bestRatio-t.tol || (math.Abs(ratio-bestRatio) <= t.tol && (pc == -1 || j < pc)) {
+			if ratio < bestRatio-tol || (math.Abs(ratio-bestRatio) <= tol && (pc == -1 || j < pc)) {
 				bestRatio = ratio
 				pc = j
 			}
@@ -1132,10 +954,10 @@ func (t *rev) dualFeasible() bool {
 			continue
 		}
 		if t.atUpper[j] {
-			if t.d[j] < -t.tol {
+			if t.d[j] < -tol {
 				return false
 			}
-		} else if t.d[j] > t.tol {
+		} else if t.d[j] > tol {
 			return false
 		}
 	}
@@ -1177,7 +999,7 @@ func (t *rev) driveOutArtificials() error {
 			if !t.eligible(j) {
 				continue
 			}
-			if math.Abs(t.alpha[j]) > t.tol*100 {
+			if math.Abs(t.alpha[j]) > tol*100 {
 				t.ftran(j)
 				if err := t.pivotBounded(i, j, false); err != nil && !errors.Is(err, errNumerical) {
 					return err
@@ -1214,9 +1036,9 @@ func (t *rev) finish(p *Problem, status Status) (*Solution, *Basis) {
 	for i := 0; i < t.m; i++ {
 		if v := t.basis[i]; v < p.nVars {
 			val := t.xb[i]
-			if bl := t.lo[v]; math.Abs(val-bl) < t.tol*100 {
+			if bl := t.lo[v]; math.Abs(val-bl) < tol*100 {
 				val = bl
-			} else if bh := t.hi[v]; !math.IsInf(bh, 1) && math.Abs(val-bh) < t.tol*100 {
+			} else if bh := t.hi[v]; !math.IsInf(bh, 1) && math.Abs(val-bh) < tol*100 {
 				val = bh
 			}
 			x[v] = val
@@ -1240,7 +1062,6 @@ func (t *rev) finish(p *Problem, status Status) (*Solution, *Basis) {
 		atUpper: append([]bool(nil), t.atUpper[:t.n]...),
 		fac:     t.lu.freeze(),
 		age:     t.sinceRefactor,
-		devex:   t.pp.snapshotWeights(),
 	}
 	for i := 0; i < t.m; i++ {
 		bs.entries[i] = entryForColumn(t.basis[i], t.n, t.m)
@@ -1442,16 +1263,6 @@ func (t *rev) solveFrom(p *Problem, from *Basis) (*Solution, *Basis, error) {
 		}
 	}
 	t.recomputeQ() // fold the restored nonbasic values into q
-	// Adopt the parent's devex reference weights (when both sides price
-	// with them) before deciding whether to adopt the parent's factors: a
-	// successful inherit keeps them, while the refactorisation fallback
-	// below resets them to unit like any other refactorisation. The snapshot's layout —
-	// [0, n) structural, then logicals by row — only lines up when the
-	// variable counts match; after appended columns the weights restart at
-	// unit instead of misreading parent logical weights as structural.
-	if from.nVars == t.n {
-		t.pp.inheritWeights(from.devex, t.n)
-	}
 	inherited := t.inheritFactor(from)
 	if !inherited {
 		if err := t.refactorize(); err != nil {

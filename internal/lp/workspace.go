@@ -13,8 +13,6 @@ package lp
 //   - the LU elimination workspace, the factor arenas and the eta file
 //     (noEscape mode), or a persistent holder for adopted frozen parent
 //     factors (basis-publishing mode);
-//   - pricing state: devex reference weights and partial-pricing candidate
-//     lists;
 //   - the row flattener, ratio-test, bound-flip and residual-check scratch;
 //   - the output Solution and its X vector (noEscape mode).
 //

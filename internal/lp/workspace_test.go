@@ -44,10 +44,10 @@ func assertIdentical(t *testing.T, label string, a, b *Solution) {
 	}
 }
 
-// workspaceDiffOptions are the sweeps the cold differential runs: every
-// pricing rule over the small random corpus and over larger, sparser
-// DSCT-EA-FR staircases (the sparse sweeps, where refactorisation
-// triggers), so each instance exercises every reused buffer.
+// workspaceDiffOptions are the sweeps the cold differential runs: the
+// small random corpus and larger, sparser DSCT-EA-FR staircases (the
+// sparse sweep, where refactorisation triggers), so each instance
+// exercises every reused buffer.
 var workspaceDiffOptions = []struct {
 	name      string
 	opts      Options
@@ -55,8 +55,6 @@ var workspaceDiffOptions = []struct {
 }{
 	{"default", Options{}, false},
 	{"sparse", Options{}, true},
-	{"partial", Options{Pricing: PricingPartial}, false},
-	{"partial-sparse", Options{Pricing: PricingPartial}, true},
 }
 
 // workspaceStaircaseCount is the size of the staircase corpus the sparse

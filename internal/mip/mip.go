@@ -53,6 +53,10 @@ import (
 // is considered integral.
 const intTol = 1e-6
 
+// gapTol is the absolute optimality gap: a node whose bound exceeds the
+// incumbent by no more than gapTol is pruned.
+const gapTol = 1e-6
+
 // maxPlunge bounds how many consecutive children the search dives onto
 // before returning to the global best-bound queue.
 const maxPlunge = 8
@@ -68,7 +72,8 @@ type Status int
 
 // Solver statuses.
 const (
-	// Optimal means the incumbent is proven optimal within Options.Gap.
+	// Optimal means the incumbent is proven optimal within an absolute
+	// gap of 1e-6 (gapTol).
 	Optimal Status = iota
 	// Feasible means a limit was hit with an incumbent in hand.
 	Feasible
@@ -96,16 +101,15 @@ func (s Status) String() string {
 
 // Options tunes the search (see the package comment; no option changes
 // its branching rule or node order). The zero value uses defaults:
-// serial search, no deadline, gap 1e-6, node limit 1<<20.
+// serial search, no deadline, node limit 1<<20.
 type Options struct {
 	Deadline time.Time // wall-clock limit (zero: none)
 	MaxNodes int       // node budget (0: default 1<<20)
-	Gap      float64   // absolute optimality gap for termination (0: 1e-6)
 
 	// RelGap, when positive, terminates the search early once
 	// (Bound - incumbent) <= RelGap * max(1, |incumbent|): the
 	// incumbent is then reported as Feasible with Result.Gap recording the
-	// proven relative gap. Zero keeps the exact Gap-based criterion.
+	// proven relative gap. Zero keeps the absolute 1e-6 criterion.
 	RelGap float64
 
 	// Workers is the number of goroutines solving node relaxations
@@ -121,7 +125,6 @@ type Options struct {
 	// Workers setting.
 	Workers int
 
-	LP       lp.Options   // per-node LP options (deadline is overridden)
 	Rounding RoundingHook // optional primal heuristic, see RoundingHook
 
 	// DisableWarmStart forces every node relaxation to be solved from

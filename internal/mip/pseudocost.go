@@ -133,9 +133,7 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 	probes := 0
 	if basis != nil {
 		var pp *lp.Problem
-		probeOpts := s.opts.LP
-		probeOpts.Deadline = s.opts.Deadline
-		probeOpts.MaxIters = probePivots
+		probeOpts := lp.Options{Deadline: s.opts.Deadline, MaxIters: probePivots}
 		probed := 0
 		for probed < probeMaxCands {
 			// Next unprobed unreliable candidate by fractionality (tie:

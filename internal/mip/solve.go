@@ -19,9 +19,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 1 << 20
 	}
-	if opts.Gap == 0 {
-		opts.Gap = 1e-6
-	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -212,7 +209,7 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 			return
 		}
 		nd := heap.Pop(&s.queue).(*node)
-		if nd.bound <= s.incumbent+s.opts.Gap {
+		if nd.bound <= s.incumbent+gapTol {
 			// Pruned by bound.
 			s.mu.Unlock()
 			continue
@@ -240,7 +237,7 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 				// Dive onto the child with the stronger bound (tie: the
 				// down branch, matching the queue's path tie-break).
 				for _, c := range children {
-					if c.bound <= s.incumbent+s.opts.Gap {
+					if c.bound <= s.incumbent+gapTol {
 						continue
 					}
 					if carry == nil || c.bound > carry.bound ||
@@ -331,7 +328,7 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	}
 
 	s.mu.Lock()
-	pruned := sol.Objective <= s.incumbent+s.opts.Gap
+	pruned := sol.Objective <= s.incumbent+gapTol
 	s.mu.Unlock()
 	if pruned {
 		return nil, nil
@@ -470,7 +467,7 @@ func (s *searcher) speculate(ws *lp.Workspace, scr *branchScratch) {
 		s.ahead = s.ahead[:len(s.ahead)-1]
 		// The incumbent only rises, so a node it prunes now is pruned when
 		// the search reaches it.
-		if nd.claimed || nd.bound <= s.incumbent+s.opts.Gap {
+		if nd.claimed || nd.bound <= s.incumbent+gapTol {
 			continue
 		}
 		e := &expansion{}
@@ -557,8 +554,7 @@ func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (node
 	if !ok {
 		return nodeSolve{sol: &lp.Solution{Status: lp.Infeasible}}, nil
 	}
-	lpOpts := s.opts.LP
-	lpOpts.Deadline = s.opts.Deadline
+	lpOpts := lp.Options{Deadline: s.opts.Deadline}
 
 	// Under DisableWarmStart children inherit from no solve, so the cold
 	// solve publishes no basis.
@@ -678,7 +674,7 @@ func integralOn(integers []int, x []float64) bool {
 
 // incumbentTieTol bounds the objective difference under which two
 // incumbent candidates are considered tied and the tree-path tie-break
-// applies. It is far below the default pruning Gap, so tie-breaking never
+// applies. It is far below the pruning gap gapTol, so tie-breaking never
 // degrades the reported objective beyond the solver's own tolerance.
 const incumbentTieTol = 1e-9
 

@@ -16,7 +16,8 @@
 # (BenchmarkMIPColdVsWarm, BenchmarkWarmVsColdLP) and rows-vs-bounds
 # (BenchmarkBoundsVsRowsLP, whose rows arm is the ExpandBounds reference
 # encoding), plus the
-# xl-family pricing pairing (BenchmarkPricingXLLP dantzig-vs-partial; the
+# xl-family cold solves (BenchmarkPricingXLLP; its dantzig/... names match
+# the records taken while a second pricing rule existed, and the
 # tier-1-sized xl smoke member runs as TestXLAutoSmoke in the ordinary race
 # suite above) and the
 # batch-throughput harness (BenchmarkBatchThroughputLP over the 240-instance
