@@ -6,7 +6,7 @@
 //
 //	dsctd                          # JSON-lines events on stdin
 //	dsctd -replay 120 -tasks 8 -machines 2 -seed 7
-//	dsctd -replay 120 -shards 2 -batch 4 -workers 2
+//	dsctd -replay 120 -shards 2 -batch 4
 //
 // In stdin mode each input line is one incremental.Event, e.g.:
 //
@@ -75,7 +75,6 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		tasks    = fs.Int("tasks", 8, "initial live tasks of the trace (with -replay)")
 		machines = fs.Int("machines", 2, "initial live machines of the trace (with -replay)")
 		shards   = fs.Int("shards", 1, "machine-pool shards (independent engines)")
-		workers  = fs.Int("workers", 0, "branch-and-bound workers per re-solve (0: serial)")
 		batch    = fs.Int("batch", 1, "event coalescing window (re-solve every N events)")
 		cold     = fs.Bool("cold", false, "disable warm starts (cold re-solve per batch)")
 		verbose  = fs.Bool("v", false, "include per-task time maps in the output")
@@ -92,7 +91,7 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 
 	// The loop below flushes every -batch events itself, so no engine
 	// flushes on Post: each solve runs inside report's timed flush.
-	opts := incremental.Options{Workers: *workers, BatchWindow: math.MaxInt, DisableWarm: *cold}
+	opts := incremental.Options{BatchWindow: math.MaxInt, DisableWarm: *cold}
 	var p poster
 	if *shards > 1 {
 		p = &shardedPoster{s: incremental.NewSharded(*shards, opts)}

@@ -191,7 +191,7 @@ func TestReplayMode(t *testing.T) {
 
 func TestReplayShardedAndBatched(t *testing.T) {
 	var out, errw strings.Builder
-	if err := run([]string{"-replay", "30", "-tasks", "6", "-machines", "2", "-seed", "13", "-shards", "2", "-batch", "4", "-workers", "2"},
+	if err := run([]string{"-replay", "30", "-tasks", "6", "-machines", "2", "-seed", "13", "-shards", "2", "-batch", "4"},
 		strings.NewReader(""), &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +215,7 @@ func TestFlagErrors(t *testing.T) {
 		"positional args": {"extra"},
 		"bad shards":      {"-shards", "0"},
 		"bad batch":       {"-batch", "0"},
+		"removed workers": {"-workers", "2"},
 	} {
 		var out, errw strings.Builder
 		if err := run(args, strings.NewReader(""), &out, &errw); err == nil {

@@ -26,7 +26,6 @@ func main() {
 		instPath = flag.String("instance", "", "instance JSON file (default: stdin)")
 		method   = flag.String("method", "approx", "scheduler: approx | fr | exact | edf | edf3 | all")
 		timeout  = flag.Duration("timeout", 60*time.Second, "time limit for -method exact")
-		workers  = flag.Int("workers", 1, "parallel branch-and-bound workers for -method exact")
 		simulate = flag.Bool("simulate", false, "replay the schedule on the cluster simulator")
 		gantt    = flag.Bool("gantt", false, "render the schedule as a text Gantt chart")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the simulated execution to this file (implies -simulate)")
@@ -56,7 +55,7 @@ func main() {
 		methods = []string{"approx", "fr", "edf", "edf3"}
 	}
 	for _, meth := range methods {
-		s, note, err := solve(in, meth, *timeout, *workers)
+		s, note, err := solve(in, meth, *timeout)
 		if err != nil {
 			fatalf("%s: %v", meth, err)
 		}
@@ -97,7 +96,7 @@ func main() {
 	}
 }
 
-func solve(in *dscted.Instance, method string, timeout time.Duration, workers int) (*dscted.Schedule, string, error) {
+func solve(in *dscted.Instance, method string, timeout time.Duration) (*dscted.Schedule, string, error) {
 	switch method {
 	case "approx":
 		sol, err := dscted.SolveApprox(in, dscted.ApproxOptions{})
@@ -112,7 +111,7 @@ func solve(in *dscted.Instance, method string, timeout time.Duration, workers in
 		}
 		return sol.Schedule, fmt.Sprintf("fractional optimum (profile %v)", sol.Profile), nil
 	case "exact":
-		res, err := dscted.SolveExact(in, timeout, workers)
+		res, err := dscted.SolveExact(in, timeout)
 		if err != nil {
 			return nil, "", err
 		}

@@ -20,7 +20,7 @@ func testInstance(t *testing.T) *dscted.Instance {
 func TestSolveDispatch(t *testing.T) {
 	in := testInstance(t)
 	for _, method := range []string{"approx", "fr", "edf", "edf3", "exact"} {
-		s, note, err := solve(in, method, 20*time.Second, 1)
+		s, note, err := solve(in, method, 20*time.Second)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -31,7 +31,7 @@ func TestSolveDispatch(t *testing.T) {
 			t.Errorf("%s: infeasible schedule: %v", method, err)
 		}
 	}
-	if _, _, err := solve(in, "nope", time.Second, 1); err == nil {
+	if _, _, err := solve(in, "nope", time.Second); err == nil {
 		t.Error("unknown method accepted")
 	}
 }

@@ -186,11 +186,10 @@ type ExactResult struct {
 
 // SolveExact solves the DSCT-EA mixed-integer program by branch-and-bound
 // (the paper's "DSCT-EA-Opt" role, played by cvx-MOSEK there). timeLimit
-// bounds the search (zero means none); workers > 1 processes tree nodes in
-// parallel.
-func SolveExact(in *Instance, timeLimit time.Duration, workers int) (*ExactResult, error) {
+// bounds the search (zero means none).
+func SolveExact(in *Instance, timeLimit time.Duration) (*ExactResult, error) {
 	mm := model.BuildMIP(in)
-	opts := mip.Options{Workers: workers, Rounding: mm.RoundingHook()}
+	opts := mip.Options{Rounding: mm.RoundingHook()}
 	if timeLimit > 0 {
 		opts.Deadline = time.Now().Add(timeLimit)
 	}

@@ -45,7 +45,7 @@ func TestSolveFRAndExactChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := SolveExact(inst, 30*time.Second, 2)
+	ex, err := SolveExact(inst, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

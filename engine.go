@@ -13,7 +13,7 @@ import "repro/internal/incremental"
 type (
 	// Engine is a mutable DSCT-EA instance with warm-started re-solves.
 	Engine = incremental.Engine
-	// EngineOptions tunes an Engine (workers, batching, warm starts).
+	// EngineOptions tunes an Engine (batching, warm starts, node cap).
 	EngineOptions = incremental.Options
 	// Event is one scheduler event posted to an Engine.
 	Event = incremental.Event

@@ -19,7 +19,7 @@ func TestEngineMatchesColdSolve(t *testing.T) {
 	}
 
 	// Phase 1: the engine's plan vs a cold exact solve of the instance.
-	cold, err := dscted.SolveExact(out.inst, 0, 0)
+	cold, err := dscted.SolveExact(out.inst, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestEngineMatchesColdSolve(t *testing.T) {
 	}
 
 	// Phase 2: the warm replan vs a cold exact solve of the rest instance.
-	coldRest, err := dscted.SolveExact(out.rest, 0, 0)
+	coldRest, err := dscted.SolveExact(out.rest, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestAllocsWarmFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	for i, ev := range trace {
 		if _, err := e.Apply(ev); err != nil {
 			t.Fatalf("warm-up event %d: %v", i, err)

@@ -80,11 +80,12 @@ type Event struct {
 	Budget float64 `json:"budget,omitempty"`
 }
 
-// Options tunes an Engine. The zero value means: serial solves, solve on
-// every posted event, warm starts on, no node limit override, budget 0
-// (tasks idle until a budget-change event funds them).
+// Options tunes an Engine. The zero value means: solve on every posted
+// event, warm starts on, no node limit override, budget 0 (tasks idle
+// until a budget-change event funds them).
 type Options struct {
-	// Workers is the mip.Options.Workers of every re-solve.
+	// Workers is ignored: every re-solve runs its search on the flushing
+	// goroutine. It remains so that callers setting it still build.
 	Workers int
 	// BatchWindow coalesces events: Post buffers until this many events are
 	// pending, then applies them as one delta batch and re-solves once.
@@ -222,9 +223,9 @@ type Engine struct {
 
 	// The flush's fixed-assignment view, rebuilt by loadView before each
 	// re-solve and read-only during it: the live tasks in live order and
-	// the live machines in join order. The rounding hook reads it from
-	// every mip worker; extraction runs fx on this goroutine after
-	// mip.Solve returns, so fx, assign and times are reused across flushes.
+	// the live machines in join order. The rounding hook reads it during
+	// the search; extraction runs fx after mip.Solve returns, so fx,
+	// assign and times are reused across flushes.
 	vTasks []task.Task
 	vMachs []*liveMachine
 	fleet  machine.Fleet
@@ -651,9 +652,9 @@ func (e *Engine) exact(x []float64, fx *core.FixedAssignment, assign []int, t []
 // live task goes to its largest-x̂ live machine, and the candidate is that
 // assignment's exact optimum — one-hot x, core.FixedAssignment times t on
 // the chosen machines, z_j = a_j(s_r·t_j) — with zeros on dead columns and
-// on the dummy column 0. Every call allocates its own scratch, since the
-// hook runs on every mip worker. mip calls it only at a fractional node,
-// so some live task has columns and at least one machine is live.
+// on the dummy column 0. Every call allocates its own scratch and its
+// candidate. mip calls it only at a fractional node, so some live task has
+// columns and at least one machine is live.
 func (e *Engine) roundingHook() mip.RoundingHook {
 	nv := e.p.NumVars()
 	return func(x []float64) ([]float64, bool) {
@@ -678,7 +679,6 @@ func (e *Engine) solve() (*Solution, error) {
 	prob := e.mipProblem()
 	e.loadView()
 	opts := mip.Options{
-		Workers:  e.opts.Workers,
 		MaxNodes: e.opts.MaxNodes,
 		Rounding: e.roundingHook(),
 	}

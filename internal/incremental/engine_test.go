@@ -257,7 +257,7 @@ func TestContendedWarmUpFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{Workers: 1, BatchWindow: math.MaxInt, MaxNodes: 16})
+	e := New(Options{BatchWindow: math.MaxInt, MaxNodes: 16})
 	o := newOracle()
 	for i, ev := range trace[:28] {
 		o.apply(ev)
@@ -295,33 +295,6 @@ func sameEngineSolution(a, b *Solution) bool {
 		}
 	}
 	return true
-}
-
-// TestEngineDeterministicAcrossWorkers replays one trace at Workers 1, 4
-// and 8: every post-event solution must be bitwise identical.
-func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	trace := genTestTrace(t, 43, 80)
-	var base []*Solution
-	for _, workers := range []int{1, 4, 8} {
-		e := New(Options{Workers: workers})
-		var sols []*Solution
-		for i, ev := range trace {
-			sol, err := e.Apply(ev)
-			if err != nil {
-				t.Fatalf("workers=%d event %d: %v", workers, i, err)
-			}
-			sols = append(sols, sol)
-		}
-		if base == nil {
-			base = sols
-			continue
-		}
-		for i := range sols {
-			if !sameEngineSolution(base[i], sols[i]) {
-				t.Fatalf("workers=%d diverged from workers=1 at event %d", workers, i)
-			}
-		}
-	}
 }
 
 // TestBatchWindow checks coalescing: posts buffer until the window fills,
@@ -415,7 +388,7 @@ func TestPostValidation(t *testing.T) {
 func TestShardedDeterministicReplay(t *testing.T) {
 	trace := genTestTrace(t, 53, 90)
 	run := func() (*Solution, Stats, float64) {
-		s := NewSharded(2, Options{Workers: 2})
+		s := NewSharded(2, Options{})
 		var budget float64
 		for i, ev := range trace {
 			if ev.Kind == BudgetChange {

@@ -1,11 +1,11 @@
 package incremental
 
-// Golden pins for the engine: every flush of three replayed traces at
-// Workers=1, recorded by its status, the bits of its total accuracy, an
-// FNV digest of the published times and its branch-and-bound node count.
-// The traces are the one TestStreamVsCold replays
-// (seed 41), the one TestEngineDeterministicAcrossWorkers replays (seed
-// 43) and a slack trace of 24 tasks on 3 machines with DeadlineScale 20
+// Golden pins for the engine: every flush of three replayed traces,
+// recorded by its status, the bits of its total accuracy, an FNV digest of
+// the published times and its branch-and-bound node count. The traces are
+// the one TestStreamVsCold replays (seed 41), an 80-event trace (seed 43,
+// named for the Workers determinism test that replayed it once) and a
+// slack trace of 24 tasks on 3 machines with DeadlineScale 20
 // and BudgetScale 50, the regime of the benchmark's daemon-churn workload,
 // where most roots are integral. Every field must match exactly: a change
 // to the search or the model rows that alters a tree or a vertex the
@@ -97,11 +97,11 @@ func timesDigest(times map[string]map[string]float64) uint64 {
 	return h.Sum64()
 }
 
-// replayPins applies trace event by event on a Workers=1 engine and
+// replayPins applies trace event by event on a default engine and
 // records every flush.
 func replayPins(t *testing.T, trace []Event) []flushPin {
 	t.Helper()
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	pins := make([]flushPin, len(trace))
 	for i, ev := range trace {
 		sol, err := e.Apply(ev)

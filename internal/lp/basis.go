@@ -86,67 +86,6 @@ func (b *Basis) String() string {
 		len(b.entries), nStruct, nLogical, nArt)
 }
 
-// AdaptRows returns a basis usable on a problem whose constraint rows were
-// rearranged relative to the producing problem's: rowMap[i] names the new
-// index of old row i, or -1 when that row was dropped. newRows is the
-// target problem's row count; rows of the target not named by rowMap are
-// treated as freshly appended and get their own logical column basic — the
-// same starting state SolveFrom gives rows appended after the snapshot.
-// rowMap must be injective over its non-negative entries.
-//
-// The identity map (every old row keeps its index and newRows equals
-// NumRows) returns b itself, snapshot factors intact — the fast path for
-// re-solves whose deltas were pure bound, objective or right-hand-side
-// edits. Any real rearrangement returns a new Basis carrying only the
-// column set and at-upper markers: the factorisation snapshot describes
-// the old row order and is dropped, so the adopting solve refactorises
-// once (lp.Solution.FactorRebuilt reports it).
-//
-// Adaptation is positional and cannot consult the problems involved, so a
-// pathological map can produce a column set SolveFrom rejects (e.g. a
-// dropped row's logical basic in a surviving position colliding with that
-// position's own fresh logical). Callers treat a warm-start error as "not
-// adoptable" and fall back to a cold solve, exactly as for any other
-// rejected basis.
-func (b *Basis) AdaptRows(rowMap []int, newRows int) *Basis {
-	if len(rowMap) != len(b.entries) {
-		panic(fmt.Sprintf("lp: AdaptRows map covers %d rows, basis has %d", len(rowMap), len(b.entries)))
-	}
-	identity := newRows == len(b.entries)
-	for i, j := range rowMap {
-		if j >= newRows {
-			panic(fmt.Sprintf("lp: AdaptRows maps row %d to %d, target has %d rows", i, j, newRows))
-		}
-		if j != i {
-			identity = false
-		}
-	}
-	if identity {
-		return b
-	}
-	entries := make([]basisEntry, newRows)
-	for j := range entries {
-		entries[j] = basisEntry{kind: basisLogical, idx: j}
-	}
-	for i, e := range b.entries {
-		j := rowMap[i]
-		if j < 0 {
-			continue // the row is gone; its basic column is released
-		}
-		if e.kind != basisStructural {
-			// Row-indexed entry: follow its row through the map. A logical
-			// or artificial of a dropped row no longer exists as a column —
-			// keep position j's default own-row logical instead.
-			if ni := rowMap[e.idx]; ni >= 0 {
-				entries[j] = basisEntry{kind: e.kind, idx: ni}
-			}
-			continue
-		}
-		entries[j] = e
-	}
-	return &Basis{nVars: b.nVars, entries: entries, atUpper: b.atUpper}
-}
-
 // column maps an entry to its column index in a problem with n structural
 // variables and m rows (canonical layout: structural, then m logicals,
 // then m artificials).

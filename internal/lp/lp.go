@@ -277,11 +277,10 @@ type Solution struct {
 	Iterations int
 
 	// FactorRebuilt reports that a warm start (SolveFrom) could not adopt
-	// the supplied basis snapshot's factorisation — missing (a snapshot
-	// from AdaptRows carries none), dimension-mismatched after appended
-	// rows, fill-heavy, or failing the B·xb ≈ q residual check — and the
-	// solve refactorised the inherited column set from scratch instead.
-	// Always false for cold solves.
+	// the supplied basis snapshot's factorisation — missing,
+	// dimension-mismatched after appended rows, fill-heavy, or failing the
+	// B·xb ≈ q residual check — and the solve refactorised the inherited
+	// column set from scratch instead. Always false for cold solves.
 	FactorRebuilt bool
 
 	// DualFeasible reports that the solve ended on a dual-feasible basis,

@@ -203,45 +203,6 @@ func TestMutationPreservesOverlayIsolation(t *testing.T) {
 	_ = childCold
 }
 
-// AdaptRows: the identity map returns the snapshot itself; a real remap
-// yields a basis the solver adopts on the rearranged problem.
-func TestAdaptRows(t *testing.T) {
-	p := mutBase()
-	_, basis, err := SolveBasis(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := basis.AdaptRows([]int{0, 1, 2}, 3); got != basis {
-		t.Error("identity AdaptRows did not return the snapshot itself")
-	}
-
-	// Rebuild with row 1 dropped and a fresh row appended at the end:
-	// old rows {0, 2} land at {0, 1}.
-	q := NewProblem(3)
-	q.SetObjCoef(0, 3)
-	q.SetObjCoef(1, 5)
-	q.SetObjCoef(2, 4)
-	q.AddConstraint([]Term{{0, 1}, {1, 1}, {2, 1}}, LE, 10)
-	q.AddConstraint([]Term{{1, 1}, {2, 3}}, LE, 12)
-	q.AddConstraint([]Term{{0, 1}, {1, 2}}, LE, 9)
-
-	adapted := basis.AdaptRows([]int{0, -1, 1}, 3)
-	if adapted == basis {
-		t.Fatal("non-identity AdaptRows returned the snapshot itself")
-	}
-	if adapted.NumRows() != 3 {
-		t.Fatalf("adapted NumRows = %d, want 3", adapted.NumRows())
-	}
-	warm, _, err := SolveFrom(q, adapted, Options{})
-	if err != nil {
-		// A rejected adapted basis is a legal outcome; the engine falls
-		// back cold. But on this well-posed remap adoption should succeed.
-		t.Fatalf("SolveFrom rejected adapted basis: %v", err)
-	}
-	sameOptimum(t, warm, solveOK(t, q.Clone()), "adapted warm vs cold")
-}
-
 // Mutator panics on bad input.
 func TestMutatePanics(t *testing.T) {
 	for _, tc := range []struct {

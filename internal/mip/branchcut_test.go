@@ -148,13 +148,12 @@ func bruteOf(p *Problem) *bruteMIP {
 }
 
 // corpusSettings are the search settings the corpus oracle checks: the
-// default search and its parallel and cold-node variants.
+// default search and its cold-node variant.
 var corpusSettings = []struct {
 	name string
 	opts Options
 }{
 	{"default", Options{}},
-	{"workers=4", Options{Workers: 4}},
 	{"cold", Options{DisableWarmStart: true}},
 }
 
@@ -231,9 +230,9 @@ func clusteredKnapsack(trial int) *Problem {
 	return knapsackProblem(values, weights, total*0.35)
 }
 
-// TestGapAndDualBound: RelGap terminates early with a Feasible status, an
-// honest Gap and a valid dual bound (Result.Bound); a run to completion
-// reports Gap 0 at the optimum.
+// TestGapAndDualBound: a node cap that stops the search early leaves a
+// Feasible status, an honest Gap and a valid dual bound (Result.Bound); a
+// run to completion reports Gap 0 at the optimum.
 func TestGapAndDualBound(t *testing.T) {
 	prob := clusteredKnapsack(3)
 	exact, err := Solve(prob, Options{})
@@ -250,23 +249,21 @@ func TestGapAndDualBound(t *testing.T) {
 		t.Errorf("optimal Bound %.12g != Objective %.12g", exact.Bound, exact.Objective)
 	}
 
-	loose, err := Solve(prob, Options{RelGap: 0.5})
+	// The full search takes 54 nodes; 50 stop it with an incumbent in hand.
+	early, err := Solve(prob, Options{MaxNodes: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch loose.Status {
-	case Optimal: // tree collapsed before the gap check fired — fine
-	case Feasible:
-		if loose.Gap > 0.5*(1+math.Abs(loose.Objective))+1e-9 {
-			t.Errorf("RelGap stop with Gap %g above tolerance", loose.Gap)
-		}
-		if loose.Bound < exact.Objective-1e-9 {
-			t.Errorf("early-stop Bound %.12g below true optimum %.12g", loose.Bound, exact.Objective)
-		}
-	default:
-		t.Fatalf("RelGap run status %v", loose.Status)
+	if early.Status != Feasible {
+		t.Fatalf("capped run status %v, want feasible", early.Status)
 	}
-	if loose.Objective > exact.Objective+1e-9 {
-		t.Errorf("early incumbent %.12g above optimum %.12g", loose.Objective, exact.Objective)
+	if early.Bound < exact.Objective-1e-9 {
+		t.Errorf("early-stop Bound %.12g below true optimum %.12g", early.Bound, exact.Objective)
+	}
+	if early.Objective > exact.Objective+1e-9 {
+		t.Errorf("early incumbent %.12g above optimum %.12g", early.Objective, exact.Objective)
+	}
+	if want := math.Max(0, early.Bound-early.Objective); math.Float64bits(early.Gap) != math.Float64bits(want) {
+		t.Errorf("early-stop Gap %.17g, want Bound - Objective = %.17g", early.Gap, want)
 	}
 }

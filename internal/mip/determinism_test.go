@@ -1,16 +1,17 @@
 package mip
 
-// Determinism tests for parallel branch-and-bound: the solver must return
-// bit-identical incumbents, and run the same search, at any Workers
-// setting. These tests are meant
-// to run under the race detector (scripts/verify.sh runs
-// `go test -race ./internal/mip`), where goroutine schedules are
-// perturbed enough to expose order-dependent incumbent selection.
+// Determinism tests: a solve repeats itself bit for bit — its solution,
+// node count, solve and probe counters and dual bound — when it runs again
+// on a caller-owned lp.Workspace that has already solved other problems.
+// The incremental engine relies on that when it reuses one workspace
+// across its re-solves.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/lp"
 	"repro/internal/rng"
 )
 
@@ -46,118 +47,92 @@ func sameSolution(a, b *Result) bool {
 	return true
 }
 
-// TestDeterministicAcrossWorkers: identical Status, Objective and X at
-// Workers = 1, 4 and 8 on a batch of seeded knapsacks.
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	for trial := 0; trial < 6; trial++ {
-		prob := detKnapsack(trial)
-		var base *Result
-		for _, workers := range []int{1, 4, 8} {
-			res, err := Solve(prob, Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
-			}
-			if res.Status != Optimal {
-				t.Fatalf("trial %d workers=%d: status %v", trial, workers, res.Status)
-			}
-			if base == nil {
-				base = res
-				continue
-			}
-			if !sameSolution(base, res) {
-				t.Errorf("trial %d: workers=%d solution differs from workers=1:\nobj %.17g vs %.17g\nX    %v\nvs   %v",
-					trial, workers, base.Objective, res.Objective, base.X, res.X)
-			}
-		}
-	}
+// sameSearch reports whether two results are the same search: the same
+// solution, node count, solve and probe counters and dual bound.
+func sameSearch(a, b *Result) bool {
+	return sameSolution(a, b) && a.Nodes == b.Nodes &&
+		a.WarmSolves == b.WarmSolves && a.ColdSolves == b.ColdSolves &&
+		a.InheritFallbacks == b.InheritFallbacks && a.StrongBranches == b.StrongBranches &&
+		math.Float64bits(a.Bound) == math.Float64bits(b.Bound)
 }
 
-// TestSameSearchAtAnyWorkers: Workers > 1 only computes node expansions
-// ahead of the search, so the search itself — its node count, its solve
-// and probe counters, its dual bound and its incumbent — is the one
-// Workers = 1 runs, with or without a node cap.
+// usedWorkspace returns a caller-owned workspace that has already solved
+// a problem of another shape.
+func usedWorkspace(t *testing.T) *lp.Workspace {
+	t.Helper()
+	ws := lp.NewWorkspace()
+	if _, err := Solve(warmKnapsack(5), Options{Workspace: ws}); err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// checkRepeat solves prob with opts, then again on ws, and fails unless
+// the two runs are the same search. It returns the first run's result.
+func checkRepeat(t *testing.T, label string, prob *Problem, opts Options, ws *lp.Workspace) *Result {
+	t.Helper()
+	fresh, err := Solve(prob, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	opts.Workspace = ws
+	again, err := Solve(prob, opts)
+	if err != nil {
+		t.Fatalf("%s on a used workspace: %v", label, err)
+	}
+	if !sameSearch(fresh, again) {
+		t.Errorf("%s: a used workspace ran another search: %v obj %.17g, %d nodes, %d/%d/%d warm/cold/fallback, %d probes, bound %.17g; fresh %v obj %.17g, %d nodes, %d/%d/%d, %d probes, bound %.17g",
+			label, again.Status, again.Objective, again.Nodes, again.WarmSolves, again.ColdSolves, again.InheritFallbacks, again.StrongBranches, again.Bound,
+			fresh.Status, fresh.Objective, fresh.Nodes, fresh.WarmSolves, fresh.ColdSolves, fresh.InheritFallbacks, fresh.StrongBranches, fresh.Bound)
+	}
+	return fresh
+}
+
+// roundDown is a rounding hook that keeps only the variables the
+// relaxation already sets near 1, so the capacity row stays feasible.
+func roundDown(x []float64) ([]float64, bool) {
+	fixed := make([]float64, len(x))
+	for i, v := range x {
+		if v > 0.99 {
+			fixed[i] = 1
+		}
+	}
+	return fixed, true
+}
+
+// TestSameSearchAtAnyWorkers: Options.Workers is ignored, so what remains
+// is the serial search's promise — a solve on a used workspace is the
+// fresh solve's search, with or without a node cap. Uncapped, every trial
+// proves optimality.
 func TestSameSearchAtAnyWorkers(t *testing.T) {
+	ws := usedWorkspace(t)
 	for trial := 0; trial < 6; trial++ {
 		prob := detKnapsack(trial)
 		for _, maxNodes := range []int{0, 7, 30} {
-			var base *Result
-			for _, workers := range []int{1, 2, 4} {
-				res, err := Solve(prob, Options{Workers: workers, MaxNodes: maxNodes})
-				if err != nil {
-					t.Fatalf("trial %d cap %d workers=%d: %v", trial, maxNodes, workers, err)
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if !sameSolution(base, res) || res.Nodes != base.Nodes ||
-					res.WarmSolves != base.WarmSolves || res.ColdSolves != base.ColdSolves ||
-					res.InheritFallbacks != base.InheritFallbacks || res.StrongBranches != base.StrongBranches ||
-					math.Float64bits(res.Bound) != math.Float64bits(base.Bound) {
-					t.Errorf("trial %d cap %d: workers=%d ran another search: %v obj %.17g, %d nodes, %d/%d/%d warm/cold/fallback, %d probes, bound %.17g; workers=1 %v obj %.17g, %d nodes, %d/%d/%d, %d probes, bound %.17g",
-						trial, maxNodes, workers, res.Status, res.Objective, res.Nodes, res.WarmSolves, res.ColdSolves, res.InheritFallbacks, res.StrongBranches, res.Bound,
-						base.Status, base.Objective, base.Nodes, base.WarmSolves, base.ColdSolves, base.InheritFallbacks, base.StrongBranches, base.Bound)
-				}
+			res := checkRepeat(t, fmt.Sprintf("trial %d cap %d", trial, maxNodes), prob, Options{MaxNodes: maxNodes}, ws)
+			if maxNodes == 0 && res.Status != Optimal {
+				t.Fatalf("trial %d: status %v", trial, res.Status)
 			}
 		}
 	}
 }
 
-// TestDeterministicWithRoundingHook: the depth-based heuristic trigger
-// must keep incumbent selection deterministic under parallelism too.
+// TestDeterministicWithRoundingHook: with the rounding hook on warm node
+// solves, the search repeats on a used workspace and proves optimality.
 func TestDeterministicWithRoundingHook(t *testing.T) {
-	prob := detKnapsack(100)
-	hook := func(x []float64) ([]float64, bool) {
-		fixed := make([]float64, len(x))
-		for i, v := range x {
-			if v > 0.99 { // conservative rounding keeps the capacity row feasible
-				fixed[i] = 1
-			}
-		}
-		return fixed, true
-	}
-	var base *Result
-	for _, workers := range []int{1, 4, 8} {
-		res, err := Solve(prob, Options{Workers: workers, Rounding: hook})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != Optimal {
-			t.Fatalf("workers=%d: status %v", workers, res.Status)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if !sameSolution(base, res) {
-			t.Errorf("workers=%d solution differs:\nobj %.17g vs %.17g", workers, base.Objective, res.Objective)
-		}
+	res := checkRepeat(t, "hook", detKnapsack(100), Options{Rounding: roundDown}, usedWorkspace(t))
+	if res.Status != Optimal {
+		t.Fatalf("status %v", res.Status)
 	}
 }
 
-// TestWorkspaceReuseAcrossWorkers: every worker goroutine reuses one
-// private lp.Workspace across all its node solves, so this test — meant to
-// run under the race detector like the rest of this file — exercises the
-// aliasing-heavy workspace paths at Workers = 1, 4 and 8: the default
-// basis-publishing chain, the cold basis-free path under DisableWarmStart
-// (whose Solutions alias workspace buffers) and the rounding hook on top
-// of it, called concurrently with such an aliased x. Solutions must be
-// bit-identical to serial at every worker count. Node counts ARE pinned at
-// Workers = 1 — a serial search is fully schedule-determined, so two runs
-// must visit exactly the same tree — while at higher worker counts only
-// the incumbent is asserted (a parallel worker may legitimately dequeue a
-// node that an in-flight incumbent would have pruned, so Nodes is
-// scheduling-dependent even though the incumbent is not).
+// TestWorkspaceReuseAcrossWorkers: the same promise on the workspace's
+// aliasing-heavy paths — the default basis-publishing chain, the cold
+// basis-free path under DisableWarmStart (whose Solutions alias workspace
+// buffers) and the rounding hook on top of it, called with such an
+// aliased x — capped and uncapped.
 func TestWorkspaceReuseAcrossWorkers(t *testing.T) {
-	hook := func(x []float64) ([]float64, bool) {
-		fixed := make([]float64, len(x))
-		for i, v := range x {
-			if v > 0.99 {
-				fixed[i] = 1
-			}
-		}
-		return fixed, true
-	}
+	ws := usedWorkspace(t)
 	for trial := 0; trial < 3; trial++ {
 		prob := detKnapsack(300 + trial)
 		for _, mode := range []struct {
@@ -166,41 +141,14 @@ func TestWorkspaceReuseAcrossWorkers(t *testing.T) {
 		}{
 			{"warm", Options{}},
 			{"cold", Options{DisableWarmStart: true}},
-			{"cold+hook", Options{DisableWarmStart: true, Rounding: hook}},
+			{"cold+hook", Options{DisableWarmStart: true, Rounding: roundDown}},
 		} {
-			var base *Result
-			for _, workers := range []int{1, 4, 8} {
+			for _, maxNodes := range []int{0, 7} {
 				opts := mode.opts
-				opts.Workers = workers
-				res, err := Solve(prob, opts)
-				if err != nil {
-					t.Fatalf("trial %d %s workers=%d: %v", trial, mode.name, workers, err)
-				}
-				if res.Status != Optimal {
-					t.Fatalf("trial %d %s workers=%d: status %v", trial, mode.name, workers, res.Status)
-				}
-				if workers == 1 {
-					// Serial reruns must retrace the identical tree.
-					again, err := Solve(prob, opts)
-					if err != nil {
-						t.Fatalf("trial %d %s workers=1 rerun: %v", trial, mode.name, err)
-					}
-					if again.Nodes != res.Nodes {
-						t.Errorf("trial %d %s: workers=1 node count not reproducible: %d vs %d",
-							trial, mode.name, res.Nodes, again.Nodes)
-					}
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if math.Float64bits(base.Objective) != math.Float64bits(res.Objective) {
-					t.Errorf("trial %d %s: workers=%d incumbent objective %.17g differs from workers=1 %.17g",
-						trial, mode.name, workers, res.Objective, base.Objective)
-				}
-				if !sameSolution(base, res) {
-					t.Errorf("trial %d %s: workers=%d solution differs from workers=1:\nobj %.17g vs %.17g",
-						trial, mode.name, workers, base.Objective, res.Objective)
+				opts.MaxNodes = maxNodes
+				res := checkRepeat(t, fmt.Sprintf("trial %d %s cap %d", trial, mode.name, maxNodes), prob, opts, ws)
+				if maxNodes == 0 && res.Status != Optimal {
+					t.Fatalf("trial %d %s: status %v", trial, mode.name, res.Status)
 				}
 			}
 		}
@@ -238,41 +186,24 @@ func TestWarmStartAccounting(t *testing.T) {
 	}
 }
 
-// TestDeterministicBranchAndCutModes: the search machinery — reliability
-// branching (whose pseudo-cost observations live on
-// node-local immutable chains precisely so that worker scheduling cannot
-// perturb them) and plunging node order — must keep incumbents
-// bit-identical at Workers = 1, 4 and 8, with warm or cold node solves.
+// TestDeterministicBranchAndCutModes: reliability branching (whose
+// pseudo-cost observations live on node-local immutable chains) and
+// plunging repeat on a used workspace and prove optimality, with warm or
+// cold node solves.
 func TestDeterministicBranchAndCutModes(t *testing.T) {
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"default", Options{}},
-		{"cold", Options{DisableWarmStart: true}},
-	}
+	ws := usedWorkspace(t)
 	for trial := 0; trial < 4; trial++ {
 		prob := detKnapsack(400 + trial)
-		for _, mode := range modes {
-			var base *Result
-			for _, workers := range []int{1, 4, 8} {
-				opts := mode.opts
-				opts.Workers = workers
-				res, err := Solve(prob, opts)
-				if err != nil {
-					t.Fatalf("trial %d %s workers=%d: %v", trial, mode.name, workers, err)
-				}
-				if res.Status != Optimal {
-					t.Fatalf("trial %d %s workers=%d: status %v", trial, mode.name, workers, res.Status)
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if !sameSolution(base, res) {
-					t.Errorf("trial %d %s: workers=%d solution differs from workers=1:\nobj %.17g vs %.17g\nX    %v\nvs   %v",
-						trial, mode.name, workers, base.Objective, res.Objective, base.X, res.X)
-				}
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{
+			{"default", Options{}},
+			{"cold", Options{DisableWarmStart: true}},
+		} {
+			res := checkRepeat(t, fmt.Sprintf("trial %d %s", trial, mode.name), prob, mode.opts, ws)
+			if res.Status != Optimal {
+				t.Fatalf("trial %d %s: status %v", trial, mode.name, res.Status)
 			}
 		}
 	}

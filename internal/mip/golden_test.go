@@ -1,6 +1,6 @@
 package mip
 
-// Golden pins for the search: the Workers=1 node count, status and
+// Golden pins for the search: the node count, status and
 // objective of a default-options solve of every search corpus
 // instance (branchcut_test.go). Node counts are deterministic, so they
 // are pinned exactly; objectives within
@@ -46,7 +46,7 @@ func TestGoldenNodeCounts(t *testing.T) {
 	const instances = 240
 	got := make([]searchPin, instances)
 	for i := range got {
-		res, err := Solve(corpusProblem(i), Options{Workers: 1})
+		res, err := Solve(corpusProblem(i), Options{})
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}

@@ -15,9 +15,7 @@
 //     stronger child of the node it just solved, to a bounded depth,
 //     before it returns to the best-bound queue.
 //
-// Node relaxations may be solved in parallel (Options.Workers): helper
-// goroutines solve and branch queued nodes ahead of the search, which
-// applies their work in its own order, so the search is the serial one.
+// Every node is solved on the calling goroutine, one at a time.
 //
 // The solver maximises. Integer variables are branched by tightening their
 // bounds (x <= floor(v) becomes hi = floor(v), x >= ceil(v) becomes
@@ -35,11 +33,11 @@
 // under the child's data) the node falls back to a cold Phase-1 solve. Set
 // Options.DisableWarmStart to benchmark the cold path.
 //
-// The search is deterministic at any Options.Workers setting: it takes,
-// prunes and counts nodes in the same order as a serial search, and
+// The search is deterministic: without a Deadline, the nodes it takes,
+// prunes and counts depend only on the problem and the options, and
 // candidates with equal objectives (within an internal tolerance) are
-// tie-broken by their position in the search tree, so the reported X, the
-// node count and every counter do not depend on goroutine scheduling.
+// tie-broken by their position in the search tree, so two solves of one
+// problem report the same X, node count and counters.
 package mip
 
 import (
@@ -101,28 +99,13 @@ func (s Status) String() string {
 
 // Options tunes the search (see the package comment; no option changes
 // its branching rule or node order). The zero value uses defaults:
-// serial search, no deadline, node limit 1<<20.
+// no deadline, node limit 1<<20.
 type Options struct {
 	Deadline time.Time // wall-clock limit (zero: none)
 	MaxNodes int       // node budget (0: default 1<<20)
 
-	// RelGap, when positive, terminates the search early once
-	// (Bound - incumbent) <= RelGap * max(1, |incumbent|): the
-	// incumbent is then reported as Feasible with Result.Gap recording the
-	// proven relative gap. Zero keeps the absolute 1e-6 criterion.
-	RelGap float64
-
-	// Workers is the number of goroutines solving node relaxations
-	// (<=1: serial). The search runs on the calling goroutine; Workers-1
-	// helpers solve and branch queued nodes ahead of it, newest first, and
-	// the search applies that work when it reaches the node — or drops it
-	// when the node is pruned by then. Each goroutine owns a private
-	// lp.Workspace for the lifetime of the search and reuses it across
-	// every node it solves, so node relaxations run with zero steady-state
-	// solver allocations; the Basis snapshots nodes carry are independent
-	// copy-outs, safe to adopt on any goroutine. Without a Deadline the
-	// search, and so every Result field but Elapsed, is the same at any
-	// Workers setting.
+	// Workers is ignored: the search solves every node on the calling
+	// goroutine. It remains so that callers setting it still build.
 	Workers int
 
 	Rounding RoundingHook // optional primal heuristic, see RoundingHook
@@ -145,9 +128,8 @@ type Options struct {
 	ExportWarm bool
 
 	// Workspace, when non-nil, is the caller-owned lp.Workspace the search
-	// runs on (helpers own private ones), letting consecutive re-solves
-	// reuse one workspace's buffers. The caller must not use it
-	// concurrently with Solve.
+	// runs on, letting consecutive re-solves reuse one workspace's buffers.
+	// The caller must not use it concurrently with Solve.
 	Workspace *lp.Workspace
 }
 
@@ -161,11 +143,8 @@ type Options struct {
 // solver computes its objective itself. The solver keeps its own copy of an
 // accepted candidate.
 //
-// With Workers > 1 the hook is called from the helper goroutines too, so
-// concurrent calls must not share scratch, and it may be called at nodes
-// the search then prunes. x may alias the calling goroutine's solver
-// workspace: it is valid for the duration of the call only and must be
-// copied if retained.
+// x may alias the solver's workspace: it is valid for the duration of the
+// call only and must be copied if retained.
 type RoundingHook func(x []float64) (candidate []float64, ok bool)
 
 // Result is the outcome of a solve.
@@ -233,8 +212,7 @@ type fixChain struct {
 // dir (0 = down, 1 = up) degraded the relaxation objective by delta per
 // unit of bound movement. Observations form an immutable chain inherited
 // parent→child exactly like fixChain, so a node's pseudo-cost estimates
-// depend only on its ancestry, so a helper can branch a node ahead of the
-// search with the estimates the search would use.
+// depend only on its ancestry, never on the order nodes are taken in.
 //
 //lint:frozen nodes share chain tails across the whole search tree
 type pcObs struct {
@@ -268,11 +246,6 @@ type node struct {
 	brVar  int
 	brDir  int8
 	brDist float64
-
-	// claimed marks a node the search or a helper has taken (guarded by
-	// searcher.mu); exp is its expansion when a helper took it.
-	claimed bool
-	exp     *expansion
 }
 
 // nodeQueue is a heap of open nodes, highest bound first.

@@ -121,35 +121,6 @@ func TestKnapsackRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	src := rng.New(13, "par")
-	n := 14
-	values := make([]float64, n)
-	weights := make([]float64, n)
-	var total float64
-	for i := range values {
-		values[i] = src.Uniform(1, 100)
-		weights[i] = src.Uniform(1, 50)
-		total += weights[i]
-	}
-	capacity := total * 0.45
-	prob := knapsackProblem(values, weights, capacity)
-	serial, err := Solve(prob, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Solve(prob, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Status != Optimal || parallel.Status != Optimal {
-		t.Fatalf("statuses: %v, %v", serial.Status, parallel.Status)
-	}
-	if math.Abs(serial.Objective-parallel.Objective) > 1e-6 {
-		t.Errorf("serial %g != parallel %g", serial.Objective, parallel.Objective)
-	}
-}
-
 func TestInfeasibleMIP(t *testing.T) {
 	p := lp.NewProblem(1)
 	p.SetObjCoef(0, 1)

@@ -3,9 +3,9 @@ package mip
 // Pseudo-cost / reliability branching, the search's branching rule. A node's
 // pseudo-cost estimates come exclusively from its own ancestry — the
 // immutable pcObs chain inherited parent→child plus the strong-branching
-// probes run at the node itself — never from a shared store, so the shape
-// of the search tree is a function of the tree alone and incumbents stay
-// bit-identical at any Options.Workers setting.
+// probes run at the node itself — never from a shared store, so a node's
+// branching decision depends only on its ancestry, not on the order nodes
+// are taken in.
 //
 // Reliability rule: a candidate whose up or down direction has no
 // observation yet is "unreliable"; the most fractional unreliable
@@ -61,7 +61,7 @@ type pcCand struct {
 	tried      bool // already selected for probing this node
 }
 
-// branchScratch is one worker's private selection scratch: per-variable
+// branchScratch is the search's selection scratch: per-variable
 // accumulators written by walking the node's observation chain and zeroed
 // by walking it again (O(depth), no O(nVars) clear per node), plus the
 // reusable candidate list.
@@ -71,7 +71,7 @@ type branchScratch struct {
 	cands        []pcCand
 }
 
-// newBranchScratch sizes a worker's scratch for an nVars-variable problem.
+// newBranchScratch sizes the scratch for an nVars-variable problem.
 func newBranchScratch(nVars int) *branchScratch {
 	return &branchScratch{
 		dnSum: make([]float64, nVars),
@@ -83,10 +83,10 @@ func newBranchScratch(nVars int) *branchScratch {
 
 // selectBranch picks the branching variable for a node whose relaxation
 // solved to sol. basis is the node's own optimal basis (nil disables
-// probing: probes need a dual-feasible warm start). The worker's scratch
-// arrays are dirty only between the two chain walks inside this call.
+// probing: probes need a dual-feasible warm start). The scratch arrays are
+// dirty only between the two chain walks inside this call.
 //
-//lint:hotpath=bounded candidate collection reuses worker scratch; probes allocate one extra overlay per probing node
+//lint:hotpath=bounded candidate collection reuses the search's scratch; probes allocate one extra overlay per probing node
 func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr *branchScratch, ws *lp.Workspace) branchPick {
 	// Fractional candidates, in Integers order (deterministic).
 	cands := scr.cands[:0]
@@ -272,7 +272,7 @@ func (s *searcher) selectBranch(nd *node, sol *lp.Solution, basis *lp.Basis, scr
 // survive the call. dualFeas reports that obj is a valid upper bound on
 // the probed subtree (Optimal, or truncated inside the dual phase).
 //
-//lint:hotpath=bounded the probe solve itself reuses the worker workspace; only scalars are copied out
+//lint:hotpath=bounded the probe solve itself reuses the search's workspace; only scalars are copied out
 func probeSolve(ws *lp.Workspace, pp *lp.Problem, basis *lp.Basis, opts lp.Options) (obj float64, status lp.Status, dualFeas bool) {
 	sol, err := ws.SolveFrom(pp, basis, opts)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/lp"
@@ -19,51 +18,28 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 1 << 20
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 
 	s := &searcher{
 		prob:      p,
 		opts:      opts,
 		incumbent: math.Inf(-1),
 	}
-	// Cross-solve warm state (incremental re-solves): graft the adapted
+	// Cross-solve warm state (incremental re-solves): graft the imported
 	// root basis and pseudo-cost chain onto the root node.
 	if opts.Warm != nil {
 		s.importWarm(opts.Warm)
 	}
-	s.cond = sync.NewCond(&s.mu)
 	heap.Push(&s.queue, &node{bound: math.Inf(1), brVar: -1, basis: s.rootFrom, pc: s.rootPC})
 
-	// The search runs on this goroutine; Workers-1 helpers expand queued
-	// nodes ahead of it (see speculate). Each owns a private lp.Workspace
-	// and branching scratch, reused across every node it solves: node
-	// solves hit zero steady-state solver allocations, and workspaces are
-	// never shared across goroutines (see Options.Workers).
-	var wg sync.WaitGroup
-	s.helpers = workers - 1
-	for w := 0; w < s.helpers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.speculate(lp.NewWorkspace(), newBranchScratch(s.prob.LP.NumVars()))
-		}()
-	}
+	// Every node solves on one lp.Workspace and one branching scratch,
+	// reused across the whole search, so node solves hit zero steady-state
+	// solver allocations.
 	ws := opts.Workspace
 	if ws == nil {
 		ws = lp.NewWorkspace()
 	}
-	s.run(ws, newBranchScratch(s.prob.LP.NumVars()))
-	s.mu.Lock()
-	s.finished = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	wg.Wait()
-
-	if s.err != nil {
-		return nil, s.err
+	if err := s.run(ws, newBranchScratch(p.LP.NumVars())); err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Nodes:            s.nodes,
@@ -112,15 +88,6 @@ type searcher struct {
 	rootFrom *lp.Basis
 	rootPC   *pcObs
 
-	// helpers is the number of speculate goroutines (Workers-1); ahead
-	// holds the queued nodes they may expand, newest last; finished tells
-	// them the search is over.
-	helpers  int
-	ahead    []*node
-	finished bool
-
-	mu               sync.Mutex
-	cond             *sync.Cond
 	queue            nodeQueue
 	incumbent        float64
 	incumbentX       []float64
@@ -133,21 +100,11 @@ type searcher struct {
 	inheritFallbacks int
 	strongBranches   int
 	stopped          bool
-	err              error
 }
 
-// openBound returns the best upper bound over the open nodes and the
-// incumbent; callers must not hold the mutex.
+// openBound returns the global dual bound: the best bound over the open
+// queue and the incumbent.
 func (s *searcher) openBound() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.openBoundLocked()
-}
-
-// openBoundLocked is openBound's locked core: the global dual bound over
-// the open queue and the incumbent. The search loop calls it only between
-// nodes, so no node is in flight.
-func (s *searcher) openBoundLocked() float64 {
 	b := s.incumbent
 	for _, nd := range s.queue.items {
 		if nd.bound > b {
@@ -157,26 +114,11 @@ func (s *searcher) openBoundLocked() float64 {
 	return b
 }
 
-// gapMetLocked reports whether the RelGap early-termination criterion
-// holds: an incumbent exists and the global dual bound (including extra,
-// the node the caller is about to process) is within the relative gap of
-// it. Caller holds the mutex.
-func (s *searcher) gapMetLocked(extra *node) bool {
-	if s.opts.RelGap <= 0 || math.IsInf(s.incumbent, -1) {
-		return false
-	}
-	db := s.openBoundLocked()
-	if extra != nil && extra.bound > db {
-		db = extra.bound
-	}
-	return db-s.incumbent <= s.opts.RelGap*math.Max(1, math.Abs(s.incumbent))
-}
-
-// admitLocked runs the node-budget and deadline gates for a node about to
-// be processed and, when admitted, counts it.
+// admit runs the node-budget and deadline gates for a node about to be
+// processed and, when admitted, counts it.
 // It returns false — with nd pushed back on the queue for bound reporting
-// and the search stopped — when a limit struck. Caller holds the mutex.
-func (s *searcher) admitLocked(nd *node) bool {
+// and the search stopped — when a limit struck.
+func (s *searcher) admit(nd *node) bool {
 	if s.nodes >= s.opts.MaxNodes {
 		heap.Push(&s.queue, nd)
 		s.stopped = true
@@ -188,49 +130,31 @@ func (s *searcher) admitLocked(nd *node) bool {
 		s.stopped = true
 		return false
 	}
-	if s.gapMetLocked(nd) {
-		heap.Push(&s.queue, nd)
-		s.stopped = true
-		return false
-	}
 	s.nodes++
 	return true
 }
 
 // run is the search loop: it takes nodes in best-bound order, processes
-// them and plunges, the same sequence at any Workers setting. ws is its
-// solver workspace and scr its branching scratch; neither may be shared
-// with any other goroutine.
-func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
-	for {
-		s.mu.Lock()
-		if s.stopped || s.queue.Len() == 0 {
-			s.mu.Unlock()
-			return
-		}
+// them and plunges. ws is its solver workspace and scr its branching
+// scratch. It returns the first solve error, which ends the search.
+func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) error {
+	for !s.stopped && s.queue.Len() > 0 {
 		nd := heap.Pop(&s.queue).(*node)
 		if nd.bound <= s.incumbent+gapTol {
-			// Pruned by bound.
-			s.mu.Unlock()
-			continue
+			continue // pruned by bound
 		}
-		if !s.admitLocked(nd) {
-			s.mu.Unlock()
-			return
+		if !s.admit(nd) {
+			return nil
 		}
-		s.mu.Unlock()
 
 		// Process nd, then plunge: continue directly with one of its
 		// children instead of going back through the global queue. The
 		// search dives down one path (bounded depth), keeping the parent's
 		// basis hot in its workspace.
 		for depth := 0; nd != nil; depth++ {
-			children, fatal := s.process(nd, ws, scr)
-
-			s.mu.Lock()
-			if fatal != nil && s.err == nil {
-				s.err = fatal
-				s.stopped = true
+			children, err := s.process(nd, ws, scr)
+			if err != nil {
+				return err
 			}
 			var carry *node
 			if !s.stopped && depth < maxPlunge {
@@ -250,59 +174,24 @@ func (s *searcher) run(ws *lp.Workspace, scr *branchScratch) {
 			for _, c := range children {
 				if c != carry {
 					heap.Push(&s.queue, c)
-					if s.helpers > 0 {
-						s.ahead = append(s.ahead, c)
-					}
 				}
 			}
-			if carry != nil && !s.admitLocked(carry) {
+			if carry != nil && !s.admit(carry) {
 				carry = nil
 			}
 			nd = carry
-			s.cond.Broadcast()
-			s.mu.Unlock()
 		}
 	}
+	return nil
 }
 
-// expansion is what processing a node computes from the node alone,
-// never from the incumbent: its relaxation's solve and, when the node is
-// branched on, the branching decision and the rounding candidate. At
-// Workers > 1 helpers compute expansions ahead of the search (see
-// speculate); the search applies them, in its own order, exactly as it
-// applies the ones it computes itself.
-type expansion struct {
-	ns  nodeSolve
-	err error
-
-	// branched reports that pick and the hook fields are set: always on a
-	// helper's expansion, and on the search's own only when the node
-	// survived the pruning test after its solve.
-	branched bool
-	pick     branchPick
-	hookX    []float64 // the rounding candidate when hookOK
-	hookObj  float64
-	hookOK   bool
-
-	done bool // a helper finished it (guarded by searcher.mu)
-}
-
-// process applies one node's expansion — taken from a helper, or computed
-// on the search's workspace — and returns the child nodes.
-func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (children []*node, fatal error) {
-	var own expansion
-	e := s.claim(nd)
-	if e == nil {
-		e = &own
-		e.ns, e.err = s.solveNodeLP(nd, nd.basis, ws)
+// process solves one node's relaxation and, unless the solve prunes the
+// node or proves it integral, branches on it and returns its children.
+func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) ([]*node, error) {
+	sol, basis, err := s.solveNodeLP(nd, ws)
+	if err != nil {
+		return nil, err
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	if e.ns.counted {
-		s.countSolve(e.ns.warm, e.ns.rebuilt)
-	}
-	sol, basis := e.ns.sol, e.ns.basis
 	switch sol.Status {
 	case lp.Infeasible:
 		return nil, nil
@@ -312,9 +201,7 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		}
 		return nil, nil // cannot happen below a bounded root; drop defensively
 	case lp.TimeLimit, lp.IterLimit:
-		s.mu.Lock()
 		s.stopped = true
-		s.mu.Unlock()
 		return nil, nil
 	}
 
@@ -322,27 +209,24 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		// Root relaxation basis for WarmState export. Captured before the
 		// pruning gate so even a one-node search exports it; an independent
 		// copy-out, safe to hold past later solves.
-		s.mu.Lock()
 		s.rootBasis = basis
-		s.mu.Unlock()
 	}
-
-	s.mu.Lock()
-	pruned := sol.Objective <= s.incumbent+gapTol
-	s.mu.Unlock()
-	if pruned {
+	if sol.Objective <= s.incumbent+gapTol {
 		return nil, nil
 	}
 
-	if !e.branched {
-		s.branch(nd, e, scr, ws)
+	// The relaxation degraded by (parent bound - node objective) over a
+	// bound movement of brDist. The chain extension is node-local and
+	// immutable, so estimates depend only on ancestry (see pcObs).
+	if nd.brVar >= 0 && nd.brDist > intTol && !math.IsInf(nd.bound, 1) {
+		nd.pc = &pcObs{
+			v: nd.brVar, dir: nd.brDir,
+			delta: math.Max(0, nd.bound-sol.Objective) / nd.brDist,
+			prev:  nd.pc,
+		}
 	}
-	pick := e.pick
-	if pick.probes > 0 {
-		s.mu.Lock()
-		s.strongBranches += pick.probes
-		s.mu.Unlock()
-	}
+	pick := s.selectBranch(nd, sol, basis, scr, ws)
+	s.strongBranches += pick.probes
 	if pick.v == -1 {
 		// Integral: candidate incumbent.
 		s.offerIncumbent(sol.Objective, sol.X, nd.path, pick.pc)
@@ -354,10 +238,16 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 		return nil, nil
 	}
 
-	val := pick.val
-	bound := sol.Objective
-	if e.hookOK {
-		s.offerIncumbent(e.hookObj, e.hookX, nd.path+"h", pick.pc)
+	// Primal heuristic: at the root and periodically thereafter, the hook
+	// turns the fractional solution into a complete candidate, which is
+	// offered only if it lies in this node's relaxation and is integral.
+	// The trigger depends only on the node's depth.
+	if d := nd.depth; s.opts.Rounding != nil && (d == 0 || d%4 == 0) {
+		if x, ok := s.opts.Rounding(sol.X); ok {
+			if obj, ok := s.candidate(nd, x); ok {
+				s.offerIncumbent(obj, x, nd.path+"h", pick.pc)
+			}
+		}
 	}
 
 	// Children share the parent's immutable fix chain and prepend their one
@@ -366,7 +256,8 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	// tighten the child bounds (a truncated dual-feasible probe objective
 	// is a valid upper bound on its subtree) and drop probe-proven
 	// infeasible directions outright.
-	children = make([]*node, 0, 2)
+	val, bound := pick.val, sol.Objective
+	children := make([]*node, 0, 2)
 	if !pick.downInfeas {
 		children = append(children, &node{
 			fixes: &fixChain{f: fix{Var: pick.v, Sense: lp.LE, Val: math.Floor(val)}, prev: nd.fixes},
@@ -392,119 +283,11 @@ func (s *searcher) process(nd *node, ws *lp.Workspace, scr *branchScratch) (chil
 	return children, nil
 }
 
-// branch completes e past the node's solve: it records the pseudo-cost
-// observation of the branching step that created nd, picks the branching
-// variable and, at a fractional node the hook runs at, builds and checks
-// the rounding candidate.
-func (s *searcher) branch(nd *node, e *expansion, scr *branchScratch, ws *lp.Workspace) {
-	sol := e.ns.sol
-	// The relaxation degraded by (parent bound - node objective) over a
-	// bound movement of brDist. The chain extension is node-local and
-	// immutable, so estimates depend only on ancestry (see pcObs).
-	if nd.brVar >= 0 && nd.brDist > intTol && !math.IsInf(nd.bound, 1) {
-		nd.pc = &pcObs{
-			v: nd.brVar, dir: nd.brDir,
-			delta: math.Max(0, nd.bound-sol.Objective) / nd.brDist,
-			prev:  nd.pc,
-		}
-	}
-	e.pick = s.selectBranch(nd, sol, e.ns.basis, scr, ws)
-	e.branched = true
-	if e.pick.v == -1 || e.pick.downInfeas && e.pick.upInfeas {
-		return
-	}
-	// Primal heuristic: at the root and periodically thereafter, the hook
-	// turns the fractional solution into a complete candidate, which is
-	// offered only if it lies in this node's relaxation and is integral.
-	// The trigger depends only on the node's depth, so the set of
-	// candidates does not depend on the order nodes are taken in.
-	d := nd.depth
-	if s.opts.Rounding != nil && (d == 0 || d%4 == 0) {
-		if x, ok := s.opts.Rounding(sol.X); ok {
-			e.hookObj, e.hookOK = s.candidate(nd, x)
-			e.hookX = x
-		}
-	}
-}
-
-// claim hands the search nd's expansion when a helper took the node,
-// waiting for the helper to finish it; otherwise it marks the node taken,
-// so no helper starts on it, and returns nil.
-func (s *searcher) claim(nd *node) *expansion {
-	if s.helpers == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !nd.claimed {
-		nd.claimed = true
-		return nil
-	}
-	for !nd.exp.done {
-		s.cond.Wait()
-	}
-	return nd.exp
-}
-
-// speculate is a helper's loop at Workers > 1. It takes the newest queued
-// node no one has taken and the incumbent cannot prune yet, and expands it
-// on its own workspace ws and scratch scr: the node's solve, then branch,
-// whatever the incumbent. The search later applies the expansion as if it
-// had computed it, so the search — nodes, incumbents, counters — is the
-// one Workers = 1 runs. An expansion of a node the search then prunes is
-// wasted work, never a different result.
-func (s *searcher) speculate(ws *lp.Workspace, scr *branchScratch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.ahead) == 0 && !s.finished {
-			s.cond.Wait()
-		}
-		if s.finished {
-			return
-		}
-		nd := s.ahead[len(s.ahead)-1]
-		s.ahead = s.ahead[:len(s.ahead)-1]
-		// The incumbent only rises, so a node it prunes now is pruned when
-		// the search reaches it.
-		if nd.claimed || nd.bound <= s.incumbent+gapTol {
-			continue
-		}
-		e := &expansion{}
-		nd.claimed, nd.exp = true, e
-		s.mu.Unlock()
-		s.expand(nd, e, ws, scr)
-		s.mu.Lock()
-		e.done = true
-		s.cond.Broadcast()
-	}
-}
-
-// expand fills e for nd on a helper: the node's solve and, when it is
-// optimal, branch.
-func (s *searcher) expand(nd *node, e *expansion, ws *lp.Workspace, scr *branchScratch) {
-	e.ns, e.err = s.solveNodeLP(nd, nd.basis, ws)
-	if e.err != nil {
-		return
-	}
-	if s.opts.DisableWarmStart {
-		// The basis-free solve aliases ws, which this helper solves on
-		// again before the search reads the solution.
-		sol := *e.ns.sol
-		sol.X = append([]float64(nil), sol.X...)
-		e.ns.sol = &sol
-	}
-	if e.ns.sol.Status == lp.Optimal {
-		s.branch(nd, e, scr, ws)
-	}
-}
-
 // nodeProblem derives the node relaxation as a copy-free overlay of the
 // immutable base LP: branching decisions become tightened variable
 // bounds. It returns ok=false when a replayed box is empty — infeasibility
 // proven without invoking the solver. The base LP is never mutated during
-// the search, which is what makes concurrent overlays by parallel workers
-// safe.
+// the search.
 //
 //lint:hotpath=bounded one node derivation allocates the overlay and its copy-on-write bounds
 func (s *searcher) nodeProblem(nd *node) (*lp.Problem, bool) {
@@ -524,73 +307,51 @@ func (s *searcher) nodeProblem(nd *node) (*lp.Problem, bool) {
 	return p, true
 }
 
-// nodeSolve is one node relaxation's solve: the solution, the basis the
-// node's children warm-start from, and how countSolve tallies it (counted
-// is false when nodeProblem proved the box empty without a solve).
-type nodeSolve struct {
-	sol     *lp.Solution
-	basis   *lp.Basis
-	counted bool
-	warm    bool
-	rebuilt bool
-}
-
-// solveNodeLP derives the node relaxation via nodeProblem and solves it.
+// solveNodeLP derives the node relaxation via nodeProblem, solves it and
+// tallies the solve as warm or cold, and warm solves that had to
+// refactorise because the parent snapshot could not be adopted as inherit
+// fallbacks. A box nodeProblem proves empty is not a solve and counts in
+// neither; strong-branching probes keep their own counter, so
+// WarmSolves+ColdSolves stays equal to Nodes.
 //
-// When warm starts are enabled and a parent basis is available, the node
-// is re-optimised with the dual simplex via ws.SolveBasisFrom; a failed
-// warm start (invalid or singular basis) falls back to a cold Phase-1
-// solve. The returned basis warm-starts this node's children (nil after a
-// basis-free solve or when the relaxation was not solved to optimality).
+// When warm starts are enabled and the node carries a parent basis, the
+// node is re-optimised with the dual simplex via ws.SolveBasisFrom; a
+// failed warm start (invalid or singular basis) falls back to a cold
+// Phase-1 solve. The returned basis warm-starts this node's children (nil
+// after a basis-free solve).
 //
-// Every solve runs on ws, the calling goroutine's private workspace. The
-// basis-publishing paths return independent Solutions, safe to hold across
-// later solves; the basis-free cold solve of DisableWarmStart returns a
-// Solution aliasing ws buffers, valid only until the next solve on ws.
+// The basis-publishing paths return independent Solutions, safe to hold
+// across later solves; the basis-free cold solve of DisableWarmStart
+// returns a Solution aliasing ws buffers, valid only until the next solve
+// on ws.
 //
 //lint:hotpath=bounded one node relaxation allocates an overlay plus the published basis; solver scratch comes from the caller's workspace
-func (s *searcher) solveNodeLP(nd *node, from *lp.Basis, ws *lp.Workspace) (nodeSolve, error) {
+func (s *searcher) solveNodeLP(nd *node, ws *lp.Workspace) (*lp.Solution, *lp.Basis, error) {
 	p, ok := s.nodeProblem(nd)
 	if !ok {
-		return nodeSolve{sol: &lp.Solution{Status: lp.Infeasible}}, nil
+		return &lp.Solution{Status: lp.Infeasible}, nil, nil
 	}
 	lpOpts := lp.Options{Deadline: s.opts.Deadline}
 
 	// Under DisableWarmStart children inherit from no solve, so the cold
 	// solve publishes no basis.
 	if s.opts.DisableWarmStart {
+		s.coldSolves++
 		sol, err := ws.Solve(p, lpOpts)
-		return nodeSolve{sol: sol, counted: true}, err
+		return sol, nil, err
 	}
-	if from != nil {
-		if sol, basis, err := ws.SolveBasisFrom(p, from, lpOpts); err == nil {
-			return nodeSolve{sol: sol, basis: basis, counted: true, warm: true, rebuilt: sol.FactorRebuilt}, nil
+	if nd.basis != nil {
+		if sol, basis, err := ws.SolveBasisFrom(p, nd.basis, lpOpts); err == nil {
+			s.warmSolves++
+			if sol.FactorRebuilt {
+				s.inheritFallbacks++
+			}
+			return sol, basis, nil
 		}
 		// Warm start failed; fall through to a cold solve.
 	}
-	sol, basis, err := ws.SolveBasis(p, lpOpts)
-	if err != nil {
-		return nodeSolve{}, err
-	}
-	return nodeSolve{sol: sol, basis: basis, counted: true}, nil
-}
-
-// countSolve tallies warm vs cold relaxation solves and inherit fallbacks
-// (warm starts that had to refactorise because the parent snapshot could
-// not be adopted) for Result reporting, as the search applies each node's
-// solve; strong-branching probes keep their own counter, so
-// WarmSolves+ColdSolves stays equal to Nodes.
-func (s *searcher) countSolve(warm, inheritFallback bool) {
-	s.mu.Lock()
-	if warm {
-		s.warmSolves++
-		if inheritFallback {
-			s.inheritFallbacks++
-		}
-	} else {
-		s.coldSolves++
-	}
-	s.mu.Unlock()
+	s.coldSolves++
+	return ws.SolveBasis(p, lpOpts)
 }
 
 // candTol is the relative tolerance within which a rounding-hook
@@ -680,13 +441,10 @@ const incumbentTieTol = 1e-9
 
 // offerIncumbent installs (obj, x) as the incumbent if it improves, or if
 // it ties the current incumbent (within incumbentTieTol) and comes from a
-// lexicographically earlier tree path. Only the search offers, in its own
-// order, so the winner is the same at any Workers setting. pc is the
-// offering node's pseudo-cost chain; the winning candidate's chain is what
-// ExportWarm hands to the next solve.
+// lexicographically earlier tree path. pc is the offering node's
+// pseudo-cost chain; the winning candidate's chain is what ExportWarm
+// hands to the next solve.
 func (s *searcher) offerIncumbent(obj float64, x []float64, path string, pc *pcObs) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	better := obj > s.incumbent+incumbentTieTol
 	tied := !better && obj > s.incumbent-incumbentTieTol &&
 		s.incumbentX != nil && path < s.incumbentPath

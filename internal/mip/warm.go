@@ -25,42 +25,33 @@ type WarmObs struct {
 // inside one tree. Produced by Options.ExportWarm (Result.Warm), consumed
 // by Options.Warm. The contract importers must keep:
 //
-//   - The consuming problem's first min(RootBasis.NumRows(), current rows)
-//     rows are the producing problem's rows, possibly with edited
-//     right-hand sides, appended terms or changed variable bounds, and
-//     never reordered. Variables may have been appended (never removed —
-//     deactivate by boxing to [0,0] instead), so column indices stay
-//     stable.
+//   - The consuming problem's first RootBasis.NumRows() rows are the
+//     producing problem's rows, possibly with edited right-hand sides,
+//     appended terms or changed variable bounds, and never reordered.
+//     Rows and variables may have been appended (never removed —
+//     deactivate a variable by boxing it to [0,0] instead), so row and
+//     column indices stay stable.
 //   - Obs indices refer to consuming-problem variables (stable under the
 //     append-only rule above).
 //
-// RootBasis is the producing root relaxation's optimal basis; Solve adapts
-// it to the consuming row count with lp.Basis.AdaptRows and falls back to
-// a cold root solve when it is not adoptable. A zero WarmState imports as
-// a no-op. WarmState is read-only to the solver: the same value may be
-// imported by several Solves.
+// RootBasis is the producing root relaxation's optimal basis. The root
+// solve warm-starts from it, and rows appended since the export start with
+// their own logical basic (see lp.SolveFrom); a basis over more rows or
+// variables than the consuming problem has is dropped, and the root solves
+// cold, as it does when the basis is not adoptable. A zero WarmState
+// imports as a no-op. WarmState is read-only to the solver: the same value
+// may be imported by several Solves.
 type WarmState struct {
 	RootBasis *lp.Basis
 	Obs       []WarmObs
 }
 
 // importWarm installs w into the searcher before the search: the root
-// basis is adapted to the current row layout and the observations are
-// rebuilt into the root node's pseudo-cost chain.
+// basis, when it fits the problem, and the observations, rebuilt into the
+// root node's pseudo-cost chain.
 func (s *searcher) importWarm(w *WarmState) {
-	if w.RootBasis != nil && w.RootBasis.NumVars() <= s.prob.LP.NumVars() {
-		// The producer's rows are the consumer's leading rows; rows the
-		// consumer no longer has are dropped, rows it appended since start
-		// with their own logical basic.
-		rows := s.prob.LP.NumConstraints()
-		rowMap := make([]int, w.RootBasis.NumRows())
-		for i := range rowMap {
-			rowMap[i] = i
-			if i >= rows {
-				rowMap[i] = -1
-			}
-		}
-		s.rootFrom = w.RootBasis.AdaptRows(rowMap, rows)
+	if b := w.RootBasis; b != nil && b.NumVars() <= s.prob.LP.NumVars() && b.NumRows() <= s.prob.LP.NumConstraints() {
+		s.rootFrom = b
 	}
 	// Obs is oldest-first; the chain is newest-first, so a forward walk
 	// prepending each observation leaves the newest at the head.

@@ -97,7 +97,9 @@ func TestWarmRoundTripUnchanged(t *testing.T) {
 
 // Warm import over a sequence of problem mutations — RHS edits, column
 // deactivation, appended variables and rows — must match a cold solve on
-// every step, chaining each step's export into the next import.
+// every step, chaining each step's export into the next import. Every
+// step's root adopts the imported basis; the step that appends rows
+// refactorises it.
 func TestWarmAcrossMutations(t *testing.T) {
 	p := warmKnapsack(3)
 	capRow := p.LP.NumConstraints() - 1
@@ -106,8 +108,15 @@ func TestWarmAcrossMutations(t *testing.T) {
 
 	step := func(name string, mutate func()) {
 		t.Helper()
+		rows := p.LP.NumConstraints()
 		mutate()
 		warmRes := solveMIP(t, p, Options{Warm: warm, ExportWarm: true})
+		if warmRes.ColdSolves != 0 {
+			t.Errorf("%s: %d cold solves, want the root warm from the imported basis", name, warmRes.ColdSolves)
+		}
+		if p.LP.NumConstraints() > rows && warmRes.InheritFallbacks < 1 {
+			t.Errorf("%s: appended rows but no inherit fallback", name)
+		}
 		coldRes := solveMIP(t, &Problem{LP: p.LP.Clone(), Integers: p.Integers}, Options{})
 		if warmRes.Status != coldRes.Status {
 			t.Fatalf("%s: warm status %v, cold %v", name, warmRes.Status, coldRes.Status)
@@ -134,23 +143,17 @@ func TestWarmAcrossMutations(t *testing.T) {
 	})
 }
 
-// The warm path must stay deterministic across worker counts.
+// The warm path must stay deterministic: WarmState is read-only to the
+// solver, so importing one state twice, the second time on a used
+// workspace, runs the same search.
 func TestWarmDeterministicAcrossWorkers(t *testing.T) {
 	p := warmKnapsack(19)
 	first := solveMIP(t, p, Options{ExportWarm: true})
 	p.LP.SetRHS(p.LP.NumConstraints()-1, 14)
-	var base *Result
-	for _, workers := range []int{1, 4, 8} {
-		res := solveMIP(t, p, Options{Warm: first.Warm, Workers: workers})
-		if base == nil {
-			base = res
-		} else if !sameSolution(base, res) {
-			t.Fatalf("workers=%d diverged from workers=1", workers)
-		}
-	}
+	checkRepeat(t, "warm import", p, Options{Warm: first.Warm}, usedWorkspace(t))
 }
 
-// A caller-owned workspace (Workers <= 1) must not change the result.
+// A caller-owned workspace must not change the result.
 func TestWarmCallerWorkspace(t *testing.T) {
 	p := warmKnapsack(23)
 	ws := lp.NewWorkspace()
@@ -175,7 +178,7 @@ func TestWarmCallerWorkspace(t *testing.T) {
 func TestWarmNonAdoptableFallsBack(t *testing.T) {
 	p := warmKnapsack(29)
 	// Export from a copy with two extra rows: the basis names rows p does
-	// not have, so the adapted basis may be rejected.
+	// not have, so the import drops it and the root solves cold.
 	bigger := p.LP.Clone()
 	bigger.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 2, Coef: 1}}, lp.LE, 1)
 	bigger.AddConstraint([]lp.Term{{Var: 1, Coef: 1}, {Var: 3, Coef: 1}}, lp.LE, 1)
@@ -188,5 +191,8 @@ func TestWarmNonAdoptableFallsBack(t *testing.T) {
 	if warmRes.Status != Optimal || math.Abs(warmRes.Objective-cold.Objective) > 1e-9 {
 		t.Fatalf("stale warm state: status %v objective %g, want optimal %g",
 			warmRes.Status, warmRes.Objective, cold.Objective)
+	}
+	if warmRes.ColdSolves < 1 {
+		t.Error("stale warm state: the root did not solve cold")
 	}
 }

@@ -1,6 +1,6 @@
 package model
 
-// Golden pins for exact solves of the DSCT-EA MIP: the Workers=1 node
+// Golden pins for exact solves of the DSCT-EA MIP: the node
 // count, status and objective of a default-options mip.Solve with the
 // rounding hook on small Fig 4 instances. The hook's candidates (the
 // core.FixedAssignment optimum of the rounded assignment) set the early
@@ -61,7 +61,7 @@ func TestGoldenFig4NodeCounts(t *testing.T) {
 	for k := range got {
 		in := fig4PinInstance(t, k)
 		mm := BuildMIP(in)
-		res, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook()})
+		res, err := mip.Solve(mm.Prob, mip.Options{Rounding: mm.RoundingHook()})
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}
@@ -123,14 +123,14 @@ func TestDualDegenerateCycleSolvesToOptimality(t *testing.T) {
 			t.Fatal(err)
 		}
 		mm := BuildMIP(in)
-		cold, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook(), DisableWarmStart: true})
+		cold, err := mip.Solve(mm.Prob, mip.Options{Rounding: mm.RoundingHook(), DisableWarmStart: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cold.Status != mip.Optimal {
 			t.Fatalf("n=%d replicate %d: cold search %v", tc.n, tc.replicate, cold.Status)
 		}
-		warm, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook()})
+		warm, err := mip.Solve(mm.Prob, mip.Options{Rounding: mm.RoundingHook()})
 		if err != nil {
 			t.Fatal(err)
 		}

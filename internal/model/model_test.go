@@ -185,7 +185,7 @@ func TestRoundingHookShape(t *testing.T) {
 	mm = BuildMIP(in)
 	var last []float64
 	inner := mm.RoundingHook()
-	res, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, MaxNodes: 1, Rounding: func(x []float64) ([]float64, bool) {
+	res, err := mip.Solve(mm.Prob, mip.Options{MaxNodes: 1, Rounding: func(x []float64) ([]float64, bool) {
 		c, ok := inner(x)
 		last = c
 		return c, ok
@@ -217,7 +217,7 @@ func TestScheduleExtractionMatchesObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	mm := BuildMIP(in)
-	res, err := mip.Solve(mm.Prob, mip.Options{Workers: 1, Rounding: mm.RoundingHook()})
+	res, err := mip.Solve(mm.Prob, mip.Options{Rounding: mm.RoundingHook()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,6 @@ func TestMIPAgainstAssignmentEnumeration(t *testing.T) {
 		opts mip.Options
 	}{
 		{"default", mip.Options{}},
-		{"workers=4", mip.Options{Workers: 4}},
 		{"cold", mip.Options{DisableWarmStart: true}},
 	}
 	var fx core.FixedAssignment

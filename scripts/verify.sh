@@ -34,9 +34,10 @@
 # FR-OPT plus DSCT-EA-APPROX rounding at n=100, m=5;
 # BenchmarkAblationRefineVariants, the four refinement variants on a
 # Fig 6b instance, where refinement's line searches do the work) and the
-# serial-vs-parallel exact search (BenchmarkAblationParallelMIP at
-# Workers=1/2/4, the only root benchmark that runs
-# MIPModel.RoundingHook and so the fixed-assignment evaluator) —
+# exact search with the rounding hook (BenchmarkAblationParallelMIP, whose
+# workers=1 name matches the records taken while helper goroutines
+# existed; the only root benchmark that runs MIPModel.RoundingHook and so
+# the fixed-assignment evaluator) —
 # records the parsed results, including
 # per-pair speedups, in BENCH_PR<cur>.json via cmd/benchjson, and diffs
 # them against the committed BENCH_PR<prev>.json baseline (shared
