@@ -6,7 +6,7 @@
 //
 //	dsctd                          # JSON-lines events on stdin
 //	dsctd -replay 120 -tasks 8 -machines 2 -seed 7
-//	dsctd -replay 120 -shards 2 -batch 4
+//	dsctd -replay 120 -batch 4
 //
 // In stdin mode each input line is one incremental.Event, e.g.:
 //
@@ -58,14 +58,6 @@ type summary struct {
 	Times         map[string]map[string]float64 `json:"times,omitempty"`
 }
 
-// poster abstracts the single-engine and sharded drive paths.
-type poster interface {
-	post(ev incremental.Event) error
-	flush() (*incremental.Solution, error)
-	stats() incremental.Stats
-	live() (tasks, machines int)
-}
-
 func run(args []string, in io.Reader, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("dsctd", flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -74,7 +66,6 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		seed     = fs.Int64("seed", 1, "trace seed (with -replay)")
 		tasks    = fs.Int("tasks", 8, "initial live tasks of the trace (with -replay)")
 		machines = fs.Int("machines", 2, "initial live machines of the trace (with -replay)")
-		shards   = fs.Int("shards", 1, "machine-pool shards (independent engines)")
 		batch    = fs.Int("batch", 1, "event coalescing window (re-solve every N events)")
 		cold     = fs.Bool("cold", false, "disable warm starts (cold re-solve per batch)")
 		verbose  = fs.Bool("v", false, "include per-task time maps in the output")
@@ -85,19 +76,13 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *shards < 1 || *batch < 1 {
-		return fmt.Errorf("-shards and -batch must be >= 1 (got %d, %d)", *shards, *batch)
+	if *batch < 1 {
+		return fmt.Errorf("-batch must be >= 1 (got %d)", *batch)
 	}
 
-	// The loop below flushes every -batch events itself, so no engine
-	// flushes on Post: each solve runs inside report's timed flush.
-	opts := incremental.Options{BatchWindow: math.MaxInt, DisableWarm: *cold}
-	var p poster
-	if *shards > 1 {
-		p = &shardedPoster{s: incremental.NewSharded(*shards, opts)}
-	} else {
-		p = &enginePoster{e: incremental.New(opts)}
-	}
+	// The loop below flushes every -batch events itself, so the engine
+	// never flushes on Post: each solve runs inside report's timed flush.
+	e := incremental.New(incremental.Options{BatchWindow: math.MaxInt, DisableWarm: *cold})
 
 	events, err := eventSource(*replay, *seed, *tasks, *machines, in)
 	if err != nil {
@@ -115,22 +100,22 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 			break
 		}
 		n++
-		if err := p.post(ev); err != nil {
+		if _, err := e.Post(ev); err != nil { // only buffers: the window never fills
 			return err
 		}
 		if n%*batch != 0 {
 			continue
 		}
-		if err := report(enc, p, n, *verbose, &lat); err != nil {
+		if err := report(enc, e, n, *verbose, &lat); err != nil {
 			return err
 		}
 	}
 	if n%*batch != 0 { // drain the partial tail batch
-		if err := report(enc, p, n, *verbose, &lat); err != nil {
+		if err := report(enc, e, n, *verbose, &lat); err != nil {
 			return err
 		}
 	}
-	st := p.stats()
+	st := e.Stats()
 	_, _ = fmt.Fprintf(errw, "dsctd: %d events, %d solves (%d warm, %d cold, warm-hit %.0f%%), %d nodes\n",
 		st.Events, st.Solves, st.WarmResolves, st.ColdResolves, 100*st.WarmHitRate(), st.Nodes)
 	_, _ = fmt.Fprintf(errw, "dsctd: %d flushes, latency p50 %v, p90 %v, p99 %v, max %v; flush time %v total, solve time %v total, %.0f events/sec\n",
@@ -140,9 +125,9 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 
 // report flushes pending events, records the flush's latency in lat and
 // writes one summary line.
-func report(enc *json.Encoder, p poster, n int, verbose bool, lat *latencyHist) error {
+func report(enc *json.Encoder, e *incremental.Engine, n int, verbose bool, lat *latencyHist) error {
 	start := time.Now()
-	sol, err := p.flush()
+	sol, err := e.Flush()
 	lat.record(time.Since(start))
 	if err != nil {
 		return err
@@ -150,12 +135,11 @@ func report(enc *json.Encoder, p poster, n int, verbose bool, lat *latencyHist) 
 	if sol == nil {
 		return nil
 	}
-	tn, mn := p.live()
 	s := summary{
 		Event:         n,
 		Status:        sol.Status.String(),
-		Tasks:         tn,
-		Machines:      mn,
+		Tasks:         e.LiveTasks(),
+		Machines:      e.LiveMachines(),
 		TotalAccuracy: sol.TotalAccuracy,
 		Energy:        sol.Energy,
 		Nodes:         sol.Nodes,
@@ -205,30 +189,4 @@ func eventSource(replay int, seed int64, tasks, machines int, in io.Reader) (fun
 		}
 		return incremental.Event{}, false, nil
 	}, nil
-}
-
-// enginePoster drives a single engine; flushing is explicit so -batch
-// controls the solve cadence from the daemon loop.
-type enginePoster struct{ e *incremental.Engine }
-
-func (p *enginePoster) post(ev incremental.Event) error {
-	_, err := p.e.Post(ev) // only buffers: the engine's window never fills
-	return err
-}
-func (p *enginePoster) flush() (*incremental.Solution, error) { return p.e.Flush() }
-func (p *enginePoster) stats() incremental.Stats              { return p.e.Stats() }
-func (p *enginePoster) live() (int, int)                      { return p.e.LiveTasks(), p.e.LiveMachines() }
-
-type shardedPoster struct{ s *incremental.Sharded }
-
-func (p *shardedPoster) post(ev incremental.Event) error       { return p.s.Post(ev) }
-func (p *shardedPoster) flush() (*incremental.Solution, error) { return p.s.Flush() }
-func (p *shardedPoster) stats() incremental.Stats              { return p.s.Stats() }
-func (p *shardedPoster) live() (int, int) {
-	var t, m int
-	for i := 0; i < p.s.Shards(); i++ {
-		t += p.s.Engine(i).LiveTasks()
-		m += p.s.Engine(i).LiveMachines()
-	}
-	return t, m
 }

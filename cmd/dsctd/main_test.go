@@ -189,9 +189,9 @@ func TestReplayMode(t *testing.T) {
 	}
 }
 
-func TestReplayShardedAndBatched(t *testing.T) {
+func TestReplayBatched(t *testing.T) {
 	var out, errw strings.Builder
-	if err := run([]string{"-replay", "30", "-tasks", "6", "-machines", "2", "-seed", "13", "-shards", "2", "-batch", "4"},
+	if err := run([]string{"-replay", "30", "-tasks", "6", "-machines", "2", "-seed", "13", "-batch", "4"},
 		strings.NewReader(""), &out, &errw); err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,8 @@ func TestReplayShardedAndBatched(t *testing.T) {
 func TestFlagErrors(t *testing.T) {
 	for name, args := range map[string][]string{
 		"positional args": {"extra"},
-		"bad shards":      {"-shards", "0"},
 		"bad batch":       {"-batch", "0"},
+		"removed shards":  {"-shards", "2"},
 		"removed workers": {"-workers", "2"},
 	} {
 		var out, errw strings.Builder

@@ -7,7 +7,6 @@
 //
 //	gen -n 100 -m 5 -rho 0.35 -beta 0.5 -seed 1 -out instance.json
 //	gen -n 100 -m 2 -rho 0.01 -beta 0.4 -scenario earliest-high-efficient -two-machine
-//	gen -preset xl -seed 3 -out xl.json   # 10000 tasks on a 100-machine fleet
 package main
 
 import (
@@ -45,14 +44,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		out        = fs.String("out", "", "output file (default stdout)")
 		twoMachine = fs.Bool("two-machine", false, "use the paper's fixed Fig 6 two-machine fleet instead of a random one")
-		preset     = fs.String("preset", "", "paper workload preset: fig3 | fig4 | fig5 | fig6a | fig6b | xl (overrides rho/beta/theta/scenario; fig6* implies -two-machine; xl defaults to n=10000 m=100)")
+		preset     = fs.String("preset", "", "paper workload preset: fig3 | fig4 | fig5 | fig6a | fig6b (overrides rho/beta/theta/scenario; fig6* implies -two-machine)")
 		mu         = fs.Float64("mu", 10, "task heterogeneity ratio for -preset fig3")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	var cfg task.GenConfig
 	switch *preset {
@@ -68,19 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		default:
 			return fmt.Errorf("unknown scenario %q", *scenario)
 		}
-	case "xl":
-		// The xl family: the 10k-task, 100-machine scale of the lp
-		// package's xl benchmark, wider than any paper figure. Same
-		// workload model as the default scenario; -n/-m still override
-		// the xl shape.
-		if !explicit["n"] {
-			*n = 10000
-		}
-		if !explicit["m"] {
-			*m = 100
-		}
-		cfg = task.DefaultConfig(*n, *rho, *beta)
-		cfg.ThetaMin, cfg.ThetaMax = *thetaMin, *thetaMax
 	case "fig3":
 		cfg = task.PaperFig3(*n, *mu)
 	case "fig4":

@@ -34,8 +34,7 @@ func TestGenFlagMatrix(t *testing.T) {
 		{name: "preset-fig5", args: []string{"-n", "10", "-m", "2", "-preset", "fig5", "-beta", "0.4"}, wantN: 10, wantM: 2},
 		{name: "preset-fig6a-forces-two-machine", args: []string{"-n", "10", "-m", "5", "-preset", "fig6a"}, wantN: 10, wantM: 2},
 		{name: "preset-fig6b", args: []string{"-n", "10", "-preset", "fig6b"}, wantN: 10, wantM: 2},
-		{name: "preset-xl-defaults", args: []string{"-preset", "xl"}, wantN: 10000, wantM: 100},
-		{name: "preset-xl-overridden", args: []string{"-preset", "xl", "-n", "50", "-m", "4"}, wantN: 50, wantM: 4},
+		{name: "removed-preset-xl", args: []string{"-preset", "xl"}, wantErr: "unknown preset"},
 		{name: "bad-scenario", args: []string{"-scenario", "nope"}, wantErr: "unknown scenario"},
 		{name: "bad-preset", args: []string{"-preset", "fig99"}, wantErr: "unknown preset"},
 		{name: "bad-flag", args: []string{"-no-such-flag"}, wantErr: "flag provided but not defined"},

@@ -23,8 +23,6 @@ type (
 	EngineSolution = incremental.Solution
 	// EngineStats is the engine's cumulative event/solve accounting.
 	EngineStats = incremental.Stats
-	// ShardedEngine partitions the event stream over independent engines.
-	ShardedEngine = incremental.Sharded
 	// TraceConfig parameterises synthetic event streams.
 	TraceConfig = incremental.TraceConfig
 )
@@ -40,12 +38,6 @@ const (
 
 // NewEngine creates an empty incremental engine.
 func NewEngine(opts EngineOptions) *Engine { return incremental.New(opts) }
-
-// NewShardedEngine creates n machine-pool shards, each an independent
-// engine with a 1/n share of the budget.
-func NewShardedEngine(n int, opts EngineOptions) *ShardedEngine {
-	return incremental.NewSharded(n, opts)
-}
 
 // DefaultTraceConfig returns a fig-scale synthetic event-stream config.
 func DefaultTraceConfig(seed int64, events, tasks, machines int) TraceConfig {

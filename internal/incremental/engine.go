@@ -201,7 +201,7 @@ type liveMachine struct {
 }
 
 // Engine is a mutable DSCT-EA instance with warm-started re-solves. Not
-// goroutine-safe: one goroutine owns an Engine (shards own one each).
+// goroutine-safe: one goroutine owns an Engine.
 type Engine struct {
 	opts      Options
 	p         *lp.Problem

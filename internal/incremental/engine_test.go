@@ -3,7 +3,7 @@ package incremental
 // Stream-vs-cold differential suite: replayed event traces must keep the
 // warm-started engine, the cold-solving engine and a from-scratch solve of
 // the live instance in agreement after every event, and the warm path must
-// stay bitwise deterministic across worker counts and shard replays.
+// stay feasible and bitwise deterministic.
 
 import (
 	"math"
@@ -275,28 +275,6 @@ func TestContendedWarmUpFlush(t *testing.T) {
 	checkFeasible(t, o, sol)
 }
 
-// sameEngineSolution compares two solutions bitwise (objective and every
-// reported time).
-func sameEngineSolution(a, b *Solution) bool {
-	if a.Status != b.Status ||
-		math.Float64bits(a.TotalAccuracy) != math.Float64bits(b.TotalAccuracy) ||
-		len(a.Times) != len(b.Times) {
-		return false
-	}
-	for id, at := range a.Times {
-		bt, ok := b.Times[id]
-		if !ok || len(at) != len(bt) {
-			return false
-		}
-		for mid, av := range at {
-			if math.Float64bits(av) != math.Float64bits(bt[mid]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestBatchWindow checks coalescing: posts buffer until the window fills,
 // and a manual Flush drains early.
 func TestBatchWindow(t *testing.T) {
@@ -379,49 +357,6 @@ func TestPostValidation(t *testing.T) {
 	must(Event{Kind: TaskArrive, Task: "t0", Deadline: 2, Acc: pwl})
 	if e.LiveTasks() != 1 || e.LiveMachines() != 1 {
 		t.Errorf("live = %d tasks %d machines, want 1/1", e.LiveTasks(), e.LiveMachines())
-	}
-}
-
-// TestShardedDeterministicReplay replays one trace through a 2-shard
-// engine twice; the merged solutions must be bitwise identical, feasible
-// against the global budget, and the stats must account every event.
-func TestShardedDeterministicReplay(t *testing.T) {
-	trace := genTestTrace(t, 53, 90)
-	run := func() (*Solution, Stats, float64) {
-		s := NewSharded(2, Options{})
-		var budget float64
-		for i, ev := range trace {
-			if ev.Kind == BudgetChange {
-				budget = ev.Budget
-			}
-			if err := s.Post(ev); err != nil {
-				t.Fatalf("event %d: %v", i, err)
-			}
-			if (i+1)%5 == 0 {
-				if _, err := s.Flush(); err != nil {
-					t.Fatalf("flush at %d: %v", i, err)
-				}
-			}
-		}
-		sol, err := s.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sol, s.Stats(), budget
-	}
-	a, stA, budget := run()
-	b, stB, _ := run()
-	if !sameEngineSolution(a, b) {
-		t.Fatal("sharded replay diverged")
-	}
-	if stA.Events != len(trace) || stB.Events != len(trace) {
-		t.Errorf("sharded stats counted %d/%d events, want %d", stA.Events, stB.Events, len(trace))
-	}
-	if a.Energy > budget+1e-6*(1+budget) {
-		t.Errorf("merged energy %g exceeds global budget %g", a.Energy, budget)
-	}
-	if a.Status != mip.Optimal {
-		t.Errorf("merged status %v", a.Status)
 	}
 }
 

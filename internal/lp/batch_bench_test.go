@@ -1,33 +1,26 @@
 package lp
 
-// Batch-throughput benchmarks: the workload is a CORPUS of instances, the
+// Batch-throughput benchmark: the workload is a CORPUS of instances, the
 // metric is instances/sec, and the comparison is per-solve allocation
 // (fresh SolveBasis per instance) against workspace reuse (one Workspace
-// solving the whole corpus) and the BatchSolve harness that shards the
-// corpus across per-core workers. Every segment asserts bit-identical
-// objectives against a pre-computed reference and reports the corpus
+// solving the whole corpus). Both segments assert bit-identical
+// objectives against a pre-computed reference and report the corpus
 // pivot total, so a throughput win can never hide a path change; with
 // the arithmetic pinned, instances/sec isolates exactly the allocation
 // and GC cost the Workspace exists to remove. scripts/verify.sh -bench
-// records these into BENCH_PR8.json; the PR acceptance bar is >=2x
-// pooled-vs-fresh on the corpus benchmark.
+// records both segments in its BENCH_PR<n>.json.
 
-import (
-	"fmt"
-	"testing"
-
-	"repro/internal/rng"
-)
+import "testing"
 
 // batchRef solves every instance fresh once and returns the reference
 // objectives and the corpus pivot total the benchmark segments pin
 // themselves against.
-func batchRef(b *testing.B, probs []*Problem, opts Options) ([]float64, float64) {
+func batchRef(b *testing.B, probs []*Problem) ([]float64, float64) {
 	b.Helper()
 	ref := make([]float64, len(probs))
 	var pivots float64
 	for i, p := range probs {
-		sol, _, err := SolveBasis(p, opts)
+		sol, _, err := SolveBasis(p, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,11 +30,19 @@ func batchRef(b *testing.B, probs []*Problem, opts Options) ([]float64, float64)
 	return ref, pivots
 }
 
-// runBatchSegments runs the fresh / pooled / batch segments over one
-// corpus under one Options value, reporting instances/sec, allocs/op
-// (one op = one full corpus pass) and the corpus pivot total.
-func runBatchSegments(b *testing.B, label string, probs []*Problem, opts Options) {
-	ref, refPivots := batchRef(b, probs, opts)
+// BenchmarkBatchThroughputLP: the 240-instance differential corpus as a
+// batch workload, run as a fresh and a pooled segment, each reporting
+// instances/sec, allocs/op (one op = one full corpus pass) and the corpus
+// pivot total. The instances are tiny (1-7 variables), so per-solve
+// allocation dominates the fresh segment and the pooled segment
+// measures the workspace win at its starkest — the B&B-node-sized regime
+// the paper's per-epoch scheduling sweep lives in.
+func BenchmarkBatchThroughputLP(b *testing.B) {
+	probs := make([]*Problem, corpusSize)
+	for i := range probs {
+		probs[i] = corpusInstance(i).p
+	}
+	ref, refPivots := batchRef(b, probs)
 	check := func(b *testing.B, i int, sol *Solution, err error, pivots *float64) {
 		if err != nil {
 			b.Fatal(err)
@@ -53,13 +54,13 @@ func runBatchSegments(b *testing.B, label string, probs []*Problem, opts Options
 		*pivots += float64(sol.Iterations)
 	}
 
-	b.Run("fresh/"+label, func(b *testing.B) {
+	b.Run("fresh/corpus-240", func(b *testing.B) {
 		b.ReportAllocs()
 		var pivots float64
 		for n := 0; n < b.N; n++ {
 			pivots = 0
 			for i, p := range probs {
-				sol, _, err := SolveBasis(p, opts)
+				sol, _, err := SolveBasis(p, Options{})
 				check(b, i, sol, err, &pivots)
 			}
 		}
@@ -70,14 +71,14 @@ func runBatchSegments(b *testing.B, label string, probs []*Problem, opts Options
 		b.ReportMetric(float64(b.N*len(probs))/b.Elapsed().Seconds(), "instances/sec")
 		b.ReportMetric(pivots, "pivots")
 	})
-	b.Run("pooled/"+label, func(b *testing.B) {
+	b.Run("pooled/corpus-240", func(b *testing.B) {
 		b.ReportAllocs()
 		ws := NewWorkspace()
 		var pivots float64
 		for n := 0; n < b.N; n++ {
 			pivots = 0
 			for i, p := range probs {
-				sol, err := ws.Solve(p, opts)
+				sol, err := ws.Solve(p, Options{})
 				check(b, i, sol, err, &pivots)
 			}
 		}
@@ -88,50 +89,4 @@ func runBatchSegments(b *testing.B, label string, probs []*Problem, opts Options
 		b.ReportMetric(float64(b.N*len(probs))/b.Elapsed().Seconds(), "instances/sec")
 		b.ReportMetric(pivots, "pivots")
 	})
-	b.Run("batch/"+label, func(b *testing.B) {
-		b.ReportAllocs()
-		var pivots float64
-		for n := 0; n < b.N; n++ {
-			pivots = 0
-			sols, err := BatchSolve(probs, opts, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, sol := range sols {
-				check(b, i, sol, nil, &pivots)
-			}
-		}
-		//lint:ignore floatcmp integer-valued pivot totals compare exactly
-		if pivots != refPivots {
-			b.Fatalf("pivot total %v != reference %v", pivots, refPivots)
-		}
-		b.ReportMetric(float64(b.N*len(probs))/b.Elapsed().Seconds(), "instances/sec")
-		b.ReportMetric(pivots, "pivots")
-	})
-}
-
-// BenchmarkBatchThroughputLP: the 240-instance differential corpus as a
-// batch workload. The instances are tiny (1-7 variables), so per-solve
-// allocation dominates the fresh segment and the pooled/batch segments
-// measure the workspace win at its starkest — the B&B-node-sized regime
-// the paper's per-epoch scheduling sweep lives in.
-func BenchmarkBatchThroughputLP(b *testing.B) {
-	probs := make([]*Problem, corpusSize)
-	for i := range probs {
-		probs[i] = corpusInstance(i).p
-	}
-	runBatchSegments(b, "corpus-240", probs, Options{})
-}
-
-// BenchmarkBatchThroughputXLLP: a shard of xl-family assignment instances
-// at tier-1 scale. Solve time grows with the instance, so the allocation
-// share shrinks relative to the corpus benchmark; this records how much
-// of the workspace win survives at the paper's Fig 3/4 problem sizes.
-func BenchmarkBatchThroughputXLLP(b *testing.B) {
-	const shard = 4
-	probs := make([]*Problem, shard)
-	for i := range probs {
-		probs[i] = generateXLLP(rng.NewReplicate(37, "lp-xl-batch-bench", i), 500, 10).p
-	}
-	runBatchSegments(b, fmt.Sprintf("xl-%dx500x10", shard), probs, Options{})
 }

@@ -76,7 +76,7 @@ func BenchmarkBoundsVsRowsLP(b *testing.B) {
 		for v := 0; v < g.p.NumVars(); v++ {
 			g.p.SetBounds(v, 0, s.Uniform(0.3, 1))
 		}
-		rows := ExpandBounds(g.p)
+		rows := expandBounds(g.p)
 		for _, mode := range []struct {
 			name string
 			p    *Problem

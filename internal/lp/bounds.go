@@ -66,39 +66,3 @@ func (p *Problem) materializeBounds() {
 		p.boundsShared = false
 	}
 }
-
-// ExpandBounds returns a deep copy of p with every non-default variable
-// bound rewritten as explicit constraint rows and the bounds reset to the
-// default [0, +Inf) box: lo == hi becomes one EQ row, otherwise lo > 0
-// becomes a GE row and finite hi an LE row. The result describes the same
-// feasible set, so it is the row-encoded mirror used by differential tests
-// and the rows-vs-bounds benchmarks.
-//
-// It panics when some lo < 0: the implicit x >= 0 of the row encoding
-// cannot express a negative lower bound.
-//
-//lint:freezer rewrites the deep copy's boxes as rows before publication; p itself is untouched
-func ExpandBounds(p *Problem) *Problem {
-	c := p.Clone()
-	if c.lo == nil {
-		return c
-	}
-	lo, hi := c.lo, c.hi
-	c.lo, c.hi = nil, nil
-	for v := 0; v < c.nVars; v++ {
-		if lo[v] < 0 {
-			panic(fmt.Sprintf("lp: ExpandBounds: variable %d has negative lower bound %v, inexpressible as rows over x >= 0", v, lo[v]))
-		}
-		if hi[v] <= lo[v] {
-			c.AddConstraint([]Term{{Var: v, Coef: 1}}, EQ, lo[v])
-			continue
-		}
-		if lo[v] > 0 {
-			c.AddConstraint([]Term{{Var: v, Coef: 1}}, GE, lo[v])
-		}
-		if !math.IsInf(hi[v], 1) {
-			c.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, hi[v])
-		}
-	}
-	return c
-}

@@ -1,7 +1,7 @@
 package lp
 
 // Unit tests for the variable-bounds API (SetBounds/Bounds, copy-on-write
-// through Clone and Overlay, ExpandBounds) and a table-driven end-to-end
+// through Clone and Overlay, expandBounds) and a table-driven end-to-end
 // suite for the bound-flip ratio test: each case is a tiny LP whose optimal
 // trace forces a specific bounded-variable event — a pure bound flip, a
 // flip followed by a pivot, an entry *from* the upper bound, a fixed
@@ -9,9 +9,47 @@ package lp
 // the solver must land on the known optimum.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// expandBounds returns a deep copy of p with every non-default variable
+// bound rewritten as explicit constraint rows and the bounds reset to the
+// default [0, +Inf) box: lo == hi becomes one EQ row, otherwise lo > 0
+// becomes a GE row and finite hi an LE row. The result describes the same
+// feasible set, so it is the row-encoded reference the differential
+// tests, FuzzSimplex and BenchmarkBoundsVsRowsLP compare the native boxes
+// against.
+//
+// It panics when some lo < 0: the implicit x >= 0 of the row encoding
+// cannot express a negative lower bound.
+//
+//lint:freezer rewrites the deep copy's boxes as rows before publication; p itself is untouched
+func expandBounds(p *Problem) *Problem {
+	c := p.Clone()
+	if c.lo == nil {
+		return c
+	}
+	lo, hi := c.lo, c.hi
+	c.lo, c.hi = nil, nil
+	for v := 0; v < c.nVars; v++ {
+		if lo[v] < 0 {
+			panic(fmt.Sprintf("lp: expandBounds: variable %d has negative lower bound %v, inexpressible as rows over x >= 0", v, lo[v]))
+		}
+		if hi[v] <= lo[v] {
+			c.AddConstraint([]Term{{Var: v, Coef: 1}}, EQ, lo[v])
+			continue
+		}
+		if lo[v] > 0 {
+			c.AddConstraint([]Term{{Var: v, Coef: 1}}, GE, lo[v])
+		}
+		if !math.IsInf(hi[v], 1) {
+			c.AddConstraint([]Term{{Var: v, Coef: 1}}, LE, hi[v])
+		}
+	}
+	return c
+}
 
 // wantBox asserts Bounds(v) returns exactly the given endpoints: SetBounds
 // stores endpoints verbatim (no arithmetic), so the round trip is bit-exact
@@ -91,7 +129,7 @@ func TestExpandBounds(t *testing.T) {
 	_ = p                // variable 3 keeps the default box: no rows
 	p.AddConstraint([]Term{{0, 1}, {3, 1}}, LE, 9)
 
-	e := ExpandBounds(p)
+	e := expandBounds(p)
 	if got := e.NumConstraints(); got != 1+1+2+1 {
 		t.Fatalf("expanded rows = %d, want 5", got)
 	}
@@ -104,7 +142,7 @@ func TestExpandBounds(t *testing.T) {
 	// Negative lower bounds are inexpressible over x >= 0.
 	q := NewProblem(1)
 	q.SetBounds(0, -1, 1)
-	mustPanic(t, "negative lower bound", func() { ExpandBounds(q) })
+	mustPanic(t, "negative lower bound", func() { expandBounds(q) })
 }
 
 // boundsCase is one bound-flip ratio-test scenario with a known optimum.

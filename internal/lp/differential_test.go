@@ -406,7 +406,7 @@ func denseCanonical(t *testing.T, tt *rev, p *Problem) []float64 {
 
 // TestDifferentialBoundsVsRows: on a corpus of randomly boxed LPs, the
 // bounded-variable method must agree with the same problem after
-// ExpandBounds rewrote
+// expandBounds rewrote
 // every box as explicit constraint rows — status, objective AND the full
 // solution vector. It then tightens one variable's upper bound, the exact
 // move of a row-free branch-and-bound child, and checks the warm-started
@@ -422,7 +422,7 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 			n := 1 + s.Intn(7) // 1..7 variables
 			m := s.Intn(10)    // 0..9 random rows (boxes come as bounds)
 			g := generateBoundedLP(s, n, m)
-			rows := ExpandBounds(g.p)
+			rows := expandBounds(g.p)
 
 			ref, err := Solve(rows, Options{})
 			if err != nil {
@@ -452,7 +452,7 @@ func TestDifferentialBoundsVsRows(t *testing.T) {
 			child := g.p.Clone()
 			lo, _ := child.Bounds(v)
 			child.SetBounds(v, lo, math.Max(lo, math.Floor(sol.X[v])))
-			refChild, err := Solve(ExpandBounds(child), Options{})
+			refChild, err := Solve(expandBounds(child), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

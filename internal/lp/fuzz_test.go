@@ -13,7 +13,7 @@ import (
 // dual certificate Certify accepts. Each input additionally derives a randomly
 // boxed instance (finite bounds, positive lower bounds, fixed variables)
 // and cross-checks the bounded-variable method against the same problem
-// with its bounds expanded to explicit rows via ExpandBounds.
+// with its bounds expanded to explicit rows via expandBounds.
 func FuzzSimplex(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(4))
 	f.Add(int64(42), uint8(1), uint8(1))
@@ -89,9 +89,9 @@ func FuzzSimplex(f *testing.F) {
 				t.Errorf("x[%d] = %g outside box [%g, %g]", v, x, gb.lo[v], gb.hi[v])
 			}
 		}
-		expanded, err := Solve(ExpandBounds(gb.p), Options{})
+		expanded, err := Solve(expandBounds(gb.p), Options{})
 		if err != nil {
-			t.Fatalf("Solve(ExpandBounds): %v", err)
+			t.Fatalf("Solve(expandBounds): %v", err)
 		}
 		if expanded.Status != Optimal {
 			t.Fatalf("expanded status = %v, want Optimal", expanded.Status)

@@ -83,7 +83,7 @@ func generateFeasibleLP(s *rng.Source, n, m int) *genLP {
 // variables are fixed (lo == hi) — the degenerate box branch-and-bound
 // produces when it pins a binary. The known point x* lies inside every box
 // and satisfies every row with slack, so a correct solver must report
-// Optimal with objective >= c·x*, and ExpandBounds can rewrite the
+// Optimal with objective >= c·x*, and expandBounds can rewrite the
 // instance into the equivalent all-rows form (all lower bounds are >= 0).
 func generateBoundedLP(s *rng.Source, n, m int) *genLP {
 	g := &genLP{

@@ -1,7 +1,7 @@
 package lp
 
 // In-place mutation API for incremental re-solves. The incremental engine
-// (internal/incremental) keeps one live Problem per shard and applies
+// (internal/incremental) keeps one live Problem and applies
 // scheduler events — task arrivals, departures, machine joins/leaves,
 // budget renegotiations — as deltas against it instead of rebuilding the
 // model: new columns via AddVariables, new rows via AddConstraint,

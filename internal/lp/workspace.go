@@ -28,19 +28,10 @@ package lp
 // a caller that wants to retain the last Solution calls Reset and lets the
 // next solve allocate fresh ones. SolveBasis/SolveBasisFrom publish a
 // Basis and therefore return fully independent Solutions and snapshots
-// (copy-out instead of aliasing) — that is the variant internal/mip uses,
-// one Workspace per worker goroutine.
+// (copy-out instead of aliasing) — that is the variant internal/mip's
+// node solves use, on the one Workspace a search owns.
 //
 // A Workspace is NOT safe for concurrent use: one goroutine at a time.
-// Concurrent batch solving wants one Workspace per worker — that is
-// exactly what BatchSolve does.
-
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
 
 // grown returns s resized to length n with every element zeroed, reusing
 // the backing array when its capacity suffices — the Workspace-wide
@@ -143,80 +134,4 @@ func (ws *Workspace) SolveBasisFrom(p *Problem, from *Basis, opts Options) (*Sol
 	t.noEscape = false
 	t.init(p, opts)
 	return t.solveFrom(p, from)
-}
-
-// clone returns an independent deep copy of a possibly Workspace-aliased
-// Solution.
-func (s *Solution) clone() *Solution {
-	c := *s
-	if s.X != nil {
-		c.X = append([]float64(nil), s.X...)
-	}
-	return &c
-}
-
-// BatchSolve solves every problem in probs under one Options, sharding the
-// corpus across workers goroutines that each own a private Workspace
-// reused across their share — the batched many-instance harness the
-// throughput benchmarks measure. workers <= 0 uses runtime.GOMAXPROCS(0).
-//
-// Results are positional: out[i] is the solution of probs[i] regardless of
-// which worker solved it, and every Solution is an independent deep copy
-// (safe to retain). Work is handed out by an atomic cursor, so the
-// assignment of instances to workers is scheduling-dependent — but each
-// instance's Solution is not: a Workspace solve is bit-identical to the
-// fresh-allocation solve of the same instance, so BatchSolve output is
-// deterministic at any worker count.
-//
-// On solver error the first failing instance (by index) is reported; out
-// keeps the solutions of the instances that succeeded.
-func BatchSolve(probs []*Problem, opts Options, workers int) ([]*Solution, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(probs) {
-		workers = len(probs)
-	}
-	out := make([]*Solution, len(probs))
-	errs := make([]error, len(probs))
-	if workers <= 1 {
-		ws := NewWorkspace()
-		for i, p := range probs {
-			sol, err := ws.Solve(p, opts)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			out[i] = sol.clone()
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := NewWorkspace()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(probs) {
-						return
-					}
-					sol, err := ws.Solve(probs[i], opts)
-					if err != nil {
-						errs[i] = err
-						continue
-					}
-					out[i] = sol.clone()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return out, fmt.Errorf("lp: batch instance %d: %w", i, err)
-		}
-	}
-	return out, nil
 }

@@ -184,31 +184,14 @@ func TestWorkspaceDifferentialWarm(t *testing.T) {
 	}
 }
 
-// TestWorkspaceDifferentialBatch: BatchSolve output must be bit-identical
-// to a fresh per-instance solve loop at every worker count — positional,
-// independent of which worker solved what.
-func TestWorkspaceDifferentialBatch(t *testing.T) {
-	probs := make([]*Problem, corpusSize)
-	for i := range probs {
-		probs[i] = corpusInstance(i).p
+// clone returns an independent deep copy of a possibly Workspace-aliased
+// Solution.
+func (s *Solution) clone() *Solution {
+	c := *s
+	if s.X != nil {
+		c.X = append([]float64(nil), s.X...)
 	}
-	fresh := make([]*Solution, len(probs))
-	for i, p := range probs {
-		sol, _, err := SolveBasis(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh[i] = sol
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := BatchSolve(probs, Options{}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range probs {
-			assertIdentical(t, "workers="+strconv.Itoa(workers)+"/"+strconv.Itoa(i), fresh[i], got[i])
-		}
-	}
+	return &c
 }
 
 // TestWorkspaceAliasingAndReset pins the documented output-aliasing

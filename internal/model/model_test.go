@@ -256,27 +256,56 @@ func TestZeroBudgetForcesAMin(t *testing.T) {
 	}
 }
 
+// TestFRDualCertificate: the strongest oracle available. An optimal
+// primal/dual pair for the FR LP must pass lp.Certify, proving both the
+// model build and the simplex solve correct from first principles. The
+// cases are a small mixed instance and a binding Fig 4-regime LP of
+// Table 1's size (n=200, m=5: 2,201 rows, 1,200 columns), whose optimum
+// sits below the all-full-accuracy value ΣAMax, so the duals of the
+// deadline and energy rows carry weight.
 func TestFRDualCertificate(t *testing.T) {
-	// The strongest oracle available: an optimal primal/dual pair for the
-	// FR LP must pass lp.Certify, proving both the model build and the
-	// simplex solve correct from first principles.
-	in := genInstance(t, 8, 12, 3, 0.35, 0.4)
-	fm := BuildFR(in)
-	ds, err := lp.SolveWithDuals(fm.Prob, lp.Options{})
+	fig4, err := task.GenerateUniformFleet(rng.NewReplicate(1, "table1/n=200", 1), task.PaperFig4(200), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Status != lp.Optimal {
-		t.Fatalf("status %v", ds.Status)
-	}
-	if err := lp.Certify(fm.Prob, ds.X, ds.Duals, 1e-5); err != nil {
-		t.Fatalf("certificate rejected: %v", err)
-	}
-	// The energy constraint is the last row; its shadow price is the
-	// accuracy gained per extra Joule of budget and cannot be negative.
-	energyDual := ds.Duals[fm.Prob.NumConstraints()-1]
-	if energyDual < -1e-9 {
-		t.Errorf("energy shadow price %g is negative", energyDual)
+	for _, tc := range []struct {
+		name    string
+		in      *task.Instance
+		tol     float64
+		binding bool
+	}{
+		{"n=12 m=3", genInstance(t, 8, 12, 3, 0.35, 0.4), 1e-5, false},
+		{"fig4 n=200 m=5", fig4, 1e-6, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fm := BuildFR(tc.in)
+			ds, err := lp.SolveWithDuals(fm.Prob, lp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.Status != lp.Optimal {
+				t.Fatalf("status %v", ds.Status)
+			}
+			if err := lp.Certify(fm.Prob, ds.X, ds.Duals, tc.tol); err != nil {
+				t.Fatalf("certificate rejected: %v", err)
+			}
+			// The energy constraint is the last row; its shadow price is
+			// the accuracy gained per extra Joule of budget and cannot be
+			// negative.
+			energyDual := ds.Duals[fm.Prob.NumConstraints()-1]
+			if energyDual < -1e-9 {
+				t.Errorf("energy shadow price %g is negative", energyDual)
+			}
+			if tc.binding {
+				var full float64
+				for _, tk := range tc.in.Tasks {
+					full += tk.Acc.AMax()
+				}
+				if ds.Objective > full*(1-1e-3) {
+					t.Errorf("optimum %g is within 0.1%% of ΣAMax %g: the rows do not bind", ds.Objective, full)
+				}
+			}
+		})
 	}
 }
 

@@ -9,20 +9,16 @@
 # engine flush's ceiling in incremental; the race suite skips them because
 # -race perturbs allocation counts, so they get their own non-race pass
 # here), the race-enabled test suite and a cmd/dsctd trace-replay smoke
-# test (sharded + batched). Idempotent: safe to run repeatedly from any working
+# test (batched). Idempotent: safe to run repeatedly from any working
 # directory. Exits non-zero on the first failure.
 #
 # With -bench, additionally runs the simplex benchmark suite — cold-vs-warm
 # (BenchmarkMIPColdVsWarm, BenchmarkWarmVsColdLP) and rows-vs-bounds
-# (BenchmarkBoundsVsRowsLP, whose rows arm is the ExpandBounds reference
-# encoding), plus the
-# xl-family cold solves (BenchmarkPricingXLLP; its dantzig/... names match
-# the records taken while a second pricing rule existed, and the
-# tier-1-sized xl smoke member runs as TestXLAutoSmoke in the ordinary race
-# suite above) and the
-# batch-throughput harness (BenchmarkBatchThroughputLP over the 240-instance
-# corpus, BenchmarkBatchThroughputXLLP over an xl shard; fresh-vs-pooled-vs-
-# batch segments reporting instances/sec and allocs/op) and the
+# (BenchmarkBoundsVsRowsLP, whose rows arm is the test-only expandBounds
+# reference encoding), plus the
+# batch-throughput benchmark (BenchmarkBatchThroughputLP over the
+# 240-instance corpus; fresh-vs-pooled workspace segments reporting
+# instances/sec and allocs/op) and the
 # branch-and-bound search on hard fig4 instances (BenchmarkMIPBranchAndCut,
 # named before the search lost its cutting planes; the diff gates its node
 # counts) and the incremental-engine event-stream
@@ -114,7 +110,7 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> dsctd replay smoke test"
-go run ./cmd/dsctd -replay 60 -tasks 8 -machines 2 -seed 1 -shards 2 -batch 4 >/dev/null
+go run ./cmd/dsctd -replay 60 -tasks 8 -machines 2 -seed 1 -batch 4 >/dev/null
 
 if [ "$run_bench" = 1 ]; then
   if [ -z "$pr_cur" ]; then
@@ -134,9 +130,7 @@ if [ "$run_bench" = 1 ]; then
     go test -run='^$' -bench='^BenchmarkMIPBranchAndCut$' -benchtime=1x -count=2 -timeout 30m .
     go test -run='^$' -bench='^BenchmarkWarmVsColdLP$' -benchtime=50x -count=4 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBoundsVsRowsLP$' -benchtime=2x -count=3 ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkPricingXLLP$' -benchtime=1x -count=2 -timeout 30m ./internal/lp/
     go test -run='^$' -bench='^BenchmarkBatchThroughputLP$' -benchtime=20x -count=3 ./internal/lp/
-    go test -run='^$' -bench='^BenchmarkBatchThroughputXLLP$' -benchtime=3x -count=3 ./internal/lp/
     go test -run='^$' -bench='^BenchmarkIncrementalResolve$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
     go test -run='^$' -bench='^BenchmarkEventThroughput$' -benchtime=3x -count=3 -timeout 30m ./internal/incremental/
     go test -run='^$' -bench='^BenchmarkSolveFRScaling$' -benchtime=10x -count=3 -timeout 30m .
