@@ -15,6 +15,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/lp"
 	"repro/internal/machine"
 	"repro/internal/mip"
 	"repro/internal/model"
@@ -293,6 +294,37 @@ func BenchmarkSolveFRScaling(b *testing.B) {
 				probes = sol.Probes
 			}
 			b.ReportMetric(float64(probes), "probes/op")
+		})
+	}
+}
+
+// BenchmarkFRLPCold times Table 1's LP column the way the fr-lp workload
+// runs it: a cold lp.Solve of model.BuildFR on the Table 1 generator
+// (ρ=0.35, β=0.5, θ in [0.1, 0.5]) at m=5, drawn as fr-lp draws round 0 of
+// its seed-1 pool. The pivot count is deterministic, so any change to it
+// is a change of pivot path, not of speed.
+func BenchmarkFRLPCold(b *testing.B) {
+	for _, n := range []int{100, 150, 200} {
+		cfg := task.DefaultConfig(n, 0.35, 0.5)
+		cfg.ThetaMax = 0.5
+		in, err := task.GenerateUniformFleet(rng.NewReplicate(1, "dsctbench/fr-lp/n="+strconv.Itoa(n), 0), cfg, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := model.BuildFR(in).Prob
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			pivots := 0
+			for i := 0; i < b.N; i++ {
+				sol, err := lp.Solve(p, lp.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if sol.Status != lp.Optimal {
+					b.Fatalf("status %v", sol.Status)
+				}
+				pivots = sol.Iterations
+			}
+			b.ReportMetric(float64(pivots), "pivots")
 		})
 	}
 }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	go test -bench=... ./... | benchjson [-o file.json] [-label text]
-//	benchjson -diff old.json new.json [-threshold 2.0]
+//	benchjson -diff [-threshold 2.0] [-allow bench:metric,...] old.json new.json
 //
 // Every benchmark result line is captured with its iteration count, ns/op
 // and any custom metrics reported via b.ReportMetric. Benchmarks are then
@@ -24,19 +24,21 @@
 // baseline. Benchmarks present in only one record are listed but never
 // fail the diff.
 //
-// The diff additionally gates a fixed set of custom metrics when both
-// records carry them, direction-aware under the same threshold factor:
-// allocs/op and nodes regress when the new value grows past threshold×old
-// (allocs/op is stricter still: any growth from an old value of 0 fails,
-// so a zero-allocation pin cannot silently rot), instances/sec and
-// events/sec regress when the new value drops below old/threshold.
-// Metrics outside this set (pivots, warm-fraction, ...) are recorded but
-// never gated.
+// The diff additionally gates custom metrics when both records carry them.
+// The deterministic work counts — nodes, pivots, strong-branches,
+// probes/op, basis-rows and allocs/op — must be equal: a count that moves
+// is printed by name and fails the diff unless -allow lists it as
+// "Benchmark/sub:metric" (comma-separated, repeatable; commas inside a
+// benchmark name are kept). instances/sec and events/sec are gated under
+// the threshold factor, failing when the new value drops below
+// old/threshold. Metrics outside these sets (warm-fraction, B/op, ...) are
+// recorded but never gated.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,6 +105,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	label := fs.String("label", "", "free-form label recorded in the document")
 	diffMode := fs.Bool("diff", false, "diff two JSON records (args: old.json new.json) instead of parsing stdin")
 	threshold := fs.Float64("threshold", 2.0, "with -diff, fail when any common benchmark is slower than this factor")
+	allow := allowList{}
+	fs.Var(allow, "allow", "with -diff, count moves this change declares, as bench:metric[,bench:metric...]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -110,7 +114,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if fs.NArg() != 2 {
 			return fmt.Errorf("-diff needs exactly two arguments: old.json new.json")
 		}
-		return diff(fs.Arg(0), fs.Arg(1), *threshold, stdout)
+		return diff(fs.Arg(0), fs.Arg(1), *threshold, allow, stdout)
+	}
+	if len(allow) > 0 {
+		return fmt.Errorf("-allow applies only with -diff")
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (input is read from stdin)", fs.Arg(0))
@@ -262,51 +269,63 @@ func pairSegments(results []benchResult, baseline, variant string) []segmentPair
 	return pairs
 }
 
-// gatedMetric is one custom metric the diff compares besides ns/op.
-type gatedMetric struct {
-	unit         string
-	higherBetter bool // regress when the value shrinks instead of grows
-	// zeroStrict fails ANY growth from an old value of exactly 0 — the
-	// regression shape of a zero-allocation pin, where "0 -> 2" matters
-	// however small the ratio bound would make it look.
-	zeroStrict bool
+// countMetrics are the deterministic work counts the diff holds to
+// equality: the same code on the same inputs reproduces each of them
+// exactly, so any move is a change of behaviour, never host noise.
+var countMetrics = []string{"nodes", "pivots", "strong-branches", "probes/op", "basis-rows", "allocs/op"}
+
+// rateMetrics are the higher-is-better throughputs the diff gates under
+// the threshold factor, like ns/op.
+var rateMetrics = []string{"instances/sec", "events/sec"}
+
+// allowList holds the count moves a change declares, keyed
+// "Benchmark/sub:metric".
+type allowList map[string]bool
+
+func (a allowList) String() string { return strings.Join(a.sorted(), ",") }
+
+// sorted returns the entries in order, so every listing is deterministic.
+func (a allowList) sorted() []string {
+	keys := make([]string, 0, len(a))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-// gatedMetrics are the metrics diff gates, direction-aware. Anything else
-// reported via b.ReportMetric is informational only.
-var gatedMetrics = []gatedMetric{
-	{unit: "allocs/op", zeroStrict: true},
-	{unit: "nodes"},
-	{unit: "instances/sec", higherBetter: true},
-	{unit: "events/sec", higherBetter: true},
-}
-
-// diffMetric compares one gated metric, returning the printed ratio (new
-// vs old in the regression direction) and whether it regressed beyond
-// threshold.
-func (g gatedMetric) regressed(oldV, newV, threshold float64) (ratio float64, bad bool) {
-	if g.higherBetter {
-		if newV <= 0 {
-			return 0, oldV > 0
+// Set adds a comma-separated list of bench:metric entries. Benchmark
+// names may themselves contain commas (n=20,m=40), so a piece without a
+// colon is joined to the piece after it.
+func (a allowList) Set(v string) error {
+	pending := ""
+	for _, piece := range strings.Split(v, ",") {
+		entry := pending + piece
+		if !strings.Contains(piece, ":") {
+			pending = entry + ","
+			continue
 		}
-		ratio = oldV / newV
-		return ratio, ratio > threshold
+		pending = ""
+		i := strings.LastIndex(entry, ":")
+		if i == 0 || i == len(entry)-1 {
+			return fmt.Errorf("-allow entry %q is not bench:metric", entry)
+		}
+		a[entry] = true
 	}
-	if oldV == 0 {
-		return 0, g.zeroStrict && newV > 0
+	if pending != "" {
+		return fmt.Errorf("-allow entry %q is not bench:metric", strings.TrimSuffix(pending, ","))
 	}
-	ratio = newV / oldV
-	return ratio, ratio > threshold
+	return nil
 }
 
 // diff loads two reports and compares every benchmark they share by name.
 // Ratios above threshold (new slower than old by more than that factor)
-// are regressions; one or more makes the returned error non-nil. The
-// gated custom metrics are compared the same way when both records carry
-// them. Benchmarks present in only one record are listed but never fail
-// the diff, so adding or retiring benchmarks between baselines stays
-// cheap.
-func diff(oldPath, newPath string, threshold float64, stdout io.Writer) error {
+// are regressions, and so are rate metrics that drop by more than it.
+// Count metrics must match exactly unless allow declares the move. Any
+// regression or undeclared move makes the returned error non-nil.
+// Benchmarks present in only one record are listed but never fail the
+// diff, so adding or retiring benchmarks between baselines stays cheap.
+func diff(oldPath, newPath string, threshold float64, allow allowList, stdout io.Writer) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		return err
@@ -320,7 +339,8 @@ func diff(oldPath, newPath string, threshold float64, stdout io.Writer) error {
 		oldBy[r.Name] = r
 	}
 	newBy := make(map[string]benchResult, len(newRep.Benchmarks))
-	var regressions int
+	used := allowList{}
+	var regressions, moved int
 	for _, r := range newRep.Benchmarks {
 		newBy[r.Name] = r
 		old, ok := oldBy[r.Name]
@@ -343,20 +363,45 @@ func diff(oldPath, newPath string, threshold float64, stdout io.Writer) error {
 			verdict, r.Name, old.NsPerOp, r.NsPerOp, ratio); err != nil {
 			return err
 		}
-		for _, g := range gatedMetrics {
-			newV, okNew := r.Metrics[g.unit]
-			oldV, okOld := old.Metrics[g.unit]
+		for _, unit := range countMetrics {
+			newV, okNew := r.Metrics[unit]
+			oldV, okOld := old.Metrics[unit]
 			if !okNew || !okOld {
 				continue
 			}
-			mRatio, bad := g.regressed(oldV, newV, threshold)
+			//lint:ignore floatcmp deterministic counts round-trip their integer literals exactly
+			same := newV == oldV
+			verdict, note := "ok    ", ""
+			if key := r.Name + ":" + unit; !same && allow[key] {
+				verdict, note = "moved ", "  (allowed)"
+				used[key] = true
+			} else if !same {
+				verdict, note = "MOVED ", "  (declare with -allow "+key+")"
+				moved++
+			}
+			if _, err := fmt.Fprintf(stdout, "%s %-60s %12g -> %12g %s%s\n",
+				verdict, r.Name, oldV, newV, unit, note); err != nil {
+				return err
+			}
+		}
+		for _, unit := range rateMetrics {
+			newV, okNew := r.Metrics[unit]
+			oldV, okOld := old.Metrics[unit]
+			if !okNew || !okOld {
+				continue
+			}
+			mRatio, bad := 0.0, oldV > 0
+			if newV > 0 {
+				mRatio = oldV / newV
+				bad = mRatio > threshold
+			}
 			mVerdict := "ok    "
 			if bad {
 				mVerdict = "WORSE "
 				regressions++
 			}
 			if _, err := fmt.Fprintf(stdout, "%s %-60s %12.2f -> %12.2f %s  (x%.2f)\n",
-				mVerdict, r.Name, oldV, newV, g.unit, mRatio); err != nil {
+				mVerdict, r.Name, oldV, newV, unit, mRatio); err != nil {
 				return err
 			}
 		}
@@ -368,8 +413,22 @@ func diff(oldPath, newPath string, threshold float64, stdout io.Writer) error {
 			}
 		}
 	}
+	for _, key := range allow.sorted() {
+		if !used[key] {
+			if _, err := fmt.Fprintf(stdout, "unused -allow %s: the count did not move\n", key); err != nil {
+				return err
+			}
+		}
+	}
+	var errs []string
 	if regressions > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed beyond x%.2f", regressions, threshold)
+		errs = append(errs, fmt.Sprintf("%d benchmark(s) regressed beyond x%.2f", regressions, threshold))
+	}
+	if moved > 0 {
+		errs = append(errs, fmt.Sprintf("%d count(s) moved without -allow", moved))
+	}
+	if len(errs) > 0 {
+		return errors.New(strings.Join(errs, "; "))
 	}
 	return nil
 }

@@ -194,45 +194,44 @@ func TestBenchjsonDiffGatesMetrics(t *testing.T) {
 	oldPath := writeReport(t,
 		"BenchmarkBatch-8 10 100 ns/op 0 allocs/op 5000 instances/sec\n"+
 			"BenchmarkTree-8 10 100 ns/op 40.0 nodes\n"+
-			"BenchmarkFree-8 10 100 ns/op 9.0 pivots\n")
+			"BenchmarkFree-8 10 100 ns/op 9.0 pivots 0.5 warm-fraction\n")
 
-	// allocs/op 0 -> 2 fails regardless of threshold (zero-strict), even
-	// with ns/op and everything else flat.
+	// allocs/op 0 -> 2 is a moved count, even with ns/op and everything
+	// else flat: a zero-allocation pin cannot silently rot.
 	leaky := writeReport(t,
 		"BenchmarkBatch-8 10 100 ns/op 2 allocs/op 5000 instances/sec\n"+
 			"BenchmarkTree-8 10 100 ns/op 40.0 nodes\n"+
-			"BenchmarkFree-8 10 100 ns/op 9.0 pivots\n")
+			"BenchmarkFree-8 10 100 ns/op 9.0 pivots 0.5 warm-fraction\n")
 	var stdout bytes.Buffer
 	err := run([]string{"-diff", oldPath, leaky}, strings.NewReader(""), &stdout, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
+	if err == nil || !strings.Contains(err.Error(), "1 count(s) moved") {
 		t.Fatalf("allocs/op 0->2 passed the diff: err = %v\n%s", err, stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "WORSE") || !strings.Contains(stdout.String(), "allocs/op") {
-		t.Errorf("diff output missing WORSE allocs/op verdict:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "MOVED  BenchmarkBatch") || !strings.Contains(stdout.String(), "allocs/op") {
+		t.Errorf("diff output missing MOVED allocs/op verdict:\n%s", stdout.String())
 	}
 
 	// instances/sec is higher-better: dropping 5000 -> 2000 fails at the
-	// default threshold 2.0; nodes growing 40 -> 90 fails too; pivots
-	// (ungated) may grow freely.
+	// default threshold 2.0, with every count flat.
 	slow := writeReport(t,
 		"BenchmarkBatch-8 10 100 ns/op 0 allocs/op 2000 instances/sec\n"+
-			"BenchmarkTree-8 10 100 ns/op 90.0 nodes\n"+
-			"BenchmarkFree-8 10 100 ns/op 900.0 pivots\n")
+			"BenchmarkTree-8 10 100 ns/op 40.0 nodes\n"+
+			"BenchmarkFree-8 10 100 ns/op 9.0 pivots 0.5 warm-fraction\n")
 	stdout.Reset()
 	err = run([]string{"-diff", oldPath, slow}, strings.NewReader(""), &stdout, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "2 benchmark(s) regressed") {
-		t.Fatalf("throughput+nodes regression: err = %v\n%s", err, stdout.String())
+	if err == nil || !strings.Contains(err.Error(), "1 benchmark(s) regressed") {
+		t.Fatalf("throughput regression: err = %v\n%s", err, stdout.String())
 	}
-	out := stdout.String()
-	if !strings.Contains(out, "instances/sec") || !strings.Contains(out, "nodes") {
-		t.Errorf("diff output missing gated metric lines:\n%s", out)
+	if !strings.Contains(stdout.String(), "WORSE  BenchmarkBatch") {
+		t.Errorf("diff output missing WORSE instances/sec line:\n%s", stdout.String())
 	}
 
-	// Within-threshold drift on every gated metric passes.
+	// Within-threshold drift of the rates and of the ungated metrics
+	// passes while every count holds.
 	drift := writeReport(t,
 		"BenchmarkBatch-8 10 100 ns/op 0 allocs/op 4000 instances/sec\n"+
-			"BenchmarkTree-8 10 100 ns/op 60.0 nodes\n"+
-			"BenchmarkFree-8 10 100 ns/op 900.0 pivots\n")
+			"BenchmarkTree-8 10 150 ns/op 40.0 nodes\n"+
+			"BenchmarkFree-8 10 100 ns/op 9.0 pivots 0.9 warm-fraction\n")
 	stdout.Reset()
 	if err := run([]string{"-diff", oldPath, drift}, strings.NewReader(""), &stdout, &stdout); err != nil {
 		t.Fatalf("within-threshold metric drift failed: %v\n%s", err, stdout.String())
@@ -246,6 +245,85 @@ func TestBenchjsonDiffGatesMetrics(t *testing.T) {
 	stdout.Reset()
 	if err := run([]string{"-diff", oldPath, missing}, strings.NewReader(""), &stdout, &stdout); err != nil {
 		t.Fatalf("one-sided metrics failed the diff: %v\n%s", err, stdout.String())
+	}
+}
+
+// TestBenchjsonDiffGatesCountsExactly: every deterministic count fails the
+// diff on a move of one, whatever the threshold, and each moved count is
+// named with the metric it moved.
+func TestBenchjsonDiffGatesCountsExactly(t *testing.T) {
+	oldPath := writeReport(t,
+		"BenchmarkTree-8 1 100 ns/op 40 nodes 7 strong-branches\n"+
+			"BenchmarkLP/cold/n=20,m=40-8 10 100 ns/op 22 pivots 201 basis-rows\n"+
+			"BenchmarkFR/n=100-8 10 100 ns/op 18 probes/op\n"+
+			"BenchmarkEvents-8 3 100 ns/op 34454 allocs/op\n")
+	for _, tc := range []struct{ line, bench, unit string }{
+		{"BenchmarkTree-8 1 100 ns/op 41 nodes 7 strong-branches\n", "BenchmarkTree", "nodes"},
+		{"BenchmarkTree-8 1 100 ns/op 40 nodes 6 strong-branches\n", "BenchmarkTree", "strong-branches"},
+		{"BenchmarkLP/cold/n=20,m=40-8 10 100 ns/op 23 pivots 201 basis-rows\n", "BenchmarkLP/cold/n=20,m=40", "pivots"},
+		{"BenchmarkLP/cold/n=20,m=40-8 10 100 ns/op 22 pivots 202 basis-rows\n", "BenchmarkLP/cold/n=20,m=40", "basis-rows"},
+		{"BenchmarkFR/n=100-8 10 100 ns/op 17 probes/op\n", "BenchmarkFR/n=100", "probes/op"},
+		{"BenchmarkEvents-8 3 100 ns/op 34453 allocs/op\n", "BenchmarkEvents", "allocs/op"},
+	} {
+		newPath := writeReport(t, tc.line)
+		var stdout bytes.Buffer
+		err := run([]string{"-diff", "-threshold", "100", oldPath, newPath}, strings.NewReader(""), &stdout, &stdout)
+		if err == nil || !strings.Contains(err.Error(), "1 count(s) moved") {
+			t.Errorf("%s %s moved by one: err = %v\n%s", tc.bench, tc.unit, err, stdout.String())
+			continue
+		}
+		want := "MOVED  " + tc.bench
+		if !strings.Contains(stdout.String(), want) || !strings.Contains(stdout.String(), "-allow "+tc.bench+":"+tc.unit) {
+			t.Errorf("%s %s: output does not name the move:\n%s", tc.bench, tc.unit, stdout.String())
+		}
+	}
+}
+
+// TestBenchjsonDiffAllow: -allow declares moves by bench:metric, accepts
+// benchmark names with commas in them, may be repeated, reports entries
+// whose count did not move, and lets undeclared moves still fail.
+func TestBenchjsonDiffAllow(t *testing.T) {
+	oldPath := writeReport(t,
+		"BenchmarkLP/cold/n=20,m=40-8 10 100 ns/op 22 pivots\n"+
+			"BenchmarkTree-8 1 100 ns/op 40 nodes\n"+
+			"BenchmarkEvents-8 3 100 ns/op 100 allocs/op\n")
+	newPath := writeReport(t,
+		"BenchmarkLP/cold/n=20,m=40-8 10 100 ns/op 23 pivots\n"+
+			"BenchmarkTree-8 1 100 ns/op 41 nodes\n"+
+			"BenchmarkEvents-8 3 100 ns/op 105 allocs/op\n")
+
+	var stdout bytes.Buffer
+	args := []string{"-diff",
+		"-allow", "BenchmarkLP/cold/n=20,m=40:pivots,BenchmarkTree:nodes",
+		"-allow", "BenchmarkEvents:allocs/op,BenchmarkGone:nodes",
+		oldPath, newPath}
+	if err := run(args, strings.NewReader(""), &stdout, &stdout); err != nil {
+		t.Fatalf("declared moves failed the diff: %v\n%s", err, stdout.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"moved  BenchmarkLP/cold/n=20,m=40", "(allowed)", "unused -allow BenchmarkGone:nodes"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("diff output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Declaring one move leaves the other two failing.
+	stdout.Reset()
+	err := run([]string{"-diff", "-allow", "BenchmarkTree:nodes", oldPath, newPath}, strings.NewReader(""), &stdout, &stdout)
+	if err == nil || !strings.Contains(err.Error(), "2 count(s) moved") {
+		t.Fatalf("undeclared moves: err = %v\n%s", err, stdout.String())
+	}
+
+	// Malformed entries and -allow outside -diff are usage errors.
+	for _, bad := range [][]string{
+		{"-diff", "-allow", "BenchmarkTree", oldPath, newPath},
+		{"-diff", "-allow", "BenchmarkTree:", oldPath, newPath},
+		{"-diff", "-allow", ":nodes", oldPath, newPath},
+		{"-allow", "BenchmarkTree:nodes"},
+	} {
+		if err := run(bad, strings.NewReader(sampleBench), &stdout, &stdout); err == nil {
+			t.Errorf("run(%q) accepted", bad)
+		}
 	}
 }
 

@@ -16,13 +16,17 @@
 //	{"kind":"task-depart","task":"t0"}
 //
 // Each re-solve prints one JSON line on stdout with the schedule summary;
-// -v adds the full per-task time maps. With -replay N a deterministic
-// N-event synthetic trace (internal/incremental.GenTrace) is replayed
-// instead of reading stdin — the smoke-test and benchmarking mode. Final
+// -v adds the full per-task time maps. An event the engine refuses (a
+// departure of a task that is not live, say) is reported on stderr with
+// its input position and skipped; it leaves the engine as it was and does
+// not count toward -batch. A line that is not valid JSON ends the run.
+// With -replay N a deterministic N-event synthetic trace
+// (internal/incremental.GenTrace) is replayed instead of reading stdin —
+// the smoke-test and benchmarking mode. Final
 // engine stats (warm-hit rate, events/sec, and the p50/p90/p99/max
 // latency of the flushes, each timed from event apply to published
-// schedule; percentiles within 6.25% above, max exact) go to stderr on
-// exit.
+// schedule; percentiles within 6.25% above, max exact) and the number of
+// refused events go to stderr on exit.
 package main
 
 import (
@@ -90,19 +94,23 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 	}
 	enc := json.NewEncoder(out)
 	var lat latencyHist
-	n := 0
+	n, refused := 0, 0
 	for {
-		ev, ok, err := events()
+		ev, pos, ok, err := events()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		n++
-		if _, err := e.Post(ev); err != nil { // only buffers: the window never fills
-			return err
+		// Post only validates and buffers (the window never fills), so a
+		// refused event changes nothing.
+		if _, err := e.Post(ev); err != nil {
+			refused++
+			_, _ = fmt.Fprintf(errw, "dsctd: %s refused: %v\n", pos, err)
+			continue
 		}
+		n++
 		if n%*batch != 0 {
 			continue
 		}
@@ -116,8 +124,8 @@ func run(args []string, in io.Reader, out, errw io.Writer) error {
 		}
 	}
 	st := e.Stats()
-	_, _ = fmt.Fprintf(errw, "dsctd: %d events, %d solves (%d warm, %d cold, warm-hit %.0f%%), %d nodes\n",
-		st.Events, st.Solves, st.WarmResolves, st.ColdResolves, 100*st.WarmHitRate(), st.Nodes)
+	_, _ = fmt.Fprintf(errw, "dsctd: %d events, %d refused, %d solves (%d warm, %d cold, warm-hit %.0f%%), %d nodes\n",
+		st.Events, refused, st.Solves, st.WarmResolves, st.ColdResolves, 100*st.WarmHitRate(), st.Nodes)
 	_, _ = fmt.Fprintf(errw, "dsctd: %d flushes, latency p50 %v, p90 %v, p99 %v, max %v; flush time %v total, solve time %v total, %.0f events/sec\n",
 		lat.n, lat.quantile(50), lat.quantile(90), lat.quantile(99), lat.max, lat.total, st.SolveTime, st.EventsPerSec())
 	return nil
@@ -152,27 +160,28 @@ func report(enc *json.Encoder, e *incremental.Engine, n int, verbose bool, lat *
 }
 
 // eventSource returns a pull iterator over the replayed trace or decoded
-// stdin lines: next() yields (event, true, nil) until the stream ends.
-func eventSource(replay int, seed int64, tasks, machines int, in io.Reader) (func() (incremental.Event, bool, error), error) {
+// stdin lines: next() yields (event, input position, true, nil) until the
+// stream ends.
+func eventSource(replay int, seed int64, tasks, machines int, in io.Reader) (func() (incremental.Event, string, bool, error), error) {
 	if replay > 0 {
 		trace, err := incremental.GenTrace(incremental.DefaultTraceConfig(seed, replay, tasks, machines))
 		if err != nil {
 			return nil, err
 		}
 		i := 0
-		return func() (incremental.Event, bool, error) {
+		return func() (incremental.Event, string, bool, error) {
 			if i >= len(trace) {
-				return incremental.Event{}, false, nil
+				return incremental.Event{}, "", false, nil
 			}
 			ev := trace[i]
 			i++
-			return ev, true, nil
+			return ev, fmt.Sprintf("trace event %d", i), true, nil
 		}, nil
 	}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	line := 0
-	return func() (incremental.Event, bool, error) {
+	return func() (incremental.Event, string, bool, error) {
 		for sc.Scan() {
 			line++
 			if len(sc.Bytes()) == 0 {
@@ -180,13 +189,13 @@ func eventSource(replay int, seed int64, tasks, machines int, in io.Reader) (fun
 			}
 			var ev incremental.Event
 			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-				return incremental.Event{}, false, fmt.Errorf("stdin line %d: %w", line, err)
+				return incremental.Event{}, "", false, fmt.Errorf("stdin line %d: %w", line, err)
 			}
-			return ev, true, nil
+			return ev, fmt.Sprintf("stdin line %d", line), true, nil
 		}
 		if err := sc.Err(); err != nil {
-			return incremental.Event{}, false, fmt.Errorf("stdin: %w", err)
+			return incremental.Event{}, "", false, fmt.Errorf("stdin: %w", err)
 		}
-		return incremental.Event{}, false, nil
+		return incremental.Event{}, "", false, nil
 	}, nil
 }

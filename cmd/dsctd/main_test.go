@@ -155,6 +155,40 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	}
 }
 
+// TestStdinRefusesBadEvent: an event the engine refuses is reported with
+// its input line and skipped, the daemon keeps serving the events after
+// it, the refused event does not count toward -batch, and the footer
+// counts it.
+func TestStdinRefusesBadEvent(t *testing.T) {
+	input := strings.Join([]string{
+		`{"kind":"machine-join","machine":"m0","speed":9500,"power":180}`,
+		`{"kind":"budget-change","budget":4000}`,
+		`{"kind":"task-arrive","task":"t0","deadline":1.5,"breaks":[0,40,90],"values":[0.001,0.61,0.82]}`,
+		`{"kind":"task-depart","task":"nope"}`,
+		`{"kind":"task-arrive","task":"t1","deadline":2.5,"breaks":[0,30,80],"values":[0.001,0.55,0.80]}`,
+	}, "\n")
+	var out, errw strings.Builder
+	if err := run([]string{"-batch", "1"}, strings.NewReader(input), &out, &errw); err != nil {
+		t.Fatalf("run stopped on a refused event: %v", err)
+	}
+	sums := decodeSummaries(t, out.String())
+	if len(sums) != 4 {
+		t.Fatalf("got %d summaries, want 4 (one per accepted event)", len(sums))
+	}
+	if last := sums[len(sums)-1]; last.Event != 4 || last.Tasks != 2 || last.Status != "optimal" {
+		t.Errorf("last summary %+v, want event 4: optimal with 2 tasks", last)
+	}
+	stderr := errw.String()
+	if !strings.Contains(stderr, "stdin line 4 refused") || !strings.Contains(stderr, `"nope"`) {
+		t.Errorf("stderr %q does not name the refused line and its error", stderr)
+	}
+	for _, want := range []string{"4 events, 1 refused", "4 flushes"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stats footer %q lacks %q", stderr, want)
+		}
+	}
+}
+
 func TestStdinRejectsBadLine(t *testing.T) {
 	var out, errw strings.Builder
 	err := run(nil, strings.NewReader("{not json}\n"), &out, &errw)

@@ -21,7 +21,7 @@ var raceEnabled = false
 
 // allocFactor builds a representative factor with a few etas absorbed,
 // plus scratch slices, for the kernel allocation pins.
-func allocFactor(t *testing.T) (f *luFactor, rhs, out, work, cw []float64) {
+func allocFactor(t *testing.T) (f *luFactor, rhs, out, work, cw []float64, bs *btranScratch) {
 	t.Helper()
 	s := rng.New(21, "lp-alloc")
 	m := 40
@@ -47,25 +47,36 @@ func allocFactor(t *testing.T) (f *luFactor, rhs, out, work, cw []float64) {
 			a[i] = 1.5 * B[i][r]
 		}
 		f.ftran(a, w, work)
-		f.appendEta(r, w)
+		f.appendEta(r, w, nonzeros(w))
 	}
-	return f, rhs, out, work, cw
+	bs = &btranScratch{}
+	bs.load(f)
+	return f, rhs, out, work, cw, bs
 }
 
 func TestAllocsFtranBtran(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	f, rhs, out, work, cw := allocFactor(t)
+	f, rhs, out, work, cw, bs := allocFactor(t)
 	if got := testing.AllocsPerRun(100, func() {
 		f.ftran(rhs, out, work)
 	}); got != 0 {
 		t.Errorf("ftran allocates %.0f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		f.btran(rhs, out, work, cw)
+		f.btran(rhs, out, work, cw, bs)
 	}); got != 0 {
 		t.Errorf("btran allocates %.0f per run, want 0", got)
+	}
+	// A unit vector keeps the support under the hyper-sparse threshold
+	// through the eta file, so this pins the support path.
+	unit := make([]float64, len(rhs))
+	unit[3] = 1
+	if got := testing.AllocsPerRun(100, func() {
+		f.btran(unit, out, work, cw, bs)
+	}); got != 0 {
+		t.Errorf("hyper-sparse btran allocates %.0f per run, want 0", got)
 	}
 }
 
@@ -74,15 +85,16 @@ func TestAllocsEtaAppend(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	f, rhs, out, work, _ := allocFactor(t)
+	f, rhs, out, work, _, _ := allocFactor(t)
 	f.ftran(rhs, out, work)
+	nz := nonzeros(out)
 	r := 7
 	// Steady state: truncate the eta file back after each append so the
 	// arena capacities grown by the warm-up call are reused. The pin is on
 	// the append itself, not on slice growth.
 	n0, i0 := len(f.etaPos), len(f.etaIdx)
 	if got := testing.AllocsPerRun(100, func() {
-		f.appendEta(r, out)
+		f.appendEta(r, out, nz)
 		f.etaPos = f.etaPos[:n0]
 		f.etaDiag = f.etaDiag[:n0]
 		f.etaPtr = f.etaPtr[:n0+1]

@@ -7,7 +7,10 @@ package lp
 // two sparse triangular factors plus a short product-form eta file, so
 //
 //   - FTRAN (w = B⁻¹a) and BTRAN (yᵀ = cᵦᵀB⁻¹) are triangular solves that
-//     skip structural zeros: O(nnz(L+U) + nnz(etas)) per application;
+//     skip the vector's zeros, so beyond a few O(m) passes they cost the
+//     factor entries the vector's nonzeros reach, not nnz(L+U) + nnz(etas);
+//     BTRAN applies the eta file over the vector's support while it is
+//     hyper-sparse (Hall and McKinnon, 2005);
 //   - a pivot appends one eta vector (the entering direction already
 //     computed for the ratio test) instead of rewriting m² entries;
 //   - refactorisation is right-looking elimination with Markowitz ordering
@@ -23,10 +26,19 @@ package lp
 // the pivoted constraint row and back, colOf/posOfCol do the same for
 // basis positions. L and U are stored column-wise in elimination
 // coordinates; L has an implicit unit diagonal, U keeps its diagonal in
-// uDiag. Column-wise storage serves both directions: FTRAN scatters down
-// columns, BTRAN gathers up them.
+// uDiag. FTRAN scatters down the columns of both. BTRAN gathers down L's
+// columns and scatters along U's rows, from a row-wise copy of U that the
+// solver keeps beside the factor (btranScratch), since frozen factors are
+// shared between solvers.
+//
+// Every kernel computes each element bit for bit as its dense form would:
+// a skipped term is always an exact-zero product (a zero result may differ
+// in sign), and the terms that remain are summed in the same order.
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 const (
 	// markowitzTau is the threshold-pivoting tolerance: a pivot candidate
@@ -47,6 +59,15 @@ const (
 	// the eta path: every driftCheckEvery pivots the basic values are
 	// verified against B·xb ≈ q and the factors rebuilt on failure.
 	driftCheckEvery = 16
+	// btranHyperDiv sets BTRAN's hyper-sparse threshold: while the
+	// vector's support holds at most m/btranHyperDiv positions, the eta
+	// file is applied over the support; past it, the rest of the file is
+	// scanned in full (Hall and McKinnon's 10% density).
+	btranHyperDiv = 10
+	// etaSearchMin is the number of eta entries per support position
+	// below which scanning the eta outright is cheaper than a binary
+	// search per position.
+	etaSearchMin = 8
 )
 
 // luFactor is a sparse LU factorisation of one basis matrix plus the eta
@@ -120,17 +141,18 @@ func (f *luFactor) fillHeavy() bool {
 }
 
 // appendEta records the product-form update of a pivot at basis position r
-// with entering direction w = B⁻¹A_pc (position space, length m).
+// with entering direction w = B⁻¹A_pc (position space, length m), whose
+// nonzeros sit at the ascending positions nz: O(nnz(w)).
 //
 //lint:freezer the owning solver's eta append is the copy-on-write growth point
 //lint:hotpath one append per pivot; arena growth is amortised and pinned to zero steady-state allocations
-func (f *luFactor) appendEta(r int, w []float64) {
+func (f *luFactor) appendEta(r int, w []float64, nz []int) {
 	f.etaPos = append(f.etaPos, r)
 	f.etaDiag = append(f.etaDiag, w[r])
-	for i, wi := range w {
-		if i != r && wi != 0 {
+	for _, i := range nz {
+		if i != r {
 			f.etaIdx = append(f.etaIdx, i)
-			f.etaVal = append(f.etaVal, wi)
+			f.etaVal = append(f.etaVal, w[i])
 		}
 	}
 	f.etaPtr = append(f.etaPtr, len(f.etaIdx))
@@ -207,43 +229,190 @@ func (f *luFactor) ftran(rhs, out, work []float64) {
 
 // btran solves yᵀ·B = cᵀ: c is in basis-position space, the result
 // (written to out) in row space. work and cw are m-length scratch slices
-// owned by the caller; c is not modified.
+// owned by the caller, and s is the caller's btranScratch loaded for f;
+// c is not modified. The eta and Uᵀ stages cost the entries the vector's
+// nonzeros reach, not the factor's nonzero count, while every element
+// comes out bit for bit as the column-gather form computes it: a skipped
+// term is always an exact-zero product, and the terms that remain are
+// subtracted in the same ascending order.
 //
 //lint:hotpath one transposed solve per pricing pass; pinned to zero allocations
-func (f *luFactor) btran(c, out, work, cw []float64) {
+func (f *luFactor) btran(c, out, work, cw []float64, s *btranScratch) {
 	m := f.m
-	copy(cw, c)
-	// Eta transposes, newest first: cᵀ·E_e⁻¹ touches only position r.
+	// The support: ascending basis positions that may hold a nonzero of cw,
+	// tracked while it stays within the hyper-sparse threshold.
+	maxSupp := m / btranHyperDiv
+	supp := s.supp[:0]
+	sparse := true
+	for i, ci := range c[:m] {
+		cw[i] = ci
+		if ci != 0 && sparse {
+			if len(supp) < maxSupp {
+				supp = append(supp, i)
+			} else {
+				sparse = false
+			}
+		}
+	}
+	// Eta transposes, newest first: cᵀ·E_e⁻¹ touches only position r,
+	// which takes the dot product of cw with the eta's off-diagonal part.
 	for e := len(f.etaPos) - 1; e >= 0; e-- {
 		r := f.etaPos[e]
-		s := cw[r]
-		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
-			s -= cw[f.etaIdx[t]] * f.etaVal[t]
+		lo, hi := f.etaPtr[e], f.etaPtr[e+1]
+		old := cw[r]
+		v := old
+		switch {
+		case sparse && (lo == hi || len(supp) == 0 || supp[0] > f.etaIdx[hi-1] || supp[len(supp)-1] < f.etaIdx[lo]):
+			// The support misses the eta's index range: no nonzero terms.
+		case sparse && hi-lo > etaSearchMin*len(supp):
+			// Over the support: both it and the eta's indices ascend, so
+			// each position is found by binary search past the previous
+			// hit, and the terms come in the full scan's order less its
+			// zero products.
+			for _, i := range supp {
+				lo = searchIdx(f.etaIdx, lo, hi, i)
+				if lo == hi {
+					break
+				}
+				if f.etaIdx[lo] == i {
+					v -= cw[i] * f.etaVal[lo]
+					lo++
+				}
+			}
+		default:
+			for t := lo; t < hi; t++ {
+				v -= cw[f.etaIdx[t]] * f.etaVal[t]
+			}
 		}
-		cw[r] = s / f.etaDiag[e]
+		v /= f.etaDiag[e]
+		cw[r] = v
+		if sparse && v != 0 && old == 0 {
+			// r joins the support unless a cancellation left it there. (A
+			// nonzero old value means r is there already.)
+			k := searchIdx(supp, 0, len(supp), r)
+			if k == len(supp) || supp[k] != r {
+				if len(supp) == maxSupp {
+					sparse = false
+					continue
+				}
+				supp = append(supp, 0)
+				copy(supp[k+1:], supp[k:])
+				supp[k] = r
+			}
+		}
 	}
 	for k := 0; k < m; k++ {
 		work[k] = cw[f.colOf[k]]
 	}
-	// Forward solve Uᵀ·z = c̃, gathering up column k.
+	// Forward solve Uᵀ·z = c̃ in scatter form over U's rows: once z_k is
+	// final it is subtracted into the later entries of row k. Entry j
+	// receives its terms in ascending k, the order of the gather down U's
+	// column j, and a zero z_k contributes only exact zeros.
 	for k := 0; k < m; k++ {
-		s := work[k]
-		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
-			s -= f.uVal[t] * work[f.uIdx[t]]
+		v := work[k]
+		if v == 0 {
+			continue
 		}
-		work[k] = s / f.uDiag[k]
+		v /= f.uDiag[k]
+		work[k] = v
+		for t := s.uRowPtr[k]; t < s.uRowPtr[k+1]; t++ {
+			work[s.uRowIdx[t]] -= s.uRowVal[t] * v
+		}
 	}
-	// Backward solve Lᵀ·ỹ = z, gathering down column k.
-	for k := m - 1; k >= 0; k-- {
-		s := work[k]
-		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			s -= f.lVal[t] * work[f.lIdx[t]]
+	// Backward solve Lᵀ·ỹ = z, gathering down each non-empty column k; a
+	// scatter form would reorder the sums.
+	if len(f.lIdx) > 0 {
+		for k := m - 1; k >= 0; k-- {
+			if lo, hi := f.lPtr[k], f.lPtr[k+1]; lo < hi {
+				v := work[k]
+				for t := lo; t < hi; t++ {
+					v -= f.lVal[t] * work[f.lIdx[t]]
+				}
+				work[k] = v
+			}
 		}
-		work[k] = s
 	}
 	for k := 0; k < m; k++ {
 		out[f.rowOf[k]] = work[k]
 	}
+}
+
+// searchIdx returns the first t in [lo, hi) with idx[t] >= x, or hi: the
+// binary search of an ascending index run.
+func searchIdx(idx []int, lo, hi, x int) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if idx[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// btranScratch is the solver-owned state btran needs beyond work and cw:
+// U stored row-wise in elimination coordinates (the scatter form of Uᵀ)
+// for the factor the solver currently holds, and the support buffer of
+// the eta stage. It stays out of luFactor because a frozen factor is
+// shared by every warm-started child, each of which keeps its own.
+type btranScratch struct {
+	uRowPtr []int // m+1 offsets of U's rows
+	uRowIdx []int // elimination column of each entry, above its row
+	uRowVal []float64
+	supp    []int // m-capacity support list
+	// adopted is the U of the frozen factor the rows were last built
+	// from by adopt, nil after a load. Holding it keeps that array
+	// allocated, so no other factor can reuse its address.
+	adopted []float64
+}
+
+// adopt is load for a frozen factor, skipped when s already holds that
+// factor's U: the strong-branching probes of one node all inherit the
+// node's snapshot. A frozen factor never shares storage with a factor
+// that is rebuilt in place (refactorize loads those unconditionally), and
+// its U never changes.
+func (s *btranScratch) adopt(f *luFactor) {
+	if n := len(f.uVal); n > 0 && len(s.adopted) == n && &s.adopted[0] == &f.uVal[0] {
+		return
+	}
+	s.load(f)
+	s.adopted = f.uVal
+}
+
+// load transposes f's U into row-wise form, O(m + nnz(U)): a counting
+// transpose that scatters the columns in step order, so every row's
+// entries ascend. It runs whenever the solver's factor changes.
+func (s *btranScratch) load(f *luFactor) {
+	m := f.m
+	if cap(s.supp) < m {
+		s.supp = make([]int, m)
+	}
+	ptr := grown(s.uRowPtr, m+1)
+	for _, i := range f.uIdx {
+		ptr[i+1]++
+	}
+	for k := 0; k < m; k++ {
+		ptr[k+1] += ptr[k]
+	}
+	// Every entry below is overwritten, so the arrays are resized without
+	// the zeroing grown does.
+	s.uRowIdx = slices.Grow(s.uRowIdx[:0], len(f.uIdx))[:len(f.uIdx)]
+	s.uRowVal = slices.Grow(s.uRowVal[:0], len(f.uIdx))[:len(f.uIdx)]
+	// ptr[i] serves as row i's fill cursor, ending at the start of row
+	// i+1; shifting it back by one row restores the offsets.
+	for k := 0; k < m; k++ {
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			i := f.uIdx[t]
+			s.uRowIdx[ptr[i]] = k
+			s.uRowVal[ptr[i]] = f.uVal[t]
+			ptr[i]++
+		}
+	}
+	copy(ptr[1:], ptr[:m])
+	ptr[0] = 0
+	s.uRowPtr = ptr
+	s.adopted = nil
 }
 
 // facEntry is one live nonzero of the active submatrix during elimination.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -53,6 +54,8 @@ func checkFactorAgainstDense(t *testing.T, f *luFactor, B [][]float64, s *rng.So
 	work := make([]float64, m)
 	cw := make([]float64, m)
 	out := make([]float64, m)
+	var bs btranScratch
+	bs.load(f)
 	scale := 1.0
 	for i := range B {
 		for j := range B[i] {
@@ -86,7 +89,7 @@ func checkFactorAgainstDense(t *testing.T, f *luFactor, B [][]float64, s *rng.So
 				t.Fatalf("ftran: (B·x)[%d] = %g, want %g (err %g)", i, bx, rhs[i], bx-rhs[i])
 			}
 		}
-		f.btran(rhs, out, work, cw)
+		f.btran(rhs, out, work, cw, &bs)
 		for j := 0; j < m; j++ {
 			var yb float64
 			for i := 0; i < m; i++ {
@@ -97,6 +100,18 @@ func checkFactorAgainstDense(t *testing.T, f *luFactor, B [][]float64, s *rng.So
 			}
 		}
 	}
+}
+
+// nonzeros returns the ascending positions of w's nonzeros: the list
+// rev.ftran records beside its result and appendEta walks.
+func nonzeros(w []float64) []int {
+	var nz []int
+	for i, wi := range w {
+		if wi != 0 {
+			nz = append(nz, i)
+		}
+	}
+	return nz
 }
 
 // randomSparseBasis builds a random nonsingular m×m matrix: a permuted
@@ -184,8 +199,10 @@ func TestFactorizeBasisEmpty(t *testing.T) {
 	if f.m != 0 || f.nEtas() != 0 {
 		t.Fatalf("empty factor: m=%d etas=%d", f.m, f.nEtas())
 	}
+	var bs btranScratch
+	bs.load(f)
 	f.ftran(nil, nil, nil) // must be a no-op, not a panic
-	f.btran(nil, nil, nil, nil)
+	f.btran(nil, nil, nil, nil, &bs)
 }
 
 func TestFactorizeBasisSingular(t *testing.T) {
@@ -255,7 +272,7 @@ func TestFactorEtaUpdates(t *testing.T) {
 			if math.Abs(w[r]) < 0.5 {
 				continue // perturbation unluckily large; skip this update
 			}
-			f.appendEta(r, w)
+			f.appendEta(r, w, nonzeros(w))
 			for i := 0; i < m; i++ {
 				B[i][r] = a[i]
 			}
@@ -283,7 +300,7 @@ func TestFactorFreezeCopyOnWrite(t *testing.T) {
 	e := make([]float64, m)
 	e[0] = 1
 	f.ftran(e, w, work)
-	f.appendEta(2, w)
+	f.appendEta(2, w, nonzeros(w))
 
 	frozen := f.freeze()
 	if frozen.nEtas() != 1 {
@@ -303,9 +320,9 @@ func TestFactorFreezeCopyOnWrite(t *testing.T) {
 	eb := make([]float64, m)
 	eb[2] = 1
 	childA.ftran(ea, wa, work)
-	childA.appendEta(3, wa)
+	childA.appendEta(3, wa, nonzeros(wa))
 	childB.ftran(eb, wb, work)
-	childB.appendEta(4, wb)
+	childB.appendEta(4, wb, nonzeros(wb))
 
 	if frozen.nEtas() != 1 {
 		t.Fatalf("parent eta count changed to %d after child appends", frozen.nEtas())
@@ -332,12 +349,252 @@ func TestFactorFillHeavy(t *testing.T) {
 	w := []float64{1, 1}
 	budget := etaFillRows*f.m + etaFillLU*f.nnzLU
 	for !f.fillHeavy() {
-		f.appendEta(0, w)
+		f.appendEta(0, w, nonzeros(w))
 		if f.etaNnz() > budget+2 {
 			t.Fatalf("fillHeavy never triggered: nnz=%d budget=%d", f.etaNnz(), budget)
 		}
 	}
 	if f.etaNnz() <= budget {
 		t.Fatalf("fillHeavy fired early: nnz=%d budget=%d", f.etaNnz(), budget)
+	}
+}
+
+// btranGather is the column-gather BTRAN the kernel used before its
+// hyper-sparse form, kept as the reference the kernel must reproduce bit
+// for bit: every eta transpose scans its full index list, and Uᵀ and Lᵀ
+// gather down every column, zero terms included.
+func btranGather(f *luFactor, c, out []float64) {
+	m := f.m
+	cw := append([]float64(nil), c...)
+	work := make([]float64, m)
+	for e := len(f.etaPos) - 1; e >= 0; e-- {
+		r := f.etaPos[e]
+		s := cw[r]
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			s -= cw[f.etaIdx[t]] * f.etaVal[t]
+		}
+		cw[r] = s / f.etaDiag[e]
+	}
+	for k := 0; k < m; k++ {
+		work[k] = cw[f.colOf[k]]
+	}
+	for k := 0; k < m; k++ {
+		s := work[k]
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			s -= f.uVal[t] * work[f.uIdx[t]]
+		}
+		work[k] = s / f.uDiag[k]
+	}
+	for k := m - 1; k >= 0; k-- {
+		s := work[k]
+		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+			s -= f.lVal[t] * work[f.lIdx[t]]
+		}
+		work[k] = s
+	}
+	for k := 0; k < m; k++ {
+		out[f.rowOf[k]] = work[k]
+	}
+}
+
+// sameBits reports whether a and b are the same float64 bit for bit, with
+// +0 and −0 taken as equal: a skipped exact-zero product may flip the sign
+// of a zero result, and nothing downstream reads that sign.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
+}
+
+// checkBtranBits runs the kernel and btranGather on c and fails on the
+// first element that differs.
+func checkBtranBits(t *testing.T, what string, f *luFactor, bs *btranScratch, c []float64) {
+	t.Helper()
+	m := f.m
+	want := make([]float64, m)
+	btranGather(f, c, want)
+	got := make([]float64, m)
+	// Dirty scratch, as the solver leaves it between calls.
+	work := make([]float64, m)
+	cw := make([]float64, m)
+	for i := range work {
+		work[i], cw[i] = math.NaN(), math.NaN()
+	}
+	f.btran(c, got, work, cw, bs)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: y[%d] = %v (%#x), gather reference %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sparseInput returns an m-vector with k nonzeros at random positions.
+func sparseInput(s *rng.Source, m, k int) []float64 {
+	c := make([]float64, m)
+	for _, i := range s.Perm(m)[:k] {
+		c[i] = s.Uniform(-2, 2)
+	}
+	return c
+}
+
+// randomEta appends one synthetic product-form update at position r to f:
+// a diagonal of healthy size and fill nonzeros at random positions. The
+// comparison with btranGather is bitwise, so the etas need not describe a
+// real pivot sequence, only divide safely.
+func randomEta(s *rng.Source, f *luFactor, r, fill int) {
+	w := make([]float64, f.m)
+	for _, i := range s.Perm(f.m)[:fill] {
+		w[i] = s.Uniform(-1, 1)
+	}
+	w[r] = s.Uniform(1, 2) * float64(1-2*s.Intn(2))
+	f.appendEta(r, w, nonzeros(w))
+}
+
+// TestBtranMatchesGather holds the hyper-sparse BTRAN to the gather
+// reference bit for bit on random sparse factors whose eta files grow in
+// length and fill, for inputs with 0, 1, 3, m/8 and m nonzeros. One
+// scratch serves every factor, reloaded per factor as a solver reloads it.
+func TestBtranMatchesGather(t *testing.T) {
+	s := rng.New(17, "lp-btran-gather")
+	var bs btranScratch
+	for trial := 0; trial < 12; trial++ {
+		m := 40 + s.Intn(120)
+		B := randomSparseBasis(s, m, 2*m)
+		colPtr, rowIdx, vals := cscFromDense(B)
+		f, err := factorizeBasis(m, colPtr, rowIdx, vals)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(f.uIdx) == 0 {
+			t.Fatalf("trial %d: U has no off-diagonal entries; the Uᵀ scatter goes unexercised", trial)
+		}
+		bs.load(f)
+		for _, etas := range []int{0, 4, 16, 64} {
+			for f.nEtas() < etas {
+				// Fill grows with the file: late etas carry up to m/2
+				// entries, long enough to be searched for several support
+				// positions at once.
+				randomEta(s, f, s.Intn(m), s.Intn(1+f.nEtas()*m/(2*64)+1))
+			}
+			for _, k := range []int{0, 1, 3, m / 8, m} {
+				for rep := 0; rep < 4; rep++ {
+					checkBtranBits(t, fmt.Sprintf("trial %d, m=%d, %d etas, %d nonzeros", trial, m, etas, k),
+						f, &bs, sparseInput(s, m, k))
+				}
+			}
+		}
+	}
+}
+
+// TestBtranSupportCrossesThreshold builds an eta file in which every eta
+// reaches the position of the one applied before it, so a unit input's
+// support grows by one position per eta and passes the hyper-sparse
+// threshold partway through the file; the kernel must switch to full scans
+// there without changing a bit.
+func TestBtranSupportCrossesThreshold(t *testing.T) {
+	s := rng.New(18, "lp-btran-threshold")
+	m := 120
+	limit := m / btranHyperDiv
+	B := randomSparseBasis(s, m, 2*m)
+	colPtr, rowIdx, vals := cscFromDense(B)
+	f, err := factorizeBasis(m, colPtr, rowIdx, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// BTRAN applies the newest eta first. The unit input sits at chain[0];
+	// the eta applied k-th writes chain[k] and reads chain[k-1], plus noise
+	// at positions off the chain: enough that the early etas take the
+	// binary-search path and the later ones the scan.
+	nEtas := 3 * limit
+	chain := s.Perm(m)[:nEtas+1]
+	onChain := map[int]bool{}
+	for _, p := range chain {
+		onChain[p] = true
+	}
+	for e := nEtas; e >= 1; e-- {
+		w := make([]float64, m)
+		for _, i := range s.Perm(m)[:40] {
+			if !onChain[i] {
+				w[i] = s.Uniform(-1, 1)
+			}
+		}
+		w[chain[e-1]] = s.Uniform(0.5, 1)
+		w[chain[e]] = s.Uniform(1, 2)
+		f.appendEta(chain[e], w, nonzeros(w))
+	}
+	// Replay the eta stage densely to confirm the support really crosses
+	// the threshold partway through the file.
+	c := make([]float64, m)
+	c[chain[0]] = 1
+	cw := append([]float64(nil), c...)
+	crossedAt := -1
+	for e := f.nEtas() - 1; e >= 0; e-- {
+		r := f.etaPos[e]
+		v := cw[r]
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			v -= cw[f.etaIdx[t]] * f.etaVal[t]
+		}
+		cw[r] = v / f.etaDiag[e]
+		if crossedAt < 0 && len(nonzeros(cw)) > limit {
+			crossedAt = f.nEtas() - e
+		}
+	}
+	if crossedAt <= 1 || crossedAt >= f.nEtas() {
+		t.Fatalf("support crossed the threshold (%d) after eta %d of %d, want partway", limit, crossedAt, f.nEtas())
+	}
+	var bs btranScratch
+	bs.load(f)
+	checkBtranBits(t, "unit input on the chain", f, &bs, c)
+	for k := 0; k < 8; k++ {
+		checkBtranBits(t, "sparse input", f, &bs, sparseInput(s, m, 1+s.Intn(limit)))
+	}
+}
+
+// TestBtranStaircaseBasis compares the kernel with the gather reference
+// on the factor and eta file a cold solve of a BuildFR-shaped staircase LP
+// ends with, for every unit input (one row of B⁻¹ each, the dual simplex's
+// pivot rows) and the phase-2 basic costs.
+func TestBtranStaircaseBasis(t *testing.T) {
+	g := generateStaircaseLP(rng.New(19, "lp-btran-staircase"), 40, 5)
+	tr := newRev(g.p, Options{})
+	sol, _, err := tr.solveCold(g.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	f := tr.lu
+	if f.nEtas() == 0 {
+		t.Fatal("the final factor carries no eta file; the eta stage goes unexercised")
+	}
+	m := f.m
+	for i := 0; i < m; i++ {
+		e := make([]float64, m)
+		e[i] = 1
+		checkBtranBits(t, fmt.Sprintf("unit %d", i), f, &tr.luBt, e)
+	}
+	cb := make([]float64, m)
+	for i := range cb {
+		if v := tr.basis[i]; v < g.p.NumVars() {
+			cb[i] = g.obj[v]
+		}
+	}
+	checkBtranBits(t, "basic costs", f, &tr.luBt, cb)
+}
+
+// TestFtranNonzeroList: rev.ftran's nonzero list is exactly the ascending
+// nonzero positions of w, for every column of a staircase LP at its final
+// basis.
+func TestFtranNonzeroList(t *testing.T) {
+	g := generateStaircaseLP(rng.New(20, "lp-ftran-nz"), 30, 4)
+	tr := newRev(g.p, Options{})
+	if _, _, err := tr.solveCold(g.p); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < tr.width; j++ {
+		tr.ftran(j)
+		if want := nonzeros(tr.w); !reflect.DeepEqual(append([]int{}, tr.wNz...), append([]int{}, want...)) {
+			t.Fatalf("column %d: nonzero list %v, want %v", j, tr.wNz, want)
+		}
 	}
 }

@@ -105,11 +105,14 @@ type rev struct {
 	d     []float64 // width reduced costs
 	alpha []float64 // width pivot-row coefficients (dual simplex)
 	w     []float64 // m entering-column direction (ftran)
+	wNz   []int     // ascending positions of w's nonzeros
 	colv  []float64 // m gathered matrix column
 	cb    []float64 // m btran input: basic costs, or a unit vector
 	rho   []float64 // m btran output: one row of B⁻¹ (row space)
 	luW   []float64 // m triangular-solve workspace
 	luC   []float64 // m btran eta-transform workspace
+
+	luBt btranScratch // btran's row-wise U of lu and its support buffer
 
 	// Reuse-mode flags. A Workspace-owned rev (owned) persists across
 	// solves, so a factor that a one-shot solve may share into a published
@@ -193,6 +196,7 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.d = grown(t.d, t.width)
 	t.alpha = grown(t.alpha, t.width)
 	t.w = grown(t.w, m)
+	t.wNz = grown(t.wNz, m)[:0]
 	t.colv = grown(t.colv, m)
 	t.cb = grown(t.cb, m)
 	t.rho = grown(t.rho, m)
@@ -398,6 +402,7 @@ func (t *rev) refactorize() error {
 		}
 		t.lu = f
 	}
+	t.luBt.load(t.lu)
 	t.sinceRefactor = 0
 	t.computeXB()
 	return nil
@@ -439,7 +444,12 @@ func (t *rev) inheritFactor(from *Basis) bool {
 	}
 	t.sinceRefactor = from.age
 	t.computeXB()
-	return t.inverseResidualOK()
+	if !t.inverseResidualOK() {
+		return false
+	}
+	// t.lu holds f's U, copied or shared.
+	t.luBt.adopt(f)
+	return true
 }
 
 // inverseResidualOK spot-checks the represented inverse: the basic values
@@ -534,7 +544,7 @@ func (t *rev) prices(c []float64) {
 	for i := 0; i < m; i++ {
 		t.cb[i] = c[t.basis[i]]
 	}
-	t.lu.btran(t.cb, t.y, t.luW, t.luC)
+	t.lu.btran(t.cb, t.y, t.luW, t.luC, &t.luBt)
 	// Artificial reduced costs (columns >= rw) are never read — artificials
 	// cannot enter — so only the structural+logical block is priced: y_i is
 	// subtracted over row i's nonzeros plus the implicit logical
@@ -556,12 +566,21 @@ func (t *rev) prices(c []float64) {
 }
 
 // ftran computes w = B⁻¹ A_col into t.w: the column is gathered into a
-// dense row-space vector and solved against the factors + eta file.
+// dense row-space vector and solved against the factors + eta file. The
+// ascending positions of w's nonzeros go to t.wNz, so the pivot's O(m)
+// loops visit only those rows.
 //
 //lint:hotpath one entering-direction solve per pivot; pinned to zero allocations
 func (t *rev) ftran(col int) {
 	t.gatherCol(col)
 	t.lu.ftran(t.colv, t.w, t.luW)
+	nz := t.wNz[:0]
+	for i, wi := range t.w {
+		if wi != 0 {
+			nz = append(nz, i)
+		}
+	}
+	t.wNz = nz
 }
 
 // pivotRow computes alpha = (row pr of B⁻¹)·A into t.alpha. Artificial
@@ -579,7 +598,7 @@ func (t *rev) pivotRow(pr int) {
 		t.cb[k] = 0
 	}
 	t.cb[pr] = 1
-	t.lu.btran(t.cb, t.rho, t.luW, t.luC)
+	t.lu.btran(t.cb, t.rho, t.luW, t.luC, &t.luBt)
 	for k := 0; k < t.m; k++ {
 		bk := t.rho[k]
 		if bk == 0 {
@@ -602,11 +621,9 @@ func (t *rev) pivotRow(pr int) {
 func (t *rev) flipCol(pc int, sigma float64) {
 	span := t.hi[pc] - t.lo[pc]
 	t.addColTimes(pc, -sigma*span)
-	for i := 0; i < t.m; i++ {
-		if wi := t.w[i]; wi != 0 {
-			t.xb[i] -= sigma * span * wi
-			t.snapXB(i)
-		}
+	for _, i := range t.wNz {
+		t.xb[i] -= sigma * span * t.w[i]
+		t.snapXB(i)
 	}
 	t.atUpper[pc] = !t.atUpper[pc]
 }
@@ -629,7 +646,6 @@ func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 		}
 		return errNumerical
 	}
-	m := t.m
 	leave := t.basis[pr]
 	leaveVal := t.lo[leave]
 	if leaveToUpper {
@@ -643,12 +659,9 @@ func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 	// Entering step: exactly the displacement that lands the leaving
 	// column on leaveVal.
 	delta := (t.xb[pr] - leaveVal) / piv
-	for i := 0; i < m; i++ {
-		if i == pr {
-			continue
-		}
-		if wi := t.w[i]; wi != 0 {
-			t.xb[i] -= delta * wi
+	for _, i := range t.wNz {
+		if i != pr {
+			t.xb[i] -= delta * t.w[i]
 			t.snapXB(i)
 		}
 	}
@@ -656,7 +669,7 @@ func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 
 	// Product-form update: one eta vector from the direction already in
 	// hand, O(nnz(w)).
-	t.lu.appendEta(pr, t.w)
+	t.lu.appendEta(pr, t.w, t.wNz)
 
 	t.inBasis[leave] = false
 	t.atUpper[leave] = leaveToUpper
@@ -768,17 +781,17 @@ func (t *rev) primal(c []float64) (Status, error) {
 		// the iteration is a bound flip, no pivot. Ties prefer a row pivot
 		// (pr == -1 initially) and then the lowest basic column index, the
 		// Bland-compatible deterministic order.
+		// Only rows where w is nonzero can bind, so the test walks t.wNz.
 		pr := -1
 		leaveToUpper := false
 		minRatio := t.hi[pc] - t.lo[pc] // +inf when hi is
-		for i := 0; i < t.m; i++ {
+		for _, i := range t.wNz {
 			wi := sigma * t.w[i]
-			bl, bh := t.lo[t.basis[i]], t.hi[t.basis[i]]
 			var ratio float64
 			var toUpper bool
 			if wi > tol {
-				ratio = (t.xb[i] - bl) / wi
-			} else if wi < -tol && !math.IsInf(bh, 1) {
+				ratio = (t.xb[i] - t.lo[t.basis[i]]) / wi
+			} else if bh := t.hi[t.basis[i]]; wi < -tol && !math.IsInf(bh, 1) {
 				ratio = (bh - t.xb[i]) / -wi
 				toUpper = true
 			} else {

@@ -33,12 +33,17 @@
 # exact search with the rounding hook (BenchmarkAblationParallelMIP, whose
 # workers=1 name matches the records taken while helper goroutines
 # existed; the only root benchmark that runs MIPModel.RoundingHook and so
-# the fixed-assignment evaluator) —
+# the fixed-assignment evaluator) and Table 1's LP column as the fr-lp
+# workload runs it (BenchmarkFRLPCold, cold lp.Solve of model.BuildFR at
+# n=100/150/200, m=5, with its pivot count) —
 # records the parsed results, including
 # per-pair speedups, in BENCH_PR<cur>.json via cmd/benchjson, and diffs
 # them against the committed BENCH_PR<prev>.json baseline (shared
-# benchmarks only; threshold x2.5 to ride out machine noise; the diff
-# gates allocs/op, nodes, instances/sec and events/sec alongside ns/op). <prev> is
+# benchmarks only). The diff holds the deterministic counts (nodes,
+# pivots, strong-branches, probes/op, basis-rows, allocs/op) to equality,
+# except the moves listed with -allow bench:metric,... (passed through to
+# benchjson), and gates ns/op, instances/sec and events/sec at x2.5 to
+# ride out machine noise. <prev> is
 # the highest-numbered committed BENCH_PR*.json and <cur> is <prev>+1;
 # override with -pr N to write BENCH_PR<N>.json and diff against the
 # highest committed baseline below N.
@@ -52,6 +57,7 @@ cd "$(dirname "$0")/.."
 run_bench=0
 run_profile=0
 pr_cur=""
+allow=""
 while [ $# -gt 0 ]; do
   case "$1" in
     -bench) run_bench=1 ;;
@@ -63,6 +69,11 @@ while [ $# -gt 0 ]; do
       case "$pr_cur" in
         ''|*[!0-9]*) echo "verify.sh: -pr needs a number, got '$pr_cur'" >&2; exit 2 ;;
       esac
+      ;;
+    -allow)
+      shift
+      [ $# -gt 0 ] || { echo "verify.sh: -allow needs bench:metric[,...]" >&2; exit 2; }
+      allow="$1"
       ;;
     *) echo "verify.sh: unknown argument: $1" >&2; exit 2 ;;
   esac
@@ -138,11 +149,12 @@ if [ "$run_bench" = 1 ]; then
     go test -run='^$' -bench='^BenchmarkApproxEndToEnd$' -benchtime=20x -count=3 .
     go test -run='^$' -bench='^BenchmarkAblationRefineVariants$' -benchtime=20x -count=3 .
     go test -run='^$' -bench='^BenchmarkAblationParallelMIP$' -benchtime=20x -count=3 .
+    go test -run='^$' -bench='^BenchmarkFRLPCold$' -benchtime=5x -count=3 .
   } | tee /dev/stderr | go run ./cmd/benchjson -label "PR ${pr_cur}" -o "BENCH_PR${pr_cur}.json"
 
   if [ -n "$prev" ]; then
     echo "==> benchjson -diff BENCH_PR${prev}.json BENCH_PR${pr_cur}.json"
-    go run ./cmd/benchjson -diff -threshold 2.5 "BENCH_PR${prev}.json" "BENCH_PR${pr_cur}.json"
+    go run ./cmd/benchjson -diff -threshold 2.5 ${allow:+-allow "$allow"} "BENCH_PR${prev}.json" "BENCH_PR${pr_cur}.json"
   else
     echo "==> no committed baseline below PR ${pr_cur}; skipping diff"
   fi
