@@ -33,6 +33,11 @@
 // the threshold factor, failing when the new value drops below
 // old/threshold. Metrics outside these sets (warm-fraction, B/op, ...) are
 // recorded but never gated.
+//
+// In -pairs mode the two arguments are files of dsctbench result lines
+// from alternating runs of a base and a changed build (see pairs.go and
+// scripts/benchpairs.sh); the summary gives each metric's medians,
+// quartiles and the change's win count.
 package main
 
 import (
@@ -107,8 +112,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	threshold := fs.Float64("threshold", 2.0, "with -diff, fail when any common benchmark is slower than this factor")
 	allow := allowList{}
 	fs.Var(allow, "allow", "with -diff, count moves this change declares, as bench:metric[,bench:metric...]")
+	pairsMode := fs.Bool("pairs", false, "summarise alternating benchmark runs (args: base.jsonl change.jsonl) instead of parsing stdin")
+	spec := fs.String("benchmark", "BENCHMARK.json", "with -pairs, the file giving each metric's better direction")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *pairsMode {
+		if *diffMode || fs.NArg() != 2 {
+			return fmt.Errorf("-pairs needs exactly two arguments: base.jsonl change.jsonl")
+		}
+		return summarizePairs(*spec, fs.Arg(0), fs.Arg(1), stdout)
 	}
 	if *diffMode {
 		if fs.NArg() != 2 {

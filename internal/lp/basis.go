@@ -35,16 +35,20 @@ type basisEntry struct {
 // share across goroutines.
 //
 // Besides the column set, a Basis snapshots the basis factorisation at
-// optimality: the frozen sparse L·U factors plus eta file (fac). A child
-// warm start adopts them by an O(1) struct copy — the triangular factors
-// are immutable and shared, and the first eta the child appends copies the
-// clipped eta file out of the shared backing (copy-on-write), so sibling
-// children never race. Branch-and-bound children share their parent's
-// Basis pointer, so live memory scales with the open frontier, not the
-// tree. age counts the product-form updates the snapshot has absorbed
+// optimality: the frozen sparse L·U factors plus eta file (fac), with the
+// row scales they were computed under. A child warm start adopts them by
+// an O(1) struct copy — the triangular factors are immutable and shared,
+// and the first eta the child appends copies the clipped eta file out of
+// the shared backing (copy-on-write), so sibling children never race. A
+// child with appended rows extends the adopted factor across them instead
+// of refactorising: identity elimination steps for the new rows, copied
+// out of the shared permutation and pointer arrays, plus one unit eta per
+// old basic column the new rows reach. Branch-and-bound children share
+// their parent's Basis pointer, so live memory scales with the open
+// frontier, not the tree. age counts the pivots the snapshot has absorbed
 // since its last from-scratch factorisation; SolveFrom refuses snapshots
-// whose eta file has gone fill-heavy and rebuilds instead, bounding
-// inherited roundoff across generations.
+// whose eta file has gone fill-heavy, or whose row scales have moved, and
+// rebuilds instead, bounding inherited roundoff across generations.
 type Basis struct {
 	//lint:frozen a Basis is immutable once returned
 	nVars int

@@ -18,7 +18,14 @@ package lp
 //     paper's EDF instances produce — triggered adaptively by eta-file
 //     fill and a numerical-drift check rather than a fixed pivot count;
 //   - a warm-start snapshot shares the immutable L/U with every child that
-//     inherits it (O(1) adoption), instead of copying an m² inverse.
+//     inherits it (O(1) adoption), instead of copying an m² inverse;
+//   - a child whose problem gained rows extends the snapshot instead of
+//     refactorising. Its basis is B′ = [[B, 0], [C, I]]: the appended rows'
+//     logicals are basic, and C holds the new rows' entries on the old
+//     basic columns. B′ = [[B, 0], [0, I]]·[[I, 0], [C, I]], so the factor
+//     gains one identity elimination step per new row (extend) and the eta
+//     file one unit eta per old basic column C reaches (appendUnitEta);
+//     FTRAN, BTRAN and appendEta run on the result unchanged.
 //
 // Coordinate conventions. Basis matrix columns are indexed by basis
 // position (the slot in rev.basis), rows by constraint row. The
@@ -111,6 +118,14 @@ type luFactor struct {
 	//lint:frozen fixed at factorisation
 	nnzLU int // total stored nonzeros of L and U including the diagonal
 
+	// scales are the equilibration scales of the m rows the factor was
+	// computed under. Scaling a row changes the basis matrix, and when the
+	// row's q_i is 0 the residual check cannot see it, so adoption compares
+	// them with the solving problem's.
+	//
+	//lint:frozen recorded at factorisation and shared by every frozen snapshot
+	scales []float64
+
 	// Eta file: update e appended at basis position etaPos[e] transforms
 	// B into B·E with E = I except column etaPos[e] = w (the entering
 	// direction). etaDiag[e] = w[etaPos[e]]; the off-diagonal nonzeros of
@@ -153,6 +168,65 @@ func (f *luFactor) appendEta(r int, w []float64, nz []int) {
 		if i != r {
 			f.etaIdx = append(f.etaIdx, i)
 			f.etaVal = append(f.etaVal, w[i])
+		}
+	}
+	f.etaPtr = append(f.etaPtr, len(f.etaIdx))
+}
+
+// extend grows f, a factor of a basis B over its f.m rows, into the factor
+// of [[B, 0], [0, I]] over m rows: each appended row k enters as an
+// identity elimination step (row k, basis position k, empty L and U
+// columns, unit diagonal), so the permutations extend by the identity,
+// lPtr and uPtr repeat their last offset and L's and U's entries are
+// untouched. scales are the appended rows' equilibration scales. The eta
+// file keeps its updates, which act on the leading positions only.
+//
+// A frozen snapshot shares the extended arrays, so unless own reports
+// that f's arrays are the caller's alone (the Workspace's private copy),
+// the extension is written into fresh arrays — two allocations — and
+// never appended in place.
+//
+//lint:freezer extends the solver's adopted copy into fresh arrays, or an owned factor in place
+func (f *luFactor) extend(m int, scales []float64, own bool) {
+	m0 := f.m
+	if !own {
+		ints := make([]int, 6*m+2)
+		f.rowOf = append(ints[:0:m], f.rowOf...)
+		f.posOfRow = append(ints[m:m:2*m], f.posOfRow...)
+		f.colOf = append(ints[2*m:2*m:3*m], f.colOf...)
+		f.posOfCol = append(ints[3*m:3*m:4*m], f.posOfCol...)
+		f.lPtr = append(ints[4*m:4*m:5*m+1], f.lPtr...)
+		f.uPtr = append(ints[5*m+1:5*m+1:6*m+2], f.uPtr...)
+		floats := make([]float64, 2*m)
+		f.uDiag = append(floats[:0:m], f.uDiag...)
+		f.scales = append(floats[m:m:2*m], f.scales...)
+	}
+	for k := m0; k < m; k++ {
+		f.rowOf = append(f.rowOf, k)
+		f.posOfRow = append(f.posOfRow, k)
+		f.colOf = append(f.colOf, k)
+		f.posOfCol = append(f.posOfCol, k)
+		f.lPtr = append(f.lPtr, f.lPtr[m0])
+		f.uPtr = append(f.uPtr, f.uPtr[m0])
+		f.uDiag = append(f.uDiag, 1)
+	}
+	f.scales = append(f.scales, scales...)
+	f.nnzLU += m - m0
+	f.m = m
+}
+
+// appendUnitEta records the update B·E with E = I except column r =
+// e_r + Σ_k val[k]·e_idx[k]: an eta with unit pivot whose off-diagonal
+// entries sit at the ascending positions idx. Exact zeros are skipped.
+//
+//lint:freezer appends to the owning solver's eta file, copy-on-write like appendEta
+func (f *luFactor) appendUnitEta(r int, idx []int, val []float64) {
+	f.etaPos = append(f.etaPos, r)
+	f.etaDiag = append(f.etaDiag, 1)
+	for k, i := range idx {
+		if v := val[k]; v != 0 {
+			f.etaIdx = append(f.etaIdx, i)
+			f.etaVal = append(f.etaVal, v)
 		}
 	}
 	f.etaPtr = append(f.etaPtr, len(f.etaIdx))
@@ -367,17 +441,30 @@ type btranScratch struct {
 	adopted []float64
 }
 
-// adopt is load for a frozen factor, skipped when s already holds that
+// adopt is load for a frozen factor f, skipped when s already holds that
 // factor's U: the strong-branching probes of one node all inherit the
 // node's snapshot. A frozen factor never shares storage with a factor
 // that is rebuilt in place (refactorize loads those unconditionally), and
-// its U never changes.
-func (s *btranScratch) adopt(f *luFactor) {
-	if n := len(f.uVal); n > 0 && len(s.adopted) == n && &s.adopted[0] == &f.uVal[0] {
-		return
+// its U never changes. m >= f.m is the dimension of the solver's factor:
+// f extended by identity steps (luFactor.extend), whose rows of U are
+// empty.
+func (s *btranScratch) adopt(f *luFactor, m int) {
+	if n := len(f.uVal); n == 0 || len(s.adopted) != n || &s.adopted[0] != &f.uVal[0] {
+		s.load(f)
+		s.adopted = f.uVal
 	}
-	s.load(f)
-	s.adopted = f.uVal
+	// s holds the rows of a factor with this U, which may have been
+	// extended to another dimension; every row past the U's own is empty,
+	// ending where U ends.
+	if len(s.uRowPtr) > m+1 {
+		s.uRowPtr = s.uRowPtr[:m+1]
+	}
+	for len(s.uRowPtr) <= m {
+		s.uRowPtr = append(s.uRowPtr, len(f.uIdx))
+	}
+	if cap(s.supp) < m {
+		s.supp = make([]int, m)
+	}
 }
 
 // load transposes f's U into row-wise form, O(m + nnz(U)): a counting
@@ -475,26 +562,16 @@ type facState struct {
 // same-shaped bases settle into zero allocations.
 func (s *facState) reset(m int) {
 	s.m = m
-	if cap(s.cols) < m {
-		s.cols = make([][]facEntry, m)
-	} else {
-		s.cols = s.cols[:m]
+	// A larger basis keeps the arenas of the columns, rows and buckets it
+	// shares with the last one.
+	s.cols = kept(s.cols, m)
+	s.rowCols = kept(s.rowCols, m)
+	for i := range s.rowCols {
+		s.rowCols[i] = s.rowCols[i][:0]
 	}
-	if cap(s.rowCols) < m {
-		s.rowCols = make([][]int, m)
-	} else {
-		s.rowCols = s.rowCols[:m]
-		for i := range s.rowCols {
-			s.rowCols[i] = s.rowCols[i][:0]
-		}
-	}
-	if cap(s.buckets) < m+1 {
-		s.buckets = make([][]int, m+1)
-	} else {
-		s.buckets = s.buckets[:m+1]
-		for c := range s.buckets {
-			s.buckets[c] = s.buckets[c][:0]
-		}
+	s.buckets = kept(s.buckets, m+1)
+	for c := range s.buckets {
+		s.buckets[c] = s.buckets[c][:0]
 	}
 	s.rowCnt = grown(s.rowCnt, m)
 	s.colCnt = grown(s.colCnt, m)
@@ -805,6 +882,7 @@ func (f *luFactor) copyFrom(src *luFactor) {
 	f.colOf = taken(f.colOf, src.colOf)
 	f.posOfCol = taken(f.posOfCol, src.posOfCol)
 	f.nnzLU = src.nnzLU
+	f.scales = taken(f.scales, src.scales)
 	f.etaPos = taken(f.etaPos, src.etaPos)
 	f.etaDiag = taken(f.etaDiag, src.etaDiag)
 	f.etaPtr = taken(f.etaPtr, src.etaPtr)

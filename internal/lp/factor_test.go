@@ -598,3 +598,192 @@ func TestFtranNonzeroList(t *testing.T) {
 		}
 	}
 }
+
+// growBasis returns B grown by k rows and columns as rev.extendFactor
+// sees it: the new block is the identity (the appended rows' logicals,
+// basic at positions m0…m−1) and each new row has a few entries on old
+// columns (C). It extends f to match — identity steps, then one unit eta
+// per old position that C reaches — with own selecting in-place growth.
+func growBasis(s *rng.Source, f *luFactor, B [][]float64, k int, own bool) [][]float64 {
+	m0 := len(B)
+	m := m0 + k
+	G := make([][]float64, m)
+	for i := range G {
+		G[i] = make([]float64, m)
+		if i < m0 {
+			copy(G[i], B[i])
+		} else {
+			G[i][i] = 1
+		}
+	}
+	for r := m0; r < m; r++ {
+		for e := 0; e < 3; e++ {
+			G[r][s.Intn(m0)] = s.Uniform(-2, 2)
+		}
+	}
+	scales := make([]float64, k)
+	for i := range scales {
+		scales[i] = 1
+	}
+	f.extend(m, scales, own)
+	for p := 0; p < m0; p++ {
+		var idx []int
+		var val []float64
+		for r := m0; r < m; r++ {
+			if G[r][p] != 0 {
+				idx = append(idx, r)
+				val = append(val, G[r][p])
+			}
+		}
+		if len(idx) > 0 {
+			f.appendUnitEta(p, idx, val)
+		}
+	}
+	return G
+}
+
+// pivotColumns replaces n random columns of B through f's eta file, as
+// TestFactorEtaUpdates does, keeping B the matrix f represents.
+func pivotColumns(s *rng.Source, f *luFactor, B [][]float64, n int) {
+	m := len(B)
+	work := make([]float64, m)
+	w := make([]float64, m)
+	for upd := 0; upd < n; upd++ {
+		r := s.Intn(m)
+		alpha := s.Uniform(1, 2)
+		a := make([]float64, m)
+		for i := range a {
+			a[i] = alpha * B[i][r]
+			if s.Intn(4) == 0 {
+				a[i] += s.Uniform(-0.3, 0.3)
+			}
+		}
+		f.ftran(a, w, work)
+		if math.Abs(w[r]) < 0.5 {
+			continue
+		}
+		f.appendEta(r, w, nonzeros(w))
+		for i := 0; i < m; i++ {
+			B[i][r] = a[i]
+		}
+	}
+}
+
+// checkAgainstFresh compares f's ftran and btran with those of a fresh
+// factorisation of B on inputs with 1, 3 and m nonzeros, within rel
+// relative to the larger result.
+func checkAgainstFresh(t *testing.T, what string, f *luFactor, B [][]float64, s *rng.Source, rel float64) {
+	t.Helper()
+	m := len(B)
+	colPtr, rowIdx, vals := cscFromDense(B)
+	fresh, err := factorizeBasis(m, colPtr, rowIdx, vals)
+	if err != nil {
+		t.Fatalf("%s: fresh factorisation: %v", what, err)
+	}
+	var bsF, bsG btranScratch
+	bsF.load(f)
+	bsG.load(fresh)
+	work, cw := make([]float64, m), make([]float64, m)
+	got, want := make([]float64, m), make([]float64, m)
+	near := func(kernel string, nnz int) {
+		scale := 1.0
+		for _, v := range want {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > rel*scale {
+				t.Fatalf("%s: %s with %d nonzeros: [%d] = %.17g, fresh factorisation %.17g",
+					what, kernel, nnz, i, got[i], want[i])
+			}
+		}
+	}
+	for _, nnz := range []int{1, 3, m} {
+		for rep := 0; rep < 3; rep++ {
+			c := sparseInput(s, m, nnz)
+			f.ftran(c, got, work)
+			fresh.ftran(c, want, work)
+			near("ftran", nnz)
+			f.btran(c, got, work, cw, &bsF)
+			fresh.btran(c, want, work, cw, &bsG)
+			near("btran", nnz)
+		}
+	}
+}
+
+// TestFactorExtendMatchesRefactor: a factor extended across k = 1, 3 and
+// 8 appended rows (identity steps plus the unit etas of C) solves like a
+// fresh factorisation of the grown basis, in the owned in-place form and
+// in the copy a frozen snapshot gets, and the snapshot it was extended
+// from still solves its own basis. Two chains follow the same check: an
+// extension, pivot etas and a second extension; and an extension whose
+// eta file then grows fill-heavy and is refactorised.
+func TestFactorExtendMatchesRefactor(t *testing.T) {
+	s := rng.New(23, "lp-factor-extend")
+	const rel = 1e-12
+	for trial := 0; trial < 8; trial++ {
+		m0 := 20 + s.Intn(60)
+		B := randomSparseBasis(s, m0, 2*m0)
+		colPtr, rowIdx, vals := cscFromDense(B)
+		base, err := factorizeBasis(m0, colPtr, rowIdx, vals)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		pivotColumns(s, base, B, 4)
+		snap := base.freeze()
+		for _, k := range []int{1, 3, 8} {
+			for _, own := range []bool{false, true} {
+				what := fmt.Sprintf("trial %d, m0=%d, k=%d, own=%v", trial, m0, k, own)
+				f := *snap
+				if own {
+					f = luFactor{}
+					f.copyFrom(snap)
+				}
+				G := growBasis(s, &f, B, k, own)
+				checkAgainstFresh(t, what, &f, G, s, rel)
+				if f.nnzLU != snap.nnzLU+k || len(f.scales) != len(snap.scales)+k {
+					t.Fatalf("%s: nnzLU %d and %d scales, snapshot %d and %d", what,
+						f.nnzLU, len(f.scales), snap.nnzLU, len(snap.scales))
+				}
+				// Rows of U the scratch adopts for the snapshot's U, at the
+				// extended dimension, give BTRAN the same bits as a load.
+				var adopted, loaded btranScratch
+				adopted.adopt(snap, f.m)
+				loaded.load(&f)
+				for _, nnz := range []int{1, 3, f.m} {
+					c := sparseInput(s, f.m, nnz)
+					checkBtranBits(t, what+", adopted rows", &f, &adopted, c)
+					checkBtranBits(t, what+", loaded rows", &f, &loaded, c)
+				}
+			}
+		}
+		// The extensions wrote nothing the snapshot shares.
+		checkAgainstFresh(t, fmt.Sprintf("trial %d, snapshot after its extensions", trial), snap, B, s, rel)
+
+		// Chain: extend, pivot, extend again.
+		f := *snap
+		G := growBasis(s, &f, B, 3, false)
+		pivotColumns(s, &f, G, 6)
+		g := *f.freeze()
+		G = growBasis(s, &g, G, 5, false)
+		checkAgainstFresh(t, fmt.Sprintf("trial %d, extend-pivot-extend", trial), &g, G, s, rel)
+
+		// Chain: extend, pivot until the eta file is fill-heavy, then
+		// refactorise the grown basis.
+		h := *snap
+		G = growBasis(s, &h, B, 8, false)
+		for n := 0; !h.fillHeavy(); n++ {
+			if n > 50*h.m {
+				t.Fatalf("trial %d: eta file never went fill-heavy (%d nonzeros, %d in LU)", trial, h.etaNnz(), h.nnzLU)
+			}
+			pivotColumns(s, &h, G, 1)
+		}
+		colPtr, rowIdx, vals = cscFromDense(G)
+		var fs facState
+		var re luFactor
+		if err := fs.factorizeInto(&re, h.m, colPtr, rowIdx, vals); err != nil {
+			t.Fatalf("trial %d: refactorising the fill-heavy extension: %v", trial, err)
+		}
+		checkAgainstFresh(t, fmt.Sprintf("trial %d, fill-heavy extension", trial), &h, G, s, rel)
+		checkAgainstFresh(t, fmt.Sprintf("trial %d, refactorised extension", trial), &re, G, s, rel)
+	}
+}

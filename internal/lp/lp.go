@@ -277,10 +277,13 @@ type Solution struct {
 	Iterations int
 
 	// FactorRebuilt reports that a warm start (SolveFrom) could not adopt
-	// the supplied basis snapshot's factorisation — missing,
-	// dimension-mismatched after appended rows, fill-heavy, or failing the
+	// the supplied basis snapshot's factorisation — missing, fill-heavy,
+	// computed under a row scale that has since moved (AppendTerms of a
+	// coefficient larger than the row's largest), or failing the
 	// B·xb ≈ q residual check — and the solve refactorised the inherited
-	// column set from scratch instead. Always false for cold solves.
+	// column set from scratch instead. Rows appended since the snapshot do
+	// not cause a rebuild: the factor is extended across them. Always
+	// false for cold solves.
 	FactorRebuilt bool
 
 	// DualFeasible reports that the solve ended on a dual-feasible basis,

@@ -124,11 +124,11 @@ type rev struct {
 	owned    bool
 	noEscape bool
 
-	// Construction scratch, reused by init across solves.
-	ds      dedupScratch
-	srStore sparseRows
-	valsBuf []float64 // oriented+equilibrated copy of srStore.val
-	csNext  []int     // csMatrix.build transpose cursor
+	// Construction state, reused by init across solves: the canonical rows
+	// of the last problem (sp's CSR side aliases them) and the transpose
+	// cursor.
+	rb     rowBuilder
+	csNext []int // csMatrix.build transpose cursor
 
 	// Factor-path scratch.
 	fColPtr []int // refactorizeLU CSC gather of the basis columns
@@ -137,6 +137,10 @@ type rev struct {
 	fac     facState // right-looking elimination workspace
 	luStore luFactor // owned factor arena (owned && noEscape)
 	luHold  luFactor // persistent holder for adopted frozen snapshots
+	// pubScales is the immutable record of rowScale that the factors this
+	// solve may publish share (see luFactor.scales): the adopted factor's,
+	// or a copy made by the first refactorisation. Reset by init.
+	pubScales []float64
 
 	// Residual-check scratch.
 	resSum   []float64 // inverseResidualOK sparse accumulators
@@ -164,10 +168,12 @@ func newRev(p *Problem, opts Options) *rev {
 
 // init (re)builds the canonical-form matrix for p: >= rows negated to <=,
 // rows equilibrated, one logical and one artificial column per row. The
-// rows are flattened once through the shared sparse builder (deduplicating
-// repeated Terms) and stored as a CSR+CSC pair. Column boxes come from the
-// Problem's bounds; the initial nonbasic point is every structural column
-// at its lower bound, which fixes q and the artificial signs.
+// rows come from the rev's row builder, which rebuilds only the rows whose
+// terms changed since the last solve on this rev, and are stored as a
+// CSR+CSC pair; the CSC side is re-indexed only when a row or the column
+// count changed. Column boxes come from the Problem's bounds; the initial
+// nonbasic point is every structural column at its lower bound, which
+// fixes q and the artificial signs.
 //
 // Every buffer is sized with grown/taken, so re-initialising a rev whose
 // buffers have already grown to this shape allocates nothing. All
@@ -184,7 +190,6 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.artSign = grown(t.artSign, m)
 	t.b = grown(t.b, m)
 	t.q = grown(t.q, m)
-	t.rowScale = grown(t.rowScale, m)
 	t.rowNeg = grown(t.rowNeg, m)
 	t.lo = grown(t.lo, t.width)
 	t.hi = grown(t.hi, t.width)
@@ -209,6 +214,7 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.numRetries = 0
 	t.dFresh = false
 	t.lu = nil
+	t.pubScales = nil
 	t.iterLimit = opts.MaxIters
 	if t.iterLimit == 0 {
 		t.iterLimit = 100*(m+n) + 1000
@@ -223,52 +229,32 @@ func (t *rev) init(p *Problem, opts Options) {
 		t.hi[t.rw+i] = inf // artificials: [0, +inf) until frozen after phase 1
 	}
 
-	sr := t.ds.flatten(p, &t.srStore)
-	// Orient and equilibrate each row in place over its nonzeros only,
-	// then index the result both ways.
-	t.valsBuf = taken(t.valsBuf, sr.val)
-	vals := t.valsBuf
+	// Rows the last solve on this rev built from the same terms keep their
+	// canonical form; the right-hand sides are re-read, since SetRHS edits
+	// only a row's header.
+	changed := t.rb.build(p)
+	t.rowScale = t.rb.scale
 	for i := 0; i < m; i++ {
-		seg := vals[sr.ptr[i]:sr.ptr[i+1]]
-		rhs := sr.rhs[i]
-		if sr.sense[i] == GE {
-			for k := range seg {
-				seg[k] = -seg[k]
-			}
+		r := p.rowAt(i)
+		rhs := r.rhs
+		if r.sense == GE {
 			rhs = -rhs
-		}
-		// Equilibrate against the largest structural coefficient.
-		scale := 0.0
-		for _, v := range seg {
-			if a := math.Abs(v); a > scale {
-				scale = a
-			}
-		}
-		if scale > 0 {
-			inv := 1 / scale
-			for k := range seg {
-				seg[k] *= inv
-			}
-			rhs *= inv
-			t.rowScale[i] = scale
-		} else {
-			t.rowScale[i] = 1
-		}
-		if sr.sense[i] == GE {
 			t.rowNeg[i] = -1
 		} else {
 			t.rowNeg[i] = 1
 		}
-		t.b[i] = rhs
-		if sr.sense[i] == EQ {
+		t.b[i] = rhs * (1 / t.rowScale[i])
+		if r.sense == EQ {
 			// Equality logical: fixed at zero ([0, 0]); never enters.
 			t.hi[n+i] = 0
 		} else {
 			t.hi[n+i] = inf
 		}
 	}
-	t.csNext = grown(t.csNext, n)
-	t.sp.build(m, n, sr.ptr, sr.idx, vals, t.csNext)
+	if changed || len(t.sp.colPtr) != n+1 {
+		t.csNext = grown(t.csNext, n)
+		t.sp.build(m, n, t.rb.rows, t.csNext)
+	}
 	// With every structural column nonbasic at its lower bound (the state
 	// setBasis/SolveBasis start from), q = b − A·lo determines which rows
 	// need a negatively-signed artificial to start basic at |q| >= 0.
@@ -359,6 +345,8 @@ func (t *rev) gatherCol(col int) {
 // sparse LU (factor.go) with an empty eta file and refreshes xb = B⁻¹q:
 // an O(nnz of the basis) gather plus the near-O(nnz) elimination on the
 // staircase bases the paper's instances produce.
+//
+//lint:freezer records the row scales on the factor it has just built, before any snapshot of it exists
 func (t *rev) refactorize() error {
 	m := t.m
 	t.fColPtr = grown(t.fColPtr, m+1)
@@ -392,6 +380,7 @@ func (t *rev) refactorize() error {
 		if err := t.fac.factorizeInto(&t.luStore, m, colPtr, rowIdx, vals); err != nil {
 			return err
 		}
+		t.luStore.scales = taken(t.luStore.scales, t.rowScale)
 		t.lu = &t.luStore
 	} else {
 		// A frozen snapshot of this factor may be published into a Basis,
@@ -400,6 +389,10 @@ func (t *rev) refactorize() error {
 		if err := t.fac.factorizeInto(f, m, colPtr, rowIdx, vals); err != nil {
 			return err
 		}
+		if t.pubScales == nil {
+			t.pubScales = append([]float64(nil), t.rowScale...)
+		}
+		f.scales = t.pubScales
 		t.lu = f
 	}
 	t.luBt.load(t.lu)
@@ -417,15 +410,16 @@ func (t *rev) reuseFactor() bool { return t.owned && t.noEscape }
 // inheritFactor adopts a parent snapshot's frozen LU factors: a struct
 // copy sharing the immutable L/U and the clipped eta file (appends
 // copy-on-write, so sibling children adopting the same snapshot never
-// race). It reports false — leaving the caller to refactorise — when the
-// snapshot carries no factor, when the child's basis dimension differs
-// (appended rows), when the eta file is already fill-heavy, or when
-// the residual check B·xb ≈ q fails (q, not b: a child that tightened a
-// bound moved the nonbasic contribution folded into q, and a flipped
-// artificial sign surfaces here too).
+// race). Rows appended since the snapshot are absorbed by extendFactor. It
+// reports false — leaving the caller to refactorise — when the snapshot
+// carries no factor, when its eta file is already fill-heavy, when one of
+// its rows has a different equilibration scale now, or when the residual
+// check B·xb ≈ q fails (q, not b: a child that tightened a bound moved the
+// nonbasic contribution folded into q, and a flipped artificial sign
+// surfaces here too).
 func (t *rev) inheritFactor(from *Basis) bool {
 	f := from.fac
-	if f == nil || f.m != t.m || f.fillHeavy() {
+	if f == nil || f.m > t.m || f.fillHeavy() || !t.scalesMatch(f) {
 		return false
 	}
 	if t.noEscape {
@@ -442,14 +436,65 @@ func (t *rev) inheritFactor(from *Basis) bool {
 		t.luHold = *f
 		t.lu = &t.luHold
 	}
+	if f.m < t.m {
+		t.extendFactor(f.m)
+	}
+	// The factors this solve publishes were computed under the scales of
+	// the adopted one, and may share its record of them.
+	t.pubScales = t.lu.scales
 	t.sinceRefactor = from.age
 	t.computeXB()
 	if !t.inverseResidualOK() {
 		return false
 	}
-	// t.lu holds f's U, copied or shared.
-	t.luBt.adopt(f)
+	// t.lu holds f's U, copied or shared, extended by empty steps.
+	t.luBt.adopt(f, t.m)
 	return true
+}
+
+// scalesMatch reports whether f was computed under the equilibration
+// scales its rows have now. AppendTerms of a coefficient larger than a
+// row's largest moves the row's scale, and so the basis matrix; when the
+// row's q_i is 0 the residual check cannot see that.
+func (t *rev) scalesMatch(f *luFactor) bool {
+	if len(f.scales) != f.m {
+		return false
+	}
+	for i, sc := range f.scales {
+		if math.Float64bits(sc) != math.Float64bits(t.rowScale[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// extendFactor grows the adopted factor of the snapshot's m0 rows to the
+// basis solveFrom starts from: the rows appended since the snapshot have
+// their logicals basic at positions m0…m−1, so
+//
+//	B′ = [[B, 0], [C, I]] = [[B, 0], [0, I]] · [[I, 0], [C, I]],
+//
+// where C holds the appended rows' entries on the old basic columns, in
+// the stored, scaled frame. The first factor is t.lu extended by identity
+// steps (luFactor.extend). The second is one unit eta per old position
+// whose basic structural column has entries in the appended rows, read
+// from the CSC; the etas commute, since their off-diagonal entries lie in
+// rows whose columns are identity. An arrival's C is a few dozen entries,
+// against the refactorisation of the whole basis it replaces.
+func (t *rev) extendFactor(m0 int) {
+	t.lu.extend(t.m, t.rowScale[m0:], t.noEscape)
+	for p := 0; p < m0; p++ {
+		col := t.basis[p]
+		if col >= t.n {
+			continue // a logical or artificial: zero outside its own row
+		}
+		lo, hi := t.sp.colPtr[col], t.sp.colPtr[col+1]
+		if lo == hi || t.sp.rowIdx[hi-1] < m0 {
+			continue
+		}
+		k := searchIdx(t.sp.rowIdx, lo, hi, m0)
+		t.lu.appendUnitEta(p, t.sp.rowIdx[k:hi], t.sp.colVal[k:hi])
+	}
 }
 
 // inverseResidualOK spot-checks the represented inverse: the basic values

@@ -8,40 +8,48 @@ import (
 	"repro/internal/rng"
 )
 
-// dedupRows flattens p into fresh sparseRows storage.
-func dedupRows(p *Problem) *sparseRows {
-	var ds dedupScratch
-	return ds.flatten(p, &sparseRows{})
+// dedupRows builds p's canonical rows with a fresh row builder.
+func dedupRows(p *Problem) *rowBuilder {
+	rb := &rowBuilder{}
+	rb.build(p)
+	return rb
 }
 
-// TestDedupRows: the shared flattener must accumulate repeated Terms, sort
-// columns within a row, and drop exact cancellations.
+// row returns the index and value slices of built row i.
+func (rb *rowBuilder) row(i int) ([]int, []float64) {
+	lo, hi := rb.rows.ptr[i], rb.rows.ptr[i+1]
+	return rb.rows.idx[lo:hi], rb.rows.val[lo:hi]
+}
+
+// TestDedupRows: the row builder must accumulate repeated Terms, sort
+// columns within a row, drop exact cancellations, negate >= rows and
+// divide each row by its largest |coefficient|.
 func TestDedupRows(t *testing.T) {
 	p := NewProblem(4)
 	p.AddConstraint([]Term{{Var: 3, Coef: 2}, {Var: 1, Coef: 1}, {Var: 3, Coef: 0.5}}, LE, 7)
 	p.AddConstraint([]Term{{Var: 2, Coef: 1}, {Var: 2, Coef: -1}, {Var: 0, Coef: 4}}, GE, -1)
 	p.AddConstraint(nil, EQ, 0)
 
-	sr := dedupRows(p)
-	if got := len(sr.idx); got != 3 {
+	rb := dedupRows(p)
+	if got := len(rb.rows.idx); got != 3 {
 		t.Fatalf("nnz = %d, want 3 (duplicates merged, cancellation dropped)", got)
 	}
-	cols, vals := sr.row(0)
-	//lint:ignore floatcmp dedup sums exact binary fractions (1, 2+0.5); bit-exactness is the contract
-	if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 || vals[0] != 1 || vals[1] != 2.5 {
-		t.Errorf("row 0 = %v %v, want [1 3] [1 2.5]", cols, vals)
+	cols, vals := rb.row(0)
+	//lint:ignore floatcmp dedup sums exact binary fractions (1, 2+0.5), then scales by 1/2.5; bit-exactness is the contract
+	if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 || vals[0] != 1*(1/2.5) || vals[1] != 2.5*(1/2.5) {
+		t.Errorf("row 0 = %v %v, want [1 3] [0.4 1]", cols, vals)
 	}
-	cols, vals = sr.row(1)
-	//lint:ignore floatcmp value copied verbatim from the input Term; identity is exact
-	if len(cols) != 1 || cols[0] != 0 || vals[0] != 4 {
-		t.Errorf("row 1 = %v %v, want [0] [4]", cols, vals)
+	cols, vals = rb.row(1)
+	//lint:ignore floatcmp a single Term negated and divided by its own magnitude is exactly -1
+	if len(cols) != 1 || cols[0] != 0 || vals[0] != -1 {
+		t.Errorf("row 1 = %v %v, want [0] [-1]", cols, vals)
 	}
-	if cols, _ := sr.row(2); len(cols) != 0 {
+	if cols, _ := rb.row(2); len(cols) != 0 {
 		t.Errorf("row 2 nonzeros = %v, want empty", cols)
 	}
-	//lint:ignore floatcmp rhs copied verbatim from AddConstraint; identity is exact
-	if sr.sense[1] != GE || sr.rhs[1] != -1 {
-		t.Errorf("row 1 sense/rhs = %v/%g, want >=/-1", sr.sense[1], sr.rhs[1])
+	//lint:ignore floatcmp the scales are the rows' largest |coefficient|, copied exactly
+	if rb.scale[0] != 2.5 || rb.scale[1] != 4 || rb.scale[2] != 1 {
+		t.Errorf("row scales = %v, want [2.5 4 1]", rb.scale)
 	}
 }
 
@@ -50,12 +58,13 @@ func TestDedupRows(t *testing.T) {
 func TestCSMatrixViewsAgree(t *testing.T) {
 	s := rng.New(11, "lp-csmatrix")
 	g := generateFeasibleLP(s, 6, 9)
-	sr := dedupRows(g.p)
-	sp := newCSMatrix(g.p.NumConstraints(), g.p.NumVars(), sr.ptr, sr.idx, sr.val)
+	rb := dedupRows(g.p)
+	var sp csMatrix
+	sp.build(g.p.NumConstraints(), g.p.NumVars(), rb.rows, make([]int, g.p.NumVars()))
 
 	dense := make([]float64, sp.m*sp.n)
 	for i := 0; i < sp.m; i++ {
-		cols, vals := sr.row(i)
+		cols, vals := rb.row(i)
 		for k, v := range cols {
 			dense[i*sp.n+v] = vals[k]
 		}

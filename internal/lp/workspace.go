@@ -13,13 +13,28 @@ package lp
 //   - the LU elimination workspace, the factor arenas and the eta file
 //     (noEscape mode), or a persistent holder for adopted frozen parent
 //     factors (basis-publishing mode);
-//   - the row flattener, ratio-test, bound-flip and residual-check scratch;
+//   - the canonical rows of the last problem solved (the row cache, below),
+//     the ratio-test, bound-flip and residual-check scratch;
 //   - the output Solution and its X vector (noEscape mode).
 //
 // After the first solve of a given shape has grown the buffers, further
 // Solve/SolveFrom calls allocate nothing (testing.AllocsPerRun pins 0 in
-// workspace_test.go). Buffers only ever grow, so a Workspace that has seen
-// its largest instance is allocation-free for every smaller one.
+// workspace_test.go). Buffers never shrink, so a Workspace that has seen
+// its largest instance is allocation-free for every smaller one; a buffer
+// that has to grow again is reallocated at twice the length asked for, so
+// a problem that keeps growing, as the incremental engine's does by a few
+// rows per event, reallocates each buffer O(log n) times.
+//
+// Row cache. Each constraint row's canonical form (deduplicated, oriented,
+// equilibrated) stays on the Workspace with its scale, keyed by the
+// identity of the row's term slice (the same backing array and length)
+// and its sense. Nothing edits a row's terms in place, so a row whose key
+// matches is reused as built, and only new or changed rows are built
+// again; right-hand sides are re-read every solve, since SetRHS edits
+// only a row's header. When every row matches and no column was added —
+// each node and probe of one branch-and-bound search — nothing is copied
+// or re-indexed. The cache holds the last problem's term slices until the
+// next solve on the Workspace replaces them.
 //
 // Aliasing contract. Solutions returned by Solve and SolveFrom alias
 // Workspace-owned buffers: they are valid until the
@@ -38,11 +53,36 @@ package lp
 // replacement for make([]T, n) in solver-construction paths.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		want := n
+		n = regrowCap(cap(s), n)
+		return make([]T, n)[:want]
 	}
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// kept returns s resized to length n with its contents kept: the whole
+// backing array's, so per-row arenas parked past len(s) survive a
+// regrowth.
+func kept[T any](s []T, n int) []T {
+	if cap(s) < n {
+		g := make([]T, n, regrowCap(cap(s), n))
+		copy(g, s[:cap(s)])
+		return g
+	}
+	return s[:n]
+}
+
+// regrowCap is the capacity a buffer of capacity c is reallocated with to
+// hold n > c elements: exactly n on a first allocation, 2n when it has
+// had to grow before, so a problem that keeps growing (the incremental
+// engine's, a few rows per event) reallocates each buffer O(log n) times.
+func regrowCap(c, n int) int {
+	if c > 0 {
+		return 2 * n
+	}
+	return n
 }
 
 // taken returns dst overwritten with a copy of src, reusing dst's

@@ -13,6 +13,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -308,6 +309,215 @@ func TestAllocsWorkspaceSolveFrom(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("%s: Workspace.SolveFrom allocates %.0f per run at steady state, want 0", tc.name, got)
+		}
+	}
+}
+
+// assertSameBits fails unless b matches the package-level reference a bit
+// for bit: status, iterations, and the IEEE-754 bits of the objective and
+// of every component of X.
+func assertSameBits(t *testing.T, label string, a, b *Solution) {
+	t.Helper()
+	if a.Status != b.Status || a.Iterations != b.Iterations ||
+		math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || len(a.X) != len(b.X) {
+		t.Fatalf("%s: %v/%d iterations/obj %.17g/%d vars, package-level %v/%d/%.17g/%d", label,
+			b.Status, b.Iterations, b.Objective, len(b.X), a.Status, a.Iterations, a.Objective, len(a.X))
+	}
+	for v := range a.X {
+		if math.Float64bits(a.X[v]) != math.Float64bits(b.X[v]) {
+			t.Fatalf("%s: x[%d] %.17g, package-level %.17g", label, v, b.X[v], a.X[v])
+		}
+	}
+}
+
+// assertSameCanonical fails unless the canonical form a Workspace's solver
+// holds for p — the CSR and CSC of the oriented, equilibrated rows, their
+// scales and right-hand sides — is bit for bit what a fresh solver builds.
+func assertSameCanonical(t *testing.T, label string, got *rev, p *Problem) {
+	t.Helper()
+	want := newRev(p, Options{})
+	ints := []struct {
+		name    string
+		got, wt []int
+	}{
+		{"rowPtr", got.sp.rowPtr[:got.m+1], want.sp.rowPtr[:want.m+1]},
+		{"colIdx", got.sp.colIdx, want.sp.colIdx},
+		{"colPtr", got.sp.colPtr, want.sp.colPtr},
+		{"rowIdx", got.sp.rowIdx, want.sp.rowIdx},
+	}
+	for _, c := range ints {
+		if !slices.Equal(c.got, c.wt) {
+			t.Fatalf("%s: %s differs from a fresh build", label, c.name)
+		}
+	}
+	floats := []struct {
+		name    string
+		got, wt []float64
+	}{
+		{"rowVal", got.sp.rowVal, want.sp.rowVal},
+		{"colVal", got.sp.colVal, want.sp.colVal},
+		{"rowScale", got.rowScale, want.rowScale},
+		{"b", got.b, want.b},
+	}
+	for _, c := range floats {
+		if len(c.got) != len(c.wt) {
+			t.Fatalf("%s: %s has %d entries, a fresh build %d", label, c.name, len(c.got), len(c.wt))
+		}
+		for i := range c.wt {
+			if math.Float64bits(c.got[i]) != math.Float64bits(c.wt[i]) {
+				t.Fatalf("%s: %s[%d] = %.17g, a fresh build %.17g", label, c.name, i, c.got[i], c.wt[i])
+			}
+		}
+	}
+}
+
+// TestWorkspaceRowCacheChain: one Workspace follows a staircase problem
+// through every mutation the incremental engine makes (SetRHS,
+// AppendTerms, AddConstraint, AddVariables, Deactivate) and through
+// overlay nodes, then solves an unrelated problem of the same shape —
+// every row the same length and sense, with other coefficients, so every
+// row must miss the row cache — and goes back. At every step its cold and
+// warm solves equal a fresh package-level solve bit for bit, and its
+// canonical form equals a fresh build; a node that changed no row copies
+// none.
+func TestWorkspaceRowCacheChain(t *testing.T) {
+	p := generateStaircaseLP(rng.New(35, "lp-workspace-chain"), 24, 3).p
+	other := generateStaircaseLP(rng.New(36, "lp-workspace-chain"), 24, 3).p
+	ws := NewWorkspace()
+	var prev *Basis
+	step := func(label string, q *Problem, warm bool) {
+		t.Helper()
+		want, bs, err := SolveBasis(q, Options{})
+		if err != nil {
+			t.Fatalf("%s: SolveBasis: %v", label, err)
+		}
+		got, err := ws.Solve(q, Options{})
+		if err != nil {
+			t.Fatalf("%s: Workspace.Solve: %v", label, err)
+		}
+		assertSameBits(t, label+"/cold", want, got)
+		assertSameCanonical(t, label+"/cold", &ws.rev, q)
+		if warm && prev != nil {
+			wantW, _, err := SolveFrom(q, prev, Options{})
+			if err != nil {
+				t.Fatalf("%s: SolveFrom: %v", label, err)
+			}
+			gotW, err := ws.SolveFrom(q, prev, Options{})
+			if err != nil {
+				t.Fatalf("%s: Workspace.SolveFrom: %v", label, err)
+			}
+			assertSameBits(t, label+"/warm", wantW, gotW)
+			gotB, _, err := ws.SolveBasisFrom(q, prev, Options{})
+			if err != nil {
+				t.Fatalf("%s: Workspace.SolveBasisFrom: %v", label, err)
+			}
+			assertSameBits(t, label+"/warm-basis", wantW, gotB)
+			assertSameCanonical(t, label+"/warm", &ws.rev, q)
+		}
+		if bs != nil {
+			prev = bs
+		}
+	}
+
+	step("base", p, false)
+	budget := p.NumConstraints() - 1 // the generator's energy row
+	terms, _, rhs := p.Constraint(budget)
+	step("set-rhs", p, true)
+	p.SetRHS(budget, rhs*0.9)
+	step("set-rhs", p, true)
+	p.AppendTerms(budget, []Term{{Var: terms[0].Var, Coef: terms[0].Coef / 2}})
+	step("append-terms", p, true)
+	v := p.AddVariables(1)
+	p.SetObjCoef(v, 0.5)
+	p.SetBounds(v, 0, 1)
+	p.AppendTerms(0, []Term{{Var: v, Coef: 1}})
+	step("add-variables", p, true)
+	p.AddConstraint([]Term{{Var: v, Coef: 1}, {Var: terms[0].Var, Coef: 1}}, LE, 1)
+	step("add-constraint", p, true)
+	p.Deactivate(terms[0].Var)
+	step("deactivate", p, true)
+
+	// A node changes bounds only: every row matches, nothing is copied or
+	// re-indexed.
+	rows, cols := &ws.rev.rb.rows.idx[0], &ws.rev.sp.rowIdx[0]
+	node := p.Overlay()
+	lo, hi := node.Bounds(v)
+	node.SetBounds(v, lo, (lo+hi)/2)
+	step("node", node, true)
+	if &ws.rev.rb.rows.idx[0] != rows || &ws.rev.sp.rowIdx[0] != cols {
+		t.Error("node: a bounds-only node rebuilt the rows or the transpose")
+	}
+	grand := node.Overlay()
+	grand.AddConstraint([]Term{{Var: v, Coef: 2}}, LE, 1)
+	step("grandchild", grand, true)
+
+	step("unrelated", other, false)
+	step("back", p, false)
+	step("back-warm", p, true)
+	// The same unrelated problem right after the first.
+	step("unrelated", other, false)
+	step("unrelated-again", other, false)
+}
+
+// TestAllocsWorkspaceGrownResolve pins the allocations of a Workspace warm
+// re-solve, after warm-up, of a problem that grew by one row and one
+// column since its snapshot, so the warm start extends the parent's
+// factor across the appended row: none without a published Basis, and
+// 13 with one — the Solution and X, the Basis with its entries, bound
+// markers and frozen factor, the extension's two fresh arrays and the
+// copy-on-write eta file's five.
+func TestAllocsWorkspaceGrownResolve(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	for _, tc := range allocPinCases() {
+		sol, bs, err := SolveBasis(tc.p, tc.opts)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("%s: parent: %v %v", tc.name, sol.Status, err)
+		}
+		// The appended row reaches the structural column furthest inside
+		// its box, which is basic.
+		u, best := 0, -1.0
+		for j, x := range sol.X {
+			lo, hi := tc.p.Bounds(j)
+			if d := math.Min(x-lo, hi-x); d > best {
+				u, best = j, d
+			}
+		}
+		grownP := tc.p.Overlay()
+		v := grownP.AddVariables(1)
+		grownP.SetObjCoef(v, 1)
+		grownP.SetBounds(v, 0, 1)
+		grownP.AddConstraint([]Term{{Var: v, Coef: 1}, {Var: u, Coef: 1}}, LE, sol.X[u]+0.5)
+
+		ws := NewWorkspace()
+		for warm := 0; warm < 3; warm++ {
+			got, err := ws.SolveFrom(grownP, bs, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.FactorRebuilt {
+				t.Fatalf("%s: the grown re-solve refactorised instead of extending", tc.name)
+			}
+			if _, _, err := ws.SolveBasisFrom(grownP, bs, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(50, func() {
+			if _, err := ws.SolveFrom(grownP, bs, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: Workspace.SolveFrom of the grown problem allocates %.0f per run, want 0", tc.name, got)
+		}
+		const ceiling = 13
+		if got := testing.AllocsPerRun(50, func() {
+			if _, _, err := ws.SolveBasisFrom(grownP, bs, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+		}); got > ceiling {
+			t.Errorf("%s: Workspace.SolveBasisFrom of the grown problem allocates %.0f per run, want <= %d",
+				tc.name, got, ceiling)
 		}
 	}
 }

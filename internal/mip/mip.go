@@ -164,10 +164,11 @@ type Result struct {
 
 	// InheritFallbacks counts warm-started relaxations that reused the
 	// parent's basic column set but could not adopt its factorisation
-	// snapshot — missing, fill-heavy or failing the residual check — and
-	// rebuilt the factors from scratch instead. A subset of WarmSolves.
-	// The root counts here when it starts from an imported root basis
-	// whose rows changed since the export (rows were appended).
+	// snapshot — missing, fill-heavy, computed under a row scale that has
+	// since moved, or failing the residual check — and rebuilt the factors
+	// from scratch instead (lp.Solution.FactorRebuilt). A subset of
+	// WarmSolves. An imported root basis whose problem gained rows since
+	// the export does not count here: its factor is extended across them.
 	InheritFallbacks int
 
 	// Gap is Bound - Objective when an incumbent exists (0 at Optimal,
