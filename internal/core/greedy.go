@@ -22,7 +22,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -59,16 +58,29 @@ func flattenSegments(tasks []task.Task) []segRef {
 			segs = append(segs, segRef{task: j, pos: k, slope: s.Slope, width: s.Width()})
 		}
 	}
-	slices.SortFunc(segs, func(a, b segRef) int {
-		if c := cmp.Compare(b.slope, a.slope); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.task, b.task); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	slices.SortFunc(segs, segOrder)
 	return segs
+}
+
+// segOrder is flattenSegments' order: non-increasing slope, then task,
+// then position. It compares the fields directly, because the sort is one
+// of the larger costs of a SolveFR, and orders a NaN slope last as
+// cmp.Compare(b.slope, a.slope) would.
+func segOrder(a, b segRef) int {
+	switch {
+	case a.slope > b.slope:
+		return -1
+	case a.slope < b.slope:
+		return 1
+	case math.IsNaN(a.slope) != math.IsNaN(b.slope):
+		if math.IsNaN(a.slope) {
+			return 1
+		}
+		return -1
+	case a.task != b.task:
+		return a.task - b.task
+	}
+	return a.pos - b.pos
 }
 
 // GreedyOptions tunes the allocator.
@@ -96,12 +108,23 @@ type Allocator struct {
 	parent []int     // union-find over intervals shifted by one; index 0 stands for "none"
 	work   []float64 // the work vector of the last allocation
 
+	// The dual of the last greedyDual (see there).
+	base   float64   // Σ_j a_j(0)
+	sigma  []float64 // per task, the slope of its first short segment; −1 while none is
+	prefix []float64 // Σ_{i≤j} f_i of the allocation (shortSlopes' per-task sums until then)
+	lambda []float64 // λ_k ≥ 0 on each prefix constraint k
+	price  []float64 // Λ_t = Σ_{k≥t} λ_k, n+1 entries, set by dualValue
+
 	samples []sample // RefineProfile's line-search samples, reused from search to search
 }
 
 // NewAllocator prepares an allocator for the tasks (deadline order).
 func NewAllocator(tasks []task.Task, opts GreedyOptions) *Allocator {
 	n := len(tasks)
+	var base numeric.KahanSum
+	for _, tk := range tasks {
+		base.Add(tk.Acc.Eval(0))
+	}
 	return &Allocator{
 		n:      n,
 		segs:   flattenSegments(tasks),
@@ -110,6 +133,11 @@ func NewAllocator(tasks []task.Task, opts GreedyOptions) *Allocator {
 		rem:    make([]float64, n),
 		parent: make([]int, n+1),
 		work:   make([]float64, n),
+		base:   base.Value(),
+		sigma:  make([]float64, n),
+		prefix: make([]float64, n),
+		lambda: make([]float64, n),
+		price:  make([]float64, n+1),
 	}
 }
 
@@ -231,6 +259,114 @@ func (a *Allocator) scan(caps []float64) {
 			slack[i] -= grant
 		}
 	}
+}
+
+// greedyDual runs Algorithm 1 on caps and sets a.lambda to the dual
+// solution its allocation implies, so that D_λ(caps) (dualValue) equals
+// V(caps) up to rounding (DESIGN.md §4, "Closing a line search by
+// duality").
+//
+// For fixed caps, V is the optimum of the LP max Σ_j a_j(f_j) subject to
+// Σ_{i≤j} f_i ≤ C_j and 0 ≤ f_j ≤ f_j^max. Task t's sigma is the slope of
+// its first segment, in processing order, that the allocation granted
+// less than its width (skipped or partly granted), or −1 when none was.
+// Processing order, not position, because a task's slopes may rise by
+// 1e-9 relative from one segment to the next. Prefix j is tight when the
+// allocation fills C̃_j = max(0, min_{k≥j} C_k) up to 1e-9·max(1, C̃_j).
+// Tight prefixes end blocks of tasks, on which the price
+// Λ_t = Σ_{k≥t} λ_k is constant. From the last block back, a block's
+// price is the larger of its tasks' sigmas and the next block's price;
+// tasks past the last tight prefix, which the allocation filled, have
+// price 0. A block ending at j puts its price step on the constraint k ≥ j
+// whose C_k is C̃_j (the earliest such k), so λ ≥ 0 by construction.
+// Tightness is read from the prefix sums, not from a task finding no
+// room: later tasks also draw from early intervals, so that shortcut
+// builds a dual that is not optimal.
+//
+//lint:hotpath once per accepted refinement move; pinned to zero allocations
+func (a *Allocator) greedyDual(caps []float64) {
+	a.allocate(caps)
+	a.shortSlopes()
+	prefix, lambda := a.prefix, a.lambda
+	sum := 0.0
+	for j, f := range a.work {
+		sum += f
+		prefix[j] = sum
+	}
+	clear(lambda)
+	low, arg := math.Inf(1), -1 // suffix minimum of caps and its earliest index
+	end := -1                   // the constraint the open block's price step sits on; −1 before the first tight prefix
+	next, top := 0.0, 0.0       // the price after the open block; the largest sigma in it
+	for j := a.n - 1; j >= 0; j-- {
+		if caps[j] <= low {
+			low, arg = caps[j], j
+		}
+		if c := max(low, 0); prefix[j] >= c-1e-9*max(1, c) {
+			if end >= 0 {
+				price := max(top, next)
+				lambda[end] += price - next
+				next = price
+			}
+			end, top = arg, 0
+		}
+		if end >= 0 {
+			top = max(top, a.sigma[j])
+		}
+	}
+	if end >= 0 {
+		lambda[end] += max(top, next) - next
+	}
+}
+
+// shortSlopes sets a.sigma from the allocation in a.work by replaying its
+// grants: the kernels grant each segment min(width, room) in processing
+// order and add it to its task's work, and a task's segments after its
+// first short one get no room. So its full segments' widths, summed in
+// that order, reproduce a.work bit for bit until the first segment that
+// does not fit, which is the short one. (It is recorded here, not in the
+// kernels, because a store on their skip path slowed every V(p) probe.)
+//
+//lint:hotpath once per accepted refinement move; pinned to zero allocations
+func (a *Allocator) shortSlopes() {
+	sigma, acc := a.sigma, a.prefix
+	for j := range sigma {
+		sigma[j] = -1
+	}
+	clear(acc)
+	for _, seg := range a.segs {
+		t := seg.task
+		if sigma[t] >= 0 {
+			continue
+		}
+		if full := acc[t] + seg.width; full <= a.work[t] {
+			acc[t] = full
+		} else {
+			sigma[t] = seg.slope
+		}
+	}
+}
+
+// dualValue returns D_λ(caps) = Σ_j a_j(0) + Σ_k λ_k·C_k +
+// Σ_seg width·max(0, slope − Λ_task) for the multipliers in a.lambda,
+// which weak duality makes an upper bound on V(caps) for every λ ≥ 0. It
+// leaves the prices Λ_t in a.price, with a.price[n] = 0.
+//
+//lint:hotpath once per accepted refinement move; pinned to zero allocations
+func (a *Allocator) dualValue(caps []float64) float64 {
+	var d numeric.KahanSum
+	d.Add(a.base)
+	price := a.price
+	price[a.n] = 0
+	for k := a.n - 1; k >= 0; k-- {
+		price[k] = price[k+1] + a.lambda[k]
+		d.Add(a.lambda[k] * caps[k])
+	}
+	for _, seg := range a.segs {
+		if excess := seg.slope - price[seg.task]; excess > 0 {
+			d.Add(seg.width * excess)
+		}
+	}
+	return d.Value()
 }
 
 // GreedyAllocate runs Algorithm 1 once (see Allocator.Allocate).

@@ -15,7 +15,8 @@ type RefineOptions struct {
 	MaxSweeps int
 	// LineSearchIters is the most ternary-search iterations one line
 	// search runs (default 48); a search stops sooner once its samples
-	// prove that no step gains Tol.
+	// prove that no step gains Tol, and runs none when the dual bound
+	// proves it first.
 	LineSearchIters int
 	// Tol is the minimum accuracy improvement worth applying (default 1e-9).
 	Tol float64
@@ -48,8 +49,9 @@ func (o *RefineOptions) defaults() {
 // search on the concave function e -> V(p(e)), which generalises the
 // paper's accuracy-per-Joule (ψ = slope·E_r) pair ordering: a move is
 // improving exactly when the energy marginal gain on r exceeds the energy
-// marginal loss on r'. A line search stops early once its samples prove
-// that no point of the segment gains Tol (see maximizeAlong). A
+// marginal loss on r'. A line search is skipped when the dual of the
+// inner greedy bounds its gain below Tol, and stops early once its samples
+// prove that no point of the segment gains Tol (see maximizeAlong). A
 // deterministic random-direction polish pass guards against stalls at
 // kinks (where single-pair moves are blocked but a joint move improves).
 // Returns the refined profile and the number of sweeps.
@@ -59,7 +61,7 @@ func RefineProfile(in *task.Instance, p Profile, opts RefineOptions) (Profile, i
 
 // refiner is one refinement run: the allocator that evaluates V(p) and
 // holds the line-search samples, plus the probe profile and polish
-// direction every line search reuses.
+// direction every line search reuses, and the bound of the last reprice.
 type refiner struct {
 	alloc   *Allocator
 	in      *task.Instance
@@ -67,6 +69,11 @@ type refiner struct {
 	scratch Profile   // every line-search probe is evaluated here
 	dir     []float64 // polish's energy-space direction
 	src     *rng.Source
+
+	// V(p + e·d) ≤ bound + e·Σ_r (d_r > 0 ? up[r] : down[r])·d_r at the
+	// profile p of the last reprice; bound is +Inf before the first.
+	bound    float64
+	up, down []float64
 }
 
 // newRefiner prepares a refinement run; opts must carry their defaults.
@@ -78,7 +85,69 @@ func newRefiner(alloc *Allocator, in *task.Instance, opts RefineOptions) *refine
 		scratch: make(Profile, in.M()),
 		dir:     make([]float64, in.M()),
 		src:     rng.New(opts.Seed, "core/refine-polish"),
+		bound:   math.Inf(1),
+		up:      make([]float64, in.M()),
+		down:    make([]float64, in.M()),
 	}
+}
+
+// reprice is the dual pass at profile p, run at the start of a
+// refinement and after every accepted move: one V(p) evaluation, counted
+// as a probe, whose allocation greedyDual turns into capacity prices λ.
+// It returns V(p).
+// Weak duality and the concavity of C_k(p) = Σ_r s_r·min(d_k, p_r) bound
+// V(p + e·d) by D_λ(C(p)) + e·Σ_r g_r·d_r for every step e ≥ 0 that stays
+// in the boxes, with g_r = s_r·Σ_{k: d_k > p_r} λ_k where d_r > 0 (up)
+// and s_r·Σ_{k: d_k ≥ p_r} λ_k where d_r < 0 (down), because C_k has a
+// kink at p_r = d_k. Any λ ≥ 0 gives a valid bound; greedy's dual makes
+// D_λ(C(p)) equal V(p) up to rounding.
+//
+//lint:hotpath once per accepted refinement move; pinned to zero allocations
+func (rf *refiner) reprice(p Profile) float64 {
+	a := rf.alloc
+	a.probes++
+	capsInto(a.caps, rf.in, p)
+	a.greedyDual(a.caps)
+	rf.bound = a.dualValue(a.caps)
+	rf.gradient(p)
+	return TotalAccuracy(rf.in.Tasks, a.work)
+}
+
+// gradient sets rf.up and rf.down at p from the prices a.price.
+//
+//lint:hotpath once per reprice; pinned to zero allocations
+func (rf *refiner) gradient(p Profile) {
+	tasks, price := rf.in.Tasks, rf.alloc.price
+	for r, mc := range rf.in.Machines {
+		rf.up[r] = mc.Speed * price[firstDeadline(tasks, p[r], false)]
+		rf.down[r] = mc.Speed * price[firstDeadline(tasks, p[r], true)]
+	}
+}
+
+// firstDeadline returns the first task (deadline order) with d_j > x, or
+// d_j ≥ x when orEqual, and len(tasks) when there is none.
+//
+//lint:hotpath called twice per machine by gradient
+func firstDeadline(tasks []task.Task, x float64, orEqual bool) int {
+	lo, hi := 0, len(tasks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d := tasks[mid].Deadline; d > x || orEqual && d >= x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// ascent is machine r's term of the bound's slope when p_r moves at rate
+// d per unit step.
+func (rf *refiner) ascent(r int, d float64) float64 {
+	if d > 0 {
+		return d * rf.up[r]
+	}
+	return d * rf.down[r]
 }
 
 // refineProfile is RefineProfile against a prepared allocator, which
@@ -100,7 +169,7 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 		return p, 0
 	}
 	rf := newRefiner(alloc, in, opts)
-	cur := alloc.total(in, p)
+	cur := rf.reprice(p)
 
 	sweeps := 0
 	for ; sweeps < opts.MaxSweeps; sweeps++ {
@@ -123,10 +192,12 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 				extend := func(q Profile, e float64) {
 					q[r] += e / in.Machines[r].Power
 				}
-				if e, gain := rf.maximizeAlong(p, cur, extend, eMax); gain > opts.Tol {
+				slope := rf.ascent(r, 1/in.Machines[r].Power)
+				if e, gain := rf.maximizeAlong(p, cur, extend, eMax, slope); gain > opts.Tol {
 					extend(p, e)
 					cur += gain
 					improved = true
+					rf.reprice(p)
 				}
 			}
 		}
@@ -148,10 +219,12 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 						q[rp] = 0
 					}
 				}
-				if e, gain := rf.maximizeAlong(p, cur, exchange, eMax); gain > opts.Tol {
+				slope := rf.ascent(r, 1/in.Machines[r].Power) + rf.ascent(rp, -1/in.Machines[rp].Power)
+				if e, gain := rf.maximizeAlong(p, cur, exchange, eMax, slope); gain > opts.Tol {
 					exchange(p, e)
 					cur += gain
 					improved = true
+					rf.reprice(p)
 				}
 			}
 		}
@@ -165,6 +238,7 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 		// Polish: joint random directions in the feasible cone.
 		if gain := rf.polish(p, cur); gain > opts.Tol {
 			cur += gain
+			rf.reprice(p)
 			continue
 		}
 		break
@@ -179,6 +253,9 @@ type sample struct{ e, v float64 }
 // over [0, eMax] and returns the best step and its gain over cur = f(0).
 // Every probe is evaluated on rf.scratch; the caller applies the step.
 //
+// slope is the bound's slope along the direction (see reprice and
+// ascent), so no step gains more than rf.bound − cur + eMax·max(0, slope).
+// When that is within Tol/2, the search returns (0, 0) without a probe.
 // After each iteration the samples taken so far bound f through their
 // concave envelope (envelopeMax). Once that bound is within Tol/2 of cur,
 // no step can gain more than Tol, the least gain any caller accepts, so
@@ -186,7 +263,10 @@ type sample struct{ e, v float64 }
 // would have found a gain the caller rejects. The Tol/2 margin absorbs
 // the rounding in V's evaluations (DESIGN.md §4), so every refined profile
 // is the one the full search yields.
-func (rf *refiner) maximizeAlong(p Profile, cur float64, apply func(Profile, float64), eMax float64) (float64, float64) {
+func (rf *refiner) maximizeAlong(p Profile, cur float64, apply func(Profile, float64), eMax, slope float64) (float64, float64) {
+	if rf.bound-cur+eMax*max(0, slope) <= rf.opts.Tol/2 {
+		return 0, 0
+	}
 	eval := func(e float64) float64 {
 		copy(rf.scratch, p)
 		apply(rf.scratch, e)
@@ -348,7 +428,11 @@ func (rf *refiner) polish(p Profile, cur float64) float64 {
 				}
 			}
 		}
-		if e, gain := rf.maximizeAlong(p, cur, move, eMax); gain > opts.Tol {
+		slope := 0.0
+		for r, d := range dir {
+			slope += rf.ascent(r, d/in.Machines[r].Power)
+		}
+		if e, gain := rf.maximizeAlong(p, cur, move, eMax, slope); gain > opts.Tol {
 			move(p, e)
 			return gain
 		}
