@@ -13,18 +13,24 @@ import (
 	"repro/internal/task"
 )
 
+// namedInstance is one input of the dual tests.
+type namedInstance struct {
+	name string
+	in   *task.Instance
+}
+
 // dualInstances are the golden inputs (Table 1, Fig 6b, Fig 6a/6b on the
 // catalog fleet, uniform fleets) followed by the first draws of the
 // approx-large benchmark pool.
-func dualInstances(t *testing.T, approxDraws int) map[string]*task.Instance {
+func dualInstances(t *testing.T, approxDraws int) []namedInstance {
 	t.Helper()
-	out := map[string]*task.Instance{}
+	var out []namedInstance
 	for _, g := range goldenInstances() {
 		in, err := g.gen()
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}
-		out[g.name] = in
+		out = append(out, namedInstance{g.name, in})
 	}
 	for k := 0; k < approxDraws; k++ {
 		cfg := task.DefaultConfig(100, 0.35, 0.5)
@@ -33,19 +39,9 @@ func dualInstances(t *testing.T, approxDraws int) map[string]*task.Instance {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[fmt.Sprintf("approx-large/seed=1/k=%d", k)] = in
+		out = append(out, namedInstance{fmt.Sprintf("approx-large/seed=1/k=%d", k), in})
 	}
 	return out
-}
-
-// sortedNames returns the keys of m in order, so a run is reproducible.
-func sortedNames(m map[string]*task.Instance) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	return names
 }
 
 // kinkProfile draws a profile whose entries are 0, a task deadline, d_max
@@ -126,10 +122,9 @@ func priceAt(in *task.Instance, p Profile, src *rng.Source, kind lambdaKind) (*r
 // p, where g takes up[r] where q_r > p_r and down[r] where q_r < p_r. The
 // second inequality is also checked for other multipliers λ >= 0.
 func TestDualBoundHolds(t *testing.T) {
-	insts := dualInstances(t, 8)
 	src := rng.New(3, "core/dual-bound")
-	for _, name := range sortedNames(insts) {
-		in := insts[name]
+	for _, ni := range dualInstances(t, 8) {
+		name, in := ni.name, ni.in
 		for trial := 0; trial < 12; trial++ {
 			p := kinkProfile(src, in)
 			kind := lambdaKind(trial % 3)
@@ -266,14 +261,13 @@ func lineDirs(src *rng.Source, in *task.Instance, p Profile, tol float64) []line
 // gap D(p) − V(p) the check must count. The check runs on one goroutine,
 // so under -race, which only slows it, every eighth instance runs.
 func TestDualBoundDecisions(t *testing.T) {
-	insts := dualInstances(t, 64)
 	src := rng.New(5, "core/dual-decisions")
 	closed, open := 0, 0
-	for i, name := range sortedNames(insts) {
+	for i, ni := range dualInstances(t, 64) {
 		if raceEnabled && i%8 != 0 {
 			continue
 		}
-		in := insts[name]
+		name, in := ni.name, ni.in
 		dMax := in.MaxDeadline()
 		naive := NaiveProfile(in)
 		one, _ := RefineProfile(in, naive, RefineOptions{MaxSweeps: 1})
