@@ -116,6 +116,41 @@ func TestBenchjsonMergesRepeatedRuns(t *testing.T) {
 	}
 }
 
+// TestBenchjsonMergesAllocsAndWork: three repeats of one benchmark keep
+// the fastest run's ns/op and the smallest allocs/op, which here is not
+// the fastest run's (the IncrementalResolve/cold flicker, 19,589 against
+// 19,588), and repeats that disagree on a work count fail, naming the
+// benchmark and the count.
+func TestBenchjsonMergesAllocsAndWork(t *testing.T) {
+	input := "BenchmarkIncrementalResolve/cold-2 3 3000000 ns/op 40.00 nodes 1234 B/op 19588 allocs/op\n" +
+		"BenchmarkIncrementalResolve/cold-2 3 2900000 ns/op 40.00 nodes 1236 B/op 19589 allocs/op\n" +
+		"BenchmarkIncrementalResolve/cold-2 3 3100000 ns/op 40.00 nodes 1234 B/op 19588 allocs/op\n"
+	rep, err := runTool(t, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("got %d benchmarks, want 1 after merging: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	b := rep.Benchmarks[0]
+	//lint:ignore floatcmp parsed metrics round-trip the exact benchmark literals
+	if b.NsPerOp != 2900000 || b.Metrics["allocs/op"] != 19588 || b.Metrics["nodes"] != 40 {
+		t.Errorf("merged %+v, want the fastest run's 2,900,000 ns/op with 19,588 allocs/op and 40 nodes", b)
+	}
+
+	for _, unit := range workMetrics {
+		bad := "BenchmarkX/a-2 3 100 ns/op 7 " + unit + "\n" + "BenchmarkX/a-2 3 90 ns/op 8 " + unit + "\n"
+		if _, err := runTool(t, bad); err == nil ||
+			!strings.Contains(err.Error(), "BenchmarkX/a") || !strings.Contains(err.Error(), unit) {
+			t.Errorf("%s differing between repeats: error %v, want one naming BenchmarkX/a and %s", unit, err, unit)
+		}
+	}
+	missing := "BenchmarkX/a-2 3 100 ns/op 7 pivots\nBenchmarkX/a-2 3 90 ns/op\n"
+	if _, err := runTool(t, missing); err == nil {
+		t.Error("a repeat without the pivots its sibling reports was accepted")
+	}
+}
+
 func TestBenchjsonPairsRowsBounds(t *testing.T) {
 	input := "BenchmarkMIPBoundsVsRows/bounds/n=16-8 2 200000 ns/op 177.0 node-rows 937.0 nodes\n" +
 		"BenchmarkMIPBoundsVsRows/rows/n=16-8 1 500000 ns/op 241.0 node-rows 997.0 nodes\n" +

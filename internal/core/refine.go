@@ -66,9 +66,9 @@ type refiner struct {
 	alloc   *Allocator
 	in      *task.Instance
 	opts    RefineOptions
-	scratch Profile   // every line-search probe is evaluated here
-	dir     []float64 // polish's energy-space direction
-	src     *rng.Source
+	scratch Profile     // every line-search probe is evaluated here
+	dir     []float64   // polish's energy-space direction
+	src     *rng.Source // polish's directions, created at the first draw
 
 	// V(p + e·d) ≤ bound + e·Σ_r (d_r > 0 ? up[r] : down[r])·d_r at the
 	// profile p of the last reprice; bound is +Inf before the first.
@@ -84,7 +84,6 @@ func newRefiner(alloc *Allocator, in *task.Instance, opts RefineOptions) *refine
 		opts:    opts,
 		scratch: make(Profile, in.M()),
 		dir:     make([]float64, in.M()),
-		src:     rng.New(opts.Seed, "core/refine-polish"),
 		bound:   math.Inf(1),
 		up:      make([]float64, in.M()),
 		down:    make([]float64, in.M()),
@@ -154,7 +153,6 @@ func (rf *refiner) ascent(r int, d float64) float64 {
 // SolveFR shares with its final Value.
 func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOptions) (Profile, int) {
 	opts.defaults()
-	m := in.M()
 	dMax := in.MaxDeadline()
 	p = p.Clone()
 	// Nothing to refine when the budget lets every machine run until d_max.
@@ -168,8 +166,19 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 	if allFull {
 		return p, 0
 	}
-	rf := newRefiner(alloc, in, opts)
+	return newRefiner(alloc, in, opts).refine(p)
+}
+
+// refine runs the sweeps from p, which it refines in place, and returns p
+// and the number of sweeps.
+func (rf *refiner) refine(p Profile) (Profile, int) {
+	in, opts := rf.in, rf.opts
+	m := in.M()
+	dMax := in.MaxDeadline()
 	cur := rf.reprice(p)
+	if rf.certified(cur) {
+		return p, 0
+	}
 
 	sweeps := 0
 	for ; sweeps < opts.MaxSweeps; sweeps++ {
@@ -244,6 +253,24 @@ func refineProfile(alloc *Allocator, in *task.Instance, p Profile, opts RefineOp
 		break
 	}
 	return p, sweeps
+}
+
+// certified reports whether the last reprice proves that no line search
+// can gain Tol from its profile, whose value is cur: the bound is within
+// Tol/2 of cur and every upward slope is 0. Every slack, exchange and
+// polish direction then has a bound slope of at most 0 (a falling p_r has
+// slope −s_r·down[r] ≤ 0), so maximizeAlong would close each search
+// without a probe, and the first sweep would end with no move.
+func (rf *refiner) certified(cur float64) bool {
+	if !(rf.bound-cur <= rf.opts.Tol/2) {
+		return false
+	}
+	for _, u := range rf.up {
+		if u != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sample is one line-search probe: f(e) = v.
@@ -378,6 +405,9 @@ func (rf *refiner) polish(p Profile, cur float64) float64 {
 	m := in.M()
 	dMax := in.MaxDeadline()
 	budgetTight := in.Budget-p.Energy(in) <= opts.Tol
+	if rf.src == nil {
+		rf.src = rng.New(opts.Seed, "core/refine-polish")
+	}
 	for attempt := 0; attempt < 8*m; attempt++ {
 		for r := range dir {
 			dir[r] = rf.src.Uniform(-1, 1)

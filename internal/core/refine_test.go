@@ -103,3 +103,42 @@ func TestEnvelopeMaxNeedsTwoChords(t *testing.T) {
 		}
 	}
 }
+
+// TestRefineCertifiedSkipsPolish: on a slack Table 1 instance the starting
+// dual pass certifies the naive profile (its bound is V(p) and no machine
+// has an upward price), so refinement returns the profile unchanged after
+// that one pass, with no sweep and without creating the polish source,
+// which is made only at a polish pass's first draw. On the Fig 6b
+// instance, whose profile the pass does not certify, refinement reaches a
+// polish pass and creates the source.
+func TestRefineCertifiedSkipsPolish(t *testing.T) {
+	opts := RefineOptions{}
+	opts.defaults()
+	in := table1ForAllocs(t)
+	alloc := NewAllocator(in.Tasks, opts.Greedy)
+	p := NaiveProfile(in)
+	rf := newRefiner(alloc, in, opts)
+	got, sweeps := rf.refine(p.Clone())
+	if sweeps != 0 || alloc.probes != 1 {
+		t.Fatalf("certified profile: %d sweeps and %d probes, want 0 and the one dual pass", sweeps, alloc.probes)
+	}
+	if rf.src != nil {
+		t.Error("refinement of a certified profile created the polish source")
+	}
+	if !slices.Equal(got, p) {
+		t.Errorf("certified profile moved: %v -> %v", p, got)
+	}
+
+	in = fig6bForAllocs(t)
+	alloc = NewAllocator(in.Tasks, opts.Greedy)
+	rf = newRefiner(alloc, in, opts)
+	cur := rf.reprice(NaiveProfile(in))
+	if rf.certified(cur) {
+		t.Fatal("the Fig 6b profile is certified; the uncertified path goes unexercised")
+	}
+	rf = newRefiner(alloc, in, opts)
+	rf.refine(NaiveProfile(in))
+	if rf.src == nil {
+		t.Error("refinement ended without a polish pass creating the source")
+	}
+}

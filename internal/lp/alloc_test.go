@@ -20,8 +20,9 @@ import (
 var raceEnabled = false
 
 // allocFactor builds a representative factor with a few etas absorbed,
-// plus scratch slices, for the kernel allocation pins.
-func allocFactor(t *testing.T) (f *luFactor, rhs, out, work, cw []float64, bs *btranScratch) {
+// plus a dense right-hand side and a loaded scratch, for the kernel
+// allocation pins.
+func allocFactor(t *testing.T) (f *luFactor, rhs, out []float64, bs *solveScratch) {
 	t.Helper()
 	s := rng.New(21, "lp-alloc")
 	m := 40
@@ -33,11 +34,10 @@ func allocFactor(t *testing.T) (f *luFactor, rhs, out, work, cw []float64, bs *b
 	}
 	rhs = make([]float64, m)
 	out = make([]float64, m)
-	work = make([]float64, m)
-	cw = make([]float64, m)
 	for i := range rhs {
 		rhs[i] = s.Uniform(-2, 2)
 	}
+	bs = &solveScratch{}
 	// Absorb a few etas so the pins cover the eta-application loops too.
 	w := make([]float64, m)
 	for e := 0; e < 4; e++ {
@@ -46,37 +46,94 @@ func allocFactor(t *testing.T) (f *luFactor, rhs, out, work, cw []float64, bs *b
 		for i := range a {
 			a[i] = 1.5 * B[i][r]
 		}
-		f.ftran(a, w, work)
+		ftranVec(f, a, w, bs)
 		f.appendEta(r, w, nonzeros(w))
 	}
-	bs = &btranScratch{}
 	bs.load(f)
-	return f, rhs, out, work, cw, bs
+	return f, rhs, out, bs
 }
 
 func TestAllocsFtranBtran(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	f, rhs, out, work, cw, bs := allocFactor(t)
-	if got := testing.AllocsPerRun(100, func() {
-		f.ftran(rhs, out, work)
-	}); got != 0 {
-		t.Errorf("ftran allocates %.0f per run, want 0", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		f.btran(rhs, out, work, cw, bs)
-	}); got != 0 {
-		t.Errorf("btran allocates %.0f per run, want 0", got)
-	}
-	// A unit vector keeps the support under the hyper-sparse threshold
-	// through the eta file, so this pins the support path.
-	unit := make([]float64, len(rhs))
+	f, rhs, out, bs := allocFactor(t)
+	m := len(rhs)
+	// A dense input takes the dense passes; a unit vector keeps the
+	// supports under the switch through the triangular stages and the
+	// eta file, so it pins the support walks.
+	unit := make([]float64, m)
 	unit[3] = 1
+	outSupp := make([]int, 0, m)
+	for _, in := range []struct {
+		name string
+		c    []float64
+	}{{"dense", rhs}, {"hyper-sparse", unit}} {
+		supp := appendSupport(nil, in.c)
+		if got := testing.AllocsPerRun(100, func() {
+			clear(out)
+			f.ftran(in.c, supp, out, outSupp, bs)
+		}); got != 0 {
+			t.Errorf("%s ftran allocates %.0f per run, want 0", in.name, got)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			clear(out)
+			f.btran(in.c, supp, out, outSupp, bs)
+		}); got != 0 {
+			t.Errorf("%s btran allocates %.0f per run, want 0", in.name, got)
+		}
+	}
+}
+
+// TestAllocsPricing pins the primal pricing pass and entering choice at
+// zero allocations on a warmed Workspace, at the optimum of a staircase LP
+// with m >= 1,000 rows: the dense pass, the incremental passes that follow
+// it, and the dense pass the dual phase takes. The generator costs every
+// column, which makes y dense, so the pin prices a cost vector with two
+// costed columns, one of them basic, as the fractional relaxation's LP
+// costs only its accuracy columns.
+func TestAllocsPricing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	g := generateStaircaseLP(rng.New(35, "lp-alloc-pricing"), 200, 5)
+	ws := NewWorkspace()
+	for warm := 0; warm < 2; warm++ {
+		if _, err := ws.Solve(g.p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := &ws.rev
+	if tr.m < 1000 {
+		t.Fatalf("m = %d, want >= 1000", tr.m)
+	}
+	c := make([]float64, tr.width)
+	for _, col := range tr.basis {
+		if col < tr.n {
+			c[col] = 1
+			c[(col+1)%tr.n] = 1
+			break
+		}
+	}
+	tr.dAll = true
+	for warm := 0; warm < 3; warm++ {
+		tr.prices(c, true)
+		tr.entering(c)
+	}
+	if tr.dAll {
+		t.Fatal("pricing at the optimum never left the dense pass; the incremental pass goes unpinned")
+	}
 	if got := testing.AllocsPerRun(100, func() {
-		f.btran(unit, out, work, cw, bs)
+		tr.prices(c, true)
+		tr.entering(c)
 	}); got != 0 {
-		t.Errorf("hyper-sparse btran allocates %.0f per run, want 0", got)
+		t.Errorf("incremental pricing allocates %.0f per run, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		tr.prices(c, false)
+		tr.entering(c)
+	}); got != 0 {
+		t.Errorf("dense pricing allocates %.0f per run, want 0", got)
 	}
 }
 
@@ -85,8 +142,8 @@ func TestAllocsEtaAppend(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	f, rhs, out, work, _, _ := allocFactor(t)
-	f.ftran(rhs, out, work)
+	f, rhs, out, bs := allocFactor(t)
+	ftranVec(f, rhs, out, bs)
 	nz := nonzeros(out)
 	r := 7
 	// Steady state: truncate the eta file back after each append so the

@@ -12,6 +12,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -317,11 +318,29 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			}
 
 			q0 := append([]float64(nil), tt.q...)
+			dcol := make([]float64, m)
+			want := make([]float64, m)
 			for j := 0; j < tt.width; j++ {
-				tt.gatherCol(j)
+				// rev.ftran gathers the column over its rows alone: w must
+				// be the dense FTRAN of the dense column, and rhs +0 again.
+				for r := range dcol {
+					dcol[r] = col(r, j)
+				}
+				ftranDense(tt.lu, dcol, want, make([]float64, m))
+				tt.ftran(j)
+				for r := 0; r < m; r++ {
+					same(fmt.Sprintf("rhs after ftran(%d)[%d]", j, r), tt.rhs[r], 0)
+					if want[r] != 0 {
+						same(fmt.Sprintf("ftran(%d)[%d]", j, r), tt.w[r], want[r])
+					} else {
+						same(fmt.Sprintf("ftran(%d)[%d]", j, r), tt.w[r], 0)
+					}
+				}
+				if nz := nonzeros(want); !slices.Equal(tt.wNz, nz) {
+					t.Fatalf("ftran(%d): nonzero list %v, dense %v", j, tt.wNz, nz)
+				}
 				tt.addColTimes(j, 0.5)
 				for r := 0; r < m; r++ {
-					same(fmt.Sprintf("gatherCol(%d)[%d]", j, r), tt.colv[r], col(r, j))
 					want := q0[r]
 					if v := col(r, j); v != 0 {
 						want += 0.5 * v
@@ -335,7 +354,7 @@ func TestDifferentialSparseVsDense(t *testing.T) {
 			for j := range c {
 				c[j] = float64((7*j)%11) - 5
 			}
-			tt.prices(c)
+			tt.prices(c, false)
 			for j := 0; j < rw; j++ {
 				want := c[j]
 				for r := 0; r < m; r++ {

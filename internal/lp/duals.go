@@ -57,7 +57,7 @@ func SolveBasisWithDuals(p *Problem, opts Options) (*DualSolution, *Basis, error
 	}
 	cost := make([]float64, t.width)
 	copy(cost, p.obj)
-	t.prices(cost)
+	t.prices(cost, false)
 	ds.Duals = make([]float64, t.m)
 	for i := 0; i < t.m; i++ {
 		ds.Duals[i] = t.y[i] * t.rowNeg[i] / t.rowScale[i]

@@ -6,11 +6,12 @@ package lp
 // per pivot, m² floats per warm-start snapshot — it keeps B = Pᵀ·L·U·Qᵀ as
 // two sparse triangular factors plus a short product-form eta file, so
 //
-//   - FTRAN (w = B⁻¹a) and BTRAN (yᵀ = cᵦᵀB⁻¹) are triangular solves that
-//     skip the vector's zeros, so beyond a few O(m) passes they cost the
-//     factor entries the vector's nonzeros reach, not nnz(L+U) + nnz(etas);
-//     BTRAN applies the eta file over the vector's support while it is
-//     hyper-sparse (Hall and McKinnon, 2005);
+//   - FTRAN (w = B⁻¹a) and BTRAN (yᵀ = cᵦᵀB⁻¹) take their input's support
+//     and return their result's, and walk the supports through the
+//     permutations, the triangular stages and the eta file, so a
+//     hyper-sparse solve (Hall and McKinnon, 2005) costs the factor
+//     entries its nonzeros reach plus one pass over the eta file, not
+//     O(m) or nnz(L+U) + nnz(etas);
 //   - a pivot appends one eta vector (the entering direction already
 //     computed for the ratio test) instead of rewriting m² entries;
 //   - refactorisation is right-looking elimination with Markowitz ordering
@@ -34,16 +35,31 @@ package lp
 // basis positions. L and U are stored column-wise in elimination
 // coordinates; L has an implicit unit diagonal, U keeps its diagonal in
 // uDiag. FTRAN scatters down the columns of both. BTRAN gathers down L's
-// columns and scatters along U's rows, from a row-wise copy of U that the
-// solver keeps beside the factor (btranScratch), since frozen factors are
-// shared between solvers.
+// columns and scatters along U's rows, from a row-wise copy of U and L's
+// row pattern that the solver keeps beside the factor (solveScratch),
+// since frozen factors are shared between solvers.
 //
-// Every kernel computes each element bit for bit as its dense form would:
-// a skipped term is always an exact-zero product (a zero result may differ
-// in sign), and the terms that remain are summed in the same order.
+// Support walks. A vector's support is the ascending list of positions
+// where it is not +0; a caller keeps each vector +0 outside its support
+// and clears it over the support the last result returned. The L and U
+// stages take the elimination steps their vector reaches from a bitset
+// queue, lowest set bit first for the forward stages and highest first
+// for the backward ones: the order a binary heap would give, at one word
+// read per 64 steps. So a step is processed only after every step that
+// feeds it, as in the dense loops. Once a walk has touched more than
+// m/denseSwitchDiv positions, the stage in progress continues as the
+// dense loop from its current step, and the rest of the solve is dense.
+//
+// Every kernel computes each element bit for bit as the dense loops do
+// (ftranDense and btranDense in factor_test.go are those loops, kept as
+// the reference), signed zeros included: a skipped term is always a
+// product with an exact zero that the dense loop skips too or that
+// cannot change the element, and the terms that remain are summed in the
+// same order.
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -71,6 +87,12 @@ const (
 	// file is applied over the support; past it, the rest of the file is
 	// scanned in full (Hall and McKinnon's 10% density).
 	btranHyperDiv = 10
+	// denseSwitchDiv sets the density switch of the support walks: once
+	// more than m/denseSwitchDiv positions of a vector have been touched,
+	// FTRAN and BTRAN finish the stage in progress and the rest of the
+	// solve with the dense loops, and pricing takes its dense pass (Hall
+	// and McKinnon's 10% again).
+	denseSwitchDiv = 10
 	// etaSearchMin is the number of eta entries per support position
 	// below which scanning the eta outright is cheaper than a binary
 	// search per position.
@@ -249,46 +271,162 @@ func (f *luFactor) freeze() *luFactor {
 	return &c
 }
 
-// ftran solves B·x = rhs: rhs is in row space, the result (written to out)
-// in basis-position space. work is an m-length scratch slice owned by the
-// caller — the factor itself is stateless so frozen snapshots can serve
-// many solvers at once. Structural zeros are skipped throughout.
+// ftran solves B·x = rhs. rhs is in row space, and supp lists ascending
+// every row where it is not +0 (it may list zeros too); only those entries
+// are read. The result goes to out, in basis-position space, which must be
+// +0 on entry; the ascending positions where the result is not +0 are
+// written to outSupp's backing array (capacity m) and returned. s is the
+// caller's solveScratch for f, whose work vector is +0 between calls: the
+// factor itself is stateless, so frozen snapshots serve many solvers.
+//
+// While the touched positions stay within m/denseSwitchDiv, the L and U
+// stages run over them in step order (ascending for L, descending for U)
+// from a bitset queue, and the eta file over the pivots it finds nonzero;
+// past that count the stage in progress and the rest of the solve run the
+// dense loops, which visit every step. Either way each entry receives its
+// nonzero terms in step order, as the dense loops give them.
 //
 //lint:hotpath one triangular solve per pivot per node; pinned to zero allocations
-func (f *luFactor) ftran(rhs, out, work []float64) {
+func (f *luFactor) ftran(rhs []float64, supp []int, out []float64, outSupp []int, s *solveScratch) []int {
 	m := f.m
-	for k := 0; k < m; k++ {
-		work[k] = rhs[f.rowOf[k]]
+	work := s.work[:m]
+	limit := m / denseSwitchDiv
+	if len(supp) > limit {
+		f.ftranFull(rhs, out, s)
+		return appendSupport(outSupp[:0], out)
 	}
-	// Forward solve L·z = P·rhs, scattering down column k.
-	for k := 0; k < m; k++ {
-		v := work[k]
-		if v == 0 {
-			continue
-		}
-		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			work[f.lIdx[t]] -= f.lVal[t] * v
-		}
-	}
-	// Backward solve U·x̃ = z, scattering up column k.
-	for k := m - 1; k >= 0; k-- {
-		v := work[k]
-		if v == 0 {
-			continue
-		}
-		v /= f.uDiag[k]
-		work[k] = v
-		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
-			work[f.uIdx[t]] -= f.uVal[t] * v
+	touched := s.touched[:0]
+	for _, i := range supp {
+		if v := rhs[i]; math.Float64bits(v) != 0 {
+			k := f.posOfRow[i]
+			work[k] = v
+			touched = append(touched, k)
 		}
 	}
-	for k := 0; k < m; k++ {
-		out[f.colOf[k]] = work[k]
+	q := s.queue[:(m+63)>>6]
+	// Forward solve L·z = P·rhs: step k scatters down L's column k once
+	// every earlier step has, so the queue holds the steps with a nonzero
+	// value and a nonempty column.
+	if len(f.lIdx) > 0 {
+		for _, k := range touched {
+			if work[k] != 0 && f.lPtr[k] < f.lPtr[k+1] {
+				q[k>>6] |= 1 << (k & 63)
+			}
+		}
+		for w := range q {
+			for q[w] != 0 {
+				k := w<<6 | bits.TrailingZeros64(q[w])
+				q[w] &^= 1 << (k & 63)
+				v := work[k]
+				if v == 0 {
+					continue
+				}
+				for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+					i := f.lIdx[t]
+					if math.Float64bits(work[i]) == 0 {
+						touched = append(touched, i)
+					}
+					work[i] -= f.lVal[t] * v
+					if f.lPtr[i] < f.lPtr[i+1] {
+						q[i>>6] |= 1 << (i & 63)
+					}
+				}
+				if len(touched) > limit {
+					clear(q[w:])
+					s.touched = touched
+					f.lDense(work, k+1)
+					f.uDense(work, m-1)
+					f.ftranDenseTail(work, out)
+					return appendSupport(outSupp[:0], out)
+				}
+			}
+		}
+	}
+	// Backward solve U·x̃ = z: step k divides by the diagonal and scatters up
+	// U's column k once every later step has.
+	for _, k := range touched {
+		if work[k] != 0 {
+			q[k>>6] |= 1 << (k & 63)
+		}
+	}
+	for w := len(q) - 1; w >= 0; w-- {
+		for q[w] != 0 {
+			k := w<<6 | (63 - bits.LeadingZeros64(q[w]))
+			q[w] &^= 1 << (k & 63)
+			v := work[k]
+			if v == 0 {
+				continue
+			}
+			v /= f.uDiag[k]
+			work[k] = v
+			for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+				i := f.uIdx[t]
+				if math.Float64bits(work[i]) == 0 {
+					touched = append(touched, i)
+				}
+				work[i] -= f.uVal[t] * v
+				q[i>>6] |= 1 << (i & 63)
+			}
+			if len(touched) > limit {
+				clear(q[:w+1])
+				s.touched = touched
+				f.uDense(work, k-1)
+				f.ftranDenseTail(work, out)
+				return appendSupport(outSupp[:0], out)
+			}
+		}
+	}
+	s.touched = touched
+	ob := s.outBits
+	for _, k := range touched {
+		if v := work[k]; math.Float64bits(v) != 0 {
+			j := f.colOf[k]
+			out[j] = v
+			ob[j>>6] |= 1 << (j & 63)
+			work[k] = 0
+		}
 	}
 	// Eta file, oldest first: B = B₀·E₁⋯E_e, so B⁻¹ applies E⁻¹ in
-	// chronological order after the factor solve.
-	for e := 0; e < len(f.etaPos); e++ {
-		r := f.etaPos[e]
+	// chronological order after the factor solve. An eta whose pivot entry
+	// is zero is the identity on this vector.
+	for e, r := range f.etaPos {
+		pv := out[r]
+		if pv == 0 {
+			continue
+		}
+		pv /= f.etaDiag[e]
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			i := f.etaIdx[t]
+			out[i] -= f.etaVal[t] * pv
+			ob[i>>6] |= 1 << (i & 63)
+		}
+		out[r] = pv
+	}
+	return s.emit(out, outSupp)
+}
+
+// ftranFull is FTRAN of a right-hand side taken as dense: the dense loops
+// over every position, as ftran runs them past its switch, for a caller
+// that needs no support list. out is overwritten whole.
+func (f *luFactor) ftranFull(rhs, out []float64, s *solveScratch) {
+	work := s.work[:f.m]
+	for k := range work {
+		work[k] = rhs[f.rowOf[k]]
+	}
+	f.lDense(work, 0)
+	f.uDense(work, f.m-1)
+	f.ftranDenseTail(work, out)
+}
+
+// ftranDenseTail finishes a dense FTRAN from the factor solve's result in
+// work: it permutes work into out (every position), leaves work +0 and
+// applies the eta file.
+func (f *luFactor) ftranDenseTail(work, out []float64) {
+	for k := 0; k < f.m; k++ {
+		out[f.colOf[k]] = work[k]
+	}
+	clear(work)
+	for e, r := range f.etaPos {
 		pv := out[r]
 		if pv == 0 {
 			continue
@@ -301,31 +439,82 @@ func (f *luFactor) ftran(rhs, out, work []float64) {
 	}
 }
 
-// btran solves yᵀ·B = cᵀ: c is in basis-position space, the result
-// (written to out) in row space. work and cw are m-length scratch slices
-// owned by the caller, and s is the caller's btranScratch loaded for f;
-// c is not modified. The eta and Uᵀ stages cost the entries the vector's
-// nonzeros reach, not the factor's nonzero count, while every element
-// comes out bit for bit as the column-gather form computes it: a skipped
-// term is always an exact-zero product, and the terms that remain are
-// subtracted in the same ascending order.
+// lDense is FTRAN's L stage over every step from on: step k scatters its
+// nonzero value down L's column k.
+func (f *luFactor) lDense(work []float64, from int) {
+	if len(f.lIdx) == 0 {
+		return
+	}
+	for k := from; k < f.m; k++ {
+		v := work[k]
+		if v == 0 {
+			continue
+		}
+		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+			work[f.lIdx[t]] -= f.lVal[t] * v
+		}
+	}
+}
+
+// uDense is FTRAN's U stage over every step from down to 0: step k divides
+// its nonzero value by the diagonal and scatters it up U's column k.
+func (f *luFactor) uDense(work []float64, from int) {
+	for k := from; k >= 0; k-- {
+		v := work[k]
+		if v == 0 {
+			continue
+		}
+		v /= f.uDiag[k]
+		work[k] = v
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			work[f.uIdx[t]] -= f.uVal[t] * v
+		}
+	}
+}
+
+// btran solves yᵀ·B = cᵀ. c is in basis-position space, and supp lists
+// ascending every position where it is not +0 (it may list zeros too);
+// only those entries are read. The result goes to out, in row space, which
+// must be +0 on entry; the ascending rows where the result is not +0 are
+// written to outSupp's backing array (capacity m) and returned. s is the
+// caller's solveScratch loaded for f.
+//
+// The eta stage applies the file over c's support while that holds at
+// most m/btranHyperDiv positions, as it always has. The Uᵀ stage then
+// scatters along U's rows in ascending step order from a bitset queue, and
+// the Lᵀ stage gathers down L's columns in descending step order, visiting
+// only the steps a nonzero or a negative zero reaches; past m/denseSwitchDiv
+// touched positions the stage in progress and the rest run the dense
+// loops. Every element comes out bit for bit as the dense loops compute
+// it, signed zeros included: the eta stage is unchanged, the Uᵀ scatter
+// skips exact zeros as the dense loop does, and a step the Lᵀ stage skips
+// holds +0 with nothing but zero products to subtract, which leave +0 as
+// it is.
 //
 //lint:hotpath one transposed solve per pricing pass; pinned to zero allocations
-func (f *luFactor) btran(c, out, work, cw []float64, s *btranScratch) {
+func (f *luFactor) btran(c []float64, supp []int, out []float64, outSupp []int, s *solveScratch) []int {
 	m := f.m
-	// The support: ascending basis positions that may hold a nonzero of cw,
-	// tracked while it stays within the hyper-sparse threshold.
+	cw, work := s.cw[:m], s.work[:m]
+	// The eta stage's support: ascending positions that may hold a nonzero
+	// of cw, tracked while it stays within the hyper-sparse threshold.
+	// zeros collects the positions outside it that hold −0.
 	maxSupp := m / btranHyperDiv
-	supp := s.supp[:0]
+	esupp := s.supp[:0]
+	zeros := s.zeros[:0]
 	sparse := true
-	for i, ci := range c[:m] {
+	for _, i := range supp {
+		ci := c[i]
 		cw[i] = ci
-		if ci != 0 && sparse {
-			if len(supp) < maxSupp {
-				supp = append(supp, i)
-			} else {
-				sparse = false
+		if ci != 0 {
+			if sparse {
+				if len(esupp) < maxSupp {
+					esupp = append(esupp, i)
+				} else {
+					sparse = false
+				}
 			}
+		} else if math.Float64bits(ci) != 0 {
+			zeros = append(zeros, i)
 		}
 	}
 	// Eta transposes, newest first: cᵀ·E_e⁻¹ touches only position r,
@@ -336,14 +525,14 @@ func (f *luFactor) btran(c, out, work, cw []float64, s *btranScratch) {
 		old := cw[r]
 		v := old
 		switch {
-		case sparse && (lo == hi || len(supp) == 0 || supp[0] > f.etaIdx[hi-1] || supp[len(supp)-1] < f.etaIdx[lo]):
+		case sparse && (lo == hi || len(esupp) == 0 || esupp[0] > f.etaIdx[hi-1] || esupp[len(esupp)-1] < f.etaIdx[lo]):
 			// The support misses the eta's index range: no nonzero terms.
-		case sparse && hi-lo > etaSearchMin*len(supp):
+		case sparse && hi-lo > etaSearchMin*len(esupp):
 			// Over the support: both it and the eta's indices ascend, so
 			// each position is found by binary search past the previous
 			// hit, and the terms come in the full scan's order less its
 			// zero products.
-			for _, i := range supp {
+			for _, i := range esupp {
 				lo = searchIdx(f.etaIdx, lo, hi, i)
 				if lo == hi {
 					break
@@ -360,29 +549,161 @@ func (f *luFactor) btran(c, out, work, cw []float64, s *btranScratch) {
 		}
 		v /= f.etaDiag[e]
 		cw[r] = v
-		if sparse && v != 0 && old == 0 {
-			// r joins the support unless a cancellation left it there. (A
-			// nonzero old value means r is there already.)
-			k := searchIdx(supp, 0, len(supp), r)
-			if k == len(supp) || supp[k] != r {
-				if len(supp) == maxSupp {
-					sparse = false
-					continue
+		if !sparse {
+			continue
+		}
+		if v != 0 {
+			if old == 0 {
+				// r joins the support unless a cancellation left it there. (A
+				// nonzero old value means r is there already.)
+				k := searchIdx(esupp, 0, len(esupp), r)
+				if k == len(esupp) || esupp[k] != r {
+					if len(esupp) == maxSupp {
+						sparse = false
+						continue
+					}
+					esupp = append(esupp, 0)
+					copy(esupp[k+1:], esupp[k:])
+					esupp[k] = r
 				}
-				supp = append(supp, 0)
-				copy(supp[k+1:], supp[k:])
-				supp[k] = r
 			}
+		} else if math.Float64bits(v) != 0 && math.Float64bits(old) == 0 {
+			// A zero divided by a negative diagonal.
+			zeros = append(zeros, r)
 		}
 	}
-	for k := 0; k < m; k++ {
-		work[k] = cw[f.colOf[k]]
+	s.supp, s.zeros = esupp, zeros
+	if !sparse {
+		for k := 0; k < m; k++ {
+			work[k] = cw[f.colOf[k]]
+		}
+		clear(cw)
+		f.utDense(work, s, 0)
+		f.ltDense(work, m-1)
+		return f.btranDenseTail(work, out, outSupp)
+	}
+	// Move cw's support and its negative zeros to elimination steps,
+	// leaving cw +0. Only the nonzeros enter the Uᵀ queue.
+	limit := m / denseSwitchDiv
+	q := s.queue[:(m+63)>>6]
+	touched := s.touched[:0]
+	for _, i := range esupp {
+		k := f.posOfCol[i]
+		v := cw[i]
+		cw[i] = 0
+		work[k] = v
+		touched = append(touched, k)
+		if v != 0 {
+			q[k>>6] |= 1 << (k & 63)
+		}
+	}
+	nz := len(touched)
+	for _, i := range zeros {
+		if v := cw[i]; math.Float64bits(v) != 0 {
+			k := f.posOfCol[i]
+			cw[i] = 0
+			work[k] = v
+			touched = append(touched, k)
+		}
 	}
 	// Forward solve Uᵀ·z = c̃ in scatter form over U's rows: once z_k is
 	// final it is subtracted into the later entries of row k. Entry j
 	// receives its terms in ascending k, the order of the gather down U's
 	// column j, and a zero z_k contributes only exact zeros.
-	for k := 0; k < m; k++ {
+	for w := range q {
+		for q[w] != 0 {
+			k := w<<6 | bits.TrailingZeros64(q[w])
+			q[w] &^= 1 << (k & 63)
+			v := work[k]
+			if v == 0 {
+				continue
+			}
+			v /= f.uDiag[k]
+			work[k] = v
+			for t := s.uRowPtr[k]; t < s.uRowPtr[k+1]; t++ {
+				j := s.uRowIdx[t]
+				if math.Float64bits(work[j]) == 0 {
+					touched = append(touched, j)
+					nz++
+				}
+				work[j] -= s.uRowVal[t] * v
+				q[j>>6] |= 1 << (j & 63)
+			}
+			if nz > limit {
+				clear(q[w:])
+				s.touched = touched
+				f.utDense(work, s, k+1)
+				f.ltDense(work, m-1)
+				return f.btranDenseTail(work, out, outSupp)
+			}
+		}
+	}
+	// Backward solve Lᵀ·ỹ = z, gathering down L's column k in descending
+	// k; a scatter form would reorder the sums. A step needs its gather
+	// when it holds a value that is not +0 (a −0 may turn +0 there) or a
+	// later step it depends on turns nonzero, which L's row pattern finds.
+	if len(f.lIdx) > 0 {
+		for _, k := range touched {
+			if f.lPtr[k] < f.lPtr[k+1] {
+				q[k>>6] |= 1 << (k & 63)
+			} else if work[k] != 0 {
+				s.queueLRow(q, k)
+			}
+		}
+		for w := len(q) - 1; w >= 0; w-- {
+			for q[w] != 0 {
+				k := w<<6 | (63 - bits.LeadingZeros64(q[w]))
+				q[w] &^= 1 << (k & 63)
+				old := work[k]
+				v := old
+				for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+					v -= f.lVal[t] * work[f.lIdx[t]]
+				}
+				work[k] = v
+				if math.Float64bits(old) == 0 && math.Float64bits(v) != 0 {
+					touched = append(touched, k)
+					nz++
+				}
+				if v != 0 {
+					s.queueLRow(q, k)
+				}
+				if nz > limit {
+					clear(q[:w+1])
+					s.touched = touched
+					f.ltDense(work, k-1)
+					return f.btranDenseTail(work, out, outSupp)
+				}
+			}
+		}
+	}
+	s.touched = touched
+	ob := s.outBits
+	for _, k := range touched {
+		if v := work[k]; math.Float64bits(v) != 0 {
+			i := f.rowOf[k]
+			out[i] = v
+			ob[i>>6] |= 1 << (i & 63)
+			work[k] = 0
+		}
+	}
+	return s.emit(out, outSupp)
+}
+
+// btranDenseTail finishes a dense BTRAN from the triangular solves' result
+// in work: it permutes work into out (every position), leaves work +0 and
+// lists out's support.
+func (f *luFactor) btranDenseTail(work, out []float64, outSupp []int) []int {
+	for k := 0; k < f.m; k++ {
+		out[f.rowOf[k]] = work[k]
+	}
+	clear(work)
+	return appendSupport(outSupp[:0], out)
+}
+
+// utDense is BTRAN's Uᵀ stage over every step from on, in the scatter form
+// along s's rows of U.
+func (f *luFactor) utDense(work []float64, s *solveScratch, from int) {
+	for k := from; k < f.m; k++ {
 		v := work[k]
 		if v == 0 {
 			continue
@@ -393,22 +714,33 @@ func (f *luFactor) btran(c, out, work, cw []float64, s *btranScratch) {
 			work[s.uRowIdx[t]] -= s.uRowVal[t] * v
 		}
 	}
-	// Backward solve Lᵀ·ỹ = z, gathering down each non-empty column k; a
-	// scatter form would reorder the sums.
-	if len(f.lIdx) > 0 {
-		for k := m - 1; k >= 0; k-- {
-			if lo, hi := f.lPtr[k], f.lPtr[k+1]; lo < hi {
-				v := work[k]
-				for t := lo; t < hi; t++ {
-					v -= f.lVal[t] * work[f.lIdx[t]]
-				}
-				work[k] = v
+}
+
+// ltDense is BTRAN's Lᵀ stage over every step from down to 0: each
+// nonempty column k gathers its terms, zero products included.
+func (f *luFactor) ltDense(work []float64, from int) {
+	if len(f.lIdx) == 0 {
+		return
+	}
+	for k := from; k >= 0; k-- {
+		if lo, hi := f.lPtr[k], f.lPtr[k+1]; lo < hi {
+			v := work[k]
+			for t := lo; t < hi; t++ {
+				v -= f.lVal[t] * work[f.lIdx[t]]
 			}
+			work[k] = v
 		}
 	}
-	for k := 0; k < m; k++ {
-		out[f.rowOf[k]] = work[k]
+}
+
+// appendSupport appends to dst the ascending positions where x is not +0.
+func appendSupport(dst []int, x []float64) []int {
+	for i, v := range x {
+		if math.Float64bits(v) != 0 {
+			dst = append(dst, i)
+		}
 	}
+	return dst
 }
 
 // searchIdx returns the first t in [lo, hi) with idx[t] >= x, or hi: the
@@ -425,81 +757,152 @@ func searchIdx(idx []int, lo, hi, x int) int {
 	return lo
 }
 
-// btranScratch is the solver-owned state btran needs beyond work and cw:
-// U stored row-wise in elimination coordinates (the scatter form of Uᵀ)
-// for the factor the solver currently holds, and the support buffer of
-// the eta stage. It stays out of luFactor because a frozen factor is
+// solveScratch is the solver-owned state FTRAN and BTRAN need beside the
+// factor: U stored row-wise and L's row pattern, in elimination
+// coordinates, for the factor the solver currently holds (the scatter form
+// of Uᵀ and the steps a nonzero of ỹ reaches in Lᵀ); two work vectors that
+// are +0 between calls; and the position lists and bitset queues of the
+// support walks. It stays out of luFactor because a frozen factor is
 // shared by every warm-started child, each of which keeps its own.
-type btranScratch struct {
+type solveScratch struct {
 	uRowPtr []int // m+1 offsets of U's rows
 	uRowIdx []int // elimination column of each entry, above its row
 	uRowVal []float64
-	supp    []int // m-capacity support list
+	lRowPtr []int // m+1 offsets of L's rows
+	lRowIdx []int // elimination column of each entry, left of its row
+
+	work, cw []float64 // triangular-solve and eta-stage vectors, +0 between calls
+	supp     []int     // BTRAN's eta-stage support, m capacity
+	zeros    []int     // BTRAN's −0 positions outside supp
+	touched  []int     // elimination steps a support walk has written
+	queue    []uint64  // bitset of the steps waiting in a stage
+	outBits  []uint64  // bitset of the output positions written, for emit
+
 	// adopted is the U of the frozen factor the rows were last built
 	// from by adopt, nil after a load. Holding it keeps that array
 	// allocated, so no other factor can reuse its address.
 	adopted []float64
 }
 
+// ensure sizes s's vectors, lists and bitsets for an m-row factor. Grown
+// vectors are zero, and kept ones are +0 already, since every kernel
+// leaves them so.
+func (s *solveScratch) ensure(m int) {
+	if len(s.work) < m {
+		s.work = grown(s.work, m)
+		s.cw = grown(s.cw, m)
+	}
+	if cap(s.supp) < m {
+		s.supp = make([]int, 0, regrowCap(cap(s.supp), m))
+		s.zeros = make([]int, 0, regrowCap(cap(s.zeros), m))
+		s.touched = make([]int, 0, regrowCap(cap(s.touched), m))
+	}
+	if words := (m + 63) >> 6; len(s.queue) < words {
+		s.queue = grown(s.queue, words)
+		s.outBits = grown(s.outBits, words)
+	}
+}
+
+// emit returns, written to dst's backing array, the ascending positions
+// flagged in s.outBits where x is not +0, and clears the flags.
+func (s *solveScratch) emit(x []float64, dst []int) []int {
+	dst = dst[:0]
+	for w, b := range s.outBits[:(len(x)+63)>>6] {
+		if b == 0 {
+			continue
+		}
+		for ; b != 0; b &= b - 1 {
+			if i := w<<6 | bits.TrailingZeros64(b); math.Float64bits(x[i]) != 0 {
+				dst = append(dst, i)
+			}
+		}
+		s.outBits[w] = 0
+	}
+	return dst
+}
+
+// queueLRow queues the steps whose L column has an entry in row k: the
+// gathers that read ỹ_k.
+func (s *solveScratch) queueLRow(q []uint64, k int) {
+	for t := s.lRowPtr[k]; t < s.lRowPtr[k+1]; t++ {
+		j := s.lRowIdx[t]
+		q[j>>6] |= 1 << (j & 63)
+	}
+}
+
 // adopt is load for a frozen factor f, skipped when s already holds that
 // factor's U: the strong-branching probes of one node all inherit the
 // node's snapshot. A frozen factor never shares storage with a factor
 // that is rebuilt in place (refactorize loads those unconditionally), and
-// its U never changes. m >= f.m is the dimension of the solver's factor:
-// f extended by identity steps (luFactor.extend), whose rows of U are
-// empty.
-func (s *btranScratch) adopt(f *luFactor, m int) {
+// its L and U never change. m >= f.m is the dimension of the solver's
+// factor: f extended by identity steps (luFactor.extend), whose rows of L
+// and U are empty.
+func (s *solveScratch) adopt(f *luFactor, m int) {
 	if n := len(f.uVal); n == 0 || len(s.adopted) != n || &s.adopted[0] != &f.uVal[0] {
 		s.load(f)
 		s.adopted = f.uVal
 	}
-	// s holds the rows of a factor with this U, which may have been
-	// extended to another dimension; every row past the U's own is empty,
-	// ending where U ends.
+	// s holds the rows of a factor with this L and U, which may have been
+	// extended to another dimension; every row past the factor's own is
+	// empty, ending where L and U end.
 	if len(s.uRowPtr) > m+1 {
 		s.uRowPtr = s.uRowPtr[:m+1]
+		s.lRowPtr = s.lRowPtr[:m+1]
 	}
 	for len(s.uRowPtr) <= m {
 		s.uRowPtr = append(s.uRowPtr, len(f.uIdx))
+		s.lRowPtr = append(s.lRowPtr, len(f.lIdx))
 	}
-	if cap(s.supp) < m {
-		s.supp = make([]int, m)
-	}
+	s.ensure(m)
 }
 
-// load transposes f's U into row-wise form, O(m + nnz(U)): a counting
-// transpose that scatters the columns in step order, so every row's
-// entries ascend. It runs whenever the solver's factor changes.
-func (s *btranScratch) load(f *luFactor) {
+// load transposes f's U into row-wise form and records L's row pattern,
+// O(m + nnz(L) + nnz(U)): counting transposes that scatter the columns in
+// step order, so every row's entries ascend. It runs whenever the solver's
+// factor changes.
+func (s *solveScratch) load(f *luFactor) {
 	m := f.m
-	if cap(s.supp) < m {
-		s.supp = make([]int, m)
+	s.ensure(m)
+	s.uRowPtr = rowPattern(s.uRowPtr, m, f.uIdx)
+	s.uRowIdx = slices.Grow(s.uRowIdx[:0], len(f.uIdx))[:len(f.uIdx)]
+	s.uRowVal = slices.Grow(s.uRowVal[:0], len(f.uIdx))[:len(f.uIdx)]
+	s.lRowPtr = rowPattern(s.lRowPtr, m, f.lIdx)
+	s.lRowIdx = slices.Grow(s.lRowIdx[:0], len(f.lIdx))[:len(f.lIdx)]
+	// ptr[i] serves as row i's fill cursor, ending at the start of row
+	// i+1; shifting it back by one row restores the offsets.
+	uptr, lptr := s.uRowPtr, s.lRowPtr
+	for k := 0; k < m; k++ {
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			i := f.uIdx[t]
+			s.uRowIdx[uptr[i]] = k
+			s.uRowVal[uptr[i]] = f.uVal[t]
+			uptr[i]++
+		}
+		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+			i := f.lIdx[t]
+			s.lRowIdx[lptr[i]] = k
+			lptr[i]++
+		}
 	}
-	ptr := grown(s.uRowPtr, m+1)
-	for _, i := range f.uIdx {
+	copy(uptr[1:], uptr[:m])
+	uptr[0] = 0
+	copy(lptr[1:], lptr[:m])
+	lptr[0] = 0
+	s.adopted = nil
+}
+
+// rowPattern returns ptr resized to m+1 holding where each row of the
+// column-wise pattern with row indices idx starts: ptr[i] counts the
+// entries in rows before i, and ptr[m] all of them.
+func rowPattern(ptr []int, m int, idx []int) []int {
+	ptr = grown(ptr, m+1)
+	for _, i := range idx {
 		ptr[i+1]++
 	}
 	for k := 0; k < m; k++ {
 		ptr[k+1] += ptr[k]
 	}
-	// Every entry below is overwritten, so the arrays are resized without
-	// the zeroing grown does.
-	s.uRowIdx = slices.Grow(s.uRowIdx[:0], len(f.uIdx))[:len(f.uIdx)]
-	s.uRowVal = slices.Grow(s.uRowVal[:0], len(f.uIdx))[:len(f.uIdx)]
-	// ptr[i] serves as row i's fill cursor, ending at the start of row
-	// i+1; shifting it back by one row restores the offsets.
-	for k := 0; k < m; k++ {
-		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
-			i := f.uIdx[t]
-			s.uRowIdx[ptr[i]] = k
-			s.uRowVal[ptr[i]] = f.uVal[t]
-			ptr[i]++
-		}
-	}
-	copy(ptr[1:], ptr[:m])
-	ptr[0] = 0
-	s.uRowPtr = ptr
-	s.adopted = nil
+	return ptr
 }
 
 // facEntry is one live nonzero of the active submatrix during elimination.

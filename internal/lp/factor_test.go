@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -51,10 +52,8 @@ func cscFromDense(B [][]float64) (colPtr, rowIdx []int, vals []float64) {
 func checkFactorAgainstDense(t *testing.T, f *luFactor, B [][]float64, s *rng.Source, relTol float64) {
 	t.Helper()
 	m := len(B)
-	work := make([]float64, m)
-	cw := make([]float64, m)
 	out := make([]float64, m)
-	var bs btranScratch
+	var bs solveScratch
 	bs.load(f)
 	scale := 1.0
 	for i := range B {
@@ -79,7 +78,7 @@ func checkFactorAgainstDense(t *testing.T, f *luFactor, B [][]float64, s *rng.So
 	rhss = append(rhss, r)
 
 	for _, rhs := range rhss {
-		f.ftran(rhs, out, work)
+		ftranVec(f, rhs, out, &bs)
 		for i := 0; i < m; i++ {
 			var bx float64
 			for j := 0; j < m; j++ {
@@ -89,7 +88,7 @@ func checkFactorAgainstDense(t *testing.T, f *luFactor, B [][]float64, s *rng.So
 				t.Fatalf("ftran: (B·x)[%d] = %g, want %g (err %g)", i, bx, rhs[i], bx-rhs[i])
 			}
 		}
-		f.btran(rhs, out, work, cw, &bs)
+		btranVec(f, rhs, out, &bs)
 		for j := 0; j < m; j++ {
 			var yb float64
 			for i := 0; i < m; i++ {
@@ -112,6 +111,21 @@ func nonzeros(w []float64) []int {
 		}
 	}
 	return nz
+}
+
+// ftranVec runs FTRAN on a full-length rhs, whose support is every
+// position not +0, into out (cleared first), and returns the result's
+// support.
+func ftranVec(f *luFactor, rhs, out []float64, s *solveScratch) []int {
+	s.ensure(f.m)
+	clear(out)
+	return f.ftran(rhs, appendSupport(nil, rhs), out, make([]int, 0, f.m), s)
+}
+
+// btranVec is ftranVec for BTRAN; s must be loaded for f.
+func btranVec(f *luFactor, c, out []float64, s *solveScratch) []int {
+	clear(out)
+	return f.btran(c, appendSupport(nil, c), out, make([]int, 0, f.m), s)
 }
 
 // randomSparseBasis builds a random nonsingular m×m matrix: a permuted
@@ -199,9 +213,9 @@ func TestFactorizeBasisEmpty(t *testing.T) {
 	if f.m != 0 || f.nEtas() != 0 {
 		t.Fatalf("empty factor: m=%d etas=%d", f.m, f.nEtas())
 	}
-	var bs btranScratch
+	var bs solveScratch
 	bs.load(f)
-	f.ftran(nil, nil, nil) // must be a no-op, not a panic
+	f.ftran(nil, nil, nil, nil, &bs) // must be a no-op, not a panic
 	f.btran(nil, nil, nil, nil, &bs)
 }
 
@@ -253,7 +267,7 @@ func TestFactorEtaUpdates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		work := make([]float64, m)
+		var fs solveScratch
 		w := make([]float64, m)
 		for upd := 0; upd < 6; upd++ {
 			r := s.Intn(m)
@@ -268,7 +282,7 @@ func TestFactorEtaUpdates(t *testing.T) {
 					a[i] += s.Uniform(-0.3, 0.3)
 				}
 			}
-			f.ftran(a, w, work)
+			ftranVec(f, a, w, &fs)
 			if math.Abs(w[r]) < 0.5 {
 				continue // perturbation unluckily large; skip this update
 			}
@@ -295,11 +309,11 @@ func TestFactorFreezeCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := make([]float64, m)
+	var fs solveScratch
 	w := make([]float64, m)
 	e := make([]float64, m)
 	e[0] = 1
-	f.ftran(e, w, work)
+	ftranVec(f, e, w, &fs)
 	f.appendEta(2, w, nonzeros(w))
 
 	frozen := f.freeze()
@@ -307,7 +321,7 @@ func TestFactorFreezeCopyOnWrite(t *testing.T) {
 		t.Fatalf("frozen etas = %d, want 1", frozen.nEtas())
 	}
 	before := make([]float64, m)
-	frozen.ftran(e, before, work)
+	ftranVec(frozen, e, before, &fs)
 
 	// Two children adopt the same frozen snapshot and append different
 	// etas; neither the frozen parent nor the sibling may observe them.
@@ -319,16 +333,16 @@ func TestFactorFreezeCopyOnWrite(t *testing.T) {
 	ea[1] = 1
 	eb := make([]float64, m)
 	eb[2] = 1
-	childA.ftran(ea, wa, work)
+	ftranVec(&childA, ea, wa, &fs)
 	childA.appendEta(3, wa, nonzeros(wa))
-	childB.ftran(eb, wb, work)
+	ftranVec(&childB, eb, wb, &fs)
 	childB.appendEta(4, wb, nonzeros(wb))
 
 	if frozen.nEtas() != 1 {
 		t.Fatalf("parent eta count changed to %d after child appends", frozen.nEtas())
 	}
 	after := make([]float64, m)
-	frozen.ftran(e, after, work)
+	ftranVec(frozen, e, after, &fs)
 	for i := range before {
 		// Exact replay required: the frozen factor must be bitwise
 		// unaffected by child appends, not merely close.
@@ -356,6 +370,159 @@ func TestFactorFillHeavy(t *testing.T) {
 	}
 	if f.etaNnz() <= budget {
 		t.Fatalf("fillHeavy fired early: nnz=%d budget=%d", f.etaNnz(), budget)
+	}
+}
+
+// ftranDense and btranDense are FTRAN and BTRAN as they stood before the
+// support walks, kept as the references the kernels must reproduce bit
+// for bit, signed zeros included. ftranDense runs every stage over every
+// elimination step; btranDense applies the eta file over the vector's
+// support while it is hyper-sparse and runs the Uᵀ and Lᵀ stages over
+// every step. Both read the whole input vector.
+
+func ftranDense(f *luFactor, rhs, out, work []float64) {
+	m := f.m
+	for k := 0; k < m; k++ {
+		work[k] = rhs[f.rowOf[k]]
+	}
+	// Forward solve L·z = P·rhs, scattering down column k.
+	for k := 0; k < m; k++ {
+		v := work[k]
+		if v == 0 {
+			continue
+		}
+		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+			work[f.lIdx[t]] -= f.lVal[t] * v
+		}
+	}
+	// Backward solve U·x̃ = z, scattering up column k.
+	for k := m - 1; k >= 0; k-- {
+		v := work[k]
+		if v == 0 {
+			continue
+		}
+		v /= f.uDiag[k]
+		work[k] = v
+		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
+			work[f.uIdx[t]] -= f.uVal[t] * v
+		}
+	}
+	for k := 0; k < m; k++ {
+		out[f.colOf[k]] = work[k]
+	}
+	// Eta file, oldest first: B = B₀·E₁⋯E_e, so B⁻¹ applies E⁻¹ in
+	// chronological order after the factor solve.
+	for e := 0; e < len(f.etaPos); e++ {
+		r := f.etaPos[e]
+		pv := out[r]
+		if pv == 0 {
+			continue
+		}
+		pv /= f.etaDiag[e]
+		for t := f.etaPtr[e]; t < f.etaPtr[e+1]; t++ {
+			out[f.etaIdx[t]] -= f.etaVal[t] * pv
+		}
+		out[r] = pv
+	}
+}
+
+func btranDense(f *luFactor, c, out, work, cw []float64, s *solveScratch) {
+	m := f.m
+	// The support: ascending basis positions that may hold a nonzero of cw,
+	// tracked while it stays within the hyper-sparse threshold.
+	maxSupp := m / btranHyperDiv
+	supp := make([]int, 0, m)
+	sparse := true
+	for i, ci := range c[:m] {
+		cw[i] = ci
+		if ci != 0 && sparse {
+			if len(supp) < maxSupp {
+				supp = append(supp, i)
+			} else {
+				sparse = false
+			}
+		}
+	}
+	// Eta transposes, newest first: cᵀ·E_e⁻¹ touches only position r,
+	// which takes the dot product of cw with the eta's off-diagonal part.
+	for e := len(f.etaPos) - 1; e >= 0; e-- {
+		r := f.etaPos[e]
+		lo, hi := f.etaPtr[e], f.etaPtr[e+1]
+		old := cw[r]
+		v := old
+		switch {
+		case sparse && (lo == hi || len(supp) == 0 || supp[0] > f.etaIdx[hi-1] || supp[len(supp)-1] < f.etaIdx[lo]):
+			// The support misses the eta's index range: no nonzero terms.
+		case sparse && hi-lo > etaSearchMin*len(supp):
+			// Over the support: both it and the eta's indices ascend, so
+			// each position is found by binary search past the previous
+			// hit, and the terms come in the full scan's order less its
+			// zero products.
+			for _, i := range supp {
+				lo = searchIdx(f.etaIdx, lo, hi, i)
+				if lo == hi {
+					break
+				}
+				if f.etaIdx[lo] == i {
+					v -= cw[i] * f.etaVal[lo]
+					lo++
+				}
+			}
+		default:
+			for t := lo; t < hi; t++ {
+				v -= cw[f.etaIdx[t]] * f.etaVal[t]
+			}
+		}
+		v /= f.etaDiag[e]
+		cw[r] = v
+		if sparse && v != 0 && old == 0 {
+			// r joins the support unless a cancellation left it there. (A
+			// nonzero old value means r is there already.)
+			k := searchIdx(supp, 0, len(supp), r)
+			if k == len(supp) || supp[k] != r {
+				if len(supp) == maxSupp {
+					sparse = false
+					continue
+				}
+				supp = append(supp, 0)
+				copy(supp[k+1:], supp[k:])
+				supp[k] = r
+			}
+		}
+	}
+	for k := 0; k < m; k++ {
+		work[k] = cw[f.colOf[k]]
+	}
+	// Forward solve Uᵀ·z = c̃ in scatter form over U's rows: once z_k is
+	// final it is subtracted into the later entries of row k. Entry j
+	// receives its terms in ascending k, the order of the gather down U's
+	// column j, and a zero z_k contributes only exact zeros.
+	for k := 0; k < m; k++ {
+		v := work[k]
+		if v == 0 {
+			continue
+		}
+		v /= f.uDiag[k]
+		work[k] = v
+		for t := s.uRowPtr[k]; t < s.uRowPtr[k+1]; t++ {
+			work[s.uRowIdx[t]] -= s.uRowVal[t] * v
+		}
+	}
+	// Backward solve Lᵀ·ỹ = z, gathering down each non-empty column k; a
+	// scatter form would reorder the sums.
+	if len(f.lIdx) > 0 {
+		for k := m - 1; k >= 0; k-- {
+			if lo, hi := f.lPtr[k], f.lPtr[k+1]; lo < hi {
+				v := work[k]
+				for t := lo; t < hi; t++ {
+					v -= f.lVal[t] * work[f.lIdx[t]]
+				}
+				work[k] = v
+			}
+		}
+	}
+	for k := 0; k < m; k++ {
+		out[f.rowOf[k]] = work[k]
 	}
 }
 
@@ -406,19 +573,13 @@ func sameBits(a, b float64) bool {
 
 // checkBtranBits runs the kernel and btranGather on c and fails on the
 // first element that differs.
-func checkBtranBits(t *testing.T, what string, f *luFactor, bs *btranScratch, c []float64) {
+func checkBtranBits(t *testing.T, what string, f *luFactor, bs *solveScratch, c []float64) {
 	t.Helper()
 	m := f.m
 	want := make([]float64, m)
 	btranGather(f, c, want)
 	got := make([]float64, m)
-	// Dirty scratch, as the solver leaves it between calls.
-	work := make([]float64, m)
-	cw := make([]float64, m)
-	for i := range work {
-		work[i], cw[i] = math.NaN(), math.NaN()
-	}
-	f.btran(c, got, work, cw, bs)
+	btranVec(f, c, got, bs)
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
 			t.Fatalf("%s: y[%d] = %v (%#x), gather reference %v (%#x)", what, i,
@@ -455,7 +616,7 @@ func randomEta(s *rng.Source, f *luFactor, r, fill int) {
 // scratch serves every factor, reloaded per factor as a solver reloads it.
 func TestBtranMatchesGather(t *testing.T) {
 	s := rng.New(17, "lp-btran-gather")
-	var bs btranScratch
+	var bs solveScratch
 	for trial := 0; trial < 12; trial++ {
 		m := 40 + s.Intn(120)
 		B := randomSparseBasis(s, m, 2*m)
@@ -541,7 +702,7 @@ func TestBtranSupportCrossesThreshold(t *testing.T) {
 	if crossedAt <= 1 || crossedAt >= f.nEtas() {
 		t.Fatalf("support crossed the threshold (%d) after eta %d of %d, want partway", limit, crossedAt, f.nEtas())
 	}
-	var bs btranScratch
+	var bs solveScratch
 	bs.load(f)
 	checkBtranBits(t, "unit input on the chain", f, &bs, c)
 	for k := 0; k < 8; k++ {
@@ -571,7 +732,7 @@ func TestBtranStaircaseBasis(t *testing.T) {
 	for i := 0; i < m; i++ {
 		e := make([]float64, m)
 		e[i] = 1
-		checkBtranBits(t, fmt.Sprintf("unit %d", i), f, &tr.luBt, e)
+		checkBtranBits(t, fmt.Sprintf("unit %d", i), f, &tr.luS, e)
 	}
 	cb := make([]float64, m)
 	for i := range cb {
@@ -579,7 +740,7 @@ func TestBtranStaircaseBasis(t *testing.T) {
 			cb[i] = g.obj[v]
 		}
 	}
-	checkBtranBits(t, "basic costs", f, &tr.luBt, cb)
+	checkBtranBits(t, "basic costs", f, &tr.luS, cb)
 }
 
 // TestFtranNonzeroList: rev.ftran's nonzero list is exactly the ascending
@@ -646,7 +807,7 @@ func growBasis(s *rng.Source, f *luFactor, B [][]float64, k int, own bool) [][]f
 // TestFactorEtaUpdates does, keeping B the matrix f represents.
 func pivotColumns(s *rng.Source, f *luFactor, B [][]float64, n int) {
 	m := len(B)
-	work := make([]float64, m)
+	var fs solveScratch
 	w := make([]float64, m)
 	for upd := 0; upd < n; upd++ {
 		r := s.Intn(m)
@@ -658,7 +819,7 @@ func pivotColumns(s *rng.Source, f *luFactor, B [][]float64, n int) {
 				a[i] += s.Uniform(-0.3, 0.3)
 			}
 		}
-		f.ftran(a, w, work)
+		ftranVec(f, a, w, &fs)
 		if math.Abs(w[r]) < 0.5 {
 			continue
 		}
@@ -680,10 +841,9 @@ func checkAgainstFresh(t *testing.T, what string, f *luFactor, B [][]float64, s 
 	if err != nil {
 		t.Fatalf("%s: fresh factorisation: %v", what, err)
 	}
-	var bsF, bsG btranScratch
+	var bsF, bsG solveScratch
 	bsF.load(f)
 	bsG.load(fresh)
-	work, cw := make([]float64, m), make([]float64, m)
 	got, want := make([]float64, m), make([]float64, m)
 	near := func(kernel string, nnz int) {
 		scale := 1.0
@@ -700,11 +860,11 @@ func checkAgainstFresh(t *testing.T, what string, f *luFactor, B [][]float64, s 
 	for _, nnz := range []int{1, 3, m} {
 		for rep := 0; rep < 3; rep++ {
 			c := sparseInput(s, m, nnz)
-			f.ftran(c, got, work)
-			fresh.ftran(c, want, work)
+			ftranVec(f, c, got, &bsF)
+			ftranVec(fresh, c, want, &bsG)
 			near("ftran", nnz)
-			f.btran(c, got, work, cw, &bsF)
-			fresh.btran(c, want, work, cw, &bsG)
+			btranVec(f, c, got, &bsF)
+			btranVec(fresh, c, want, &bsG)
 			near("btran", nnz)
 		}
 	}
@@ -746,7 +906,7 @@ func TestFactorExtendMatchesRefactor(t *testing.T) {
 				}
 				// Rows of U the scratch adopts for the snapshot's U, at the
 				// extended dimension, give BTRAN the same bits as a load.
-				var adopted, loaded btranScratch
+				var adopted, loaded solveScratch
 				adopted.adopt(snap, f.m)
 				loaded.load(&f)
 				for _, nnz := range []int{1, 3, f.m} {
@@ -786,4 +946,204 @@ func TestFactorExtendMatchesRefactor(t *testing.T) {
 		checkAgainstFresh(t, fmt.Sprintf("trial %d, fill-heavy extension", trial), &h, G, s, rel)
 		checkAgainstFresh(t, fmt.Sprintf("trial %d, refactorised extension", trial), &re, G, s, rel)
 	}
+}
+
+// checkKernelBits holds the support-walking FTRAN and BTRAN of f on c,
+// whose support supp lists every position where c is not +0, to the dense
+// references: every element must agree in its bits, each returned support
+// must be exactly the reference result's positions that are not +0, and
+// the scratch's work vectors and queues must be +0 again afterwards.
+func checkKernelBits(t *testing.T, what string, f *luFactor, s *solveScratch, c []float64, supp []int) {
+	t.Helper()
+	m := f.m
+	check := func(kernel string, got, want []float64, sup []int) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: %s[%d] = %v (%#x), dense reference %v (%#x)", what, kernel, i,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		if ref := appendSupport(nil, want); !slices.Equal(sup, ref) {
+			t.Fatalf("%s: %s support %v, dense reference %v", what, kernel, sup, ref)
+		}
+		for i := range s.work {
+			if math.Float64bits(s.work[i]) != 0 || math.Float64bits(s.cw[i]) != 0 {
+				t.Fatalf("%s: %s left work[%d] = %v, cw[%d] = %v", what, kernel, i, s.work[i], i, s.cw[i])
+			}
+		}
+		for w := range s.queue {
+			if s.queue[w] != 0 || s.outBits[w] != 0 {
+				t.Fatalf("%s: %s left queue word %d set", what, kernel, w)
+			}
+		}
+	}
+	want := make([]float64, m)
+	ftranDense(f, c, want, make([]float64, m))
+	got := make([]float64, m)
+	check("ftran", got, want, f.ftran(c, supp, got, make([]int, 0, m), s))
+	btranDense(f, c, want, make([]float64, m), make([]float64, m), s)
+	got = make([]float64, m)
+	check("btran", got, want, f.btran(c, supp, got, make([]int, 0, m), s))
+}
+
+// kernelInput returns an m-vector with k nonzeros at random positions and
+// its support. With signed set, about a quarter of the other positions
+// hold −0, listed in the support as every position not +0 must be, and
+// some +0 positions are listed too, which the kernels must tolerate.
+func kernelInput(s *rng.Source, m, k int, signed bool) ([]float64, []int) {
+	c := sparseInput(s, m, k)
+	listed := make([]bool, m)
+	for i, v := range c {
+		listed[i] = v != 0
+	}
+	if signed {
+		for i := range c {
+			switch {
+			case c[i] != 0:
+			case s.Intn(4) == 0:
+				c[i] = math.Copysign(0, -1)
+				listed[i] = true
+			case s.Intn(8) == 0:
+				listed[i] = true
+			}
+		}
+	}
+	var supp []int
+	for i, l := range listed {
+		if l {
+			supp = append(supp, i)
+		}
+	}
+	return c, supp
+}
+
+// kernelCounts are the input sizes of the differential checks: one, a
+// few, and either side of the density switch, so the switch fires before
+// the walk, at its first fill, and partway through a stage.
+func kernelCounts(m int) []int {
+	lim := m / denseSwitchDiv
+	counts := []int{1, 2, 3, 5}
+	for _, k := range []int{lim - 1, lim, lim + 1} {
+		if k > 5 && k <= m {
+			counts = append(counts, k)
+		}
+	}
+	return counts
+}
+
+// TestKernelsMatchDense holds the support-walking FTRAN and BTRAN to the
+// dense reference kernels bit for bit, signed zeros included, on random
+// sparse bases (their etas, with diagonals of either sign, turn zeros
+// into −0 in BTRAN's eta stage), on factors extended across appended rows,
+// and on the final factor of a cold staircase solve with m >= 1,000 rows.
+func TestKernelsMatchDense(t *testing.T) {
+	s := rng.New(24, "lp-kernel-dense")
+	var bs solveScratch
+	for trial := 0; trial < 10; trial++ {
+		m := 40 + s.Intn(160)
+		B := randomSparseBasis(s, m, 3*m)
+		colPtr, rowIdx, vals := cscFromDense(B)
+		f, err := factorizeBasis(m, colPtr, rowIdx, vals)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(f.lIdx) == 0 || len(f.uIdx) == 0 {
+			t.Fatalf("trial %d: L has %d and U %d off-diagonal entries; a stage goes unexercised", trial, len(f.lIdx), len(f.uIdx))
+		}
+		bs.load(f)
+		for _, etas := range []int{0, 8, 40} {
+			for f.nEtas() < etas {
+				randomEta(s, f, s.Intn(m), s.Intn(1+m/8))
+			}
+			for _, k := range kernelCounts(m) {
+				for _, signed := range []bool{false, true} {
+					c, supp := kernelInput(s, m, k, signed)
+					checkKernelBits(t, fmt.Sprintf("trial %d, m=%d, %d etas, %d nonzeros, signed %v", trial, m, etas, k, signed), f, &bs, c, supp)
+				}
+			}
+		}
+		// The same factor extended across appended rows, as a warm start
+		// after new rows adopts it, with pivots on the grown basis.
+		snap := f.freeze()
+		g := *snap
+		G := growBasis(s, &g, B, 1+s.Intn(8), false)
+		pivotColumns(s, &g, G, 4)
+		bs.adopt(snap, g.m)
+		for _, k := range kernelCounts(g.m) {
+			c, supp := kernelInput(s, g.m, k, true)
+			checkKernelBits(t, fmt.Sprintf("trial %d, extended to m=%d, %d nonzeros", trial, g.m, k), &g, &bs, c, supp)
+		}
+	}
+
+	// A staircase LP at DSCT-EA-FR scale: the final factor and eta file of
+	// a cold solve, on unit vectors, the basic costs, structural columns
+	// and random sparse inputs.
+	g := generateStaircaseLP(rng.New(25, "lp-kernel-staircase"), 200, 5)
+	tr := newRev(g.p, Options{})
+	sol, _, err := tr.solveCold(g.p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal {
+		t.Fatalf("staircase status %v", sol.Status)
+	}
+	f, m := tr.lu, tr.m
+	if m < 1000 || f.nEtas() == 0 {
+		t.Fatalf("staircase factor has m=%d and %d etas, want m >= 1000 with an eta file", m, f.nEtas())
+	}
+	for rep := 0; rep < 20; rep++ {
+		e := make([]float64, m)
+		i := s.Intn(m)
+		e[i] = 1
+		checkKernelBits(t, fmt.Sprintf("staircase unit %d", i), f, &tr.luS, e, []int{i})
+	}
+	cb := make([]float64, m)
+	for i := range cb {
+		if v := tr.basis[i]; v < g.p.NumVars() {
+			cb[i] = g.obj[v]
+		}
+	}
+	checkKernelBits(t, "staircase basic costs", f, &tr.luS, cb, appendSupport(nil, cb))
+	for rep := 0; rep < 20; rep++ {
+		j := s.Intn(tr.n)
+		a := make([]float64, m)
+		rows := tr.sp.rowIdx[tr.sp.colPtr[j]:tr.sp.colPtr[j+1]]
+		for k, r := range rows {
+			a[r] = tr.sp.colVal[tr.sp.colPtr[j]+k]
+		}
+		checkKernelBits(t, fmt.Sprintf("staircase column %d", j), f, &tr.luS, a, rows)
+	}
+	for _, k := range kernelCounts(m) {
+		c, supp := kernelInput(s, m, k, true)
+		checkKernelBits(t, fmt.Sprintf("staircase, %d nonzeros", k), f, &tr.luS, c, supp)
+	}
+}
+
+// FuzzKernelsMatchDense is TestKernelsMatchDense's random-basis check
+// under fuzzing: a seed, the dimension, the eta count, the input's
+// nonzero count and whether −0 entries join it.
+func FuzzKernelsMatchDense(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(0), uint8(1), false)
+	f.Add(int64(2), uint8(120), uint8(16), uint8(11), true)
+	f.Add(int64(3), uint8(200), uint8(40), uint8(21), true)
+	f.Add(int64(4), uint8(90), uint8(8), uint8(9), true)
+	f.Add(int64(5), uint8(1), uint8(3), uint8(1), true)
+	f.Fuzz(func(t *testing.T, seed int64, mRaw, etaRaw, nnzRaw uint8, signed bool) {
+		s := rng.New(seed, "lp-kernel-fuzz")
+		m := 1 + int(mRaw)
+		B := randomSparseBasis(s, m, 3*m)
+		colPtr, rowIdx, vals := cscFromDense(B)
+		fac, err := factorizeBasis(m, colPtr, rowIdx, vals)
+		if err != nil {
+			t.Skip("singular random basis")
+		}
+		for e := 0; e < int(etaRaw)%64; e++ {
+			randomEta(s, fac, s.Intn(m), s.Intn(1+m/8))
+		}
+		var bs solveScratch
+		bs.load(fac)
+		c, supp := kernelInput(s, m, 1+int(nnzRaw)%m, signed)
+		checkKernelBits(t, fmt.Sprintf("m=%d, %d etas, %d listed", m, fac.nEtas(), len(supp)), fac, &bs, c, supp)
+	})
 }

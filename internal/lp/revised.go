@@ -26,6 +26,17 @@ package lp
 // fixed columns (lo == hi: equality logicals, frozen artificials, branch-
 // fixed variables) are never eligible to enter.
 //
+// A primal phase prices incrementally (prices): c_B and its support
+// persist across pivots, a pass resets only the reduced costs the last
+// pass touched and recomputes those of the columns in the rows of y's
+// support, and the entering choice walks those columns plus the ones with
+// a nonzero cost. The phase's first pass, and any pass whose y holds more
+// than m/denseSwitchDiv nonzeros, is the dense pass over every column.
+// Both give every reduced cost bit for bit, and the walk enters the
+// column the ascending scan would. The dual phase prices densely: its
+// ratio test and reduced-cost update break ties within tol in ascending
+// column order, which only a full scan reproduces.
+//
 // Canonical column layout for a problem with n structural variables and m
 // rows: columns [0, n) are structural with the Problem's boxes, column n+i
 // is the logical of row i ([0, +inf) slack after orienting >= rows to <=;
@@ -100,19 +111,34 @@ type rev struct {
 	numRetries    int  // consecutive vanished-pivot rebuilds; bounded to stay terminating
 	dFresh        bool // t.d currently holds valid reduced costs (dual incremental updates)
 
-	// scratch buffers, allocated once
-	y     []float64 // m dual prices of the working cost vector
-	d     []float64 // width reduced costs
-	alpha []float64 // width pivot-row coefficients (dual simplex)
-	w     []float64 // m entering-column direction (ftran)
-	wNz   []int     // ascending positions of w's nonzeros
-	colv  []float64 // m gathered matrix column
-	cb    []float64 // m btran input: basic costs, or a unit vector
-	rho   []float64 // m btran output: one row of B⁻¹ (row space)
-	luW   []float64 // m triangular-solve workspace
-	luC   []float64 // m btran eta-transform workspace
+	// scratch buffers, allocated once. Each m-vector with a support list
+	// is +0 outside it.
+	y      []float64 // m dual prices of the working cost vector
+	ySupp  []int     // ascending rows where y is not +0
+	d      []float64 // width reduced costs
+	alpha  []float64 // width pivot-row coefficients (dual simplex)
+	w      []float64 // m entering-column direction (ftran)
+	wNz    []int     // ascending positions of w's nonzeros
+	rhs    []float64 // m kernel input, +0 between uses: ftran's gathered column, pivotRow's e_pr
+	one    [1]int    // the support of a logical or artificial column, or of e_pr
+	rho    []float64 // m btran output: one row of B⁻¹ (row space)
+	rhoSup []int     // ascending rows where rho is not +0
 
-	luBt btranScratch // btran's row-wise U of lu and its support buffer
+	luS solveScratch // FTRAN's and BTRAN's row forms of lu, work vectors and queues
+
+	// Primal pricing state, kept across the pivots of one primal phase
+	// (see prices). cb is c_B for the phase's cost vector, with its
+	// support; moved lists the basis positions pivoted since the last
+	// pass. Unless dAll is set, every column outside dDirty holds its
+	// baseline reduced cost: c_j when nonbasic, 0 when basic. costed lists
+	// the columns below rw whose cost is not zero, once costedOK.
+	cb       []float64
+	cbSupp   []int
+	moved    []int
+	dDirty   []int
+	dAll     bool
+	costed   []int
+	costedOK bool
 
 	// Reuse-mode flags. A Workspace-owned rev (owned) persists across
 	// solves, so a factor that a one-shot solve may share into a published
@@ -202,11 +228,17 @@ func (t *rev) init(p *Problem, opts Options) {
 	t.alpha = grown(t.alpha, t.width)
 	t.w = grown(t.w, m)
 	t.wNz = grown(t.wNz, m)[:0]
-	t.colv = grown(t.colv, m)
-	t.cb = grown(t.cb, m)
+	t.ySupp = grown(t.ySupp, m)[:0]
+	t.rhs = grown(t.rhs, m)
 	t.rho = grown(t.rho, m)
-	t.luW = grown(t.luW, m)
-	t.luC = grown(t.luC, m)
+	t.rhoSup = grown(t.rhoSup, m)[:0]
+	t.cb = grown(t.cb, m)
+	t.cbSupp = grown(t.cbSupp, m)[:0]
+	t.moved = t.moved[:0]
+	t.dDirty = t.dDirty[:0]
+	t.dAll = true
+	t.costedOK = false
+	t.luS.ensure(m)
 	t.iters = 0
 	t.blandMode = false
 	t.degenRun = 0
@@ -321,26 +353,6 @@ func (t *rev) addColTimes(col int, factor float64) {
 	}
 }
 
-// gatherCol scatters matrix column col (structural, logical or implicit
-// artificial) into t.colv as a dense row-space vector.
-//
-//lint:hotpath feeds every FTRAN; pinned to zero allocations
-func (t *rev) gatherCol(col int) {
-	for i := range t.colv {
-		t.colv[i] = 0
-	}
-	switch {
-	case col >= t.rw:
-		t.colv[col-t.rw] = t.artSign[col-t.rw]
-	case col >= t.n:
-		t.colv[col-t.n] = 1
-	default:
-		for k := t.sp.colPtr[col]; k < t.sp.colPtr[col+1]; k++ {
-			t.colv[t.sp.rowIdx[k]] = t.sp.colVal[k]
-		}
-	}
-}
-
 // refactorize gathers the basis columns into CSC form, computes a fresh
 // sparse LU (factor.go) with an empty eta file and refreshes xb = B⁻¹q:
 // an O(nnz of the basis) gather plus the near-O(nnz) elimination on the
@@ -395,7 +407,7 @@ func (t *rev) refactorize() error {
 		f.scales = t.pubScales
 		t.lu = f
 	}
-	t.luBt.load(t.lu)
+	t.luS.load(t.lu)
 	t.sinceRefactor = 0
 	t.computeXB()
 	return nil
@@ -448,7 +460,7 @@ func (t *rev) inheritFactor(from *Basis) bool {
 		return false
 	}
 	// t.lu holds f's U, copied or shared, extended by empty steps.
-	t.luBt.adopt(f, t.m)
+	t.luS.adopt(f, t.m)
 	return true
 }
 
@@ -549,7 +561,7 @@ func (t *rev) inverseResidualOK() bool {
 // basic column's box back onto the bound (the bounded generalisation of
 // the old negative-residue-to-zero snap).
 func (t *rev) computeXB() {
-	t.lu.ftran(t.q, t.xb, t.luW)
+	t.lu.ftranFull(t.q, t.xb, &t.luS)
 	for i := 0; i < t.m; i++ {
 		t.snapXB(i)
 	}
@@ -579,50 +591,243 @@ func (t *rev) setBasis(cols []int) {
 	}
 }
 
-// prices computes the dual prices y = c_B B⁻¹ and reduced costs
-// d = c − yᵀA for the working cost vector c.
+// prices computes the dual prices y = c_Bᵀ·B⁻¹ and the reduced costs
+// d = c − yᵀA of the structural and logical columns for the working cost
+// vector c (artificials cannot enter, so their reduced costs are never
+// read).
+//
+// The dense pass rebuilds c_B, copies d from c whole, subtracts y over the
+// rows of its support (row i also carries its logical, coefficient 1) and
+// zeroes every basic column. It runs when incremental is unset, at the
+// first pass after dAll was set (the start of a primal phase), and when y
+// has more than m/denseSwitchDiv nonzeros. An incremental pass instead
+// updates c_B at the positions pivoted since the last pass, resets only
+// dDirty (the columns the last pass touched, and the pivots' entering and
+// leaving columns) to their baseline, subtracts y over the rows of its
+// support and zeroes the basic columns among those it touched. Each column
+// receives the terms of y's rows in ascending row order either way, so d
+// comes out bit for bit as the dense pass computes it. A pass with y
+// sparse and incremental set records the columns it touched in dDirty, for
+// the next pass to reset and the entering choice to walk; any other pass
+// leaves dAll set.
 //
 //lint:hotpath full pricing pass per iteration; pinned to zero allocations
-func (t *rev) prices(c []float64) {
+func (t *rev) prices(c []float64, incremental bool) {
 	m := t.m
-	// One BTRAN of the basic costs against the factors + eta file.
-	for i := 0; i < m; i++ {
-		t.cb[i] = c[t.basis[i]]
+	dense := t.dAll || !incremental
+	if dense {
+		sup := t.cbSupp[:0]
+		for i := 0; i < m; i++ {
+			v := c[t.basis[i]]
+			t.cb[i] = v
+			if math.Float64bits(v) != 0 {
+				sup = append(sup, i)
+			}
+		}
+		t.cbSupp = sup
+	} else {
+		for _, i := range t.moved {
+			t.setCB(i, c[t.basis[i]])
+		}
 	}
-	t.lu.btran(t.cb, t.y, t.luW, t.luC, &t.luBt)
-	// Artificial reduced costs (columns >= rw) are never read — artificials
-	// cannot enter — so only the structural+logical block is priced: y_i is
-	// subtracted over row i's nonzeros plus the implicit logical
-	// (coefficient 1 in row i), O(nnz + m) per pass.
-	copy(t.d[:t.rw], c[:t.rw])
-	for i := 0; i < m; i++ {
+	t.moved = t.moved[:0]
+	// One BTRAN of the basic costs against the factors + eta file.
+	for _, i := range t.ySupp {
+		t.y[i] = 0
+	}
+	t.ySupp = t.lu.btran(t.cb, t.cbSupp, t.y, t.ySupp, &t.luS)
+	nz := 0
+	for _, i := range t.ySupp {
+		if t.y[i] != 0 {
+			nz++
+		}
+	}
+	track := incremental && nz <= m/denseSwitchDiv
+	if dense || !track {
+		dense = true
+		copy(t.d[:t.rw], c[:t.rw])
+	} else {
+		for _, j := range t.dDirty {
+			if t.inBasis[j] {
+				t.d[j] = 0
+			} else {
+				t.d[j] = c[j]
+			}
+		}
+	}
+	dirty := t.dDirty[:0]
+	for _, i := range t.ySupp {
 		yi := t.y[i]
 		if yi == 0 {
 			continue
 		}
-		for k := t.sp.rowPtr[i]; k < t.sp.rowPtr[i+1]; k++ {
+		lo, hi := t.sp.rowPtr[i], t.sp.rowPtr[i+1]
+		for k := lo; k < hi; k++ {
 			t.d[t.sp.colIdx[k]] -= yi * t.sp.rowVal[k]
 		}
 		t.d[t.n+i] -= yi
+		if track {
+			dirty = append(dirty, t.sp.colIdx[lo:hi]...)
+			dirty = append(dirty, t.n+i)
+		}
 	}
-	for i := 0; i < m; i++ {
-		t.d[t.basis[i]] = 0 // exact by definition; zap rounding residue
+	if dense {
+		for i := 0; i < m; i++ {
+			t.d[t.basis[i]] = 0 // exact by definition; zap rounding residue
+		}
+	} else {
+		for _, j := range dirty {
+			if t.inBasis[j] {
+				t.d[j] = 0
+			}
+		}
 	}
+	t.dDirty = dirty
+	t.dAll = !track
 }
 
-// ftran computes w = B⁻¹ A_col into t.w: the column is gathered into a
-// dense row-space vector and solved against the factors + eta file. The
-// ascending positions of w's nonzeros go to t.wNz, so the pivot's O(m)
-// loops visit only those rows.
+// setCB sets c_B at basis position i to v, keeping cbSupp the ascending
+// positions where c_B is not +0.
+func (t *rev) setCB(i int, v float64) {
+	t.cb[i] = v
+	sup := t.cbSupp
+	k := searchIdx(sup, 0, len(sup), i)
+	in := k < len(sup) && sup[k] == i
+	switch {
+	case math.Float64bits(v) != 0 && !in:
+		sup = append(sup, 0)
+		copy(sup[k+1:], sup[k:])
+		sup[k] = i
+	case math.Float64bits(v) == 0 && in:
+		sup = append(sup[:k], sup[k+1:]...)
+	}
+	t.cbSupp = sup
+}
+
+// entering returns the column the primal phase enters under cost vector c
+// after a pricing pass, or −1 when none improves. A column at its lower
+// bound improves by increasing (d > tol), one at its upper bound by
+// decreasing (d < −tol). Dantzig's rule takes the largest such |d|, the
+// lowest index among equals; after a degenerate run Bland's rule takes the
+// lowest eligible index instead. After a pass that recorded its touched
+// columns, every other column holds c_j or 0, so only dDirty and the
+// columns with a nonzero cost can improve; the choice walks those two
+// lists under the same rule, stated explicitly, and picks what the
+// ascending scan over every column picks.
+//
+//lint:hotpath one entering choice per primal iteration; pinned to zero allocations
+func (t *rev) entering(c []float64) int {
+	pc := -1
+	if t.dAll {
+		best := tol
+		for j := 0; j < t.rw; j++ {
+			if !t.blandMode {
+				best, pc = t.dantzig(j, best, pc)
+			} else if t.blandEnters(j) {
+				return j
+			}
+		}
+		return pc
+	}
+	if !t.costedOK {
+		t.costed = t.costed[:0]
+		for j, cj := range c[:t.rw] {
+			if cj != 0 {
+				t.costed = append(t.costed, j)
+			}
+		}
+		t.costedOK = true
+	}
+	if t.blandMode {
+		for _, j := range t.dDirty {
+			if (pc < 0 || j < pc) && t.blandEnters(j) {
+				pc = j
+			}
+		}
+		for _, j := range t.costed {
+			if (pc < 0 || j < pc) && t.blandEnters(j) {
+				pc = j
+			}
+		}
+		return pc
+	}
+	best := tol
+	for _, j := range t.dDirty {
+		best, pc = t.dantzig(j, best, pc)
+	}
+	for _, j := range t.costed {
+		best, pc = t.dantzig(j, best, pc)
+	}
+	return pc
+}
+
+// blandEnters reports whether column j may enter under Bland's rule.
+func (t *rev) blandEnters(j int) bool {
+	if !t.eligible(j) {
+		return false
+	}
+	if t.atUpper[j] {
+		return t.d[j] < -tol
+	}
+	return t.d[j] > tol
+}
+
+// dantzig is one step of the explicit Dantzig rule: column j replaces the
+// incumbent pc (score best) when it is eligible and its score is larger,
+// or equal with a lower index.
+func (t *rev) dantzig(j int, best float64, pc int) (float64, int) {
+	if !t.eligible(j) {
+		return best, pc
+	}
+	score := t.d[j]
+	if t.atUpper[j] {
+		score = -score
+	}
+	//lint:ignore floatcmp an exact tie goes to the lower index, as the ascending scan's strict > leaves it
+	if score > best || (score == best && pc >= 0 && j < pc) {
+		return score, j
+	}
+	return best, pc
+}
+
+// ftran computes w = B⁻¹ A_col into t.w, with the ascending positions of
+// its nonzeros in t.wNz, so the pivot's loops visit only those rows. The
+// column's entries are scattered into t.rhs over its rows, the support
+// FTRAN starts from, and cleared again afterwards.
 //
 //lint:hotpath one entering-direction solve per pivot; pinned to zero allocations
 func (t *rev) ftran(col int) {
-	t.gatherCol(col)
-	t.lu.ftran(t.colv, t.w, t.luW)
-	nz := t.wNz[:0]
-	for i, wi := range t.w {
-		if wi != 0 {
+	for _, i := range t.wNz {
+		t.w[i] = 0
+	}
+	var rows []int
+	switch {
+	case col >= t.rw:
+		t.one[0] = col - t.rw
+		t.rhs[col-t.rw] = t.artSign[col-t.rw]
+		rows = t.one[:]
+	case col >= t.n:
+		t.one[0] = col - t.n
+		t.rhs[col-t.n] = 1
+		rows = t.one[:]
+	default:
+		lo, hi := t.sp.colPtr[col], t.sp.colPtr[col+1]
+		for k := lo; k < hi; k++ {
+			t.rhs[t.sp.rowIdx[k]] = t.sp.colVal[k]
+		}
+		rows = t.sp.rowIdx[lo:hi]
+	}
+	sup := t.lu.ftran(t.rhs, rows, t.w, t.wNz, &t.luS)
+	for _, i := range rows {
+		t.rhs[i] = 0
+	}
+	// No pivot loop reads w outside wNz, so a −0 is stored as +0 there.
+	nz := sup[:0]
+	for _, i := range sup {
+		if t.w[i] != 0 {
 			nz = append(nz, i)
+		} else {
+			t.w[i] = 0
 		}
 	}
 	t.wNz = nz
@@ -635,16 +840,16 @@ func (t *rev) ftran(col int) {
 //
 //lint:hotpath one ratio-test row per dual iteration; pinned to zero allocations
 func (t *rev) pivotRow(pr int) {
-	for j := 0; j < t.rw; j++ {
-		t.alpha[j] = 0
-	}
+	clear(t.alpha[:t.rw])
 	// Row pr of B⁻¹: one BTRAN of the unit vector e_pr.
-	for k := range t.cb {
-		t.cb[k] = 0
+	for _, i := range t.rhoSup {
+		t.rho[i] = 0
 	}
-	t.cb[pr] = 1
-	t.lu.btran(t.cb, t.rho, t.luW, t.luC, &t.luBt)
-	for k := 0; k < t.m; k++ {
+	t.rhs[pr] = 1
+	t.one[0] = pr
+	t.rhoSup = t.lu.btran(t.rhs, t.one[:], t.rho, t.rhoSup, &t.luS)
+	t.rhs[pr] = 0
+	for _, k := range t.rhoSup {
 		bk := t.rho[k]
 		if bk == 0 {
 			continue
@@ -722,6 +927,17 @@ func (t *rev) pivotBounded(pr, pc int, leaveToUpper bool) error {
 	t.basis[pr] = pc
 	t.inBasis[pc] = true
 	t.snapXB(pr)
+	if !t.dAll {
+		// The next incremental pricing pass updates c_B here and resets
+		// both columns to their new baseline (an artificial is not priced).
+		// A costed column is touched by the pass while it is basic, since
+		// yᵀA_j = c_j, but an exact cancellation in y could leave it out.
+		t.moved = append(t.moved, pr)
+		t.dDirty = append(t.dDirty, pc)
+		if leave < t.rw {
+			t.dDirty = append(t.dDirty, leave)
+		}
+	}
 
 	t.sinceRefactor++
 	// Adaptive trigger: rebuild when the eta file outgrows the factors, or
@@ -766,91 +982,28 @@ func (t *rev) trackDegenerate(ratio float64, limit int) {
 // until optimality (no entering column) or a limit. The caller must ensure
 // the current basis is primal feasible (every xb within its column's box).
 func (t *rev) primal(c []float64) (Status, error) {
+	// The phase's first pricing pass is the dense one; later passes price
+	// incrementally while y stays sparse.
+	t.dAll = true
+	t.costedOK = false
 	for {
 		if st := t.limits(); st != Optimal {
 			return st, nil
 		}
-		// Entering column, sign-aware: a column at its lower bound improves
-		// by increasing (d > 0, sigma +1), one at its upper bound by
-		// decreasing (d < 0, sigma −1). Dantzig's rule enters the largest
-		// such |d|; after a degenerate run Bland's rule takes the first
-		// eligible column instead.
-		t.prices(c)
-		pc := -1
-		sigma := 1.0
-		if t.blandMode {
-			for j := 0; j < t.rw; j++ {
-				if !t.eligible(j) {
-					continue
-				}
-				if t.atUpper[j] {
-					if t.d[j] < -tol {
-						pc = j
-						break
-					}
-				} else if t.d[j] > tol {
-					pc = j
-					break
-				}
-			}
-		} else {
-			best := tol
-			for j := 0; j < t.rw; j++ {
-				if !t.eligible(j) {
-					continue
-				}
-				score := t.d[j]
-				if t.atUpper[j] {
-					score = -score
-				}
-				if score > best {
-					best = score
-					pc = j
-				}
-			}
-		}
+		// Entering column, sign-aware: a column at its lower bound moves
+		// up (sigma +1), one at its upper bound down (sigma −1).
+		t.prices(c, true)
+		pc := t.entering(c)
 		if pc == -1 {
 			return Optimal, nil
 		}
+		sigma := 1.0
 		if t.atUpper[pc] {
 			sigma = -1
 		}
 
 		t.ftran(pc)
-
-		// Bounded ratio test: the entering column moves by sigma·step; each
-		// basic value i changes by −step·(sigma·w_i), so a positive
-		// effective direction drives it toward its lower bound and a
-		// negative one toward its (finite) upper bound. The entering
-		// column's own span seeds the minimum — if nothing binds earlier
-		// the iteration is a bound flip, no pivot. Ties prefer a row pivot
-		// (pr == -1 initially) and then the lowest basic column index, the
-		// Bland-compatible deterministic order.
-		// Only rows where w is nonzero can bind, so the test walks t.wNz.
-		pr := -1
-		leaveToUpper := false
-		minRatio := t.hi[pc] - t.lo[pc] // +inf when hi is
-		for _, i := range t.wNz {
-			wi := sigma * t.w[i]
-			var ratio float64
-			var toUpper bool
-			if wi > tol {
-				ratio = (t.xb[i] - t.lo[t.basis[i]]) / wi
-			} else if bh := t.hi[t.basis[i]]; wi < -tol && !math.IsInf(bh, 1) {
-				ratio = (bh - t.xb[i]) / -wi
-				toUpper = true
-			} else {
-				continue
-			}
-			if ratio < 0 {
-				ratio = 0 // roundoff residue just outside the box
-			}
-			if ratio < minRatio-tol || (math.Abs(ratio-minRatio) <= tol && (pr == -1 || t.basis[i] < t.basis[pr])) {
-				minRatio = ratio
-				pr = i
-				leaveToUpper = toUpper
-			}
-		}
+		pr, leaveToUpper, minRatio := t.primalRatio(pc, sigma)
 		if pr == -1 {
 			if math.IsInf(minRatio, 1) {
 				return Unbounded, nil
@@ -873,6 +1026,42 @@ func (t *rev) primal(c []float64) (Status, error) {
 		t.numRetries = 0
 		t.iters++
 	}
+}
+
+// primalRatio is the bounded ratio test for entering column pc moving in
+// direction sigma along w = B⁻¹A_pc. Each basic value i changes by
+// −step·(sigma·w_i), so a positive effective direction drives it toward
+// its lower bound and a negative one toward its (finite) upper bound. The
+// entering column's own span seeds the minimum: if nothing binds earlier,
+// pr is −1 and the iteration is a bound flip, no pivot. Ties prefer a row
+// pivot (pr == −1 initially) and then the lowest basic column index, the
+// Bland-compatible deterministic order. Only rows where w is nonzero can
+// bind, so the test walks t.wNz.
+func (t *rev) primalRatio(pc int, sigma float64) (pr int, leaveToUpper bool, minRatio float64) {
+	pr = -1
+	minRatio = t.hi[pc] - t.lo[pc] // +inf when hi is
+	for _, i := range t.wNz {
+		wi := sigma * t.w[i]
+		var ratio float64
+		var toUpper bool
+		if wi > tol {
+			ratio = (t.xb[i] - t.lo[t.basis[i]]) / wi
+		} else if bh := t.hi[t.basis[i]]; wi < -tol && !math.IsInf(bh, 1) {
+			ratio = (bh - t.xb[i]) / -wi
+			toUpper = true
+		} else {
+			continue
+		}
+		if ratio < 0 {
+			ratio = 0 // roundoff residue just outside the box
+		}
+		if ratio < minRatio-tol || (math.Abs(ratio-minRatio) <= tol && (pr == -1 || t.basis[i] < t.basis[pr])) {
+			minRatio = ratio
+			pr = i
+			leaveToUpper = toUpper
+		}
+	}
+	return pr, leaveToUpper, minRatio
 }
 
 // dual runs bounded-variable dual simplex pivots under cost vector c until
@@ -936,7 +1125,7 @@ func (t *rev) dual(c []float64) (Status, error) {
 		}
 
 		if !t.dFresh {
-			t.prices(c)
+			t.prices(c, false)
 			t.dFresh = true
 		}
 		t.pivotRow(pr)

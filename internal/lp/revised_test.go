@@ -1,10 +1,12 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/numeric"
+	"repro/internal/rng"
 )
 
 func solveBasisOK(t *testing.T, p *Problem) (*Solution, *Basis) {
@@ -247,5 +249,138 @@ func TestWarmStartEqualityAppended(t *testing.T) {
 	}
 	if !numeric.Close(warm.Objective, cold.Objective, 1e-9) {
 		t.Errorf("warm %.15g != cold %.15g", warm.Objective, cold.Objective)
+	}
+}
+
+// TestPricingIncrementalMatchesDense drives two primal phases step by
+// step on a staircase LP, under objectives that cost one column in five or
+// two in five, as the fractional relaxation's LP costs only its accuracy
+// columns, so y stays sparse and the passes after each phase's first
+// price incrementally. The second phase starts from the first's optimum
+// and charges the first's costed columns, which sit in its basis, so they
+// leave it. After every pass d must equal the dense pass's reduced costs
+// bit for bit, and the entering column must be the one the ascending scan
+// over every column picks, under Dantzig's rule and, every third
+// iteration, Bland's.
+func TestPricingIncrementalMatchesDense(t *testing.T) {
+	g := generateStaircaseLP(rng.New(36, "lp-pricing-incremental"), 150, 5)
+	tr := newRev(g.p, Options{})
+	cols := make([]int, tr.m)
+	for i := range cols {
+		if tr.q[i] < 0 {
+			t.Fatalf("row %d starts infeasible; the slack basis is not a primal start", i)
+		}
+		cols[i] = tr.n + i
+	}
+	tr.setBasis(cols)
+	if err := tr.refactorize(); err != nil {
+		t.Fatal(err)
+	}
+	tr.freezeArtificials()
+	first := make([]float64, tr.width)
+	second := make([]float64, tr.width)
+	for v := 0; v < tr.n; v++ {
+		switch v % 5 {
+		case 0:
+			first[v] = g.obj[v]
+			second[v] = -g.obj[v]
+		case 1:
+			second[v] = g.obj[v]
+		}
+	}
+	for phase, c := range [][]float64{first, second} {
+		pivots, incremental, left := pricePhaseAgainstDense(t, tr, c)
+		if pivots < 50 || incremental < 20 || (phase == 1 && left == 0) {
+			t.Fatalf("phase %d: %d pivots, %d incremental passes, %d costed columns left the basis: the incremental pass goes unexercised",
+				phase, pivots, incremental, left)
+		}
+	}
+}
+
+// pricePhaseAgainstDense runs one primal phase of tr under cost vector c
+// as rev.primal does, checking every pricing pass and entering choice
+// against the dense pass and the ascending scan. It returns the pivots,
+// the incremental passes and the pivots whose leaving column is costed.
+func pricePhaseAgainstDense(t *testing.T, tr *rev, c []float64) (pivots, incremental, left int) {
+	t.Helper()
+	tr.dAll = true
+	tr.costedOK = false
+	ref := make([]float64, tr.rw)
+	for it := 0; ; it++ {
+		if it > 20*tr.m {
+			t.Fatal("no optimum after 20·m iterations")
+		}
+		tr.blandMode = it%3 == 2
+		tr.prices(c, true)
+		if !tr.dAll {
+			incremental++
+		}
+		copy(ref, c[:tr.rw])
+		for i := 0; i < tr.m; i++ {
+			yi := tr.y[i]
+			if yi == 0 {
+				continue
+			}
+			for k := tr.sp.rowPtr[i]; k < tr.sp.rowPtr[i+1]; k++ {
+				ref[tr.sp.colIdx[k]] -= yi * tr.sp.rowVal[k]
+			}
+			ref[tr.n+i] -= yi
+		}
+		for _, col := range tr.basis {
+			if col < tr.rw {
+				ref[col] = 0
+			}
+		}
+		for j := range ref {
+			if math.Float64bits(tr.d[j]) != math.Float64bits(ref[j]) {
+				t.Fatalf("iteration %d: d[%d] = %v, dense pass %v", it, j, tr.d[j], ref[j])
+			}
+		}
+		want := -1
+		best := tol
+		for j := 0; j < tr.rw; j++ {
+			if !tr.eligible(j) {
+				continue
+			}
+			score := tr.d[j]
+			if tr.atUpper[j] {
+				score = -score
+			}
+			if tr.blandMode && score > tol {
+				want = j
+				break
+			}
+			if !tr.blandMode && score > best {
+				best, want = score, j
+			}
+		}
+		pc := tr.entering(c)
+		if pc != want {
+			t.Fatalf("iteration %d (Bland %v): entering %d, ascending scan %d", it, tr.blandMode, pc, want)
+		}
+		if pc == -1 {
+			return pivots, incremental, left
+		}
+		sigma := 1.0
+		if tr.atUpper[pc] {
+			sigma = -1
+		}
+		tr.ftran(pc)
+		pr, up, ratio := tr.primalRatio(pc, sigma)
+		if pr == -1 {
+			if math.IsInf(ratio, 1) {
+				t.Fatalf("iteration %d: unbounded", it)
+			}
+			tr.flipCol(pc, sigma)
+			continue
+		}
+		leave := tr.basis[pr]
+		if err := tr.pivotBounded(pr, pc, up); err != nil && !errors.Is(err, errNumerical) {
+			t.Fatal(err)
+		}
+		pivots++
+		if leave < tr.rw && c[leave] != 0 {
+			left++
+		}
 	}
 }
